@@ -257,15 +257,6 @@ def squarefree_part(n: int) -> int:
     return s
 
 
-def radical(n: int) -> int:
-    if n == 0:
-        raise ValueError("radical of 0 is undefined")
-    r = 1
-    for p in factorize(abs(n)).primes():
-        r *= p
-    return r
-
-
 def is_fundamental_discriminant(d: int) -> bool:
     """True iff d is 1 or the discriminant of a real quadratic field.
 

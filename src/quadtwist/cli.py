@@ -1,6 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure(s), 2 usage or input error.
+Exit codes: 0 success, 1 verification failure(s), 2 usage or input error,
+3 internal error (an unexpected exception, reported on stderr).
+
+`verify` checks pairs of discriminants only up to min(--dmax, 100); the
+report records that cap as "pair_dmax".
 """
 
 from __future__ import annotations
@@ -10,10 +14,9 @@ import json
 import sys
 
 from .arith import is_prime
-from .profile_scan import HAVE_COMPILED, scan_profiles
-from .curves import SingularModelError, minimal_model, model, quadratic_twist
+from .profile_scan import scan_profiles
+from .curves import minimal_model, model, quadratic_twist
 from .harness import (
-    CorpusError,
     default_corpus_path,
     ingest_corpus,
     report_to_json,
@@ -21,7 +24,6 @@ from .harness import (
 )
 from .localred import tate_local
 from .twistlaws import (
-    SetupError,
     find_auxiliary_discriminant,
     measured_u,
     u_of_discriminant,
@@ -29,6 +31,7 @@ from .twistlaws import (
 )
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--jobs", type=int, default=1)
 
-    p = sub.add_parser("enumerate-case3", help="mod-32 residue enumeration profiles")
-    p.add_argument("--backend", choices=("auto", "compiled", "pure"), default="auto")
+    sub.add_parser("enumerate-case3", help="mod-32 residue enumeration profiles")
 
     p = sub.add_parser("find-aux", help="smallest auxiliary discriminant flipping one prime")
     add_curve(p)
@@ -143,8 +145,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    res = scan_profiles(args.backend)
-    print(f"backend: {res.backend} (compiled available: {HAVE_COMPILED})")
+    res = scan_profiles()
     print("key range:", sorted(res.key_range))
     print("tamagawa-2 profile:", sorted(res.tamagawa2_profile))
     print("tamagawa-4 profile:", sorted(res.tamagawa4_profile))
@@ -185,9 +186,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except (SetupError, CorpusError, SingularModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SetupError, CorpusError, SingularModelError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

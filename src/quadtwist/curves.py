@@ -257,10 +257,6 @@ def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
     return MinimalModelResult(minimal, phi, u)
 
 
-def is_minimal(E: WeierstrassModel) -> bool:
-    return E.is_integral and minimal_model(E).minimal == E
-
-
 # Valuation patterns of the 2-adic normal form for curves with good
 # reduction at 2: exactly one of
 #   (1) a1 odd, 4 | a3, and (a4 even, a6 odd) or (a4 odd, a6 even);

@@ -36,6 +36,10 @@ from .twistlaws import (
 )
 
 MODES = ("thm13", "thm31", "lemmas", "all")
+# Pair instances stop at this discriminant whatever d_max is: their count
+# grows quadratically and the identities they exercise are
+# discriminant-local.
+PAIR_DMAX = 100
 
 
 class CurveRecord(NamedTuple):
@@ -248,8 +252,7 @@ def _sweep_curve(args) -> list[dict]:
         for _d, setup in valid_single_setups(E, d_max):
             out.append(run_single_instance(record.label, setup, mode))
     if mode in ("thm31", "lemmas", "all"):
-        pair_max = min(d_max, 100)
-        for _pair, setup in valid_pair_setups(E, pair_max):
+        for _pair, setup in valid_pair_setups(E, min(d_max, PAIR_DMAX)):
             out.append(run_pair_instance(record.label, setup, mode))
     return out
 
@@ -264,9 +267,8 @@ def run_sweep(
     """Run the requested verification passes over every admissible
     instance; aggregates failures instead of aborting.
 
-    Pair instances are capped at discriminant 100 regardless of d_max
-    (their cost grows quadratically and the identities they exercise are
-    discriminant-local)."""
+    Pair instances are capped at discriminant PAIR_DMAX regardless of
+    d_max; the report records the cap in effect as "pair_dmax"."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     t0 = time.perf_counter()
@@ -296,6 +298,7 @@ def run_sweep(
         "schema": 1,
         "mode": mode,
         "d_max": d_max,
+        "pair_dmax": min(d_max, PAIR_DMAX),
         "corpus": corpus_name,
         "curves": [rec.label for rec in sorted(corpus, key=lambda r: r.label)],
         "summary": {

@@ -1,32 +1,19 @@
 """Residue enumeration behind the Tamagawa-at-2 dichotomy for eightfold
 twists.
 
-Two interchangeable backends compute, over the mod-32 residue classes of
-curve coefficients satisfying the two admissible valuation patterns, a
-mod-32 key invariant together with the profile of (discriminant mod 8,
-odd-twist-part mod 4) pairs on each key fiber:
-
-* a compiled kernel (quadtwist._scan32, Cython) that walks all
-  33,554,432 admissible classes of (Z/32Z)^6 literally;
-* a pure-Python reduction to the effective moduli of the three
-  invariants (192 classes), used when the extension is not built.
-
-Both report the same sets; the expected outcome is that the key only
-takes the values 0 (Tamagawa 4) and 16 (Tamagawa 2), each with a
-specific 4-element profile.
+Over the mod-32 residue classes of curve coefficients satisfying the two
+admissible valuation patterns, the scan computes a mod-32 key invariant
+together with the profile of (discriminant mod 8, odd-twist-part mod 4)
+pairs on each key fiber.  It walks only the effective moduli of the three
+invariants (192 classes) instead of all 33,554,432 admissible classes of
+(Z/32Z)^6; tests/test_profile_scan.py proves the two walks have the same
+image.  The key only takes the values 0 (Tamagawa 4) and 16 (Tamagawa 2),
+each with a specific 4-element profile.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
-
-try:
-    from ._scan32 import enumerate_profiles as _fast_profiles
-
-    HAVE_COMPILED = True
-except ImportError:  # extension not built
-    _fast_profiles = None
-    HAVE_COMPILED = False
 
 # Number of admissible residue classes in (Z/32Z)^6 (both patterns).
 FULL_CLASS_COUNT = 2 * (16 * 32 * 8 * 16 * 16 * 16)
@@ -41,7 +28,6 @@ class ProfileScanResult(NamedTuple):
     tamagawa2_profile: frozenset[tuple[int, int]]
     tamagawa4_profile: frozenset[tuple[int, int]]
     class_count: int
-    backend: str
 
     def matches_expected(self) -> bool:
         return (
@@ -56,9 +42,9 @@ def _profiles_pure() -> dict[int, frozenset[tuple[int, int]]]:
 
     The key and the profile coordinates only depend on: pattern 1 --
     x2 mod 2, x4 mod 4, x6 mod 8, y mod 16; pattern 2 -- x3 mod 8,
-    x6 mod 8, y mod 16.  The constrained-but-absent variables (x1; x3
-    resp. x4) range over nonempty residue sets, so dropping them does not
-    change the image.
+    x6 mod 8, y mod 16.  The constrained-but-absent variables (x1, x3;
+    resp. x1, x2, x4) range over nonempty residue sets, so dropping them
+    does not change the image.
     """
     profile: dict[int, set[tuple[int, int]]] = {}
 
@@ -81,25 +67,13 @@ def _profiles_pure() -> dict[int, frozenset[tuple[int, int]]]:
     return {t: frozenset(s) for t, s in profile.items()}
 
 
-def scan_profiles(backend: str = "auto") -> ProfileScanResult:
+def scan_profiles() -> ProfileScanResult:
     """Run the enumeration and split the profile by key = 16 (local index
     2 at the prime 2) versus key = 0 (local index 4)."""
-    if backend not in ("auto", "compiled", "pure"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "compiled" and not HAVE_COMPILED:
-        raise RuntimeError("compiled kernel is not available")
-    use_compiled = HAVE_COMPILED if backend == "auto" else backend == "compiled"
-    if use_compiled:
-        by_key, visited = _fast_profiles()
-        assert visited == FULL_CLASS_COUNT
-        name = "compiled"
-    else:
-        by_key = _profiles_pure()
-        name = "pure"
+    by_key = _profiles_pure()
     return ProfileScanResult(
         key_range=frozenset(by_key),
         tamagawa2_profile=by_key.get(16, frozenset()),
         tamagawa4_profile=by_key.get(0, frozenset()),
         class_count=FULL_CLASS_COUNT,
-        backend=name,
     )

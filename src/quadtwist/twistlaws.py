@@ -41,7 +41,6 @@ from .localred import (
     reduction_profile,
     tate_local,
 )
-from .profile_scan import ProfileScanResult, scan_profiles  # noqa: F401  (re-export)
 
 
 class SetupError(ValueError):
@@ -523,13 +522,11 @@ def symbol_closed_form(delta: int, D, b: int) -> int:
     raise ValueError("invalid discriminant shape")
 
 
-def tamagawa_symbol_check(E: WeierstrassModel, D, m: int | None = None) -> CheckResult:
-    """prod_{l | m} c_l(twist by D) is a power of two, square exactly when
-    kronecker(min disc, m) = 1."""
+def tamagawa_symbol_check(E: WeierstrassModel, D) -> CheckResult:
+    """With m the odd part of D: prod_{l | m} c_l(twist by D) is a power of
+    two, square exactly when kronecker(min disc, m) = 1."""
     D = _as_fund(D)
-    if m is None:
-        m = D.odd_part
-    assert m == D.odd_part
+    m = D.odd_part
     E = minimal_model(E).minimal
     disc = invariants(E).disc
     prod = 1

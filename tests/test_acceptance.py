@@ -58,7 +58,7 @@ def test_criterion_1_residue_scan():
     assert res.tamagawa2_profile == frozenset({(3, 1), (5, 1), (5, 3), (7, 3)})
     assert res.tamagawa4_profile == frozenset({(1, 1), (1, 3), (3, 3), (7, 1)})
     assert elapsed < 1.0, f"enumeration took {elapsed:.3f}s"
-    print(f"\nPASS criterion 1: residue-scan profiles exact ({res.backend}, {elapsed:.3f}s)")
+    print(f"\nPASS criterion 1: residue-scan profiles exact ({elapsed:.3f}s)")
 
 
 def test_criterion_2_single_quantity_sweep():
@@ -77,6 +77,7 @@ def test_criterion_2_single_quantity_sweep():
 def test_criterion_3_pair_quantity_sweep(full_sweep):
     pairs = [i for i in full_sweep["instances"] if "d1" in i]
     assert len(pairs) > 500
+    assert full_sweep["pair_dmax"] == 100
     bad = _slice_failures(
         full_sweep,
         ["quantity_power_of_two", "quantity_even_exponent", "omega_parity", "c_tilde_product"],

@@ -158,6 +158,16 @@ def test_cli_usage_errors(capsys):
     assert main(["verify", "--corpus", "/no/such/file.csv"]) == 2
 
 
+def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("simulated crash")
+
+    monkeypatch.setattr("quadtwist.cli.run_sweep", crash)
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
+    assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 3
+    assert "internal error: RuntimeError: simulated crash" in capsys.readouterr().err
+
+
 def test_cli_verify_roundtrip(tmp_path, capsys):
     corpus = tmp_path / "c.csv"
     corpus.write_text("11a1,0,-1,1,-10,-20,11,0\n", encoding="utf-8")
@@ -170,6 +180,7 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["summary"]["failures"] == 0
     assert report["mode"] == "all" and report["d_max"] == 20
+    assert report["pair_dmax"] == 20  # below the cap, pairs go to --dmax
     # byte-identical rerun modulo timing
     out2 = tmp_path / "report2.json"
     main(["verify", "--corpus", str(corpus), "--dmax", "20", "--mode", "all",
@@ -180,7 +191,7 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
 
 
 def test_cli_enumerate_profiles(capsys):
-    assert main(["enumerate-case3", "--backend", "pure"]) == 0
+    assert main(["enumerate-case3"]) == 0
     out = capsys.readouterr().out
     assert "key range: [0, 16]" in out
     assert "matches expected sets: True" in out
