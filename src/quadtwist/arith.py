@@ -47,6 +47,11 @@ class FundamentalDiscriminant(NamedTuple):
     def is_even(self) -> bool:
         return self.two_exponent > 0
 
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """Primes dividing D, increasing (2 first when D is even)."""
+        return factorize(self.value).primes()
+
 
 def _miller_rabin(n: int, base: int) -> bool:
     if base % n == 0:

@@ -219,6 +219,7 @@ class MinimalModelResult(NamedTuple):
     minimal: WeierstrassModel
     map: IsoMap
     u_value: int
+    bad_primes: tuple[int, ...]  # primes of the minimal discriminant
 
 
 @lru_cache(maxsize=None)
@@ -226,23 +227,27 @@ def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
     """Global minimal model via the Laska-Kraus-Connell reduction.
 
     Output is the reduced form (a1, a3 in {0,1}, a2 in {-1,0,1}), which is
-    unique, together with the isomorphism from the input and its scale u.
+    unique, together with the isomorphism from the input, its scale u and
+    the primes of the minimal discriminant.
     """
     if not E.is_integral:
         raise ValueError("minimal_model requires an integral model")
     inv = invariants(E)
     c4, c6, disc = inv.c4, inv.c6, inv.disc
     u = 1
+    bad_primes = []
     for p, e in factorize(disc).factors:
-        if e < 12:
-            continue
-        vc4 = valuation(c4, p) if c4 else e  # never binding when c4 = 0
-        vc6 = valuation(c6, p) if c6 else e
-        d = min(vc4 // 4, vc6 // 6, e // 12)
-        if p in (2, 3):
-            while d > 0 and not kraus_conditions(c4 // p ** (4 * d), c6 // p ** (6 * d), p):
-                d -= 1
-        u *= p**d
+        d = 0  # v_p(u)
+        if e >= 12:
+            vc4 = valuation(c4, p) if c4 else e  # never binding when c4 = 0
+            vc6 = valuation(c6, p) if c6 else e
+            d = min(vc4 // 4, vc6 // 6, e // 12)
+            if p in (2, 3):
+                while d > 0 and not kraus_conditions(c4 // p ** (4 * d), c6 // p ** (6 * d), p):
+                    d -= 1
+            u *= p**d
+        if e > 12 * d:  # p still divides the minimal discriminant
+            bad_primes.append(p)
     C4, C6 = c4 // u**4, c6 // u**6
     assert kraus_conditions(C4, C6, 2) and kraus_conditions(C4, C6, 3)
     minimal = _model_from_c4c6(C4, C6)
@@ -254,7 +259,7 @@ def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
     w = (u**3 * b3 - a3 - r * a1) / 2
     phi = iso(u, r, s, w)
     assert apply_iso(E, phi) == minimal
-    return MinimalModelResult(minimal, phi, u)
+    return MinimalModelResult(minimal, phi, u, tuple(bad_primes))
 
 
 # Valuation patterns of the 2-adic normal form for curves with good

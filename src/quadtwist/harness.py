@@ -9,14 +9,15 @@ the same inputs differ at most in those subtrees.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from .arith import factorize, fundamental_discriminants, kronecker
-from .curves import WeierstrassModel, invariants, minimal_model, model
+from .arith import fundamental_discriminants, kronecker
+from .curves import SingularModelError, WeierstrassModel, invariants, minimal_model, model
 from .localred import reduction_profile, tate_local, twist_prime_tamagawa_odd
 from .twistlaws import (
     SetupError,
@@ -96,7 +97,7 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
             E = model(*ai)
             try:
                 invariants(E)
-            except Exception as exc:
+            except SingularModelError as exc:
                 raise CorpusError(f"{path}:{lineno}: singular curve {ai}: {exc}") from None
             if stated_n is not None:
                 N, _, _ = reduction_profile(E)
@@ -128,8 +129,6 @@ def valid_pair_setups(
 ) -> Iterable[tuple[tuple[int, int], TwistSetup]]:
     """Unordered coprime admissible pairs (D1 < D2), D2 <= d_max; the
     (1, 1) pair is excluded (the characters must not both be trivial)."""
-    import math
-
     fds = [f.value for f in fundamental_discriminants(d_max)]
     for i, d1 in enumerate(fds):
         for d2 in fds[i + 1 :]:
@@ -193,10 +192,9 @@ def run_single_instance(label: str, setup: TwistSetup, mode: str) -> dict:
         rec["u"] = u_closed
         # odd-prime fast path vs full Tate on the twist
         fast_ok = True
-        m = D.odd_part
-        if m > 1:
-            Tmin = twist_minimal(E, D.value)[0]
-            for l in factorize(m).primes():
+        Tmin = twist_minimal(E, D.value)[0]
+        for l in D.primes:
+            if l != 2:
                 fast_ok &= (
                     twist_prime_tamagawa_odd(E, l, D.value)
                     == tate_local(Tmin, l).tamagawa
@@ -234,9 +232,8 @@ def run_pair_instance(label: str, setup: TwistSetup, mode: str) -> dict:
         checks["c_tilde_product"] = book["c_tilde_product"]
     if mode in ("lemmas", "all"):
         transfer_ok = True
-        if setup.n_minus > 1:
-            for q in factorize(setup.n_minus).primes():
-                transfer_ok &= bool(tamagawa_transfer_check(setup, q))
+        for q in setup.minus_primes:
+            transfer_ok &= bool(tamagawa_transfer_check(setup, q))
         checks["tamagawa_transfer_per_prime"] = transfer_ok
         checks["tamagawa_transfer_product"] = bool(tamagawa_transfer_product_check(setup))
     rec["checks"] = checks

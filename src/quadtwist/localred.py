@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, kronecker, valuation
+from .arith import is_prime, kronecker, valuation
 from .curves import (
     MinimalModelResult,
     WeierstrassModel,
@@ -299,10 +299,9 @@ def reduction_profile(
     """Conductor N = prod p^f_p together with per-prime local data,
     computed on the global minimal model."""
     mm = minimal_model(E)
-    disc = invariants(mm.minimal).disc
     data = {}
     N = 1
-    for p, _ in factorize(disc).factors:
+    for p in mm.bad_primes:
         loc = tate_local(mm.minimal, p)
         data[p] = loc
         N *= p**loc.conductor_exponent

@@ -17,12 +17,10 @@ from typing import NamedTuple
 
 from .arith import (
     FundamentalDiscriminant,
-    factorize,
     fundamental_discriminant,
     fundamental_discriminants,
     is_fundamental_discriminant,
     kronecker,
-    omega,
     squarefree_part,
     valuation,
 )
@@ -73,6 +71,18 @@ class TwistSetup(NamedTuple):
     def chi(self, i: int, l: int) -> int:
         """Character value chi_i(l) = kronecker(D_i, l); i is 1-based."""
         return kronecker(self.discriminants[i - 1].value, l)
+
+    def primes_dividing(self, n: int) -> tuple[int, ...]:
+        """The primes of N dividing n, increasing."""
+        return tuple(p for p in self.local_data if n % p == 0)
+
+    @property
+    def plus_primes(self) -> tuple[int, ...]:
+        return self.primes_dividing(self.n_plus)
+
+    @property
+    def minus_primes(self) -> tuple[int, ...]:
+        return self.primes_dividing(self.n_minus)
 
 
 class Decomposition(NamedTuple):
@@ -158,7 +168,7 @@ def _as_fund(d) -> FundamentalDiscriminant:
 # setup validation
 
 
-def canonical_split(N: int, local_data: dict[int, LocalReduction], D: int):
+def canonical_split(local_data: dict[int, LocalReduction], D: int):
     """Split N into (split part, inert part) for the discriminant D,
     mirroring the semistable construction: a prime goes to the inert part
     exactly when kronecker(D, p) = -1."""
@@ -167,7 +177,7 @@ def canonical_split(N: int, local_data: dict[int, LocalReduction], D: int):
         s = kronecker(D, p)
         if s == 0:
             return None, f"gcd(D, N) > 1 at prime {p}"
-        e = valuation(N, p)
+        e = loc.conductor_exponent
         if s == 1:
             n_plus *= p**e
         else:
@@ -221,51 +231,50 @@ def validate_setup(
         raise SetupError(reasons)
 
     if n_plus is None or n_minus is None:
-        split, err = canonical_split(N, local_data, D)
+        split, err = canonical_split(local_data, D)
         if err:
             raise SetupError([err])
         n_plus, n_minus = split
 
-    # factorization shape
+    # factorization shape: n_plus, n_minus are never factored; once their
+    # product is N, the primes of N dividing each are all of their primes
+    setup = TwistSetup(E, N, n_plus, n_minus, tuple(discs), local_data)
+    if n_plus < 1 or n_minus < 1:
+        reasons.append("n_plus and n_minus must be positive")
     if n_plus * n_minus != N:
         reasons.append(f"n_plus * n_minus = {n_plus * n_minus} != N = {N}")
     if math.gcd(n_plus, n_minus) != 1:
         reasons.append("n_plus and n_minus are not coprime")
-    if n_minus > 1:
-        f_minus = factorize(n_minus)
-        if any(e > 1 for _, e in f_minus.factors):
-            reasons.append(f"n_minus = {n_minus} is not squarefree")
-        for q in f_minus.primes():
-            loc = local_data.get(q)
-            if loc is None or not loc.kind.startswith("multiplicative"):
-                reasons.append(f"prime {q} of n_minus is not multiplicative")
+    if any(n_minus % (q * q) == 0 for q in setup.minus_primes):
+        reasons.append(f"n_minus = {n_minus} is not squarefree")
+    for q in setup.minus_primes:
+        if not local_data[q].kind.startswith("multiplicative"):
+            reasons.append(f"prime {q} of n_minus is not multiplicative")
 
     # split/inert hypothesis on D
     if math.gcd(D, N) != 1:
         reasons.append(f"gcd(D, N) = {math.gcd(D, N)} != 1")
     else:
-        if n_plus > 1:
-            for l in factorize(n_plus).primes():
-                if kronecker(D, l) != 1:
-                    reasons.append(f"prime {l} | n_plus does not split (kronecker {kronecker(D, l)})")
-        if n_minus > 1:
-            for q in factorize(n_minus).primes():
-                if kronecker(D, q) != -1:
-                    reasons.append(f"prime {q} | n_minus is not inert (kronecker {kronecker(D, q)})")
+        for l in setup.plus_primes:
+            if kronecker(D, l) != 1:
+                reasons.append(f"prime {l} | n_plus does not split (kronecker {kronecker(D, l)})")
+        for q in setup.minus_primes:
+            if kronecker(D, q) != -1:
+                reasons.append(f"prime {q} | n_minus is not inert (kronecker {kronecker(D, q)})")
 
     # exact-division condition for pairs
     if len(discs) == 2 and math.gcd(D, N) == 1:
         for l, loc in sorted(local_data.items()):
             chi1 = kronecker(discs[0].value, l)
             chi2 = kronecker(discs[1].value, l)
-            if (chi1 == -1 or chi2 == -1) and valuation(N, l) != 1:
+            if (chi1 == -1 or chi2 == -1) and loc.conductor_exponent != 1:
                 reasons.append(
                     f"character -1 at prime {l} requires l || N (multiplicative reduction)"
                 )
 
     if reasons:
         raise SetupError(reasons)
-    return TwistSetup(E, N, n_plus, n_minus, tuple(discs), local_data)
+    return setup
 
 
 def decompose(setup: TwistSetup) -> Decomposition:
@@ -277,17 +286,15 @@ def decompose(setup: TwistSetup) -> Decomposition:
     """
     if not setup.is_pair:
         raise ValueError("decompose requires a two-discriminant setup")
-    plus_primes = factorize(setup.n_plus).primes() if setup.n_plus > 1 else ()
-    minus_primes = factorize(setup.n_minus).primes() if setup.n_minus > 1 else ()
     parts = []
     for i in (1, 2):
-        for primes, with_multiplicity in ((plus_primes, True), (minus_primes, False)):
+        for primes, with_multiplicity in ((setup.plus_primes, True), (setup.minus_primes, False)):
             plus = minus = 1
             for l in primes:
                 chi = setup.chi(i, l)
                 assert chi != 0
                 if chi == 1:
-                    plus *= l ** valuation(setup.conductor, l) if with_multiplicity else l
+                    plus *= l ** setup.local_data[l].conductor_exponent if with_multiplicity else l
                 else:
                     minus *= l
             parts.append((plus, minus))
@@ -330,13 +337,12 @@ def u_of_discriminant(E: WeierstrassModel, D) -> int:
     discriminant coprime to the conductor: 1 unless v2(D) = 3 and
     v2(c6) = 3, in which case 2."""
     D = _as_fund(D)
-    c6 = invariants(E).c6
     if D.two_exponent <= 2:
         return 1
-    disc = invariants(E).disc
-    if valuation(disc, 2) != 0:
+    inv = invariants(E)
+    if valuation(inv.disc, 2) != 0:
         raise ValueError("even discriminant twist requires good reduction at 2")
-    v = valuation(c6, 2) if c6 else 99
+    v = valuation(inv.c6, 2) if inv.c6 else 99
     if v == 0:
         return 1
     if v == 3:
@@ -366,15 +372,9 @@ def twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     D = setup.discriminants[0]
     E = setup.curve
     u = u_of_discriminant(E, D)
-    w = omega(setup.n_minus) if setup.n_minus > 1 else 0
-    c_twist = {}
-    if D.value > 1:
-        for l in factorize(D.value).primes():
-            c_twist[l] = _twist_tamagawa_at(E, D.value, l).tamagawa
-    c_t = {}
-    if setup.n_minus > 1:
-        for q in factorize(setup.n_minus).primes():
-            c_t[q] = c_tilde(E, q)
+    w = len(setup.minus_primes)
+    c_twist = {l: _twist_tamagawa_at(E, D.value, l).tamagawa for l in D.primes}
+    c_t = {q: c_tilde(E, q) for q in setup.minus_primes}
     q = Fraction(u, 2**w)
     for v in c_twist.values():
         q *= v
@@ -406,33 +406,23 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     dec = decompose(setup)
     u1 = u_of_discriminant(E, D1)
     u2 = u_of_discriminant(E, D2)
-    w = omega(setup.n_minus) if setup.n_minus > 1 else 0
-    c1 = {
-        l: _twist_tamagawa_at(E, D1.value, l).tamagawa
-        for l in (factorize(D1.value).primes() if D1.value > 1 else ())
-    }
-    c2 = {
-        l: _twist_tamagawa_at(E, D2.value, l).tamagawa
-        for l in (factorize(D2.value).primes() if D2.value > 1 else ())
-    }
-    c_t = {}
-    if setup.n_minus > 1:
-        for q_ in factorize(setup.n_minus).primes():
-            c_t[q_] = c_tilde(E, q_)
+    w = len(setup.minus_primes)
+    c1 = {l: _twist_tamagawa_at(E, D1.value, l).tamagawa for l in D1.primes}
+    c2 = {l: _twist_tamagawa_at(E, D2.value, l).tamagawa for l in D2.primes}
+    c_t = {q_: c_tilde(E, q_) for q_ in setup.minus_primes}
     q = Fraction(u1 * u2, 2**w)
     for v in (*c1.values(), *c2.values(), *c_t.values()):
         q *= v
 
     # proof bookkeeping
-    w1 = omega(dec.n1_minus) if dec.n1_minus > 1 else 0
-    w2 = omega(dec.n2_minus) if dec.n2_minus > 1 else 0
+    w1 = len(setup.primes_dividing(dec.n1_minus))
+    w2 = len(setup.primes_dividing(dec.n2_minus))
     parity_ok = (w1 + w2 - w) % 2 == 0
 
     def ctilde_prod(n):
         out = Fraction(1)
-        if n > 1:
-            for p in factorize(n).primes():
-                out *= c_tilde(E, p)
+        for p in setup.primes_dividing(n):
+            out *= c_tilde(E, p)
         return out
 
     ratio = ctilde_prod(dec.n1_minus) * ctilde_prod(dec.n2_minus) / ctilde_prod(setup.n_minus)
@@ -487,20 +477,15 @@ def tamagawa_transfer_product_check(setup: TwistSetup) -> CheckResult:
         lhs *= _twist_tamagawa_at(E, d1, l).tamagawa
         lhs *= _twist_tamagawa_at(E, d2, l).tamagawa
     rhs = Fraction(1)
-    if setup.n_minus > 1:
-        for q in factorize(setup.n_minus).primes():
-            rhs *= c_tilde(E, q) * inert_base_change_tamagawa(E, q)
+    for q in setup.minus_primes:
+        rhs *= c_tilde(E, q) * inert_base_change_tamagawa(E, q)
     ok = equal_mod_squares(lhs, rhs)
     return CheckResult(ok, f"{lhs} vs {rhs} (mod squares)")
 
 
 def inert_valuation_sum(setup: TwistSetup) -> int:
     """b = sum of v_q(min disc) over primes q of n_minus."""
-    if setup.n_minus == 1:
-        return 0
-    return sum(
-        setup.local_data[q].disc_valuation for q in factorize(setup.n_minus).primes()
-    )
+    return sum(setup.local_data[q].disc_valuation for q in setup.minus_primes)
 
 
 def symbol_closed_form(delta: int, D, b: int) -> int:
@@ -530,11 +515,12 @@ def tamagawa_symbol_check(E: WeierstrassModel, D) -> CheckResult:
     E = minimal_model(E).minimal
     disc = invariants(E).disc
     prod = 1
-    if m > 1:
-        for l in factorize(m).primes():
-            if valuation(disc, l) != 0:
-                raise ValueError(f"E must have good reduction at {l}")
-            prod *= _twist_tamagawa_at(E, D.value, l).tamagawa
+    for l in D.primes:
+        if l == 2:
+            continue
+        if valuation(disc, l) != 0:
+            raise ValueError(f"E must have good reduction at {l}")
+        prod *= _twist_tamagawa_at(E, D.value, l).tamagawa
     k = power_of_two_exponent(Fraction(prod))
     symbol = kronecker(disc, m)
     ok = k is not None and ((k % 2 == 0) == (symbol == 1))

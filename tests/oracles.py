@@ -16,6 +16,13 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sympy.factorint(n))
 
 
+def hostile_semiprime() -> int:
+    """p * q for the first two primes p < q above 2**60: far beyond the
+    library's trial division and rho."""
+    p = sympy.nextprime(2**60)
+    return p * sympy.nextprime(p)
+
+
 def vp(n: int, p: int) -> int:
     f = factorint(abs(n))
     return f.get(p, 0)

@@ -184,6 +184,12 @@ def test_fundamental_discriminant_parse():
         fundamental_discriminant(20)
 
 
+def test_fundamental_discriminant_primes_match_factorize():
+    for f in fundamental_discriminants(2000):
+        assert f.primes == factorize(f.value).primes()
+        assert tuple(l for l in f.primes if l != 2) == factorize(f.odd_part).primes()
+
+
 def test_fundamental_discriminant_enumeration():
     got = [f.value for f in fundamental_discriminants(40)]
     assert got == [1, 5, 8, 12, 13, 17, 21, 24, 28, 29, 33, 37, 40]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadtwist.arith import valuation
+from quadtwist.arith import factorize, fundamental_discriminants, valuation
 from quadtwist.curves import (
     IsoMap,
     SingularModelError,
@@ -189,6 +189,20 @@ def test_minimal_model_normalized_form():
     for _ in range(150):
         m = minimal_model(random_model(rng)).minimal
         assert m.a1 in (0, 1) and m.a3 in (0, 1) and m.a2 in (-1, 0, 1)
+
+
+def test_minimal_model_bad_primes_match_factorize():
+    # The shipped corpus and its raw twist models by every fundamental
+    # D <= 100; most of those models are not minimal.
+    from quadtwist.harness import default_corpus_path, ingest_corpus
+
+    non_minimal = 0
+    for rec in ingest_corpus(default_corpus_path()):
+        for f in fundamental_discriminants(100):
+            mm = minimal_model(quadratic_twist(rec.curve, f.value))
+            assert mm.bad_primes == factorize(invariants(mm.minimal).disc).primes()
+            non_minimal += mm.u_value != 1
+    assert non_minimal > 100
 
 
 def test_minimal_model_rejects_non_integral():

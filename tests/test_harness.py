@@ -15,6 +15,8 @@ from quadtwist.harness import (
     valid_single_setups,
 )
 
+from oracles import hostile_semiprime
+
 
 def write(tmp_path, text, name="c.csv"):
     p = tmp_path / name
@@ -168,6 +170,18 @@ def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "internal error: RuntimeError: simulated crash" in capsys.readouterr().err
 
 
+def test_cli_ingest_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    # only a singular model is a corpus (usage) error; anything else that
+    # goes wrong while ingesting is internal
+    def crash(*args, **kwargs):
+        raise RuntimeError("simulated invariants failure")
+
+    monkeypatch.setattr("quadtwist.harness.invariants", crash)
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
+    assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 3
+    assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
 def test_cli_verify_roundtrip(tmp_path, capsys):
     corpus = tmp_path / "c.csv"
     corpus.write_text("11a1,0,-1,1,-10,-20,11,0\n", encoding="utf-8")
@@ -212,3 +226,12 @@ def test_cli_find_aux(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.strip() == "8"
+
+
+def test_cli_find_aux_hostile_n_minus(one_second_deadline, capsys):
+    rc = main(
+        ["find-aux", "--curve", "0,-1,1,-10,-20", "--d1", "13", "--prime", "11",
+         "--nplus", "1", "--nminus", str(hostile_semiprime())]
+    )
+    assert rc == 2
+    assert "!= N = 11" in capsys.readouterr().err

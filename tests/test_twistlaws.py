@@ -3,6 +3,7 @@ period scales, the even-two-power quantities and the local identities."""
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -12,8 +13,13 @@ from quadtwist.arith import (
     fundamental_discriminants,
     kronecker,
 )
-from quadtwist.curves import invariants, model
-from quadtwist.harness import default_corpus_path, ingest_corpus
+from quadtwist.curves import invariants, minimal_model, model
+from quadtwist.harness import (
+    default_corpus_path,
+    ingest_corpus,
+    valid_pair_setups,
+    valid_single_setups,
+)
 from quadtwist.localred import reduction_profile, tate_local
 from quadtwist.twistlaws import (
     SetupError,
@@ -36,6 +42,8 @@ from quadtwist.twistlaws import (
     u_of_discriminant,
     validate_setup,
 )
+
+from oracles import hostile_semiprime
 
 E11A1 = model(0, -1, 1, -10, -20)
 E14A1 = model(1, 0, 1, 4, -6)
@@ -92,6 +100,13 @@ def test_validate_setup_distinct_reasons():
     assert "gcd" in str(exc.value)
 
 
+def test_validate_setup_hostile_n_minus_fails_fast(one_second_deadline):
+    # n_minus is rejected by the product clause; it is never factored
+    with pytest.raises(SetupError) as exc:
+        validate_setup(E11A1, 13, n_plus=1, n_minus=hostile_semiprime())
+    assert "!= N = 11" in str(exc.value)
+
+
 def test_validate_setup_pair_condition_star():
     # 17a1 has v17(N) = 1; characters of opposite sign at 17 are fine
     e17 = model(1, -1, 1, -1, -14)
@@ -111,6 +126,18 @@ def test_pair_canonical_membership():
     s = validate_setup(E11A1, 13, 5)
     assert (s.n_plus, s.n_minus) == (1, 11)
     assert kronecker(65, 11) == -1
+
+
+def test_setup_prime_sets_match_factorize():
+    # every admissible single and pair setup of the shipped corpus, D <= 100
+    setups = 0
+    for rec in corpus():
+        E = minimal_model(rec.curve).minimal
+        for _, s in chain(valid_single_setups(E, 100), valid_pair_setups(E, 100)):
+            assert s.plus_primes == factorize(s.n_plus).primes()
+            assert s.minus_primes == factorize(s.n_minus).primes()
+            setups += 1
+    assert setups > 1000
 
 
 # ---------------------------------------------------------------------------
