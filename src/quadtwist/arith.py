@@ -14,6 +14,10 @@ from typing import Iterator, NamedTuple
 
 _TRIAL_BOUND = 10**6
 
+# Largest discriminant accepted.  Below it trial division alone decides
+# squarefreeness, so parsing a discriminant never reaches rho.
+DISCRIMINANT_BOUND = _TRIAL_BOUND**2
+
 # Deterministic Miller-Rabin witness set, valid for n < 3.317e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -281,7 +285,10 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 
 def fundamental_discriminant(d: int) -> FundamentalDiscriminant:
-    """Parse d as a positive fundamental discriminant 2**a * m."""
+    """Parse d as a positive fundamental discriminant 2**a * m, d at most
+    DISCRIMINANT_BOUND."""
+    if d > DISCRIMINANT_BOUND:
+        raise ValueError(f"{d} exceeds the discriminant bound {DISCRIMINANT_BOUND}")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a positive fundamental discriminant")
     a = 0 if d % 2 else valuation(d, 2)

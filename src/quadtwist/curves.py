@@ -51,11 +51,15 @@ class Invariants(NamedTuple):
     c4: int | Fraction
     c6: int | Fraction
     disc: int | Fraction
-    j: Fraction
+
+    @property
+    def j(self) -> Fraction:
+        return Fraction(self.c4**3) / Fraction(self.disc)
 
 
 def invariants(E: WeierstrassModel) -> Invariants:
-    """Standard b-, c- and discriminant invariants plus j = c4^3 / disc."""
+    """Standard b-, c- and discriminant invariants; j = c4^3 / disc is a
+    property.  The fields of an integral model are plain ints."""
     a1, a2, a3, a4, a6 = E
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -67,8 +71,9 @@ def invariants(E: WeierstrassModel) -> Invariants:
     if disc == 0:
         raise SingularModelError(f"singular model {tuple(E)}")
     assert c4**3 - c6**2 == 1728 * disc
-    j = Fraction(c4**3) / Fraction(disc)
-    return Invariants(*(map(_q, (b2, b4, b6, b8, c4, c6, disc))), j)
+    if E.is_integral:
+        return Invariants(b2, b4, b6, b8, c4, c6, disc)
+    return Invariants(*map(_q, (b2, b4, b6, b8, c4, c6, disc)))
 
 
 class IsoMap(NamedTuple):
@@ -107,15 +112,7 @@ def iso(u, r, s, w) -> IsoMap:
 
 def apply_iso(E: WeierstrassModel, phi: IsoMap) -> WeierstrassModel:
     if phi.u == 1 and E.is_integral and all(isinstance(t, int) for t in phi):
-        a1, a2, a3, a4, a6 = E
-        _, r, s, w = phi
-        return WeierstrassModel(
-            a1 + 2 * s,
-            a2 - s * a1 + 3 * r - s * s,
-            a3 + r * a1 + 2 * w,
-            a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w,
-            a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1,
-        )
+        return rst_transform(E, phi.r, phi.s, phi.w)
     a1, a2, a3, a4, a6 = (Fraction(a) for a in E)
     u, r, s, w = (Fraction(t) for t in phi)
     if u == 0:
@@ -129,9 +126,18 @@ def apply_iso(E: WeierstrassModel, phi: IsoMap) -> WeierstrassModel:
     )
 
 
-def rst_transform(E: WeierstrassModel, r, s, w) -> WeierstrassModel:
-    """u = 1 change of variables; preserves the discriminant exactly."""
-    return apply_iso(E, iso(1, r, s, w))
+def rst_transform(E: WeierstrassModel, r: int, s: int, w: int) -> WeierstrassModel:
+    """The u = 1 change of variables [1, r, s, w]; preserves the
+    discriminant exactly.  E must be integral and r, s, w ints: the
+    formulas run on the ints as they are, with no normalization."""
+    a1, a2, a3, a4, a6 = E
+    return WeierstrassModel(
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * w,
+        a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w,
+        a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1,
+    )
 
 
 def quadratic_twist_with_scale(E: WeierstrassModel, d: int):
@@ -267,6 +273,14 @@ def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
 #   (1) a1 odd, 4 | a3, and (a4 even, a6 odd) or (a4 odd, a6 even);
 #   (2) a1, a2 even, a3 odd.
 # Pattern (1) forces c6 odd, pattern (2) forces v2(c6) = 3.
+#
+# The pattern reads a1, a2, a4, a6 mod 2 and a3 mod 4.  The coefficients of
+# rst_transform(E, r, s, w) are integer polynomials, so the pattern depends
+# on r, s, w mod 4 only, and it is also unchanged by s -> s + 2 and
+# w -> w + 2 (tests/test_curves.py walks every case).  The shifts giving a
+# pattern are thus a union of classes of (r mod 4, s mod 2, w mod 2), and
+# the lexicographically first one lies in the box below.
+_NORMAL_FORM_BOX = tuple((r, s, w) for r in range(4) for s in range(2) for w in range(2))
 
 
 def _pattern_of(E: WeierstrassModel) -> int | None:
@@ -286,8 +300,9 @@ def two_strongly_minimal(E: WeierstrassModel) -> WeierstrassModel:
     """Normalize a minimal model with good reduction at 2 so that its
     a-invariant 2-adic valuations match one of the two patterns above.
 
-    Bounded deterministic search over [1, r, s, w] with r, s, w mod 16;
-    first match in lexicographic (pattern, r, s, w) order wins.
+    The result is the first match in lexicographic (pattern, r, s, w)
+    order over [1, r, s, w] with r, s, w >= 0; at most 32 candidates
+    (2 patterns x _NORMAL_FORM_BOX) are tried.
     """
     inv = invariants(E)
     if not E.is_integral or valuation(inv.disc, 2) != 0:
@@ -295,14 +310,12 @@ def two_strongly_minimal(E: WeierstrassModel) -> WeierstrassModel:
     if minimal_model(E).minimal != E:
         raise ValueError("requires a globally minimal model")
     for want in (1, 2):
-        for r in range(16):
-            for s in range(16):
-                for w in range(16):
-                    cand = rst_transform(E, r, s, w)
-                    if _pattern_of(cand) == want:
-                        c6 = invariants(cand).c6
-                        assert valuation(c6, 2) == (0 if want == 1 else 3)
-                        return cand
+        for r, s, w in _NORMAL_FORM_BOX:
+            cand = rst_transform(E, r, s, w)
+            if _pattern_of(cand) == want:
+                c6 = invariants(cand).c6
+                assert valuation(c6, 2) == (0 if want == 1 else 3)
+                return cand
     raise AssertionError(f"no 2-adic normal form found for {tuple(E)}")
 
 

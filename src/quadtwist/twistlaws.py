@@ -19,7 +19,6 @@ from .arith import (
     FundamentalDiscriminant,
     fundamental_discriminant,
     fundamental_discriminants,
-    is_fundamental_discriminant,
     kronecker,
     squarefree_part,
     valuation,
@@ -213,10 +212,10 @@ def validate_setup(
     discs = []
     for d in (d1, d2) if d2 is not None else (d1,):
         val = d.value if isinstance(d, FundamentalDiscriminant) else int(d)
-        if not is_fundamental_discriminant(val):
-            reasons.append(f"{val} is not a positive fundamental discriminant")
-        else:
+        try:
             discs.append(fundamental_discriminant(val))
+        except ValueError as exc:  # not fundamental, or above DISCRIMINANT_BOUND
+            reasons.append(str(exc))
     if reasons:
         raise SetupError(reasons)
     if len(discs) == 2:

@@ -9,6 +9,8 @@ label.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import sympy
 
 
@@ -21,6 +23,52 @@ def hostile_semiprime() -> int:
     library's trial division and rho."""
     p = sympy.nextprime(2**60)
     return p * sympy.nextprime(p)
+
+
+# A product of two ~60-bit primes that is 1 mod 4, so only factoring can
+# decide whether it is a fundamental discriminant.
+HOSTILE_DISCRIMINANT = 1329227995784916032006974696025230729
+
+
+def rst_transform_fraction(ai, r, s, w) -> tuple[Fraction, ...]:
+    """The change of variables x = x' + r, y = y' + s x' + w (u = 1),
+    evaluated in Fraction."""
+    a1, a2, a3, a4, a6 = (Fraction(a) for a in ai)
+    r, s, w = Fraction(r), Fraction(s), Fraction(w)
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * w,
+        a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w,
+        a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1,
+    )
+
+
+def _normal_form_pattern(ai) -> int | None:
+    a1, a2, a3, a4, a6 = ai
+    if a1 % 2 == 1 and a3 % 4 == 0 and (a4 + a6) % 2 == 1:
+        return 1
+    if a1 % 2 == 0 and a2 % 2 == 0 and a3 % 2 == 1:
+        return 2
+    return None
+
+
+def two_strongly_minimal_brute(E):
+    """The 2-adic normal form by the full search over r, s, w mod 16: the
+    first shift in lexicographic (pattern, r, s, w) order whose model
+    matches pattern 1, else pattern 2.  E is a minimal model with odd
+    discriminant.  The shifts use the library's rst_transform, which
+    tests check against rst_transform_fraction."""
+    from quadtwist.curves import rst_transform
+
+    for want in (1, 2):
+        for r in range(16):
+            for s in range(16):
+                for w in range(16):
+                    cand = rst_transform(E, r, s, w)
+                    if _normal_form_pattern(cand) == want:
+                        return cand
+    raise AssertionError(f"no 2-adic normal form found for {tuple(E)}")
 
 
 def vp(n: int, p: int) -> int:

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from quadtwist.arith import (
+    DISCRIMINANT_BOUND,
     Factorization,
     factorize,
     fundamental_discriminant,
@@ -19,7 +20,7 @@ from quadtwist.arith import (
     valuation,
 )
 
-from oracles import is_square_mod
+from oracles import HOSTILE_DISCRIMINANT, is_square_mod
 
 
 def test_factorize_unit():
@@ -182,6 +183,17 @@ def test_fundamental_discriminant_parse():
     assert fundamental_discriminant(1) == (1, 1, 0)
     with pytest.raises(ValueError):
         fundamental_discriminant(20)
+
+
+def test_fundamental_discriminant_bound(one_second_deadline):
+    p = sympy.prevprime(DISCRIMINANT_BOUND)
+    while p % 4 != 1:
+        p = sympy.prevprime(p)
+    assert fundamental_discriminant(p) == (p, p, 0)  # trial division decides
+    with pytest.raises(ValueError, match="exceeds the discriminant bound"):
+        fundamental_discriminant(DISCRIMINANT_BOUND + 1)
+    with pytest.raises(ValueError, match="exceeds the discriminant bound"):
+        fundamental_discriminant(HOSTILE_DISCRIMINANT)
 
 
 def test_fundamental_discriminant_primes_match_factorize():

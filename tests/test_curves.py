@@ -1,6 +1,7 @@
 """Weierstrass model layer: invariants, isomorphisms, twists, minimal
 models and the 2-adic normal form."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from quadtwist.arith import factorize, fundamental_discriminants, valuation
 from quadtwist.curves import (
     IsoMap,
     SingularModelError,
+    WeierstrassModel,
+    _pattern_of,
     apply_iso,
     invariants,
     iso,
@@ -18,8 +21,11 @@ from quadtwist.curves import (
     pattern_of_normal_form,
     quadratic_twist,
     quadratic_twist_with_scale,
+    rst_transform,
     two_strongly_minimal,
 )
+
+from oracles import rst_transform_fraction, two_strongly_minimal_brute
 
 E11A1 = model(0, -1, 1, -10, -20)
 
@@ -55,6 +61,25 @@ def test_invariants_rejects_singular():
         invariants(model(0, 0, 0, -3, 2))  # y^2 = (x-1)^2 (x+2)
 
 
+def test_invariants_of_integral_model_are_ints():
+    rng = random.Random(19)
+    for _ in range(200):
+        inv = invariants(random_model(rng))
+        assert all(type(x) is int for x in inv)
+        assert inv.j == Fraction(inv.c4**3, inv.disc)
+
+
+def test_j_of_rational_model():
+    rng = random.Random(17)
+    for _ in range(100):
+        E = apply_iso(random_model(rng), random_iso(rng))
+        inv = invariants(E)
+        assert inv.j == Fraction(inv.c4) ** 3 / Fraction(inv.disc)
+    blown = apply_iso(E11A1, iso(Fraction(1, 2), Fraction(1, 3), 0, 0))
+    assert not blown.is_integral
+    assert invariants(blown).j == invariants(E11A1).j == Fraction(-122023936, 161051)
+
+
 def test_c_identity_random_sweep():
     rng = random.Random(23)
     for _ in range(1200):
@@ -83,6 +108,18 @@ def test_apply_iso_round_trip_and_composition():
         assert Fraction(invp.c4) == Fraction(inv.c4) / u**4
         assert Fraction(invp.c6) == Fraction(inv.c6) / u**6
         assert invp.j == inv.j
+
+
+def test_rst_transform_matches_fraction_formulas():
+    rng = random.Random(71)
+    for _ in range(500):
+        E = random_model(rng, bound=50)
+        r, s, w = (rng.randint(-40, 40) for _ in range(3))
+        out = rst_transform(E, r, s, w)
+        assert all(type(a) is int for a in out)
+        assert out == rst_transform_fraction(E, r, s, w)
+        assert apply_iso(E, iso(1, r, s, w)) == out
+        assert invariants(out).disc == invariants(E).disc
 
 
 def test_iso_rejects_zero_u():
@@ -248,3 +285,37 @@ def test_two_strongly_minimal_preconditions():
     blown = apply_iso(E11A1, iso(Fraction(1, 3), 0, 0, 0))
     with pytest.raises(ValueError):
         two_strongly_minimal(blown)  # not minimal
+
+
+def test_normal_form_box_is_exact(one_second_deadline):
+    # The pattern reads the coefficients mod 4, which depend only on a_i
+    # and r, s, w mod 4.  Over every a_i mod 4, the pattern on the grid
+    # r < 8, s < 4, w < 4 (all residues mod 4, and r shifted by 4)
+    # depends only on (r mod 4, s mod 2, w mod 2), so the 32-candidate
+    # search finds the same first match as any larger box.
+    grid = list(itertools.product(range(8), range(4), range(4)))
+    for ai in itertools.product(range(4), repeat=5):
+        E = WeierstrassModel(*ai)
+        pat = {rsw: _pattern_of(rst_transform(E, *rsw)) for rsw in grid}
+        for (r, s, w), p in pat.items():
+            assert p == pat[r % 4, s % 2, w % 2], (ai, r, s, w)
+
+
+def test_two_strongly_minimal_matches_brute_search():
+    from quadtwist.harness import default_corpus_path, ingest_corpus
+
+    corpus = [minimal_model(rec.curve).minimal for rec in ingest_corpus(default_corpus_path())]
+    curves = [E for E in corpus if invariants(E).disc % 2]
+    assert len(curves) == 18
+    rng = random.Random(67)
+    while len(curves) < 18 + 120:
+        ai = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+              rng.randint(-300, 300), rng.randint(-300, 300))
+        try:
+            E = minimal_model(model(*ai)).minimal
+        except SingularModelError:
+            continue
+        if invariants(E).disc % 2:
+            curves.append(E)
+    for E in curves:
+        assert two_strongly_minimal(E) == two_strongly_minimal_brute(E), tuple(E)

@@ -15,7 +15,7 @@ from quadtwist.harness import (
     valid_single_setups,
 )
 
-from oracles import hostile_semiprime
+from oracles import HOSTILE_DISCRIMINANT, hostile_semiprime, two_strongly_minimal_brute
 
 
 def write(tmp_path, text, name="c.csv"):
@@ -137,6 +137,24 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert serial == parallel
 
 
+def test_sweep_report_same_with_brute_normal_form(monkeypatch):
+    # even D up to 60 run check_two_adic_case on the 2-adic normal form of
+    # curves with good reduction at 2 (11a1 and 37a1 take pattern 2, 15a1
+    # pattern 1); the full 16^3 search must give the same report
+    corpus = [
+        rec for rec in ingest_corpus(default_corpus_path())
+        if rec.label in ("11a1", "15a1", "37a1")
+    ]
+    assert len(corpus) == 3
+    fast = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    monkeypatch.setattr("quadtwist.twistlaws.two_strongly_minimal", two_strongly_minimal_brute)
+    brute = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    assert fast == brute
+    assert fast["summary"]["failures"] == 0
+    exercised = {i["curve"] for i in fast["instances"] if "two_adic_case_table" in i["checks"]}
+    assert exercised == {"11a1", "15a1", "37a1"}
+
+
 def test_run_sweep_rejects_bad_mode(tmp_path):
     path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
     with pytest.raises(ValueError):
@@ -235,3 +253,19 @@ def test_cli_find_aux_hostile_n_minus(one_second_deadline, capsys):
     )
     assert rc == 2
     assert "!= N = 11" in capsys.readouterr().err
+
+
+def test_cli_find_aux_hostile_d1(one_second_deadline, capsys):
+    # rejected by size before any attempt to factor it
+    rc = main(
+        ["find-aux", "--curve", "0,-1,1,-10,-20", "--d1", str(HOSTILE_DISCRIMINANT),
+         "--prime", "11"]
+    )
+    assert rc == 2
+    assert "exceeds the discriminant bound 1000000000000" in capsys.readouterr().err
+
+
+def test_cli_u_of_d_hostile_d(one_second_deadline, capsys):
+    rc = main(["u-of-d", "--curve", "0,-1,1,-10,-20", "--d", str(HOSTILE_DISCRIMINANT)])
+    assert rc == 2
+    assert "exceeds the discriminant bound" in capsys.readouterr().err
