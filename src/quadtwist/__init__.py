@@ -13,7 +13,6 @@ from .arith import (
     fundamental_discriminants,
     is_fundamental_discriminant,
     kronecker,
-    omega,
     squarefree_part,
     valuation,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "kronecker",
     "minimal_model",
     "model",
-    "omega",
     "pair_twist_quantity",
     "quadratic_twist",
     "scan_profiles",

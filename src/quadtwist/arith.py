@@ -1,9 +1,8 @@
 """Exact integer arithmetic primitives.
 
-Factorization, p-adic valuations, Kronecker symbols, fundamental
-discriminants and the distinct-prime-counting function.  Everything is
-arbitrary precision and deterministic; there is no floating point and no
-randomness anywhere in this module.
+Factorization, p-adic valuations, Kronecker symbols and fundamental
+discriminants.  Everything is arbitrary precision and deterministic;
+there is no floating point and no randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -41,20 +40,21 @@ class Factorization(NamedTuple):
 
 
 class FundamentalDiscriminant(NamedTuple):
-    """Positive fundamental discriminant D = 2**a * m, a in {0, 2, 3}."""
+    """Positive fundamental discriminant D = 2**a * m with a in {0, 2, 3}
+    and m odd and squarefree, as parsed by fundamental_discriminant.
+
+    The parse factors m once; `primes` holds the primes dividing D,
+    increasing (2 first when D is even), so no caller factors D again.
+    """
 
     value: int
     odd_part: int
     two_exponent: int
+    primes: tuple[int, ...]
 
     @property
     def is_even(self) -> bool:
         return self.two_exponent > 0
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        """Primes dividing D, increasing (2 first when D is even)."""
-        return factorize(self.value).primes()
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -239,21 +239,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime divisors of n >= 1."""
-    if n < 1:
-        raise ValueError("omega requires n >= 1")
-    if n == 1:
-        return 0
-    return len(factorize(n).factors)
-
-
-def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e == 1 for _, e in factorize(abs(n)).factors)
-
-
 def squarefree_part(n: int) -> int:
     """Squarefree integer s with n = s * (square); sign preserved."""
     if n == 0:
@@ -266,43 +251,44 @@ def squarefree_part(n: int) -> int:
     return s
 
 
+def _parse_discriminant(d: int) -> FundamentalDiscriminant | None:
+    # The one parser: bound, then shape, then one factorization of the odd
+    # part, which decides squarefreeness and gives the primes.
+    if d > DISCRIMINANT_BOUND:
+        raise ValueError(f"{d} exceeds the discriminant bound {DISCRIMINANT_BOUND}")
+    if d < 1:
+        return None
+    a = (d & -d).bit_length() - 1  # v2(d)
+    m = d >> a
+    if not (a == 0 and m % 4 == 1 or a == 2 and m % 4 == 3 or a == 3):
+        return None
+    f = factorize(m)
+    if any(e > 1 for _, e in f.factors):
+        return None
+    return FundamentalDiscriminant(d, m, a, (2,) * (a > 0) + f.primes())
+
+
 def is_fundamental_discriminant(d: int) -> bool:
     """True iff d is 1 or the discriminant of a real quadratic field.
 
     Only positive values qualify here; d = 1 stands for the trivial
-    character.
+    character.  Raises ValueError above DISCRIMINANT_BOUND.
     """
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if d % 4 == 1:
-        return is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and is_squarefree(m)
-    return False
+    return _parse_discriminant(d) is not None
 
 
 def fundamental_discriminant(d: int) -> FundamentalDiscriminant:
     """Parse d as a positive fundamental discriminant 2**a * m, d at most
     DISCRIMINANT_BOUND."""
-    if d > DISCRIMINANT_BOUND:
-        raise ValueError(f"{d} exceeds the discriminant bound {DISCRIMINANT_BOUND}")
-    if not is_fundamental_discriminant(d):
+    f = _parse_discriminant(d)
+    if f is None:
         raise ValueError(f"{d} is not a positive fundamental discriminant")
-    a = 0 if d % 2 else valuation(d, 2)
-    m = d >> a
-    assert a in (0, 2, 3) and m % 2 == 1
-    if a == 0:
-        assert d % 4 == 1 or d == 1
-    if a == 2:
-        assert m % 4 == 3
-    return FundamentalDiscriminant(d, m, a)
+    return f
 
 
 def fundamental_discriminants(limit: int) -> Iterator[FundamentalDiscriminant]:
     """All positive fundamental discriminants <= limit, ascending (1 included)."""
     for d in range(1, limit + 1):
-        if d % 4 in (1, 0) and is_fundamental_discriminant(d):
-            yield fundamental_discriminant(d)
+        f = _parse_discriminant(d)
+        if f is not None:
+            yield f

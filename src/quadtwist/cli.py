@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .arith import is_prime
+from .arith import fundamental_discriminant, is_prime
 from .profile_scan import scan_profiles
 from .curves import minimal_model, model, quadratic_twist
 from .harness import (
@@ -121,8 +121,8 @@ def _cmd_minimal(args) -> int:
 
 def _cmd_u_of_d(args) -> int:
     E = minimal_model(args.curve).minimal
-    u = u_of_discriminant(E, args.d)
-    print(f"u={u} (measured {measured_u(E, args.d)})")
+    D = fundamental_discriminant(args.d)
+    print(f"u={u_of_discriminant(E, D)} (measured {measured_u(E, D)})")
     return 0
 
 

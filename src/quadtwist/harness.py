@@ -129,13 +129,13 @@ def valid_pair_setups(
 ) -> Iterable[tuple[tuple[int, int], TwistSetup]]:
     """Unordered coprime admissible pairs (D1 < D2), D2 <= d_max; the
     (1, 1) pair is excluded (the characters must not both be trivial)."""
-    fds = [f.value for f in fundamental_discriminants(d_max)]
-    for i, d1 in enumerate(fds):
-        for d2 in fds[i + 1 :]:
-            if math.gcd(d1, d2) != 1:
+    fds = list(fundamental_discriminants(d_max))
+    for i, f1 in enumerate(fds):
+        for f2 in fds[i + 1 :]:
+            if math.gcd(f1.value, f2.value) != 1:
                 continue
             try:
-                yield (d1, d2), validate_setup(E, d1, d2)
+                yield (f1.value, f2.value), validate_setup(E, f1, f2)
             except SetupError:
                 continue
 

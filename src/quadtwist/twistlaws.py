@@ -158,6 +158,8 @@ def _verdict(q: Fraction, components: dict) -> ExponentVerdict:
 
 
 def _as_fund(d) -> FundamentalDiscriminant:
+    """The one int-to-FundamentalDiscriminant step; a parsed value passes
+    through as it is."""
     if isinstance(d, FundamentalDiscriminant):
         return d
     return fundamental_discriminant(int(d))
@@ -211,9 +213,8 @@ def validate_setup(
 
     discs = []
     for d in (d1, d2) if d2 is not None else (d1,):
-        val = d.value if isinstance(d, FundamentalDiscriminant) else int(d)
         try:
-            discs.append(fundamental_discriminant(val))
+            discs.append(_as_fund(d))
         except ValueError as exc:  # not fundamental, or above DISCRIMINANT_BOUND
             reasons.append(str(exc))
     if reasons:

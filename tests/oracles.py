@@ -30,6 +30,27 @@ def hostile_semiprime() -> int:
 HOSTILE_DISCRIMINANT = 1329227995784916032006974696025230729
 
 
+def fundamental_discriminant_fields(d: int) -> tuple | None:
+    """(d, odd part, v2(d), primes of d) when d is 1 or a positive
+    fundamental discriminant: d = 1 mod 4 squarefree, or d = 4m with
+    m = 2, 3 mod 4 squarefree.  None otherwise."""
+    if d == 1:
+        return (1, 1, 0, ())
+    if d < 1:
+        return None
+    if d % 4 == 1:
+        m = d
+    elif d % 4 == 0 and d // 4 % 4 in (2, 3):
+        m = d // 4
+    else:
+        return None
+    if any(e > 1 for e in factorint(m).values()):
+        return None
+    f = factorint(d)
+    a = f.get(2, 0)
+    return (d, d // 2**a, a, tuple(sorted(f)))
+
+
 def rst_transform_fraction(ai, r, s, w) -> tuple[Fraction, ...]:
     """The change of variables x = x' + r, y = y' + s x' + w (u = 1),
     evaluated in Fraction."""

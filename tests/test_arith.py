@@ -15,12 +15,11 @@ from quadtwist.arith import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
-    omega,
     squarefree_part,
     valuation,
 )
 
-from oracles import HOSTILE_DISCRIMINANT, is_square_mod
+from oracles import HOSTILE_DISCRIMINANT, fundamental_discriminant_fields, is_square_mod
 
 
 def test_factorize_unit():
@@ -148,14 +147,6 @@ def test_kronecker_against_sympy_jacobi():
         assert kronecker(a, n) == sympy.jacobi_symbol(a, n)
 
 
-def test_omega():
-    assert omega(1) == 0
-    assert omega(12) == 2
-    assert omega(161051) == 1
-    with pytest.raises(ValueError):
-        omega(0)
-
-
 def test_squarefree_part():
     assert squarefree_part(8) == 2
     assert squarefree_part(-12) == -3
@@ -176,11 +167,11 @@ def test_fundamental_discriminants():
 
 
 def test_fundamental_discriminant_parse():
-    assert fundamental_discriminant(13) == (13, 13, 0)
-    assert fundamental_discriminant(8) == (8, 1, 3)
-    assert fundamental_discriminant(12) == (12, 3, 2)
-    assert fundamental_discriminant(40) == (40, 5, 3)
-    assert fundamental_discriminant(1) == (1, 1, 0)
+    assert fundamental_discriminant(13) == (13, 13, 0, (13,))
+    assert fundamental_discriminant(8) == (8, 1, 3, (2,))
+    assert fundamental_discriminant(12) == (12, 3, 2, (2, 3))
+    assert fundamental_discriminant(40) == (40, 5, 3, (2, 5))
+    assert fundamental_discriminant(1) == (1, 1, 0, ())
     with pytest.raises(ValueError):
         fundamental_discriminant(20)
 
@@ -189,15 +180,34 @@ def test_fundamental_discriminant_bound(one_second_deadline):
     p = sympy.prevprime(DISCRIMINANT_BOUND)
     while p % 4 != 1:
         p = sympy.prevprime(p)
-    assert fundamental_discriminant(p) == (p, p, 0)  # trial division decides
+    assert fundamental_discriminant(p) == (p, p, 0, (p,))  # trial division decides
     with pytest.raises(ValueError, match="exceeds the discriminant bound"):
         fundamental_discriminant(DISCRIMINANT_BOUND + 1)
     with pytest.raises(ValueError, match="exceeds the discriminant bound"):
         fundamental_discriminant(HOSTILE_DISCRIMINANT)
 
 
+def test_is_fundamental_discriminant_bound(one_second_deadline):
+    # the predicate goes through the parser, so it never factors past the bound
+    assert not is_fundamental_discriminant(DISCRIMINANT_BOUND)  # 2**12 * 5**12
+    with pytest.raises(ValueError, match="exceeds the discriminant bound"):
+        is_fundamental_discriminant(HOSTILE_DISCRIMINANT)
+
+
 def test_fundamental_discriminant_primes_match_factorize():
-    for f in fundamental_discriminants(2000):
+    expected = []
+    for d in range(-8, 20001):
+        fields = fundamental_discriminant_fields(d)
+        assert is_fundamental_discriminant(d) == (fields is not None), d
+        if fields is None:
+            with pytest.raises(ValueError, match="not a positive fundamental"):
+                fundamental_discriminant(d)
+        else:
+            assert fundamental_discriminant(d) == fields
+            expected.append(fields)
+    got = list(fundamental_discriminants(20000))
+    assert got == expected
+    for f in got:
         assert f.primes == factorize(f.value).primes()
         assert tuple(l for l in f.primes if l != 2) == factorize(f.odd_part).primes()
 

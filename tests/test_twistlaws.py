@@ -121,6 +121,23 @@ def test_validate_setup_pair_condition_star():
         validate_setup(E11A1, 1, 1)
 
 
+def test_setup_parses_each_discriminant_once(monkeypatch):
+    # parsed discriminants carry their primes: validation, the quantities
+    # and .primes never factor them again
+    f13, f5 = fundamental_discriminant(13), fundamental_discriminant(5)
+
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) after the parse")
+
+    monkeypatch.setattr("quadtwist.arith.factorize", no_factoring)
+    single = validate_setup(E11A1, f13)
+    pair = validate_setup(E11A1, f13, f5)
+    assert single.discriminants == (f13,) and pair.discriminants == (f13, f5)
+    assert twist_quantity(single).is_even_exponent
+    assert pair_twist_quantity(pair).is_even_exponent
+    assert (f13.primes, f5.primes) == ((13,), (5,))
+
+
 def test_pair_canonical_membership():
     # (11a1, D1=13, D2=5): D = 65 = 10 mod 11 is a nonresidue, so inert
     s = validate_setup(E11A1, 13, 5)
