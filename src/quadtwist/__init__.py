@@ -13,7 +13,6 @@ from .arith import (
     fundamental_discriminants,
     is_fundamental_discriminant,
     kronecker,
-    squarefree_part,
     valuation,
 )
 from .curves import (
@@ -78,7 +77,6 @@ __all__ = [
     "pair_twist_quantity",
     "quadratic_twist",
     "scan_profiles",
-    "squarefree_part",
     "symbol_closed_form",
     "tamagawa_symbol_check",
     "tamagawa_transfer_check",

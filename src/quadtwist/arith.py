@@ -239,18 +239,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def squarefree_part(n: int) -> int:
-    """Squarefree integer s with n = s * (square); sign preserved."""
-    if n == 0:
-        raise ValueError("squarefree part of 0 is undefined")
-    f = factorize(n)
-    s = f.sign
-    for p, e in f.factors:
-        if e % 2:
-            s *= p
-    return s
-
-
 def _parse_discriminant(d: int) -> FundamentalDiscriminant | None:
     # The one parser: bound, then shape, then one factorization of the odd
     # part, which decides squarefreeness and gives the primes.

@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 verification failure(s), 2 usage or input error,
 3 internal error (an unexpected exception, reported on stderr).
 
 `verify` checks pairs of discriminants only up to min(--dmax, 100); the
-report records that cap as "pair_dmax".
+report records that cap as "pair_dmax". It prints one progress line per
+curve on stderr and the summary and any FAIL lines on stdout. With
+--out it streams the JSON report to the file, one instance per line;
+without --out it encodes no JSON for the instances at all.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ import sys
 from .arith import fundamental_discriminant, is_prime
 from .profile_scan import scan_profiles
 from .curves import minimal_model, model, quadratic_twist
-from .harness import (
-    default_corpus_path,
-    ingest_corpus,
-    report_to_json,
-    run_sweep,
-)
+from .harness import SweepReport, default_corpus_path, ingest_corpus, write_report
 from .localred import tate_local
 from .twistlaws import (
     find_auxiliary_discriminant,
@@ -129,19 +127,20 @@ def _cmd_u_of_d(args) -> int:
 def _cmd_verify(args) -> int:
     path = args.corpus or default_corpus_path()
     corpus = ingest_corpus(path)
-    report = run_sweep(corpus, args.dmax, args.mode, jobs=max(1, args.jobs), corpus_name=path)
-    text = report_to_json(report)
+    sweep = SweepReport(corpus, args.dmax, args.mode, jobs=max(1, args.jobs), corpus_name=path)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    summary = report["summary"]
+            write_report(sweep, fh)
+    else:
+        for _rec in sweep:  # the summary is folded in as the records pass
+            pass
     print(
-        f"{summary['instances']} instances, {summary['checks_run']} checks, "
-        f"{summary['failures']} failures"
+        f"{sweep.instances} instances, {sweep.checks_run} checks, "
+        f"{len(sweep.failures)} failures"
     )
-    for fail in report["failures"]:
+    for fail in sweep.failures:
         print("FAIL:", json.dumps(fail, sort_keys=True))
-    return 0 if summary["failures"] == 0 else 1
+    return 0 if not sweep.failures else 1
 
 
 def _cmd_enumerate(args) -> int:

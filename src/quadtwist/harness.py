@@ -1,6 +1,14 @@
 """Batch verification harness: corpus ingestion, sweep orchestration over
 (curve, discriminant) instances, and machine-readable reporting.
 
+A sweep streams: ``SweepReport`` yields one curve's instance records at a
+time, in report order, and folds each into the summary (instance and
+check counts, per-check exercise counts, failures, flags) as it passes,
+printing one progress line per curve on stderr. ``write_report`` writes
+each record to a file as it arrives, one instance per line, so the
+report's memory does not grow with the instance count; ``run_sweep``
+collects the same records into one dict.
+
 Reports are deterministic: instances are enumerated in sorted order and
 all wall-clock measurements live under "timing" keys, so two runs over
 the same inputs differ at most in those subtrees.
@@ -10,13 +18,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .arith import fundamental_discriminants, kronecker
+from .arith import FundamentalDiscriminant, fundamental_discriminants, kronecker
 from .curves import SingularModelError, WeierstrassModel, invariants, minimal_model, model
 from .localred import reduction_profile, tate_local, twist_prime_tamagawa_odd
 from .twistlaws import (
@@ -114,10 +124,12 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
 # instance enumeration
 
 
-def valid_single_setups(E: WeierstrassModel, d_max: int) -> Iterable[tuple[int, TwistSetup]]:
-    """(D, setup) for every positive fundamental discriminant D <= d_max
+def valid_single_setups(
+    E: WeierstrassModel, discriminants: Iterable[FundamentalDiscriminant]
+) -> Iterable[tuple[int, TwistSetup]]:
+    """(D, setup) for every D in the parsed discriminants (ascending)
     admissible for the canonical split/inert factorization of E."""
-    for f in fundamental_discriminants(d_max):
+    for f in discriminants:
         try:
             yield f.value, validate_setup(E, f)
         except SetupError:
@@ -125,13 +137,13 @@ def valid_single_setups(E: WeierstrassModel, d_max: int) -> Iterable[tuple[int, 
 
 
 def valid_pair_setups(
-    E: WeierstrassModel, d_max: int
+    E: WeierstrassModel, discriminants: Sequence[FundamentalDiscriminant]
 ) -> Iterable[tuple[tuple[int, int], TwistSetup]]:
-    """Unordered coprime admissible pairs (D1 < D2), D2 <= d_max; the
-    (1, 1) pair is excluded (the characters must not both be trivial)."""
-    fds = list(fundamental_discriminants(d_max))
-    for i, f1 in enumerate(fds):
-        for f2 in fds[i + 1 :]:
+    """Unordered coprime admissible pairs (D1 < D2) from the parsed
+    discriminants (ascending); the (1, 1) pair is excluded (the
+    characters must not both be trivial)."""
+    for i, f1 in enumerate(discriminants):
+        for f2 in discriminants[i + 1 :]:
             if math.gcd(f1.value, f2.value) != 1:
                 continue
             try:
@@ -241,17 +253,112 @@ def run_pair_instance(label: str, setup: TwistSetup, mode: str) -> dict:
     return rec
 
 
-def _sweep_curve(args) -> list[dict]:
-    record, d_max, mode = args
+def _sweep_curve(args) -> tuple[str, list[dict], float]:
+    """One curve's instance records in report order, and the seconds
+    they took."""
+    record, singles, pairs, mode = args
+    t0 = time.perf_counter()
     E = minimal_model(record.curve).minimal
     out = []
     if mode in ("thm13", "lemmas", "all"):
-        for _d, setup in valid_single_setups(E, d_max):
+        for _d, setup in valid_single_setups(E, singles):
             out.append(run_single_instance(record.label, setup, mode))
     if mode in ("thm31", "lemmas", "all"):
-        for _pair, setup in valid_pair_setups(E, min(d_max, PAIR_DMAX)):
+        for _pair, setup in valid_pair_setups(E, pairs):
             out.append(run_pair_instance(record.label, setup, mode))
-    return out
+    out.sort(key=lambda r: (r.get("d", 0), r.get("d1", 0), r.get("d2", 0)))
+    return record.label, out, time.perf_counter() - t0
+
+
+class SweepReport:
+    """One verification sweep, consumed one instance record at a time.
+
+    Iterating runs the sweep and yields every instance record in report
+    order (curves by label, then pairs before singles, each ascending),
+    one curve's chunk at a time. Each record is folded into the summary
+    as it passes, and one progress line per curve goes to stderr.
+    ``head`` holds the parameters of the run; ``tail()``, read after the
+    iteration, holds the summary, the failures and the timing. Pair
+    instances are capped at discriminant PAIR_DMAX regardless of d_max.
+    """
+
+    def __init__(
+        self,
+        corpus: list[CurveRecord],
+        d_max: int,
+        mode: str = "all",
+        jobs: int = 1,
+        corpus_name: str = "-",
+    ):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        self.corpus = sorted(corpus, key=lambda r: r.label)
+        self.jobs = jobs
+        self.head = {
+            "schema": 1,
+            "mode": mode,
+            "d_max": d_max,
+            "pair_dmax": min(d_max, PAIR_DMAX),
+            "corpus": corpus_name,
+            "curves": [rec.label for rec in self.corpus],
+        }
+        self.instances = 0
+        self.checks_run = 0
+        self.check_counts: Counter[str] = Counter()
+        self.failures: list[dict] = []
+        self.flags: list[dict] = []
+        self.wall_seconds: float | None = None
+
+    def __iter__(self) -> Iterator[dict]:
+        t0 = time.perf_counter()
+        # every curve sweeps the same discriminants: parse them once
+        singles = list(fundamental_discriminants(self.head["d_max"]))
+        pairs = [f for f in singles if f.value <= self.head["pair_dmax"]]
+        tasks = [(rec, singles, pairs, self.head["mode"]) for rec in self.corpus]
+        if self.jobs > 1:
+            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+                # map yields in task order, so chunks arrive in label order
+                yield from self._fold(pool.map(_sweep_curve, tasks))
+        else:
+            yield from self._fold(map(_sweep_curve, tasks))
+        self.wall_seconds = round(time.perf_counter() - t0, 3)
+
+    def _fold(self, chunks) -> Iterator[dict]:
+        for label, chunk, seconds in chunks:
+            failed_before = len(self.failures)
+            for rec in chunk:
+                self._add(rec)
+                yield rec
+            print(
+                f"{label}: {len(chunk)} instances, "
+                f"{len(self.failures) - failed_before} failures, {seconds:.2f} s",
+                file=sys.stderr,
+            )
+
+    def _add(self, rec: dict) -> None:
+        self.instances += 1
+        self.checks_run += len(rec["checks"])
+        self.check_counts.update(rec["checks"].keys())
+        bad = sorted(name for name, ok in rec["checks"].items() if not ok)
+        if bad:
+            witness = {k: rec[k] for k in ("curve", "d", "d1", "d2") if k in rec}
+            witness["failed_checks"] = bad
+            self.failures.append(witness)
+        for fl in rec.get("flags", ()):
+            self.flags.append({"curve": rec["curve"], "d": rec.get("d"), "flag": fl})
+
+    def tail(self) -> dict:
+        return {
+            "summary": {
+                "instances": self.instances,
+                "checks_run": self.checks_run,
+                "check_counts": dict(sorted(self.check_counts.items())),
+                "failures": len(self.failures),
+                "flags": self.flags,
+            },
+            "failures": self.failures,
+            "timing": {"wall_seconds": self.wall_seconds},
+        }
 
 
 def run_sweep(
@@ -262,57 +369,32 @@ def run_sweep(
     corpus_name: str = "-",
 ) -> dict:
     """Run the requested verification passes over every admissible
-    instance; aggregates failures instead of aborting.
+    instance and return the whole report; aggregates failures instead of
+    aborting.
 
     Pair instances are capped at discriminant PAIR_DMAX regardless of
     d_max; the report records the cap in effect as "pair_dmax"."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    t0 = time.perf_counter()
-    tasks = [(rec, d_max, mode) for rec in sorted(corpus, key=lambda r: r.label)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_curve = list(pool.map(_sweep_curve, tasks))
-    else:
-        per_curve = [_sweep_curve(t) for t in tasks]
-    instances = [rec for chunk in per_curve for rec in chunk]
-    instances.sort(key=lambda r: (r["curve"], r.get("d", 0), r.get("d1", 0), r.get("d2", 0)))
-
-    failures = []
-    checks_run = 0
-    flags = []
-    for rec in instances:
-        checks_run += len(rec["checks"])
-        bad = sorted(name for name, ok in rec["checks"].items() if not ok)
-        if bad:
-            witness = {k: rec[k] for k in ("curve", "d", "d1", "d2") if k in rec}
-            witness["failed_checks"] = bad
-            failures.append(witness)
-        for fl in rec.get("flags", ()):
-            flags.append({"curve": rec["curve"], "d": rec.get("d"), "flag": fl})
-
-    report = {
-        "schema": 1,
-        "mode": mode,
-        "d_max": d_max,
-        "pair_dmax": min(d_max, PAIR_DMAX),
-        "corpus": corpus_name,
-        "curves": [rec.label for rec in sorted(corpus, key=lambda r: r.label)],
-        "summary": {
-            "instances": len(instances),
-            "checks_run": checks_run,
-            "failures": len(failures),
-            "flags": flags,
-        },
-        "failures": failures,
-        "instances": instances,
-        "timing": {"wall_seconds": round(time.perf_counter() - t0, 3)},
-    }
-    return report
+    sweep = SweepReport(corpus, d_max, mode, jobs, corpus_name)
+    instances = list(sweep)
+    return {**sweep.head, **sweep.tail(), "instances": instances}
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+# One encoder for every record: without indent, json uses its C encoder.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def write_report(sweep: SweepReport, fh: TextIO) -> None:
+    """Run the sweep and write its report to fh as one JSON object, each
+    instance record on its own line as it arrives; "failures", "summary"
+    and "timing" follow the instances."""
+    head = _ENCODER.encode(sweep.head)
+    fh.write(head[:-1] + ',\n"instances": [')
+    sep = "\n"
+    for rec in sweep:
+        fh.write(sep)
+        fh.write(_ENCODER.encode(rec))
+        sep = ",\n"
+    fh.write("\n],\n" + _ENCODER.encode(sweep.tail())[1:] + "\n")
 
 
 def strip_timing(obj):

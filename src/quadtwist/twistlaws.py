@@ -4,8 +4,8 @@ u_D, the even-two-power quantities, the local product identities, the
 closed-form symbol evaluation, the Tamagawa-at-2 case cross-checks, and
 the auxiliary-discriminant search.
 
-All quantities are exact rationals; "equal modulo squares" is decided on
-squarefree parts.
+All quantities are exact rationals; "equal modulo squares" is decided by
+an integer square root, without factoring.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .arith import (
     fundamental_discriminant,
     fundamental_discriminants,
     kronecker,
-    squarefree_part,
     valuation,
 )
 from .curves import (
@@ -128,12 +127,14 @@ class CheckResult(NamedTuple):
 
 
 def equal_mod_squares(a: Fraction | int, b: Fraction | int) -> bool:
-    """Equality in Q*/(Q*)^2 via squarefree parts."""
+    """Equality in Q*/(Q*)^2: the ratio p/q in lowest terms is a square
+    iff p*q is a positive square."""
     qa, qb = Fraction(a), Fraction(b)
     if qa == 0 or qb == 0:
         raise ValueError("zero has no square class")
     ratio = qa / qb
-    return squarefree_part(ratio.numerator * ratio.denominator) == 1
+    n = ratio.numerator * ratio.denominator
+    return n > 0 and math.isqrt(n) ** 2 == n
 
 
 def power_of_two_exponent(q: Fraction) -> int | None:

@@ -18,6 +18,17 @@ def factorint(n: int) -> dict[int, int]:
     return dict(sympy.factorint(n))
 
 
+def square_class(q) -> int:
+    """The squarefree integer s with q = s * (a rational square), q a
+    nonzero rational."""
+    q = Fraction(q)
+    s = -1 if q < 0 else 1
+    for p, e in factorint(abs(q.numerator * q.denominator)).items():
+        if e % 2:
+            s *= p
+    return s
+
+
 def hostile_semiprime() -> int:
     """p * q for the first two primes p < q above 2**60: far beyond the
     library's trial division and rho."""

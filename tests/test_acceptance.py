@@ -8,6 +8,7 @@ on their own slice of the checks.
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,21 @@ def full_sweep():
     t0 = time.perf_counter()
     report = run_sweep(corpus, DMAX, "all", corpus_name=default_corpus_path())
     report["_elapsed"] = time.perf_counter() - t0
+    # how many instances exercised each named check on the shipped corpus
+    quantity = ("quantity_power_of_two", "quantity_even_exponent")
+    pair = ("omega_parity", "c_tilde_product", "tamagawa_transfer_per_prime",
+            "tamagawa_transfer_product")
+    single = ("symbol_closed_form", "tamagawa_product_symbol", "u_closed_form",
+              "odd_twist_fast_path")
+    counts = report["summary"]["check_counts"]
+    assert counts == {
+        **dict.fromkeys(quantity, 7572),
+        **dict.fromkeys(pair, 4978),
+        **dict.fromkeys(single, 2594),
+        "two_adic_case_table": 761,
+    }
+    assert counts == Counter(name for i in report["instances"] for name in i["checks"])
+    assert sum(counts.values()) == report["summary"]["checks_run"] == 46193
     return report
 
 

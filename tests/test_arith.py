@@ -15,7 +15,6 @@ from quadtwist.arith import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
-    squarefree_part,
     valuation,
 )
 
@@ -145,13 +144,6 @@ def test_kronecker_against_sympy_jacobi():
         a = rng.randint(-10**6, 10**6)
         n = rng.randrange(1, 10**6, 2)
         assert kronecker(a, n) == sympy.jacobi_symbol(a, n)
-
-
-def test_squarefree_part():
-    assert squarefree_part(8) == 2
-    assert squarefree_part(-12) == -3
-    assert squarefree_part(1) == 1
-    assert squarefree_part(45) == 5
 
 
 def test_fundamental_discriminants():

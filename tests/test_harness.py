@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quadtwist.arith import fundamental_discriminants
 from quadtwist.cli import main
 from quadtwist.curves import minimal_model, model
 from quadtwist.harness import (
@@ -71,7 +72,8 @@ def test_sweep_membership_11a1_dmax20():
     """Admissible single discriminants for the conductor-11 curve up to
     20: the trivial one, the split 5 and 12, the inert 8, 13 and 17."""
     E = minimal_model(model(0, -1, 1, -10, -20)).minimal
-    got = {d: (s.n_plus, s.n_minus) for d, s in valid_single_setups(E, 20)}
+    fds = list(fundamental_discriminants(20))
+    got = {d: (s.n_plus, s.n_minus) for d, s in valid_single_setups(E, fds)}
     assert got == {
         1: (11, 1),
         5: (11, 1),
@@ -182,7 +184,7 @@ def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise RuntimeError("simulated crash")
 
-    monkeypatch.setattr("quadtwist.cli.run_sweep", crash)
+    monkeypatch.setattr("quadtwist.cli.SweepReport", crash)
     corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
     assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 3
     assert "internal error: RuntimeError: simulated crash" in capsys.readouterr().err
@@ -220,6 +222,74 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
     a = strip_timing(json.loads(out.read_text()))
     b = strip_timing(json.loads(out2.read_text()))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_report_file_matches_run_sweep(tmp_path, jobs):
+    corpus = write(tmp_path, "15a1,1,1,1,-10,-10,15,0\n11a1,0,-1,1,-10,-20,11,0\n")
+    out = tmp_path / "report.json"
+    args = ["verify", "--corpus", corpus, "--dmax", "30", "--out", str(out)]
+    assert main([*args, "--jobs", str(jobs)]) == 0
+    text = out.read_text(encoding="utf-8")
+    streamed = json.loads(text)
+    collected = run_sweep(ingest_corpus(corpus), 30, "all", jobs=jobs, corpus_name=corpus)
+    assert strip_timing(streamed) == strip_timing(collected)
+    # report order: curves by label, then pairs before singles, each ascending
+    instances = streamed["instances"]
+    keys = [(i["curve"], i.get("d", 0), i.get("d1", 0), i.get("d2", 0)) for i in instances]
+    assert keys == sorted(keys) and {i["curve"] for i in instances} == {"11a1", "15a1"}
+    # one instance per line, and the summary after the instances
+    lines = text.splitlines()
+    start = lines.index('"instances": [')
+    records = [json.loads(ln.rstrip(",")) for ln in lines[start + 1 : lines.index("],")]]
+    assert records == instances
+    assert text.index('"instances"') < text.index('"summary"')
+
+
+def test_cli_verify_without_out_encodes_nothing(tmp_path, monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("JSON encoded without --out")
+
+    monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
+    assert main(["verify", "--corpus", corpus, "--dmax", "30"]) == 0
+    assert capsys.readouterr().out == "46 instances, 280 checks, 0 failures\n"
+
+
+def test_cli_verify_progress_one_line_per_curve(tmp_path, capsys):
+    corpus = write(
+        tmp_path,
+        "37a1,0,0,1,-1,0,37,1\n11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n",
+    )
+    assert main(["verify", "--corpus", corpus, "--dmax", "20"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == ["11a1", "15a1", "37a1"]
+    assert all(ln.endswith(" s") and " instances, 0 failures, " in ln for ln in lines)
+    assert len(captured.out.splitlines()) == 1  # stdout: the summary alone
+
+
+def test_cli_verify_reports_failed_checks(tmp_path, monkeypatch, capsys):
+    # a wrong closed form fails symbol_closed_form on every single instance
+    monkeypatch.setattr("quadtwist.harness.symbol_closed_form", lambda disc, D, b: 2)
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--corpus", corpus, "--dmax", "13", "--out", str(out)]) == 1
+    report = json.loads(out.read_text(encoding="utf-8"))
+    singles = [i["d"] for i in report["instances"] if "d" in i]
+    assert singles == [1, 5, 8, 12, 13]
+    assert report["failures"] == [
+        {"curve": "11a1", "d": d, "failed_checks": ["symbol_closed_form"]} for d in singles
+    ]
+    summary = report["summary"]
+    assert summary["failures"] == 5
+    assert summary["check_counts"]["symbol_closed_form"] == 5  # failed checks ran too
+    assert summary["check_counts"]["quantity_power_of_two"] == summary["instances"]
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"11a1: {summary['instances']} instances, 5 failures, ")
+    fails = [ln for ln in captured.out.splitlines() if ln.startswith("FAIL: ")]
+    assert [json.loads(ln[6:]) for ln in fails] == report["failures"]
 
 
 def test_cli_enumerate_profiles(capsys):

@@ -43,7 +43,7 @@ from quadtwist.twistlaws import (
     validate_setup,
 )
 
-from oracles import hostile_semiprime
+from oracles import hostile_semiprime, square_class
 
 E11A1 = model(0, -1, 1, -10, -20)
 E14A1 = model(1, 0, 1, 4, -6)
@@ -148,9 +148,10 @@ def test_pair_canonical_membership():
 def test_setup_prime_sets_match_factorize():
     # every admissible single and pair setup of the shipped corpus, D <= 100
     setups = 0
+    fds = list(fundamental_discriminants(100))
     for rec in corpus():
         E = minimal_model(rec.curve).minimal
-        for _, s in chain(valid_single_setups(E, 100), valid_pair_setups(E, 100)):
+        for _, s in chain(valid_single_setups(E, fds), valid_pair_setups(E, fds)):
             assert s.plus_primes == factorize(s.n_plus).primes()
             assert s.minus_primes == factorize(s.n_minus).primes()
             setups += 1
@@ -556,6 +557,16 @@ def test_equal_mod_squares():
     assert not equal_mod_squares(2, -2)
     with pytest.raises(ValueError):
         equal_mod_squares(0, 1)
+
+
+def test_equal_mod_squares_against_sympy():
+    nums = (1, 2, 3, 4, 5, 6, 8, 9, 12, 18, 50, 72, 98)
+    dens = (1, 2, 3, 4, 8, 9, 25, 27)
+    grid = sorted({Fraction(sign * n, d) for sign in (1, -1) for n in nums for d in dens})
+    classes = {q: square_class(q) for q in grid}
+    for a in grid:
+        for b in grid:
+            assert equal_mod_squares(a, b) == (classes[a] == classes[b]), (a, b)
 
 
 def test_power_of_two_exponent():
