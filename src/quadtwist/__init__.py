@@ -16,13 +16,10 @@ from .arith import (
     valuation,
 )
 from .curves import (
-    IsoMap,
     MinimalModelResult,
     SingularModelError,
     WeierstrassModel,
-    apply_iso,
     invariants,
-    iso,
     minimal_model,
     model,
     quadratic_twist,
@@ -53,7 +50,6 @@ from .twistlaws import (
 __all__ = [
     "Factorization",
     "FundamentalDiscriminant",
-    "IsoMap",
     "LocalReduction",
     "MinimalModelResult",
     "ProfileScanResult",
@@ -61,7 +57,6 @@ __all__ = [
     "SingularModelError",
     "TwistSetup",
     "WeierstrassModel",
-    "apply_iso",
     "c_tilde",
     "conductor",
     "factorize",
@@ -70,7 +65,6 @@ __all__ = [
     "inert_base_change_tamagawa",
     "invariants",
     "is_fundamental_discriminant",
-    "iso",
     "kronecker",
     "minimal_model",
     "model",

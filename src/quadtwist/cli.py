@@ -6,7 +6,8 @@ Exit codes: 0 success, 1 verification failure(s), 2 usage or input error,
 `verify` checks pairs of discriminants only up to min(--dmax, 100); the
 report records that cap as "pair_dmax". It prints one progress line per
 curve on stderr and the summary and any FAIL lines on stdout. With
---out it streams the JSON report to the file, one instance per line;
+--out it streams the JSON report, one instance per line, to a temporary
+file beside PATH and renames it onto PATH when the report is complete;
 without --out it encodes no JSON for the instances at all.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import fundamental_discriminant, is_prime
@@ -129,8 +131,17 @@ def _cmd_verify(args) -> int:
     corpus = ingest_corpus(path)
     sweep = SweepReport(corpus, args.dmax, args.mode, jobs=max(1, args.jobs), corpus_name=path)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_report(sweep, fh)
+        # stream into a sibling file and rename it over --out only once
+        # the report is whole, so a failed sweep keeps the previous report
+        tmp = f"{args.out}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                write_report(sweep, fh)
+            os.replace(tmp, args.out)
+        except BaseException:
+            os.remove(tmp)
+            raise
     else:
         for _rec in sweep:  # the summary is folded in as the records pass
             pass

@@ -1,10 +1,13 @@
-"""Weierstrass models over Q: invariants, isomorphisms, quadratic twists,
-global minimal models and the 2-adic normal form used by the twist laws.
+"""Weierstrass models over Q: invariants, quadratic twists, global
+minimal models and the 2-adic normal form used by the twist laws.
 
 Models are coefficient 5-tuples (a1, a2, a3, a4, a6) of exact rationals
-(plain ints whenever possible).  An isomorphism [u, r, s, w] acts by
-x = u^2 x' + r, y = u^3 y' + s u^2 x' + w, so c4' = u^-4 c4,
-c6' = u^-6 c6 and disc' = u^-12 disc.
+(plain ints whenever possible).  A change of variables of scale u divides
+c4 by u^4 and c6 by u^6, and the curves with given invariants (c4, c6)
+share one reduced global minimal model.  So minimal models, and the
+minimal models of twists (the twist by d has invariants (d^2 c4, d^3 c6)),
+are computed from (c4, c6) alone; the only coordinate change the module
+applies is the integral [1, r, s, w] of rst_transform.
 """
 
 from __future__ import annotations
@@ -76,56 +79,6 @@ def invariants(E: WeierstrassModel) -> Invariants:
     return Invariants(*map(_q, (b2, b4, b6, b8, c4, c6, disc)))
 
 
-class IsoMap(NamedTuple):
-    """Change of variables [u, r, s, w] between Weierstrass models."""
-
-    u: int | Fraction
-    r: int | Fraction
-    s: int | Fraction
-    w: int | Fraction
-
-    @staticmethod
-    def identity() -> "IsoMap":
-        return IsoMap(1, 0, 0, 0)
-
-    def inverse(self) -> "IsoMap":
-        u, r, s, w = (Fraction(t) for t in self)
-        return iso(1 / u, -r / u**2, -s / u, (r * s - w) / u**3)
-
-    def compose(self, other: "IsoMap") -> "IsoMap":
-        """self followed by other (E -> E' -> E'')."""
-        u1, r1, s1, w1 = (Fraction(t) for t in self)
-        u2, r2, s2, w2 = (Fraction(t) for t in other)
-        return iso(
-            u1 * u2,
-            r1 + u1**2 * r2,
-            s1 + u1 * s2,
-            w1 + u1**2 * s1 * r2 + u1**3 * w2,
-        )
-
-
-def iso(u, r, s, w) -> IsoMap:
-    if u == 0:
-        raise ValueError("iso requires u != 0")
-    return IsoMap(_q(u), _q(r), _q(s), _q(w))
-
-
-def apply_iso(E: WeierstrassModel, phi: IsoMap) -> WeierstrassModel:
-    if phi.u == 1 and E.is_integral and all(isinstance(t, int) for t in phi):
-        return rst_transform(E, phi.r, phi.s, phi.w)
-    a1, a2, a3, a4, a6 = (Fraction(a) for a in E)
-    u, r, s, w = (Fraction(t) for t in phi)
-    if u == 0:
-        raise ValueError("iso requires u != 0")
-    return model(
-        (a1 + 2 * s) / u,
-        (a2 - s * a1 + 3 * r - s * s) / u**2,
-        (a3 + r * a1 + 2 * w) / u**3,
-        (a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w) / u**4,
-        (a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1) / u**6,
-    )
-
-
 def rst_transform(E: WeierstrassModel, r: int, s: int, w: int) -> WeierstrassModel:
     """The u = 1 change of variables [1, r, s, w]; preserves the
     discriminant exactly.  E must be integral and r, s, w ints: the
@@ -140,35 +93,24 @@ def rst_transform(E: WeierstrassModel, r: int, s: int, w: int) -> WeierstrassMod
     )
 
 
-def quadratic_twist_with_scale(E: WeierstrassModel, d: int):
-    """Twist of E by a nonzero integer d.
+def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
+    """Integral model of the quadratic twist of E by a nonzero integer d.
 
-    Returns (model, cleared) where cleared indicates that the raw twist
-    model had half-integral coefficients and was rescaled by [1/2,0,0,0]
-    (so coefficients a_i picked up a factor 2^i) to restore integrality.
+    The raw twist has a2, a4, a6 over denominators 4, 2, 4; when any of
+    them stays fractional the model is rescaled by [1/2, 0, 0, 0], which
+    multiplies each a_i by 2^i.
     """
     if d == 0:
         raise ValueError("twist by 0")
     if not E.is_integral:
         raise ValueError("twist requires an integral model")
     a1, a2, a3, a4, a6 = E
-    raw = model(
-        a1,
-        Fraction(4 * a2 * d + a1 * a1 * (d - 1), 4),
-        a3,
-        Fraction(2 * a4 * d * d + a1 * a3 * (d * d - 1), 2),
-        Fraction(4 * a6 * d**3 + a3 * a3 * (d**3 - 1), 4),
-    )
-    if raw.is_integral:
-        return raw, False
-    out = apply_iso(raw, iso(Fraction(1, 2), 0, 0, 0))
-    assert out.is_integral
-    return out, True
-
-
-def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
-    """Integral model of the quadratic twist of E by d."""
-    return quadratic_twist_with_scale(E, d)[0]
+    n2 = 4 * a2 * d + a1 * a1 * (d - 1)
+    n4 = 2 * a4 * d * d + a1 * a3 * (d * d - 1)
+    n6 = 4 * a6 * d**3 + a3 * a3 * (d**3 - 1)
+    if n2 % 4 == 0 and n4 % 2 == 0 and n6 % 4 == 0:
+        return WeierstrassModel(a1, n2 // 4, a3, n4 // 2, n6 // 4)
+    return WeierstrassModel(2 * a1, n2, 8 * a3, 8 * n4, 16 * n6)
 
 
 def kraus_conditions(c4, c6, p: int) -> bool:
@@ -223,23 +165,20 @@ def _model_from_c4c6(C4: int, C6: int) -> WeierstrassModel:
 
 class MinimalModelResult(NamedTuple):
     minimal: WeierstrassModel
-    map: IsoMap
-    u_value: int
+    u_value: int  # |u| of the scale from the input invariants
     bad_primes: tuple[int, ...]  # primes of the minimal discriminant
 
 
-@lru_cache(maxsize=None)
-def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
-    """Global minimal model via the Laska-Kraus-Connell reduction.
+def minimal_from_invariants(c4: int, c6: int) -> MinimalModelResult:
+    """Global minimal model of the curves with invariants (c4, c6), by the
+    Laska-Kraus-Connell reduction.
 
-    Output is the reduced form (a1, a3 in {0,1}, a2 in {-1,0,1}), which is
-    unique, together with the isomorphism from the input, its scale u and
-    the primes of the minimal discriminant.
+    (c4, c6) must be the invariants of some integral model.  Output is the
+    reduced form (a1, a3 in {0,1}, a2 in {-1,0,1}), which is unique, the
+    scale u with (c4, c6) = (u^4 C4, u^6 C6) for its invariants (C4, C6),
+    and the primes of the minimal discriminant.
     """
-    if not E.is_integral:
-        raise ValueError("minimal_model requires an integral model")
-    inv = invariants(E)
-    c4, c6, disc = inv.c4, inv.c6, inv.disc
+    disc = (c4**3 - c6**2) // 1728
     u = 1
     bad_primes = []
     for p, e in factorize(disc).factors:
@@ -256,16 +195,17 @@ def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
             bad_primes.append(p)
     C4, C6 = c4 // u**4, c6 // u**6
     assert kraus_conditions(C4, C6, 2) and kraus_conditions(C4, C6, 3)
-    minimal = _model_from_c4c6(C4, C6)
+    return MinimalModelResult(_model_from_c4c6(C4, C6), u, tuple(bad_primes))
 
-    a1, a2, a3, _, _ = (Fraction(a) for a in E)
-    b1, b2_, b3, _, _ = (Fraction(a) for a in minimal)
-    s = (u * b1 - a1) / 2
-    r = (u * u * b2_ - a2 + s * a1 + s * s) / 3
-    w = (u**3 * b3 - a3 - r * a1) / 2
-    phi = iso(u, r, s, w)
-    assert apply_iso(E, phi) == minimal
-    return MinimalModelResult(minimal, phi, u, tuple(bad_primes))
+
+@lru_cache(maxsize=None)
+def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
+    """Global minimal model of an integral model E; u_value is the scale
+    from E onto it."""
+    if not E.is_integral:
+        raise ValueError("minimal_model requires an integral model")
+    inv = invariants(E)
+    return minimal_from_invariants(inv.c4, inv.c6)
 
 
 # Valuation patterns of the 2-adic normal form for curves with good

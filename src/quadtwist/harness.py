@@ -110,7 +110,7 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
             except SingularModelError as exc:
                 raise CorpusError(f"{path}:{lineno}: singular curve {ai}: {exc}") from None
             if stated_n is not None:
-                N, _, _ = reduction_profile(E)
+                N, _ = reduction_profile(E)
                 if N != stated_n:
                     raise CorpusError(
                         f"{path}:{lineno}: stated conductor {stated_n} != computed {N}"
@@ -316,9 +316,13 @@ class SweepReport:
         pairs = [f for f in singles if f.value <= self.head["pair_dmax"]]
         tasks = [(rec, singles, pairs, self.head["mode"]) for rec in self.corpus]
         if self.jobs > 1:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                # map yields in task order, so chunks arrive in label order
-                yield from self._fold(pool.map(_sweep_curve, tasks))
+            pool = ProcessPoolExecutor(max_workers=self.jobs)
+            try:
+                futures = [pool.submit(_sweep_curve, task) for task in tasks]
+                # results are read in task order, so chunks arrive in label order
+                yield from self._fold(f.result() for f in futures)
+            finally:
+                pool.shutdown(cancel_futures=True)
         else:
             yield from self._fold(map(_sweep_curve, tasks))
         self.wall_seconds = round(time.perf_counter() - t0, 3)

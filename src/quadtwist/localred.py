@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .arith import is_prime, kronecker, valuation
 from .curves import (
-    MinimalModelResult,
     WeierstrassModel,
     invariants,
     minimal_model,
@@ -293,9 +292,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         )
 
 
-def reduction_profile(
-    E: WeierstrassModel,
-) -> tuple[int, MinimalModelResult, dict[int, LocalReduction]]:
+def reduction_profile(E: WeierstrassModel) -> tuple[int, dict[int, LocalReduction]]:
     """Conductor N = prod p^f_p together with per-prime local data,
     computed on the global minimal model."""
     mm = minimal_model(E)
@@ -305,7 +302,7 @@ def reduction_profile(
         loc = tate_local(mm.minimal, p)
         data[p] = loc
         N *= p**loc.conductor_exponent
-    return N, mm, data
+    return N, data
 
 
 def conductor(E: WeierstrassModel) -> int:

@@ -25,9 +25,9 @@ from .arith import (
 from .curves import (
     WeierstrassModel,
     invariants,
+    minimal_from_invariants,
     minimal_model,
     pattern_of_normal_form,
-    quadratic_twist_with_scale,
     two_strongly_minimal,
 )
 from .localred import (
@@ -54,6 +54,8 @@ class TwistSetup(NamedTuple):
     n_minus: int
     discriminants: tuple[FundamentalDiscriminant, ...]  # one or two
     local_data: dict[int, LocalReduction]
+    plus_primes: tuple[int, ...]  # the primes of n_plus, increasing
+    minus_primes: tuple[int, ...]  # the primes of n_minus, increasing
 
     @property
     def is_pair(self) -> bool:
@@ -73,14 +75,6 @@ class TwistSetup(NamedTuple):
     def primes_dividing(self, n: int) -> tuple[int, ...]:
         """The primes of N dividing n, increasing."""
         return tuple(p for p in self.local_data if n % p == 0)
-
-    @property
-    def plus_primes(self) -> tuple[int, ...]:
-        return self.primes_dividing(self.n_plus)
-
-    @property
-    def minus_primes(self) -> tuple[int, ...]:
-        return self.primes_dividing(self.n_minus)
 
 
 class Decomposition(NamedTuple):
@@ -208,7 +202,7 @@ def validate_setup(
     if mm.minimal != E:
         reasons.append("curve model is not globally minimal")
         E = mm.minimal
-    N, _, local_data = reduction_profile(E)
+    N, local_data = reduction_profile(E)
     if conductor is not None and conductor != N:
         reasons.append(f"stated conductor {conductor} != computed {N}")
 
@@ -239,7 +233,9 @@ def validate_setup(
 
     # factorization shape: n_plus, n_minus are never factored; once their
     # product is N, the primes of N dividing each are all of their primes
-    setup = TwistSetup(E, N, n_plus, n_minus, tuple(discs), local_data)
+    plus_primes = tuple(p for p in local_data if n_plus % p == 0)
+    minus_primes = tuple(p for p in local_data if n_minus % p == 0)
+    setup = TwistSetup(E, N, n_plus, n_minus, tuple(discs), local_data, plus_primes, minus_primes)
     if n_plus < 1 or n_minus < 1:
         reasons.append("n_plus and n_minus must be positive")
     if n_plus * n_minus != N:
@@ -323,14 +319,15 @@ def decompose(setup: TwistSetup) -> Decomposition:
 def twist_minimal(E: WeierstrassModel, d: int):
     """(minimal model of the twist of E by d, measured scale u_d).
 
-    u_d is the scale of the isomorphism from the raw twist model onto its
-    global minimal model, with the integrality-clearing factor divided
-    back out.
+    The raw twist has invariants (d^2 c4, d^3 c6) and need not be
+    integral at 2; its rescaling by [1/2, 0, 0, 0], with invariants
+    (2^4 d^2 c4, 2^6 d^3 c6), always is.  u_d is the scale from the raw
+    twist onto the global minimal model: the reduction's scale from the
+    rescaled invariants, halved.
     """
-    T, cleared = quadratic_twist_with_scale(E, d)
-    mm = minimal_model(T)
-    u = Fraction(mm.u_value, 2) if cleared else Fraction(mm.u_value)
-    return mm.minimal, u
+    inv = invariants(E)
+    mm = minimal_from_invariants(2**4 * d * d * inv.c4, 2**6 * d**3 * inv.c6)
+    return mm.minimal, Fraction(mm.u_value, 2)
 
 
 def u_of_discriminant(E: WeierstrassModel, D) -> int:

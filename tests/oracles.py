@@ -62,18 +62,53 @@ def fundamental_discriminant_fields(d: int) -> tuple | None:
     return (d, d // 2**a, a, tuple(sorted(f)))
 
 
-def rst_transform_fraction(ai, r, s, w) -> tuple[Fraction, ...]:
-    """The change of variables x = x' + r, y = y' + s x' + w (u = 1),
-    evaluated in Fraction."""
+def apply_iso(ai, u, r, s, w) -> tuple[Fraction, ...]:
+    """The change of variables [u, r, s, w], x = u^2 x' + r,
+    y = u^3 y' + s u^2 x' + w, evaluated in Fraction: it divides c4 by
+    u^4 and c6 by u^6."""
     a1, a2, a3, a4, a6 = (Fraction(a) for a in ai)
-    r, s, w = Fraction(r), Fraction(s), Fraction(w)
+    u, r, s, w = Fraction(u), Fraction(r), Fraction(s), Fraction(w)
     return (
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * w,
-        a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w,
-        a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1,
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u**2,
+        (a3 + r * a1 + 2 * w) / u**3,
+        (a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w) / u**4,
+        (a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1) / u**6,
     )
+
+
+def iso_onto(E, M, u) -> tuple[Fraction, Fraction, Fraction]:
+    """(r, s, w) such that [u, r, s, w] carries a1, a2, a3 of E to those
+    of M.  Solved from the first three coefficients only: the map carries
+    E onto M exactly when apply_iso(E, u, r, s, w) == M also holds for a4
+    and a6."""
+    a1, a2, a3 = (Fraction(a) for a in E[:3])
+    b1, b2, b3 = (Fraction(a) for a in M[:3])
+    u = Fraction(u)
+    s = (u * b1 - a1) / 2
+    r = (u * u * b2 - a2 + s * a1 + s * s) / 3
+    w = (u**3 * b3 - a3 - r * a1) / 2
+    return r, s, w
+
+
+def quadratic_twist_fraction(ai, d) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(integral model of the twist of ai by d, its scale u from the raw
+    twist).  The raw twist y^2 + a1 xy + a3 y = x^3 + A2 x^2 + A4 x + A6,
+    with invariants (d^2 c4, d^3 c6), is evaluated in Fraction; u = 1 when
+    it is integral, else u = 1/2, the rescaling [1/2, 0, 0, 0] that clears
+    its denominators."""
+    a1, a2, a3, a4, a6 = (Fraction(a) for a in ai)
+    raw = (
+        a1,
+        a2 * d + a1 * a1 * (d - 1) / 4,
+        a3,
+        a4 * d * d + a1 * a3 * (d * d - 1) / 2,
+        a6 * d**3 + a3 * a3 * (d**3 - 1) / 4,
+    )
+    if all(a.denominator == 1 for a in raw):
+        return raw, Fraction(1)
+    half = Fraction(1, 2)
+    return apply_iso(raw, half, 0, 0, 0), half
 
 
 def _normal_form_pattern(ai) -> int | None:
@@ -90,7 +125,7 @@ def two_strongly_minimal_brute(E):
     first shift in lexicographic (pattern, r, s, w) order whose model
     matches pattern 1, else pattern 2.  E is a minimal model with odd
     discriminant.  The shifts use the library's rst_transform, which
-    tests check against rst_transform_fraction."""
+    tests check against apply_iso."""
     from quadtwist.curves import rst_transform
 
     for want in (1, 2):

@@ -17,13 +17,14 @@ from quadtwist.arith import kronecker
 from quadtwist.profile_scan import scan_profiles
 from quadtwist.curves import (
     SingularModelError,
-    apply_iso,
     invariants,
-    iso,
+    minimal_model,
     model,
     quadratic_twist,
 )
 from quadtwist.harness import default_corpus_path, ingest_corpus, run_sweep
+
+from oracles import apply_iso
 
 DMAX = 500
 
@@ -190,14 +191,14 @@ def test_criterion_10_core_algebra_properties():
         assert invariants(quadratic_twist(E, d)).j == invariants(E).j
 
     for _ in range(1000):
+        # minimal_model undoes an integral blow-up [1/u, r, s, w]
         E = rand_model()
-        phi = iso(
-            rng.choice([1, 2, 3, Fraction(1, 2), Fraction(3, 2), -1]),
-            Fraction(rng.randint(-6, 6), rng.choice([1, 2])),
-            rng.randint(-6, 6),
-            Fraction(rng.randint(-6, 6), rng.choice([1, 3])),
-        )
-        assert apply_iso(apply_iso(E, phi), phi.inverse()) == E
+        u = rng.choice([1, 2, 3, 6])
+        r, s, w = (rng.randint(-6, 6) for _ in range(3))
+        blown = model(*apply_iso(E, Fraction(1, u), r, s, w))
+        assert blown.is_integral
+        mm, back = minimal_model(E), minimal_model(blown)
+        assert back.minimal == mm.minimal and back.u_value == mm.u_value * u
 
     for _ in range(1000):
         a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)

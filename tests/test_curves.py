@@ -1,31 +1,30 @@
-"""Weierstrass model layer: invariants, isomorphisms, twists, minimal
-models and the 2-adic normal form."""
+"""Weierstrass model layer: invariants, twists, minimal models and the
+2-adic normal form, with isomorphisms taken from the Fraction oracle."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from quadtwist.arith import factorize, fundamental_discriminants, valuation
 from quadtwist.curves import (
-    IsoMap,
     SingularModelError,
     WeierstrassModel,
     _pattern_of,
-    apply_iso,
     invariants,
-    iso,
     minimal_model,
     model,
     pattern_of_normal_form,
     quadratic_twist,
-    quadratic_twist_with_scale,
     rst_transform,
     two_strongly_minimal,
 )
+from quadtwist.harness import default_corpus_path, ingest_corpus
+from quadtwist.twistlaws import twist_minimal
 
-from oracles import rst_transform_fraction, two_strongly_minimal_brute
+from oracles import apply_iso, iso_onto, quadratic_twist_fraction, two_strongly_minimal_brute
 
 E11A1 = model(0, -1, 1, -10, -20)
 
@@ -41,9 +40,33 @@ def random_model(rng, bound=8):
 
 
 def random_iso(rng):
-    u = rng.choice([1, 2, 3, Fraction(1, 2), Fraction(2, 3), -1])
+    u = Fraction(rng.choice([1, 2, 3, Fraction(1, 2), Fraction(2, 3), -1]))
     r, s, w = (Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2])) for _ in range(3))
-    return iso(u, r, s, w)
+    return u, r, s, w
+
+
+def blow_up(E, u, r, s, w):
+    """The integral model [1/u, r, s, w] of E, for an integer u."""
+    return model(*apply_iso(E, Fraction(1, u), r, s, w))
+
+
+def corpus_curves():
+    return [rec.curve for rec in ingest_corpus(default_corpus_path())]
+
+
+def random_reduced_curves(rng, count):
+    """Nonsingular reduced models, a1, a3 in {0, 1}, a2 in {-1, 0, 1},
+    |a4|, |a6| <= 300."""
+    curves = []
+    while len(curves) < count:
+        ai = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+              rng.randint(-300, 300), rng.randint(-300, 300))
+        try:
+            invariants(model(*ai))
+        except SingularModelError:
+            continue
+        curves.append(model(*ai))
+    return curves
 
 
 def test_invariants_examples():
@@ -72,10 +95,10 @@ def test_invariants_of_integral_model_are_ints():
 def test_j_of_rational_model():
     rng = random.Random(17)
     for _ in range(100):
-        E = apply_iso(random_model(rng), random_iso(rng))
+        E = model(*apply_iso(random_model(rng), *random_iso(rng)))
         inv = invariants(E)
         assert inv.j == Fraction(inv.c4) ** 3 / Fraction(inv.disc)
-    blown = apply_iso(E11A1, iso(Fraction(1, 2), Fraction(1, 3), 0, 0))
+    blown = model(*apply_iso(E11A1, Fraction(1, 2), Fraction(1, 3), 0, 0))
     assert not blown.is_integral
     assert invariants(blown).j == invariants(E11A1).j == Fraction(-122023936, 161051)
 
@@ -88,23 +111,28 @@ def test_c_identity_random_sweep():
 
 
 def test_apply_iso_identity_and_scaling():
-    assert apply_iso(E11A1, IsoMap.identity()) == E11A1
+    # the Fraction oracle that the minimal-model tests compare against
+    assert apply_iso(E11A1, 1, 0, 0, 0) == E11A1
     E = model(0, 0, 0, 625, 0)  # twist of y^2 = x^3 + x by 25
-    scaled = apply_iso(E, iso(5, 0, 0, 0))
+    scaled = model(*apply_iso(E, 5, 0, 0, 0))
     assert scaled == model(0, 0, 0, 1, 0)
     assert Fraction(invariants(scaled).disc) == Fraction(invariants(E).disc, 5**12)
+    mm = minimal_model(E)
+    assert mm.minimal == scaled and mm.u_value == 5
 
 
 def test_apply_iso_round_trip_and_composition():
     rng = random.Random(29)
     for _ in range(400):
         E = random_model(rng)
-        phi = random_iso(rng)
-        psi = random_iso(rng)
-        assert apply_iso(apply_iso(E, phi), phi.inverse()) == E
-        assert apply_iso(apply_iso(E, phi), psi) == apply_iso(E, phi.compose(psi))
-        inv, invp = invariants(E), invariants(apply_iso(E, phi))
-        u = Fraction(phi.u)
+        u, r, s, w = random_iso(rng)
+        u2, r2, s2, w2 = random_iso(rng)
+        moved = apply_iso(E, u, r, s, w)
+        inverse = (1 / u, -r / u**2, -s / u, (r * s - w) / u**3)
+        assert apply_iso(moved, *inverse) == E
+        composed = (u * u2, r + u**2 * r2, s + u * s2, w + u**2 * s * r2 + u**3 * w2)
+        assert apply_iso(moved, u2, r2, s2, w2) == apply_iso(E, *composed)
+        inv, invp = invariants(E), invariants(model(*moved))
         assert Fraction(invp.c4) == Fraction(inv.c4) / u**4
         assert Fraction(invp.c6) == Fraction(inv.c6) / u**6
         assert invp.j == inv.j
@@ -117,14 +145,8 @@ def test_rst_transform_matches_fraction_formulas():
         r, s, w = (rng.randint(-40, 40) for _ in range(3))
         out = rst_transform(E, r, s, w)
         assert all(type(a) is int for a in out)
-        assert out == rst_transform_fraction(E, r, s, w)
-        assert apply_iso(E, iso(1, r, s, w)) == out
+        assert out == apply_iso(E, 1, r, s, w)
         assert invariants(out).disc == invariants(E).disc
-
-
-def test_iso_rejects_zero_u():
-    with pytest.raises(ValueError):
-        iso(0, 1, 1, 1)
 
 
 def test_quadratic_twist_examples():
@@ -136,7 +158,9 @@ def test_quadratic_twist_examples():
     # twist by 9 = 3^2 maps back to the trivial twist under [3, 0, 0, 0]
     E9 = quadratic_twist(model(0, 0, 0, 1, 0), 9)
     assert E9 == model(0, 0, 0, 81, 0)
-    assert apply_iso(E9, iso(3, 0, 0, 0)) == model(0, 0, 0, 1, 0)
+    assert apply_iso(E9, 3, 0, 0, 0) == model(0, 0, 0, 1, 0)
+    # 11a1 by 8: the raw twist is half-integral, so [1/2, 0, 0, 0] clears it
+    assert quadratic_twist(E11A1, 8) == model(0, -32, 8, -10240, -647184)
 
 
 def test_quadratic_twist_square_factor_iso():
@@ -148,12 +172,10 @@ def test_quadratic_twist_square_factor_iso():
         if a1 % 2 or a3 % 2:
             continue  # the displayed iso is integral only for even a1, a3
         s, f = rng.choice([3, 5]), rng.choice([1, 2, -1, 7])
-        Ed, cleared_d = quadratic_twist_with_scale(E, s * s * f)
-        Ef, cleared_f = quadratic_twist_with_scale(E, f)
-        if cleared_d or cleared_f:
-            continue
-        phi = iso(s, 0, a1 * (s - 1) // 2, a3 * (s**3 - 1) // 2)
-        assert apply_iso(Ed, phi) == Ef
+        if quadratic_twist_fraction(E, s * s * f)[1] != 1 or quadratic_twist_fraction(E, f)[1] != 1:
+            continue  # a cleared twist has a1, a3 doubled and the iso scaled
+        Ed, Ef = quadratic_twist(E, s * s * f), quadratic_twist(E, f)
+        assert apply_iso(Ed, s, 0, a1 * (s - 1) // 2, a3 * (s**3 - 1) // 2) == Ef
 
 
 def test_twist_rejects_zero():
@@ -166,10 +188,12 @@ def test_twist_invariant_scaling_and_j():
     for _ in range(300):
         E = random_model(rng)
         d = rng.choice([-7, -3, -1, 2, 3, 5, 8, 12, 13])
-        raw, cleared = quadratic_twist_with_scale(E, d)
-        inv, invt = invariants(E), invariants(raw)
-        scale = 2**12 if cleared else 1
-        assert invt.disc == d**6 * inv.disc * scale
+        T = quadratic_twist(E, d)
+        assert all(type(a) is int for a in T)
+        expected, u = quadratic_twist_fraction(E, d)
+        assert T == expected
+        inv, invt = invariants(E), invariants(T)
+        assert invt.disc == d**6 * inv.disc / u**12
         assert invt.j == inv.j
 
 
@@ -187,7 +211,7 @@ def test_minimal_model_examples():
     mm = minimal_model(E11A1)
     assert mm.minimal == E11A1 and mm.u_value == 1
     # v11 = 5 < 12 and no other prime divides the discriminant: already minimal
-    blown = apply_iso(E11A1, iso(Fraction(1, 2), 0, 0, 0))
+    blown = blow_up(E11A1, 2, 0, 0, 0)
     back = minimal_model(blown)
     assert back.minimal == E11A1 and back.u_value == 2
     mm = minimal_model(model(0, 0, 0, 0, 2**6 * 3**6))
@@ -200,12 +224,46 @@ def test_minimal_model_round_trips():
         E = minimal_model(random_model(rng)).minimal
         u = rng.choice([2, 3, 5, 6])
         r, s, w = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
-        blown = apply_iso(E, iso(Fraction(1, u), r, s, w))
+        blown = blow_up(E, u, r, s, w)
         assert blown.is_integral
         mm = minimal_model(blown)
         assert mm.minimal == E
         assert mm.u_value == u
-        assert apply_iso(blown, mm.map) == E
+        assert apply_iso(blown, u, *iso_onto(blown, E, u)) == E
+
+
+# negative, square and non-fundamental twisting parameters
+EXTRA_D = (-3, -4, -7, -8, 9, 12, 25, 72)
+
+
+def test_twist_minimal_matches_minimal_model_of_twist():
+    # twist_minimal reduces the twist's invariants (2^4 d^2 c4, 2^6 d^3 c6)
+    # and builds no twist model; the reference minimizes the integral twist
+    # model and scales u by the oracle's clearing factor of the raw twist
+    rng = random.Random(73)
+    ds = [f.value for f in fundamental_discriminants(500)]
+    cases = [(E, d) for E in corpus_curves() for d in (*ds, *EXTRA_D)]
+    cases += [(E, d) for E in random_reduced_curves(rng, 40) for d in (*EXTRA_D, *rng.sample(ds, 10))]
+    scales = Counter()
+    for E, d in cases:
+        T, scale = quadratic_twist_fraction(E, d)
+        assert quadratic_twist(E, d) == T
+        mm = minimal_model(model(*T))
+        assert twist_minimal(E, d) == (mm.minimal, mm.u_value * scale), (tuple(E), d)
+        scales[scale] += 1
+    assert scales[1] > 1000 and scales[Fraction(1, 2)] > 1000  # both raw twist shapes
+
+
+def test_iso_onto_carries_each_model_onto_its_minimal_model():
+    # the isomorphism behind u_value, which minimal_model does not build:
+    # the corpus and its twist models by every fundamental D <= 500 (random
+    # blow-ups are in test_minimal_model_round_trips)
+    ds = [f.value for f in fundamental_discriminants(500)]
+    for E in corpus_curves():
+        for T in (E, *(quadratic_twist(E, d) for d in ds)):
+            mm = minimal_model(T)
+            r, s, w = iso_onto(T, mm.minimal, mm.u_value)
+            assert apply_iso(T, mm.u_value, r, s, w) == mm.minimal, (tuple(T), mm)
 
 
 def test_minimal_model_idempotent_and_valuation_minimal():
@@ -231,8 +289,6 @@ def test_minimal_model_normalized_form():
 def test_minimal_model_bad_primes_match_factorize():
     # The shipped corpus and its raw twist models by every fundamental
     # D <= 100; most of those models are not minimal.
-    from quadtwist.harness import default_corpus_path, ingest_corpus
-
     non_minimal = 0
     for rec in ingest_corpus(default_corpus_path()):
         for f in fundamental_discriminants(100):
@@ -282,7 +338,7 @@ def test_two_strongly_minimal_pattern_exclusive():
 def test_two_strongly_minimal_preconditions():
     with pytest.raises(ValueError):
         two_strongly_minimal(model(0, 0, 0, -1, 0))  # even discriminant
-    blown = apply_iso(E11A1, iso(Fraction(1, 3), 0, 0, 0))
+    blown = blow_up(E11A1, 3, 0, 0, 0)
     with pytest.raises(ValueError):
         two_strongly_minimal(blown)  # not minimal
 
@@ -302,19 +358,12 @@ def test_normal_form_box_is_exact(one_second_deadline):
 
 
 def test_two_strongly_minimal_matches_brute_search():
-    from quadtwist.harness import default_corpus_path, ingest_corpus
-
-    corpus = [minimal_model(rec.curve).minimal for rec in ingest_corpus(default_corpus_path())]
+    corpus = [minimal_model(E).minimal for E in corpus_curves()]
     curves = [E for E in corpus if invariants(E).disc % 2]
     assert len(curves) == 18
     rng = random.Random(67)
     while len(curves) < 18 + 120:
-        ai = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
-              rng.randint(-300, 300), rng.randint(-300, 300))
-        try:
-            E = minimal_model(model(*ai)).minimal
-        except SingularModelError:
-            continue
+        E = minimal_model(random_reduced_curves(rng, 1)[0]).minimal
         if invariants(E).disc % 2:
             curves.append(E)
     for E in curves:

@@ -1,14 +1,19 @@
 """Corpus ingestion, sweep orchestration, report determinism and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quadtwist
 from quadtwist.arith import fundamental_discriminants
 from quadtwist.cli import main
 from quadtwist.curves import minimal_model, model
 from quadtwist.harness import (
     CorpusError,
+    SweepReport,
     default_corpus_path,
     ingest_corpus,
     run_sweep,
@@ -244,6 +249,42 @@ def test_cli_report_file_matches_run_sweep(tmp_path, jobs):
     records = [json.loads(ln.rstrip(",")) for ln in lines[start + 1 : lines.index("],")]]
     assert records == instances
     assert text.index('"instances"') < text.index('"summary"')
+
+
+def test_cli_verify_failed_sweep_keeps_previous_report(tmp_path, monkeypatch, capsys):
+    class DiesAfterFirstCurve(SweepReport):
+        def __iter__(self):
+            for rec in super().__iter__():
+                if rec["curve"] != "11a1":
+                    raise RuntimeError("sweep died")
+                yield rec
+
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n")
+    out = tmp_path / "report.json"
+    out.write_bytes(b"previous report\n")
+    monkeypatch.setattr("quadtwist.cli.SweepReport", DiesAfterFirstCurve)
+    assert main(["verify", "--corpus", corpus, "--dmax", "20", "--out", str(out)]) == 3
+    assert "internal error: RuntimeError: sweep died" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "report.json"]
+
+
+def test_cli_verify_under_python_optimize(tmp_path):
+    # python -O strips asserts; the report must not depend on them
+    corpus = write(
+        tmp_path,
+        "11a1,0,-1,1,-10,-20,11,0\n14a1,1,0,1,4,-6,14,0\n15a1,1,1,1,-10,-10,15,0\n",
+    )
+    out = tmp_path / "report.json"
+    src = os.path.dirname(os.path.dirname(quadtwist.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-O", "-m", "quadtwist.cli", "verify", "--corpus", corpus,
+         "--dmax", "60", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, check=True, capture_output=True, timeout=120,
+    )
+    collected = run_sweep(ingest_corpus(corpus), 60, "all", corpus_name=corpus)
+    assert strip_timing(json.loads(out.read_text(encoding="utf-8"))) == strip_timing(collected)
 
 
 def test_cli_verify_without_out_encodes_nothing(tmp_path, monkeypatch, capsys):

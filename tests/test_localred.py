@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from quadtwist.arith import kronecker, valuation
-from quadtwist.curves import apply_iso, invariants, iso, model
+from quadtwist.curves import invariants, model
 from quadtwist.harness import default_corpus_path, ingest_corpus
 from quadtwist.localred import (
     c_tilde,
@@ -22,7 +22,7 @@ from quadtwist.localred import (
 )
 from quadtwist.twistlaws import twist_minimal
 
-from oracles import count_cubic_roots_brute, golden_local_data, reduction_kind
+from oracles import apply_iso, count_cubic_roots_brute, golden_local_data, reduction_kind
 
 E11A1 = model(0, -1, 1, -10, -20)
 
@@ -87,11 +87,11 @@ def test_qp_invariance_under_unit_isos():
     curves = [rec.curve for rec in corpus()]
     for _ in range(120):
         E = rng.choice(curves)
-        _, _, data = reduction_profile(E)
+        _, data = reduction_profile(E)
         p = rng.choice(sorted(data))
         k = rng.choice([u for u in (1, 2, 3, 5, 7) if u % p != 0])
         r, s, w = (rng.randint(-4, 4) for _ in range(3))
-        moved = apply_iso(E, iso(Fraction(1, k), r, s, w))
+        moved = model(*apply_iso(E, Fraction(1, k), r, s, w))
         assert moved.is_integral
         a, b = tate_local(E, p), tate_local(moved, p)
         assert (a.kodaira, a.tamagawa, a.kind, a.disc_valuation) == (
@@ -103,7 +103,7 @@ def test_qp_invariance_under_unit_isos():
 
 
 def test_tate_internal_minimization():
-    blown = apply_iso(E11A1, iso(Fraction(1, 11), 0, 0, 0))
+    blown = model(*apply_iso(E11A1, Fraction(1, 11), 0, 0, 0))
     loc = tate_local(blown, 11)
     assert (loc.kodaira, loc.tamagawa, loc.disc_valuation) == ("I5", 5, 5)
 
@@ -115,7 +115,7 @@ def test_twist_locality_split_primes():
     found = 0
     for rec in corpus():
         E = rec.curve
-        N, _, data = reduction_profile(E)
+        N, data = reduction_profile(E)
         for D in (5, 8, 13, 17):
             if D % 4 not in (0, 1):
                 continue
@@ -135,7 +135,7 @@ def test_split_nonsplit_flip():
     found_split = found_nonsplit = 0
     for rec in corpus():
         E = rec.curve
-        _, _, data = reduction_profile(E)
+        _, data = reduction_profile(E)
         for D in (5, 8, 13, 17, 21, 24):
             for q, loc in sorted(data.items()):
                 if not loc.kind.startswith("multiplicative"):
@@ -221,7 +221,7 @@ def test_c_tilde_and_inert_base_change():
     assert c_tilde(E11A1, 11) == 1  # v = 5 odd
     assert inert_base_change_tamagawa(E11A1, 11) == 5
     for rec in corpus():
-        _, _, data = reduction_profile(rec.curve)
+        _, data = reduction_profile(rec.curve)
         for q, loc in data.items():
             if not loc.kind.startswith("multiplicative"):
                 continue
@@ -249,7 +249,7 @@ def test_reduction_kind_against_point_counts():
     for rec in corpus():
         E = rec.curve
         disc = invariants(E).disc
-        _, _, data = reduction_profile(E)
+        _, data = reduction_profile(E)
         for p, loc in data.items():
             assert loc.kind == reduction_kind(rec.a_invariants, p, int(disc))
 
@@ -279,7 +279,7 @@ def test_additive_types_with_known_conductors():
 def test_nonminimal_rescale_chain():
     """A model blown up at several primes at once re-minimizes inside
     tate_local at each prime independently."""
-    blown = apply_iso(E11A1, iso(Fraction(1, 6), 1, 2, 3))
+    blown = model(*apply_iso(E11A1, Fraction(1, 6), 1, 2, 3))
     assert blown.is_integral
     for p in (2, 3, 11):
         loc = tate_local(blown, p)

@@ -348,7 +348,7 @@ def test_transfer_identity_nonsplit_and_even_valuation_cases():
     nonsplit = even_v = 0
     for rec in corpus():
         E = rec.curve
-        _, _, data = reduction_profile(E)
+        _, data = reduction_profile(E)
         for f in fundamental_discriminants(40):
             if f.value == 1:
                 continue
