@@ -71,43 +71,32 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
-    """Number of distinct roots of T^3 + b T^2 + c T + d in F_p.
+    """Number of distinct roots of f = T^3 + b T^2 + c T + d in F_p.
 
-    deg gcd(T^p - T, f) over F_p, so any prime is cheap.
+    deg gcd(T^p - T, f) over F_p, so any prime is cheap.  T^p mod f is
+    kept as x0 + x1 T + x2 T^2 and reduced with T^3 = -b T^2 - c T - d
+    and T^4 = (b^2 - c) T^2 + (bc - d) T + bd.
     """
     if p < 50:
         return sum(1 for t in range(p) if (t**3 + b * t * t + c * t + d) % p == 0)
-    f = [d % p, c % p, b % p, 1]
+    b, c, d = b % p, c % p, d % p
+    e2, e1, e0 = (b * b - c) % p, (b * c - d) % p, b * d % p
 
-    def mulmod(g, h):
-        prod = [0] * (len(g) + len(h) - 1)
-        for i, gi in enumerate(g):
-            if gi:
-                for j, hj in enumerate(h):
-                    prod[i + j] = (prod[i + j] + gi * hj) % p
-        for k in range(len(prod) - 1, 2, -1):
-            lead = prod[k]
-            if lead:
-                prod[k] = 0
-                prod[k - 1] = (prod[k - 1] - lead * f[2]) % p
-                prod[k - 2] = (prod[k - 2] - lead * f[1]) % p
-                prod[k - 3] = (prod[k - 3] - lead * f[0]) % p
-        return _trim(prod)
+    # T^p mod f by left-to-right square-and-multiply, from T
+    x0, x1, x2 = 0, 1, 0
+    for bit in bin(p)[3:]:
+        # square: coefficients p0..p4 of (x0 + x1 T + x2 T^2)^2
+        p3, p4 = 2 * x1 * x2, x2 * x2
+        x0, x1, x2 = (
+            (x0 * x0 - d * p3 + e0 * p4) % p,
+            (2 * x0 * x1 - c * p3 + e1 * p4) % p,
+            (x1 * x1 + 2 * x0 * x2 - b * p3 + e2 * p4) % p,
+        )
+        if bit == "1":  # multiply by T
+            x0, x1, x2 = -d * x2 % p, (x0 - c * x2) % p, (x1 - b * x2) % p
 
-    # T^p mod f by square-and-multiply
-    result, base = [1], [0, 1]
-    e = p
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
-        e >>= 1
-    g = result + [0] * (3 - len(result))
-    g[1] = (g[1] - 1) % p
-    g = _trim(g)
-
-    # gcd(f, g) degree
-    u, v = f[:], g
+    # degree of gcd(f, T^p - T)
+    u, v = [d, c, b, 1], _trim([x0, (x1 - 1) % p, x2])
     while v != [0]:
         inv_lead = pow(v[-1], -1, p)
         while u != [0] and len(u) >= len(v):

@@ -4,8 +4,10 @@ u_D, the even-two-power quantities, the local product identities, the
 closed-form symbol evaluation, the Tamagawa-at-2 case cross-checks, and
 the auxiliary-discriminant search.
 
-All quantities are exact rationals; "equal modulo squares" is decided by
-an integer square root, without factoring.
+Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
+is accumulated and judged on ints (its 2-adic exponent by a bit test),
+and one Fraction is built per reported quantity, for its string.  "Equal
+modulo squares" is decided by an integer square root, without factoring.
 """
 
 from __future__ import annotations
@@ -121,30 +123,39 @@ class CheckResult(NamedTuple):
 
 
 def equal_mod_squares(a: Fraction | int, b: Fraction | int) -> bool:
-    """Equality in Q*/(Q*)^2: the ratio p/q in lowest terms is a square
-    iff p*q is a positive square."""
-    qa, qb = Fraction(a), Fraction(b)
-    if qa == 0 or qb == 0:
+    """Equality in Q*/(Q*)^2: for ints a/b = ab/b^2 is a square iff ab is
+    a positive square; for rationals, the ratio p/q in lowest terms is a
+    square iff p*q is a positive square."""
+    if a == 0 or b == 0:
         raise ValueError("zero has no square class")
-    ratio = qa / qb
-    n = ratio.numerator * ratio.denominator
+    if isinstance(a, int) and isinstance(b, int):
+        n = a * b
+    else:
+        ratio = Fraction(a) / Fraction(b)
+        n = ratio.numerator * ratio.denominator
     return n > 0 and math.isqrt(n) ** 2 == n
 
 
-def power_of_two_exponent(q: Fraction) -> int | None:
-    """k with q = 2**k exactly, or None."""
-    if q <= 0:
-        return None
-    num, den = q.numerator, q.denominator
-    if num & (num - 1) or den & (den - 1):
+def _exponent(num: int, den: int) -> int | None:
+    """k with num / den = 2**k exactly, or None; den > 0."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if num <= 0 or num & (num - 1) or den & (den - 1):
         return None
     return num.bit_length() - den.bit_length()
 
 
-def _verdict(q: Fraction, components: dict) -> ExponentVerdict:
-    k = power_of_two_exponent(q)
+def power_of_two_exponent(q: Fraction) -> int | None:
+    """k with q = 2**k exactly, or None."""
+    return _exponent(q.numerator, q.denominator)
+
+
+def _verdict(num: int, w: int, components: dict) -> ExponentVerdict:
+    """The verdict on num / 2**w, decided on ints; the Fraction is built
+    only to report the quantity."""
+    k = _exponent(num, 1 << w)
     return ExponentVerdict(
-        quantity=q,
+        quantity=Fraction(num, 1 << w),
         exponent=k,
         is_power_of_two=k is not None,
         is_even_exponent=k is not None and k % 2 == 0,
@@ -323,8 +334,12 @@ def twist_minimal(E: WeierstrassModel, d: int):
     integral at 2; its rescaling by [1/2, 0, 0, 0], with invariants
     (2^4 d^2 c4, 2^6 d^3 c6), always is.  u_d is the scale from the raw
     twist onto the global minimal model: the reduction's scale from the
-    rescaled invariants, halved.
+    rescaled invariants, halved.  For d = 1 the twist is E itself, whose
+    minimal model every sweep already holds.
     """
+    if d == 1:
+        mm = minimal_model(E)
+        return mm.minimal, Fraction(mm.u_value)
     inv = invariants(E)
     mm = minimal_from_invariants(2**4 * d * d * inv.c4, 2**6 * d**3 * inv.c6)
     return mm.minimal, Fraction(mm.u_value, 2)
@@ -373,13 +388,9 @@ def twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     w = len(setup.minus_primes)
     c_twist = {l: _twist_tamagawa_at(E, D.value, l).tamagawa for l in D.primes}
     c_t = {q: c_tilde(E, q) for q in setup.minus_primes}
-    q = Fraction(u, 2**w)
-    for v in c_twist.values():
-        q *= v
-    for v in c_t.values():
-        q *= v
     return _verdict(
-        q,
+        u * math.prod(c_twist.values()) * math.prod(c_t.values()),
+        w,
         {
             "u": u,
             "omega_n_minus": w,
@@ -408,27 +419,24 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     c1 = {l: _twist_tamagawa_at(E, D1.value, l).tamagawa for l in D1.primes}
     c2 = {l: _twist_tamagawa_at(E, D2.value, l).tamagawa for l in D2.primes}
     c_t = {q_: c_tilde(E, q_) for q_ in setup.minus_primes}
-    q = Fraction(u1 * u2, 2**w)
-    for v in (*c1.values(), *c2.values(), *c_t.values()):
-        q *= v
+    num = u1 * u2 * math.prod(c1.values()) * math.prod(c2.values()) * math.prod(c_t.values())
 
     # proof bookkeeping
     w1 = len(setup.primes_dividing(dec.n1_minus))
     w2 = len(setup.primes_dividing(dec.n2_minus))
     parity_ok = (w1 + w2 - w) % 2 == 0
 
-    def ctilde_prod(n):
-        out = Fraction(1)
-        for p in setup.primes_dividing(n):
-            out *= c_tilde(E, p)
-        return out
+    def ctilde_prod(n) -> int:
+        return math.prod(c_tilde(E, p) for p in setup.primes_dividing(n))
 
-    ratio = ctilde_prod(dec.n1_minus) * ctilde_prod(dec.n2_minus) / ctilde_prod(setup.n_minus)
-    k = power_of_two_exponent(ratio)
+    k = _exponent(
+        ctilde_prod(dec.n1_minus) * ctilde_prod(dec.n2_minus), ctilde_prod(setup.n_minus)
+    )
     product_ok = k is not None and k % 2 == 0
 
     return _verdict(
-        q,
+        num,
+        w,
         {
             "u1": u1,
             "u2": u2,
@@ -470,11 +478,11 @@ def tamagawa_transfer_product_check(setup: TwistSetup) -> CheckResult:
         raise ValueError("pair setup required")
     E = setup.curve
     d1, d2 = (f.value for f in setup.discriminants)
-    lhs = Fraction(1)
+    lhs = 1
     for l in sorted(setup.local_data):
         lhs *= _twist_tamagawa_at(E, d1, l).tamagawa
         lhs *= _twist_tamagawa_at(E, d2, l).tamagawa
-    rhs = Fraction(1)
+    rhs = 1
     for q in setup.minus_primes:
         rhs *= c_tilde(E, q) * inert_base_change_tamagawa(E, q)
     ok = equal_mod_squares(lhs, rhs)
@@ -519,7 +527,7 @@ def tamagawa_symbol_check(E: WeierstrassModel, D) -> CheckResult:
         if valuation(disc, l) != 0:
             raise ValueError(f"E must have good reduction at {l}")
         prod *= _twist_tamagawa_at(E, D.value, l).tamagawa
-    k = power_of_two_exponent(Fraction(prod))
+    k = _exponent(prod, 1)
     symbol = kronecker(disc, m)
     ok = k is not None and ((k % 2 == 0) == (symbol == 1))
     return CheckResult(ok, f"prod={prod}, symbol={symbol}")

@@ -29,6 +29,28 @@ def square_class(q) -> int:
     return s
 
 
+def fraction_two_power(q: Fraction) -> int | None:
+    """k with q = 2**k, found by halving or doubling q in Fraction."""
+    if q <= 0:
+        return None
+    k = 0
+    while q.numerator % 2 == 0:
+        q, k = q / 2, k + 1
+    while q.denominator % 2 == 0:
+        q, k = q * 2, k - 1
+    return k if q == 1 else None
+
+
+def fraction_quantity(u: int, w: int, factors) -> tuple[Fraction, int | None, bool, bool]:
+    """(quantity, exponent, is_power_of_two, is_even_exponent) of
+    u / 2^w times the factors, as a chain of Fraction products."""
+    q = Fraction(u, 2**w)
+    for v in factors:
+        q *= v
+    k = fraction_two_power(q)
+    return q, k, k is not None, k is not None and k % 2 == 0
+
+
 def hostile_semiprime() -> int:
     """p * q for the first two primes p < q above 2**60: far beyond the
     library's trial division and rho."""

@@ -254,6 +254,29 @@ def test_twist_minimal_matches_minimal_model_of_twist():
     assert scales[1] > 1000 and scales[Fraction(1, 2)] > 1000  # both raw twist shapes
 
 
+def test_twist_minimal_by_one_reads_minimal_model(monkeypatch):
+    # the twist by 1 is E itself: once minimal_model(E) is held, no
+    # discriminant is factored again (corpus curves, random reduced
+    # curves, and blow-ups whose scale u is not 1)
+    rng = random.Random(83)
+    curves = corpus_curves() + random_reduced_curves(rng, 10)
+    curves += [blow_up(E, u, 1, 0, -1) for E, u in zip(curves[:6], (2, 3, 6, 2, 3, 6))]
+    expected = {}
+    for E in curves:
+        T, scale = quadratic_twist_fraction(E, 1)
+        mm = minimal_model(model(*T))
+        expected[E] = (mm.minimal, mm.u_value * scale)
+        minimal_model(E)
+
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr("quadtwist.curves.factorize", no_factoring)
+    assert {mm[1] for mm in expected.values()} >= {1, 2, 3, 6}
+    for E in curves:
+        assert twist_minimal.__wrapped__(E, 1) == expected[E], tuple(E)
+
+
 def test_iso_onto_carries_each_model_onto_its_minimal_model():
     # the isomorphism behind u_value, which minimal_model does not build:
     # the corpus and its twist models by every fundamental D <= 500 (random

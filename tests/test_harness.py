@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import quadtwist
 from quadtwist.arith import fundamental_discriminants
 from quadtwist.cli import main
-from quadtwist.curves import minimal_model, model
+from quadtwist.curves import minimal_model, model, two_strongly_minimal
 from quadtwist.harness import (
     CorpusError,
     SweepReport,
@@ -20,8 +21,15 @@ from quadtwist.harness import (
     strip_timing,
     valid_single_setups,
 )
+from quadtwist.localred import tate_local
+from quadtwist.twistlaws import twist_minimal
 
-from oracles import HOSTILE_DISCRIMINANT, hostile_semiprime, two_strongly_minimal_brute
+from oracles import (
+    HOSTILE_DISCRIMINANT,
+    count_cubic_roots_brute,
+    hostile_semiprime,
+    two_strongly_minimal_brute,
+)
 
 
 def write(tmp_path, text, name="c.csv"):
@@ -144,15 +152,25 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert serial == parallel
 
 
-def test_sweep_report_same_with_brute_normal_form(monkeypatch):
-    # even D up to 60 run check_two_adic_case on the 2-adic normal form of
-    # curves with good reduction at 2 (11a1 and 37a1 take pattern 2, 15a1
-    # pattern 1); the full 16^3 search must give the same report
+def three_curves():
     corpus = [
         rec for rec in ingest_corpus(default_corpus_path())
         if rec.label in ("11a1", "15a1", "37a1")
     ]
     assert len(corpus) == 3
+    return corpus
+
+
+def clear_memos():
+    for memo in (minimal_model, two_strongly_minimal, tate_local, twist_minimal):
+        memo.cache_clear()
+
+
+def test_sweep_report_same_with_brute_normal_form(monkeypatch):
+    # even D up to 60 run check_two_adic_case on the 2-adic normal form of
+    # curves with good reduction at 2 (11a1 and 37a1 take pattern 2, 15a1
+    # pattern 1); the full 16^3 search must give the same report
+    corpus = three_curves()
     fast = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
     monkeypatch.setattr("quadtwist.twistlaws.two_strongly_minimal", two_strongly_minimal_brute)
     brute = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
@@ -160,6 +178,48 @@ def test_sweep_report_same_with_brute_normal_form(monkeypatch):
     assert fast["summary"]["failures"] == 0
     exercised = {i["curve"] for i in fast["instances"] if "two_adic_case_table" in i["checks"]}
     assert exercised == {"11a1", "15a1", "37a1"}
+
+
+def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
+    # D = 53 sends the twist's I0* fiber at 53 (Tate's algorithm) and the
+    # odd-prime fast path through the p >= 50 root-counting kernel; the
+    # brute-force count must give the same report
+    corpus = three_curves()
+    fast = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    primes = set()
+
+    def brute(b, c, d, p):
+        primes.add(p)
+        return count_cubic_roots_brute(b, c, d, p)
+
+    monkeypatch.setattr("quadtwist.localred.count_cubic_roots", brute)
+    clear_memos()
+    try:
+        slow = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    finally:
+        clear_memos()
+    assert fast == slow
+    assert fast["summary"]["failures"] == 0
+    assert 53 in primes
+
+
+def test_sweep_does_no_fraction_arithmetic(monkeypatch):
+    # twist quantities and product checks are decided on ints; a sweep
+    # from cold memos must not multiply or divide a Fraction
+    corpus = three_curves()
+    expected = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a sweep")
+
+    for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    clear_memos()
+    try:
+        got = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    finally:
+        clear_memos()
+    assert got == expected
 
 
 def test_run_sweep_rejects_bad_mode(tmp_path):

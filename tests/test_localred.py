@@ -3,9 +3,11 @@ properties, and the closed-form local helpers."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from quadtwist.arith import kronecker, valuation
 from quadtwist.curves import invariants, model
@@ -241,6 +243,27 @@ def test_count_cubic_roots_matches_brute_force():
         p = rng.choice([2, 3, 5, 53, 97, 101, 997])
         b, c, d = (rng.randrange(p) for _ in range(3))
         assert count_cubic_roots(b, c, d, p) == count_cubic_roots_brute(b, c, d, p)
+    # the unrolled kernel (p >= 50): random primes up to 3,000, coefficients
+    # unreduced and negative, and cubics built with forced triple, double
+    # and three distinct roots
+    counts = Counter()
+    for _ in range(150):
+        p = sympy.randprime(50, 3000)
+        r1, r2, r3 = (rng.randrange(p) for _ in range(3))
+        shape = rng.choice(("random", "triple", "double", "split"))
+        if shape == "triple":
+            r2 = r3 = r1
+        elif shape == "double":
+            r2 = r1
+        if shape == "random":
+            b, c, d = (rng.randrange(p) for _ in range(3))
+        else:
+            b, c, d = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+        b, c, d = (x + p * rng.randint(-5, 5) for x in (b, c, d))
+        n = count_cubic_roots(b, c, d, p)
+        assert n == count_cubic_roots_brute(b, c, d, p), (b, c, d, p)
+        counts[n] += 1
+    assert all(counts[n] > 5 for n in (0, 1, 2, 3)), counts
 
 
 def test_reduction_kind_against_point_counts():

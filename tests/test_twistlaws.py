@@ -20,9 +20,10 @@ from quadtwist.harness import (
     valid_pair_setups,
     valid_single_setups,
 )
-from quadtwist.localred import reduction_profile, tate_local
+from quadtwist.localred import c_tilde, reduction_profile, tate_local
 from quadtwist.twistlaws import (
     SetupError,
+    _verdict,
     check_two_adic_case,
     decompose,
     equal_mod_squares,
@@ -43,7 +44,7 @@ from quadtwist.twistlaws import (
     validate_setup,
 )
 
-from oracles import hostile_semiprime, square_class
+from oracles import fraction_quantity, fraction_two_power, hostile_semiprime, square_class
 
 E11A1 = model(0, -1, 1, -10, -20)
 E14A1 = model(1, 0, 1, 4, -6)
@@ -332,6 +333,59 @@ def test_pair_decomposition_yields_valid_single_setups():
     assert checked > 5
 
 
+def test_quantities_match_fraction_ledger():
+    """Every corpus single (D <= 500) and pair (D <= 100): the integer
+    ledger's quantity, exponent and flags against the Fraction product,
+    and the pair's c~ bookkeeping against a Fraction ratio."""
+    discs = list(fundamental_discriminants(500))
+    singles = pairs = 0
+    for rec in corpus():
+        E = minimal_model(rec.curve).minimal
+        for _d, s in valid_single_setups(E, discs):
+            v = twist_quantity(s)
+            c = v.components
+            factors = (*c["twist_tamagawa"].values(), *c["c_tilde"].values())
+            want = fraction_quantity(c["u"], c["omega_n_minus"], factors)
+            assert (v.quantity, v.exponent, v.is_power_of_two, v.is_even_exponent) == want
+            singles += 1
+        for _pair, s in valid_pair_setups(E, [f for f in discs if f.value <= 100]):
+            v = pair_twist_quantity(s)
+            c = v.components
+            factors = (
+                *c["twist_tamagawa_1"].values(),
+                *c["twist_tamagawa_2"].values(),
+                *c["c_tilde"].values(),
+            )
+            want = fraction_quantity(c["u1"] * c["u2"], c["omega_n_minus"], factors)
+            assert (v.quantity, v.exponent, v.is_power_of_two, v.is_even_exponent) == want
+            dec = decompose(s)
+            ratio = Fraction(1)
+            for n, sign in ((dec.n1_minus, 1), (dec.n2_minus, 1), (s.n_minus, -1)):
+                for p in s.primes_dividing(n):
+                    ratio *= Fraction(c_tilde(E, p)) ** sign
+            k = fraction_two_power(ratio)
+            assert c["bookkeeping"]["c_tilde_product"] == (k is not None and k % 2 == 0)
+            pairs += 1
+    assert singles > 2500 and pairs > 4500  # the acceptance sweep: 2,594 and 4,978
+
+
+def test_verdict_integer_ledger_edge_cases():
+    # zero, negative and odd numerators, w = 0, and a grid against the
+    # Fraction oracle
+    for num, w, k in ((0, 0, None), (0, 3, None), (-4, 1, None), (-1, 0, None),
+                      (3, 2, None), (6, 1, None), (1, 0, 0), (8, 0, 3), (4, 0, 2),
+                      (2, 3, -2), (1, 3, -3), (16, 2, 2)):
+        v = _verdict(num, w, {})
+        assert v.exponent == k, (num, w)
+        assert v.quantity == Fraction(num, 2**w)
+    for num in range(-20, 41):
+        for w in range(6):
+            v = _verdict(num, w, {"x": 1})
+            want = fraction_quantity(num, w, ())
+            assert (v.quantity, v.exponent, v.is_power_of_two, v.is_even_exponent) == want
+            assert v.components == {"x": 1}
+
+
 # ---------------------------------------------------------------------------
 # transfer identities
 
@@ -566,6 +620,12 @@ def test_equal_mod_squares_against_sympy():
     classes = {q: square_class(q) for q in grid}
     for a in grid:
         for b in grid:
+            assert equal_mod_squares(a, b) == (classes[a] == classes[b]), (a, b)
+    # int/int pairs take the integer path
+    ints = sorted({sign * n * d for sign in (1, -1) for n in nums for d in (1, 2, 3, 25)})
+    classes = {n: square_class(n) for n in ints}
+    for a in ints:
+        for b in ints:
             assert equal_mod_squares(a, b) == (classes[a] == classes[b]), (a, b)
 
 
