@@ -39,14 +39,7 @@ class WeierstrassModel(NamedTuple):
 
     @property
     def is_integral(self) -> bool:
-        a1, a2, a3, a4, a6 = self
-        return (
-            isinstance(a1, int)
-            and isinstance(a2, int)
-            and isinstance(a3, int)
-            and isinstance(a4, int)
-            and isinstance(a6, int)
-        )
+        return all(isinstance(a, int) for a in self)
 
 
 def model(a1, a2, a3, a4, a6) -> WeierstrassModel:

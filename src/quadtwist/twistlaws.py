@@ -123,16 +123,12 @@ class CheckResult(NamedTuple):
 
 
 def equal_mod_squares(a: Fraction | int, b: Fraction | int) -> bool:
-    """Equality in Q*/(Q*)^2: for ints a/b = ab/b^2 is a square iff ab is
-    a positive square; for rationals, the ratio p/q in lowest terms is a
-    square iff p*q is a positive square."""
+    """Equality in Q*/(Q*)^2 of a = p/q and b = r/s (ints or Fractions):
+    a/b = ps/(qr) differs from pqrs by the square (qr)^2, so a and b share
+    a class iff pqrs is a positive square."""
     if a == 0 or b == 0:
         raise ValueError("zero has no square class")
-    if isinstance(a, int) and isinstance(b, int):
-        n = a * b
-    else:
-        ratio = Fraction(a) / Fraction(b)
-        n = ratio.numerator * ratio.denominator
+    n = a.numerator * a.denominator * b.numerator * b.denominator
     return n > 0 and math.isqrt(n) ** 2 == n
 
 
@@ -143,11 +139,6 @@ def _exponent(num: int, den: int) -> int | None:
     if num <= 0 or num & (num - 1) or den & (den - 1):
         return None
     return num.bit_length() - den.bit_length()
-
-
-def power_of_two_exponent(q: Fraction) -> int | None:
-    """k with q = 2**k exactly, or None."""
-    return _exponent(q.numerator, q.denominator)
 
 
 def _verdict(num: int, w: int, components: dict) -> ExponentVerdict:

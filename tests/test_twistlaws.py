@@ -23,6 +23,7 @@ from quadtwist.harness import (
 from quadtwist.localred import c_tilde, reduction_profile, tate_local
 from quadtwist.twistlaws import (
     SetupError,
+    _exponent,
     _verdict,
     check_two_adic_case,
     decompose,
@@ -31,7 +32,6 @@ from quadtwist.twistlaws import (
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
     measured_u,
-    power_of_two_exponent,
     predict_two_adic,
     symbol_closed_form,
     search_discriminant,
@@ -621,7 +621,7 @@ def test_equal_mod_squares_against_sympy():
     for a in grid:
         for b in grid:
             assert equal_mod_squares(a, b) == (classes[a] == classes[b]), (a, b)
-    # int/int pairs take the integer path
+    # int/int pairs
     ints = sorted({sign * n * d for sign in (1, -1) for n in nums for d in (1, 2, 3, 25)})
     classes = {n: square_class(n) for n in ints}
     for a in ints:
@@ -630,8 +630,8 @@ def test_equal_mod_squares_against_sympy():
 
 
 def test_power_of_two_exponent():
-    assert power_of_two_exponent(Fraction(8)) == 3
-    assert power_of_two_exponent(Fraction(1, 4)) == -2
-    assert power_of_two_exponent(Fraction(1)) == 0
-    assert power_of_two_exponent(Fraction(3)) is None
-    assert power_of_two_exponent(Fraction(-2)) is None
+    assert _exponent(8, 1) == 3
+    assert _exponent(1, 4) == -2
+    assert _exponent(1, 1) == 0
+    assert _exponent(3, 1) is None
+    assert _exponent(-2, 1) is None
