@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure(s), 2 usage or input error,
-3 internal error (an unexpected exception, reported on stderr).
+Exit codes: 0 success, 1 verification failure(s), 2 usage or input error
+(arguments, corpus, --out path), 3 internal error (an unexpected
+exception, reported on stderr). An exception inside the sweep reaches
+main as a harness.SweepError, so even a ValueError there exits 3.
 
 `verify` checks pairs of discriminants only up to min(--dmax, 100); the
 report records that cap as "pair_dmax". It prints one progress line per

@@ -7,7 +7,9 @@ c4 by u^4 and c6 by u^6, and the curves with given invariants (c4, c6)
 share one reduced global minimal model.  So minimal models, and the
 minimal models of twists (the twist by d has invariants (d^2 c4, d^3 c6)),
 are computed from (c4, c6) alone; the only coordinate change the module
-applies is the integral [1, r, s, w] of rst_transform.
+applies is the integral [1, r, s, w] of rst_transform.  The reduction is
+handed the primes of the discriminant, so a caller that knows them (the
+twist of a curve whose bad primes are known) factors nothing large.
 """
 
 from __future__ import annotations
@@ -132,8 +134,9 @@ def kraus_conditions(c4, c6, p: int) -> bool:
 _REDUCED_B2 = (-4, -3, 0, 1, 4, 5)
 
 
-def _model_from_c4c6(C4: int, C6: int) -> WeierstrassModel:
-    """The unique reduced integral model with the given invariants.
+def _model_from_c4c6(C4: int, C6: int) -> tuple[WeierstrassModel, Invariants]:
+    """The unique reduced integral model with the given invariants, and
+    its invariants.
 
     The caller guarantees (C4, C6) passes the Kraus conditions and that
     (C4^3 - C6^2)/1728 is a nonzero integer.
@@ -158,7 +161,7 @@ def _model_from_c4c6(C4: int, C6: int) -> WeierstrassModel:
         E = model(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
         inv = invariants(E)
         assert (inv.c4, inv.c6) == (C4, C6)
-        hits.append(E)
+        hits.append((E, inv))
     assert len(hits) == 1, f"reduced model from (c4, c6) not unique: {hits}"
     return hits[0]
 
@@ -167,21 +170,34 @@ class MinimalModelResult(NamedTuple):
     minimal: WeierstrassModel
     u_value: int  # |u| of the scale from the input invariants
     bad_primes: tuple[int, ...]  # primes of the minimal discriminant
+    invariants: Invariants  # of the minimal model
 
 
-def minimal_from_invariants(c4: int, c6: int) -> MinimalModelResult:
+def minimal_from_invariants(c4: int, c6: int, primes) -> MinimalModelResult:
     """Global minimal model of the curves with invariants (c4, c6), by the
     Laska-Kraus-Connell reduction.
 
-    (c4, c6) must be the invariants of some integral model.  Output is the
+    (c4, c6) must be the invariants of some integral model, and primes an
+    increasing list of primes containing every prime of its discriminant;
+    each exponent is found by dividing the prime out, and a cofactor left
+    over (a prime missing from the list) raises ValueError.  Output is the
     reduced form (a1, a3 in {0,1}, a2 in {-1,0,1}), which is unique, the
     scale u with (c4, c6) = (u^4 C4, u^6 C6) for its invariants (C4, C6),
-    and the primes of the minimal discriminant.
+    the primes of the minimal discriminant, and its invariants.
     """
     disc = (c4**3 - c6**2) // 1728
+    if disc == 0:
+        raise SingularModelError(f"singular invariants ({c4}, {c6})")
+    rest = abs(disc)
     u = 1
     bad_primes = []
-    for p, e in factorize(disc).factors:
+    for p in primes:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e == 0:
+            continue
         d = 0  # v_p(u)
         if e >= 12:
             vc4 = valuation(c4, p) if c4 else e  # never binding when c4 = 0
@@ -193,9 +209,12 @@ def minimal_from_invariants(c4: int, c6: int) -> MinimalModelResult:
             u *= p**d
         if e > 12 * d:  # p still divides the minimal discriminant
             bad_primes.append(p)
+    if rest != 1:
+        raise ValueError(f"a prime of the discriminant {disc} is missing: {rest} is left")
     C4, C6 = c4 // u**4, c6 // u**6
     assert kraus_conditions(C4, C6, 2) and kraus_conditions(C4, C6, 3)
-    return MinimalModelResult(_model_from_c4c6(C4, C6), u, tuple(bad_primes))
+    M, inv = _model_from_c4c6(C4, C6)
+    return MinimalModelResult(M, u, tuple(bad_primes), inv)
 
 
 @lru_cache(maxsize=None)
@@ -205,7 +224,7 @@ def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
     if not E.is_integral:
         raise ValueError("minimal_model requires an integral model")
     inv = invariants(E)
-    return minimal_from_invariants(inv.c4, inv.c6)
+    return minimal_from_invariants(inv.c4, inv.c6, factorize(inv.disc).primes())
 
 
 # Valuation patterns of the 2-adic normal form for curves with good

@@ -9,6 +9,15 @@ each record to a file as it arrives, one instance per line, so the
 report's memory does not grow with the instance count; ``run_sweep``
 collects the same records into one dict.
 
+Each curve's facts are computed once per curve, not per instance: its
+conductor and local data, and each discriminant's character signs at
+the primes of N (the sign table), from which every admissible single
+and pair setup is built without re-validating it (validate_setup stays
+the reference the tests hold the table to). An
+exception inside a curve's sweep is raised as a SweepError naming the
+curve. With jobs > 1 the curves fan out over at most one worker process
+per curve.
+
 Reports are deterministic: instances are enumerated in sorted order and
 all wall-clock measurements live under "timing" keys, so two runs over
 the same inputs differ at most in those subtrees.
@@ -27,10 +36,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .arith import FundamentalDiscriminant, fundamental_discriminants, kronecker
 from .curves import SingularModelError, WeierstrassModel, invariants, minimal_model, model
-from .localred import reduction_profile, tate_local, twist_prime_tamagawa_odd
+from .localred import LocalReduction, reduction_profile, tate_local, twist_prime_tamagawa_odd
 from .twistlaws import (
-    SetupError,
     TwistSetup,
+    admissible_signs,
     check_two_adic_case,
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
@@ -40,9 +49,9 @@ from .twistlaws import (
     tamagawa_symbol_check,
     twist_quantity,
     pair_twist_quantity,
+    setup_from_signs,
     twist_minimal,
     u_of_discriminant,
-    validate_setup,
 )
 
 MODES = ("thm13", "thm31", "lemmas", "all")
@@ -66,6 +75,12 @@ class CurveRecord(NamedTuple):
 
 class CorpusError(ValueError):
     pass
+
+
+class SweepError(RuntimeError):
+    """An exception escaped one curve's sweep.  It names the curve, and
+    it is not a ValueError: the input was accepted, so the fault is the
+    program's, not the user's."""
 
 
 def default_corpus_path() -> str:
@@ -123,32 +138,49 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
 # instance enumeration
 
 
+def _sign_table(
+    E: WeierstrassModel, discriminants: Iterable[FundamentalDiscriminant]
+) -> tuple[int, dict[int, LocalReduction], list]:
+    """E's conductor and local data, and (f, signs) for each parsed
+    discriminant admissible for E's canonical split, in input order (the
+    signs are admissible_signs').  A model that is not globally minimal
+    admits none, as validate_setup would have it."""
+    N, local_data = reduction_profile(E)
+    if minimal_model(E).minimal != E:
+        return N, local_data, []
+    rows = []
+    for f in discriminants:
+        signs = admissible_signs(local_data, f)
+        if signs is not None:
+            rows.append((f, signs))
+    return N, local_data, rows
+
+
 def valid_single_setups(
     E: WeierstrassModel, discriminants: Iterable[FundamentalDiscriminant]
 ) -> Iterable[tuple[int, TwistSetup]]:
     """(D, setup) for every D in the parsed discriminants (ascending)
-    admissible for the canonical split/inert factorization of E."""
-    for f in discriminants:
-        try:
-            yield f.value, validate_setup(E, f)
-        except SetupError:
-            continue
+    admissible for the canonical split/inert factorization of E; the
+    setups are those validate_setup returns, built from the sign table."""
+    N, local_data, rows = _sign_table(E, discriminants)
+    for f, signs in rows:
+        yield f.value, setup_from_signs(E, N, local_data, (f,), (signs,))
 
 
 def valid_pair_setups(
     E: WeierstrassModel, discriminants: Sequence[FundamentalDiscriminant]
 ) -> Iterable[tuple[tuple[int, int], TwistSetup]]:
     """Unordered coprime admissible pairs (D1 < D2) from the parsed
-    discriminants (ascending); the (1, 1) pair is excluded (the
-    characters must not both be trivial)."""
-    for i, f1 in enumerate(discriminants):
-        for f2 in discriminants[i + 1 :]:
+    discriminants (strictly ascending, so the pair (1, 1) of two trivial
+    characters never arises).  A coprime pair is admissible exactly when
+    both its discriminants are, so only the admissible singles are
+    joined."""
+    N, local_data, rows = _sign_table(E, discriminants)
+    for i, (f1, s1) in enumerate(rows):
+        for f2, s2 in rows[i + 1 :]:
             if math.gcd(f1.value, f2.value) != 1:
                 continue
-            try:
-                yield (f1.value, f2.value), validate_setup(E, f1, f2)
-            except SetupError:
-                continue
+            yield (f1.value, f2.value), setup_from_signs(E, N, local_data, (f1, f2), (s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +222,7 @@ def run_single_instance(label: str, setup: TwistSetup, mode: str) -> dict:
         checks["quantity_power_of_two"] = v.is_power_of_two
         checks["quantity_even_exponent"] = v.is_even_exponent
     if mode in ("lemmas", "all"):
-        disc = invariants(E).disc
+        disc = minimal_model(E).invariants.disc
         b = inert_valuation_sum(setup)
         sym = symbol_closed_form(disc, D, b)
         checks["symbol_closed_form"] = sym == kronecker(disc, D.odd_part)
@@ -257,14 +289,17 @@ def _sweep_curve(args) -> tuple[str, list[dict], float]:
     they took."""
     record, singles, pairs, mode = args
     t0 = time.perf_counter()
-    E = minimal_model(record.curve).minimal
     out = []
-    if mode in ("thm13", "lemmas", "all"):
-        for _d, setup in valid_single_setups(E, singles):
-            out.append(run_single_instance(record.label, setup, mode))
-    if mode in ("thm31", "lemmas", "all"):
-        for _pair, setup in valid_pair_setups(E, pairs):
-            out.append(run_pair_instance(record.label, setup, mode))
+    try:
+        E = minimal_model(record.curve).minimal
+        if mode in ("thm13", "lemmas", "all"):
+            for _d, setup in valid_single_setups(E, singles):
+                out.append(run_single_instance(record.label, setup, mode))
+        if mode in ("thm31", "lemmas", "all"):
+            for _pair, setup in valid_pair_setups(E, pairs):
+                out.append(run_pair_instance(record.label, setup, mode))
+    except Exception as exc:
+        raise SweepError(f"curve {record.label}: {type(exc).__name__}: {exc}") from exc
     out.sort(key=lambda r: (r.get("d", 0), r.get("d1", 0), r.get("d2", 0)))
     return record.label, out, time.perf_counter() - t0
 
@@ -314,8 +349,11 @@ class SweepReport:
         singles = list(fundamental_discriminants(self.head["d_max"]))
         pairs = [f for f in singles if f.value <= self.head["pair_dmax"]]
         tasks = [(rec, singles, pairs, self.head["mode"]) for rec in self.corpus]
-        if self.jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=self.jobs)
+        # a pool forks all its workers at the first submit: no more than
+        # there are curves
+        workers = min(self.jobs, len(tasks))
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
             try:
                 futures = [pool.submit(_sweep_curve, task) for task in tasks]
                 # results are read in task order, so chunks arrive in label order

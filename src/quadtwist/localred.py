@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .arith import is_prime, kronecker, valuation
 from .curves import (
+    Invariants,
     WeierstrassModel,
     invariants,
     minimal_model,
@@ -111,10 +112,10 @@ def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
     return len(u) - 1
 
 
-def _find_singular_point(E: WeierstrassModel, p: int) -> tuple[int, int]:
-    """(r, t) mod p moving the singular point of the reduction to (0,0)."""
+def _find_singular_point(E: WeierstrassModel, inv: Invariants, p: int) -> tuple[int, int]:
+    """(r, t) mod p moving the singular point of the reduction to (0,0);
+    inv are the invariants of E."""
     a1, a2, a3, a4, a6 = E
-    inv = invariants(E)
     if p in (2, 3):
         for r in range(p):
             for t in range(p):
@@ -176,7 +177,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         if n == 0:
             return LocalReduction(p, "I0", 1, 0, GOOD, 0)
 
-        r, t = _find_singular_point(C, p)
+        r, t = _find_singular_point(C, inv, p)
         C1 = rst_transform(C, r, 0, t)
         a1, a2, a3, a4, a6 = C1
         assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
@@ -189,9 +190,10 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
 
         if _vp(a6, p) < 2:
             return LocalReduction(p, "II", 1, n, ADDITIVE, n)
-        if _vp(invariants(C1).b8, p) < 3:
+        inv1 = invariants(C1)
+        if _vp(inv1.b8, p) < 3:
             return LocalReduction(p, "III", 2, n, ADDITIVE, n - 1)
-        if _vp(invariants(C1).b6, p) < 3:
+        if _vp(inv1.b6, p) < 3:
             cp = 3 if _quad_has_root(1, a3 // p, -(a6 // (p * p)), p) else 1
             return LocalReduction(p, "IV", cp, n, ADDITIVE, n - 2)
 
@@ -298,11 +300,11 @@ def conductor(E: WeierstrassModel) -> int:
     return reduction_profile(E)[0]
 
 
-def depressed_cubic_mod(E: WeierstrassModel, l: int) -> tuple[int, int, int]:
+def depressed_cubic_mod(inv: Invariants, l: int) -> tuple[int, int, int]:
     """Coefficients mod an odd prime l of the cubic f with y^2 = f(x),
-    obtained by completing the square (disc = 16 disc(f))."""
+    obtained by completing the square (disc = 16 disc(f)), from the
+    invariants of the model."""
     assert l % 2 == 1
-    inv = invariants(E)
     i2, i4 = _inv(2, l), _inv(4, l)
     return (inv.b2 * i4 % l, inv.b4 * i2 % l, inv.b6 * i4 % l)
 
@@ -314,10 +316,10 @@ def twist_prime_tamagawa_odd(E: WeierstrassModel, l: int, D: int) -> int:
         raise ValueError("l must be an odd prime")
     if D % l != 0:
         raise ValueError("l must divide D")
-    Emin = minimal_model(E).minimal
-    if valuation(invariants(Emin).disc, l) != 0:
+    inv = minimal_model(E).invariants
+    if valuation(inv.disc, l) != 0:
         raise ValueError(f"E must have good reduction at {l}")
-    b, c, d = depressed_cubic_mod(Emin, l)
+    b, c, d = depressed_cubic_mod(inv, l)
     cp = 1 + count_cubic_roots(b, c, d, l)
     assert cp in (1, 2, 4)
     return cp

@@ -1,6 +1,7 @@
-"""The twist-identity layer: split/inert hypothesis validation, the
-coprime character-pair decomposition of the conductor, the period scale
-u_D, the even-two-power quantities, the local product identities, the
+"""The twist-identity layer: split/inert hypothesis validation, setups
+built from character sign vectors, the coprime character-pair
+decomposition of the conductor, the period scale u_D, the
+even-two-power quantities, the local product identities, the
 closed-form symbol evaluation, the Tamagawa-at-2 case cross-checks, and
 the auxiliary-discriminant search.
 
@@ -19,6 +20,7 @@ from typing import NamedTuple
 
 from .arith import (
     FundamentalDiscriminant,
+    factorize,
     fundamental_discriminant,
     fundamental_discriminants,
     kronecker,
@@ -58,6 +60,7 @@ class TwistSetup(NamedTuple):
     local_data: dict[int, LocalReduction]
     plus_primes: tuple[int, ...]  # the primes of n_plus, increasing
     minus_primes: tuple[int, ...]  # the primes of n_minus, increasing
+    signs: dict[int, tuple[int, ...]]  # p | N -> (chi_1(p)[, chi_2(p)])
 
     @property
     def is_pair(self) -> bool:
@@ -71,8 +74,9 @@ class TwistSetup(NamedTuple):
         return fundamental_discriminant(d)
 
     def chi(self, i: int, l: int) -> int:
-        """Character value chi_i(l) = kronecker(D_i, l); i is 1-based."""
-        return kronecker(self.discriminants[i - 1].value, l)
+        """Character value chi_i(l) = kronecker(D_i, l) at a prime l of N;
+        i is 1-based."""
+        return self.signs[l][i - 1]
 
     def primes_dividing(self, n: int) -> tuple[int, ...]:
         """The primes of N dividing n, increasing."""
@@ -237,7 +241,10 @@ def validate_setup(
     # product is N, the primes of N dividing each are all of their primes
     plus_primes = tuple(p for p in local_data if n_plus % p == 0)
     minus_primes = tuple(p for p in local_data if n_minus % p == 0)
-    setup = TwistSetup(E, N, n_plus, n_minus, tuple(discs), local_data, plus_primes, minus_primes)
+    signs = {p: tuple(kronecker(f.value, p) for f in discs) for p in local_data}
+    setup = TwistSetup(
+        E, N, n_plus, n_minus, tuple(discs), local_data, plus_primes, minus_primes, signs
+    )
     if n_plus < 1 or n_minus < 1:
         reasons.append("n_plus and n_minus must be positive")
     if n_plus * n_minus != N:
@@ -264,9 +271,7 @@ def validate_setup(
     # exact-division condition for pairs
     if len(discs) == 2 and math.gcd(D, N) == 1:
         for l, loc in sorted(local_data.items()):
-            chi1 = kronecker(discs[0].value, l)
-            chi2 = kronecker(discs[1].value, l)
-            if (chi1 == -1 or chi2 == -1) and loc.conductor_exponent != 1:
+            if -1 in signs[l] and loc.conductor_exponent != 1:
                 reasons.append(
                     f"character -1 at prime {l} requires l || N (multiplicative reduction)"
                 )
@@ -274,6 +279,55 @@ def validate_setup(
     if reasons:
         raise SetupError(reasons)
     return setup
+
+
+def admissible_signs(
+    local_data: dict[int, LocalReduction], f: FundamentalDiscriminant
+) -> tuple[int, ...] | None:
+    """The signs kronecker(D, p) at the primes p of N (in local_data
+    order) when D is admissible for the canonical split, else None.
+
+    D is admissible exactly when no sign is 0 (gcd(D, N) = 1) and every
+    -1 sits at a prime with conductor exponent 1, the multiplicative
+    primes that n_minus may hold.  Kronecker is multiplicative in D, and
+    the exact-division clause forces both signs +1 at every prime with
+    exponent >= 2, so a coprime pair is admissible exactly when both of
+    its discriminants are.
+    """
+    signs = []
+    for p, loc in local_data.items():
+        s = kronecker(f.value, p)
+        if s == 0 or s == -1 and loc.conductor_exponent != 1:
+            return None
+        signs.append(s)
+    return tuple(signs)
+
+
+def setup_from_signs(
+    E: WeierstrassModel,
+    N: int,
+    local_data: dict[int, LocalReduction],
+    discs: tuple[FundamentalDiscriminant, ...],
+    sign_vectors: tuple[tuple[int, ...], ...],
+) -> TwistSetup:
+    """The canonical setup of an admissible discriminant, or of a coprime
+    pair of them, from their admissible_signs vectors: a prime of N goes
+    to n_minus exactly when the product of its signs is -1.  Nothing is
+    validated here; validate_setup is the clause-by-clause reference."""
+    signs = dict(zip(local_data, zip(*sign_vectors)))
+    n_plus = n_minus = 1
+    plus_primes, minus_primes = [], []
+    for p, s in signs.items():
+        q = p ** local_data[p].conductor_exponent
+        if math.prod(s) == 1:
+            n_plus *= q
+            plus_primes.append(p)
+        else:
+            n_minus *= q
+            minus_primes.append(p)
+    return TwistSetup(
+        E, N, n_plus, n_minus, discs, local_data, tuple(plus_primes), tuple(minus_primes), signs
+    )
 
 
 def decompose(setup: TwistSetup) -> Decomposition:
@@ -327,13 +381,21 @@ def twist_minimal(E: WeierstrassModel, d: int):
     twist onto the global minimal model: the reduction's scale from the
     rescaled invariants, halved.  For d = 1 the twist is E itself, whose
     minimal model every sweep already holds.
+
+    E's invariants are (u^4 C4, u^6 C6), for the invariants (C4, C6) of
+    its minimal model and the scale u onto it, so the rescaled twist's
+    discriminant 2^12 d^6 u^12 disc(E_min) has no primes but 2, those of
+    d u and E's bad primes: only d u is factored.
     """
+    mm = minimal_model(E)
     if d == 1:
-        mm = minimal_model(E)
         return mm.minimal, Fraction(mm.u_value)
-    inv = invariants(E)
-    mm = minimal_from_invariants(2**4 * d * d * inv.c4, 2**6 * d**3 * inv.c6)
-    return mm.minimal, Fraction(mm.u_value, 2)
+    u, inv = mm.u_value, mm.invariants
+    primes = sorted({2, *mm.bad_primes, *factorize(abs(d) * u).primes()})
+    tw = minimal_from_invariants(
+        2**4 * d * d * u**4 * inv.c4, 2**6 * d**3 * u**6 * inv.c6, primes
+    )
+    return tw.minimal, Fraction(tw.u_value, 2)
 
 
 def u_of_discriminant(E: WeierstrassModel, D) -> int:
@@ -509,8 +571,8 @@ def tamagawa_symbol_check(E: WeierstrassModel, D) -> CheckResult:
     two, square exactly when kronecker(min disc, m) = 1."""
     D = _as_fund(D)
     m = D.odd_part
-    E = minimal_model(E).minimal
-    disc = invariants(E).disc
+    mm = minimal_model(E)
+    E, disc = mm.minimal, mm.invariants.disc
     prod = 1
     for l in D.primes:
         if l == 2:

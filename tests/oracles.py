@@ -133,6 +133,23 @@ def quadratic_twist_fraction(ai, d) -> tuple[tuple[Fraction, ...], Fraction]:
     return apply_iso(raw, half, 0, 0, 0), half
 
 
+def random_reduced_curves(rng, count):
+    """Nonsingular reduced models, a1, a3 in {0, 1}, a2 in {-1, 0, 1},
+    |a4|, |a6| <= 300, drawn from rng."""
+    from quadtwist.curves import SingularModelError, invariants, model
+
+    curves = []
+    while len(curves) < count:
+        ai = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+              rng.randint(-300, 300), rng.randint(-300, 300))
+        try:
+            invariants(model(*ai))
+        except SingularModelError:
+            continue
+        curves.append(model(*ai))
+    return curves
+
+
 def _normal_form_pattern(ai) -> int | None:
     a1, a2, a3, a4, a6 = ai
     if a1 % 2 == 1 and a3 % 4 == 0 and (a4 + a6) % 2 == 1:

@@ -14,6 +14,7 @@ from quadtwist.curves import (
     WeierstrassModel,
     _pattern_of,
     invariants,
+    minimal_from_invariants,
     minimal_model,
     model,
     pattern_of_normal_form,
@@ -24,7 +25,13 @@ from quadtwist.curves import (
 from quadtwist.harness import default_corpus_path, ingest_corpus
 from quadtwist.twistlaws import twist_minimal
 
-from oracles import apply_iso, iso_onto, quadratic_twist_fraction, two_strongly_minimal_brute
+from oracles import (
+    apply_iso,
+    iso_onto,
+    quadratic_twist_fraction,
+    random_reduced_curves,
+    two_strongly_minimal_brute,
+)
 
 E11A1 = model(0, -1, 1, -10, -20)
 
@@ -52,21 +59,6 @@ def blow_up(E, u, r, s, w):
 
 def corpus_curves():
     return [rec.curve for rec in ingest_corpus(default_corpus_path())]
-
-
-def random_reduced_curves(rng, count):
-    """Nonsingular reduced models, a1, a3 in {0, 1}, a2 in {-1, 0, 1},
-    |a4|, |a6| <= 300."""
-    curves = []
-    while len(curves) < count:
-        ai = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
-              rng.randint(-300, 300), rng.randint(-300, 300))
-        try:
-            invariants(model(*ai))
-        except SingularModelError:
-            continue
-        curves.append(model(*ai))
-    return curves
 
 
 def test_invariants_examples():
@@ -275,6 +267,55 @@ def test_twist_minimal_by_one_reads_minimal_model(monkeypatch):
     assert {mm[1] for mm in expected.values()} >= {1, 2, 3, 6}
     for E in curves:
         assert twist_minimal.__wrapped__(E, 1) == expected[E], tuple(E)
+
+
+def test_twist_minimal_factors_only_small_numbers(monkeypatch):
+    # the twist's discriminant 2^12 d^6 disc(E) has no primes but 2, those
+    # of d u and E's bad primes: once minimal_model(E) is held, nothing
+    # above 10^6 is factored (corpus curves and blow-ups with u > 1)
+    rng = random.Random(89)
+    ds = [f.value for f in fundamental_discriminants(500)]
+    corpus = corpus_curves()
+    blown = [blow_up(E, u, 1, 0, -1) for E, u in zip(corpus[:6], (2, 3, 6, 2, 3, 6))]
+    cases = [(E, d) for E in corpus for d in (*ds, *EXTRA_D)]
+    cases += [(E, d) for E in blown for d in (*EXTRA_D, *rng.sample(ds, 10))]
+    expected = {}
+    for E, d in cases:
+        T, scale = quadratic_twist_fraction(E, d)
+        mm = minimal_model(model(*T))
+        expected[E, d] = (mm.minimal, mm.u_value * scale)
+    curves = corpus + blown
+    for E in curves:
+        minimal_model(E)
+
+    def small_only(n):
+        if abs(n) > 10**6:
+            raise AssertionError(f"factorize({n}) of a large number")
+        return factorize(n)
+
+    monkeypatch.setattr("quadtwist.curves.factorize", small_only)
+    assert {minimal_model(E).u_value for E in curves} >= {1, 2, 3, 6}
+    for (E, d), want in expected.items():
+        assert twist_minimal.__wrapped__(E, d) == want, (tuple(E), d)
+
+
+def test_minimal_from_invariants_needs_every_prime():
+    # the primes are divided out, not searched for: a list missing one
+    # prime of the discriminant is an error, never a wrong model
+    rng = random.Random(97)
+    curves = corpus_curves() + random_reduced_curves(rng, 10)
+    curves += [blow_up(E, u, 0, 1, 1) for E, u in zip(curves[:4], (2, 3, 6, 5))]
+    for E in curves:
+        inv = invariants(E)
+        primes = factorize(inv.disc).primes()
+        mm = minimal_from_invariants(inv.c4, inv.c6, primes)
+        assert mm == minimal_model(E)
+        assert mm.invariants == invariants(mm.minimal)
+        for p in primes:
+            with pytest.raises(ValueError, match="missing"):
+                minimal_from_invariants(inv.c4, inv.c6, [q for q in primes if q != p])
+    with pytest.raises(SingularModelError):
+        minimal_from_invariants(0, 0, [2])
 
 
 def test_iso_onto_carries_each_model_onto_its_minimal_model():

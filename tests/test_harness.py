@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,43 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert serial == parallel
 
 
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers
+    and runs every task inline, so no worker process starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_pool_workers_capped_at_curve_count(tmp_path, monkeypatch, capsys):
+    # a fork pool starts all max_workers at the first submit, so --jobs
+    # beyond the curve count must not reach the pool
+    monkeypatch.setattr("quadtwist.harness.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    corpus = three_curves()
+    serial = strip_timing(run_sweep(corpus, 20, "all", jobs=1))
+    assert InlinePool.sizes == []
+    assert strip_timing(run_sweep(corpus, 20, "all", jobs=100_000)) == serial
+    assert strip_timing(run_sweep(corpus, 20, "all", jobs=2)) == serial
+    assert InlinePool.sizes == [3, 2]
+    path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n")
+    assert main(["verify", "--corpus", path, "--dmax", "20", "--jobs", "100000"]) == 0
+    assert InlinePool.sizes == [3, 2, 2]
+    one = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n", name="one.csv")
+    assert main(["verify", "--corpus", one, "--dmax", "20", "--jobs", "100000"]) == 0
+    assert InlinePool.sizes == [3, 2, 2]  # one curve runs in process
+
+
 def three_curves():
     corpus = [
         rec for rec in ingest_corpus(default_corpus_path())
@@ -253,6 +291,19 @@ def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
     assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 3
     assert "internal error: RuntimeError: simulated crash" in capsys.readouterr().err
+
+
+def test_cli_error_inside_sweep_is_internal(tmp_path, monkeypatch, capsys):
+    # a ValueError raised mid-sweep is a fault of the program, not a usage
+    # error: exit 3, naming the curve
+    def broken(E, D):
+        raise ValueError("simulated u failure")
+
+    monkeypatch.setattr("quadtwist.harness.u_of_discriminant", broken)
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
+    assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: SweepError: curve 11a1: ValueError: simulated u failure" in err
 
 
 def test_cli_ingest_internal_error_exit_code(tmp_path, monkeypatch, capsys):

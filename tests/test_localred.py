@@ -212,7 +212,7 @@ def test_depressed_cubic_discriminant_identity():
         E = rec.curve
         disc = invariants(E).disc
         for l in (5, 7, 11, 13, 17):
-            b, c, d = depressed_cubic_mod(E, l)
+            b, c, d = depressed_cubic_mod(invariants(E), l)
             df = (
                 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
             )

@@ -1,6 +1,7 @@
 """The twist-identity layer: setup validation, conductor decomposition,
 period scales, the even-two-power quantities and the local identities."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import chain
@@ -44,7 +45,13 @@ from quadtwist.twistlaws import (
     validate_setup,
 )
 
-from oracles import fraction_quantity, fraction_two_power, hostile_semiprime, square_class
+from oracles import (
+    fraction_quantity,
+    fraction_two_power,
+    hostile_semiprime,
+    random_reduced_curves,
+    square_class,
+)
 
 E11A1 = model(0, -1, 1, -10, -20)
 E14A1 = model(1, 0, 1, 4, -6)
@@ -144,6 +151,66 @@ def test_pair_canonical_membership():
     s = validate_setup(E11A1, 13, 5)
     assert (s.n_plus, s.n_minus) == (1, 11)
     assert kronecker(65, 11) == -1
+
+
+def validated_setups(E, singles, pairs):
+    """What the setup generators must yield, by the reference: every
+    single, and every pair D1 < D2, put through validate_setup.  Also the
+    rejections the sign table decides on other grounds than a 0 sign:
+    singles coprime to the N of a minimal E (a -1 at an additive prime),
+    and pairs of admissible singles that share a prime."""
+    N = reduction_profile(E)[0]
+    minimal = minimal_model(E).minimal == E
+    ok_singles, additive, non_coprime = [], [], []
+    for f in singles:
+        try:
+            ok_singles.append((f.value, validate_setup(E, f)))
+        except SetupError:
+            if minimal and math.gcd(f.value, N) == 1:
+                additive.append(f.value)
+    admissible = {d for d, _ in ok_singles}
+    ok_pairs = []
+    for i, f1 in enumerate(pairs):
+        for f2 in pairs[i + 1 :]:
+            try:
+                ok_pairs.append(((f1.value, f2.value), validate_setup(E, f1, f2)))
+            except SetupError as exc:
+                if {f1.value, f2.value} <= admissible:
+                    assert exc.reasons == ["discriminant pair is not coprime"]
+                    non_coprime.append((f1.value, f2.value))
+    return ok_singles, ok_pairs, additive, non_coprime
+
+
+def test_sign_table_setups_match_validate_setup():
+    # the generators build setups from each discriminant's sign vector at
+    # the primes of N; validate_setup, clause by clause, must give the
+    # same (key, setup) lists, whole TwistSetup included
+    fds = list(fundamental_discriminants(500))
+    to100 = [f for f in fds if f.value <= 100]
+    to60 = [f for f in fds if f.value <= 60]
+    rng = random.Random(101)
+    cases = [(minimal_model(rec.curve).minimal, fds, to100) for rec in corpus()]
+    cases += [
+        (minimal_model(E).minimal, to60, to60) for E in random_reduced_curves(rng, 32)
+    ]
+    cases.append((model(0, 0, 0, 0, 46656), to60, to60))  # not minimal: no setups
+    additive, non_coprime, setups = [], [], 0
+    for E, singles, pairs in cases:
+        ok_singles, ok_pairs, rejected, shared = validated_setups(E, singles, pairs)
+        assert list(valid_single_setups(E, singles)) == ok_singles, tuple(E)
+        assert list(valid_pair_setups(E, pairs)) == ok_pairs, tuple(E)
+        additive += [(E, d) for d in rejected]
+        non_coprime += shared
+        setups += len(ok_singles) + len(ok_pairs)
+    assert setups > 9000
+    # a -1 at an additive prime, and a pair of admissible singles sharing
+    # a prime, are each rejected somewhere
+    assert additive and non_coprime
+    for E, d in additive:
+        local_data = reduction_profile(E)[1]
+        assert any(
+            kronecker(d, p) == -1 and loc.conductor_exponent > 1 for p, loc in local_data.items()
+        )
 
 
 def test_setup_prime_sets_match_factorize():
