@@ -32,12 +32,6 @@ class Factorization(NamedTuple):
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
 
 class FundamentalDiscriminant(NamedTuple):
     """Positive fundamental discriminant D = 2**a * m with a in {0, 2, 3}

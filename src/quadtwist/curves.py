@@ -1,21 +1,25 @@
 """Weierstrass models over Q: invariants, quadratic twists, global
 minimal models and the 2-adic normal form used by the twist laws.
 
-Models are coefficient 5-tuples (a1, a2, a3, a4, a6) of exact rationals
-(plain ints whenever possible).  A change of variables of scale u divides
-c4 by u^4 and c6 by u^6, and the curves with given invariants (c4, c6)
-share one reduced global minimal model.  So minimal models, and the
-minimal models of twists (the twist by d has invariants (d^2 c4, d^3 c6)),
-are computed from (c4, c6) alone; the only coordinate change the module
-applies is the integral [1, r, s, w] of rst_transform.  The reduction is
-handed the primes of the discriminant, so a caller that knows them (the
-twist of a curve whose bad primes are known) factors nothing large.
+Models are integral: coefficient 5-tuples (a1, a2, a3, a4, a6) of plain
+ints.  model() is the one gate for outside input; it takes ints and
+exact rationals with denominator 1 and raises ValueError for anything
+else, and every other builder here works on ints.  A change of variables
+of scale u divides c4 by u^4 and c6 by u^6, and the curves with given
+invariants (c4, c6) share one reduced global minimal model.  So minimal
+models, and the minimal models of twists (the twist by d has invariants
+(d^2 c4, d^3 c6)), are computed from (c4, c6) alone; the only coordinate
+change the module applies is the integral [1, r, s, w] of rst_transform.
+The reduction is handed the primes of the discriminant, so a caller that
+knows them (the twist of a curve whose bad primes are known) factors
+nothing large.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import NamedTuple
 
 from .arith import factorize, valuation
@@ -25,37 +29,35 @@ class SingularModelError(ValueError):
     """Raised when a model has discriminant zero."""
 
 
-def _q(x):
-    """Normalize exact rationals: integral Fractions collapse to int."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    return int(x)
-
-
 class WeierstrassModel(NamedTuple):
-    a1: int | Fraction
-    a2: int | Fraction
-    a3: int | Fraction
-    a4: int | Fraction
-    a6: int | Fraction
+    a1: int
+    a2: int
+    a3: int
+    a4: int
+    a6: int
 
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(a, int) for a in self)
+
+def _integer(a) -> int:
+    if isinstance(a, Rational) and a.denominator == 1:
+        return int(a.numerator)
+    raise ValueError(f"coefficient {a!r} is not an integer")
 
 
 def model(a1, a2, a3, a4, a6) -> WeierstrassModel:
-    return WeierstrassModel(_q(a1), _q(a2), _q(a3), _q(a4), _q(a6))
+    """The integral model with these coefficients.  Each must be an int or
+    an exact rational with denominator 1 (4/2 gives 2); anything else, a
+    non-integral rational, a float or a string, raises ValueError."""
+    return WeierstrassModel(*map(_integer, (a1, a2, a3, a4, a6)))
 
 
 class Invariants(NamedTuple):
-    b2: int | Fraction
-    b4: int | Fraction
-    b6: int | Fraction
-    b8: int | Fraction
-    c4: int | Fraction
-    c6: int | Fraction
-    disc: int | Fraction
+    b2: int
+    b4: int
+    b6: int
+    b8: int
+    c4: int
+    c6: int
+    disc: int
 
     @property
     def j(self) -> Fraction:
@@ -63,8 +65,8 @@ class Invariants(NamedTuple):
 
 
 def invariants(E: WeierstrassModel) -> Invariants:
-    """Standard b-, c- and discriminant invariants; j = c4^3 / disc is a
-    property.  The fields of an integral model are plain ints."""
+    """Standard b-, c- and discriminant invariants of an integral model,
+    as ints; j = c4^3 / disc is a property."""
     a1, a2, a3, a4, a6 = E
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -76,15 +78,12 @@ def invariants(E: WeierstrassModel) -> Invariants:
     if disc == 0:
         raise SingularModelError(f"singular model {tuple(E)}")
     assert c4**3 - c6**2 == 1728 * disc
-    if E.is_integral:
-        return Invariants(b2, b4, b6, b8, c4, c6, disc)
-    return Invariants(*map(_q, (b2, b4, b6, b8, c4, c6, disc)))
+    return Invariants(b2, b4, b6, b8, c4, c6, disc)
 
 
 def rst_transform(E: WeierstrassModel, r: int, s: int, w: int) -> WeierstrassModel:
-    """The u = 1 change of variables [1, r, s, w]; preserves the
-    discriminant exactly.  E must be integral and r, s, w ints: the
-    formulas run on the ints as they are, with no normalization."""
+    """The u = 1 change of variables [1, r, s, w] with integers r, s, w;
+    it keeps the model integral and preserves the discriminant exactly."""
     a1, a2, a3, a4, a6 = E
     return WeierstrassModel(
         a1 + 2 * s,
@@ -104,8 +103,6 @@ def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
     """
     if d == 0:
         raise ValueError("twist by 0")
-    if not E.is_integral:
-        raise ValueError("twist requires an integral model")
     a1, a2, a3, a4, a6 = E
     n2 = 4 * a2 * d + a1 * a1 * (d - 1)
     n4 = 2 * a4 * d * d + a1 * a3 * (d * d - 1)
@@ -158,7 +155,7 @@ def _model_from_c4c6(C4: int, C6: int) -> tuple[WeierstrassModel, Invariants]:
             continue
         if (b2 * b6 - b4 * b4) % 4:
             continue
-        E = model(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
+        E = WeierstrassModel(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
         inv = invariants(E)
         assert (inv.c4, inv.c6) == (C4, C6)
         hits.append((E, inv))
@@ -219,10 +216,8 @@ def minimal_from_invariants(c4: int, c6: int, primes) -> MinimalModelResult:
 
 @lru_cache(maxsize=None)
 def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
-    """Global minimal model of an integral model E; u_value is the scale
-    from E onto it."""
-    if not E.is_integral:
-        raise ValueError("minimal_model requires an integral model")
+    """Global minimal model of E (integral, as every model is); u_value is
+    the scale from E onto it."""
     inv = invariants(E)
     return minimal_from_invariants(inv.c4, inv.c6, factorize(inv.disc).primes())
 
@@ -263,9 +258,8 @@ def two_strongly_minimal(E: WeierstrassModel) -> WeierstrassModel:
     order over [1, r, s, w] with r, s, w >= 0; at most 32 candidates
     (2 patterns x _NORMAL_FORM_BOX) are tried.
     """
-    inv = invariants(E)
-    if not E.is_integral or valuation(inv.disc, 2) != 0:
-        raise ValueError("requires an integral model with odd discriminant")
+    if valuation(invariants(E).disc, 2) != 0:
+        raise ValueError("requires a model with odd discriminant")
     if minimal_model(E).minimal != E:
         raise ValueError("requires a globally minimal model")
     for want in (1, 2):

@@ -285,22 +285,22 @@ def run_pair_instance(label: str, setup: TwistSetup, mode: str) -> dict:
 
 
 def _sweep_curve(args) -> tuple[str, list[dict], float]:
-    """One curve's instance records in report order, and the seconds
-    they took."""
+    """One curve's instance records in report order (pairs, then
+    singles, each in the ascending order its generator yields), and the
+    seconds they took."""
     record, singles, pairs, mode = args
     t0 = time.perf_counter()
     out = []
     try:
         E = minimal_model(record.curve).minimal
-        if mode in ("thm13", "lemmas", "all"):
-            for _d, setup in valid_single_setups(E, singles):
-                out.append(run_single_instance(record.label, setup, mode))
         if mode in ("thm31", "lemmas", "all"):
             for _pair, setup in valid_pair_setups(E, pairs):
                 out.append(run_pair_instance(record.label, setup, mode))
+        if mode in ("thm13", "lemmas", "all"):
+            for _d, setup in valid_single_setups(E, singles):
+                out.append(run_single_instance(record.label, setup, mode))
     except Exception as exc:
         raise SweepError(f"curve {record.label}: {type(exc).__name__}: {exc}") from exc
-    out.sort(key=lambda r: (r.get("d", 0), r.get("d1", 0), r.get("d2", 0)))
     return record.label, out, time.perf_counter() - t0
 
 

@@ -20,7 +20,6 @@ from .curves import (
     WeierstrassModel,
     invariants,
     minimal_model,
-    model,
     rst_transform,
 )
 
@@ -163,11 +162,10 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
     """Kodaira type, Tamagawa number, minimal discriminant valuation and
     reduction kind of E at p.
 
-    Accepts any integral model; re-minimizes at p internally, so the
-    reported disc_valuation is that of a p-minimal model.
+    Accepts any model, minimal at p or not (every model is integral); it
+    re-minimizes at p internally, so the reported disc_valuation is that
+    of a p-minimal model.
     """
-    if not E.is_integral:
-        raise ValueError("tate_local requires an integral model")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     C = E
@@ -274,7 +272,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
 
         # non-minimal at p: rescale and restart
         assert _vp(C6.a1, p) >= 1 and _vp(C6.a2, p) >= 2
-        C = model(
+        C = WeierstrassModel(
             C6.a1 // p,
             C6.a2 // (p * p),
             C6.a3 // p**3,

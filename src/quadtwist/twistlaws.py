@@ -432,7 +432,7 @@ def _twist_tamagawa_at(E: WeierstrassModel, d: int, p: int) -> LocalReduction:
 
 def twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     """u_D / 2^omega(n_minus) * prod_{l | D} c_l(twist) * prod_{q | n_minus}
-    c~_q(E), as an exact rational, with the evenness verdict."""
+    c~_{q}(E), as an exact rational, with the evenness verdict."""
     if setup.is_pair:
         raise ValueError("single-discriminant setup required")
     D = setup.discriminants[0]
@@ -474,17 +474,11 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     c_t = {q_: c_tilde(E, q_) for q_ in setup.minus_primes}
     num = u1 * u2 * math.prod(c1.values()) * math.prod(c2.values()) * math.prod(c_t.values())
 
-    # proof bookkeeping
-    w1 = len(setup.primes_dividing(dec.n1_minus))
-    w2 = len(setup.primes_dividing(dec.n2_minus))
-    parity_ok = (w1 + w2 - w) % 2 == 0
-
-    def ctilde_prod(n) -> int:
-        return math.prod(c_tilde(E, p) for p in setup.primes_dividing(n))
-
-    k = _exponent(
-        ctilde_prod(dec.n1_minus) * ctilde_prod(dec.n2_minus), ctilde_prod(setup.n_minus)
-    )
+    # proof bookkeeping; c_t already holds c~_q for every q | n_minus
+    m1 = setup.primes_dividing(dec.n1_minus)
+    m2 = setup.primes_dividing(dec.n2_minus)
+    parity_ok = (len(m1) + len(m2) - w) % 2 == 0
+    k = _exponent(math.prod(c_tilde(E, p) for p in m1 + m2), math.prod(c_t.values()))
     product_ok = k is not None and k % 2 == 0
 
     return _verdict(
@@ -509,8 +503,8 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
 
 
 def tamagawa_transfer_check(setup: TwistSetup, q: int) -> CheckResult:
-    """c~_q(E) * c_q(E over the inert quadratic field) against
-    c_q(twist by D1) * c_q(twist by D2), at a prime q of n_minus."""
+    """c~_{q}(E) * c_{q}(E over the inert quadratic field) against
+    c_{q}(twist by D1) * c_{q}(twist by D2), at a prime q of n_minus."""
     if not setup.is_pair:
         raise ValueError("pair setup required")
     if setup.n_minus % q != 0:
@@ -526,7 +520,7 @@ def tamagawa_transfer_check(setup: TwistSetup, q: int) -> CheckResult:
 
 def tamagawa_transfer_product_check(setup: TwistSetup) -> CheckResult:
     """Product over all primes of N of both twists' Tamagawa numbers,
-    compared modulo squares with prod c~_q * c_q(inert base change)."""
+    compared modulo squares with prod c~_{q} * c_{q}(inert base change)."""
     if not setup.is_pair:
         raise ValueError("pair setup required")
     E = setup.curve
@@ -543,7 +537,7 @@ def tamagawa_transfer_product_check(setup: TwistSetup) -> CheckResult:
 
 
 def inert_valuation_sum(setup: TwistSetup) -> int:
-    """b = sum of v_q(min disc) over primes q of n_minus."""
+    """b = sum of v_{q}(min disc) over primes q of n_minus."""
     return sum(setup.local_data[q].disc_valuation for q in setup.minus_primes)
 
 

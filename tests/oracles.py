@@ -99,6 +99,20 @@ def apply_iso(ai, u, r, s, w) -> tuple[Fraction, ...]:
     )
 
 
+def fraction_invariants(ai) -> tuple[Fraction, Fraction, Fraction]:
+    """(c4, c6, disc) of a model with rational coefficients: the standard
+    b-, c- and discriminant formulas evaluated in Fraction."""
+    a1, a2, a3, a4, a6 = (Fraction(a) for a in ai)
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return c4, c6, disc
+
+
 def iso_onto(E, M, u) -> tuple[Fraction, Fraction, Fraction]:
     """(r, s, w) such that [u, r, s, w] carries a1, a2, a3 of E to those
     of M.  Solved from the first three coefficients only: the map carries

@@ -2,12 +2,16 @@
 2-adic normal form, with isomorphisms taken from the Fraction oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import quadtwist
 from quadtwist.arith import factorize, fundamental_discriminants, valuation
 from quadtwist.curves import (
     SingularModelError,
@@ -27,6 +31,7 @@ from quadtwist.twistlaws import twist_minimal
 
 from oracles import (
     apply_iso,
+    fraction_invariants,
     iso_onto,
     quadratic_twist_fraction,
     random_reduced_curves,
@@ -84,15 +89,41 @@ def test_invariants_of_integral_model_are_ints():
         assert inv.j == Fraction(inv.c4**3, inv.disc)
 
 
+def test_model_rejects_non_integral():
+    for bad in ((Fraction(1, 2), 0, 0, 0, 1), (0.5, 0, 0, 0, 1), (1, 0, 0, 0, Fraction(7, 3))):
+        with pytest.raises(ValueError):
+            model(*bad)
+    with pytest.raises(ValueError):
+        model("3", 0, 0, 0, 1)
+    E = model(Fraction(4, 2), 0, 0, 0, 1)
+    assert E == model(2, 0, 0, 0, 1) and all(type(a) is int for a in E)
+    # the gate is a raise, not an assert that -O strips
+    src = os.path.dirname(os.path.dirname(quadtwist.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "from quadtwist.curves import model\n"
+        "try:\n    model(0.5, 0, 0, 0, 1)\nexcept ValueError:\n    print('rejected')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path}, check=True, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.stdout == "rejected\n"
+
+
 def test_j_of_rational_model():
     rng = random.Random(17)
     for _ in range(100):
-        E = model(*apply_iso(random_model(rng), *random_iso(rng)))
-        inv = invariants(E)
-        assert inv.j == Fraction(inv.c4) ** 3 / Fraction(inv.disc)
-    blown = model(*apply_iso(E11A1, Fraction(1, 2), Fraction(1, 3), 0, 0))
-    assert not blown.is_integral
-    assert invariants(blown).j == invariants(E11A1).j == Fraction(-122023936, 161051)
+        E = random_model(rng)
+        c4, c6, disc = fraction_invariants(apply_iso(E, *random_iso(rng)))
+        assert c4**3 - c6**2 == 1728 * disc
+        assert c4**3 / disc == invariants(E).j
+    blown = apply_iso(E11A1, Fraction(1, 2), Fraction(1, 3), 0, 0)
+    with pytest.raises(ValueError):
+        model(*blown)
+    c4, c6, disc = fraction_invariants(blown)
+    assert c4**3 / disc == invariants(E11A1).j == Fraction(-122023936, 161051)
 
 
 def test_c_identity_random_sweep():
@@ -124,10 +155,11 @@ def test_apply_iso_round_trip_and_composition():
         assert apply_iso(moved, *inverse) == E
         composed = (u * u2, r + u**2 * r2, s + u * s2, w + u**2 * s * r2 + u**3 * w2)
         assert apply_iso(moved, u2, r2, s2, w2) == apply_iso(E, *composed)
-        inv, invp = invariants(E), invariants(model(*moved))
-        assert Fraction(invp.c4) == Fraction(inv.c4) / u**4
-        assert Fraction(invp.c6) == Fraction(inv.c6) / u**6
-        assert invp.j == inv.j
+        inv = invariants(E)
+        c4, c6, disc = fraction_invariants(moved)
+        assert c4 == Fraction(inv.c4) / u**4
+        assert c6 == Fraction(inv.c6) / u**6
+        assert c4**3 / disc == inv.j
 
 
 def test_rst_transform_matches_fraction_formulas():
@@ -217,7 +249,6 @@ def test_minimal_model_round_trips():
         u = rng.choice([2, 3, 5, 6])
         r, s, w = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
         blown = blow_up(E, u, r, s, w)
-        assert blown.is_integral
         mm = minimal_model(blown)
         assert mm.minimal == E
         assert mm.u_value == u

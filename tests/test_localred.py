@@ -94,7 +94,6 @@ def test_qp_invariance_under_unit_isos():
         k = rng.choice([u for u in (1, 2, 3, 5, 7) if u % p != 0])
         r, s, w = (rng.randint(-4, 4) for _ in range(3))
         moved = model(*apply_iso(E, Fraction(1, k), r, s, w))
-        assert moved.is_integral
         a, b = tate_local(E, p), tate_local(moved, p)
         assert (a.kodaira, a.tamagawa, a.kind, a.disc_valuation) == (
             b.kodaira,
@@ -303,7 +302,6 @@ def test_nonminimal_rescale_chain():
     """A model blown up at several primes at once re-minimizes inside
     tate_local at each prime independently."""
     blown = model(*apply_iso(E11A1, Fraction(1, 6), 1, 2, 3))
-    assert blown.is_integral
     for p in (2, 3, 11):
         loc = tate_local(blown, p)
         ref = tate_local(E11A1, p)
