@@ -12,8 +12,8 @@ collects the same records into one dict.
 Each curve's facts are computed once per curve, not per instance: its
 conductor and local data, and each discriminant's character signs at
 the primes of N (the sign table), from which every admissible single
-and pair setup is built without re-validating it (validate_setup stays
-the reference the tests hold the table to). An
+and pair setup is built (validate_setup builds the same setups for user
+input; the tests hold both to a clause-by-clause reference). An
 exception inside a curve's sweep is raised as a SweepError naming the
 curve. With jobs > 1 the curves fan out over at most one worker process
 per curve.
@@ -144,7 +144,7 @@ def _sign_table(
     """E's conductor and local data, and (f, signs) for each parsed
     discriminant admissible for E's canonical split, in input order (the
     signs are admissible_signs').  A model that is not globally minimal
-    admits none, as validate_setup would have it."""
+    admits none: the twist hypothesis is stated on the minimal model."""
     N, local_data = reduction_profile(E)
     if minimal_model(E).minimal != E:
         return N, local_data, []
@@ -160,8 +160,8 @@ def valid_single_setups(
     E: WeierstrassModel, discriminants: Iterable[FundamentalDiscriminant]
 ) -> Iterable[tuple[int, TwistSetup]]:
     """(D, setup) for every D in the parsed discriminants (ascending)
-    admissible for the canonical split/inert factorization of E; the
-    setups are those validate_setup returns, built from the sign table."""
+    admissible for the canonical split/inert factorization of E, each
+    setup built from the sign table, as validate_setup builds it."""
     N, local_data, rows = _sign_table(E, discriminants)
     for f, signs in rows:
         yield f.value, setup_from_signs(E, N, local_data, (f,), (signs,))
@@ -273,6 +273,7 @@ def run_pair_instance(label: str, setup: TwistSetup, mode: str) -> dict:
         book = v.components["bookkeeping"]
         checks["omega_parity"] = book["omega_parity"]
         checks["c_tilde_product"] = book["c_tilde_product"]
+        checks["decomposition_identities"] = book["decomposition_identities"]
     if mode in ("lemmas", "all"):
         transfer_ok = True
         for q in setup.minus_primes:

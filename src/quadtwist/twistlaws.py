@@ -1,9 +1,9 @@
-"""The twist-identity layer: split/inert hypothesis validation, setups
-built from character sign vectors, the coprime character-pair
-decomposition of the conductor, the period scale u_D, the
-even-two-power quantities, the local product identities, the
-closed-form symbol evaluation, the Tamagawa-at-2 case cross-checks, and
-the auxiliary-discriminant search.
+"""The twist-identity layer: setups built from character sign vectors,
+which decide admissibility (validate_setup checks user input on top of
+them), the period scale u_D, the even-two-power quantities with the
+pair's conductor-decomposition bookkeeping reported as checks, the local
+product identities, the closed-form symbol evaluation, the Tamagawa-at-2
+case cross-checks, and the auxiliary-discriminant search.
 
 Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
 is accumulated and judged on ints (its 2-adic exponent by a bit test),
@@ -28,7 +28,6 @@ from .arith import (
 )
 from .curves import (
     WeierstrassModel,
-    invariants,
     minimal_from_invariants,
     minimal_model,
     pattern_of_normal_form,
@@ -77,37 +76,6 @@ class TwistSetup(NamedTuple):
         """Character value chi_i(l) = kronecker(D_i, l) at a prime l of N;
         i is 1-based."""
         return self.signs[l][i - 1]
-
-    def primes_dividing(self, n: int) -> tuple[int, ...]:
-        """The primes of N dividing n, increasing."""
-        return tuple(p for p in self.local_data if n % p == 0)
-
-
-class Decomposition(NamedTuple):
-    n1_plus_I: int
-    n1_minus_I: int
-    n1_plus_II: int
-    n1_minus_II: int
-    n2_plus_I: int
-    n2_minus_I: int
-    n2_plus_II: int
-    n2_minus_II: int
-
-    @property
-    def n1_plus(self) -> int:
-        return self.n1_plus_I * self.n1_plus_II
-
-    @property
-    def n1_minus(self) -> int:
-        return self.n1_minus_I * self.n1_minus_II
-
-    @property
-    def n2_plus(self) -> int:
-        return self.n2_plus_I * self.n2_plus_II
-
-    @property
-    def n2_minus(self) -> int:
-        return self.n2_minus_I * self.n2_minus_II
 
 
 class ExponentVerdict(NamedTuple):
@@ -170,23 +138,6 @@ def _as_fund(d) -> FundamentalDiscriminant:
 # setup validation
 
 
-def canonical_split(local_data: dict[int, LocalReduction], D: int):
-    """Split N into (split part, inert part) for the discriminant D,
-    mirroring the semistable construction: a prime goes to the inert part
-    exactly when kronecker(D, p) = -1."""
-    n_plus = n_minus = 1
-    for p, loc in sorted(local_data.items()):
-        s = kronecker(D, p)
-        if s == 0:
-            return None, f"gcd(D, N) > 1 at prime {p}"
-        e = loc.conductor_exponent
-        if s == 1:
-            n_plus *= p**e
-        else:
-            n_minus *= p**e
-    return (n_plus, n_minus), None
-
-
 def validate_setup(
     E: WeierstrassModel,
     d1,
@@ -195,13 +146,16 @@ def validate_setup(
     n_minus: int | None = None,
     conductor: int | None = None,
 ) -> TwistSetup:
-    """Check every clause of the twist hypothesis and return the setup.
+    """Check a twist setup given by a user and return it.
 
-    With one discriminant this is the split/inert hypothesis for
-    (n_plus, n_minus); with a coprime pair (d1, d2) the hypothesis applies
-    to their product, and the exact-division condition is enforced at any
-    prime of N where either character is -1.  All violations are
-    collected into a single SetupError.
+    D is d1, or the product of a coprime pair (d1, d2) other than (1, 1),
+    and must be coprime to N.  The setup is the canonical one, built from
+    the discriminants' signs at the primes of N (setup_from_signs); a
+    character that is -1 at a prime of N needs that prime to divide N
+    exactly.  Any split the hypothesis accepts is the canonical one, so a
+    stated (n_plus, n_minus) is only checked against the clauses it can
+    break, and it is never factored.  All violations are collected into a
+    single SetupError.
     """
     reasons: list[str] = []
     mm = minimal_model(E)
@@ -225,57 +179,41 @@ def validate_setup(
             reasons.append("discriminant pair is not coprime")
         if discs[0].value == discs[1].value == 1:
             reasons.append("discriminant pair must not be (1, 1)")
-    D = 1
-    for f in discs:
-        D *= f.value
+    g = math.gcd(math.prod(f.value for f in discs), N)
+    if not reasons and g != 1:
+        reasons.append(f"gcd(D, N) = {g} != 1")
     if reasons:
         raise SetupError(reasons)
 
-    if n_plus is None or n_minus is None:
-        split, err = canonical_split(local_data, D)
-        if err:
-            raise SetupError([err])
-        n_plus, n_minus = split
-
-    # factorization shape: n_plus, n_minus are never factored; once their
-    # product is N, the primes of N dividing each are all of their primes
-    plus_primes = tuple(p for p in local_data if n_plus % p == 0)
-    minus_primes = tuple(p for p in local_data if n_minus % p == 0)
-    signs = {p: tuple(kronecker(f.value, p) for f in discs) for p in local_data}
-    setup = TwistSetup(
-        E, N, n_plus, n_minus, tuple(discs), local_data, plus_primes, minus_primes, signs
-    )
-    if n_plus < 1 or n_minus < 1:
-        reasons.append("n_plus and n_minus must be positive")
-    if n_plus * n_minus != N:
-        reasons.append(f"n_plus * n_minus = {n_plus * n_minus} != N = {N}")
-    if math.gcd(n_plus, n_minus) != 1:
-        reasons.append("n_plus and n_minus are not coprime")
-    if any(n_minus % (q * q) == 0 for q in setup.minus_primes):
-        reasons.append(f"n_minus = {n_minus} is not squarefree")
-    for q in setup.minus_primes:
-        if not local_data[q].kind.startswith("multiplicative"):
-            reasons.append(f"prime {q} of n_minus is not multiplicative")
-
-    # split/inert hypothesis on D
-    if math.gcd(D, N) != 1:
-        reasons.append(f"gcd(D, N) = {math.gcd(D, N)} != 1")
-    else:
-        for l in setup.plus_primes:
-            if kronecker(D, l) != 1:
-                reasons.append(f"prime {l} | n_plus does not split (kronecker {kronecker(D, l)})")
-        for q in setup.minus_primes:
-            if kronecker(D, q) != -1:
-                reasons.append(f"prime {q} | n_minus is not inert (kronecker {kronecker(D, q)})")
-
-    # exact-division condition for pairs
-    if len(discs) == 2 and math.gcd(D, N) == 1:
-        for l, loc in sorted(local_data.items()):
-            if -1 in signs[l] and loc.conductor_exponent != 1:
-                reasons.append(
-                    f"character -1 at prime {l} requires l || N (multiplicative reduction)"
-                )
-
+    sign_vectors = tuple(tuple(kronecker(f.value, p) for p in local_data) for f in discs)
+    setup = setup_from_signs(E, N, local_data, tuple(discs), sign_vectors)
+    if n_plus is not None and n_minus is not None:
+        # once the product is N, the primes of N dividing each part are
+        # all of its primes
+        plus = [p for p in local_data if n_plus % p == 0]
+        minus = [p for p in local_data if n_minus % p == 0]
+        if n_plus < 1 or n_minus < 1:
+            reasons.append("n_plus and n_minus must be positive")
+        if n_plus * n_minus != N:
+            reasons.append(f"n_plus * n_minus = {n_plus * n_minus} != N = {N}")
+        if math.gcd(n_plus, n_minus) != 1:
+            reasons.append("n_plus and n_minus are not coprime")
+        if any(n_minus % (q * q) == 0 for q in minus):
+            reasons.append(f"n_minus = {n_minus} is not squarefree")
+        for q in minus:
+            if not local_data[q].kind.startswith("multiplicative"):
+                reasons.append(f"prime {q} of n_minus is not multiplicative")
+        for l in plus:
+            if (s := math.prod(setup.signs[l])) != 1:
+                reasons.append(f"prime {l} | n_plus does not split (kronecker {s})")
+        for q in minus:
+            if (s := math.prod(setup.signs[q])) != -1:
+                reasons.append(f"prime {q} | n_minus is not inert (kronecker {s})")
+    for l, loc in local_data.items():
+        if -1 in setup.signs[l] and loc.conductor_exponent != 1:
+            reasons.append(
+                f"character -1 at prime {l} requires {l} || N (multiplicative reduction)"
+            )
     if reasons:
         raise SetupError(reasons)
     return setup
@@ -313,7 +251,7 @@ def setup_from_signs(
     """The canonical setup of an admissible discriminant, or of a coprime
     pair of them, from their admissible_signs vectors: a prime of N goes
     to n_minus exactly when the product of its signs is -1.  Nothing is
-    validated here; validate_setup is the clause-by-clause reference."""
+    validated here."""
     signs = dict(zip(local_data, zip(*sign_vectors)))
     n_plus = n_minus = 1
     plus_primes, minus_primes = [], []
@@ -328,43 +266,6 @@ def setup_from_signs(
     return TwistSetup(
         E, N, n_plus, n_minus, discs, local_data, tuple(plus_primes), tuple(minus_primes), signs
     )
-
-
-def decompose(setup: TwistSetup) -> Decomposition:
-    """The eight coprime conductor pieces attached to a character pair.
-
-    The coprimality, symmetry and product identities they satisfy all
-    follow from the setup hypotheses; they are asserted here rather than
-    assumed.
-    """
-    if not setup.is_pair:
-        raise ValueError("decompose requires a two-discriminant setup")
-    parts = []
-    for i in (1, 2):
-        for primes, with_multiplicity in ((setup.plus_primes, True), (setup.minus_primes, False)):
-            plus = minus = 1
-            for l in primes:
-                chi = setup.chi(i, l)
-                assert chi != 0
-                if chi == 1:
-                    plus *= l ** setup.local_data[l].conductor_exponent if with_multiplicity else l
-                else:
-                    minus *= l
-            parts.append((plus, minus))
-    (p1I, m1I), (p1II, m1II), (p2I, m2I), (p2II, m2II) = parts
-    dec = Decomposition(p1I, m1I, p1II, m1II, p2I, m2I, p2II, m2II)
-
-    pieces = [dec.n1_plus_I, dec.n1_minus_I, dec.n1_plus_II, dec.n1_minus_II]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert math.gcd(pieces[i], pieces[j]) == 1
-    assert dec.n1_plus_I == dec.n2_plus_I
-    assert dec.n1_minus_I == dec.n2_minus_I
-    assert dec.n1_plus_II == dec.n2_minus_II
-    assert dec.n1_minus_II == dec.n2_plus_II
-    assert setup.conductor == dec.n1_plus * dec.n1_minus == dec.n2_plus * dec.n2_minus
-    assert setup.n_minus == dec.n1_minus_II * dec.n2_minus_II
-    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +302,12 @@ def twist_minimal(E: WeierstrassModel, d: int):
 def u_of_discriminant(E: WeierstrassModel, D) -> int:
     """Closed-form period scale of the twist by a positive fundamental
     discriminant coprime to the conductor: 1 unless v2(D) = 3 and
-    v2(c6) = 3, in which case 2."""
+    v2(c6) = 3, in which case 2.  E is globally minimal; c6 and the
+    discriminant are read from its minimal_model entry."""
     D = _as_fund(D)
     if D.two_exponent <= 2:
         return 1
-    inv = invariants(E)
+    inv = minimal_model(E).invariants
     if valuation(inv.disc, 2) != 0:
         raise ValueError("even discriminant twist requires good reduction at 2")
     v = valuation(inv.c6, 2) if inv.c6 else 99
@@ -455,17 +357,19 @@ def twist_quantity(setup: TwistSetup) -> ExponentVerdict:
 
 
 def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
-    """Pair version of the quantity, with the decomposition bookkeeping
+    """Pair version of the quantity, with the proof bookkeeping checked
+    on the side (each verdict in components['bookkeeping']).
 
-    omega(n1_minus) + omega(n2_minus) = omega(n_minus) mod 2, and the
-    c~ product identity up to even powers of two, verified on the side
-    (failures are reported in components['bookkeeping']).
+    With m_i the primes of N where chi_i = -1: omega(m_1) + omega(m_2) =
+    omega(n_minus) mod 2; the c~ product over m_1 and m_2 equals the one
+    over n_minus up to an even power of two; and the conductor
+    decomposition's identities hold: n_minus is m_1 symmetric-difference
+    m_2, and every prime of m_1 and m_2 divides N exactly.
     """
     if not setup.is_pair:
         raise ValueError("pair setup required")
     E = setup.curve
     D1, D2 = setup.discriminants
-    dec = decompose(setup)
     u1 = u_of_discriminant(E, D1)
     u2 = u_of_discriminant(E, D2)
     w = len(setup.minus_primes)
@@ -475,11 +379,14 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     num = u1 * u2 * math.prod(c1.values()) * math.prod(c2.values()) * math.prod(c_t.values())
 
     # proof bookkeeping; c_t already holds c~_q for every q | n_minus
-    m1 = setup.primes_dividing(dec.n1_minus)
-    m2 = setup.primes_dividing(dec.n2_minus)
+    m1 = [p for p, s in setup.signs.items() if s[0] == -1]
+    m2 = [p for p, s in setup.signs.items() if s[1] == -1]
     parity_ok = (len(m1) + len(m2) - w) % 2 == 0
     k = _exponent(math.prod(c_tilde(E, p) for p in m1 + m2), math.prod(c_t.values()))
     product_ok = k is not None and k % 2 == 0
+    pieces_ok = set(m1) ^ set(m2) == set(setup.minus_primes) and all(
+        setup.local_data[p].conductor_exponent == 1 for p in {*m1, *m2}
+    )
 
     return _verdict(
         num,
@@ -491,7 +398,11 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
             "twist_tamagawa_1": c1,
             "twist_tamagawa_2": c2,
             "c_tilde": c_t,
-            "bookkeeping": {"omega_parity": parity_ok, "c_tilde_product": product_ok},
+            "bookkeeping": {
+                "omega_parity": parity_ok,
+                "c_tilde_product": product_ok,
+                "decomposition_identities": pieces_ok,
+            },
             "D1": D1.value,
             "D2": D2.value,
         },

@@ -4,12 +4,15 @@ Nothing here calls into the library's own reduction machinery: point
 counts are brute force, factorizations come from sympy, and reduction
 types are pinned by counting components through the conductor-degree
 relation on curves whose conductor is vouched for by their standard
-label.
+label.  The admissibility reference at the end takes N and the local
+data from the library and checks the twist hypothesis clause by clause.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import sympy
 
@@ -291,3 +294,194 @@ def golden_local_data(label: str, ai, conductor: int):
             else:
                 table[p] = (forced[0], forced[1], v, kind)
     return table
+
+
+# ---------------------------------------------------------------------------
+# the clause-by-clause admissibility reference
+#
+# The library decides admissibility from each discriminant's signs at the
+# primes of N (admissible_signs, setup_from_signs), and validate_setup
+# builds on them.  This is the hypothesis as the paper states it, clause
+# by clause, with the eight conductor pieces of a character pair; it reads
+# N and the local data from the library, and decides nothing from the
+# sign table.
+
+from quadtwist.arith import kronecker
+from quadtwist.curves import WeierstrassModel, minimal_model
+from quadtwist.localred import LocalReduction, reduction_profile
+from quadtwist.twistlaws import SetupError, TwistSetup, _as_fund
+
+
+class Decomposition(NamedTuple):
+    n1_plus_I: int
+    n1_minus_I: int
+    n1_plus_II: int
+    n1_minus_II: int
+    n2_plus_I: int
+    n2_minus_I: int
+    n2_plus_II: int
+    n2_minus_II: int
+
+    @property
+    def n1_plus(self) -> int:
+        return self.n1_plus_I * self.n1_plus_II
+
+    @property
+    def n1_minus(self) -> int:
+        return self.n1_minus_I * self.n1_minus_II
+
+    @property
+    def n2_plus(self) -> int:
+        return self.n2_plus_I * self.n2_plus_II
+
+    @property
+    def n2_minus(self) -> int:
+        return self.n2_minus_I * self.n2_minus_II
+
+
+def canonical_split(local_data: dict[int, LocalReduction], D: int):
+    """Split N into (split part, inert part) for the discriminant D,
+    mirroring the semistable construction: a prime goes to the inert part
+    exactly when kronecker(D, p) = -1."""
+    n_plus = n_minus = 1
+    for p, loc in sorted(local_data.items()):
+        s = kronecker(D, p)
+        if s == 0:
+            return None, f"gcd(D, N) > 1 at prime {p}"
+        e = loc.conductor_exponent
+        if s == 1:
+            n_plus *= p**e
+        else:
+            n_minus *= p**e
+    return (n_plus, n_minus), None
+
+
+def reference_setup(
+    E: WeierstrassModel,
+    d1,
+    d2=None,
+    n_plus: int | None = None,
+    n_minus: int | None = None,
+    conductor: int | None = None,
+) -> TwistSetup:
+    """Check every clause of the twist hypothesis and return the setup.
+
+    With one discriminant this is the split/inert hypothesis for
+    (n_plus, n_minus); with a coprime pair (d1, d2) the hypothesis applies
+    to their product, and the exact-division condition is enforced at any
+    prime of N where either character is -1.  All violations are
+    collected into a single SetupError.
+    """
+    reasons: list[str] = []
+    mm = minimal_model(E)
+    if mm.minimal != E:
+        reasons.append("curve model is not globally minimal")
+        E = mm.minimal
+    N, local_data = reduction_profile(E)
+    if conductor is not None and conductor != N:
+        reasons.append(f"stated conductor {conductor} != computed {N}")
+
+    discs = []
+    for d in (d1, d2) if d2 is not None else (d1,):
+        try:
+            discs.append(_as_fund(d))
+        except ValueError as exc:  # not fundamental, or above DISCRIMINANT_BOUND
+            reasons.append(str(exc))
+    if reasons:
+        raise SetupError(reasons)
+    if len(discs) == 2:
+        if math.gcd(discs[0].value, discs[1].value) != 1:
+            reasons.append("discriminant pair is not coprime")
+        if discs[0].value == discs[1].value == 1:
+            reasons.append("discriminant pair must not be (1, 1)")
+    D = 1
+    for f in discs:
+        D *= f.value
+    if reasons:
+        raise SetupError(reasons)
+
+    if n_plus is None or n_minus is None:
+        split, err = canonical_split(local_data, D)
+        if err:
+            raise SetupError([err])
+        n_plus, n_minus = split
+
+    # factorization shape: n_plus, n_minus are never factored; once their
+    # product is N, the primes of N dividing each are all of their primes
+    plus_primes = tuple(p for p in local_data if n_plus % p == 0)
+    minus_primes = tuple(p for p in local_data if n_minus % p == 0)
+    signs = {p: tuple(kronecker(f.value, p) for f in discs) for p in local_data}
+    setup = TwistSetup(
+        E, N, n_plus, n_minus, tuple(discs), local_data, plus_primes, minus_primes, signs
+    )
+    if n_plus < 1 or n_minus < 1:
+        reasons.append("n_plus and n_minus must be positive")
+    if n_plus * n_minus != N:
+        reasons.append(f"n_plus * n_minus = {n_plus * n_minus} != N = {N}")
+    if math.gcd(n_plus, n_minus) != 1:
+        reasons.append("n_plus and n_minus are not coprime")
+    if any(n_minus % (q * q) == 0 for q in setup.minus_primes):
+        reasons.append(f"n_minus = {n_minus} is not squarefree")
+    for q in setup.minus_primes:
+        if not local_data[q].kind.startswith("multiplicative"):
+            reasons.append(f"prime {q} of n_minus is not multiplicative")
+
+    # split/inert hypothesis on D
+    if math.gcd(D, N) != 1:
+        reasons.append(f"gcd(D, N) = {math.gcd(D, N)} != 1")
+    else:
+        for l in setup.plus_primes:
+            if kronecker(D, l) != 1:
+                reasons.append(f"prime {l} | n_plus does not split (kronecker {kronecker(D, l)})")
+        for q in setup.minus_primes:
+            if kronecker(D, q) != -1:
+                reasons.append(f"prime {q} | n_minus is not inert (kronecker {kronecker(D, q)})")
+
+    # exact-division condition for pairs
+    if len(discs) == 2 and math.gcd(D, N) == 1:
+        for l, loc in sorted(local_data.items()):
+            if -1 in signs[l] and loc.conductor_exponent != 1:
+                reasons.append(
+                    f"character -1 at prime {l} requires l || N (multiplicative reduction)"
+                )
+
+    if reasons:
+        raise SetupError(reasons)
+    return setup
+
+
+def decompose(setup: TwistSetup) -> Decomposition:
+    """The eight coprime conductor pieces attached to a character pair.
+
+    The coprimality, symmetry and product identities they satisfy all
+    follow from the setup hypotheses; they are asserted here rather than
+    assumed.
+    """
+    if not setup.is_pair:
+        raise ValueError("decompose requires a two-discriminant setup")
+    parts = []
+    for i in (1, 2):
+        for primes, with_multiplicity in ((setup.plus_primes, True), (setup.minus_primes, False)):
+            plus = minus = 1
+            for l in primes:
+                chi = setup.chi(i, l)
+                assert chi != 0
+                if chi == 1:
+                    plus *= l ** setup.local_data[l].conductor_exponent if with_multiplicity else l
+                else:
+                    minus *= l
+            parts.append((plus, minus))
+    (p1I, m1I), (p1II, m1II), (p2I, m2I), (p2II, m2II) = parts
+    dec = Decomposition(p1I, m1I, p1II, m1II, p2I, m2I, p2II, m2II)
+
+    pieces = [dec.n1_plus_I, dec.n1_minus_I, dec.n1_plus_II, dec.n1_minus_II]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert math.gcd(pieces[i], pieces[j]) == 1
+    assert dec.n1_plus_I == dec.n2_plus_I
+    assert dec.n1_minus_I == dec.n2_minus_I
+    assert dec.n1_plus_II == dec.n2_minus_II
+    assert dec.n1_minus_II == dec.n2_plus_II
+    assert setup.conductor == dec.n1_plus * dec.n1_minus == dec.n2_plus * dec.n2_minus
+    assert setup.n_minus == dec.n1_minus_II * dec.n2_minus_II
+    return dec

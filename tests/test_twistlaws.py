@@ -1,8 +1,13 @@
 """The twist-identity layer: setup validation, conductor decomposition,
-period scales, the even-two-power quantities and the local identities."""
+period scales, the even-two-power quantities and the local identities.
+
+The sign-table setups, validate_setup included, are held to the
+clause-by-clause reference in oracles.py, and the pair bookkeeping to its
+eight-piece decomposition."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import chain
 
@@ -27,7 +32,6 @@ from quadtwist.twistlaws import (
     _exponent,
     _verdict,
     check_two_adic_case,
-    decompose,
     equal_mod_squares,
     find_auxiliary_discriminant,
     tamagawa_transfer_check,
@@ -46,10 +50,12 @@ from quadtwist.twistlaws import (
 )
 
 from oracles import (
+    decompose,
     fraction_quantity,
     fraction_two_power,
     hostile_semiprime,
     random_reduced_curves,
+    reference_setup,
     square_class,
 )
 
@@ -155,7 +161,7 @@ def test_pair_canonical_membership():
 
 def validated_setups(E, singles, pairs):
     """What the setup generators must yield, by the reference: every
-    single, and every pair D1 < D2, put through validate_setup.  Also the
+    single, and every pair D1 < D2, put through reference_setup.  Also the
     rejections the sign table decides on other grounds than a 0 sign:
     singles coprime to the N of a minimal E (a -1 at an additive prime),
     and pairs of admissible singles that share a prime."""
@@ -164,7 +170,7 @@ def validated_setups(E, singles, pairs):
     ok_singles, additive, non_coprime = [], [], []
     for f in singles:
         try:
-            ok_singles.append((f.value, validate_setup(E, f)))
+            ok_singles.append((f.value, reference_setup(E, f)))
         except SetupError:
             if minimal and math.gcd(f.value, N) == 1:
                 additive.append(f.value)
@@ -173,7 +179,7 @@ def validated_setups(E, singles, pairs):
     for i, f1 in enumerate(pairs):
         for f2 in pairs[i + 1 :]:
             try:
-                ok_pairs.append(((f1.value, f2.value), validate_setup(E, f1, f2)))
+                ok_pairs.append(((f1.value, f2.value), reference_setup(E, f1, f2)))
             except SetupError as exc:
                 if {f1.value, f2.value} <= admissible:
                     assert exc.reasons == ["discriminant pair is not coprime"]
@@ -183,7 +189,7 @@ def validated_setups(E, singles, pairs):
 
 def test_sign_table_setups_match_validate_setup():
     # the generators build setups from each discriminant's sign vector at
-    # the primes of N; validate_setup, clause by clause, must give the
+    # the primes of N; the reference, clause by clause, must give the
     # same (key, setup) lists, whole TwistSetup included
     fds = list(fundamental_discriminants(500))
     to100 = [f for f in fds if f.value <= 100]
@@ -211,6 +217,43 @@ def test_sign_table_setups_match_validate_setup():
         assert any(
             kronecker(d, p) == -1 and loc.conductor_exponent > 1 for p, loc in local_data.items()
         )
+
+
+def _setup_or_none(validator, *args, **kwargs):
+    try:
+        return validator(*args, **kwargs)
+    except SetupError:
+        return None
+
+
+def test_validate_setup_matches_reference_on_stated_splits():
+    # every corpus curve, D <= 100, single and pair, with no stated split,
+    # each unitary split of N, a split that is not coprime and one whose
+    # product is not N: validate_setup accepts exactly when the reference
+    # does, with the same setup
+    fds = list(fundamental_discriminants(100))
+    keys = [(f,) for f in fds]
+    keys += [(f1, f2) for i, f1 in enumerate(fds) for f2 in fds[i + 1 :]]
+    accepted = stated = 0
+    for rec in corpus():
+        E = minimal_model(rec.curve).minimal
+        N, local_data = reduction_profile(E)
+        parts = [p**loc.conductor_exponent for p, loc in local_data.items()]
+        splits = [(None, None)]
+        for mask in range(1 << len(parts)):
+            n_plus = math.prod(q for i, q in enumerate(parts) if mask >> i & 1)
+            splits.append((n_plus, N // n_plus))
+        p = max(local_data)
+        splits.append((p, N // p) if N % (p * p) == 0 else (p, N))  # not coprime
+        splits.append((1, 2 * N))  # product 2N
+        for key in keys:
+            for n_plus, n_minus in splits:
+                want = _setup_or_none(reference_setup, E, *key, n_plus=n_plus, n_minus=n_minus)
+                got = _setup_or_none(validate_setup, E, *key, n_plus=n_plus, n_minus=n_minus)
+                assert got == want, (rec.label, key, n_plus, n_minus)
+                accepted += want is not None
+                stated += want is not None and n_plus is not None
+    assert accepted == 2 * stated == 10990  # each accepted key, stated canonically once
 
 
 def test_setup_prime_sets_match_factorize():
@@ -315,6 +358,20 @@ def test_u_of_discriminant_precondition():
         u_of_discriminant(e14, 8)
 
 
+def test_u_of_discriminant_reads_minimal_model(monkeypatch):
+    # c6 and the discriminant of E are held by its minimal_model entry:
+    # once that is warm, u_D computes no invariants
+    minimal_model(E11A1)
+
+    def no_invariants(E):
+        raise AssertionError(f"invariants({tuple(E)}) called")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quadtwist") and hasattr(module, "invariants"):
+            monkeypatch.setattr(module, "invariants", no_invariants)
+    assert u_of_discriminant(E11A1, 8) == 2
+
+
 # ---------------------------------------------------------------------------
 # the quantities
 
@@ -378,6 +435,23 @@ def test_pair_quantity_concrete_pair():
     assert book["omega_parity"] and book["c_tilde_product"]
 
 
+def test_decomposition_identities_catch_a_moved_prime():
+    # 14a1, (17, 5): n_plus = 7, n_minus = 2; chi_1 = -1 at 7, chi_2 = -1
+    # at 2 and 7
+    s = validate_setup(E14A1, 17, 5)
+    assert (s.plus_primes, s.minus_primes) == ((7,), (2,))
+
+    def identities(setup):
+        return pair_twist_quantity(setup).components["bookkeeping"]["decomposition_identities"]
+
+    assert identities(s)
+    assert not identities(s._replace(plus_primes=(), minus_primes=(2, 7)))
+    assert not identities(s._replace(plus_primes=(2, 7), minus_primes=()))
+    # a character -1 at a prime that does not divide N exactly
+    loc7 = s.local_data[7]._replace(conductor_exponent=2)
+    assert not identities(s._replace(local_data={**s.local_data, 7: loc7}))
+
+
 def test_pair_decomposition_yields_valid_single_setups():
     """Each discriminant of an admissible pair satisfies the split/inert
     hypothesis for its own piece (n_i_plus, n_i_minus) of the conductor,
@@ -428,10 +502,12 @@ def test_quantities_match_fraction_ledger():
             dec = decompose(s)
             ratio = Fraction(1)
             for n, sign in ((dec.n1_minus, 1), (dec.n2_minus, 1), (s.n_minus, -1)):
-                for p in s.primes_dividing(n):
-                    ratio *= Fraction(c_tilde(E, p)) ** sign
+                for p in s.local_data:
+                    if n % p == 0:
+                        ratio *= Fraction(c_tilde(E, p)) ** sign
             k = fraction_two_power(ratio)
             assert c["bookkeeping"]["c_tilde_product"] == (k is not None and k % 2 == 0)
+            assert c["bookkeeping"]["decomposition_identities"]
             pairs += 1
     assert singles > 2500 and pairs > 4500  # the acceptance sweep: 2,594 and 4,978
 
