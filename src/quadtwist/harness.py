@@ -273,7 +273,6 @@ def run_pair_instance(label: str, setup: TwistSetup, mode: str) -> dict:
         book = v.components["bookkeeping"]
         checks["omega_parity"] = book["omega_parity"]
         checks["c_tilde_product"] = book["c_tilde_product"]
-        checks["decomposition_identities"] = book["decomposition_identities"]
     if mode in ("lemmas", "all"):
         transfer_ok = True
         for q in setup.minus_primes:

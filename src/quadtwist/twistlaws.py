@@ -1,9 +1,9 @@
 """The twist-identity layer: setups built from character sign vectors,
 which decide admissibility (validate_setup checks user input on top of
 them), the period scale u_D, the even-two-power quantities with the
-pair's conductor-decomposition bookkeeping reported as checks, the local
-product identities, the closed-form symbol evaluation, the Tamagawa-at-2
-case cross-checks, and the auxiliary-discriminant search.
+pair's proof bookkeeping, the local product identities, the closed-form
+symbol evaluation, the Tamagawa-at-2 case cross-checks, and the
+auxiliary-discriminant search.
 
 Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
 is accumulated and judged on ints (its 2-adic exponent by a bit test),
@@ -361,10 +361,10 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     on the side (each verdict in components['bookkeeping']).
 
     With m_i the primes of N where chi_i = -1: omega(m_1) + omega(m_2) =
-    omega(n_minus) mod 2; the c~ product over m_1 and m_2 equals the one
-    over n_minus up to an even power of two; and the conductor
-    decomposition's identities hold: n_minus is m_1 symmetric-difference
-    m_2, and every prime of m_1 and m_2 divides N exactly.
+    omega(n_minus) mod 2, and the c~ product over m_1 and m_2 equals the
+    one over n_minus up to an even power of two.  The conductor pieces'
+    own identities (n_minus is m_1 symmetric-difference m_2, each prime
+    of m_1 and m_2 divides N exactly) hold by construction of the setup.
     """
     if not setup.is_pair:
         raise ValueError("pair setup required")
@@ -384,9 +384,6 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
     parity_ok = (len(m1) + len(m2) - w) % 2 == 0
     k = _exponent(math.prod(c_tilde(E, p) for p in m1 + m2), math.prod(c_t.values()))
     product_ok = k is not None and k % 2 == 0
-    pieces_ok = set(m1) ^ set(m2) == set(setup.minus_primes) and all(
-        setup.local_data[p].conductor_exponent == 1 for p in {*m1, *m2}
-    )
 
     return _verdict(
         num,
@@ -398,11 +395,7 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
             "twist_tamagawa_1": c1,
             "twist_tamagawa_2": c2,
             "c_tilde": c_t,
-            "bookkeeping": {
-                "omega_parity": parity_ok,
-                "c_tilde_product": product_ok,
-                "decomposition_identities": pieces_ok,
-            },
+            "bookkeeping": {"omega_parity": parity_ok, "c_tilde_product": product_ok},
             "D1": D1.value,
             "D2": D2.value,
         },
