@@ -1,17 +1,20 @@
 """Exact integer arithmetic primitives.
 
-Factorization, p-adic valuations, Kronecker symbols and fundamental
-discriminants.  Everything is arbitrary precision and deterministic;
-there is no floating point and no randomness anywhere in this module.
+Factorization (whose rho stage has a fixed budget, so it never hangs),
+p-adic valuations, Kronecker symbols and fundamental discriminants.
+Everything is arbitrary precision and deterministic; there is no
+floating point and no randomness anywhere in this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 _TRIAL_BOUND = 10**6
+_RHO_BUDGET = 1 << 18  # rho squarings per factorize call, all cofactors
 
 # Largest discriminant accepted.  Below it trial division alone decides
 # squarefreeness, so parsing a discriminant never reaches rho.
@@ -118,14 +121,21 @@ def is_prime(n: int) -> bool:
     return _lucas_strong(n)
 
 
-def _brent_rho(n: int) -> int:
-    # Deterministic Brent cycle-finding; n odd composite > 1.
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
+class FactorizationError(ValueError):
+    """factorize spent its rho budget without splitting a cofactor: the
+    number has no prime factor small enough for rho to find in time."""
+
+
+def _brent_rho(n: int, budget: int) -> tuple[int, int]:
+    # Deterministic Brent cycle-finding on an odd composite n > 1, within
+    # `budget` squarings: a proper factor of n and the squarings left.
+    for c in itertools.count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            budget -= 2 * r  # r squarings ahead, then at most r in blocks
+            if budget < 0:
+                raise FactorizationError(f"cannot factor {n} within {_RHO_BUDGET} rho squarings")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -144,13 +154,14 @@ def _brent_rho(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")
+            return g, budget
 
 
 def factorize(n: int) -> Factorization:
     """Factor a nonzero integer; trial division then Brent rho with
-    primality certificates on every reported prime."""
+    primality certificates on every reported prime.  Rho has _RHO_BUDGET
+    squarings in all, enough for prime factors up to about 10**10; past
+    them it raises FactorizationError."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -170,13 +181,13 @@ def factorize(n: int) -> Factorization:
         if d * d > m:
             factors[m] = factors.get(m, 0) + 1
         else:
-            stack = [m]
+            stack, budget = [m], _RHO_BUDGET
             while stack:
                 k = stack.pop()
                 if is_prime(k):
                     factors[k] = factors.get(k, 0) + 1
                     continue
-                g = _brent_rho(k)
+                g, budget = _brent_rho(k, budget)
                 stack.extend((g, k // g))
     items = tuple(sorted(factors.items()))
     assert all(is_prime(p) for p, _ in items)

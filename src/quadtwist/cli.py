@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure(s), 2 usage or input error
-(arguments, corpus, --out path), 3 internal error (an unexpected
-exception, reported on stderr). An exception inside the sweep reaches
-main as a harness.SweepError, so even a ValueError there exits 3.
+(arguments, corpus, --out path, a curve whose discriminant factorize
+gives up on), 3 internal error (an unexpected exception, reported on
+stderr). An exception inside the sweep reaches main as a
+harness.SweepError, so even a ValueError there exits 3. `find-aux` takes
+D alone (d1, or a pair d1, d2): D fixes the split (n_plus, n_minus).
 
 `verify` checks pairs of discriminants only up to min(--dmax, 100); the
 report records that cap as "pair_dmax". It prints one progress line per
@@ -20,7 +22,7 @@ import json
 import os
 import sys
 
-from .arith import fundamental_discriminant, is_prime
+from .arith import fundamental_discriminant
 from .profile_scan import scan_profiles
 from .curves import minimal_model, model, quadratic_twist
 from .harness import SweepReport, default_corpus_path, ingest_corpus, write_report
@@ -87,16 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, default=None)
     p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--nplus", type=int, default=None)
-    p.add_argument("--nminus", type=int, default=None)
     p.add_argument("--bound", type=int, default=10**6)
     return top
 
 
 def _cmd_tate(args) -> int:
-    if not is_prime(args.prime):
-        print(f"error: {args.prime} is not prime", file=sys.stderr)
-        return USAGE_ERROR
     loc = tate_local(args.curve, args.prime)
     line = f"{loc.kodaira} c={loc.tamagawa} v={loc.disc_valuation}"
     if loc.split is not None:
@@ -167,13 +164,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_find_aux(args) -> int:
-    setup = validate_setup(
-        minimal_model(args.curve).minimal,
-        args.d1,
-        args.d2,
-        n_plus=args.nplus,
-        n_minus=args.nminus,
-    )
+    setup = validate_setup(minimal_model(args.curve).minimal, args.d1, args.d2)
     f = find_auxiliary_discriminant(setup, args.prime, bound=args.bound)
     print(f.value)
     return 0

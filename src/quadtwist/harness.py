@@ -34,8 +34,8 @@ from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .arith import FundamentalDiscriminant, fundamental_discriminants, kronecker
-from .curves import SingularModelError, WeierstrassModel, invariants, minimal_model, model
+from .arith import FactorizationError, FundamentalDiscriminant, fundamental_discriminants, kronecker
+from .curves import SingularModelError, WeierstrassModel, minimal_model, model
 from .localred import LocalReduction, reduction_profile, tate_local, twist_prime_tamagawa_odd
 from .twistlaws import (
     TwistSetup,
@@ -91,9 +91,10 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
     """Parse and validate a curve corpus CSV.
 
     Line format: label,a1,a2,a3,a4,a6[,conductor[,analytic_rank]].
-    Comment lines start with '#'.  Every record is checked nonsingular,
-    duplicate labels are rejected, and a stated conductor must match the
-    recomputed one exactly.
+    Comment lines start with '#'.  Every record is checked nonsingular
+    and its discriminant factorable (minimal_model, so no line can hang
+    the sweep), duplicate labels are rejected, and a stated conductor must
+    match the recomputed one exactly.
     """
     records: list[CurveRecord] = []
     seen: set[str] = set()
@@ -120,9 +121,9 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
                 raise CorpusError(f"{path}:{lineno}: negative analytic rank")
             E = model(*ai)
             try:
-                invariants(E)
-            except SingularModelError as exc:
-                raise CorpusError(f"{path}:{lineno}: singular curve {ai}: {exc}") from None
+                minimal_model(E)
+            except (SingularModelError, FactorizationError) as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
             if stated_n is not None:
                 N, _ = reduction_profile(E)
                 if N != stated_n:

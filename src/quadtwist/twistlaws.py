@@ -138,23 +138,15 @@ def _as_fund(d) -> FundamentalDiscriminant:
 # setup validation
 
 
-def validate_setup(
-    E: WeierstrassModel,
-    d1,
-    d2=None,
-    n_plus: int | None = None,
-    n_minus: int | None = None,
-    conductor: int | None = None,
-) -> TwistSetup:
+def validate_setup(E: WeierstrassModel, d1, d2=None) -> TwistSetup:
     """Check a twist setup given by a user and return it.
 
     D is d1, or the product of a coprime pair (d1, d2) other than (1, 1),
     and must be coprime to N.  The setup is the canonical one, built from
-    the discriminants' signs at the primes of N (setup_from_signs); a
-    character that is -1 at a prime of N needs that prime to divide N
-    exactly.  Any split the hypothesis accepts is the canonical one, so a
-    stated (n_plus, n_minus) is only checked against the clauses it can
-    break, and it is never factored.  All violations are collected into a
+    the discriminants' signs at the primes of N (setup_from_signs): once
+    gcd(D, N) = 1 every prime of N splits or is inert, so D alone fixes
+    (n_plus, n_minus).  A character that is -1 at a prime of N needs that
+    prime to divide N exactly.  All violations are collected into a
     single SetupError.
     """
     reasons: list[str] = []
@@ -163,9 +155,6 @@ def validate_setup(
         reasons.append("curve model is not globally minimal")
         E = mm.minimal
     N, local_data = reduction_profile(E)
-    if conductor is not None and conductor != N:
-        reasons.append(f"stated conductor {conductor} != computed {N}")
-
     discs = []
     for d in (d1, d2) if d2 is not None else (d1,):
         try:
@@ -187,28 +176,6 @@ def validate_setup(
 
     sign_vectors = tuple(tuple(kronecker(f.value, p) for p in local_data) for f in discs)
     setup = setup_from_signs(E, N, local_data, tuple(discs), sign_vectors)
-    if n_plus is not None and n_minus is not None:
-        # once the product is N, the primes of N dividing each part are
-        # all of its primes
-        plus = [p for p in local_data if n_plus % p == 0]
-        minus = [p for p in local_data if n_minus % p == 0]
-        if n_plus < 1 or n_minus < 1:
-            reasons.append("n_plus and n_minus must be positive")
-        if n_plus * n_minus != N:
-            reasons.append(f"n_plus * n_minus = {n_plus * n_minus} != N = {N}")
-        if math.gcd(n_plus, n_minus) != 1:
-            reasons.append("n_plus and n_minus are not coprime")
-        if any(n_minus % (q * q) == 0 for q in minus):
-            reasons.append(f"n_minus = {n_minus} is not squarefree")
-        for q in minus:
-            if not local_data[q].kind.startswith("multiplicative"):
-                reasons.append(f"prime {q} of n_minus is not multiplicative")
-        for l in plus:
-            if (s := math.prod(setup.signs[l])) != 1:
-                reasons.append(f"prime {l} | n_plus does not split (kronecker {s})")
-        for q in minus:
-            if (s := math.prod(setup.signs[q])) != -1:
-                reasons.append(f"prime {q} | n_minus is not inert (kronecker {s})")
     for l, loc in local_data.items():
         if -1 in setup.signs[l] and loc.conductor_exponent != 1:
             reasons.append(

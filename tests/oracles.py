@@ -252,21 +252,15 @@ COMPONENTS = {
 def forced_additive_type(v: int, f: int) -> tuple[str, int | None] | None:
     """Kodaira type (and Tamagawa number when it is forced) of an additive
     fiber with disc valuation v and conductor exponent f, whenever the
-    component count m = v + 1 - f determines it uniquely."""
+    component count m = v + 1 - f determines it uniquely: II, III, IV have
+    1-3 components and I_n* has n + 5, but IV*, III* and II* (7, 8, 9)
+    share their counts with I2*, I3* and I4*."""
     m = v + 1 - f
-    if m == 1:
-        return "II", 1
-    if m == 2:
-        return "III", 2
-    if m == 3:
-        return "IV", None
-    if m == 5:
-        return "I0*", None
-    if m == 8:
-        return "III*", 2
-    if m == 9:
-        return "II*", 1
-    return None  # IV*(7) collides with I2*(7); I_m* handled separately
+    if m in (7, 8, 9):
+        return None
+    if m >= 5:
+        return f"I{m - 5}*", None
+    return {1: ("II", 1), 2: ("III", 2), 3: ("IV", None)}.get(m)
 
 
 def golden_local_data(label: str, ai, conductor: int):

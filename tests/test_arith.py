@@ -9,6 +9,7 @@ import sympy
 from quadtwist.arith import (
     DISCRIMINANT_BOUND,
     Factorization,
+    FactorizationError,
     factorize,
     fundamental_discriminant,
     fundamental_discriminants,
@@ -18,7 +19,12 @@ from quadtwist.arith import (
     valuation,
 )
 
-from oracles import HOSTILE_DISCRIMINANT, fundamental_discriminant_fields, is_square_mod
+from oracles import (
+    HOSTILE_DISCRIMINANT,
+    fundamental_discriminant_fields,
+    hostile_semiprime,
+    is_square_mod,
+)
 
 
 def test_factorize_unit():
@@ -56,6 +62,13 @@ def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     f = factorize(p * q)
     assert f.factors == ((p, 1), (q, 1))
+
+
+def test_factorize_budget_raises_typed_error(one_second_deadline):
+    # two ~60-bit primes: beyond rho's budget, so a typed error, not a hang
+    with pytest.raises(FactorizationError, match="cannot factor"):
+        factorize(hostile_semiprime())
+    assert issubclass(FactorizationError, ValueError)
 
 
 def test_is_prime_known_values():

@@ -60,6 +60,14 @@ def test_ingest_rejects_singular(tmp_path):
     assert "singular" in str(exc.value) and ":1" in str(exc.value)
 
 
+def test_ingest_rejects_unfactorable_discriminant(tmp_path, one_second_deadline):
+    # the line is named at ingest, not left to hang the sweep
+    path = write(tmp_path, f"11a1,0,-1,1,-10,-20\nhostile,0,0,0,0,{hostile_semiprime()}\n")
+    with pytest.raises(CorpusError) as exc:
+        ingest_corpus(path)
+    assert str(exc.value).startswith(f"{path}:2: cannot factor ")
+
+
 def test_ingest_rejects_conductor_mismatch(tmp_path):
     with pytest.raises(CorpusError) as exc:
         ingest_corpus(write(tmp_path, "11a1,0,-1,1,-10,-20,37\n"))
@@ -278,7 +286,9 @@ def test_cli_tate_line(capsys):
 
 def test_cli_usage_errors(capsys):
     assert main(["tate", "--curve", "0,-1,1,-10", "--prime", "11"]) == 2
+    capsys.readouterr()
     assert main(["tate", "--curve", "0,-1,1,-10,-20", "--prime", "12"]) == 2
+    assert capsys.readouterr().err == "error: 12 is not prime\n"
     assert main(["no-such-command"]) == 2
     assert main(["verify", "--corpus", "/no/such/file.csv"]) == 2
 
@@ -307,12 +317,12 @@ def test_cli_error_inside_sweep_is_internal(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_ingest_internal_error_exit_code(tmp_path, monkeypatch, capsys):
-    # only a singular model is a corpus (usage) error; anything else that
-    # goes wrong while ingesting is internal
+    # only a singular or unfactorable model is a corpus (usage) error;
+    # anything else that goes wrong while ingesting is internal
     def crash(*args, **kwargs):
-        raise RuntimeError("simulated invariants failure")
+        raise RuntimeError("simulated minimal_model failure")
 
-    monkeypatch.setattr("quadtwist.harness.invariants", crash)
+    monkeypatch.setattr("quadtwist.harness.minimal_model", crash)
     corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
     assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 3
     assert "internal error: RuntimeError" in capsys.readouterr().err
@@ -381,20 +391,17 @@ def test_cli_verify_failed_sweep_keeps_previous_report(tmp_path, monkeypatch, ca
 
 
 def test_cli_verify_under_python_optimize(tmp_path):
-    # python -O strips asserts; the report must not depend on them
-    corpus = write(
-        tmp_path,
-        "11a1,0,-1,1,-10,-20,11,0\n14a1,1,0,1,4,-6,14,0\n15a1,1,1,1,-10,-10,15,0\n",
-    )
+    # python -O strips asserts; the acceptance report must not depend on them
+    corpus = default_corpus_path()
     out = tmp_path / "report.json"
     src = os.path.dirname(os.path.dirname(quadtwist.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     subprocess.run(
         [sys.executable, "-O", "-m", "quadtwist.cli", "verify", "--corpus", corpus,
-         "--dmax", "60", "--out", str(out)],
+         "--dmax", "500", "--out", str(out)],
         env={**os.environ, "PYTHONPATH": path}, check=True, capture_output=True, timeout=120,
     )
-    collected = run_sweep(ingest_corpus(corpus), 60, "all", corpus_name=corpus)
+    collected = run_sweep(ingest_corpus(corpus), 500, "all", corpus_name=corpus)
     assert strip_timing(json.loads(out.read_text(encoding="utf-8"))) == strip_timing(collected)
 
 
@@ -469,12 +476,11 @@ def test_cli_find_aux(capsys):
 
 
 def test_cli_find_aux_hostile_n_minus(one_second_deadline, capsys):
-    rc = main(
-        ["find-aux", "--curve", "0,-1,1,-10,-20", "--d1", "13", "--prime", "11",
-         "--nplus", "1", "--nminus", str(hostile_semiprime())]
-    )
-    assert rc == 2
-    assert "!= N = 11" in capsys.readouterr().err
+    # D fixes the split, so a stated one is not an option at all
+    args = ["find-aux", "--curve", "0,-1,1,-10,-20", "--d1", "13", "--prime", "11"]
+    for option in ("--nminus", "--nplus"):
+        assert main([*args, option, str(hostile_semiprime())]) == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_cli_find_aux_hostile_d1(one_second_deadline, capsys):
@@ -491,3 +497,15 @@ def test_cli_u_of_d_hostile_d(one_second_deadline, capsys):
     rc = main(["u-of-d", "--curve", "0,-1,1,-10,-20", "--d", str(HOSTILE_DISCRIMINANT)])
     assert rc == 2
     assert "exceeds the discriminant bound" in capsys.readouterr().err
+
+
+def test_cli_verify_hostile_corpus_line(tmp_path, one_second_deadline, capsys):
+    # a stated conductor is checked after the model: the same error
+    corpus = write(tmp_path, f"hostile,0,0,0,0,{hostile_semiprime()},11\n")
+    assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 2
+    assert f"error: {corpus}:1: cannot factor " in capsys.readouterr().err
+
+
+def test_cli_minimal_hostile_curve(one_second_deadline, capsys):
+    assert main(["minimal", "--curve", f"0,0,0,0,{hostile_semiprime()}"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot factor ")

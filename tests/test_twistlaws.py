@@ -53,7 +53,6 @@ from oracles import (
     decompose,
     fraction_quantity,
     fraction_two_power,
-    hostile_semiprime,
     random_reduced_curves,
     reference_setup,
     square_class,
@@ -72,13 +71,10 @@ def corpus():
 
 
 def test_validate_setup_examples():
-    s = validate_setup(E14A1, 17, n_plus=2, n_minus=7)
+    s = validate_setup(E14A1, 17)
     assert (s.n_plus, s.n_minus) == (2, 7)
-    s = validate_setup(E11A1, 13, n_plus=1, n_minus=11)
+    s = validate_setup(E11A1, 13)
     assert (s.n_plus, s.n_minus) == (1, 11)
-    with pytest.raises(SetupError) as exc:
-        validate_setup(E11A1, 14, n_plus=1, n_minus=11)
-    assert "fundamental" in str(exc.value)
 
 
 def test_validate_setup_canonical_factorization():
@@ -90,35 +86,18 @@ def test_validate_setup_canonical_factorization():
 
 def test_validate_setup_distinct_reasons():
     with pytest.raises(SetupError) as exc:
-        validate_setup(E11A1, 13, n_plus=11, n_minus=11)
-    msg = str(exc.value)
-    assert "coprime" in msg and "11" in msg
-    # inert prime with square division: conductor 49 curve, any inert D
+        validate_setup(E11A1, 14)
+    assert "fundamental" in str(exc.value)
+    # a -1 at a prime of N with square division: conductor 49, any inert D
     e49 = model(1, -1, 0, -2, -1)
     with pytest.raises(SetupError) as exc:
-        validate_setup(e49, 5, n_plus=1, n_minus=49)
-    assert "squarefree" in str(exc.value)
-    # additive prime cannot be inert even when it exactly appears
-    with pytest.raises(SetupError) as exc:
-        validate_setup(e49, 5, n_plus=7, n_minus=7)
-    assert "prime 7 of n_minus is not multiplicative" in str(exc.value)
-    # split/inert mismatches reported per prime
-    with pytest.raises(SetupError) as exc:
-        validate_setup(E11A1, 5, n_plus=1, n_minus=11)
-    assert "inert" in str(exc.value)
-    with pytest.raises(SetupError) as exc:
-        validate_setup(E11A1, 13, n_plus=11, n_minus=1)
-    assert "split" in str(exc.value)
+        validate_setup(e49, 5)
+    assert exc.value.reasons == [
+        "character -1 at prime 7 requires 7 || N (multiplicative reduction)"
+    ]
     with pytest.raises(SetupError) as exc:
         validate_setup(E11A1, 33)  # gcd(D, N) = 11
-    assert "gcd" in str(exc.value)
-
-
-def test_validate_setup_hostile_n_minus_fails_fast(one_second_deadline):
-    # n_minus is rejected by the product clause; it is never factored
-    with pytest.raises(SetupError) as exc:
-        validate_setup(E11A1, 13, n_plus=1, n_minus=hostile_semiprime())
-    assert "!= N = 11" in str(exc.value)
+    assert exc.value.reasons == ["gcd(D, N) = 11 != 1"]
 
 
 def test_validate_setup_pair_condition_star():
@@ -227,10 +206,11 @@ def _setup_or_none(validator, *args, **kwargs):
 
 
 def test_validate_setup_matches_reference_on_stated_splits():
-    # every corpus curve, D <= 100, single and pair, with no stated split,
-    # each unitary split of N, a split that is not coprime and one whose
-    # product is not N: validate_setup accepts exactly when the reference
-    # does, with the same setup
+    # D alone fixes the split.  Every corpus curve, D <= 100, single and
+    # pair: validate_setup derives the setup the reference builds with no
+    # stated split, and of each unitary split of N, a split that is not
+    # coprime and one whose product is not N, the reference accepts
+    # exactly the derived split, with the same setup
     fds = list(fundamental_discriminants(100))
     keys = [(f,) for f in fds]
     keys += [(f1, f2) for i, f1 in enumerate(fds) for f2 in fds[i + 1 :]]
@@ -239,7 +219,7 @@ def test_validate_setup_matches_reference_on_stated_splits():
         E = minimal_model(rec.curve).minimal
         N, local_data = reduction_profile(E)
         parts = [p**loc.conductor_exponent for p, loc in local_data.items()]
-        splits = [(None, None)]
+        splits = []
         for mask in range(1 << len(parts)):
             n_plus = math.prod(q for i, q in enumerate(parts) if mask >> i & 1)
             splits.append((n_plus, N // n_plus))
@@ -247,12 +227,16 @@ def test_validate_setup_matches_reference_on_stated_splits():
         splits.append((p, N // p) if N % (p * p) == 0 else (p, N))  # not coprime
         splits.append((1, 2 * N))  # product 2N
         for key in keys:
-            for n_plus, n_minus in splits:
+            derived = _setup_or_none(validate_setup, E, *key)
+            assert derived == _setup_or_none(reference_setup, E, *key), (rec.label, key)
+            accepted += derived is not None
+            for split in splits:
+                n_plus, n_minus = split
                 want = _setup_or_none(reference_setup, E, *key, n_plus=n_plus, n_minus=n_minus)
-                got = _setup_or_none(validate_setup, E, *key, n_plus=n_plus, n_minus=n_minus)
-                assert got == want, (rec.label, key, n_plus, n_minus)
+                is_derived = derived is not None and split == (derived.n_plus, derived.n_minus)
+                assert want == (derived if is_derived else None), (rec.label, key, split)
                 accepted += want is not None
-                stated += want is not None and n_plus is not None
+                stated += want is not None
     assert accepted == 2 * stated == 10990  # each accepted key, stated canonically once
 
 
@@ -390,7 +374,9 @@ def test_twist_quantity_trivial_and_empty_products():
     for f in fundamental_discriminants(60):
         if kronecker(f.value, 37) != 1:
             continue
-        v = twist_quantity(validate_setup(e37, f, n_plus=37, n_minus=1))
+        s = validate_setup(e37, f)
+        assert (s.n_plus, s.n_minus) == (37, 1)
+        v = twist_quantity(s)
         assert v.is_power_of_two and v.is_even_exponent
         assert v.components["c_tilde"] == {} and v.components["omega_n_minus"] == 0
         found += 1
@@ -448,9 +434,8 @@ def test_pair_decomposition_yields_valid_single_setups():
                 continue
             dec = decompose(s)
             for i, (np_, nm_) in ((1, (dec.n1_plus, dec.n1_minus)), (2, (dec.n2_plus, dec.n2_minus))):
-                sub = validate_setup(
-                    s.curve, s.discriminants[i - 1], n_plus=np_, n_minus=nm_
-                )
+                sub = validate_setup(s.curve, s.discriminants[i - 1])
+                assert (sub.n_plus, sub.n_minus) == (np_, nm_), (rec.label, pair, i)
                 v = twist_quantity(sub)
                 assert v.is_power_of_two and v.is_even_exponent, (rec.label, pair, i)
             checked += 1
