@@ -36,8 +36,12 @@ from .localred import (
 from .profile_scan import ProfileScanResult, scan_profiles
 from .twistlaws import (
     SetupError,
+    TwistPair,
+    TwistRow,
     TwistSetup,
+    join_rows,
     pair_twist_quantity,
+    setup_rows,
     symbol_closed_form,
     tamagawa_symbol_check,
     tamagawa_transfer_check,
@@ -55,6 +59,8 @@ __all__ = [
     "ProfileScanResult",
     "SetupError",
     "SingularModelError",
+    "TwistPair",
+    "TwistRow",
     "TwistSetup",
     "WeierstrassModel",
     "c_tilde",
@@ -65,12 +71,14 @@ __all__ = [
     "inert_base_change_tamagawa",
     "invariants",
     "is_fundamental_discriminant",
+    "join_rows",
     "kronecker",
     "minimal_model",
     "model",
     "pair_twist_quantity",
     "quadratic_twist",
     "scan_profiles",
+    "setup_rows",
     "symbol_closed_form",
     "tamagawa_symbol_check",
     "tamagawa_transfer_check",

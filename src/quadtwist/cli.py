@@ -7,8 +7,9 @@ stderr). An exception inside the sweep reaches main as a
 harness.SweepError, so even a ValueError there exits 3. `find-aux` takes
 D alone (d1, or a pair d1, d2): D fixes the split (n_plus, n_minus).
 
-`verify` checks pairs of discriminants only up to min(--dmax, 100); the
-report records that cap as "pair_dmax". It prints one progress line per
+`verify` checks pairs of discriminants up to min(--dmax, --pair-dmax),
+where --pair-dmax defaults to 100 and must be at least 1; the report
+records that cap as "pair_dmax". It prints one progress line per
 curve on stderr and the summary and any FAIL lines on stdout. With
 --out it streams the JSON report, one instance per line, to a temporary
 file beside PATH and renames it onto PATH when the report is complete;
@@ -25,7 +26,7 @@ import sys
 from .arith import fundamental_discriminant
 from .profile_scan import scan_profiles
 from .curves import minimal_model, model, quadratic_twist
-from .harness import SweepReport, default_corpus_path, ingest_corpus, write_report
+from .harness import PAIR_DMAX, SweepReport, default_corpus_path, ingest_corpus, write_report
 from .localred import tate_local
 from .twistlaws import (
     find_auxiliary_discriminant,
@@ -53,6 +54,16 @@ def _curve_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="quadtwist", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -78,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the batch verification sweep")
     p.add_argument("--corpus", default=None, metavar="PATH")
     p.add_argument("--dmax", type=int, default=500)
+    p.add_argument("--pair-dmax", type=_positive_int, default=PAIR_DMAX, metavar="N")
     p.add_argument("--mode", choices=("thm13", "thm31", "lemmas", "all"), default="all")
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--jobs", type=int, default=1)
@@ -128,7 +140,14 @@ def _cmd_u_of_d(args) -> int:
 def _cmd_verify(args) -> int:
     path = args.corpus or default_corpus_path()
     corpus = ingest_corpus(path)
-    sweep = SweepReport(corpus, args.dmax, args.mode, jobs=max(1, args.jobs), corpus_name=path)
+    sweep = SweepReport(
+        corpus,
+        args.dmax,
+        args.mode,
+        jobs=max(1, args.jobs),
+        corpus_name=path,
+        pair_dmax=args.pair_dmax,
+    )
     if args.out:
         # stream into a sibling file and rename it over --out only once
         # the report is whole, so a failed sweep keeps the previous report

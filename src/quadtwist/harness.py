@@ -9,11 +9,15 @@ each record to a file as it arrives, one instance per line, so the
 report's memory does not grow with the instance count; ``run_sweep``
 collects the same records into one dict.
 
-Each curve's facts are computed once per curve, not per instance: its
-conductor and local data, and each discriminant's character signs at
-the primes of N (the sign table), from which every admissible single
-and pair setup is built (validate_setup builds the same setups for user
-input; the tests hold both to a clause-by-clause reference). An
+Each twist's facts are computed once, not per instance. Per curve the
+sweep takes its CurveFacts (conductor, local data, minimal discriminant,
+c~ and the inert base change) and each discriminant's character signs
+at the primes of N (the sign table), and builds one TwistRow per
+admissible discriminant: the twist is minimized once and Tate's
+algorithm runs once per prime on it. Instances are a join of rows: a
+single reads its own row, and a coprime pair D1 < D2 up to the pair cap
+reads two. The tests hold the records to a per-instance reference that
+reads each twist's Tate data afresh from a validated setup. An
 exception inside a curve's sweep is raised as a SweepError naming the
 curve. With jobs > 1 the curves fan out over at most one worker process
 per curve.
@@ -36,27 +40,27 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .arith import FactorizationError, FundamentalDiscriminant, fundamental_discriminants, kronecker
 from .curves import SingularModelError, WeierstrassModel, minimal_model, model
-from .localred import LocalReduction, reduction_profile, tate_local, twist_prime_tamagawa_odd
+from .localred import reduction_profile, twist_prime_tamagawa_odd
 from .twistlaws import (
-    TwistSetup,
+    TwistPair,
+    TwistRow,
     admissible_signs,
     check_two_adic_case,
+    curve_facts,
+    inert_valuation_sum,
+    join_rows,
+    pair_twist_quantity,
+    symbol_closed_form,
+    tamagawa_symbol_check,
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
-    measured_u,
-    symbol_closed_form,
-    inert_valuation_sum,
-    tamagawa_symbol_check,
     twist_quantity,
-    pair_twist_quantity,
-    setup_from_signs,
-    twist_minimal,
-    u_of_discriminant,
+    twist_row,
 )
 
 MODES = ("thm13", "thm31", "lemmas", "all")
-# Pair instances stop at this discriminant whatever d_max is: their count
-# grows quadratically and the identities they exercise are
+# The default cap on pair discriminants, whatever d_max is: the pair
+# count grows quadratically and the identities pairs exercise are
 # discriminant-local.
 PAIR_DMAX = 100
 
@@ -136,52 +140,39 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
 
 
 # ---------------------------------------------------------------------------
-# instance enumeration
+# twist rows and their join
 
 
-def _sign_table(
-    E: WeierstrassModel, discriminants: Iterable[FundamentalDiscriminant]
-) -> tuple[int, dict[int, LocalReduction], list]:
-    """E's conductor and local data, and (f, signs) for each parsed
-    discriminant admissible for E's canonical split, in input order (the
-    signs are admissible_signs').  A model that is not globally minimal
-    admits none: the twist hypothesis is stated on the minimal model."""
-    N, local_data = reduction_profile(E)
+def twist_rows(
+    E: WeierstrassModel, discriminants: Iterable[FundamentalDiscriminant], pair_dmax: int
+) -> list[TwistRow]:
+    """E's twist row for each parsed discriminant admissible for its
+    canonical split (admissible_signs, the sign table), in input order.
+    Rows up to pair_dmax carry the twist's local data at the primes of N,
+    which their pairs' transfer identities read.  A model that is not
+    globally minimal admits none: the twist hypothesis is stated on the
+    minimal model."""
     if minimal_model(E).minimal != E:
-        return N, local_data, []
+        return []
+    facts = curve_facts(E)
     rows = []
     for f in discriminants:
-        signs = admissible_signs(local_data, f)
+        signs = admissible_signs(facts.local_data, f)
         if signs is not None:
-            rows.append((f, signs))
-    return N, local_data, rows
+            rows.append(twist_row(facts, f, signs, f.value <= pair_dmax))
+    return rows
 
 
-def valid_single_setups(
-    E: WeierstrassModel, discriminants: Iterable[FundamentalDiscriminant]
-) -> Iterable[tuple[int, TwistSetup]]:
-    """(D, setup) for every D in the parsed discriminants (ascending)
-    admissible for the canonical split/inert factorization of E, each
-    setup built from the sign table, as validate_setup builds it."""
-    N, local_data, rows = _sign_table(E, discriminants)
-    for f, signs in rows:
-        yield f.value, setup_from_signs(E, N, local_data, (f,), (signs,))
-
-
-def valid_pair_setups(
-    E: WeierstrassModel, discriminants: Sequence[FundamentalDiscriminant]
-) -> Iterable[tuple[tuple[int, int], TwistSetup]]:
-    """Unordered coprime admissible pairs (D1 < D2) from the parsed
-    discriminants (strictly ascending, so the pair (1, 1) of two trivial
-    characters never arises).  A coprime pair is admissible exactly when
-    both its discriminants are, so only the admissible singles are
-    joined."""
-    N, local_data, rows = _sign_table(E, discriminants)
-    for i, (f1, s1) in enumerate(rows):
-        for f2, s2 in rows[i + 1 :]:
-            if math.gcd(f1.value, f2.value) != 1:
-                continue
-            yield (f1.value, f2.value), setup_from_signs(E, N, local_data, (f1, f2), (s1, s2))
+def row_pairs(rows: Sequence[TwistRow], pair_dmax: int) -> Iterator[TwistPair]:
+    """The joins of the coprime pairs D1 < D2 <= pair_dmax of one curve's
+    rows (ascending, so the pair (1, 1) of two trivial characters never
+    arises).  A coprime pair is admissible exactly when both its
+    discriminants are, so only admissible rows are joined."""
+    rows = [r for r in rows if r.disc.value <= pair_dmax]
+    for i, r1 in enumerate(rows):
+        for r2 in rows[i + 1 :]:
+            if math.gcd(r1.disc.value, r2.disc.value) == 1:
+                yield join_rows(r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +180,10 @@ def valid_pair_setups(
 
 
 def _verdict_json(v) -> dict:
-    comp = {}
-    for key, val in v.components.items():
-        if isinstance(val, dict):
-            comp[key] = {str(k): w for k, w in sorted(val.items())} if val else {}
-        else:
-            comp[key] = val
+    comp = dict(v.components)
+    for key, val in comp.items():
+        if type(val) is dict:  # JSON keys are strings; the encoder sorts them
+            comp[key] = {str(k): w for k, w in val.items()}
     return {
         "quantity": str(v.quantity),
         "exponent": v.exponent,
@@ -204,48 +193,43 @@ def _verdict_json(v) -> dict:
     }
 
 
-def run_single_instance(label: str, setup: TwistSetup, mode: str) -> dict:
-    """Evaluate one (curve, D) instance; returns a JSON-ready record."""
-    E = setup.curve
-    D = setup.discriminants[0]
+def run_single_instance(label: str, row: TwistRow, mode: str) -> dict:
+    """Evaluate one (curve, D) instance from its row; returns a
+    JSON-ready record."""
+    facts = row.facts
+    D = row.disc
     t0 = time.perf_counter()
     checks: dict[str, bool] = {}
     flags: list[str] = []
+    n_minus = math.prod(row.minus_primes)
     rec: dict = {
         "curve": label,
         "d": D.value,
-        "n_plus": setup.n_plus,
-        "n_minus": setup.n_minus,
+        "n_plus": facts.conductor // n_minus,
+        "n_minus": n_minus,
     }
     if mode in ("thm13", "all"):
-        v = twist_quantity(setup)
+        v = twist_quantity(row)
         rec["quantity"] = _verdict_json(v)
         checks["quantity_power_of_two"] = v.is_power_of_two
         checks["quantity_even_exponent"] = v.is_even_exponent
     if mode in ("lemmas", "all"):
-        disc = minimal_model(E).invariants.disc
-        b = inert_valuation_sum(setup)
-        sym = symbol_closed_form(disc, D, b)
+        disc = facts.disc
+        sym = symbol_closed_form(disc, D, inert_valuation_sum(row))
         checks["symbol_closed_form"] = sym == kronecker(disc, D.odd_part)
-        checks["tamagawa_product_symbol"] = bool(tamagawa_symbol_check(E, D))
-        u_closed = u_of_discriminant(E, D)
-        u_meas = measured_u(E, D)
-        checks["u_closed_form"] = u_meas == u_closed
-        if u_meas not in (1, 2):
-            flags.append(f"measured u = {u_meas} outside {{1,2}}")
-        rec["u"] = u_closed
+        checks["tamagawa_product_symbol"] = tamagawa_symbol_check(row).ok
+        checks["u_closed_form"] = row.measured_u == row.u
+        if row.measured_u not in (1, 2):
+            flags.append(f"measured u = {row.measured_u} outside {{1,2}}")
+        rec["u"] = row.u
         # odd-prime fast path vs full Tate on the twist
-        fast_ok = True
-        Tmin = twist_minimal(E, D.value)[0]
-        for l in D.primes:
-            if l != 2:
-                fast_ok &= (
-                    twist_prime_tamagawa_odd(E, l, D.value)
-                    == tate_local(Tmin, l).tamagawa
-                )
-        checks["odd_twist_fast_path"] = fast_ok
+        checks["odd_twist_fast_path"] = all(
+            twist_prime_tamagawa_odd(facts.curve, l, D.value) == row.local[l].tamagawa
+            for l in D.primes
+            if l != 2
+        )
         if D.is_even:
-            case = check_two_adic_case(E, D)
+            case = check_two_adic_case(row)
             checks["two_adic_case_table"] = case.ok
             rec["two_adic_case"] = case.detail
     rec["checks"] = checks
@@ -255,19 +239,21 @@ def run_single_instance(label: str, setup: TwistSetup, mode: str) -> dict:
     return rec
 
 
-def run_pair_instance(label: str, setup: TwistSetup, mode: str) -> dict:
+def run_pair_instance(label: str, pair: TwistPair, mode: str) -> dict:
+    """Evaluate one (curve, D1, D2) instance from the join of two rows."""
     t0 = time.perf_counter()
-    d1, d2 = (f.value for f in setup.discriminants)
     checks: dict[str, bool] = {}
+    row1, row2, minus = pair
+    n_minus = math.prod(minus)
     rec: dict = {
         "curve": label,
-        "d1": d1,
-        "d2": d2,
-        "n_plus": setup.n_plus,
-        "n_minus": setup.n_minus,
+        "d1": row1.disc.value,
+        "d2": row2.disc.value,
+        "n_plus": row1.facts.conductor // n_minus,
+        "n_minus": n_minus,
     }
     if mode in ("thm31", "all"):
-        v = pair_twist_quantity(setup)
+        v = pair_twist_quantity(pair)
         rec["quantity"] = _verdict_json(v)
         checks["quantity_power_of_two"] = v.is_power_of_two
         checks["quantity_even_exponent"] = v.is_even_exponent
@@ -275,11 +261,10 @@ def run_pair_instance(label: str, setup: TwistSetup, mode: str) -> dict:
         checks["omega_parity"] = book["omega_parity"]
         checks["c_tilde_product"] = book["c_tilde_product"]
     if mode in ("lemmas", "all"):
-        transfer_ok = True
-        for q in setup.minus_primes:
-            transfer_ok &= bool(tamagawa_transfer_check(setup, q))
-        checks["tamagawa_transfer_per_prime"] = transfer_ok
-        checks["tamagawa_transfer_product"] = bool(tamagawa_transfer_product_check(setup))
+        checks["tamagawa_transfer_per_prime"] = all(
+            tamagawa_transfer_check(pair, q).ok for q in minus
+        )
+        checks["tamagawa_transfer_product"] = tamagawa_transfer_product_check(pair).ok
     rec["checks"] = checks
     rec["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
     return rec
@@ -287,19 +272,24 @@ def run_pair_instance(label: str, setup: TwistSetup, mode: str) -> dict:
 
 def _sweep_curve(args) -> tuple[str, list[dict], float]:
     """One curve's instance records in report order (pairs, then
-    singles, each in the ascending order its generator yields), and the
-    seconds they took."""
-    record, singles, pairs, mode = args
+    singles, each ascending), and the seconds they took.  The curve's
+    rows are built once and every instance reads them."""
+    record, discriminants, pair_dmax, mode = args
     t0 = time.perf_counter()
     out = []
+    pairs_run = mode in ("thm31", "lemmas", "all")
+    singles_run = mode in ("thm13", "lemmas", "all")
+    if not singles_run:
+        discriminants = [f for f in discriminants if f.value <= pair_dmax]
     try:
         E = minimal_model(record.curve).minimal
-        if mode in ("thm31", "lemmas", "all"):
-            for _pair, setup in valid_pair_setups(E, pairs):
-                out.append(run_pair_instance(record.label, setup, mode))
-        if mode in ("thm13", "lemmas", "all"):
-            for _d, setup in valid_single_setups(E, singles):
-                out.append(run_single_instance(record.label, setup, mode))
+        rows = twist_rows(E, discriminants, pair_dmax if pairs_run else 0)
+        if pairs_run:
+            for pair in row_pairs(rows, pair_dmax):
+                out.append(run_pair_instance(record.label, pair, mode))
+        if singles_run:
+            for row in rows:
+                out.append(run_single_instance(record.label, row, mode))
     except Exception as exc:
         raise SweepError(f"curve {record.label}: {type(exc).__name__}: {exc}") from exc
     return record.label, out, time.perf_counter() - t0
@@ -314,7 +304,7 @@ class SweepReport:
     as it passes, and one progress line per curve goes to stderr.
     ``head`` holds the parameters of the run; ``tail()``, read after the
     iteration, holds the summary, the failures and the timing. Pair
-    instances are capped at discriminant PAIR_DMAX regardless of d_max.
+    instances are capped at discriminant min(d_max, pair_dmax).
     """
 
     def __init__(
@@ -324,6 +314,7 @@ class SweepReport:
         mode: str = "all",
         jobs: int = 1,
         corpus_name: str = "-",
+        pair_dmax: int = PAIR_DMAX,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -333,7 +324,7 @@ class SweepReport:
             "schema": 1,
             "mode": mode,
             "d_max": d_max,
-            "pair_dmax": min(d_max, PAIR_DMAX),
+            "pair_dmax": min(d_max, pair_dmax),
             "corpus": corpus_name,
             "curves": [rec.label for rec in self.corpus],
         }
@@ -347,9 +338,8 @@ class SweepReport:
     def __iter__(self) -> Iterator[dict]:
         t0 = time.perf_counter()
         # every curve sweeps the same discriminants: parse them once
-        singles = list(fundamental_discriminants(self.head["d_max"]))
-        pairs = [f for f in singles if f.value <= self.head["pair_dmax"]]
-        tasks = [(rec, singles, pairs, self.head["mode"]) for rec in self.corpus]
+        discs = list(fundamental_discriminants(self.head["d_max"]))
+        tasks = [(rec, discs, self.head["pair_dmax"], self.head["mode"]) for rec in self.corpus]
         # a pool forks all its workers at the first submit: no more than
         # there are curves
         workers = min(self.jobs, len(tasks))
@@ -378,13 +368,13 @@ class SweepReport:
             )
 
     def _add(self, rec: dict) -> None:
+        checks = rec["checks"]
         self.instances += 1
-        self.checks_run += len(rec["checks"])
-        self.check_counts.update(rec["checks"].keys())
-        bad = sorted(name for name, ok in rec["checks"].items() if not ok)
-        if bad:
+        self.checks_run += len(checks)
+        self.check_counts.update(checks.keys())
+        if not all(checks.values()):
             witness = {k: rec[k] for k in ("curve", "d", "d1", "d2") if k in rec}
-            witness["failed_checks"] = bad
+            witness["failed_checks"] = sorted(name for name, ok in checks.items() if not ok)
             self.failures.append(witness)
         for fl in rec.get("flags", ()):
             self.flags.append({"curve": rec["curve"], "d": rec.get("d"), "flag": fl})
@@ -409,14 +399,15 @@ def run_sweep(
     mode: str = "all",
     jobs: int = 1,
     corpus_name: str = "-",
+    pair_dmax: int = PAIR_DMAX,
 ) -> dict:
     """Run the requested verification passes over every admissible
     instance and return the whole report; aggregates failures instead of
     aborting.
 
-    Pair instances are capped at discriminant PAIR_DMAX regardless of
-    d_max; the report records the cap in effect as "pair_dmax"."""
-    sweep = SweepReport(corpus, d_max, mode, jobs, corpus_name)
+    Pair instances are capped at discriminant min(d_max, pair_dmax); the
+    report records the cap in effect as "pair_dmax"."""
+    sweep = SweepReport(corpus, d_max, mode, jobs, corpus_name, pair_dmax)
     instances = list(sweep)
     return {**sweep.head, **sweep.tail(), "instances": instances}
 

@@ -1,9 +1,23 @@
 """The twist-identity layer: setups built from character sign vectors,
 which decide admissibility (validate_setup checks user input on top of
-them), the period scale u_D, the even-two-power quantities with the
-pair's proof bookkeeping, the local product identities, the closed-form
-symbol evaluation, the Tamagawa-at-2 case cross-checks, and the
-auxiliary-discriminant search.
+them), the period scale u_D, twist rows, the even-two-power quantities
+with the pair's proof bookkeeping, the local product identities, the
+closed-form symbol evaluation, the Tamagawa-at-2 case cross-checks, and
+the auxiliary-discriminant search.
+
+Every quantity and check reads twist rows.  A curve's CurveFacts hold
+what all its twists share: N, the local data, the minimal discriminant,
+and c~_q and the inert base-change c_q at each multiplicative prime q.
+A TwistRow holds one admissible discriminant D's facts: its signs at the
+primes of N and the primes of its n_minus, u_D by the closed form and as
+twist_minimal measures it, and full Tate on the minimal twist at the
+primes of D (and of N, when the row joins pairs).  A single reads its
+own row.  A pair is a join of two rows: its n_minus is m_1
+symmetric-difference m_2, the primes where the rows' signs differ, and
+both sides of each transfer identity are products of the D_1 and D_2
+factors.  The closed forms (c~, the inert base change, u_D, the
+odd-prime fast path, the 2-adic case table, the symbol) stay the
+independent side of each comparison against the rows' Tate data.
 
 Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
 is accumulated and judged on ints (its 2-adic exponent by a bit test),
@@ -292,79 +306,167 @@ def measured_u(E: WeierstrassModel, D) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# twist rows
+
+
+class CurveFacts(NamedTuple):
+    """What every twist of one curve shares, computed once per curve."""
+
+    curve: WeierstrassModel  # globally minimal
+    conductor: int
+    local_data: dict[int, LocalReduction]
+    disc: int  # the minimal discriminant
+    c_tilde: dict[int, int]  # q -> c~_q(E), at each multiplicative prime q
+    inert_tamagawa: dict[int, int]  # q -> c_q(E over a field where q is inert)
+
+
+class TwistRow(NamedTuple):
+    """One admissible discriminant's facts on one curve: its signs, the
+    primes of its n_minus, both values of u_D, and full Tate on its
+    minimal twist at the primes of D (and of N, when the row joins
+    pairs)."""
+
+    facts: CurveFacts
+    disc: FundamentalDiscriminant
+    signs: tuple[int, ...]  # kronecker(D, p) at the primes of N, in local_data order
+    minus_primes: tuple[int, ...]  # the primes of N where the sign is -1
+    u: int  # u_of_discriminant, the closed form
+    measured_u: Fraction  # the scale twist_minimal measures
+    local: dict[int, LocalReduction]  # the minimal twist's local data
+    twist_tamagawa: dict[int, int]  # l -> c_l(twist), at the primes of D
+    c_tilde_product: int  # prod c~_q(E) over minus_primes
+    conductor_tamagawa: int | None  # prod c_l(twist) over the primes of N; None without them
+
+
+def curve_facts(E: WeierstrassModel) -> CurveFacts:
+    """E's conductor, local data and minimal discriminant, and c~_q and
+    the inert base-change c_q at each multiplicative prime q; E is
+    globally minimal."""
+    N, local_data = reduction_profile(E)
+    mult = [q for q, loc in local_data.items() if loc.kind.startswith("multiplicative")]
+    return CurveFacts(
+        E,
+        N,
+        local_data,
+        minimal_model(E).invariants.disc,
+        {q: c_tilde(E, q) for q in mult},
+        {q: inert_base_change_tamagawa(E, q) for q in mult},
+    )
+
+
+def twist_row(
+    facts: CurveFacts, f: FundamentalDiscriminant, signs: tuple[int, ...], at_conductor: bool
+) -> TwistRow:
+    """The row of an admissible discriminant from its admissible_signs
+    vector: one twist_minimal call, and one tate_local call per prime of
+    D, and per prime of N when at_conductor."""
+    E = facts.curve
+    T, u_measured = twist_minimal(E, f.value)
+    local = {l: tate_local(T, l) for l in f.primes}
+    conductor_tamagawa = None
+    if at_conductor:
+        local.update((l, tate_local(T, l)) for l in facts.local_data)
+        conductor_tamagawa = math.prod(local[l].tamagawa for l in facts.local_data)
+    minus = tuple(p for p, s in zip(facts.local_data, signs) if s == -1)
+    return TwistRow(
+        facts,
+        f,
+        signs,
+        minus,
+        u_of_discriminant(E, f),
+        u_measured,
+        local,
+        {l: local[l].tamagawa for l in f.primes},
+        math.prod(facts.c_tilde[q] for q in minus),
+        conductor_tamagawa,
+    )
+
+
+def setup_rows(setup: TwistSetup) -> tuple[TwistRow, ...]:
+    """The rows of a validated setup's discriminants, in order, each with
+    its twist's local data at the primes of N."""
+    facts = curve_facts(setup.curve)
+    sign_vectors = zip(*setup.signs.values())
+    return tuple(
+        twist_row(facts, f, signs, True) for f, signs in zip(setup.discriminants, sign_vectors)
+    )
+
+
+class TwistPair(NamedTuple):
+    """The join of two rows of one curve: the pair's n_minus primes are
+    m_1 symmetric-difference m_2, the primes where the rows' signs
+    differ."""
+
+    row1: TwistRow
+    row2: TwistRow
+    minus_primes: tuple[int, ...]  # in local_data order
+
+
+def join_rows(row1: TwistRow, row2: TwistRow) -> TwistPair:
+    """The pair of two rows of one curve, with its n_minus primes."""
+    local_data = row1.facts.local_data
+    return TwistPair(
+        row1, row2, tuple(p for p, s1, s2 in zip(local_data, row1.signs, row2.signs) if s1 != s2)
+    )
+
+
+# ---------------------------------------------------------------------------
 # the even-two-power quantities
 
 
-def _twist_tamagawa_at(E: WeierstrassModel, d: int, p: int) -> LocalReduction:
-    return tate_local(twist_minimal(E, d)[0], p)
-
-
-def twist_quantity(setup: TwistSetup) -> ExponentVerdict:
+def twist_quantity(row: TwistRow) -> ExponentVerdict:
     """u_D / 2^omega(n_minus) * prod_{l | D} c_l(twist) * prod_{q | n_minus}
     c~_{q}(E), as an exact rational, with the evenness verdict."""
-    if setup.is_pair:
-        raise ValueError("single-discriminant setup required")
-    D = setup.discriminants[0]
-    E = setup.curve
-    u = u_of_discriminant(E, D)
-    w = len(setup.minus_primes)
-    c_twist = {l: _twist_tamagawa_at(E, D.value, l).tamagawa for l in D.primes}
-    c_t = {q: c_tilde(E, q) for q in setup.minus_primes}
+    w = len(row.minus_primes)
+    c_twist = row.twist_tamagawa
     return _verdict(
-        u * math.prod(c_twist.values()) * math.prod(c_t.values()),
+        row.u * math.prod(c_twist.values()) * row.c_tilde_product,
         w,
         {
-            "u": u,
+            "u": row.u,
             "omega_n_minus": w,
-            "twist_tamagawa": c_twist,
-            "c_tilde": c_t,
-            "D": D.value,
+            "twist_tamagawa": dict(c_twist),
+            "c_tilde": {q: row.facts.c_tilde[q] for q in row.minus_primes},
+            "D": row.disc.value,
         },
     )
 
 
-def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
+def pair_twist_quantity(pair: TwistPair) -> ExponentVerdict:
     """Pair version of the quantity, with the proof bookkeeping checked
     on the side (each verdict in components['bookkeeping']).
 
-    With m_i the primes of N where chi_i = -1: omega(m_1) + omega(m_2) =
-    omega(n_minus) mod 2, and the c~ product over m_1 and m_2 equals the
-    one over n_minus up to an even power of two.  The conductor pieces'
-    own identities (n_minus is m_1 symmetric-difference m_2, each prime
-    of m_1 and m_2 divides N exactly) hold by construction of the setup.
+    With m_i the primes of N where chi_i = -1 (row i's n_minus):
+    omega(m_1) + omega(m_2) = omega(n_minus) mod 2, and the c~ product
+    over m_1 and m_2 equals the one over n_minus up to an even power of
+    two.  The conductor pieces' own identities (n_minus is m_1
+    symmetric-difference m_2, each prime of m_1 and m_2 divides N
+    exactly) hold by construction of the rows and their join.
     """
-    if not setup.is_pair:
-        raise ValueError("pair setup required")
-    E = setup.curve
-    D1, D2 = setup.discriminants
-    u1 = u_of_discriminant(E, D1)
-    u2 = u_of_discriminant(E, D2)
-    w = len(setup.minus_primes)
-    c1 = {l: _twist_tamagawa_at(E, D1.value, l).tamagawa for l in D1.primes}
-    c2 = {l: _twist_tamagawa_at(E, D2.value, l).tamagawa for l in D2.primes}
-    c_t = {q_: c_tilde(E, q_) for q_ in setup.minus_primes}
-    num = u1 * u2 * math.prod(c1.values()) * math.prod(c2.values()) * math.prod(c_t.values())
+    row1, row2, minus = pair
+    w = len(minus)
+    c1, c2 = row1.twist_tamagawa, row2.twist_tamagawa
+    c_t = {q: row1.facts.c_tilde[q] for q in minus}
+    c_t_product = math.prod(c_t.values())
+    num = row1.u * row2.u * math.prod(c1.values()) * math.prod(c2.values()) * c_t_product
 
-    # proof bookkeeping; c_t already holds c~_q for every q | n_minus
-    m1 = [p for p, s in setup.signs.items() if s[0] == -1]
-    m2 = [p for p, s in setup.signs.items() if s[1] == -1]
-    parity_ok = (len(m1) + len(m2) - w) % 2 == 0
-    k = _exponent(math.prod(c_tilde(E, p) for p in m1 + m2), math.prod(c_t.values()))
+    parity_ok = (len(row1.minus_primes) + len(row2.minus_primes) - w) % 2 == 0
+    k = _exponent(row1.c_tilde_product * row2.c_tilde_product, c_t_product)
     product_ok = k is not None and k % 2 == 0
 
     return _verdict(
         num,
         w,
         {
-            "u1": u1,
-            "u2": u2,
+            "u1": row1.u,
+            "u2": row2.u,
             "omega_n_minus": w,
-            "twist_tamagawa_1": c1,
-            "twist_tamagawa_2": c2,
+            "twist_tamagawa_1": dict(c1),
+            "twist_tamagawa_2": dict(c2),
             "c_tilde": c_t,
             "bookkeeping": {"omega_parity": parity_ok, "c_tilde_product": product_ok},
-            "D1": D1.value,
-            "D2": D2.value,
+            "D1": row1.disc.value,
+            "D2": row2.disc.value,
         },
     )
 
@@ -373,43 +475,35 @@ def pair_twist_quantity(setup: TwistSetup) -> ExponentVerdict:
 # the local identities
 
 
-def tamagawa_transfer_check(setup: TwistSetup, q: int) -> CheckResult:
+def tamagawa_transfer_check(pair: TwistPair, q: int) -> CheckResult:
     """c~_{q}(E) * c_{q}(E over the inert quadratic field) against
     c_{q}(twist by D1) * c_{q}(twist by D2), at a prime q of n_minus."""
-    if not setup.is_pair:
-        raise ValueError("pair setup required")
-    if setup.n_minus % q != 0:
+    if q not in pair.minus_primes:
         raise ValueError(f"{q} does not divide n_minus")
-    E = setup.curve
-    lhs = c_tilde(E, q) * inert_base_change_tamagawa(E, q)
-    d1, d2 = (f.value for f in setup.discriminants)
-    rhs = (
-        _twist_tamagawa_at(E, d1, q).tamagawa * _twist_tamagawa_at(E, d2, q).tamagawa
-    )
+    row1, row2, _ = pair
+    facts = row1.facts
+    lhs = facts.c_tilde[q] * facts.inert_tamagawa[q]
+    rhs = row1.local[q].tamagawa * row2.local[q].tamagawa
     return CheckResult(lhs == rhs, f"q={q}: {lhs} vs {rhs}")
 
 
-def tamagawa_transfer_product_check(setup: TwistSetup) -> CheckResult:
+def tamagawa_transfer_product_check(pair: TwistPair) -> CheckResult:
     """Product over all primes of N of both twists' Tamagawa numbers,
     compared modulo squares with prod c~_{q} * c_{q}(inert base change)."""
-    if not setup.is_pair:
-        raise ValueError("pair setup required")
-    E = setup.curve
-    d1, d2 = (f.value for f in setup.discriminants)
-    lhs = 1
-    for l in sorted(setup.local_data):
-        lhs *= _twist_tamagawa_at(E, d1, l).tamagawa
-        lhs *= _twist_tamagawa_at(E, d2, l).tamagawa
+    row1, row2, minus = pair
+    facts = row1.facts
+    lhs = row1.conductor_tamagawa * row2.conductor_tamagawa
     rhs = 1
-    for q in setup.minus_primes:
-        rhs *= c_tilde(E, q) * inert_base_change_tamagawa(E, q)
+    for q in minus:
+        rhs *= facts.c_tilde[q] * facts.inert_tamagawa[q]
     ok = equal_mod_squares(lhs, rhs)
     return CheckResult(ok, f"{lhs} vs {rhs} (mod squares)")
 
 
-def inert_valuation_sum(setup: TwistSetup) -> int:
+def inert_valuation_sum(row: TwistRow) -> int:
     """b = sum of v_{q}(min disc) over primes q of n_minus."""
-    return sum(setup.local_data[q].disc_valuation for q in setup.minus_primes)
+    local_data = row.facts.local_data
+    return sum(local_data[q].disc_valuation for q in row.minus_primes)
 
 
 def symbol_closed_form(delta: int, D, b: int) -> int:
@@ -431,22 +525,20 @@ def symbol_closed_form(delta: int, D, b: int) -> int:
     raise ValueError("invalid discriminant shape")
 
 
-def tamagawa_symbol_check(E: WeierstrassModel, D) -> CheckResult:
+def tamagawa_symbol_check(row: TwistRow) -> CheckResult:
     """With m the odd part of D: prod_{l | m} c_l(twist by D) is a power of
     two, square exactly when kronecker(min disc, m) = 1."""
-    D = _as_fund(D)
-    m = D.odd_part
-    mm = minimal_model(E)
-    E, disc = mm.minimal, mm.invariants.disc
+    D = row.disc
+    disc = row.facts.disc
     prod = 1
     for l in D.primes:
         if l == 2:
             continue
         if valuation(disc, l) != 0:
             raise ValueError(f"E must have good reduction at {l}")
-        prod *= _twist_tamagawa_at(E, D.value, l).tamagawa
+        prod *= row.local[l].tamagawa
     k = _exponent(prod, 1)
-    symbol = kronecker(disc, m)
+    symbol = kronecker(disc, D.odd_part)
     ok = k is not None and ((k % 2 == 0) == (symbol == 1))
     return CheckResult(ok, f"prod={prod}, symbol={symbol}")
 
@@ -458,8 +550,9 @@ def tamagawa_symbol_check(E: WeierstrassModel, D) -> CheckResult:
 class TwoAdicPrediction(NamedTuple):
     case: int  # 1, 2 or 3
     kodaira: str
-    tamagawa: int
+    tamagawa: int | None  # None when v2(P) < 4: the case table has no entry
     pattern: int
+    p_valuation: int | None = None  # v2(P), in case 3 only
 
 
 def predict_two_adic(E: WeierstrassModel, D) -> TwoAdicPrediction:
@@ -485,15 +578,22 @@ def predict_two_adic(E: WeierstrassModel, D) -> TwoAdicPrediction:
     else:
         P = a3 * a3 - 2 * m * a6 * a6 + 4 * a6
     v = valuation(P, 2) if P else 99
-    assert v >= 4, f"P-valuation {v} below 4 contradicts the case table"
-    return TwoAdicPrediction(3, "I8*", 2 if v == 4 else 4, pat)
+    c = None if v < 4 else 2 if v == 4 else 4
+    return TwoAdicPrediction(3, "I8*", c, pat, v)
 
 
-def check_two_adic_case(E: WeierstrassModel, D) -> CheckResult:
-    """Compare the prediction against a full Tate run at 2 on the twist."""
-    D = _as_fund(D)
-    pred = predict_two_adic(E, D)
-    loc = _twist_tamagawa_at(minimal_model(E).minimal, D.value, 2)
+def check_two_adic_case(row: TwistRow) -> CheckResult:
+    """Compare the prediction against the row's full Tate run at 2 on the
+    twist.  A P-valuation below 4 contradicts the case table and fails
+    the check."""
+    pred = predict_two_adic(row.facts.curve, row.disc)
+    loc = row.local[2]
+    if pred.tamagawa is None:
+        return CheckResult(
+            False,
+            f"case {pred.case}: P-valuation {pred.p_valuation} below 4 contradicts the "
+            f"case table, tate gives ({loc.kodaira}, {loc.tamagawa})",
+        )
     ok = (loc.kodaira, loc.tamagawa) == (pred.kodaira, pred.tamagawa)
     return CheckResult(
         ok,

@@ -1,11 +1,14 @@
 """Independent oracles used by the test suite.
 
-Nothing here calls into the library's own reduction machinery: point
-counts are brute force, factorizations come from sympy, and reduction
-types are pinned by counting components through the conductor-degree
-relation on curves whose conductor is vouched for by their standard
-label.  The admissibility reference at the end takes N and the local
-data from the library and checks the twist hypothesis clause by clause.
+The oracles up to the references call nothing of the library's own
+reduction machinery: point counts are brute force, factorizations come
+from sympy, and reduction types are pinned by counting components
+through the conductor-degree relation on curves whose conductor is
+vouched for by their standard label.  The two references at the end do
+call it.  The admissibility reference takes N and the local data from
+the library and checks the twist hypothesis clause by clause.  The
+per-instance record reference evaluates each sweep instance from its
+setup alone, reading the twists' Tate data afresh.
 """
 
 from __future__ import annotations
@@ -479,3 +482,202 @@ def decompose(setup: TwistSetup) -> Decomposition:
     assert setup.conductor == dec.n1_plus * dec.n1_minus == dec.n2_plus * dec.n2_minus
     assert setup.n_minus == dec.n1_minus_II * dec.n2_minus_II
     return dec
+
+
+# ---------------------------------------------------------------------------
+# the per-instance record reference
+#
+# The sweep builds one row per (curve, D) and joins rows into pairs.  This
+# is the evaluation the sweep made before rows, one instance at a time
+# from its setup: each twist's Tate data is read per instance as
+# tate_local(twist_minimal(E, d)[0], l), the quantities and the c~
+# bookkeeping are Fraction products, the bookkeeping's m_i come from
+# decompose, and "equal modulo squares" is decided by sympy square
+# classes.  The closed forms (c~, the inert base change, u_D, the
+# odd-prime fast path, the 2-adic prediction, the symbol) are the
+# library's, as they are the independent side of each sweep check.
+
+from quadtwist.arith import fundamental_discriminants
+from quadtwist.localred import (
+    c_tilde,
+    inert_base_change_tamagawa,
+    tate_local,
+    twist_prime_tamagawa_odd,
+)
+from quadtwist.twistlaws import (
+    predict_two_adic,
+    symbol_closed_form,
+    twist_minimal,
+    u_of_discriminant,
+)
+
+
+def _twist_local(E, d: int, l: int):
+    return tate_local(twist_minimal(E, d)[0], l)
+
+
+def _quantity_record(u: int, w: int, factors, components: dict) -> dict:
+    q, k, pow2, even = fraction_quantity(u, w, factors)
+    return {
+        "quantity": str(q),
+        "exponent": k,
+        "is_power_of_two": pow2,
+        "is_even_exponent": even,
+        "components": {
+            key: {str(p): c for p, c in val.items()} if isinstance(val, dict) else val
+            for key, val in components.items()
+        },
+    }
+
+
+def reference_single_record(label: str, setup: TwistSetup, mode: str) -> dict:
+    """The sweep's record of a single-discriminant instance, timing
+    aside."""
+    E = setup.curve
+    (D,) = setup.discriminants
+    checks: dict[str, bool] = {}
+    flags: list[str] = []
+    rec: dict = {"curve": label, "d": D.value, "n_plus": setup.n_plus, "n_minus": setup.n_minus}
+    if mode in ("thm13", "all"):
+        u = u_of_discriminant(E, D)
+        w = len(setup.minus_primes)
+        c_twist = {l: _twist_local(E, D.value, l).tamagawa for l in D.primes}
+        c_t = {q: c_tilde(E, q) for q in setup.minus_primes}
+        rec["quantity"] = _quantity_record(
+            u,
+            w,
+            (*c_twist.values(), *c_t.values()),
+            {"u": u, "omega_n_minus": w, "twist_tamagawa": c_twist, "c_tilde": c_t, "D": D.value},
+        )
+        checks["quantity_power_of_two"] = rec["quantity"]["is_power_of_two"]
+        checks["quantity_even_exponent"] = rec["quantity"]["is_even_exponent"]
+    if mode in ("lemmas", "all"):
+        disc = minimal_model(E).invariants.disc
+        b = sum(setup.local_data[q].disc_valuation for q in setup.minus_primes)
+        symbol = kronecker(disc, D.odd_part)
+        checks["symbol_closed_form"] = symbol_closed_form(disc, D, b) == symbol
+        odd = [l for l in D.primes if l != 2]
+        assert all(disc % l for l in odd), "E must have good reduction at the primes of D"
+        prod = math.prod(_twist_local(E, D.value, l).tamagawa for l in odd)
+        k = fraction_two_power(Fraction(prod))
+        checks["tamagawa_product_symbol"] = k is not None and (k % 2 == 0) == (symbol == 1)
+        u_closed = u_of_discriminant(E, D)
+        u_measured = twist_minimal(E, D.value)[1]
+        checks["u_closed_form"] = u_measured == u_closed
+        if u_measured not in (1, 2):
+            flags.append(f"measured u = {u_measured} outside {{1,2}}")
+        rec["u"] = u_closed
+        checks["odd_twist_fast_path"] = all(
+            twist_prime_tamagawa_odd(E, l, D.value) == _twist_local(E, D.value, l).tamagawa
+            for l in odd
+        )
+        if D.is_even:
+            pred = predict_two_adic(E, D)
+            loc = _twist_local(E, D.value, 2)
+            assert pred.tamagawa is not None, "v2(P) below 4"
+            checks["two_adic_case_table"] = (loc.kodaira, loc.tamagawa) == (
+                pred.kodaira,
+                pred.tamagawa,
+            )
+            rec["two_adic_case"] = (
+                f"case {pred.case}: predicted ({pred.kodaira}, {pred.tamagawa}), "
+                f"tate gives ({loc.kodaira}, {loc.tamagawa})"
+            )
+    rec["checks"] = checks
+    if flags:
+        rec["flags"] = flags
+    return rec
+
+
+def reference_pair_record(label: str, setup: TwistSetup, mode: str) -> dict:
+    """The sweep's record of a pair instance, timing aside."""
+    E = setup.curve
+    D1, D2 = setup.discriminants
+    d1, d2 = D1.value, D2.value
+    checks: dict[str, bool] = {}
+    rec: dict = {
+        "curve": label,
+        "d1": d1,
+        "d2": d2,
+        "n_plus": setup.n_plus,
+        "n_minus": setup.n_minus,
+    }
+    if mode in ("thm31", "all"):
+        u1, u2 = u_of_discriminant(E, D1), u_of_discriminant(E, D2)
+        w = len(setup.minus_primes)
+        c1 = {l: _twist_local(E, d1, l).tamagawa for l in D1.primes}
+        c2 = {l: _twist_local(E, d2, l).tamagawa for l in D2.primes}
+        c_t = {q: c_tilde(E, q) for q in setup.minus_primes}
+        dec = decompose(setup)
+        m1 = [p for p in setup.local_data if dec.n1_minus % p == 0]
+        m2 = [p for p in setup.local_data if dec.n2_minus % p == 0]
+        ratio = Fraction(math.prod(c_tilde(E, p) for p in m1 + m2), math.prod(c_t.values()))
+        k = fraction_two_power(ratio)
+        book = {
+            "omega_parity": (len(m1) + len(m2) - w) % 2 == 0,
+            "c_tilde_product": k is not None and k % 2 == 0,
+        }
+        rec["quantity"] = _quantity_record(
+            u1 * u2,
+            w,
+            (*c1.values(), *c2.values(), *c_t.values()),
+            {
+                "u1": u1,
+                "u2": u2,
+                "omega_n_minus": w,
+                "twist_tamagawa_1": c1,
+                "twist_tamagawa_2": c2,
+                "c_tilde": c_t,
+                "bookkeeping": book,
+                "D1": d1,
+                "D2": d2,
+            },
+        )
+        checks["quantity_power_of_two"] = rec["quantity"]["is_power_of_two"]
+        checks["quantity_even_exponent"] = rec["quantity"]["is_even_exponent"]
+        checks["omega_parity"] = book["omega_parity"]
+        checks["c_tilde_product"] = book["c_tilde_product"]
+    if mode in ("lemmas", "all"):
+        base = {q: c_tilde(E, q) * inert_base_change_tamagawa(E, q) for q in setup.minus_primes}
+        checks["tamagawa_transfer_per_prime"] = all(
+            base[q] == _twist_local(E, d1, q).tamagawa * _twist_local(E, d2, q).tamagawa
+            for q in setup.minus_primes
+        )
+        lhs = math.prod(
+            _twist_local(E, d1, l).tamagawa * _twist_local(E, d2, l).tamagawa
+            for l in setup.local_data
+        )
+        checks["tamagawa_transfer_product"] = square_class(lhs) == square_class(
+            math.prod(base.values())
+        )
+    rec["checks"] = checks
+    return rec
+
+
+def reference_records(corpus, d_max: int, pair_dmax: int, mode: str = "all") -> list[dict]:
+    """Every instance record of a sweep, timing aside, in report order
+    (curves by label, pairs before singles, each ascending).  Each
+    instance is admitted by reference_setup, clause by clause: every
+    single up to d_max, and every pair D1 < D2 up to min(d_max,
+    pair_dmax)."""
+    fds = list(fundamental_discriminants(d_max))
+    pair_fds = [f for f in fds if f.value <= pair_dmax]
+    out = []
+    for rec in sorted(corpus, key=lambda r: r.label):
+        E = minimal_model(rec.curve).minimal
+        if mode in ("thm31", "lemmas", "all"):
+            for i, f1 in enumerate(pair_fds):
+                for f2 in pair_fds[i + 1 :]:
+                    try:
+                        setup = reference_setup(E, f1, f2)
+                    except SetupError:
+                        continue
+                    out.append(reference_pair_record(rec.label, setup, mode))
+        if mode in ("thm13", "lemmas", "all"):
+            for f in fds:
+                try:
+                    setup = reference_setup(E, f)
+                except SetupError:
+                    continue
+                out.append(reference_single_record(rec.label, setup, mode))
+    return out

@@ -1,6 +1,7 @@
 """Corpus ingestion, sweep orchestration, report determinism and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from quadtwist.harness import (
     ingest_corpus,
     run_sweep,
     strip_timing,
-    valid_single_setups,
+    twist_rows,
 )
 from quadtwist.localred import tate_local
 from quadtwist.twistlaws import twist_minimal
@@ -95,7 +96,10 @@ def test_sweep_membership_11a1_dmax20():
     20: the trivial one, the split 5 and 12, the inert 8, 13 and 17."""
     E = minimal_model(model(0, -1, 1, -10, -20)).minimal
     fds = list(fundamental_discriminants(20))
-    got = {d: (s.n_plus, s.n_minus) for d, s in valid_single_setups(E, fds)}
+    got = {}
+    for row in twist_rows(E, fds, 20):
+        n_minus = math.prod(row.minus_primes)
+        got[row.disc.value] = (row.facts.conductor // n_minus, n_minus)
     assert got == {
         1: (11, 1),
         5: (11, 1),
@@ -309,7 +313,7 @@ def test_cli_error_inside_sweep_is_internal(tmp_path, monkeypatch, capsys):
     def broken(E, D):
         raise ValueError("simulated u failure")
 
-    monkeypatch.setattr("quadtwist.harness.u_of_discriminant", broken)
+    monkeypatch.setattr("quadtwist.twistlaws.u_of_discriminant", broken)
     corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
     assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 3
     err = capsys.readouterr().err
@@ -391,18 +395,49 @@ def test_cli_verify_failed_sweep_keeps_previous_report(tmp_path, monkeypatch, ca
 
 
 def test_cli_verify_under_python_optimize(tmp_path):
-    # python -O strips asserts; the acceptance report must not depend on them
-    corpus = default_corpus_path()
-    out = tmp_path / "report.json"
+    # python -O strips asserts; the acceptance report, and a sweep with
+    # pairs past the default cap, must not depend on them
     src = os.path.dirname(os.path.dirname(quadtwist.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    subprocess.run(
-        [sys.executable, "-O", "-m", "quadtwist.cli", "verify", "--corpus", corpus,
-         "--dmax", "500", "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": path}, check=True, capture_output=True, timeout=120,
+    three = write(
+        tmp_path,
+        "11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n37a1,0,0,1,-1,0,37,1\n",
     )
-    collected = run_sweep(ingest_corpus(corpus), 500, "all", corpus_name=corpus)
-    assert strip_timing(json.loads(out.read_text(encoding="utf-8"))) == strip_timing(collected)
+    for corpus, pair_dmax in ((default_corpus_path(), 100), (three, 200)):
+        out = tmp_path / "report.json"
+        subprocess.run(
+            [sys.executable, "-O", "-m", "quadtwist.cli", "verify", "--corpus", corpus,
+             "--dmax", "500", "--pair-dmax", str(pair_dmax), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, check=True, capture_output=True,
+            timeout=120,
+        )
+        collected = run_sweep(
+            ingest_corpus(corpus), 500, "all", corpus_name=corpus, pair_dmax=pair_dmax
+        )
+        report = strip_timing(json.loads(out.read_text(encoding="utf-8")))
+        assert report == strip_timing(collected)
+        assert report["pair_dmax"] == pair_dmax
+
+
+def test_cli_verify_pair_dmax(tmp_path, capsys):
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
+    out = tmp_path / "report.json"
+    args = ["verify", "--corpus", corpus, "--dmax", "30", "--out", str(out)]
+    assert main([*args, "--pair-dmax", "13"]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["pair_dmax"] == 13
+    pairs = [(i["d1"], i["d2"]) for i in report["instances"] if "d1" in i]
+    assert pairs and max(d2 for _, d2 in pairs) <= 13
+    singles = [i["d"] for i in report["instances"] if "d" in i]
+    assert max(singles) > 13  # singles still go to --dmax
+    collected = run_sweep(ingest_corpus(corpus), 30, "all", corpus_name=corpus, pair_dmax=13)
+    assert strip_timing(report) == strip_timing(collected)
+    assert main([*args, "--pair-dmax", "1000"]) == 0  # the report records min(--dmax, N)
+    assert json.loads(out.read_text(encoding="utf-8"))["pair_dmax"] == 30
+    capsys.readouterr()
+    for bad in ("0", "-5", "x"):
+        assert main([*args, "--pair-dmax", bad]) == 2
+        assert "--pair-dmax" in capsys.readouterr().err
 
 
 def test_cli_verify_without_out_encodes_nothing(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,10 @@
 """The twist-identity layer: setup validation, conductor decomposition,
-period scales, the even-two-power quantities and the local identities.
+period scales, twist rows, the even-two-power quantities and the local
+identities.
 
-The sign-table setups, validate_setup included, are held to the
-clause-by-clause reference in oracles.py, and the pair bookkeeping to its
-eight-piece decomposition."""
+The sign table, validate_setup and the setups the sweep's rows and
+their joins imply are held to the clause-by-clause reference in
+oracles.py, and the pair bookkeeping to its eight-piece decomposition."""
 
 import math
 import random
@@ -23,17 +24,21 @@ from quadtwist.curves import invariants, minimal_model, model
 from quadtwist.harness import (
     default_corpus_path,
     ingest_corpus,
-    valid_pair_setups,
-    valid_single_setups,
+    row_pairs,
+    run_sweep,
+    twist_rows,
 )
 from quadtwist.localred import c_tilde, reduction_profile, tate_local
 from quadtwist.twistlaws import (
     SetupError,
+    TwistSetup,
     _exponent,
     _verdict,
     check_two_adic_case,
     equal_mod_squares,
     find_auxiliary_discriminant,
+    join_rows,
+    setup_rows,
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
     measured_u,
@@ -64,6 +69,44 @@ E14A1 = model(1, 0, 1, 4, -6)
 
 def corpus():
     return ingest_corpus(default_corpus_path())
+
+
+def single_row(E, d):
+    (row,) = setup_rows(validate_setup(E, d))
+    return row
+
+
+def pair_join(E, d1, d2):
+    return join_rows(*setup_rows(validate_setup(E, d1, d2)))
+
+
+def implied_setup(*rows):
+    """The TwistSetup a row, or the join of two rows, stands for."""
+    facts = rows[0].facts
+    minus = rows[0].minus_primes if len(rows) == 1 else join_rows(*rows).minus_primes
+    n_minus = math.prod(minus)
+    return TwistSetup(
+        facts.curve,
+        facts.conductor,
+        facts.conductor // n_minus,
+        n_minus,
+        tuple(r.disc for r in rows),
+        facts.local_data,
+        tuple(p for p in facts.local_data if p not in minus),
+        minus,
+        dict(zip(facts.local_data, zip(*(r.signs for r in rows)))),
+    )
+
+
+def sweep_setups(E, singles, pairs):
+    """(key, implied setup) for the sweep's single rows and pair joins."""
+    cap = pairs[-1].value
+    rows = twist_rows(E, singles, cap)
+    joined = [
+        ((p.row1.disc.value, p.row2.disc.value), implied_setup(p.row1, p.row2))
+        for p in row_pairs(rows, cap)
+    ]
+    return [(r.disc.value, implied_setup(r)) for r in rows], joined
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +169,8 @@ def test_setup_parses_each_discriminant_once(monkeypatch):
     single = validate_setup(E11A1, f13)
     pair = validate_setup(E11A1, f13, f5)
     assert single.discriminants == (f13,) and pair.discriminants == (f13, f5)
-    assert twist_quantity(single).is_even_exponent
-    assert pair_twist_quantity(pair).is_even_exponent
+    assert twist_quantity(*setup_rows(single)).is_even_exponent
+    assert pair_twist_quantity(join_rows(*setup_rows(pair))).is_even_exponent
     assert (f13.primes, f5.primes) == ((13,), (5,))
 
 
@@ -139,7 +182,7 @@ def test_pair_canonical_membership():
 
 
 def validated_setups(E, singles, pairs):
-    """What the setup generators must yield, by the reference: every
+    """What the sweep's rows and joins must stand for, by the reference: every
     single, and every pair D1 < D2, put through reference_setup.  Also the
     rejections the sign table decides on other grounds than a 0 sign:
     singles coprime to the N of a minimal E (a -1 at an additive prime),
@@ -167,9 +210,10 @@ def validated_setups(E, singles, pairs):
 
 
 def test_sign_table_setups_match_validate_setup():
-    # the generators build setups from each discriminant's sign vector at
-    # the primes of N; the reference, clause by clause, must give the
-    # same (key, setup) lists, whole TwistSetup included
+    # the sweep builds rows from each discriminant's sign vector at the
+    # primes of N and joins them into pairs; the reference, clause by
+    # clause, must give the same (key, setup) lists as the setups they
+    # imply, whole TwistSetup included
     fds = list(fundamental_discriminants(500))
     to100 = [f for f in fds if f.value <= 100]
     to60 = [f for f in fds if f.value <= 60]
@@ -182,8 +226,7 @@ def test_sign_table_setups_match_validate_setup():
     additive, non_coprime, setups = [], [], 0
     for E, singles, pairs in cases:
         ok_singles, ok_pairs, rejected, shared = validated_setups(E, singles, pairs)
-        assert list(valid_single_setups(E, singles)) == ok_singles, tuple(E)
-        assert list(valid_pair_setups(E, pairs)) == ok_pairs, tuple(E)
+        assert sweep_setups(E, singles, pairs) == (ok_singles, ok_pairs), tuple(E)
         additive += [(E, d) for d in rejected]
         non_coprime += shared
         setups += len(ok_singles) + len(ok_pairs)
@@ -241,12 +284,12 @@ def test_validate_setup_matches_reference_on_stated_splits():
 
 
 def test_setup_prime_sets_match_factorize():
-    # every admissible single and pair setup of the shipped corpus, D <= 100
+    # every admissible single row and pair join of the shipped corpus, D <= 100
     setups = 0
     fds = list(fundamental_discriminants(100))
     for rec in corpus():
         E = minimal_model(rec.curve).minimal
-        for _, s in chain(valid_single_setups(E, fds), valid_pair_setups(E, fds)):
+        for _, s in chain(*sweep_setups(E, fds, fds)):
             assert s.plus_primes == factorize(s.n_plus).primes()
             assert s.minus_primes == factorize(s.n_minus).primes()
             setups += 1
@@ -361,7 +404,7 @@ def test_u_of_discriminant_reads_minimal_model(monkeypatch):
 
 
 def test_twist_quantity_example_11a1_13():
-    v = twist_quantity(validate_setup(E11A1, 13))
+    v = twist_quantity(single_row(E11A1, 13))
     assert v.quantity == 1 and v.exponent == 0 and v.is_even_exponent
     assert v.components["twist_tamagawa"] == {13: 2}
     assert v.components["c_tilde"] == {11: 1}
@@ -376,7 +419,7 @@ def test_twist_quantity_trivial_and_empty_products():
             continue
         s = validate_setup(e37, f)
         assert (s.n_plus, s.n_minus) == (37, 1)
-        v = twist_quantity(s)
+        v = twist_quantity(*setup_rows(s))
         assert v.is_power_of_two and v.is_even_exponent
         assert v.components["c_tilde"] == {} and v.components["omega_n_minus"] == 0
         found += 1
@@ -391,7 +434,7 @@ def test_twist_quantity_smallest_even_d():
         except SetupError:
             continue
         assert d == 8
-        v = twist_quantity(s)
+        v = twist_quantity(*setup_rows(s))
         assert v.is_even_exponent
         assert v.components["u"] == 2
         break
@@ -400,22 +443,21 @@ def test_twist_quantity_smallest_even_d():
 
 
 def test_pair_quantity_reduces_to_single_for_trivial_character():
-    s_pair = validate_setup(E11A1, 1, 13)
-    s_single = validate_setup(E11A1, 13)
-    vp, vs = pair_twist_quantity(s_pair), twist_quantity(s_single)
+    vp = pair_twist_quantity(pair_join(E11A1, 1, 13))
+    vs = twist_quantity(single_row(E11A1, 13))
     assert vp.quantity == vs.quantity
     assert vp.is_even_exponent and vs.is_even_exponent
 
 
 def test_pair_quantity_swap_symmetry():
-    v12 = pair_twist_quantity(validate_setup(E11A1, 13, 5))
-    v21 = pair_twist_quantity(validate_setup(E11A1, 5, 13))
+    v12 = pair_twist_quantity(pair_join(E11A1, 13, 5))
+    v21 = pair_twist_quantity(pair_join(E11A1, 5, 13))
     assert v12.quantity == v21.quantity
     assert v12.is_even_exponent and v21.is_even_exponent
 
 
 def test_pair_quantity_concrete_pair():
-    v = pair_twist_quantity(validate_setup(E11A1, 13, 5))
+    v = pair_twist_quantity(pair_join(E11A1, 13, 5))
     assert v.is_power_of_two and v.is_even_exponent
     book = v.components["bookkeeping"]
     assert book["omega_parity"] and book["c_tilde_product"]
@@ -436,7 +478,7 @@ def test_pair_decomposition_yields_valid_single_setups():
             for i, (np_, nm_) in ((1, (dec.n1_plus, dec.n1_minus)), (2, (dec.n2_plus, dec.n2_minus))):
                 sub = validate_setup(s.curve, s.discriminants[i - 1])
                 assert (sub.n_plus, sub.n_minus) == (np_, nm_), (rec.label, pair, i)
-                v = twist_quantity(sub)
+                v = twist_quantity(*setup_rows(sub))
                 assert v.is_power_of_two and v.is_even_exponent, (rec.label, pair, i)
             checked += 1
     assert checked > 5
@@ -450,15 +492,17 @@ def test_quantities_match_fraction_ledger():
     singles = pairs = 0
     for rec in corpus():
         E = minimal_model(rec.curve).minimal
-        for _d, s in valid_single_setups(E, discs):
-            v = twist_quantity(s)
+        rows = twist_rows(E, discs, 100)
+        for row in rows:
+            v = twist_quantity(row)
             c = v.components
             factors = (*c["twist_tamagawa"].values(), *c["c_tilde"].values())
             want = fraction_quantity(c["u"], c["omega_n_minus"], factors)
             assert (v.quantity, v.exponent, v.is_power_of_two, v.is_even_exponent) == want
             singles += 1
-        for _pair, s in valid_pair_setups(E, [f for f in discs if f.value <= 100]):
-            v = pair_twist_quantity(s)
+        for pair in row_pairs(rows, 100):
+            v = pair_twist_quantity(pair)
+            s = implied_setup(pair.row1, pair.row2)
             c = v.components
             factors = (
                 *c["twist_tamagawa_1"].values(),
@@ -476,7 +520,7 @@ def test_quantities_match_fraction_ledger():
             k = fraction_two_power(ratio)
             assert c["bookkeeping"]["c_tilde_product"] == (k is not None and k % 2 == 0)
             pairs += 1
-    assert singles > 2500 and pairs > 4500  # the acceptance sweep: 2,594 and 4,978
+    assert (singles, pairs) == (2594, 4978)  # the acceptance sweep's
 
 
 def test_verdict_integer_ledger_edge_cases():
@@ -501,9 +545,10 @@ def test_verdict_integer_ledger_edge_cases():
 
 
 def test_transfer_identity_example():
-    s = validate_setup(E11A1, 1, 13)
-    res = tamagawa_transfer_check(s, 11)
+    res = tamagawa_transfer_check(pair_join(E11A1, 1, 13), 11)
     assert res.ok and "5 vs 5" in res.detail
+    with pytest.raises(ValueError):
+        tamagawa_transfer_check(pair_join(E11A1, 5, 12), 11)  # 11 splits: n_minus = 1
 
 
 def test_transfer_identity_nonsplit_and_even_valuation_cases():
@@ -522,8 +567,9 @@ def test_transfer_identity_nonsplit_and_even_valuation_cases():
                 continue
             if s.n_minus == 1:
                 continue
+            pair = join_rows(*setup_rows(s))
             for q in factorize(s.n_minus).primes():
-                res = tamagawa_transfer_check(s, q)
+                res = tamagawa_transfer_check(pair, q)
                 assert res.ok, (rec.label, f.value, res.detail)
                 if data[q].kind == "multiplicative-nonsplit":
                     nonsplit += 1
@@ -533,7 +579,7 @@ def test_transfer_identity_nonsplit_and_even_valuation_cases():
 
 
 def test_transfer_product_example_and_sweep():
-    res = tamagawa_transfer_product_check(validate_setup(E11A1, 1, 13))
+    res = tamagawa_transfer_product_check(pair_join(E11A1, 1, 13))
     assert res.ok and "5 vs 5" in res.detail
     hits = 0
     for rec in corpus()[:8]:
@@ -542,7 +588,7 @@ def test_transfer_product_example_and_sweep():
                 s = validate_setup(rec.curve, *pair)
             except SetupError:
                 continue
-            assert tamagawa_transfer_product_check(s).ok, (rec.label, pair)
+            assert tamagawa_transfer_product_check(join_rows(*setup_rows(s))).ok, (rec.label, pair)
             hits += 1
     assert hits > 8
 
@@ -593,14 +639,15 @@ def test_symbol_closed_form_equals_kronecker_on_valid_setups():
                 s = validate_setup(E, f)
             except SetupError:
                 continue
-            assert symbol_closed_form(disc, f, inert_valuation_sum(s)) == kronecker(disc, f.odd_part)
+            b = inert_valuation_sum(*setup_rows(s))
+            assert symbol_closed_form(disc, f, b) == kronecker(disc, f.odd_part)
             checked += 1
     assert checked > 300
 
 
 def test_tamagawa_symbol_examples():
-    assert tamagawa_symbol_check(E11A1, 13).ok
-    assert tamagawa_symbol_check(E11A1, fundamental_discriminant(1)).ok  # empty product
+    assert tamagawa_symbol_check(single_row(E11A1, 13)).ok
+    assert tamagawa_symbol_check(single_row(E11A1, fundamental_discriminant(1))).ok  # empty
     # product congruent to 2 mod squares needs opposite symbols at two primes
     found = False
     for rec in corpus():
@@ -616,7 +663,11 @@ def test_tamagawa_symbol_examples():
             if disc % la == 0 or disc % lb == 0:
                 continue
             if kronecker(disc, la) * kronecker(disc, lb) == -1:
-                res = tamagawa_symbol_check(rec.curve, f)
+                try:
+                    row = single_row(rec.curve, f)
+                except SetupError:
+                    continue
+                res = tamagawa_symbol_check(row)
                 assert res.ok
                 found = True
                 break
@@ -639,11 +690,11 @@ def test_two_adic_cases_cover_all_branches():
             if not f.is_even:
                 continue
             try:
-                validate_setup(E, f)
+                row = single_row(E, f)
             except SetupError:
                 continue
             pred = predict_two_adic(E, f)
-            res = check_two_adic_case(E, f)
+            res = check_two_adic_case(row)
             assert res.ok, (rec.label, f.value, res.detail)
             seen.setdefault((pred.case, pred.kodaira, pred.tamagawa), 0)
             seen[(pred.case, pred.kodaira, pred.tamagawa)] += 1
@@ -653,6 +704,27 @@ def test_two_adic_cases_cover_all_branches():
     assert ("I8*", 2) in {(k, c) for _, k, c in kinds}
     assert ("I8*", 4) in {(k, c) for _, k, c in kinds}
     assert any(k == "I4*" for _, k, _ in kinds)
+
+
+def test_two_adic_case_p_valuation_below_four_fails_the_check(monkeypatch):
+    # case 3 needs v2(P) >= 4.  A normal form wrongly taken for pattern 1
+    # (11a1's is pattern 2) gives v2(P) = 0 at D = 8: the check fails and
+    # names v, where an assert would raise, or vanish under python -O
+    row = single_row(E11A1, 8)
+    monkeypatch.setattr("quadtwist.twistlaws.pattern_of_normal_form", lambda S: 1)
+    pred = predict_two_adic(E11A1, 8)
+    assert (pred.case, pred.kodaira, pred.tamagawa, pred.p_valuation) == (3, "I8*", None, 0)
+    res = check_two_adic_case(row)
+    assert not res.ok
+    assert res.detail == (
+        "case 3: P-valuation 0 below 4 contradicts the case table, tate gives (II, 1)"
+    )
+    e11 = [rec for rec in corpus() if rec.label == "11a1"]
+    report = run_sweep(e11, 8, "lemmas")
+    assert report["failures"] == [
+        {"curve": "11a1", "d": 8, "failed_checks": ["two_adic_case_table"]}
+    ]
+    assert report["instances"][-1]["two_adic_case"] == res.detail
 
 
 def test_i4_star_tamagawa_dichotomy():
