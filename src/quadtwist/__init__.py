@@ -38,10 +38,8 @@ from .twistlaws import (
     SetupError,
     TwistPair,
     TwistRow,
-    TwistSetup,
     join_rows,
     pair_twist_quantity,
-    setup_rows,
     symbol_closed_form,
     tamagawa_symbol_check,
     tamagawa_transfer_check,
@@ -61,7 +59,6 @@ __all__ = [
     "SingularModelError",
     "TwistPair",
     "TwistRow",
-    "TwistSetup",
     "WeierstrassModel",
     "c_tilde",
     "conductor",
@@ -78,7 +75,6 @@ __all__ = [
     "pair_twist_quantity",
     "quadratic_twist",
     "scan_profiles",
-    "setup_rows",
     "symbol_closed_form",
     "tamagawa_symbol_check",
     "tamagawa_transfer_check",

@@ -6,13 +6,15 @@ gives up on), 3 internal error (an unexpected exception, reported on
 stderr). An exception inside the sweep reaches main as a
 harness.SweepError, so even a ValueError there exits 3. `find-aux` takes
 D alone (d1, or a pair d1, d2): D fixes the split (n_plus, n_minus).
+Its --prime must be a multiplicative prime of N; any other value exits 2.
 
 `verify` checks pairs of discriminants up to min(--dmax, --pair-dmax),
-where --pair-dmax defaults to 100 and must be at least 1; the report
-records that cap as "pair_dmax". It prints one progress line per
-curve on stderr and the summary and any FAIL lines on stdout. With
---out it streams the JSON report, one instance per line, to a temporary
-file beside PATH and renames it onto PATH when the report is complete;
+where --pair-dmax defaults to 100; the report records that cap as
+"pair_dmax". --dmax, --pair-dmax and --jobs must each be at least 1
+(any other value exits 2). It prints one progress line per curve on
+stderr and the summary and any FAIL lines on stdout. With --out it
+streams the JSON report, one instance per line, to a temporary file
+beside PATH and renames it onto PATH when the report is complete;
 without --out it encodes no JSON for the instances at all.
 """
 
@@ -30,7 +32,7 @@ from .harness import PAIR_DMAX, SweepReport, default_corpus_path, ingest_corpus,
 from .localred import tate_local
 from .twistlaws import (
     find_auxiliary_discriminant,
-    measured_u,
+    twist_minimal,
     u_of_discriminant,
     validate_setup,
 )
@@ -88,11 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the batch verification sweep")
     p.add_argument("--corpus", default=None, metavar="PATH")
-    p.add_argument("--dmax", type=int, default=500)
+    p.add_argument("--dmax", type=_positive_int, default=500)
     p.add_argument("--pair-dmax", type=_positive_int, default=PAIR_DMAX, metavar="N")
     p.add_argument("--mode", choices=("thm13", "thm31", "lemmas", "all"), default="all")
     p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     sub.add_parser("enumerate-case3", help="mod-32 residue enumeration profiles")
 
@@ -133,7 +135,7 @@ def _cmd_minimal(args) -> int:
 def _cmd_u_of_d(args) -> int:
     E = minimal_model(args.curve).minimal
     D = fundamental_discriminant(args.d)
-    print(f"u={u_of_discriminant(E, D)} (measured {measured_u(E, D)})")
+    print(f"u={u_of_discriminant(E, D)} (measured {twist_minimal(E, D.value)[1]})")
     return 0
 
 
@@ -144,7 +146,7 @@ def _cmd_verify(args) -> int:
         corpus,
         args.dmax,
         args.mode,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         corpus_name=path,
         pair_dmax=args.pair_dmax,
     )
@@ -183,8 +185,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_find_aux(args) -> int:
-    setup = validate_setup(minimal_model(args.curve).minimal, args.d1, args.d2)
-    f = find_auxiliary_discriminant(setup, args.prime, bound=args.bound)
+    rows = validate_setup(minimal_model(args.curve).minimal, args.d1, args.d2)
+    f = find_auxiliary_discriminant(rows, args.prime, bound=args.bound)
     print(f.value)
     return 0
 

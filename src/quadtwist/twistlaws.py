@@ -1,13 +1,14 @@
-"""The twist-identity layer: setups built from character sign vectors,
-which decide admissibility (validate_setup checks user input on top of
-them), the period scale u_D, twist rows, the even-two-power quantities
-with the pair's proof bookkeeping, the local product identities, the
-closed-form symbol evaluation, the Tamagawa-at-2 case cross-checks, and
-the auxiliary-discriminant search.
+"""The twist-identity layer: admissibility from character sign vectors
+(admissible_signs for the sweep; validate_setup checks user input and
+returns the same rows), the period scale u_D, twist rows, the
+even-two-power quantities with the pair's proof bookkeeping, the local
+product identities, the closed-form symbol evaluation, the Tamagawa-at-2
+case cross-checks, and the auxiliary-discriminant search.
 
-Every quantity and check reads twist rows.  A curve's CurveFacts hold
-what all its twists share: N, the local data, the minimal discriminant,
-and c~_q and the inert base-change c_q at each multiplicative prime q.
+A twist is described by its row alone, and every quantity and check
+reads rows.  A curve's CurveFacts hold what all its twists share: N,
+the local data, the minimal discriminant, and c~_q and the inert
+base-change c_q at each multiplicative prime q.
 A TwistRow holds one admissible discriminant D's facts: its signs at the
 primes of N and the primes of its n_minus, u_D by the closed form and as
 twist_minimal measures it, and full Tate on the minimal twist at the
@@ -62,34 +63,6 @@ class SetupError(ValueError):
     def __init__(self, reasons: list[str]):
         super().__init__("; ".join(reasons))
         self.reasons = reasons
-
-
-class TwistSetup(NamedTuple):
-    curve: WeierstrassModel  # globally minimal
-    conductor: int
-    n_plus: int
-    n_minus: int
-    discriminants: tuple[FundamentalDiscriminant, ...]  # one or two
-    local_data: dict[int, LocalReduction]
-    plus_primes: tuple[int, ...]  # the primes of n_plus, increasing
-    minus_primes: tuple[int, ...]  # the primes of n_minus, increasing
-    signs: dict[int, tuple[int, ...]]  # p | N -> (chi_1(p)[, chi_2(p)])
-
-    @property
-    def is_pair(self) -> bool:
-        return len(self.discriminants) == 2
-
-    @property
-    def combined(self) -> FundamentalDiscriminant:
-        d = 1
-        for f in self.discriminants:
-            d *= f.value
-        return fundamental_discriminant(d)
-
-    def chi(self, i: int, l: int) -> int:
-        """Character value chi_i(l) = kronecker(D_i, l) at a prime l of N;
-        i is 1-based."""
-        return self.signs[l][i - 1]
 
 
 class ExponentVerdict(NamedTuple):
@@ -152,23 +125,27 @@ def _as_fund(d) -> FundamentalDiscriminant:
 # setup validation
 
 
-def validate_setup(E: WeierstrassModel, d1, d2=None) -> TwistSetup:
-    """Check a twist setup given by a user and return it.
+def validate_setup(E: WeierstrassModel, d1, d2=None) -> tuple[TwistRow, ...]:
+    """Check a twist given by a user and return its rows: one TwistRow per
+    discriminant, in order, each with its twist's local data at the
+    primes of N.
 
     D is d1, or the product of a coprime pair (d1, d2) other than (1, 1),
-    and must be coprime to N.  The setup is the canonical one, built from
-    the discriminants' signs at the primes of N (setup_from_signs): once
-    gcd(D, N) = 1 every prime of N splits or is inert, so D alone fixes
-    (n_plus, n_minus).  A character that is -1 at a prime of N needs that
-    prime to divide N exactly.  All violations are collected into a
-    single SetupError.
+    and must be coprime to N.  Once gcd(D, N) = 1 every prime of N splits
+    or is inert, so D alone fixes (n_plus, n_minus): a prime of N is in
+    n_minus exactly when the rows' signs there multiply to -1.  A
+    character that is -1 at a prime of N needs that prime to divide N
+    exactly.  All violations are collected into a single SetupError.
+    User input then reads twist_quantity(*validate_setup(E, d)) and
+    join_rows(*validate_setup(E, d1, d2)).
     """
     reasons: list[str] = []
     mm = minimal_model(E)
     if mm.minimal != E:
         reasons.append("curve model is not globally minimal")
         E = mm.minimal
-    N, local_data = reduction_profile(E)
+    facts = curve_facts(E)
+    N, local_data = facts.conductor, facts.local_data
     discs = []
     for d in (d1, d2) if d2 is not None else (d1,):
         try:
@@ -188,16 +165,15 @@ def validate_setup(E: WeierstrassModel, d1, d2=None) -> TwistSetup:
     if reasons:
         raise SetupError(reasons)
 
-    sign_vectors = tuple(tuple(kronecker(f.value, p) for p in local_data) for f in discs)
-    setup = setup_from_signs(E, N, local_data, tuple(discs), sign_vectors)
-    for l, loc in local_data.items():
-        if -1 in setup.signs[l] and loc.conductor_exponent != 1:
+    sign_vectors = [tuple(kronecker(f.value, p) for p in local_data) for f in discs]
+    for (l, loc), signs in zip(local_data.items(), zip(*sign_vectors)):
+        if -1 in signs and loc.conductor_exponent != 1:
             reasons.append(
                 f"character -1 at prime {l} requires {l} || N (multiplicative reduction)"
             )
     if reasons:
         raise SetupError(reasons)
-    return setup
+    return tuple(twist_row(facts, f, signs, True) for f, signs in zip(discs, sign_vectors))
 
 
 def admissible_signs(
@@ -220,33 +196,6 @@ def admissible_signs(
             return None
         signs.append(s)
     return tuple(signs)
-
-
-def setup_from_signs(
-    E: WeierstrassModel,
-    N: int,
-    local_data: dict[int, LocalReduction],
-    discs: tuple[FundamentalDiscriminant, ...],
-    sign_vectors: tuple[tuple[int, ...], ...],
-) -> TwistSetup:
-    """The canonical setup of an admissible discriminant, or of a coprime
-    pair of them, from their admissible_signs vectors: a prime of N goes
-    to n_minus exactly when the product of its signs is -1.  Nothing is
-    validated here."""
-    signs = dict(zip(local_data, zip(*sign_vectors)))
-    n_plus = n_minus = 1
-    plus_primes, minus_primes = [], []
-    for p, s in signs.items():
-        q = p ** local_data[p].conductor_exponent
-        if math.prod(s) == 1:
-            n_plus *= q
-            plus_primes.append(p)
-        else:
-            n_minus *= q
-            minus_primes.append(p)
-    return TwistSetup(
-        E, N, n_plus, n_minus, discs, local_data, tuple(plus_primes), tuple(minus_primes), signs
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +246,6 @@ def u_of_discriminant(E: WeierstrassModel, D) -> int:
     if v == 3:
         return 2
     raise AssertionError(f"v2(c6) = {v} not in {{0, 3}} for a minimal model good at 2")
-
-
-def measured_u(E: WeierstrassModel, D) -> Fraction:
-    """u extracted from the actual minimization of the twist model."""
-    D = _as_fund(D)
-    return twist_minimal(E, D.value)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +322,6 @@ def twist_row(
         {l: local[l].tamagawa for l in f.primes},
         math.prod(facts.c_tilde[q] for q in minus),
         conductor_tamagawa,
-    )
-
-
-def setup_rows(setup: TwistSetup) -> tuple[TwistRow, ...]:
-    """The rows of a validated setup's discriminants, in order, each with
-    its twist's local data at the primes of N."""
-    facts = curve_facts(setup.curve)
-    sign_vectors = zip(*setup.signs.values())
-    return tuple(
-        twist_row(facts, f, signs, True) for f, signs in zip(setup.discriminants, sign_vectors)
     )
 
 
@@ -621,17 +554,17 @@ def search_discriminant(
 
 
 def find_auxiliary_discriminant(
-    setup: TwistSetup, p: int, bound: int = 10**6
+    rows: tuple[TwistRow, ...], p: int, bound: int = 10**6
 ) -> FundamentalDiscriminant:
-    """Auxiliary character constraint: match chi_1 at every prime of N
-    except p, flip it at p; conductor coprime to N * D."""
-    if setup.conductor % p != 0:
-        raise ValueError(f"{p} does not divide the conductor")
-    loc = setup.local_data[p]
-    if not loc.kind.startswith("multiplicative"):
+    """Auxiliary character constraint for the rows validate_setup returns:
+    match chi_1 (the first row's signs) at every prime of N except p,
+    flip it at p; conductor coprime to N * D, D the product of the rows'
+    discriminants.  p must be a multiplicative prime of N."""
+    facts = rows[0].facts
+    if p not in facts.local_data:
+        raise ValueError(f"{p} is not a prime of the conductor N = {facts.conductor}")
+    if not facts.local_data[p].kind.startswith("multiplicative"):
         raise ValueError(f"{p} must be a multiplicative prime")
-    pattern = {}
-    for l in setup.local_data:
-        chi1 = setup.chi(1, l)
-        pattern[l] = -chi1 if l == p else chi1
-    return search_discriminant(pattern, setup.conductor * setup.combined.value, bound)
+    pattern = {l: -s if l == p else s for l, s in zip(facts.local_data, rows[0].signs)}
+    D = math.prod(r.disc.value for r in rows)
+    return search_discriminant(pattern, facts.conductor * D, bound)

@@ -297,16 +297,55 @@ def golden_local_data(label: str, ai, conductor: int):
 # the clause-by-clause admissibility reference
 #
 # The library decides admissibility from each discriminant's signs at the
-# primes of N (admissible_signs, setup_from_signs), and validate_setup
-# builds on them.  This is the hypothesis as the paper states it, clause
-# by clause, with the eight conductor pieces of a character pair; it reads
-# N and the local data from the library, and decides nothing from the
-# sign table.
+# primes of N (admissible_signs), and describes a twist only by its rows
+# (validate_setup returns them).  This is the hypothesis as the paper
+# states it, clause by clause, with the eight conductor pieces of a
+# character pair, on the reference's own TwistSetup; it reads N and the
+# local data from the library, and decides nothing from the sign table.
 
-from quadtwist.arith import kronecker
+from quadtwist.arith import FundamentalDiscriminant, kronecker
 from quadtwist.curves import WeierstrassModel, minimal_model
 from quadtwist.localred import LocalReduction, reduction_profile
-from quadtwist.twistlaws import SetupError, TwistSetup, _as_fund
+from quadtwist.twistlaws import SetupError, _as_fund, join_rows
+
+
+class TwistSetup(NamedTuple):
+    curve: WeierstrassModel  # globally minimal
+    conductor: int
+    n_plus: int
+    n_minus: int
+    discriminants: tuple[FundamentalDiscriminant, ...]  # one or two
+    local_data: dict[int, LocalReduction]
+    plus_primes: tuple[int, ...]  # the primes of n_plus, increasing
+    minus_primes: tuple[int, ...]  # the primes of n_minus, increasing
+    signs: dict[int, tuple[int, ...]]  # p | N -> (chi_1(p)[, chi_2(p)])
+
+    @property
+    def is_pair(self) -> bool:
+        return len(self.discriminants) == 2
+
+    def chi(self, i: int, l: int) -> int:
+        """Character value chi_i(l) = kronecker(D_i, l) at a prime l of N;
+        i is 1-based."""
+        return self.signs[l][i - 1]
+
+
+def implied_setup(*rows) -> TwistSetup:
+    """The TwistSetup a row, or the join of two rows, stands for."""
+    facts = rows[0].facts
+    minus = rows[0].minus_primes if len(rows) == 1 else join_rows(*rows).minus_primes
+    n_minus = math.prod(minus)
+    return TwistSetup(
+        facts.curve,
+        facts.conductor,
+        facts.conductor // n_minus,
+        n_minus,
+        tuple(r.disc for r in rows),
+        facts.local_data,
+        tuple(p for p in facts.local_data if p not in minus),
+        minus,
+        dict(zip(facts.local_data, zip(*(r.signs for r in rows)))),
+    )
 
 
 class Decomposition(NamedTuple):

@@ -435,9 +435,10 @@ def test_cli_verify_pair_dmax(tmp_path, capsys):
     assert main([*args, "--pair-dmax", "1000"]) == 0  # the report records min(--dmax, N)
     assert json.loads(out.read_text(encoding="utf-8"))["pair_dmax"] == 30
     capsys.readouterr()
-    for bad in ("0", "-5", "x"):
-        assert main([*args, "--pair-dmax", bad]) == 2
-        assert "--pair-dmax" in capsys.readouterr().err
+    for flag in ("--pair-dmax", "--dmax", "--jobs"):
+        for bad in ("0", "-5", "x"):
+            assert main([*args, flag, bad]) == 2, (flag, bad)
+            assert flag in capsys.readouterr().err
 
 
 def test_cli_verify_without_out_encodes_nothing(tmp_path, monkeypatch, capsys):
@@ -486,6 +487,13 @@ def test_cli_verify_reports_failed_checks(tmp_path, monkeypatch, capsys):
     assert [json.loads(ln[6:]) for ln in fails] == report["failures"]
 
 
+def test_package_exports_resolve():
+    names = quadtwist.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(quadtwist, name)]
+    assert missing == []
+
+
 def test_cli_enumerate_profiles(capsys):
     assert main(["enumerate-case3"]) == 0
     out = capsys.readouterr().out
@@ -508,6 +516,21 @@ def test_cli_find_aux(capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out.strip() == "8"
+    # a --prime that is not a prime of N is a usage error, not a KeyError
+    for curve, d1, prime, n in (
+        ("1,0,1,4,-6", "17", "14", 14),  # 14 | N = 14, but 14 is not a prime
+        ("1,0,1,4,-6", "17", "1", 14),
+        ("0,-1,1,-10,-20", "13", "5", 11),
+    ):
+        args = ["find-aux", "--curve", curve, "--d1", d1, "--prime", prime]
+        assert main(args) == 2, prime
+        err = capsys.readouterr().err
+        assert err == f"error: {prime} is not a prime of the conductor N = {n}\n"
+
+
+def test_cli_u_of_d(capsys):
+    assert main(["u-of-d", "--curve", "0,-1,1,-10,-20", "--d", "8"]) == 0
+    assert capsys.readouterr().out == "u=2 (measured 2)\n"
 
 
 def test_cli_find_aux_hostile_n_minus(one_second_deadline, capsys):

@@ -31,17 +31,14 @@ from quadtwist.harness import (
 from quadtwist.localred import c_tilde, reduction_profile, tate_local
 from quadtwist.twistlaws import (
     SetupError,
-    TwistSetup,
     _exponent,
     _verdict,
     check_two_adic_case,
     equal_mod_squares,
     find_auxiliary_discriminant,
     join_rows,
-    setup_rows,
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
-    measured_u,
     predict_two_adic,
     symbol_closed_form,
     search_discriminant,
@@ -58,6 +55,7 @@ from oracles import (
     decompose,
     fraction_quantity,
     fraction_two_power,
+    implied_setup,
     random_reduced_curves,
     reference_setup,
     square_class,
@@ -72,30 +70,17 @@ def corpus():
 
 
 def single_row(E, d):
-    (row,) = setup_rows(validate_setup(E, d))
+    (row,) = validate_setup(E, d)
     return row
 
 
 def pair_join(E, d1, d2):
-    return join_rows(*setup_rows(validate_setup(E, d1, d2)))
+    return join_rows(*validate_setup(E, d1, d2))
 
 
-def implied_setup(*rows):
-    """The TwistSetup a row, or the join of two rows, stands for."""
-    facts = rows[0].facts
-    minus = rows[0].minus_primes if len(rows) == 1 else join_rows(*rows).minus_primes
-    n_minus = math.prod(minus)
-    return TwistSetup(
-        facts.curve,
-        facts.conductor,
-        facts.conductor // n_minus,
-        n_minus,
-        tuple(r.disc for r in rows),
-        facts.local_data,
-        tuple(p for p in facts.local_data if p not in minus),
-        minus,
-        dict(zip(facts.local_data, zip(*(r.signs for r in rows)))),
-    )
+def setup(E, d1, d2=None):
+    """The setup the rows validate_setup returns stand for."""
+    return implied_setup(*validate_setup(E, d1, d2))
 
 
 def sweep_setups(E, singles, pairs):
@@ -114,16 +99,16 @@ def sweep_setups(E, singles, pairs):
 
 
 def test_validate_setup_examples():
-    s = validate_setup(E14A1, 17)
+    s = setup(E14A1, 17)
     assert (s.n_plus, s.n_minus) == (2, 7)
-    s = validate_setup(E11A1, 13)
+    s = setup(E11A1, 13)
     assert (s.n_plus, s.n_minus) == (1, 11)
 
 
 def test_validate_setup_canonical_factorization():
-    s = validate_setup(E11A1, 13)
+    s = setup(E11A1, 13)
     assert (s.n_plus, s.n_minus) == (1, 11)
-    s = validate_setup(E11A1, 5)  # 5 is a square mod 11
+    s = setup(E11A1, 5)  # 5 is a square mod 11
     assert (s.n_plus, s.n_minus) == (11, 1)
 
 
@@ -146,8 +131,8 @@ def test_validate_setup_distinct_reasons():
 def test_validate_setup_pair_condition_star():
     # 17a1 has v17(N) = 1; characters of opposite sign at 17 are fine
     e17 = model(1, -1, 1, -1, -14)
-    s = validate_setup(e17, 13, 5)
-    assert s.is_pair and s.combined.value == 65
+    s = setup(e17, 13, 5)
+    assert s.is_pair and math.prod(f.value for f in s.discriminants) == 65
     # conductor 49: chi(7) = -1 for either character violates (*)
     e49 = model(1, -1, 0, -2, -1)
     with pytest.raises(SetupError) as exc:
@@ -168,15 +153,16 @@ def test_setup_parses_each_discriminant_once(monkeypatch):
     monkeypatch.setattr("quadtwist.arith.factorize", no_factoring)
     single = validate_setup(E11A1, f13)
     pair = validate_setup(E11A1, f13, f5)
-    assert single.discriminants == (f13,) and pair.discriminants == (f13, f5)
-    assert twist_quantity(*setup_rows(single)).is_even_exponent
-    assert pair_twist_quantity(join_rows(*setup_rows(pair))).is_even_exponent
+    assert implied_setup(*single).discriminants == (f13,)
+    assert implied_setup(*pair).discriminants == (f13, f5)
+    assert twist_quantity(*single).is_even_exponent
+    assert pair_twist_quantity(join_rows(*pair)).is_even_exponent
     assert (f13.primes, f5.primes) == ((13,), (5,))
 
 
 def test_pair_canonical_membership():
     # (11a1, D1=13, D2=5): D = 65 = 10 mod 11 is a nonresidue, so inert
-    s = validate_setup(E11A1, 13, 5)
+    s = setup(E11A1, 13, 5)
     assert (s.n_plus, s.n_minus) == (1, 11)
     assert kronecker(65, 11) == -1
 
@@ -241,6 +227,36 @@ def test_sign_table_setups_match_validate_setup():
         )
 
 
+def test_validate_setup_returns_the_sweep_rows():
+    # user input and the sweep build the same rows: on every shipped
+    # curve and D <= 100, validate_setup gives the row twist_rows builds,
+    # or raises where there is none, and a pair's rows join as row_pairs
+    # joins them
+    fds = list(fundamental_discriminants(100))
+    singles = pairs = 0
+    for rec in corpus():
+        E = minimal_model(rec.curve).minimal
+        rows = {r.disc.value: r for r in twist_rows(E, fds, 100)}
+        for f in fds:
+            if f.value in rows:
+                assert validate_setup(E, f) == (rows[f.value],), (rec.label, f.value)
+                singles += 1
+            else:
+                with pytest.raises(SetupError):
+                    validate_setup(E, f)
+        joins = {(p.row1.disc.value, p.row2.disc.value): p for p in row_pairs(rows.values(), 100)}
+        for i, f1 in enumerate(fds):
+            for f2 in fds[i + 1 :]:
+                key = (f1.value, f2.value)
+                if key in joins:
+                    assert join_rows(*validate_setup(E, f1, f2)) == joins[key], (rec.label, key)
+                    pairs += 1
+                else:
+                    with pytest.raises(SetupError):
+                        validate_setup(E, f1, f2)
+    assert (singles, pairs) == (517, 4978)  # the acceptance sweep has 4978 pairs
+
+
 def _setup_or_none(validator, *args, **kwargs):
     try:
         return validator(*args, **kwargs)
@@ -270,7 +286,7 @@ def test_validate_setup_matches_reference_on_stated_splits():
         splits.append((p, N // p) if N % (p * p) == 0 else (p, N))  # not coprime
         splits.append((1, 2 * N))  # product 2N
         for key in keys:
-            derived = _setup_or_none(validate_setup, E, *key)
+            derived = _setup_or_none(setup, E, *key)
             assert derived == _setup_or_none(reference_setup, E, *key), (rec.label, key)
             accepted += derived is not None
             for split in splits:
@@ -301,7 +317,7 @@ def test_setup_prime_sets_match_factorize():
 
 
 def test_decompose_trivial_character():
-    s = validate_setup(E11A1, 1, 13)
+    s = setup(E11A1, 1, 13)
     dec = decompose(s)
     # chi_1 is trivial: everything lands in the plus pieces of i = 1
     assert dec.n1_minus == 1
@@ -310,8 +326,8 @@ def test_decompose_trivial_character():
 
 
 def test_decompose_swap_symmetry():
-    s12 = validate_setup(E11A1, 13, 5)
-    s21 = validate_setup(E11A1, 5, 13)
+    s12 = setup(E11A1, 13, 5)
+    s21 = setup(E11A1, 5, 13)
     d12, d21 = decompose(s12), decompose(s21)
     assert d12.n1_plus_I == d21.n2_plus_I
     assert d12.n1_minus_I == d21.n2_minus_I
@@ -322,7 +338,7 @@ def test_decompose_swap_symmetry():
 def test_decompose_concrete_n14():
     # N = 2*7, chi_1 = (17|.), chi_2 = (5|.): chi_1(2) = +1, chi_1(7) = -1,
     # chi_2(2) = -1, chi_2(7) = -1; D = 85 is split at 7, inert at 2.
-    s = validate_setup(E14A1, 17, 5)
+    s = setup(E14A1, 17, 5)
     assert (s.n_plus, s.n_minus) == (7, 2)
     dec = decompose(s)
     assert (dec.n1_plus_I, dec.n1_minus_I, dec.n1_plus_II, dec.n1_minus_II) == (1, 7, 2, 1)
@@ -339,7 +355,7 @@ def test_decompose_sweep_invariants():
         for _ in range(40):
             d1, d2 = rng.sample(fds, 2)
             try:
-                s = validate_setup(E, d1, d2)
+                s = setup(E, d1, d2)
             except SetupError:
                 continue
             decompose(s)  # all identities asserted inside
@@ -373,7 +389,7 @@ def test_u_closed_form_matches_measured():
             if f.is_even and N % 2 == 0:
                 continue
             u = u_of_discriminant(E, f)
-            assert Fraction(u) == measured_u(E, f)
+            assert Fraction(u) == twist_minimal(E, f.value)[1]
             assert u in (1, 2)
             checked += 1
     assert checked > 200
@@ -417,9 +433,10 @@ def test_twist_quantity_trivial_and_empty_products():
     for f in fundamental_discriminants(60):
         if kronecker(f.value, 37) != 1:
             continue
-        s = validate_setup(e37, f)
+        rows = validate_setup(e37, f)
+        s = implied_setup(*rows)
         assert (s.n_plus, s.n_minus) == (37, 1)
-        v = twist_quantity(*setup_rows(s))
+        v = twist_quantity(*rows)
         assert v.is_power_of_two and v.is_even_exponent
         assert v.components["c_tilde"] == {} and v.components["omega_n_minus"] == 0
         found += 1
@@ -430,11 +447,11 @@ def test_twist_quantity_smallest_even_d():
     # smallest valid 8m for the conductor-11 curve is D = 8 itself
     for d in (8, 24, 40):
         try:
-            s = validate_setup(E11A1, d)
+            rows = validate_setup(E11A1, d)
         except SetupError:
             continue
         assert d == 8
-        v = twist_quantity(*setup_rows(s))
+        v = twist_quantity(*rows)
         assert v.is_even_exponent
         assert v.components["u"] == 2
         break
@@ -471,14 +488,15 @@ def test_pair_decomposition_yields_valid_single_setups():
     for rec in corpus()[:8]:
         for pair in ((13, 5), (5, 13), (17, 8), (1, 13), (8, 21)):
             try:
-                s = validate_setup(rec.curve, *pair)
+                s = setup(rec.curve, *pair)
             except SetupError:
                 continue
             dec = decompose(s)
             for i, (np_, nm_) in ((1, (dec.n1_plus, dec.n1_minus)), (2, (dec.n2_plus, dec.n2_minus))):
-                sub = validate_setup(s.curve, s.discriminants[i - 1])
+                sub_rows = validate_setup(s.curve, s.discriminants[i - 1])
+                sub = implied_setup(*sub_rows)
                 assert (sub.n_plus, sub.n_minus) == (np_, nm_), (rec.label, pair, i)
-                v = twist_quantity(*setup_rows(sub))
+                v = twist_quantity(*sub_rows)
                 assert v.is_power_of_two and v.is_even_exponent, (rec.label, pair, i)
             checked += 1
     assert checked > 5
@@ -562,12 +580,13 @@ def test_transfer_identity_nonsplit_and_even_valuation_cases():
             if f.value == 1:
                 continue
             try:
-                s = validate_setup(E, 1, f.value)
+                rows = validate_setup(E, 1, f.value)
             except SetupError:
                 continue
+            s = implied_setup(*rows)
             if s.n_minus == 1:
                 continue
-            pair = join_rows(*setup_rows(s))
+            pair = join_rows(*rows)
             for q in factorize(s.n_minus).primes():
                 res = tamagawa_transfer_check(pair, q)
                 assert res.ok, (rec.label, f.value, res.detail)
@@ -585,10 +604,10 @@ def test_transfer_product_example_and_sweep():
     for rec in corpus()[:8]:
         for pair in ((1, 13), (5, 13), (13, 5), (1, 8), (5, 8)):
             try:
-                s = validate_setup(rec.curve, *pair)
+                rows = validate_setup(rec.curve, *pair)
             except SetupError:
                 continue
-            assert tamagawa_transfer_product_check(join_rows(*setup_rows(s))).ok, (rec.label, pair)
+            assert tamagawa_transfer_product_check(join_rows(*rows)).ok, (rec.label, pair)
             hits += 1
     assert hits > 8
 
@@ -596,7 +615,7 @@ def test_transfer_product_example_and_sweep():
 def test_transfer_product_split_primes_contribute_squares():
     """Primes where both characters agree give equal Tamagawa numbers on
     the two twists."""
-    s = validate_setup(E14A1, 17, 5)
+    s = setup(E14A1, 17, 5)
     for l, loc in s.local_data.items():
         if s.chi(1, l) == s.chi(2, l):
             t1 = tate_local(twist_minimal(s.curve, 17)[0], l).tamagawa
@@ -636,10 +655,10 @@ def test_symbol_closed_form_equals_kronecker_on_valid_setups():
         disc = invariants(E).disc
         for f in fundamental_discriminants(100):
             try:
-                s = validate_setup(E, f)
+                rows = validate_setup(E, f)
             except SetupError:
                 continue
-            b = inert_valuation_sum(*setup_rows(s))
+            b = inert_valuation_sum(*rows)
             assert symbol_closed_form(disc, f, b) == kronecker(disc, f.odd_part)
             checked += 1
     assert checked > 300
@@ -759,8 +778,7 @@ def test_i4_star_tamagawa_dichotomy():
 
 
 def test_find_auxiliary_discriminant_scan():
-    s = validate_setup(E11A1, 1, 13)
-    f = find_auxiliary_discriminant(s, 11)
+    f = find_auxiliary_discriminant(validate_setup(E11A1, 1, 13), 11)
     assert f.value == 8  # 5 splits at 11, 8 is inert; scan is ascending
 
 
