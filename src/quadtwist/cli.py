@@ -7,6 +7,8 @@ stderr). An exception inside the sweep reaches main as a
 harness.SweepError, so even a ValueError there exits 3. `find-aux` takes
 D alone (d1, or a pair d1, d2): D fixes the split (n_plus, n_minus).
 Its --prime must be a multiplicative prime of N; any other value exits 2.
+`u-of-d` takes a D coprime to the conductor N, which its closed form
+assumes; any other D exits 2.
 
 `verify` checks pairs of discriminants up to min(--dmax, --pair-dmax),
 where --pair-dmax defaults to 100; the report records that cap as
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -29,7 +32,7 @@ from .arith import fundamental_discriminant
 from .profile_scan import scan_profiles
 from .curves import minimal_model, model, quadratic_twist
 from .harness import PAIR_DMAX, SweepReport, default_corpus_path, ingest_corpus, write_report
-from .localred import tate_local
+from .localred import conductor, tate_local
 from .twistlaws import (
     find_auxiliary_discriminant,
     twist_minimal,
@@ -135,6 +138,9 @@ def _cmd_minimal(args) -> int:
 def _cmd_u_of_d(args) -> int:
     E = minimal_model(args.curve).minimal
     D = fundamental_discriminant(args.d)
+    g = math.gcd(D.value, conductor(E))
+    if g != 1:  # the closed form assumes D coprime to N
+        raise ValueError(f"gcd(D, N) = {g} != 1")
     print(f"u={u_of_discriminant(E, D)} (measured {twist_minimal(E, D.value)[1]})")
     return 0
 

@@ -14,7 +14,10 @@ sweep takes its CurveFacts (conductor, local data, minimal discriminant,
 c~ and the inert base change) and each discriminant's character signs
 at the primes of N (the sign table), and builds one TwistRow per
 admissible discriminant: the twist is minimized once and Tate's
-algorithm runs once per prime on it. Instances are a join of rows: a
+algorithm runs once per prime on it. The odd-prime closed form for the
+twist's Tamagawa number depends on the curve and the prime l, not on D,
+so it is evaluated once per (curve, l) and compared with the Tate value
+of every row whose D has l. Instances are a join of rows: a
 single reads its own row, and a coprime pair D1 < D2 up to the pair cap
 reads two. The tests hold the records to a per-instance reference that
 reads each twist's Tate data afresh from a validated setup. An
@@ -193,9 +196,11 @@ def _verdict_json(v) -> dict:
     }
 
 
-def run_single_instance(label: str, row: TwistRow, mode: str) -> dict:
+def run_single_instance(label: str, row: TwistRow, mode: str, odd_tamagawa: dict[int, int]) -> dict:
     """Evaluate one (curve, D) instance from its row; returns a
-    JSON-ready record."""
+    JSON-ready record.  odd_tamagawa is the curve's memo of the closed
+    form twist_prime_tamagawa_odd(E, l, .) by odd prime l (no D changes
+    it); the primes it lacks are filled in."""
     facts = row.facts
     D = row.disc
     t0 = time.perf_counter()
@@ -223,10 +228,12 @@ def run_single_instance(label: str, row: TwistRow, mode: str) -> dict:
             flags.append(f"measured u = {row.measured_u} outside {{1,2}}")
         rec["u"] = row.u
         # odd-prime fast path vs full Tate on the twist
+        odd = [l for l in D.primes if l != 2]
+        for l in odd:
+            if l not in odd_tamagawa:
+                odd_tamagawa[l] = twist_prime_tamagawa_odd(facts.curve, l, D.value)
         checks["odd_twist_fast_path"] = all(
-            twist_prime_tamagawa_odd(facts.curve, l, D.value) == row.local[l].tamagawa
-            for l in D.primes
-            if l != 2
+            odd_tamagawa[l] == row.local[l].tamagawa for l in odd
         )
         if D.is_even:
             case = check_two_adic_case(row)
@@ -273,7 +280,8 @@ def run_pair_instance(label: str, pair: TwistPair, mode: str) -> dict:
 def _sweep_curve(args) -> tuple[str, list[dict], float]:
     """One curve's instance records in report order (pairs, then
     singles, each ascending), and the seconds they took.  The curve's
-    rows are built once and every instance reads them."""
+    rows are built once and every instance reads them, and the odd-prime
+    closed form is evaluated once per prime."""
     record, discriminants, pair_dmax, mode = args
     t0 = time.perf_counter()
     out = []
@@ -288,8 +296,9 @@ def _sweep_curve(args) -> tuple[str, list[dict], float]:
             for pair in row_pairs(rows, pair_dmax):
                 out.append(run_pair_instance(record.label, pair, mode))
         if singles_run:
+            odd_tamagawa: dict[int, int] = {}  # l -> the closed form at l, for this curve
             for row in rows:
-                out.append(run_single_instance(record.label, row, mode))
+                out.append(run_single_instance(record.label, row, mode, odd_tamagawa))
     except Exception as exc:
         raise SweepError(f"curve {record.label}: {type(exc).__name__}: {exc}") from exc
     return record.label, out, time.perf_counter() - t0

@@ -6,7 +6,12 @@ invariant c-tilde, and the inert base-change Tamagawa number.
 The algorithm follows the classical normalization sequence.  At p = 2, 3
 the coordinate changes are found by small exhaustive searches over
 residues, with the resulting valuation profile asserted after every step;
-at p >= 5 closed forms with modular inverses are used.
+at p >= 5 closed forms with modular inverses are used.  The kernel runs
+on plain ints: it carries a1..a6 as locals, applies each [1, r, s, w]
+change as int arithmetic, computes each b- and c-invariant only where a
+step reads it, and tests thresholds as divisibility by a power of p.
+The model-object form of the same algorithm, a WeierstrassModel per
+change with every invariant recomputed, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -15,13 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import is_prime, kronecker, valuation
-from .curves import (
-    Invariants,
-    WeierstrassModel,
-    invariants,
-    minimal_model,
-    rst_transform,
-)
+from .curves import Invariants, SingularModelError, WeierstrassModel, minimal_model
 
 GOOD = "good"
 MULT_SPLIT = "multiplicative-split"
@@ -42,13 +41,6 @@ class LocalReduction(NamedTuple):
         if self.kind.startswith("multiplicative"):
             return self.kind == MULT_SPLIT
         return None
-
-
-def _vp(n, p: int) -> int:
-    """Valuation with v(0) = a large sentinel, for threshold tests."""
-    if n == 0:
-        return 10**9
-    return valuation(n, p)
 
 
 def _inv(a: int, p: int) -> int:
@@ -111,50 +103,37 @@ def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
     return len(u) - 1
 
 
-def _find_singular_point(E: WeierstrassModel, inv: Invariants, p: int) -> tuple[int, int]:
-    """(r, t) mod p moving the singular point of the reduction to (0,0);
-    inv are the invariants of E."""
-    a1, a2, a3, a4, a6 = E
-    if p in (2, 3):
-        for r in range(p):
-            for t in range(p):
-                a3n = a3 + r * a1 + 2 * t
-                a4n = a4 + 2 * r * a2 - t * a1 + 3 * r * r
-                a6n = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
-                if a3n % p == 0 and a4n % p == 0 and a6n % p == 0:
-                    return r, t
-        raise AssertionError(f"no singular point mod {p} for {tuple(E)}")
-    if inv.c4 % p == 0:
-        r = (-inv.b2 * _inv(12, p)) % p
-    else:
-        r = ((18 * inv.b6 - inv.b2 * inv.b4) * _inv(inv.c4, p)) % p
-    t = (-(a1 * r + a3) * _inv(2, p)) % p
-    return r, t
+def _singular_point_small(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> tuple[int, int]:
+    """(r, t) with 0 <= r, t < p moving the singular point of the
+    reduction mod p = 2, 3 to (0, 0), by search."""
+    for r in range(p):
+        for t in range(p):
+            if (
+                (a3 + r * a1 + 2 * t) % p == 0
+                and (a4 + 2 * r * a2 - t * a1 + 3 * r * r) % p == 0
+                and (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) % p == 0
+            ):
+                return r, t
+    raise AssertionError(f"no singular point mod {p} for {(a1, a2, a3, a4, a6)}")
 
 
-def _normalize_step2(C1: WeierstrassModel, p: int) -> WeierstrassModel:
-    """Arrange p | a1, a2; p^2 | a3, a4; p^3 | a6 (all guaranteed to be
-    reachable at this stage of the algorithm)."""
-    if p == 2:
-        for s in range(4):
-            for r in (0, 2, 4, 6):
-                for w in range(8):
-                    C2 = rst_transform(C1, r, s, w)
-                    a1, a2, a3, a4, a6 = C2
-                    if (
-                        a1 % 2 == 0
-                        and a2 % 2 == 0
-                        and a3 % 4 == 0
-                        and a4 % 4 == 0
-                        and a6 % 8 == 0
-                    ):
-                        return C2
-        raise AssertionError(f"2-adic normalization failed for {tuple(C1)}")
-    s = (-C1.a1 * _inv(2, p)) % p
-    C2 = rst_transform(C1, 0, s, 0)
-    w = (-C2.a3 * _inv(2, p * p)) % (p * p)
-    C3 = rst_transform(C2, 0, 0, w)
-    return C3
+def _two_adic_shift(a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple[int, int, int]:
+    """The first (r, s, w) in (s, r, w) order, s < 4, r in (0, 2, 4, 6),
+    w < 8, with [1, r, s, w] giving 2 | a1, a2; 4 | a3, a4; 8 | a6 (all
+    reachable at this stage of the algorithm).  a1 and a2 do not depend
+    on w."""
+    for s in range(4):
+        for r in (0, 2, 4, 6):
+            if (a1 + 2 * s) % 2 or (a2 - s * a1 + 3 * r - s * s) % 2:
+                continue
+            for w in range(8):
+                if (
+                    (a3 + r * a1 + 2 * w) % 4 == 0
+                    and (a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w) % 4 == 0
+                    and (a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1) % 8 == 0
+                ):
+                    return r, s, w
+    raise AssertionError(f"2-adic normalization failed for {(a1, a2, a3, a4, a6)}")
 
 
 @lru_cache(maxsize=None)
@@ -168,39 +147,75 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    C = E
+    p2, p3 = p * p, p**3
+    a1, a2, a3, a4, a6 = E
     while True:
-        inv = invariants(C)  # raises SingularModelError when disc = 0
-        n = _vp(inv.disc, p)
-        if n == 0:
+        b2 = a1 * a1 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3 * a3 + 4 * a6
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        if disc == 0:
+            raise SingularModelError(f"singular model {tuple(E)}")
+        if disc % p:
             return LocalReduction(p, "I0", 1, 0, GOOD, 0)
+        n = 0
+        while disc % p == 0:
+            disc //= p
+            n += 1
+        c4 = b2 * b2 - 24 * b4
 
-        r, t = _find_singular_point(C, inv, p)
-        C1 = rst_transform(C, r, 0, t)
-        a1, a2, a3, a4, a6 = C1
+        # move the singular point of the reduction to (0, 0): [1, r, 0, t]
+        if p <= 3:
+            r, t = _singular_point_small(a1, a2, a3, a4, a6, p)
+        else:
+            if c4 % p == 0:
+                r = -b2 * _inv(12, p) % p
+            else:
+                r = (18 * b6 - b2 * b4) * _inv(c4, p) % p
+            t = -(a1 * r + a3) * _inv(2, p) % p
+        a2, a3, a4, a6 = (
+            a2 + 3 * r,
+            a3 + r * a1 + 2 * t,
+            a4 + 2 * r * a2 - t * a1 + 3 * r * r,
+            a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+        )
         assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
 
-        if inv.c4 % p != 0:
+        if c4 % p != 0:
             split = _quad_has_root(1, a1, -a2, p)
             cp = n if split else (2 if n % 2 == 0 else 1)
             kind = MULT_SPLIT if split else MULT_NONSPLIT
             return LocalReduction(p, f"I{n}", cp, n, kind, 1)
 
-        if _vp(a6, p) < 2:
+        if a6 % p2 != 0:
             return LocalReduction(p, "II", 1, n, ADDITIVE, n)
-        inv1 = invariants(C1)
-        if _vp(inv1.b8, p) < 3:
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        if b8 % p3 != 0:
             return LocalReduction(p, "III", 2, n, ADDITIVE, n - 1)
-        if _vp(inv1.b6, p) < 3:
-            cp = 3 if _quad_has_root(1, a3 // p, -(a6 // (p * p)), p) else 1
+        if (a3 * a3 + 4 * a6) % p3 != 0:  # b6
+            cp = 3 if _quad_has_root(1, a3 // p, -(a6 // p2), p) else 1
             return LocalReduction(p, "IV", cp, n, ADDITIVE, n - 2)
 
-        C3 = _normalize_step2(C1, p)
-        a1, a2, a3, a4, a6 = C3
-        assert _vp(a1, p) >= 1 and _vp(a2, p) >= 1
-        assert _vp(a3, p) >= 2 and _vp(a4, p) >= 2 and _vp(a6, p) >= 3
+        # arrange p | a1, a2; p^2 | a3, a4; p^3 | a6
+        if p == 2:
+            r, s, w = _two_adic_shift(a1, a2, a3, a4, a6)
+            a1, a2, a3, a4, a6 = (
+                a1 + 2 * s,
+                a2 - s * a1 + 3 * r - s * s,
+                a3 + r * a1 + 2 * w,
+                a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w,
+                a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1,
+            )
+        else:
+            s = -a1 * _inv(2, p) % p  # [1, 0, s, 0]
+            a1, a2, a4 = a1 + 2 * s, a2 - s * a1 - s * s, a4 - s * a3
+            w = -a3 * _inv(2, p2) % p2  # [1, 0, 0, w]
+            a3, a4, a6 = a3 + 2 * w, a4 - w * a1, a6 - w * a3 - w * w
+        assert a1 % p == 0 and a2 % p == 0
+        assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
 
-        b, c, d = a2 // p, a4 // (p * p), a6 // p**3
+        b, c, d = a2 // p, a4 // p2, a6 // p3
         cubic_disc = (
             18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
         )
@@ -219,27 +234,40 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
                 )
             else:
                 x0 = ((9 * d - b * c) * _inv(2 * (b * b - 3 * c), p)) % p
-            Cm = rst_transform(C3, p * x0, 0, 0)
-            assert _vp(Cm.a2, p) == 1 and _vp(Cm.a3, p) >= 2
-            assert _vp(Cm.a4, p) >= 3 and _vp(Cm.a6, p) >= 4
-            mx, my = p * p, p * p
+            r = p * x0  # [1, r, 0, 0]
+            a2, a3, a4, a6 = (
+                a2 + 3 * r,
+                a3 + r * a1,
+                a4 + 2 * r * a2 + 3 * r * r,
+                a6 + r * a4 + r * r * a2 + r**3,
+            )
+            assert a2 % p == 0 and a2 % p2 != 0 and a3 % p2 == 0
+            assert a4 % p3 == 0 and a6 % p**4 == 0
+            mx, my = p2, p2
             m = 1
             while True:
-                a2t, a3t = Cm.a2 // p, Cm.a3 // my
-                a4t, a6t = Cm.a4 // (p * mx), Cm.a6 // (mx * my)
+                a2t, a3t = a2 // p, a3 // my
+                a4t, a6t = a4 // (p * mx), a6 // (mx * my)
                 if m % 2 == 1:
                     if (a3t * a3t + 4 * a6t) % p != 0:
                         cp = 4 if _quad_has_root(1, a3t, -a6t, p) else 2
                         break
                     y0 = a6t % 2 if p == 2 else (-a3t * _inv(2, p)) % p
-                    Cm = rst_transform(Cm, 0, 0, my * y0)
+                    w = my * y0  # [1, 0, 0, w]
+                    a3, a4, a6 = a3 + 2 * w, a4 - w * a1, a6 - w * a3 - w * w
                     my *= p
                 else:
                     if (a4t * a4t - 4 * a2t * a6t) % p != 0:
                         cp = 4 if _quad_has_root(a2t, a4t, a6t, p) else 2
                         break
                     x1 = a6t % 2 if p == 2 else (-a4t * _inv(2 * a2t, p)) % p
-                    Cm = rst_transform(Cm, mx * x1, 0, 0)
+                    r = mx * x1  # [1, r, 0, 0]
+                    a2, a3, a4, a6 = (
+                        a2 + 3 * r,
+                        a3 + r * a1,
+                        a4 + 2 * r * a2 + 3 * r * r,
+                        a6 + r * a4 + r * r * a2 + r**3,
+                    )
                     mx *= p
                 m += 1
                 assert m <= n, "runaway I_m* chain"
@@ -252,33 +280,35 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
             x0 = (-d) % 3
         else:
             x0 = (-b * _inv(3, p)) % p
-        C5 = rst_transform(C3, p * x0, 0, 0)
-        assert _vp(C5.a2, p) >= 2 and _vp(C5.a3, p) >= 2
-        assert _vp(C5.a4, p) >= 3 and _vp(C5.a6, p) >= 4
+        r = p * x0  # [1, r, 0, 0]
+        a2, a3, a4, a6 = (
+            a2 + 3 * r,
+            a3 + r * a1,
+            a4 + 2 * r * a2 + 3 * r * r,
+            a6 + r * a4 + r * r * a2 + r**3,
+        )
+        p4 = p2 * p2
+        assert a2 % p2 == 0 and a3 % p2 == 0
+        assert a4 % p3 == 0 and a6 % p4 == 0
 
-        a3t, a6t = C5.a3 // (p * p), C5.a6 // p**4
+        a3t, a6t = a3 // p2, a6 // p4
         if (a3t * a3t + 4 * a6t) % p != 0:
             cp = 3 if _quad_has_root(1, a3t, -a6t, p) else 1
             return LocalReduction(p, "IV*", cp, n, ADDITIVE, n - 6)
 
         y0 = a6t % 2 if p == 2 else (-a3t * _inv(2, p)) % p
-        C6 = rst_transform(C5, 0, 0, p * p * y0)
-        assert _vp(C6.a3, p) >= 3 and _vp(C6.a6, p) >= 5
+        w = p2 * y0  # [1, 0, 0, w]
+        a3, a4, a6 = a3 + 2 * w, a4 - w * a1, a6 - w * a3 - w * w
+        assert a3 % p3 == 0 and a6 % (p4 * p) == 0
 
-        if _vp(C6.a4, p) < 4:
+        if a4 % p4 != 0:
             return LocalReduction(p, "III*", 2, n, ADDITIVE, n - 7)
-        if _vp(C6.a6, p) < 6:
+        if a6 % (p3 * p3) != 0:
             return LocalReduction(p, "II*", 1, n, ADDITIVE, n - 8)
 
         # non-minimal at p: rescale and restart
-        assert _vp(C6.a1, p) >= 1 and _vp(C6.a2, p) >= 2
-        C = WeierstrassModel(
-            C6.a1 // p,
-            C6.a2 // (p * p),
-            C6.a3 // p**3,
-            C6.a4 // p**4,
-            C6.a6 // p**6,
-        )
+        assert a1 % p == 0 and a2 % p2 == 0
+        a1, a2, a3, a4, a6 = a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // (p3 * p3)
 
 
 def reduction_profile(E: WeierstrassModel) -> tuple[int, dict[int, LocalReduction]]:

@@ -4,11 +4,13 @@ The oracles up to the references call nothing of the library's own
 reduction machinery: point counts are brute force, factorizations come
 from sympy, and reduction types are pinned by counting components
 through the conductor-degree relation on curves whose conductor is
-vouched for by their standard label.  The two references at the end do
-call it.  The admissibility reference takes N and the local data from
-the library and checks the twist hypothesis clause by clause.  The
-per-instance record reference evaluates each sweep instance from its
-setup alone, reading the twists' Tate data afresh.
+vouched for by their standard label.  The three references at the end
+do call it.  The Tate reference is Tate's algorithm on model objects,
+beside the library's kernel on plain ints.  The admissibility reference
+takes N and the local data from the library and checks the twist
+hypothesis clause by clause.  The per-instance record reference
+evaluates each sweep instance from its setup alone, reading the twists'
+Tate data afresh.
 """
 
 from __future__ import annotations
@@ -294,6 +296,196 @@ def golden_local_data(label: str, ai, conductor: int):
 
 
 # ---------------------------------------------------------------------------
+# the model-object reference for Tate's algorithm
+#
+# The library's tate_local carries a1..a6 as local ints through every
+# coordinate change.  This is the same algorithm, branch for branch, on
+# WeierstrassModel values: each change goes through rst_transform and
+# each step recomputes the invariants.  The root counts and the quadratic
+# root test are the library's.
+
+from quadtwist.arith import is_prime
+from quadtwist.curves import Invariants, WeierstrassModel, invariants, rst_transform
+from quadtwist.localred import LocalReduction, _inv, _quad_has_root, count_cubic_roots
+
+
+def _vp(n, p: int) -> int:
+    """Valuation with v(0) = a large sentinel, for threshold tests."""
+    if n == 0:
+        return 10**9
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _find_singular_point(E: WeierstrassModel, inv: Invariants, p: int) -> tuple[int, int]:
+    """(r, t) mod p moving the singular point of the reduction to (0,0);
+    inv are the invariants of E."""
+    a1, a2, a3, a4, a6 = E
+    if p in (2, 3):
+        for r in range(p):
+            for t in range(p):
+                a3n = a3 + r * a1 + 2 * t
+                a4n = a4 + 2 * r * a2 - t * a1 + 3 * r * r
+                a6n = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
+                if a3n % p == 0 and a4n % p == 0 and a6n % p == 0:
+                    return r, t
+        raise AssertionError(f"no singular point mod {p} for {tuple(E)}")
+    if inv.c4 % p == 0:
+        r = (-inv.b2 * _inv(12, p)) % p
+    else:
+        r = ((18 * inv.b6 - inv.b2 * inv.b4) * _inv(inv.c4, p)) % p
+    t = (-(a1 * r + a3) * _inv(2, p)) % p
+    return r, t
+
+
+def _normalize_step2(C1: WeierstrassModel, p: int) -> WeierstrassModel:
+    """Arrange p | a1, a2; p^2 | a3, a4; p^3 | a6 (all guaranteed to be
+    reachable at this stage of the algorithm)."""
+    if p == 2:
+        for s in range(4):
+            for r in (0, 2, 4, 6):
+                for w in range(8):
+                    C2 = rst_transform(C1, r, s, w)
+                    a1, a2, a3, a4, a6 = C2
+                    if (
+                        a1 % 2 == 0
+                        and a2 % 2 == 0
+                        and a3 % 4 == 0
+                        and a4 % 4 == 0
+                        and a6 % 8 == 0
+                    ):
+                        return C2
+        raise AssertionError(f"2-adic normalization failed for {tuple(C1)}")
+    s = (-C1.a1 * _inv(2, p)) % p
+    C2 = rst_transform(C1, 0, s, 0)
+    w = (-C2.a3 * _inv(2, p * p)) % (p * p)
+    C3 = rst_transform(C2, 0, 0, w)
+    return C3
+
+
+def reference_tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
+    """tate_local as model objects: each coordinate change builds a
+    WeierstrassModel through rst_transform, every invariant is recomputed
+    by invariants() at each step, and thresholds are valuations."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    C = E
+    while True:
+        inv = invariants(C)  # raises SingularModelError when disc = 0
+        n = _vp(inv.disc, p)
+        if n == 0:
+            return LocalReduction(p, "I0", 1, 0, "good", 0)
+
+        r, t = _find_singular_point(C, inv, p)
+        C1 = rst_transform(C, r, 0, t)
+        a1, a2, a3, a4, a6 = C1
+        assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
+
+        if inv.c4 % p != 0:
+            split = _quad_has_root(1, a1, -a2, p)
+            cp = n if split else (2 if n % 2 == 0 else 1)
+            kind = "multiplicative-split" if split else "multiplicative-nonsplit"
+            return LocalReduction(p, f"I{n}", cp, n, kind, 1)
+
+        if _vp(a6, p) < 2:
+            return LocalReduction(p, "II", 1, n, "additive", n)
+        inv1 = invariants(C1)
+        if _vp(inv1.b8, p) < 3:
+            return LocalReduction(p, "III", 2, n, "additive", n - 1)
+        if _vp(inv1.b6, p) < 3:
+            cp = 3 if _quad_has_root(1, a3 // p, -(a6 // (p * p)), p) else 1
+            return LocalReduction(p, "IV", cp, n, "additive", n - 2)
+
+        C3 = _normalize_step2(C1, p)
+        a1, a2, a3, a4, a6 = C3
+        assert _vp(a1, p) >= 1 and _vp(a2, p) >= 1
+        assert _vp(a3, p) >= 2 and _vp(a4, p) >= 2 and _vp(a6, p) >= 3
+
+        b, c, d = a2 // p, a4 // (p * p), a6 // p**3
+        cubic_disc = (
+            18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+        )
+        if cubic_disc % p != 0:
+            cp = 1 + count_cubic_roots(b, c, d, p)
+            return LocalReduction(p, "I0*", cp, n, "additive", n - 4)
+
+        if (b * b - 3 * c) % p != 0:
+            # double root of the cubic: type I_m* chain
+            if p in (2, 3):
+                x0 = next(
+                    x
+                    for x in range(p)
+                    if (x**3 + b * x * x + c * x + d) % p == 0
+                    and (3 * x * x + 2 * b * x + c) % p == 0
+                )
+            else:
+                x0 = ((9 * d - b * c) * _inv(2 * (b * b - 3 * c), p)) % p
+            Cm = rst_transform(C3, p * x0, 0, 0)
+            assert _vp(Cm.a2, p) == 1 and _vp(Cm.a3, p) >= 2
+            assert _vp(Cm.a4, p) >= 3 and _vp(Cm.a6, p) >= 4
+            mx, my = p * p, p * p
+            m = 1
+            while True:
+                a2t, a3t = Cm.a2 // p, Cm.a3 // my
+                a4t, a6t = Cm.a4 // (p * mx), Cm.a6 // (mx * my)
+                if m % 2 == 1:
+                    if (a3t * a3t + 4 * a6t) % p != 0:
+                        cp = 4 if _quad_has_root(1, a3t, -a6t, p) else 2
+                        break
+                    y0 = a6t % 2 if p == 2 else (-a3t * _inv(2, p)) % p
+                    Cm = rst_transform(Cm, 0, 0, my * y0)
+                    my *= p
+                else:
+                    if (a4t * a4t - 4 * a2t * a6t) % p != 0:
+                        cp = 4 if _quad_has_root(a2t, a4t, a6t, p) else 2
+                        break
+                    x1 = a6t % 2 if p == 2 else (-a4t * _inv(2 * a2t, p)) % p
+                    Cm = rst_transform(Cm, mx * x1, 0, 0)
+                    mx *= p
+                m += 1
+                assert m <= n, "runaway I_m* chain"
+            return LocalReduction(p, f"I{m}*", cp, n, "additive", n - 4 - m)
+
+        # triple root of the cubic
+        if p == 2:
+            x0 = b % 2
+        elif p == 3:
+            x0 = (-d) % 3
+        else:
+            x0 = (-b * _inv(3, p)) % p
+        C5 = rst_transform(C3, p * x0, 0, 0)
+        assert _vp(C5.a2, p) >= 2 and _vp(C5.a3, p) >= 2
+        assert _vp(C5.a4, p) >= 3 and _vp(C5.a6, p) >= 4
+
+        a3t, a6t = C5.a3 // (p * p), C5.a6 // p**4
+        if (a3t * a3t + 4 * a6t) % p != 0:
+            cp = 3 if _quad_has_root(1, a3t, -a6t, p) else 1
+            return LocalReduction(p, "IV*", cp, n, "additive", n - 6)
+
+        y0 = a6t % 2 if p == 2 else (-a3t * _inv(2, p)) % p
+        C6 = rst_transform(C5, 0, 0, p * p * y0)
+        assert _vp(C6.a3, p) >= 3 and _vp(C6.a6, p) >= 5
+
+        if _vp(C6.a4, p) < 4:
+            return LocalReduction(p, "III*", 2, n, "additive", n - 7)
+        if _vp(C6.a6, p) < 6:
+            return LocalReduction(p, "II*", 1, n, "additive", n - 8)
+
+        # non-minimal at p: rescale and restart
+        assert _vp(C6.a1, p) >= 1 and _vp(C6.a2, p) >= 2
+        C = WeierstrassModel(
+            C6.a1 // p,
+            C6.a2 // (p * p),
+            C6.a3 // p**3,
+            C6.a4 // p**4,
+            C6.a6 // p**6,
+        )
+
+
+# ---------------------------------------------------------------------------
 # the clause-by-clause admissibility reference
 #
 # The library decides admissibility from each discriminant's signs at the
@@ -304,8 +496,8 @@ def golden_local_data(label: str, ai, conductor: int):
 # local data from the library, and decides nothing from the sign table.
 
 from quadtwist.arith import FundamentalDiscriminant, kronecker
-from quadtwist.curves import WeierstrassModel, minimal_model
-from quadtwist.localred import LocalReduction, reduction_profile
+from quadtwist.curves import minimal_model
+from quadtwist.localred import reduction_profile
 from quadtwist.twistlaws import SetupError, _as_fund, join_rows
 
 

@@ -395,15 +395,18 @@ def test_cli_verify_failed_sweep_keeps_previous_report(tmp_path, monkeypatch, ca
 
 
 def test_cli_verify_under_python_optimize(tmp_path):
-    # python -O strips asserts; the acceptance report, and a sweep with
-    # pairs past the default cap, must not depend on them
+    # python -O strips asserts, Tate's internal ones included; the
+    # acceptance report, a sweep with pairs past the default cap and the
+    # coverage sweep must not depend on them
     src = os.path.dirname(os.path.dirname(quadtwist.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     three = write(
         tmp_path,
         "11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n37a1,0,0,1,-1,0,37,1\n",
     )
-    for corpus, pair_dmax in ((default_corpus_path(), 100), (three, 200)):
+    # the coverage corpus reaches Tate's additive branches at 2 and 3
+    coverage = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
+    for corpus, pair_dmax in ((default_corpus_path(), 100), (three, 200), (coverage, 100)):
         out = tmp_path / "report.json"
         subprocess.run(
             [sys.executable, "-O", "-m", "quadtwist.cli", "verify", "--corpus", corpus,
@@ -531,6 +534,17 @@ def test_cli_find_aux(capsys):
 def test_cli_u_of_d(capsys):
     assert main(["u-of-d", "--curve", "0,-1,1,-10,-20", "--d", "8"]) == 0
     assert capsys.readouterr().out == "u=2 (measured 2)\n"
+
+
+def test_cli_u_of_d_needs_d_coprime_to_n(capsys):
+    # the closed form assumes gcd(D, N) = 1: y^2 = x^3 + 6^6 (N = 36)
+    # at D = 12 has closed form 1 and measured 2
+    for curve, d, g in (("0,0,0,0,46656", "12", 12), ("0,-1,1,-10,-20", "44", 11)):
+        assert main(["u-of-d", "--curve", curve, "--d", d]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: gcd(D, N) = {g} != 1\n")
+    assert main(["u-of-d", "--curve", "0,-1,1,-10,-20", "--d", "13"]) == 0
+    assert capsys.readouterr().out == "u=1 (measured 1)\n"
 
 
 def test_cli_find_aux_hostile_n_minus(one_second_deadline, capsys):

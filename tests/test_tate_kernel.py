@@ -1,0 +1,111 @@
+"""Tate's algorithm on plain ints against its model-object reference.
+
+tate_local carries a1..a6 as local ints through every coordinate change;
+reference_tate_local (oracles.py) is the same algorithm on
+WeierstrassModel values, each change through rst_transform and each step
+recomputing the invariants.  They must agree on every key the sweeps ask
+and on random and engineered models, and the inputs together must reach
+every branch of the algorithm at 2 and at 3."""
+
+import os
+import random
+
+import pytest
+
+from quadtwist.arith import fundamental_discriminants, valuation
+from quadtwist.curves import SingularModelError, invariants, minimal_model, model
+from quadtwist.harness import default_corpus_path, ingest_corpus, twist_rows
+from quadtwist.localred import tate_local
+from quadtwist.twistlaws import twist_minimal
+
+from oracles import factorint, random_reduced_curves, reference_tate_local
+
+COVERAGE = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
+
+
+def sweep_keys(path: str, d_max: int = 500, pair_dmax: int = 100) -> set:
+    """Every (model, prime) a sweep of the corpus asks tate_local: each
+    curve at its bad primes, and each row's minimal twist at the primes
+    of its local data (those of D, and of N up to the pair cap)."""
+    discs = list(fundamental_discriminants(d_max))
+    keys = set()
+    for rec in ingest_corpus(path):
+        E = minimal_model(rec.curve).minimal
+        keys.update((E, p) for p in minimal_model(E).bad_primes)
+        for row in twist_rows(E, discs, pair_dmax):
+            T = twist_minimal(E, row.disc.value)[0]
+            keys.update((T, l) for l in row.local)
+    return keys
+
+
+def random_keys(seed: int = 15, count: int = 300) -> set:
+    """Seeded random reduced curves at 2, 3, 5, 7 and their bad primes;
+    the same curves scaled by u = 1/p at p = 2, 3 (non-minimal there);
+    and models whose coefficients carry engineered powers of p."""
+    rng = random.Random(seed)
+    keys = set()
+    for E in random_reduced_curves(rng, count):
+        disc = invariants(E).disc
+        keys.update((E, p) for p in {2, 3, 5, 7, *factorint(abs(disc))})
+        for p in (2, 3):
+            scaled = model(*(a * p**i for a, i in zip(E, (1, 2, 3, 4, 6))))
+            keys.add((scaled, p))
+    engineered = 0
+    while engineered < 2 * count:
+        # a_i divisible by up to p^(i + 1): deep additive types
+        p = rng.choice([2, 2, 3, 3, 5, 7])
+        ai = [rng.randint(-6, 6) * p ** rng.randint(0, i + 1) for i in (1, 2, 3, 4, 6)]
+        try:
+            invariants(model(*ai))
+        except SingularModelError:
+            continue
+        keys.add((model(*ai), p))
+        engineered += 1
+    return keys
+
+
+def _family(kodaira: str) -> str:
+    """The branch of the algorithm a Kodaira symbol comes from."""
+    if kodaira in ("I0", "I0*", "II", "III", "IV", "IV*", "III*", "II*"):
+        return kodaira
+    return "Im*" if kodaira.endswith("*") else "Im"
+
+
+@pytest.fixture(scope="module")
+def key_sets():
+    return {
+        "shipped": sweep_keys(default_corpus_path()),
+        "coverage": sweep_keys(COVERAGE),
+        "random": random_keys(),
+    }
+
+
+def test_kernel_matches_reference(key_sets):
+    assert len(key_sets["shipped"]) == 5320
+    for name, keys in key_sets.items():
+        for E, p in keys:
+            assert tate_local(E, p) == reference_tate_local(E, p), (name, tuple(E), p)
+
+
+def test_inputs_reach_every_branch_at_2_and_3(key_sets):
+    families = {2: set(), 3: set()}
+    rescaled = {2: 0, 3: 0}
+    for keys in key_sets.values():
+        for E, p in keys:
+            if p in families:
+                loc = tate_local(E, p)
+                families[p].add(_family(loc.kodaira))
+                # the restart branch: a model that is not minimal at p
+                rescaled[p] += valuation(invariants(E).disc, p) > loc.disc_valuation
+    every = {"I0", "Im", "II", "III", "IV", "I0*", "Im*", "IV*", "III*", "II*"}
+    assert families == {2: every, 3: every}
+    assert min(rescaled.values()) > 0, rescaled
+
+
+def test_kernel_errors_match_reference():
+    singular = model(0, 0, 0, 0, 0)
+    for fn in (tate_local, reference_tate_local):
+        with pytest.raises(SingularModelError, match=r"singular model \(0, 0, 0, 0, 0\)"):
+            fn(singular, 2)
+        with pytest.raises(ValueError, match="12 is not prime"):
+            fn(model(0, -1, 1, -10, -20), 12)

@@ -3,7 +3,8 @@
 Every record the sweep writes must equal the one reference_single_record
 or reference_pair_record (oracles.py) builds from the instance's setup
 alone, reading each twist's Tate data afresh; and a sweep must minimize
-each twist once and run Tate's algorithm once per (twist, prime)."""
+each twist once, run Tate's algorithm once per (twist, prime) and
+evaluate the odd-prime closed form once per (curve, prime)."""
 
 import json
 import os
@@ -16,7 +17,7 @@ from quadtwist.arith import fundamental_discriminant
 from quadtwist.cli import main
 from quadtwist.curves import minimal_model, two_strongly_minimal
 from quadtwist.harness import default_corpus_path, ingest_corpus, run_sweep, strip_timing
-from quadtwist.localred import tate_local
+from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
 from quadtwist.twistlaws import twist_minimal
 
 from oracles import reference_records
@@ -83,11 +84,12 @@ def count_calls(monkeypatch, *functions):
 def test_sweep_computes_each_twist_once(monkeypatch, d_max):
     # from cold memos: one twist_minimal call per (curve, admissible D),
     # one tate_local call per (twist, prime); the curves' own local data
-    # is asked a fixed number of times per curve, whatever d_max is
+    # is asked a fixed number of times per curve, whatever d_max is; the
+    # odd-prime closed form once per (curve, odd l | D) over the singles
     corpus = three_curves()
     clear_memos()
     try:
-        calls = count_calls(monkeypatch, twist_minimal, tate_local)
+        calls = count_calls(monkeypatch, twist_minimal, tate_local, twist_prime_tamagawa_odd)
         report = run_sweep(corpus, d_max, "all")
         monkeypatch.undo()
         curves = {rec.label: minimal_model(rec.curve).minimal for rec in corpus}
@@ -113,5 +115,16 @@ def test_sweep_computes_each_twist_once(monkeypatch, d_max):
         for key, n in own.items():
             loc = tate_local(*key)
             assert n == (4 if loc.kind.startswith("multiplicative") else 2), key
+        closed_form = Counter()
+        for (name, args), n in calls.items():
+            if name == "twist_prime_tamagawa_odd":
+                closed_form[args[:2]] += n  # (E, l); D is whichever row asked first
+        odd_keys = {
+            (curves[label], l)
+            for label, d in singles
+            for l in fundamental_discriminant(d).primes
+            if l != 2
+        }
+        assert closed_form == Counter(odd_keys)
     finally:
         clear_memos()
