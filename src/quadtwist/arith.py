@@ -157,11 +157,35 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
             return g, budget
 
 
+def _iroot(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, e) with n = r**e for a prime e, or (n, 1).  n has no prime
+    factor up to _TRIAL_BOUND, so r exceeds it, which bounds e."""
+    e = 2
+    while _TRIAL_BOUND**e < n:
+        if is_prime(e):
+            r = _iroot(n, e)
+            if r**e == n:
+                return r, e
+        e += 1
+    return n, 1
+
+
 def factorize(n: int) -> Factorization:
     """Factor a nonzero integer; trial division then Brent rho with
-    primality certificates on every reported prime.  Rho has _RHO_BUDGET
-    squarings in all, enough for prime factors up to about 10**10; past
-    them it raises FactorizationError."""
+    primality certificates on every reported prime.  A composite cofactor
+    that is a perfect power is split by an integer root before rho.  Rho
+    has _RHO_BUDGET squarings in all, enough for prime factors up to
+    about 10**10; past them it raises FactorizationError."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -186,6 +210,10 @@ def factorize(n: int) -> Factorization:
                 k = stack.pop()
                 if is_prime(k):
                     factors[k] = factors.get(k, 0) + 1
+                    continue
+                r, e = _perfect_power(k)
+                if e > 1:
+                    stack.extend([r] * e)
                     continue
                 g, budget = _brent_rho(k, budget)
                 stack.extend((g, k // g))

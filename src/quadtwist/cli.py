@@ -141,7 +141,7 @@ def _cmd_u_of_d(args) -> int:
     g = math.gcd(D.value, conductor(E))
     if g != 1:  # the closed form assumes D coprime to N
         raise ValueError(f"gcd(D, N) = {g} != 1")
-    print(f"u={u_of_discriminant(E, D)} (measured {twist_minimal(E, D.value)[1]})")
+    print(f"u={u_of_discriminant(E, D)} (measured {twist_minimal(E, D)[1]})")
     return 0
 
 

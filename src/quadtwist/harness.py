@@ -19,8 +19,15 @@ twist's Tamagawa number depends on the curve and the prime l, not on D,
 so it is evaluated once per (curve, l) and compared with the Tate value
 of every row whose D has l. Instances are a join of rows: a
 single reads its own row, and a coprime pair D1 < D2 up to the pair cap
-reads two. The tests hold the records to a per-instance reference that
-reads each twist's Tate data afresh from a validated setup. An
+reads two. Every value a record holds is a lookup: the row's share of
+the quantity's numerator and its Tamagawa numbers as the report prints
+them, and the n_minus side (n_minus, n_plus, the c~ and the transfer
+products) from the curve's per-set table, built once per (curve, prime
+set). Records share those dicts by reference, and nothing mutates a
+record. No Fraction is built per record: the quantity's string is
+formatted from its ints. The tests hold the records to a per-instance
+reference that reads each twist's Tate data afresh from a validated
+setup. An
 exception inside a curve's sweep is raised as a SweepError naming the
 curve. With jobs > 1 the curves fan out over at most one worker process
 per curve.
@@ -50,6 +57,7 @@ from .twistlaws import (
     admissible_signs,
     check_two_adic_case,
     curve_facts,
+    format_quantity,
     inert_valuation_sum,
     join_rows,
     pair_twist_quantity,
@@ -183,16 +191,13 @@ def row_pairs(rows: Sequence[TwistRow], pair_dmax: int) -> Iterator[TwistPair]:
 
 
 def _verdict_json(v) -> dict:
-    comp = dict(v.components)
-    for key, val in comp.items():
-        if type(val) is dict:  # JSON keys are strings; the encoder sorts them
-            comp[key] = {str(k): w for k, w in val.items()}
+    # the components are JSON-ready and shared with the rows: not copied
     return {
-        "quantity": str(v.quantity),
+        "quantity": format_quantity(v.numerator, v.w),
         "exponent": v.exponent,
         "is_power_of_two": v.is_power_of_two,
         "is_even_exponent": v.is_even_exponent,
-        "components": comp,
+        "components": v.components,
     }
 
 
@@ -206,12 +211,11 @@ def run_single_instance(label: str, row: TwistRow, mode: str, odd_tamagawa: dict
     t0 = time.perf_counter()
     checks: dict[str, bool] = {}
     flags: list[str] = []
-    n_minus = math.prod(row.minus_primes)
     rec: dict = {
         "curve": label,
         "d": D.value,
-        "n_plus": facts.conductor // n_minus,
-        "n_minus": n_minus,
+        "n_plus": row.minus.n_plus,
+        "n_minus": row.minus.n_minus,
     }
     if mode in ("thm13", "all"):
         v = twist_quantity(row)
@@ -250,14 +254,13 @@ def run_pair_instance(label: str, pair: TwistPair, mode: str) -> dict:
     """Evaluate one (curve, D1, D2) instance from the join of two rows."""
     t0 = time.perf_counter()
     checks: dict[str, bool] = {}
-    row1, row2, minus = pair
-    n_minus = math.prod(minus)
+    row1, row2, side = pair
     rec: dict = {
         "curve": label,
         "d1": row1.disc.value,
         "d2": row2.disc.value,
-        "n_plus": row1.facts.conductor // n_minus,
-        "n_minus": n_minus,
+        "n_plus": side.n_plus,
+        "n_minus": side.n_minus,
     }
     if mode in ("thm31", "all"):
         v = pair_twist_quantity(pair)
@@ -269,7 +272,7 @@ def run_pair_instance(label: str, pair: TwistPair, mode: str) -> dict:
         checks["c_tilde_product"] = book["c_tilde_product"]
     if mode in ("lemmas", "all"):
         checks["tamagawa_transfer_per_prime"] = all(
-            tamagawa_transfer_check(pair, q).ok for q in minus
+            tamagawa_transfer_check(pair, q).ok for q in side.primes
         )
         checks["tamagawa_transfer_product"] = tamagawa_transfer_product_check(pair).ok
     rec["checks"] = checks
@@ -422,7 +425,9 @@ def run_sweep(
 
 
 # One encoder for every record: without indent, json uses its C encoder.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# Records share their rows' dicts but hold no cycle, so the encoder need
+# not track the containers it is inside.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def write_report(sweep: SweepReport, fh: TextIO) -> None:

@@ -16,7 +16,6 @@ change with every invariant recomputed, is the tests' reference.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import is_prime, kronecker, valuation
@@ -41,6 +40,21 @@ class LocalReduction(NamedTuple):
         if self.kind.startswith("multiplicative"):
             return self.kind == MULT_SPLIT
         return None
+
+    @property
+    def c_tilde(self) -> int:
+        """1 if v_p of the minimal discriminant is odd, else 2; p must be a
+        prime of multiplicative reduction."""
+        return 2 - self.inert_tamagawa % 2
+
+    @property
+    def inert_tamagawa(self) -> int:
+        """Tamagawa number over a quadratic field in which p stays inert:
+        v_p of the minimal discriminant (the reduction becomes split); p
+        must be a prime of multiplicative reduction."""
+        if self.split is None:
+            raise ValueError(f"{self.prime} is not a multiplicative prime")
+        return self.disc_valuation
 
 
 def _inv(a: int, p: int) -> int:
@@ -67,11 +81,17 @@ def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
 
     deg gcd(T^p - T, f) over F_p, so any prime is cheap.  T^p mod f is
     kept as x0 + x1 T + x2 T^2 and reduced with T^3 = -b T^2 - c T - d
-    and T^4 = (b^2 - c) T^2 + (bc - d) T + bd.
+    and T^4 = (b^2 - c) T^2 + (bc - d) T + bd.  When the discriminant of
+    f is a nonzero non-square mod p, f is squarefree with an even number
+    of irreducible factors (Stickelberger), so it is a linear times an
+    irreducible quadratic: one root, without the gcd.
     """
     if p < 50:
         return sum(1 for t in range(p) if (t**3 + b * t * t + c * t + d) % p == 0)
     b, c, d = b % p, c % p, d % p
+    disc = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+    if pow(disc, (p - 1) // 2, p) == p - 1:
+        return 1
     e2, e1, e0 = (b * b - c) % p, (b * c - d) % p, b * d % p
 
     # T^p mod f by left-to-right square-and-multiply, from T
@@ -136,7 +156,6 @@ def _two_adic_shift(a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple[int, i
     raise AssertionError(f"2-adic normalization failed for {(a1, a2, a3, a4, a6)}")
 
 
-@lru_cache(maxsize=None)
 def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
     """Kodaira type, Tamagawa number, minimal discriminant valuation and
     reduction kind of E at p.
@@ -356,16 +375,10 @@ def twist_prime_tamagawa_odd(E: WeierstrassModel, l: int, D: int) -> int:
 def c_tilde(E: WeierstrassModel, q: int) -> int:
     """1 if v_q of the minimal discriminant is odd, else 2; q must be a
     prime of multiplicative reduction."""
-    loc = tate_local(E, q)
-    if not loc.kind.startswith("multiplicative"):
-        raise ValueError(f"{q} is not a multiplicative prime")
-    return 2 - (loc.disc_valuation % 2)
+    return tate_local(E, q).c_tilde
 
 
 def inert_base_change_tamagawa(E: WeierstrassModel, q: int) -> int:
     """Tamagawa number over a quadratic field in which q stays inert:
     equals v_q of the minimal discriminant (reduction becomes split)."""
-    loc = tate_local(E, q)
-    if not loc.kind.startswith("multiplicative"):
-        raise ValueError(f"{q} is not a multiplicative prime")
-    return loc.disc_valuation
+    return tate_local(E, q).inert_tamagawa

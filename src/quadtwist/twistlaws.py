@@ -7,30 +7,40 @@ case cross-checks, and the auxiliary-discriminant search.
 
 A twist is described by its row alone, and every quantity and check
 reads rows.  A curve's CurveFacts hold what all its twists share: N,
-the local data, the minimal discriminant, and c~_q and the inert
-base-change c_q at each multiplicative prime q.
+the local data, the minimal discriminant, and a table of n_minus sides,
+one MinusSide per set of multiplicative primes that some row or pair
+has as its n_minus, built on first use: n_minus, n_plus, the c~_q
+(keyed as the report prints them) and their product, and c~_q times the
+inert base-change c_q at each q with the product of those.  All of it
+is read from the curve's local data, so the curve's own primes go
+through Tate's algorithm once.
 A TwistRow holds one admissible discriminant D's facts: its signs at the
-primes of N and the primes of its n_minus, u_D by the closed form and as
-twist_minimal measures it, and full Tate on the minimal twist at the
-primes of D (and of N, when the row joins pairs).  A single reads its
+primes of N and its n_minus side, u_D by the closed form and as
+twist_minimal measures it, full Tate on the minimal twist at the primes
+of D (and of N, when the row joins pairs), and its fragment of every
+quantity it enters: the Tamagawa numbers at the primes of D as the
+report prints them, and u_D times their product.  A single reads its
 own row.  A pair is a join of two rows: its n_minus is m_1
-symmetric-difference m_2, the primes where the rows' signs differ, and
-both sides of each transfer identity are products of the D_1 and D_2
-factors.  The closed forms (c~, the inert base change, u_D, the
-odd-prime fast path, the 2-adic case table, the symbol) stay the
-independent side of each comparison against the rows' Tate data.
+symmetric-difference m_2, the primes where the rows' signs differ, read
+from the curve's table, and both sides of each transfer identity are
+products of the D_1 and D_2 factors.  The closed forms (c~, the inert
+base change, u_D, the odd-prime fast path, the 2-adic case table, the
+symbol) stay the independent side of each comparison against the rows'
+Tate data.
 
 Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
-is accumulated and judged on ints (its 2-adic exponent by a bit test),
-and one Fraction is built per reported quantity, for its string.  "Equal
-modulo squares" is decided by an integer square root, without factoring.
+is accumulated from the row and side fragments and judged on ints (its
+2-adic exponent by a bit test), and its string is formatted from the
+ints (format_quantity); no Fraction is built per quantity.  Its
+components share the row and side fragments by reference, so they are
+read, never mutated.  "Equal modulo squares" is decided by an integer
+square root, without factoring.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import (
@@ -48,13 +58,7 @@ from .curves import (
     pattern_of_normal_form,
     two_strongly_minimal,
 )
-from .localred import (
-    LocalReduction,
-    c_tilde,
-    inert_base_change_tamagawa,
-    reduction_profile,
-    tate_local,
-)
+from .localred import LocalReduction, reduction_profile, tate_local
 
 
 class SetupError(ValueError):
@@ -66,11 +70,16 @@ class SetupError(ValueError):
 
 
 class ExponentVerdict(NamedTuple):
-    quantity: Fraction
+    numerator: int
+    w: int  # the quantity is numerator / 2**w
     exponent: int | None  # k with quantity = 2**k, when it is one
     is_power_of_two: bool
     is_even_exponent: bool
-    components: dict
+    components: dict  # JSON-ready: prime keys are strings
+
+    @property
+    def quantity(self) -> Fraction:
+        return Fraction(self.numerator, 1 << self.w)
 
 
 class CheckResult(NamedTuple):
@@ -101,16 +110,17 @@ def _exponent(num: int, den: int) -> int | None:
 
 
 def _verdict(num: int, w: int, components: dict) -> ExponentVerdict:
-    """The verdict on num / 2**w, decided on ints; the Fraction is built
-    only to report the quantity."""
+    """The verdict on num / 2**w, decided on ints."""
     k = _exponent(num, 1 << w)
-    return ExponentVerdict(
-        quantity=Fraction(num, 1 << w),
-        exponent=k,
-        is_power_of_two=k is not None,
-        is_even_exponent=k is not None and k % 2 == 0,
-        components=components,
-    )
+    return ExponentVerdict(num, w, k, k is not None, k is not None and k % 2 == 0, components)
+
+
+def format_quantity(num: int, w: int) -> str:
+    """str(Fraction(num, 2**w)) for num > 0, from ints: the common factor
+    is 2**t, t = min(w, v2(num))."""
+    t = min(w, (num & -num).bit_length() - 1)
+    den = 1 << (w - t)
+    return str(num >> t) if den == 1 else f"{num >> t}/{den}"
 
 
 def _as_fund(d) -> FundamentalDiscriminant:
@@ -202,9 +212,9 @@ def admissible_signs(
 # twist local data and u_D
 
 
-@lru_cache(maxsize=None)
-def twist_minimal(E: WeierstrassModel, d: int):
-    """(minimal model of the twist of E by d, measured scale u_d).
+def twist_minimal(E: WeierstrassModel, d):
+    """(minimal model of the twist of E by d, measured scale u_d); d is an
+    int or a parsed FundamentalDiscriminant.
 
     The raw twist has invariants (d^2 c4, d^3 c6) and need not be
     integral at 2; its rescaling by [1/2, 0, 0, 0], with invariants
@@ -216,13 +226,21 @@ def twist_minimal(E: WeierstrassModel, d: int):
     E's invariants are (u^4 C4, u^6 C6), for the invariants (C4, C6) of
     its minimal model and the scale u onto it, so the rescaled twist's
     discriminant 2^12 d^6 u^12 disc(E_min) has no primes but 2, those of
-    d u and E's bad primes: only d u is factored.
+    d u and E's bad primes: only d u is factored, and only u when d is
+    parsed, whose primes it carries.
     """
     mm = minimal_model(E)
+    fund = isinstance(d, FundamentalDiscriminant)
+    if fund:
+        d, d_primes = d.value, d.primes
     if d == 1:
         return mm.minimal, Fraction(mm.u_value)
     u, inv = mm.u_value, mm.invariants
-    primes = sorted({2, *mm.bad_primes, *factorize(abs(d) * u).primes()})
+    if not fund:
+        d_primes = factorize(abs(d) * u).primes()
+    elif u > 1:
+        d_primes += factorize(u).primes()
+    primes = sorted({2, *mm.bad_primes, *d_primes})
     tw = minimal_from_invariants(
         2**4 * d * d * u**4 * inv.c4, 2**6 * d**3 * u**6 * inv.c6, primes
     )
@@ -259,42 +277,83 @@ class CurveFacts(NamedTuple):
     conductor: int
     local_data: dict[int, LocalReduction]
     disc: int  # the minimal discriminant
-    c_tilde: dict[int, int]  # q -> c~_q(E), at each multiplicative prime q
-    inert_tamagawa: dict[int, int]  # q -> c_q(E over a field where q is inert)
+    minus_sides: dict[int, MinusSide]  # the n_minus table, by mask; see minus_side
+
+    # The table fills as rows and pairs ask for it, so it takes no part
+    # in comparisons.
+    def __eq__(self, other):
+        return isinstance(other, CurveFacts) and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+
+class MinusSide(NamedTuple):
+    """What one set of n_minus primes fixes on one curve, built once per
+    (curve, set) from the curve's local data."""
+
+    mask: int  # bit i set when the i-th prime of N (local_data order) is in the set
+    primes: tuple[int, ...]  # in local_data order
+    n_minus: int
+    n_plus: int
+    c_tilde: dict[str, int]  # str(q) -> c~_q(E), as the report prints it
+    c_tilde_product: int
+    transfer: dict[int, int]  # q -> c~_q(E) * c_q(E over a field where q is inert)
+    transfer_product: int
+    disc_valuation_sum: int  # sum of v_q(min disc) over the set
+
+
+def curve_facts(E: WeierstrassModel) -> CurveFacts:
+    """E's conductor, local data and minimal discriminant, with an empty
+    n_minus table; E is globally minimal."""
+    N, local_data = reduction_profile(E)
+    return CurveFacts(E, N, local_data, minimal_model(E).invariants.disc, {})
+
+
+def minus_side(facts: CurveFacts, mask: int) -> MinusSide:
+    """The n_minus side of the primes of N that mask selects: read from
+    the curve's table, and built into it on first use.  The table holds
+    at most one entry per prime set that the curve's rows and pairs
+    have, and each entry reads c~_q and the inert base-change c_q off the
+    curve's local data at q (LocalReduction.c_tilde, .inert_tamagawa),
+    which raise unless q is multiplicative."""
+    side = facts.minus_sides.get(mask)
+    if side is None:
+        locs = [loc for i, loc in enumerate(facts.local_data.values()) if mask >> i & 1]
+        primes = tuple(loc.prime for loc in locs)
+        n_minus = math.prod(primes)
+        c_t = {str(loc.prime): loc.c_tilde for loc in locs}
+        transfer = {loc.prime: loc.c_tilde * loc.inert_tamagawa for loc in locs}
+        side = facts.minus_sides[mask] = MinusSide(
+            mask,
+            primes,
+            n_minus,
+            facts.conductor // n_minus,
+            c_t,
+            math.prod(c_t.values()),
+            transfer,
+            math.prod(transfer.values()),
+            sum(loc.disc_valuation for loc in locs),
+        )
+    return side
 
 
 class TwistRow(NamedTuple):
-    """One admissible discriminant's facts on one curve: its signs, the
-    primes of its n_minus, both values of u_D, and full Tate on its
-    minimal twist at the primes of D (and of N, when the row joins
-    pairs)."""
+    """One admissible discriminant's facts on one curve: its signs, its
+    n_minus side, both values of u_D, full Tate on its minimal twist at
+    the primes of D (and of N, when the row joins pairs), and its
+    fragment of every quantity's numerator."""
 
     facts: CurveFacts
     disc: FundamentalDiscriminant
     signs: tuple[int, ...]  # kronecker(D, p) at the primes of N, in local_data order
-    minus_primes: tuple[int, ...]  # the primes of N where the sign is -1
+    minus: MinusSide  # the primes of N where the sign is -1
     u: int  # u_of_discriminant, the closed form
     measured_u: Fraction  # the scale twist_minimal measures
     local: dict[int, LocalReduction]  # the minimal twist's local data
-    twist_tamagawa: dict[int, int]  # l -> c_l(twist), at the primes of D
-    c_tilde_product: int  # prod c~_q(E) over minus_primes
+    twist_tamagawa: dict[str, int]  # str(l) -> c_l(twist) at the primes of D, as reported
+    share: int  # u * prod c_l(twist) over the primes of D
     conductor_tamagawa: int | None  # prod c_l(twist) over the primes of N; None without them
-
-
-def curve_facts(E: WeierstrassModel) -> CurveFacts:
-    """E's conductor, local data and minimal discriminant, and c~_q and
-    the inert base-change c_q at each multiplicative prime q; E is
-    globally minimal."""
-    N, local_data = reduction_profile(E)
-    mult = [q for q, loc in local_data.items() if loc.kind.startswith("multiplicative")]
-    return CurveFacts(
-        E,
-        N,
-        local_data,
-        minimal_model(E).invariants.disc,
-        {q: c_tilde(E, q) for q in mult},
-        {q: inert_base_change_tamagawa(E, q) for q in mult},
-    )
 
 
 def twist_row(
@@ -302,25 +361,31 @@ def twist_row(
 ) -> TwistRow:
     """The row of an admissible discriminant from its admissible_signs
     vector: one twist_minimal call, and one tate_local call per prime of
-    D, and per prime of N when at_conductor."""
+    D, and per prime of N when at_conductor.  The twist by 1 is the curve
+    itself, whose local data at N the facts hold."""
     E = facts.curve
-    T, u_measured = twist_minimal(E, f.value)
+    T, u_measured = twist_minimal(E, f)
     local = {l: tate_local(T, l) for l in f.primes}
     conductor_tamagawa = None
     if at_conductor:
-        local.update((l, tate_local(T, l)) for l in facts.local_data)
+        if f.value == 1:
+            local.update(facts.local_data)
+        else:
+            local.update((l, tate_local(T, l)) for l in facts.local_data)
         conductor_tamagawa = math.prod(local[l].tamagawa for l in facts.local_data)
-    minus = tuple(p for p, s in zip(facts.local_data, signs) if s == -1)
+    u = u_of_discriminant(E, f)
+    c_twist = {str(l): local[l].tamagawa for l in f.primes}
+    mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
     return TwistRow(
         facts,
         f,
         signs,
-        minus,
-        u_of_discriminant(E, f),
+        minus_side(facts, mask),
+        u,
         u_measured,
         local,
-        {l: local[l].tamagawa for l in f.primes},
-        math.prod(facts.c_tilde[q] for q in minus),
+        c_twist,
+        u * math.prod(c_twist.values()),
         conductor_tamagawa,
     )
 
@@ -332,15 +397,13 @@ class TwistPair(NamedTuple):
 
     row1: TwistRow
     row2: TwistRow
-    minus_primes: tuple[int, ...]  # in local_data order
+    minus: MinusSide  # the primes where the rows' signs differ
 
 
 def join_rows(row1: TwistRow, row2: TwistRow) -> TwistPair:
-    """The pair of two rows of one curve, with its n_minus primes."""
-    local_data = row1.facts.local_data
-    return TwistPair(
-        row1, row2, tuple(p for p, s1, s2 in zip(local_data, row1.signs, row2.signs) if s1 != s2)
-    )
+    """The pair of two rows of one curve, with its n_minus side from the
+    curve's table."""
+    return TwistPair(row1, row2, minus_side(row1.facts, row1.minus.mask ^ row2.minus.mask))
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +413,16 @@ def join_rows(row1: TwistRow, row2: TwistRow) -> TwistPair:
 def twist_quantity(row: TwistRow) -> ExponentVerdict:
     """u_D / 2^omega(n_minus) * prod_{l | D} c_l(twist) * prod_{q | n_minus}
     c~_{q}(E), as an exact rational, with the evenness verdict."""
-    w = len(row.minus_primes)
-    c_twist = row.twist_tamagawa
+    side = row.minus
+    w = len(side.primes)
     return _verdict(
-        row.u * math.prod(c_twist.values()) * row.c_tilde_product,
+        row.share * side.c_tilde_product,
         w,
         {
             "u": row.u,
             "omega_n_minus": w,
-            "twist_tamagawa": dict(c_twist),
-            "c_tilde": {q: row.facts.c_tilde[q] for q in row.minus_primes},
+            "twist_tamagawa": row.twist_tamagawa,
+            "c_tilde": side.c_tilde,
             "D": row.disc.value,
         },
     )
@@ -376,27 +439,24 @@ def pair_twist_quantity(pair: TwistPair) -> ExponentVerdict:
     symmetric-difference m_2, each prime of m_1 and m_2 divides N
     exactly) hold by construction of the rows and their join.
     """
-    row1, row2, minus = pair
-    w = len(minus)
-    c1, c2 = row1.twist_tamagawa, row2.twist_tamagawa
-    c_t = {q: row1.facts.c_tilde[q] for q in minus}
-    c_t_product = math.prod(c_t.values())
-    num = row1.u * row2.u * math.prod(c1.values()) * math.prod(c2.values()) * c_t_product
+    row1, row2, side = pair
+    w = len(side.primes)
+    m1, m2 = row1.minus, row2.minus
 
-    parity_ok = (len(row1.minus_primes) + len(row2.minus_primes) - w) % 2 == 0
-    k = _exponent(row1.c_tilde_product * row2.c_tilde_product, c_t_product)
+    parity_ok = (len(m1.primes) + len(m2.primes) - w) % 2 == 0
+    k = _exponent(m1.c_tilde_product * m2.c_tilde_product, side.c_tilde_product)
     product_ok = k is not None and k % 2 == 0
 
     return _verdict(
-        num,
+        row1.share * row2.share * side.c_tilde_product,
         w,
         {
             "u1": row1.u,
             "u2": row2.u,
             "omega_n_minus": w,
-            "twist_tamagawa_1": dict(c1),
-            "twist_tamagawa_2": dict(c2),
-            "c_tilde": c_t,
+            "twist_tamagawa_1": row1.twist_tamagawa,
+            "twist_tamagawa_2": row2.twist_tamagawa,
+            "c_tilde": side.c_tilde,
             "bookkeeping": {"omega_parity": parity_ok, "c_tilde_product": product_ok},
             "D1": row1.disc.value,
             "D2": row2.disc.value,
@@ -411,11 +471,10 @@ def pair_twist_quantity(pair: TwistPair) -> ExponentVerdict:
 def tamagawa_transfer_check(pair: TwistPair, q: int) -> CheckResult:
     """c~_{q}(E) * c_{q}(E over the inert quadratic field) against
     c_{q}(twist by D1) * c_{q}(twist by D2), at a prime q of n_minus."""
-    if q not in pair.minus_primes:
+    row1, row2, side = pair
+    if q not in side.transfer:
         raise ValueError(f"{q} does not divide n_minus")
-    row1, row2, _ = pair
-    facts = row1.facts
-    lhs = facts.c_tilde[q] * facts.inert_tamagawa[q]
+    lhs = side.transfer[q]
     rhs = row1.local[q].tamagawa * row2.local[q].tamagawa
     return CheckResult(lhs == rhs, f"q={q}: {lhs} vs {rhs}")
 
@@ -423,20 +482,16 @@ def tamagawa_transfer_check(pair: TwistPair, q: int) -> CheckResult:
 def tamagawa_transfer_product_check(pair: TwistPair) -> CheckResult:
     """Product over all primes of N of both twists' Tamagawa numbers,
     compared modulo squares with prod c~_{q} * c_{q}(inert base change)."""
-    row1, row2, minus = pair
-    facts = row1.facts
+    row1, row2, side = pair
     lhs = row1.conductor_tamagawa * row2.conductor_tamagawa
-    rhs = 1
-    for q in minus:
-        rhs *= facts.c_tilde[q] * facts.inert_tamagawa[q]
+    rhs = side.transfer_product
     ok = equal_mod_squares(lhs, rhs)
     return CheckResult(ok, f"{lhs} vs {rhs} (mod squares)")
 
 
 def inert_valuation_sum(row: TwistRow) -> int:
     """b = sum of v_{q}(min disc) over primes q of n_minus."""
-    local_data = row.facts.local_data
-    return sum(local_data[q].disc_valuation for q in row.minus_primes)
+    return row.minus.disc_valuation_sum
 
 
 def symbol_closed_form(delta: int, D, b: int) -> int:

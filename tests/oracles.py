@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import sympy
@@ -501,6 +502,13 @@ from quadtwist.localred import reduction_profile
 from quadtwist.twistlaws import SetupError, _as_fund, join_rows
 
 
+# The library keeps no memo of Tate results, and the reference is asked
+# once per instance: it keeps its own memo of each curve's profile.
+@lru_cache(maxsize=None)
+def _profile(E):
+    return reduction_profile(E)
+
+
 class TwistSetup(NamedTuple):
     curve: WeierstrassModel  # globally minimal
     conductor: int
@@ -525,7 +533,7 @@ class TwistSetup(NamedTuple):
 def implied_setup(*rows) -> TwistSetup:
     """The TwistSetup a row, or the join of two rows, stands for."""
     facts = rows[0].facts
-    minus = rows[0].minus_primes if len(rows) == 1 else join_rows(*rows).minus_primes
+    minus = (rows[0] if len(rows) == 1 else join_rows(*rows)).minus.primes
     n_minus = math.prod(minus)
     return TwistSetup(
         facts.curve,
@@ -605,7 +613,7 @@ def reference_setup(
     if mm.minimal != E:
         reasons.append("curve model is not globally minimal")
         E = mm.minimal
-    N, local_data = reduction_profile(E)
+    N, local_data = _profile(E)
     if conductor is not None and conductor != N:
         reasons.append(f"stated conductor {conductor} != computed {N}")
 
@@ -743,6 +751,9 @@ from quadtwist.twistlaws import (
 )
 
 
+# The library keeps no memo of Tate results, and the reference asks for
+# the same twist's local data once per instance: it keeps its own memo.
+@lru_cache(maxsize=None)
 def _twist_local(E, d: int, l: int):
     return tate_local(twist_minimal(E, d)[0], l)
 

@@ -64,6 +64,25 @@ def test_factorize_large_semiprime():
     assert f.factors == ((p, 1), (q, 1))
 
 
+def test_factorize_splits_perfect_powers_by_roots(monkeypatch, one_second_deadline):
+    # a cofactor past trial division that is a perfect power is split by
+    # integer roots, without rho: prime powers with prime exponents, and
+    # with a composite one (a square of a cube)
+    def no_rho(n, budget):
+        raise AssertionError(f"rho called on {n}")
+
+    monkeypatch.setattr("quadtwist.arith._brent_rho", no_rho)
+    p, q = 2**31 - 1, 1_000_003
+    for n, want in (
+        (p**5, {p: 5}),
+        (q**2, {q: 2}),
+        (p**3, {p: 3}),
+        (-(q**6), {q: 6}),
+    ):
+        f = factorize(n)
+        assert (f.value, dict(f.factors)) == (n, want)
+
+
 def test_factorize_budget_raises_typed_error(one_second_deadline):
     # two ~60-bit primes: beyond rho's budget, so a typed error, not a hang
     with pytest.raises(FactorizationError, match="cannot factor"):

@@ -12,7 +12,12 @@ from fractions import Fraction
 import pytest
 
 import quadtwist
-from quadtwist.arith import factorize, fundamental_discriminants, valuation
+from quadtwist.arith import (
+    factorize,
+    fundamental_discriminant,
+    fundamental_discriminants,
+    valuation,
+)
 from quadtwist.curves import (
     SingularModelError,
     WeierstrassModel,
@@ -278,9 +283,9 @@ def test_twist_minimal_matches_minimal_model_of_twist():
 
 
 def test_twist_minimal_by_one_reads_minimal_model(monkeypatch):
-    # the twist by 1 is E itself: once minimal_model(E) is held, no
-    # discriminant is factored again (corpus curves, random reduced
-    # curves, and blow-ups whose scale u is not 1)
+    # the twist by 1 is E itself: once minimal_model(E) is held, nothing
+    # is factored again, d given as an int or parsed (corpus curves,
+    # random reduced curves, and blow-ups whose scale u is not 1)
     rng = random.Random(83)
     curves = corpus_curves() + random_reduced_curves(rng, 10)
     curves += [blow_up(E, u, 1, 0, -1) for E, u in zip(curves[:6], (2, 3, 6, 2, 3, 6))]
@@ -295,15 +300,19 @@ def test_twist_minimal_by_one_reads_minimal_model(monkeypatch):
         raise AssertionError(f"factorize({n}) called")
 
     monkeypatch.setattr("quadtwist.curves.factorize", no_factoring)
+    monkeypatch.setattr("quadtwist.twistlaws.factorize", no_factoring)
     assert {mm[1] for mm in expected.values()} >= {1, 2, 3, 6}
+    one = fundamental_discriminant(1)
     for E in curves:
-        assert twist_minimal.__wrapped__(E, 1) == expected[E], tuple(E)
+        assert twist_minimal(E, 1) == expected[E], tuple(E)
+        assert twist_minimal(E, one) == expected[E], tuple(E)
 
 
 def test_twist_minimal_factors_only_small_numbers(monkeypatch):
     # the twist's discriminant 2^12 d^6 disc(E) has no primes but 2, those
     # of d u and E's bad primes: once minimal_model(E) is held, nothing
-    # above 10^6 is factored (corpus curves and blow-ups with u > 1)
+    # above 10^6 is factored (corpus curves and blow-ups with u > 1), and
+    # a parsed d, whose primes it carries, factors only u > 1
     rng = random.Random(89)
     ds = [f.value for f in fundamental_discriminants(500)]
     corpus = corpus_curves()
@@ -319,15 +328,24 @@ def test_twist_minimal_factors_only_small_numbers(monkeypatch):
     for E in curves:
         minimal_model(E)
 
+    factored = []
+
     def small_only(n):
         if abs(n) > 10**6:
             raise AssertionError(f"factorize({n}) of a large number")
+        factored.append(n)
         return factorize(n)
 
     monkeypatch.setattr("quadtwist.curves.factorize", small_only)
+    monkeypatch.setattr("quadtwist.twistlaws.factorize", small_only)
     assert {minimal_model(E).u_value for E in curves} >= {1, 2, 3, 6}
     for (E, d), want in expected.items():
-        assert twist_minimal.__wrapped__(E, d) == want, (tuple(E), d)
+        assert twist_minimal(E, d) == want, (tuple(E), d)
+        if d in ds:
+            factored.clear()
+            assert twist_minimal(E, fundamental_discriminant(d)) == want, (tuple(E), d)
+            u = minimal_model(E).u_value
+            assert factored == ([u] if u > 1 and d > 1 else []), (tuple(E), d)
 
 
 def test_minimal_from_invariants_needs_every_prime():

@@ -15,6 +15,7 @@ from quadtwist.arith import fundamental_discriminants
 from quadtwist.cli import main
 from quadtwist.curves import minimal_model, model, two_strongly_minimal
 from quadtwist.harness import (
+    _ENCODER,
     CorpusError,
     SweepReport,
     default_corpus_path,
@@ -23,8 +24,6 @@ from quadtwist.harness import (
     strip_timing,
     twist_rows,
 )
-from quadtwist.localred import tate_local
-from quadtwist.twistlaws import twist_minimal
 
 from oracles import (
     HOSTILE_DISCRIMINANT,
@@ -98,7 +97,7 @@ def test_sweep_membership_11a1_dmax20():
     fds = list(fundamental_discriminants(20))
     got = {}
     for row in twist_rows(E, fds, 20):
-        n_minus = math.prod(row.minus_primes)
+        n_minus = math.prod(row.minus.primes)
         got[row.disc.value] = (row.facts.conductor // n_minus, n_minus)
     assert got == {
         1: (11, 1),
@@ -212,7 +211,7 @@ def three_curves():
 
 
 def clear_memos():
-    for memo in (minimal_model, two_strongly_minimal, tate_local, twist_minimal):
+    for memo in (minimal_model, two_strongly_minimal):
         memo.cache_clear()
 
 
@@ -233,7 +232,8 @@ def test_sweep_report_same_with_brute_normal_form(monkeypatch):
 def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
     # D = 53 sends the twist's I0* fiber at 53 (Tate's algorithm) and the
     # odd-prime fast path through the p >= 50 root-counting kernel; the
-    # brute-force count must give the same report
+    # brute-force count must give the same report.  No memo holds a
+    # Tate result, so the second sweep counts every root again.
     corpus = three_curves()
     fast = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
     primes = set()
@@ -243,33 +243,55 @@ def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
         return count_cubic_roots_brute(b, c, d, p)
 
     monkeypatch.setattr("quadtwist.localred.count_cubic_roots", brute)
-    clear_memos()
-    try:
-        slow = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
-    finally:
-        clear_memos()
+    slow = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
     assert fast == slow
     assert fast["summary"]["failures"] == 0
     assert 53 in primes
 
 
 def test_sweep_does_no_fraction_arithmetic(monkeypatch):
-    # twist quantities and product checks are decided on ints; a sweep
-    # from cold memos must not multiply or divide a Fraction
+    # twist quantities and product checks are decided on ints, and each
+    # quantity's string is formatted from ints; a sweep from cold memos
+    # must not multiply or divide a Fraction, and builds one Fraction per
+    # row: the scale u that twist_minimal measures
     corpus = three_curves()
     expected = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in a sweep")
 
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(Fraction, name, refuse)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     clear_memos()
     try:
         got = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
     finally:
+        monkeypatch.undo()
         clear_memos()
     assert got == expected
+    rows = sum(1 for i in got["instances"] if "d" in i)  # in mode all, one single per row
+    assert rows == 46 and len(built) == rows
+
+
+def test_encoder_writes_coverage_records_byte_for_byte():
+    # records share their rows' dicts, and the report's encoder skips the
+    # circular-reference check: every record of the coverage sweep must
+    # encode to the bytes a default sort_keys encoder writes, so the
+    # report file is unchanged byte for byte
+    plain = json.JSONEncoder(sort_keys=True)
+    coverage = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
+    report = run_sweep(ingest_corpus(coverage), 500, "all")
+    assert report["summary"]["instances"] == 1475
+    for rec in report["instances"]:
+        assert _ENCODER.encode(rec) == plain.encode(rec), rec
 
 
 def test_run_sweep_rejects_bad_mode(tmp_path):

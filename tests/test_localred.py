@@ -265,6 +265,45 @@ def test_count_cubic_roots_matches_brute_force():
     assert all(counts[n] > 5 for n in (0, 1, 2, 3)), counts
 
 
+@pytest.mark.parametrize("p", [53, 59, 101, 499, 1009])
+def test_count_cubic_roots_stickelberger_exit(p):
+    # a cubic whose discriminant is a nonzero non-square mod p has one
+    # root (Stickelberger); the kernel returns it without the gcd.  2,000
+    # seeded triples (about a third of them irreducible, with 0 roots),
+    # and cubics built from chosen roots with 1 (a root times an
+    # irreducible quadratic), 2 (a double root) and 3 distinct roots;
+    # every count is held to brute force
+    rng = random.Random(p)
+    cubes = [t**3 % p for t in range(p)]
+    squares = [t * t % p for t in range(p)]
+
+    def brute(b, c, d):
+        return sum(1 for t in range(p) if (cubes[t] + b * squares[t] + c * t + d) % p == 0)
+
+    def nonsquare():
+        while True:
+            n = rng.randrange(1, p)
+            if pow(n, (p - 1) // 2, p) == p - 1:
+                return n
+
+    triples = [tuple(rng.randrange(p) for _ in range(3)) for _ in range(2000)]
+    for _ in range(50):
+        r1, r2, r3 = rng.sample(range(p), 3)
+        triples.append((-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3))  # 3
+        triples.append((-(2 * r1 + r2), r1 * r1 + 2 * r1 * r2, -r1 * r1 * r2))  # 2: double r1
+        n = nonsquare()  # (T - r1)(T^2 - n): one root
+        triples.append((-r1, -n, r1 * n))
+    counts, exits = Counter(), 0
+    for b, c, d in triples:
+        disc = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+        exits += pow(disc, (p - 1) // 2, p) == p - 1
+        n = count_cubic_roots(b, c, d, p)
+        assert n == brute(b % p, c % p, d % p), (b, c, d, p)
+        counts[n] += 1
+    assert all(counts[n] >= 20 for n in (0, 1, 2, 3)), counts
+    assert exits > 500
+
+
 def test_reduction_kind_against_point_counts():
     """Multiplicative/additive and split/nonsplit as seen by the trace of
     Frobenius on the reduced curve."""

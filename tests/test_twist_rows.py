@@ -31,7 +31,7 @@ def three_curves():
 
 
 def clear_memos():
-    for memo in (minimal_model, two_strongly_minimal, tate_local, twist_minimal):
+    for memo in (minimal_model, two_strongly_minimal):
         memo.cache_clear()
 
 
@@ -84,7 +84,7 @@ def count_calls(monkeypatch, *functions):
 def test_sweep_computes_each_twist_once(monkeypatch, d_max):
     # from cold memos: one twist_minimal call per (curve, admissible D),
     # one tate_local call per (twist, prime); the curves' own local data
-    # is asked a fixed number of times per curve, whatever d_max is; the
+    # is computed once per curve and prime, whatever d_max is; the
     # odd-prime closed form once per (curve, odd l | D) over the singles
     corpus = three_curves()
     clear_memos()
@@ -94,7 +94,11 @@ def test_sweep_computes_each_twist_once(monkeypatch, d_max):
         monkeypatch.undo()
         curves = {rec.label: minimal_model(rec.curve).minimal for rec in corpus}
         singles = [(i["curve"], i["d"]) for i in report["instances"] if "d" in i]
-        minimized = {args: n for (name, args), n in calls.items() if name == "twist_minimal"}
+        minimized = Counter()
+        for (name, args), n in calls.items():
+            if name == "twist_minimal":
+                E, f = args
+                minimized[E, f.value] += n  # the sweep passes the parsed D
         assert minimized == {(curves[label], d): 1 for label, d in singles}
         twist_keys = Counter()
         for label, d in singles:
@@ -110,11 +114,9 @@ def test_sweep_computes_each_twist_once(monkeypatch, d_max):
         own = {key: n for key, n in tate_calls.items() if key[0] in curves.values()}
         assert tate_calls - Counter(own) == twist_keys
         assert set(twist_keys.values()) == {1}
-        # E's own primes: its profile, its D = 1 row, c~ and the inert
-        # base change at multiplicative primes
-        for key, n in own.items():
-            loc = tate_local(*key)
-            assert n == (4 if loc.kind.startswith("multiplicative") else 2), key
+        # E's own primes: its profile only; its D = 1 row, c~ and the
+        # inert base change read the profile's local data
+        assert own == {(E, p): 1 for E in curves.values() for p in minimal_model(E).bad_primes}
         closed_form = Counter()
         for (name, args), n in calls.items():
             if name == "twist_prime_tamagawa_odd":

@@ -36,6 +36,7 @@ from quadtwist.twistlaws import (
     check_two_adic_case,
     equal_mod_squares,
     find_auxiliary_discriminant,
+    format_quantity,
     join_rows,
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
@@ -422,8 +423,9 @@ def test_u_of_discriminant_reads_minimal_model(monkeypatch):
 def test_twist_quantity_example_11a1_13():
     v = twist_quantity(single_row(E11A1, 13))
     assert v.quantity == 1 and v.exponent == 0 and v.is_even_exponent
-    assert v.components["twist_tamagawa"] == {13: 2}
-    assert v.components["c_tilde"] == {11: 1}
+    # the components are the report's: prime keys are strings
+    assert v.components["twist_tamagawa"] == {"13": 2}
+    assert v.components["c_tilde"] == {"11": 1}
 
 
 def test_twist_quantity_trivial_and_empty_products():
@@ -556,6 +558,14 @@ def test_verdict_integer_ledger_edge_cases():
             want = fraction_quantity(num, w, ())
             assert (v.quantity, v.exponent, v.is_power_of_two, v.is_even_exponent) == want
             assert v.components == {"x": 1}
+
+
+def test_format_quantity_matches_fraction():
+    # a reported quantity's string is formatted from its ints, exactly as
+    # the Fraction num / 2**w prints
+    for num in range(1, 4097):
+        for w in range(7):
+            assert format_quantity(num, w) == str(Fraction(num, 1 << w)), (num, w)
 
 
 # ---------------------------------------------------------------------------
