@@ -167,11 +167,11 @@ def _iroot(n: int, e: int) -> int:
         x = y
 
 
-def _perfect_power(n: int) -> tuple[int, int]:
-    """(r, e) with n = r**e for a prime e, or (n, 1).  n has no prime
-    factor up to _TRIAL_BOUND, so r exceeds it, which bounds e."""
+def _perfect_power(n: int, floor: int) -> tuple[int, int]:
+    """(r, e) with n = r**e for a prime e, or (n, 1).  No prime below
+    floor divides n, so r >= floor, which bounds e."""
     e = 2
-    while _TRIAL_BOUND**e < n:
+    while floor**e <= n:
         if is_prime(e):
             r = _iroot(n, e)
             if r**e == n:
@@ -182,10 +182,13 @@ def _perfect_power(n: int) -> tuple[int, int]:
 
 def factorize(n: int) -> Factorization:
     """Factor a nonzero integer; trial division then Brent rho with
-    primality certificates on every reported prime.  A composite cofactor
-    that is a perfect power is split by an integer root before rho.  Rho
-    has _RHO_BUDGET squarings in all, enough for prime factors up to
-    about 10**10; past them it raises FactorizationError."""
+    primality certificates on every reported prime.  Trial division stops
+    as soon as the cofactor is prime, and goes on with the root of a
+    cofactor that is a perfect power, so a prime power past the trial
+    bound costs a few integer roots.  A cofactor past trial division is
+    split by integer roots, then by rho.  Rho has _RHO_BUDGET squarings
+    in all, enough for prime factors up to about 10**10; past them it
+    raises FactorizationError."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -195,23 +198,30 @@ def factorize(n: int) -> Factorization:
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
-    d = 7
-    while d <= _TRIAL_BOUND and d * d <= m:
+    # the cofactor is m**power, no prime below d divides m, and m is
+    # tested each time it changes
+    d, power = 7, 1
+    while d <= _TRIAL_BOUND and d * d <= m and not is_prime(m):
+        r, e = _perfect_power(m, d)
+        if e > 1:
+            m, power = r, power * e
+            continue
+        while d <= _TRIAL_BOUND and d * d <= m and m % d:
+            d += 2
         while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
+            factors[d] = factors.get(d, 0) + power
             m //= d
-        d += 2
     if m > 1:
-        if d * d > m:
-            factors[m] = factors.get(m, 0) + 1
+        if d * d > m or is_prime(m):
+            factors[m] = factors.get(m, 0) + power
         else:
             stack, budget = [m], _RHO_BUDGET
             while stack:
                 k = stack.pop()
                 if is_prime(k):
-                    factors[k] = factors.get(k, 0) + 1
+                    factors[k] = factors.get(k, 0) + power
                     continue
-                r, e = _perfect_power(k)
+                r, e = _perfect_power(k, d)
                 if e > 1:
                     stack.extend([r] * e)
                     continue

@@ -1,13 +1,22 @@
 """Batch verification harness: corpus ingestion, sweep orchestration over
 (curve, discriminant) instances, and machine-readable reporting.
 
-A sweep streams: ``SweepReport`` yields one curve's instance records at a
-time, in report order, and folds each into the summary (instance and
-check counts, per-check exercise counts, failures, flags) as it passes,
-printing one progress line per curve on stderr. ``write_report`` writes
-each record to a file as it arrives, one instance per line, so the
-report's memory does not grow with the instance count; ``run_sweep``
-collects the same records into one dict.
+A record is its JSON line. Each instance formats its line directly, in
+the bytes json.dumps(record, sort_keys=True) writes, from ints, bools
+and text fragments made once: the escaped label per curve, a row's
+Tamagawa numbers (and, for an even D, its 2-adic case detail) per row,
+and the c~ of an n_minus side per (curve, prime set). No JSON encoder
+runs per record.
+
+A sweep streams: ``SweepReport`` yields one curve's record lines at a
+time, in report order, and folds each chunk into the summary as it
+passes: instance and check counts come from the record kinds' fixed
+check names, and only a line that fails a check or carries a flag is
+parsed, for its failure witness and flags. It prints one progress line
+per curve on stderr. ``write_report`` writes each line to a file as it
+arrives, between a head and a tail encoded once each, so the report's
+memory does not grow with the instance count; ``run_sweep`` parses the
+same lines into one dict.
 
 Each twist's facts are computed once, not per instance. Per curve the
 sweep takes its CurveFacts (conductor, local data, minimal discriminant,
@@ -20,21 +29,20 @@ so it is evaluated once per (curve, l) and compared with the Tate value
 of every row whose D has l. Instances are a join of rows: a
 single reads its own row, and a coprime pair D1 < D2 up to the pair cap
 reads two. Every value a record holds is a lookup: the row's share of
-the quantity's numerator and its Tamagawa numbers as the report prints
-them, and the n_minus side (n_minus, n_plus, the c~ and the transfer
-products) from the curve's per-set table, built once per (curve, prime
-set). Records share those dicts by reference, and nothing mutates a
-record. No Fraction is built per record: the quantity's string is
-formatted from its ints. The tests hold the records to a per-instance
-reference that reads each twist's Tate data afresh from a validated
-setup. An
-exception inside a curve's sweep is raised as a SweepError naming the
-curve. With jobs > 1 the curves fan out over at most one worker process
-per curve.
+the quantity's numerator and its Tamagawa numbers, and the n_minus side
+(n_minus, n_plus, the c~ and the transfer products) from the curve's
+per-set table, built once per (curve, prime set). No Fraction is built
+per record: the quantity's string is formatted from its ints. The tests
+hold the records to a per-instance reference that reads each twist's
+Tate data afresh from a validated setup. An exception inside a curve's
+sweep is raised as a SweepError naming the curve. With jobs > 1 the
+curves fan out over at most one worker process per curve, each
+returning its chunk of lines.
 
 Reports are deterministic: instances are enumerated in sorted order and
-all wall-clock measurements live under "timing" keys, so two runs over
-the same inputs differ at most in those subtrees.
+all wall-clock measurements live under "timing" keys (the tail's wall
+and per-curve seconds), so two runs over the same inputs differ at most
+in those subtrees.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .arith import FactorizationError, FundamentalDiscriminant, fundamental_discriminants, kronecker
@@ -187,107 +196,172 @@ def row_pairs(rows: Sequence[TwistRow], pair_dmax: int) -> Iterator[TwistPair]:
 
 
 # ---------------------------------------------------------------------------
-# per-instance check evaluation
+# per-instance records
+#
+# A record is its JSON line, formatted as json.dumps(record, sort_keys=True)
+# writes it: keys in sorted order, ", " and ": " separators, strings with
+# ASCII escapes (encode_basestring_ascii, the encoder's own function).  The
+# text of what many records share is made once: the escaped label per
+# curve, a row's twist_tamagawa_json, a side's c_tilde_json.
+
+_JSON_BOOL = ("false", "true")  # indexed by a bool; no check name holds "false"
+
+# The checks each record kind runs, for the quantity passes (thm13 for
+# singles, thm31 for pairs) and the lemma pass; an even D adds
+# two_adic_case_table to a single's lemma checks.
+_QUANTITY_CHECKS = ("quantity_power_of_two", "quantity_even_exponent")
+_SINGLE_LEMMA_CHECKS = (
+    "symbol_closed_form",
+    "tamagawa_product_symbol",
+    "u_closed_form",
+    "odd_twist_fast_path",
+)
+_PAIR_QUANTITY_CHECKS = (*_QUANTITY_CHECKS, "omega_parity", "c_tilde_product")
+_PAIR_LEMMA_CHECKS = ("tamagawa_transfer_per_prime", "tamagawa_transfer_product")
 
 
-def _verdict_json(v) -> dict:
-    # the components are JSON-ready and shared with the rows: not copied
-    return {
-        "quantity": format_quantity(v.numerator, v.w),
-        "exponent": v.exponent,
-        "is_power_of_two": v.is_power_of_two,
-        "is_even_exponent": v.is_even_exponent,
-        "components": v.components,
-    }
+def _check_names(mode: str, pair: bool, even: bool = False) -> tuple[str, ...]:
+    """The names of the checks a record runs: a pair's, or a single's
+    with an even or odd D, in the given mode."""
+    if pair:
+        quantity, lemmas = _PAIR_QUANTITY_CHECKS, _PAIR_LEMMA_CHECKS
+        quantity_modes = ("thm31", "all")
+    else:
+        quantity, lemmas = _QUANTITY_CHECKS, _SINGLE_LEMMA_CHECKS
+        quantity_modes = ("thm13", "all")
+        if even:
+            lemmas += ("two_adic_case_table",)
+    return (quantity if mode in quantity_modes else ()) + (
+        lemmas if mode in ("lemmas", "all") else ()
+    )
 
 
-def run_single_instance(label: str, row: TwistRow, mode: str, odd_tamagawa: dict[int, int]) -> dict:
-    """Evaluate one (curve, D) instance from its row; returns a
-    JSON-ready record.  odd_tamagawa is the curve's memo of the closed
-    form twist_prime_tamagawa_odd(E, l, .) by odd prime l (no D changes
-    it); the primes it lacks are filled in."""
+def _verdict_text(v) -> str:
+    """The members of a quantity record after its components."""
+    exponent = "null" if v.exponent is None else v.exponent
+    return (
+        f'"exponent": {exponent}, "is_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
+        f'"is_power_of_two": {_JSON_BOOL[v.is_power_of_two]}, '
+        f'"quantity": "{format_quantity(v.numerator, v.w)}"}}'
+    )
+
+
+def run_single_instance(
+    curve_json: str, row: TwistRow, mode: str, odd_tamagawa: dict[int, int]
+) -> tuple[str, bool]:
+    """Evaluate one (curve, D) instance from its row: its record's JSON
+    line, and whether the record is clean (every check passed, no flag).
+    curve_json is the curve's escaped label.  odd_tamagawa is the curve's
+    memo of the closed form twist_prime_tamagawa_odd(E, l, .) by odd
+    prime l (no D changes it); the primes it lacks are filled in."""
     facts = row.facts
     D = row.disc
-    t0 = time.perf_counter()
-    checks: dict[str, bool] = {}
-    flags: list[str] = []
-    rec: dict = {
-        "curve": label,
-        "d": D.value,
-        "n_plus": row.minus.n_plus,
-        "n_minus": row.minus.n_minus,
-    }
-    if mode in ("thm13", "all"):
-        v = twist_quantity(row)
-        rec["quantity"] = _verdict_json(v)
-        checks["quantity_power_of_two"] = v.is_power_of_two
-        checks["quantity_even_exponent"] = v.is_even_exponent
+    side = row.minus
+    checks = []  # the checks' JSON members, in key order
+    quantity = lemmas = flags = ""
     if mode in ("lemmas", "all"):
-        disc = facts.disc
-        sym = symbol_closed_form(disc, D, inert_valuation_sum(row))
-        checks["symbol_closed_form"] = sym == kronecker(disc, D.odd_part)
-        checks["tamagawa_product_symbol"] = tamagawa_symbol_check(row).ok
-        checks["u_closed_form"] = row.measured_u == row.u
-        if row.measured_u not in (1, 2):
-            flags.append(f"measured u = {row.measured_u} outside {{1,2}}")
-        rec["u"] = row.u
-        # odd-prime fast path vs full Tate on the twist
         odd = [l for l in D.primes if l != 2]
         for l in odd:
             if l not in odd_tamagawa:
                 odd_tamagawa[l] = twist_prime_tamagawa_odd(facts.curve, l, D.value)
-        checks["odd_twist_fast_path"] = all(
-            odd_tamagawa[l] == row.local[l].tamagawa for l in odd
+        fast = all(odd_tamagawa[l] == row.local[l].tamagawa for l in odd)
+        checks.append(f'"odd_twist_fast_path": {_JSON_BOOL[fast]}')
+    if mode in ("thm13", "all"):
+        v = twist_quantity(row)
+        checks.append(
+            f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
+            f'"quantity_power_of_two": {_JSON_BOOL[v.is_power_of_two]}'
+        )
+        quantity = (
+            f', "quantity": {{"components": {{"D": {D.value}, "c_tilde": {side.c_tilde_json}, '
+            f'"omega_n_minus": {v.w}, "twist_tamagawa": {row.twist_tamagawa_json}, '
+            f'"u": {row.u}}}, {_verdict_text(v)}'
+        )
+    if mode in ("lemmas", "all"):
+        disc = facts.disc
+        sym = symbol_closed_form(disc, D, inert_valuation_sum(row)) == kronecker(disc, D.odd_part)
+        checks.append(
+            f'"symbol_closed_form": {_JSON_BOOL[sym]}, '
+            f'"tamagawa_product_symbol": {_JSON_BOOL[tamagawa_symbol_check(row).ok]}'
         )
         if D.is_even:
             case = check_two_adic_case(row)
-            checks["two_adic_case_table"] = case.ok
-            rec["two_adic_case"] = case.detail
-    rec["checks"] = checks
-    if flags:
-        rec["flags"] = flags
-    rec["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    return rec
+            checks.append(f'"two_adic_case_table": {_JSON_BOOL[case.ok]}')
+            lemmas = f', "two_adic_case": {encode_basestring_ascii(case.detail)}'
+        checks.append(f'"u_closed_form": {_JSON_BOOL[row.measured_u == row.u]}')
+        lemmas += f', "u": {row.u}'
+        if row.measured_u not in (1, 2):
+            flag = encode_basestring_ascii(f"measured u = {row.measured_u} outside {{1,2}}")
+            flags = f', "flags": [{flag}]'
+    checks_text = ", ".join(checks)
+    line = (
+        f'{{"checks": {{{checks_text}}}, "curve": {curve_json}, "d": {D.value}{flags}, '
+        f'"n_minus": {side.n_minus}, "n_plus": {side.n_plus}{quantity}{lemmas}}}'
+    )
+    return line, not flags and "false" not in checks_text
 
 
-def run_pair_instance(label: str, pair: TwistPair, mode: str) -> dict:
-    """Evaluate one (curve, D1, D2) instance from the join of two rows."""
-    t0 = time.perf_counter()
-    checks: dict[str, bool] = {}
+def run_pair_instance(curve_json: str, pair: TwistPair, mode: str) -> tuple[str, bool]:
+    """Evaluate one (curve, D1, D2) instance from the join of two rows:
+    its record's JSON line, and whether every check passed."""
     row1, row2, side = pair
-    rec: dict = {
-        "curve": label,
-        "d1": row1.disc.value,
-        "d2": row2.disc.value,
-        "n_plus": side.n_plus,
-        "n_minus": side.n_minus,
-    }
+    checks = []  # the checks' JSON members, in key order
+    quantity = ""
     if mode in ("thm31", "all"):
         v = pair_twist_quantity(pair)
-        rec["quantity"] = _verdict_json(v)
-        checks["quantity_power_of_two"] = v.is_power_of_two
-        checks["quantity_even_exponent"] = v.is_even_exponent
         book = v.components["bookkeeping"]
-        checks["omega_parity"] = book["omega_parity"]
-        checks["c_tilde_product"] = book["c_tilde_product"]
-    if mode in ("lemmas", "all"):
-        checks["tamagawa_transfer_per_prime"] = all(
-            tamagawa_transfer_check(pair, q).ok for q in side.primes
+        parity = _JSON_BOOL[book["omega_parity"]]
+        product = _JSON_BOOL[book["c_tilde_product"]]
+        checks.append(
+            f'"c_tilde_product": {product}, "omega_parity": {parity}, '
+            f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
+            f'"quantity_power_of_two": {_JSON_BOOL[v.is_power_of_two]}'
         )
-        checks["tamagawa_transfer_product"] = tamagawa_transfer_product_check(pair).ok
-    rec["checks"] = checks
-    rec["timing"] = {"seconds": round(time.perf_counter() - t0, 6)}
-    return rec
+        quantity = (
+            f', "quantity": {{"components": {{"D1": {row1.disc.value}, "D2": {row2.disc.value}, '
+            f'"bookkeeping": {{"c_tilde_product": {product}, "omega_parity": {parity}}}, '
+            f'"c_tilde": {side.c_tilde_json}, "omega_n_minus": {v.w}, '
+            f'"twist_tamagawa_1": {row1.twist_tamagawa_json}, '
+            f'"twist_tamagawa_2": {row2.twist_tamagawa_json}, '
+            f'"u1": {row1.u}, "u2": {row2.u}}}, {_verdict_text(v)}'
+        )
+    if mode in ("lemmas", "all"):
+        per_prime = all(tamagawa_transfer_check(pair, q).ok for q in side.primes)
+        checks.append(
+            f'"tamagawa_transfer_per_prime": {_JSON_BOOL[per_prime]}, '
+            f'"tamagawa_transfer_product": {_JSON_BOOL[tamagawa_transfer_product_check(pair).ok]}'
+        )
+    checks_text = ", ".join(checks)
+    line = (
+        f'{{"checks": {{{checks_text}}}, "curve": {curve_json}, "d1": {row1.disc.value}, '
+        f'"d2": {row2.disc.value}, "n_minus": {side.n_minus}, "n_plus": {side.n_plus}{quantity}}}'
+    )
+    return line, "false" not in checks_text
 
 
-def _sweep_curve(args) -> tuple[str, list[dict], float]:
-    """One curve's instance records in report order (pairs, then
-    singles, each ascending), and the seconds they took.  The curve's
-    rows are built once and every instance reads them, and the odd-prime
-    closed form is evaluated once per prime."""
+class CurveChunk(NamedTuple):
+    """One curve's instance records, as JSON lines in report order (its
+    pairs, then its singles, each ascending), with what the summary
+    needs of them."""
+
+    label: str
+    lines: list[str]
+    pairs: int  # the first `pairs` lines are pairs, the rest singles
+    even_singles: int  # singles with an even D
+    unclean: list[int]  # indices of the lines that fail a check or carry a flag
+    seconds: float
+
+
+def _sweep_curve(args) -> CurveChunk:
+    """One curve's instance records and the seconds they took.  The
+    curve's rows are built once and every instance reads them, and the
+    odd-prime closed form is evaluated once per prime."""
     record, discriminants, pair_dmax, mode = args
     t0 = time.perf_counter()
-    out = []
+    curve_json = encode_basestring_ascii(record.label)
+    lines: list[str] = []
+    unclean: list[int] = []
+    pairs = even_singles = 0
     pairs_run = mode in ("thm31", "lemmas", "all")
     singles_run = mode in ("thm13", "lemmas", "all")
     if not singles_run:
@@ -297,23 +371,34 @@ def _sweep_curve(args) -> tuple[str, list[dict], float]:
         rows = twist_rows(E, discriminants, pair_dmax if pairs_run else 0)
         if pairs_run:
             for pair in row_pairs(rows, pair_dmax):
-                out.append(run_pair_instance(record.label, pair, mode))
+                line, clean = run_pair_instance(curve_json, pair, mode)
+                if not clean:
+                    unclean.append(len(lines))
+                lines.append(line)
+            pairs = len(lines)
         if singles_run:
             odd_tamagawa: dict[int, int] = {}  # l -> the closed form at l, for this curve
             for row in rows:
-                out.append(run_single_instance(record.label, row, mode, odd_tamagawa))
+                line, clean = run_single_instance(curve_json, row, mode, odd_tamagawa)
+                if not clean:
+                    unclean.append(len(lines))
+                lines.append(line)
+                even_singles += row.disc.is_even
     except Exception as exc:
         raise SweepError(f"curve {record.label}: {type(exc).__name__}: {exc}") from exc
-    return record.label, out, time.perf_counter() - t0
+    return CurveChunk(record.label, lines, pairs, even_singles, unclean, time.perf_counter() - t0)
 
 
 class SweepReport:
     """One verification sweep, consumed one instance record at a time.
 
-    Iterating runs the sweep and yields every instance record in report
-    order (curves by label, then pairs before singles, each ascending),
-    one curve's chunk at a time. Each record is folded into the summary
-    as it passes, and one progress line per curve goes to stderr.
+    Iterating runs the sweep and yields every instance record, as its
+    JSON line, in report order (curves by label, then pairs before
+    singles, each ascending), one curve's chunk at a time. Each chunk is
+    folded into the summary as it passes: the instance and check counts
+    come from the record kinds' check names (_check_names), and only a
+    line that fails a check or carries a flag is parsed, for its failure
+    witness and its flags. One progress line per curve goes to stderr.
     ``head`` holds the parameters of the run; ``tail()``, read after the
     iteration, holds the summary, the failures and the timing. Pair
     instances are capped at discriminant min(d_max, pair_dmax).
@@ -346,8 +431,9 @@ class SweepReport:
         self.failures: list[dict] = []
         self.flags: list[dict] = []
         self.wall_seconds: float | None = None
+        self.curve_seconds: dict[str, float] = {}
 
-    def __iter__(self) -> Iterator[dict]:
+    def __iter__(self) -> Iterator[str]:
         t0 = time.perf_counter()
         # every curve sweeps the same discriminants: parse them once
         discs = list(fundamental_discriminants(self.head["d_max"]))
@@ -367,23 +453,33 @@ class SweepReport:
             yield from self._fold(map(_sweep_curve, tasks))
         self.wall_seconds = round(time.perf_counter() - t0, 3)
 
-    def _fold(self, chunks) -> Iterator[dict]:
-        for label, chunk, seconds in chunks:
+    def _fold(self, chunks: Iterable[CurveChunk]) -> Iterator[str]:
+        mode = self.head["mode"]
+        for chunk in chunks:
+            singles = len(chunk.lines) - chunk.pairs
+            self._count(_check_names(mode, True), chunk.pairs)
+            self._count(_check_names(mode, False, True), chunk.even_singles)
+            self._count(_check_names(mode, False, False), singles - chunk.even_singles)
             failed_before = len(self.failures)
-            for rec in chunk:
-                self._add(rec)
-                yield rec
+            for i in chunk.unclean:
+                self._add_unclean(json.loads(chunk.lines[i]))
+            yield from chunk.lines
+            self.curve_seconds[chunk.label] = round(chunk.seconds, 2)
             print(
-                f"{label}: {len(chunk)} instances, "
-                f"{len(self.failures) - failed_before} failures, {seconds:.2f} s",
+                f"{chunk.label}: {len(chunk.lines)} instances, "
+                f"{len(self.failures) - failed_before} failures, {chunk.seconds:.2f} s",
                 file=sys.stderr,
             )
 
-    def _add(self, rec: dict) -> None:
+    def _count(self, names: tuple[str, ...], n: int) -> None:
+        if n:
+            self.instances += n
+            self.checks_run += n * len(names)
+            for name in names:
+                self.check_counts[name] += n
+
+    def _add_unclean(self, rec: dict) -> None:
         checks = rec["checks"]
-        self.instances += 1
-        self.checks_run += len(checks)
-        self.check_counts.update(checks.keys())
         if not all(checks.values()):
             witness = {k: rec[k] for k in ("curve", "d", "d1", "d2") if k in rec}
             witness["failed_checks"] = sorted(name for name, ok in checks.items() if not ok)
@@ -401,7 +497,7 @@ class SweepReport:
                 "flags": self.flags,
             },
             "failures": self.failures,
-            "timing": {"wall_seconds": self.wall_seconds},
+            "timing": {"wall_seconds": self.wall_seconds, "curve_seconds": self.curve_seconds},
         }
 
 
@@ -414,34 +510,29 @@ def run_sweep(
     pair_dmax: int = PAIR_DMAX,
 ) -> dict:
     """Run the requested verification passes over every admissible
-    instance and return the whole report; aggregates failures instead of
-    aborting.
+    instance and return the whole report, each record parsed from its
+    line; aggregates failures instead of aborting.
 
     Pair instances are capped at discriminant min(d_max, pair_dmax); the
     report records the cap in effect as "pair_dmax"."""
     sweep = SweepReport(corpus, d_max, mode, jobs, corpus_name, pair_dmax)
-    instances = list(sweep)
+    instances = [json.loads(line) for line in sweep]
     return {**sweep.head, **sweep.tail(), "instances": instances}
-
-
-# One encoder for every record: without indent, json uses its C encoder.
-# Records share their rows' dicts but hold no cycle, so the encoder need
-# not track the containers it is inside.
-_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 def write_report(sweep: SweepReport, fh: TextIO) -> None:
     """Run the sweep and write its report to fh as one JSON object, each
-    instance record on its own line as it arrives; "failures", "summary"
-    and "timing" follow the instances."""
-    head = _ENCODER.encode(sweep.head)
+    instance record's line on its own line as it arrives; "failures",
+    "summary" and "timing" follow the instances.  Only the head and the
+    tail are encoded."""
+    head = json.dumps(sweep.head, sort_keys=True)
     fh.write(head[:-1] + ',\n"instances": [')
     sep = "\n"
-    for rec in sweep:
+    for line in sweep:
         fh.write(sep)
-        fh.write(_ENCODER.encode(rec))
+        fh.write(line)
         sep = ",\n"
-    fh.write("\n],\n" + _ENCODER.encode(sweep.tail())[1:] + "\n")
+    fh.write("\n],\n" + json.dumps(sweep.tail(), sort_keys=True)[1:] + "\n")
 
 
 def strip_timing(obj):

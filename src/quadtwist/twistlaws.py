@@ -10,23 +10,24 @@ reads rows.  A curve's CurveFacts hold what all its twists share: N,
 the local data, the minimal discriminant, and a table of n_minus sides,
 one MinusSide per set of multiplicative primes that some row or pair
 has as its n_minus, built on first use: n_minus, n_plus, the c~_q
-(keyed as the report prints them) and their product, and c~_q times the
-inert base-change c_q at each q with the product of those.  All of it
-is read from the curve's local data, so the curve's own primes go
-through Tate's algorithm once.
+(keyed as the report prints them, with their JSON text) and their
+product, and c~_q times the inert base-change c_q at each q with the
+product of those.  All of it is read from the curve's local data, so
+the curve's own primes go through Tate's algorithm once.
 A TwistRow holds one admissible discriminant D's facts: its signs at the
 primes of N and its n_minus side, u_D by the closed form and as
 twist_minimal measures it, full Tate on the minimal twist at the primes
 of D (and of N, when the row joins pairs), and its fragment of every
 quantity it enters: the Tamagawa numbers at the primes of D as the
-report prints them, and u_D times their product.  A single reads its
-own row.  A pair is a join of two rows: its n_minus is m_1
-symmetric-difference m_2, the primes where the rows' signs differ, read
-from the curve's table, and both sides of each transfer identity are
-products of the D_1 and D_2 factors.  The closed forms (c~, the inert
-base change, u_D, the odd-prime fast path, the 2-adic case table, the
-symbol) stay the independent side of each comparison against the rows'
-Tate data.
+report prints them (a dict and its JSON text), and u_D times their
+product.  A single reads its own row.  A pair is a join of two rows:
+its n_minus is m_1 symmetric-difference m_2, the primes where the rows'
+signs differ, read from the curve's table, and both sides of each
+transfer identity are products of the D_1 and D_2 factors.  The closed
+forms (c~, the inert base change, u_D, the odd-prime fast path, the
+2-adic case table, the symbol) stay the independent side of each
+comparison against the rows' Tate data.  A check's CheckResult formats
+its detail text only when it is read.
 
 Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
 is accumulated from the row and side fragments and judged on ints (its
@@ -83,8 +84,17 @@ class ExponentVerdict(NamedTuple):
 
 
 class CheckResult(NamedTuple):
+    """A check's verdict and what it compared.  The detail text is
+    formatted from fmt and args when it is read, so a sweep that reads
+    only the verdict builds no string."""
+
     ok: bool
-    detail: str
+    fmt: str
+    args: tuple
+
+    @property
+    def detail(self) -> str:
+        return self.fmt.format(*self.args)
 
     def __bool__(self) -> bool:  # truthiness = verdict
         return self.ok
@@ -121,6 +131,14 @@ def format_quantity(num: int, w: int) -> str:
     t = min(w, (num & -num).bit_length() - 1)
     den = 1 << (w - t)
     return str(num >> t) if den == 1 else f"{num >> t}/{den}"
+
+
+def _int_dict_json(m: dict[str, int]) -> str:
+    """The JSON text json.dumps(m, sort_keys=True) writes for a dict of
+    int values keyed by digit strings (which need no escaping): a row's or
+    side's Tamagawa numbers, formatted once for every record that holds
+    them."""
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in sorted(m.items())) + "}"
 
 
 def _as_fund(d) -> FundamentalDiscriminant:
@@ -297,6 +315,7 @@ class MinusSide(NamedTuple):
     n_minus: int
     n_plus: int
     c_tilde: dict[str, int]  # str(q) -> c~_q(E), as the report prints it
+    c_tilde_json: str  # c_tilde's JSON text (_int_dict_json)
     c_tilde_product: int
     transfer: dict[int, int]  # q -> c~_q(E) * c_q(E over a field where q is inert)
     transfer_product: int
@@ -330,6 +349,7 @@ def minus_side(facts: CurveFacts, mask: int) -> MinusSide:
             n_minus,
             facts.conductor // n_minus,
             c_t,
+            _int_dict_json(c_t),
             math.prod(c_t.values()),
             transfer,
             math.prod(transfer.values()),
@@ -352,6 +372,7 @@ class TwistRow(NamedTuple):
     measured_u: Fraction  # the scale twist_minimal measures
     local: dict[int, LocalReduction]  # the minimal twist's local data
     twist_tamagawa: dict[str, int]  # str(l) -> c_l(twist) at the primes of D, as reported
+    twist_tamagawa_json: str  # twist_tamagawa's JSON text (_int_dict_json)
     share: int  # u * prod c_l(twist) over the primes of D
     conductor_tamagawa: int | None  # prod c_l(twist) over the primes of N; None without them
 
@@ -385,6 +406,7 @@ def twist_row(
         u_measured,
         local,
         c_twist,
+        _int_dict_json(c_twist),
         u * math.prod(c_twist.values()),
         conductor_tamagawa,
     )
@@ -476,7 +498,7 @@ def tamagawa_transfer_check(pair: TwistPair, q: int) -> CheckResult:
         raise ValueError(f"{q} does not divide n_minus")
     lhs = side.transfer[q]
     rhs = row1.local[q].tamagawa * row2.local[q].tamagawa
-    return CheckResult(lhs == rhs, f"q={q}: {lhs} vs {rhs}")
+    return CheckResult(lhs == rhs, "q={}: {} vs {}", (q, lhs, rhs))
 
 
 def tamagawa_transfer_product_check(pair: TwistPair) -> CheckResult:
@@ -486,7 +508,7 @@ def tamagawa_transfer_product_check(pair: TwistPair) -> CheckResult:
     lhs = row1.conductor_tamagawa * row2.conductor_tamagawa
     rhs = side.transfer_product
     ok = equal_mod_squares(lhs, rhs)
-    return CheckResult(ok, f"{lhs} vs {rhs} (mod squares)")
+    return CheckResult(ok, "{} vs {} (mod squares)", (lhs, rhs))
 
 
 def inert_valuation_sum(row: TwistRow) -> int:
@@ -528,7 +550,7 @@ def tamagawa_symbol_check(row: TwistRow) -> CheckResult:
     k = _exponent(prod, 1)
     symbol = kronecker(disc, D.odd_part)
     ok = k is not None and ((k % 2 == 0) == (symbol == 1))
-    return CheckResult(ok, f"prod={prod}, symbol={symbol}")
+    return CheckResult(ok, "prod={}, symbol={}", (prod, symbol))
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +601,14 @@ def check_two_adic_case(row: TwistRow) -> CheckResult:
     if pred.tamagawa is None:
         return CheckResult(
             False,
-            f"case {pred.case}: P-valuation {pred.p_valuation} below 4 contradicts the "
-            f"case table, tate gives ({loc.kodaira}, {loc.tamagawa})",
+            "case {}: P-valuation {} below 4 contradicts the case table, tate gives ({}, {})",
+            (pred.case, pred.p_valuation, loc.kodaira, loc.tamagawa),
         )
     ok = (loc.kodaira, loc.tamagawa) == (pred.kodaira, pred.tamagawa)
     return CheckResult(
         ok,
-        f"case {pred.case}: predicted ({pred.kodaira}, {pred.tamagawa}), "
-        f"tate gives ({loc.kodaira}, {loc.tamagawa})",
+        "case {}: predicted ({}, {}), tate gives ({}, {})",
+        (pred.case, pred.kodaira, pred.tamagawa, loc.kodaira, loc.tamagawa),
     )
 
 

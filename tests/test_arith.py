@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -65,9 +66,10 @@ def test_factorize_large_semiprime():
 
 
 def test_factorize_splits_perfect_powers_by_roots(monkeypatch, one_second_deadline):
-    # a cofactor past trial division that is a perfect power is split by
-    # integer roots, without rho: prime powers with prime exponents, and
-    # with a composite one (a square of a cube)
+    # a cofactor that is a perfect power is split by integer roots,
+    # without rho: prime powers with prime exponents, and with a
+    # composite one (a square of a cube); trial division goes on with a
+    # composite root
     def no_rho(n, budget):
         raise AssertionError(f"rho called on {n}")
 
@@ -78,9 +80,29 @@ def test_factorize_splits_perfect_powers_by_roots(monkeypatch, one_second_deadli
         (q**2, {q: 2}),
         (p**3, {p: 3}),
         (-(q**6), {q: 6}),
+        ((7 * 11) ** 3, {7: 3, 11: 3}),
+        ((1009 * 1013) ** 2, {1009: 2, 1013: 2}),
+        (5 * (1009 * q) ** 4, {5: 1, 1009: 4, q: 4}),
     ):
         f = factorize(n)
         assert (f.value, dict(f.factors)) == (n, want)
+
+
+def test_factorize_stops_trial_division_at_a_prime_power_cofactor():
+    # 1000003**2 and (2**31-1)**5 have no prime factor below the trial
+    # bound: trial division stops at once, since the cofactor is a perfect
+    # power, instead of running all the way to the bound (about 65 ms)
+    p, q = 2**31 - 1, 1_000_003
+    for n, want in ((q**2, {q: 2}), (p**5, {p: 5})):
+        assert dict(factorize(n).factors) == want
+        best = min(_seconds(factorize, n) for _ in range(5))
+        assert best < 0.005, (n, best)
+
+
+def _seconds(fn, *args) -> float:
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 def test_factorize_budget_raises_typed_error(one_second_deadline):

@@ -5,17 +5,19 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
 import quadtwist
+import quadtwist.twistlaws
 from quadtwist.arith import fundamental_discriminants
 from quadtwist.cli import main
 from quadtwist.curves import minimal_model, model, two_strongly_minimal
 from quadtwist.harness import (
-    _ENCODER,
+    MODES,
     CorpusError,
     SweepReport,
     default_corpus_path,
@@ -281,17 +283,44 @@ def test_sweep_does_no_fraction_arithmetic(monkeypatch):
     assert rows == 46 and len(built) == rows
 
 
-def test_encoder_writes_coverage_records_byte_for_byte():
-    # records share their rows' dicts, and the report's encoder skips the
-    # circular-reference check: every record of the coverage sweep must
-    # encode to the bytes a default sort_keys encoder writes, so the
-    # report file is unchanged byte for byte
-    plain = json.JSONEncoder(sort_keys=True)
+def test_encoder_writes_coverage_records_byte_for_byte(tmp_path, monkeypatch):
+    # a record is its JSON line, formatted without the JSON encoder: every
+    # line of the coverage sweep in each mode, of the shipped sweep and of
+    # a label that needs escaping must be the text json.dumps(record,
+    # sort_keys=True) writes, so the report file is unchanged byte for
+    # byte; and the summary's check counts, which come from the record
+    # kinds, must count the checks the lines hold
     coverage = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
-    report = run_sweep(ingest_corpus(coverage), 500, "all")
-    assert report["summary"]["instances"] == 1475
-    for rec in report["instances"]:
-        assert _ENCODER.encode(rec) == plain.encode(rec), rec
+    label = 'q"uo\\t\u00e9'  # a quote, a backslash and a non-ASCII letter
+    odd = write(tmp_path, f"{label},0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n")
+    runs = [(coverage, mode) for mode in MODES]
+    runs += [(default_corpus_path(), "all"), (odd, "all")]
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("a record went through the JSON encoder")
+
+    sweeps = {}
+    with monkeypatch.context() as patched:
+        patched.setattr(json.JSONEncoder, "encode", refuse)
+        patched.setattr(json.JSONEncoder, "iterencode", refuse)
+        for path, mode in runs:
+            sweep = SweepReport(ingest_corpus(path), 500, mode)
+            sweeps[path, mode] = sweep, list(sweep)
+    counts = [len(sweeps[coverage, mode][1]) for mode in MODES]
+    assert counts == [794, 681, 1475, 1475]
+    assert len(sweeps[default_corpus_path(), "all"][1]) == 7572
+    for run, (sweep, lines) in sweeps.items():
+        records = [json.loads(line) for line in lines]
+        for line, rec in zip(lines, records):
+            assert line == json.dumps(rec, sort_keys=True), (run, line)
+        held = Counter(name for rec in records for name in rec["checks"])
+        assert sweep.check_counts == held, run
+        assert (sweep.instances, sweep.checks_run) == (len(lines), held.total()), run
+    odd_lines = sweeps[odd, "all"][1]
+    labels = [json.loads(line)["curve"] for line in odd_lines]
+    assert set(labels) == {label, "15a1"}
+    escaped = '"q\\"uo\\\\t\\u00e9"'
+    assert sum(f'"curve": {escaped},' in line for line in odd_lines) == labels.count(label) > 0
 
 
 def test_run_sweep_rejects_bad_mode(tmp_path):
@@ -401,10 +430,10 @@ def test_cli_report_file_matches_run_sweep(tmp_path, jobs):
 def test_cli_verify_failed_sweep_keeps_previous_report(tmp_path, monkeypatch, capsys):
     class DiesAfterFirstCurve(SweepReport):
         def __iter__(self):
-            for rec in super().__iter__():
-                if rec["curve"] != "11a1":
+            for line in super().__iter__():
+                if json.loads(line)["curve"] != "11a1":
                     raise RuntimeError("sweep died")
-                yield rec
+                yield line
 
     corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n")
     out = tmp_path / "report.json"
@@ -475,6 +504,46 @@ def test_cli_verify_without_out_encodes_nothing(tmp_path, monkeypatch, capsys):
     corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
     assert main(["verify", "--corpus", corpus, "--dmax", "30"]) == 0
     assert capsys.readouterr().out == "46 instances, 280 checks, 0 failures\n"
+
+
+def test_cli_verify_flags_a_measured_u_outside_one_two(tmp_path, monkeypatch, capsys):
+    # a twist_minimal that measures u = 4 at D = 5 fails u_closed_form and
+    # flags the record: the record's line, its failure witness and the
+    # summary's flag are the ones the report has always written
+    real = quadtwist.twistlaws.twist_minimal
+
+    def four_at_five(E, d):
+        T, u = real(E, d)
+        return (T, Fraction(4)) if d.value == 5 else (T, u)
+
+    monkeypatch.setattr("quadtwist.twistlaws.twist_minimal", four_at_five)
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--corpus", corpus, "--dmax", "13", "--out", str(out)]) == 1
+    text = out.read_text(encoding="utf-8")
+    (line,) = [ln.rstrip(",") for ln in text.splitlines() if ln.startswith("{") and '"d": 5,' in ln]
+    flag = "measured u = 4 outside {1,2}"
+    assert line == (
+        '{"checks": {"odd_twist_fast_path": true, "quantity_even_exponent": true, '
+        '"quantity_power_of_two": true, "symbol_closed_form": true, '
+        '"tamagawa_product_symbol": true, "u_closed_form": false}, "curve": "11a1", '
+        f'"d": 5, "flags": ["{flag}"], "n_minus": 1, "n_plus": 11, "quantity": '
+        '{"components": {"D": 5, "c_tilde": {}, "omega_n_minus": 0, '
+        '"twist_tamagawa": {"5": 1}, "u": 1}, "exponent": 0, "is_even_exponent": true, '
+        '"is_power_of_two": true, "quantity": "1"}, "u": 1}'
+    )
+    assert list(json.loads(line)) == [
+        "checks", "curve", "d", "flags", "n_minus", "n_plus", "quantity", "u"
+    ]
+    report = json.loads(text)
+    assert report["failures"] == [{"curve": "11a1", "d": 5, "failed_checks": ["u_closed_form"]}]
+    assert report["summary"]["flags"] == [{"curve": "11a1", "d": 5, "flag": flag}]
+    assert (report["summary"]["instances"], report["summary"]["failures"]) == (14, 1)
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "14 instances, 86 checks, 1 failures",
+        'FAIL: {"curve": "11a1", "d": 5, "failed_checks": ["u_closed_form"]}',
+    ]
 
 
 def test_cli_verify_progress_one_line_per_curve(tmp_path, capsys):

@@ -579,6 +579,53 @@ def test_transfer_identity_example():
         tamagawa_transfer_check(pair_join(E11A1, 5, 12), 11)  # 11 splits: n_minus = 1
 
 
+class Loud(int):
+    """An int that counts how often it is formatted; its products stay
+    Loud."""
+
+    formatted = 0
+
+    def __format__(self, spec):
+        Loud.formatted += 1
+        return int.__format__(self, spec)
+
+    def __mul__(self, other):
+        return Loud(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+
+def test_check_details_are_formatted_only_when_read():
+    # a sweep reads only the verdicts of the transfer and symbol checks:
+    # no detail string is built until one is read, and then it reads as
+    # it always has
+    row1, row2, side = pair = pair_join(E11A1, 1, 13)
+    pair = pair._replace(
+        minus=side._replace(
+            transfer={q: Loud(c) for q, c in side.transfer.items()},
+            transfer_product=Loud(side.transfer_product),
+        )
+    )
+    row = single_row(E11A1, 13)
+    row = row._replace(
+        local={l: loc._replace(tamagawa=Loud(loc.tamagawa)) for l, loc in row.local.items()}
+    )
+    Loud.formatted = 0
+    results = [
+        tamagawa_transfer_check(pair, 11),
+        tamagawa_transfer_product_check(pair),
+        tamagawa_symbol_check(row),
+    ]
+    assert all(res.ok for res in results)
+    assert Loud.formatted == 0
+    assert [res.detail for res in results] == [
+        "q=11: 5 vs 5",
+        "5 vs 5 (mod squares)",
+        "prod=2, symbol=-1",
+    ]
+    assert Loud.formatted == 3
+
+
 def test_transfer_identity_nonsplit_and_even_valuation_cases():
     """The identity at a nonsplit base prime and at an even-valuation
     prime, found by corpus scan."""
