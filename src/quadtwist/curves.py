@@ -249,7 +249,6 @@ def _pattern_of(E: WeierstrassModel) -> int | None:
     return None
 
 
-@lru_cache(maxsize=None)
 def two_strongly_minimal(E: WeierstrassModel) -> WeierstrassModel:
     """Normalize a minimal model with good reduction at 2 so that its
     a-invariant 2-adic valuations match one of the two patterns above.

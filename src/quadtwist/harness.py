@@ -37,7 +37,9 @@ hold the records to a per-instance reference that reads each twist's
 Tate data afresh from a validated setup. An exception inside a curve's
 sweep is raised as a SweepError naming the curve. With jobs > 1 the
 curves fan out over at most one worker process per curve, each
-returning its chunk of lines.
+returning its chunk of lines; the process pool's modules are imported
+only then, so a sweep in one process never loads concurrent.futures or
+multiprocessing.
 
 Reports are deterministic: instances are enumerated in sorted order and
 all wall-clock measurements live under "timing" keys (the tail's wall
@@ -52,7 +54,6 @@ import math
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -442,6 +443,11 @@ class SweepReport:
         # there are curves
         workers = min(self.jobs, len(tasks))
         if workers > 1:
+            # imported here: the pool's modules (multiprocessing, pickle,
+            # socket, ...) are a third of the package's import time, and a
+            # sweep in one process uses none of them
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=workers)
             try:
                 futures = [pool.submit(_sweep_curve, task) for task in tasks]

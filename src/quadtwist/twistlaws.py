@@ -7,9 +7,10 @@ case cross-checks, and the auxiliary-discriminant search.
 
 A twist is described by its row alone, and every quantity and check
 reads rows.  A curve's CurveFacts hold what all its twists share: N,
-the local data, the minimal discriminant, and a table of n_minus sides,
-one MinusSide per set of multiplicative primes that some row or pair
-has as its n_minus, built on first use: n_minus, n_plus, the c~_q
+the local data, the minimal discriminant, the 2-adic normal form and its
+pattern (found once, for the even-D case table), and a table of n_minus
+sides, one MinusSide per set of multiplicative primes that some row or
+pair has as its n_minus, built on first use: n_minus, n_plus, the c~_q
 (keyed as the report prints them, with their JSON text) and their
 product, and c~_q times the inert base-change c_q at each q with the
 product of those.  All of it is read from the curve's local data, so
@@ -269,7 +270,13 @@ def u_of_discriminant(E: WeierstrassModel, D) -> int:
     """Closed-form period scale of the twist by a positive fundamental
     discriminant coprime to the conductor: 1 unless v2(D) = 3 and
     v2(c6) = 3, in which case 2.  E is globally minimal; c6 and the
-    discriminant are read from its minimal_model entry."""
+    discriminant are read from its minimal_model entry.
+
+    v2(c6) in {0, 3} is an internal invariant, not a reported check: on a
+    model good at 2, a1 odd makes b2 and so c6 odd, and a1 even forces a3
+    odd, so v2(b2) >= 2, b6 is odd and v2(c6) = v2(216 b6) = 3.  Only a
+    bug reaches the raise, which stays out of the report (a named check
+    would change every report's checks_run)."""
     D = _as_fund(D)
     if D.two_exponent <= 2:
         return 1
@@ -295,12 +302,16 @@ class CurveFacts(NamedTuple):
     conductor: int
     local_data: dict[int, LocalReduction]
     disc: int  # the minimal discriminant
+    # the 2-adic normal form (two_strongly_minimal) and its pattern, 1 or
+    # 2, which the even-D case table reads; None when disc is even
+    normal_form: WeierstrassModel | None
+    pattern: int | None
     minus_sides: dict[int, MinusSide]  # the n_minus table, by mask; see minus_side
 
     # The table fills as rows and pairs ask for it, so it takes no part
     # in comparisons.
     def __eq__(self, other):
-        return isinstance(other, CurveFacts) and self[:4] == other[:4]
+        return isinstance(other, CurveFacts) and self[:-1] == other[:-1]
 
     def __ne__(self, other):
         return not self == other
@@ -323,10 +334,16 @@ class MinusSide(NamedTuple):
 
 
 def curve_facts(E: WeierstrassModel) -> CurveFacts:
-    """E's conductor, local data and minimal discriminant, with an empty
+    """E's conductor, local data, minimal discriminant and, when that is
+    odd, its 2-adic normal form with the form's pattern, with an empty
     n_minus table; E is globally minimal."""
     N, local_data = reduction_profile(E)
-    return CurveFacts(E, N, local_data, minimal_model(E).invariants.disc, {})
+    disc = minimal_model(E).invariants.disc
+    S = pat = None
+    if disc % 2:
+        S = two_strongly_minimal(E)
+        pat = pattern_of_normal_form(S)
+    return CurveFacts(E, N, local_data, disc, S, pat, {})
 
 
 def minus_side(facts: CurveFacts, mask: int) -> MinusSide:
@@ -568,11 +585,16 @@ class TwoAdicPrediction(NamedTuple):
 def predict_two_adic(E: WeierstrassModel, D) -> TwoAdicPrediction:
     """Predicted Kodaira type and Tamagawa number at 2 of the twist by an
     even fundamental discriminant, from the 2-adic normal form of E."""
+    S = two_strongly_minimal(minimal_model(E).minimal)
+    return _two_adic_prediction(S, pattern_of_normal_form(S), D)
+
+
+def _two_adic_prediction(S: WeierstrassModel, pat: int, D) -> TwoAdicPrediction:
+    """The case table's prediction for the twist by an even fundamental
+    discriminant D, read from the 2-adic normal form S and its pattern."""
     D = _as_fund(D)
     if not D.is_even:
         raise ValueError("even discriminant required")
-    S = two_strongly_minimal(minimal_model(E).minimal)
-    pat = pattern_of_normal_form(S)
     a1, a2, a3, a4, a6 = S
     if D.two_exponent == 2:
         if pat == 2:
@@ -595,8 +617,8 @@ def predict_two_adic(E: WeierstrassModel, D) -> TwoAdicPrediction:
 def check_two_adic_case(row: TwistRow) -> CheckResult:
     """Compare the prediction against the row's full Tate run at 2 on the
     twist.  A P-valuation below 4 contradicts the case table and fails
-    the check."""
-    pred = predict_two_adic(row.facts.curve, row.disc)
+    the check.  The normal form and its pattern are the curve's facts."""
+    pred = _two_adic_prediction(row.facts.normal_form, row.facts.pattern, row.disc)
     loc = row.local[2]
     if pred.tamagawa is None:
         return CheckResult(

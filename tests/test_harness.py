@@ -15,7 +15,7 @@ import quadtwist
 import quadtwist.twistlaws
 from quadtwist.arith import fundamental_discriminants
 from quadtwist.cli import main
-from quadtwist.curves import minimal_model, model, two_strongly_minimal
+from quadtwist.curves import minimal_model, model
 from quadtwist.harness import (
     MODES,
     CorpusError,
@@ -186,8 +186,9 @@ class InlinePool:
 
 def test_pool_workers_capped_at_curve_count(tmp_path, monkeypatch, capsys):
     # a fork pool starts all max_workers at the first submit, so --jobs
-    # beyond the curve count must not reach the pool
-    monkeypatch.setattr("quadtwist.harness.ProcessPoolExecutor", InlinePool)
+    # beyond the curve count must not reach the pool.  The sweep imports
+    # the pool class when it needs one, so it is patched where it lives.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     corpus = three_curves()
     serial = strip_timing(run_sweep(corpus, 20, "all", jobs=1))
@@ -203,6 +204,33 @@ def test_pool_workers_capped_at_curve_count(tmp_path, monkeypatch, capsys):
     assert InlinePool.sizes == [3, 2, 2]  # one curve runs in process
 
 
+def test_serial_sweep_imports_no_process_pool(tmp_path):
+    # the pool's modules load only when more than one worker runs: a fresh
+    # interpreter that imports the package and runs a --jobs 1 sweep adds
+    # nothing from concurrent or multiprocessing to sys.modules.  It runs
+    # apart because this module imports concurrent.futures itself.
+    out = tmp_path / "report.json"
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import quadtwist, quadtwist.cli\n"
+        "args = ['verify', '--dmax', '30', '--jobs', '1', '--out', sys.argv[1]]\n"
+        "code = quadtwist.cli.main(args)\n"
+        "added = sorted({m.split('.')[0] for m in set(sys.modules) - before})\n"
+        "print(json.dumps([code, added]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadtwist.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(out)],
+        env={**os.environ, "PYTHONPATH": src}, check=True, capture_output=True, text=True,
+        timeout=120,
+    )
+    code, added = json.loads(proc.stdout.splitlines()[-1])  # after verify's own line
+    assert code == 0 and out.exists()
+    assert "quadtwist" in added
+    assert not {"concurrent", "multiprocessing"} & set(added), added
+
+
 def three_curves():
     corpus = [
         rec for rec in ingest_corpus(default_corpus_path())
@@ -213,8 +241,7 @@ def three_curves():
 
 
 def clear_memos():
-    for memo in (minimal_model, two_strongly_minimal):
-        memo.cache_clear()
+    minimal_model.cache_clear()
 
 
 def test_sweep_report_same_with_brute_normal_form(monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 
 from quadtwist.arith import fundamental_discriminant
 from quadtwist.cli import main
-from quadtwist.curves import minimal_model, two_strongly_minimal
+from quadtwist.curves import minimal_model, pattern_of_normal_form, two_strongly_minimal
 from quadtwist.harness import default_corpus_path, ingest_corpus, run_sweep, strip_timing
 from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
 from quadtwist.twistlaws import twist_minimal
@@ -31,8 +31,7 @@ def three_curves():
 
 
 def clear_memos():
-    for memo in (minimal_model, two_strongly_minimal):
-        memo.cache_clear()
+    minimal_model.cache_clear()
 
 
 def test_records_match_reference_on_shipped_corpus():
@@ -130,3 +129,23 @@ def test_sweep_computes_each_twist_once(monkeypatch, d_max):
         assert closed_form == Counter(odd_keys)
     finally:
         clear_memos()
+
+
+def test_sweep_finds_each_normal_form_once(monkeypatch):
+    # the 2-adic normal form and its pattern are the curve's facts: one
+    # two_strongly_minimal and one pattern_of_normal_form call per curve
+    # good at 2, however many even D its rows have, and none for a curve
+    # bad at 2 (14a1, 26b1, 34a1, 58a1)
+    corpus = ingest_corpus(default_corpus_path())
+    calls = count_calls(monkeypatch, two_strongly_minimal, pattern_of_normal_form)
+    report = run_sweep(corpus, 200, "all")
+    monkeypatch.undo()
+    good = [minimal_model(rec.curve).minimal for rec in corpus if rec.conductor % 2]
+    assert len(good) == len(corpus) - 4
+    forms = [two_strongly_minimal(E) for E in good]
+    assert calls == Counter(
+        [("two_strongly_minimal", (E,)) for E in good]
+        + [("pattern_of_normal_form", (S,)) for S in forms]
+    )
+    even = Counter(i["curve"] for i in report["instances"] if i.get("d", 1) % 2 == 0)
+    assert len(even) == len(good) and min(even.values()) > 1

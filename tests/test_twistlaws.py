@@ -7,8 +7,10 @@ their joins imply are held to the clause-by-clause reference in
 oracles.py, and the pair bookkeeping to its eight-piece decomposition."""
 
 import math
+import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -19,6 +21,7 @@ from quadtwist.arith import (
     fundamental_discriminant,
     fundamental_discriminants,
     kronecker,
+    valuation,
 )
 from quadtwist.curves import invariants, minimal_model, model
 from quadtwist.harness import (
@@ -373,6 +376,28 @@ def test_u_of_discriminant_examples():
     assert u_of_discriminant(E11A1, 8) == 2  # v2(c6) = v2(20008) = 3
     for rec in corpus()[:8]:
         assert u_of_discriminant(rec.curve, 5) == 1  # odd D
+
+
+def test_minimal_models_good_at_2_have_c6_valuation_0_or_3():
+    # u_of_discriminant keeps v2(c6) in {0, 3} as an invariant, not a
+    # reported check: it holds for every minimal model good at 2, with c6
+    # odd exactly when a1 is.  Walk the shipped and coverage corpora and
+    # seeded random reduced curves.
+    coverage = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
+    curves = [
+        rec.curve for path in (default_corpus_path(), coverage) for rec in ingest_corpus(path)
+    ]
+    curves += random_reduced_curves(random.Random(20), 2000)
+    seen = Counter()  # by the parity of a1
+    for E in curves:
+        mm = minimal_model(E)
+        if mm.invariants.disc % 2 == 0:
+            continue
+        odd = mm.minimal.a1 % 2
+        assert valuation(mm.invariants.c6, 2) == (0 if odd else 3), tuple(E)
+        assert u_of_discriminant(mm.minimal, 8) == (1 if odd else 2)
+        seen[odd] += 1
+    assert min(seen[0], seen[1]) > 400
 
 
 def test_u_closed_form_matches_measured():
@@ -786,8 +811,9 @@ def test_two_adic_case_p_valuation_below_four_fails_the_check(monkeypatch):
     # case 3 needs v2(P) >= 4.  A normal form wrongly taken for pattern 1
     # (11a1's is pattern 2) gives v2(P) = 0 at D = 8: the check fails and
     # names v, where an assert would raise, or vanish under python -O
-    row = single_row(E11A1, 8)
+    # (the pattern is read when the curve's facts are built)
     monkeypatch.setattr("quadtwist.twistlaws.pattern_of_normal_form", lambda S: 1)
+    row = single_row(E11A1, 8)
     pred = predict_two_adic(E11A1, 8)
     assert (pred.case, pred.kodaira, pred.tamagawa, pred.p_valuation) == (3, "I8*", None, 0)
     res = check_two_adic_case(row)
