@@ -27,9 +27,7 @@ from .curves import (
 )
 from .localred import (
     LocalReduction,
-    c_tilde,
     conductor,
-    inert_base_change_tamagawa,
     tate_local,
     twist_prime_tamagawa_odd,
 )
@@ -60,12 +58,10 @@ __all__ = [
     "TwistPair",
     "TwistRow",
     "WeierstrassModel",
-    "c_tilde",
     "conductor",
     "factorize",
     "fundamental_discriminant",
     "fundamental_discriminants",
-    "inert_base_change_tamagawa",
     "invariants",
     "is_fundamental_discriminant",
     "join_rows",

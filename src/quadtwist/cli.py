@@ -32,8 +32,9 @@ from .arith import fundamental_discriminant
 from .profile_scan import scan_profiles
 from .curves import minimal_model, model, quadratic_twist
 from .harness import PAIR_DMAX, SweepReport, default_corpus_path, ingest_corpus, write_report
-from .localred import conductor, tate_local
+from .localred import tate_local
 from .twistlaws import (
+    curve_facts,
     find_auxiliary_discriminant,
     twist_minimal,
     u_of_discriminant,
@@ -136,12 +137,12 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_u_of_d(args) -> int:
-    E = minimal_model(args.curve).minimal
+    facts = curve_facts(minimal_model(args.curve))  # of the minimal model
     D = fundamental_discriminant(args.d)
-    g = math.gcd(D.value, conductor(E))
+    g = math.gcd(D.value, facts.conductor)
     if g != 1:  # the closed form assumes D coprime to N
         raise ValueError(f"gcd(D, N) = {g} != 1")
-    print(f"u={u_of_discriminant(E, D)} (measured {twist_minimal(E, D)[1]})")
+    print(f"u={u_of_discriminant(facts.mm, D)} (measured {twist_minimal(facts.mm, D)[1]})")
     return 0
 
 

@@ -18,7 +18,6 @@ nothing large.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 from typing import NamedTuple
 
@@ -214,10 +213,11 @@ def minimal_from_invariants(c4: int, c6: int, primes) -> MinimalModelResult:
     return MinimalModelResult(M, u, tuple(bad_primes), inv)
 
 
-@lru_cache(maxsize=None)
 def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
     """Global minimal model of E (integral, as every model is); u_value is
-    the scale from E onto it."""
+    the scale from E onto it.  It keeps no memo: a caller that reads a
+    curve's minimal model more than once holds on to the result (a sweep
+    keeps it on the curve's CurveFacts)."""
     inv = invariants(E)
     return minimal_from_invariants(inv.c4, inv.c6, factorize(inv.disc).primes())
 
@@ -249,18 +249,18 @@ def _pattern_of(E: WeierstrassModel) -> int | None:
     return None
 
 
-def two_strongly_minimal(E: WeierstrassModel) -> WeierstrassModel:
-    """Normalize a minimal model with good reduction at 2 so that its
-    a-invariant 2-adic valuations match one of the two patterns above.
+def two_strongly_minimal(mm: MinimalModelResult) -> WeierstrassModel:
+    """Normalize the minimal model mm.minimal, which must have good
+    reduction at 2, so that its a-invariant 2-adic valuations match one of
+    the two patterns above.
 
     The result is the first match in lexicographic (pattern, r, s, w)
     order over [1, r, s, w] with r, s, w >= 0; at most 32 candidates
     (2 patterns x _NORMAL_FORM_BOX) are tried.
     """
-    if valuation(invariants(E).disc, 2) != 0:
+    if mm.invariants.disc % 2 == 0:
         raise ValueError("requires a model with odd discriminant")
-    if minimal_model(E).minimal != E:
-        raise ValueError("requires a globally minimal model")
+    E = mm.minimal
     for want in (1, 2):
         for r, s, w in _NORMAL_FORM_BOX:
             cand = rst_transform(E, r, s, w)

@@ -18,10 +18,12 @@ arrives, between a head and a tail encoded once each, so the report's
 memory does not grow with the instance count; ``run_sweep`` parses the
 same lines into one dict.
 
-Each twist's facts are computed once, not per instance. Per curve the
-sweep takes its CurveFacts (conductor, local data, minimal discriminant,
-c~ and the inert base change) and each discriminant's character signs
-at the primes of N (the sign table), and builds one TwistRow per
+Each curve's and each twist's facts are computed once, not per
+instance. ingest_corpus computes each curve's CurveFacts (minimal model,
+conductor, local data, 2-adic normal form) and hands them to the sweep
+on its CurveRecord, so nothing below looks a curve fact up again. Per
+curve the sweep takes those facts and each discriminant's character
+signs at the primes of N (the sign table), and builds one TwistRow per
 admissible discriminant: the twist is minimized once and Tate's
 algorithm runs once per prime on it. The odd-prime closed form for the
 twist's Tamagawa number depends on the curve and the prime l, not on D,
@@ -37,9 +39,9 @@ hold the records to a per-instance reference that reads each twist's
 Tate data afresh from a validated setup. An exception inside a curve's
 sweep is raised as a SweepError naming the curve. With jobs > 1 the
 curves fan out over at most one worker process per curve, each
-returning its chunk of lines; the process pool's modules are imported
-only then, so a sweep in one process never loads concurrent.futures or
-multiprocessing.
+receiving its record, facts included, and returning its chunk of lines;
+the process pool's modules are imported only then, so a sweep in one
+process never loads concurrent.futures or multiprocessing.
 
 Reports are deterministic: instances are enumerated in sorted order and
 all wall-clock measurements live under "timing" keys (the tail's wall
@@ -60,8 +62,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .arith import FactorizationError, FundamentalDiscriminant, fundamental_discriminants, kronecker
 from .curves import SingularModelError, WeierstrassModel, minimal_model, model
-from .localred import reduction_profile, twist_prime_tamagawa_odd
+from .localred import twist_prime_tamagawa_odd
 from .twistlaws import (
+    CurveFacts,
     TwistPair,
     TwistRow,
     admissible_signs,
@@ -92,6 +95,7 @@ class CurveRecord(NamedTuple):
     conductor: int | None
     analytic_rank: int | None
     source: str
+    facts: CurveFacts  # of the curve's global minimal model, from ingest_corpus
 
     @property
     def curve(self) -> WeierstrassModel:
@@ -119,7 +123,11 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
     Comment lines start with '#'.  Every record is checked nonsingular
     and its discriminant factorable (minimal_model, so no line can hang
     the sweep), duplicate labels are rejected, and a stated conductor must
-    match the recomputed one exactly.
+    match the recomputed one exactly.  Each record carries its curve's
+    CurveFacts, computed once here (one minimal_model, one Tate run per
+    prime of N) for the conductor check and the sweep.  Their n_minus
+    table, read off the local data, fills during a sweep and changes no
+    later report.
     """
     records: list[CurveRecord] = []
     seen: set[str] = set()
@@ -144,19 +152,17 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
             rank = int(parts[7]) if len(parts) == 8 and parts[7] else None
             if rank is not None and rank < 0:
                 raise CorpusError(f"{path}:{lineno}: negative analytic rank")
-            E = model(*ai)
             try:
-                minimal_model(E)
+                mm = minimal_model(model(*ai))
             except (SingularModelError, FactorizationError) as exc:
                 raise CorpusError(f"{path}:{lineno}: {exc}") from None
-            if stated_n is not None:
-                N, _ = reduction_profile(E)
-                if N != stated_n:
-                    raise CorpusError(
-                        f"{path}:{lineno}: stated conductor {stated_n} != computed {N}"
-                    )
+            facts = curve_facts(mm)
+            if stated_n is not None and facts.conductor != stated_n:
+                raise CorpusError(
+                    f"{path}:{lineno}: stated conductor {stated_n} != computed {facts.conductor}"
+                )
             seen.add(label)
-            records.append(CurveRecord(label, ai, stated_n, rank, f"{path}:{lineno}"))
+            records.append(CurveRecord(label, ai, stated_n, rank, f"{path}:{lineno}", facts))
     return records
 
 
@@ -165,17 +171,13 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
 
 
 def twist_rows(
-    E: WeierstrassModel, discriminants: Iterable[FundamentalDiscriminant], pair_dmax: int
+    facts: CurveFacts, discriminants: Iterable[FundamentalDiscriminant], pair_dmax: int
 ) -> list[TwistRow]:
-    """E's twist row for each parsed discriminant admissible for its
-    canonical split (admissible_signs, the sign table), in input order.
-    Rows up to pair_dmax carry the twist's local data at the primes of N,
-    which their pairs' transfer identities read.  A model that is not
-    globally minimal admits none: the twist hypothesis is stated on the
-    minimal model."""
-    if minimal_model(E).minimal != E:
-        return []
-    facts = curve_facts(E)
+    """The twist row of the curve with these facts (its global minimal
+    model) for each parsed discriminant admissible for its canonical split
+    (admissible_signs, the sign table), in input order.  Rows up to
+    pair_dmax carry the twist's local data at the primes of N, which their
+    pairs' transfer identities read."""
     rows = []
     for f in discriminants:
         signs = admissible_signs(facts.local_data, f)
@@ -253,7 +255,7 @@ def run_single_instance(
     """Evaluate one (curve, D) instance from its row: its record's JSON
     line, and whether the record is clean (every check passed, no flag).
     curve_json is the curve's escaped label.  odd_tamagawa is the curve's
-    memo of the closed form twist_prime_tamagawa_odd(E, l, .) by odd
+    memo of the closed form twist_prime_tamagawa_odd(mm, l, .) by odd
     prime l (no D changes it); the primes it lacks are filled in."""
     facts = row.facts
     D = row.disc
@@ -264,7 +266,7 @@ def run_single_instance(
         odd = [l for l in D.primes if l != 2]
         for l in odd:
             if l not in odd_tamagawa:
-                odd_tamagawa[l] = twist_prime_tamagawa_odd(facts.curve, l, D.value)
+                odd_tamagawa[l] = twist_prime_tamagawa_odd(facts.mm, l, D.value)
         fast = all(odd_tamagawa[l] == row.local[l].tamagawa for l in odd)
         checks.append(f'"odd_twist_fast_path": {_JSON_BOOL[fast]}')
     if mode in ("thm13", "all"):
@@ -279,7 +281,7 @@ def run_single_instance(
             f'"u": {row.u}}}, {_verdict_text(v)}'
         )
     if mode in ("lemmas", "all"):
-        disc = facts.disc
+        disc = facts.mm.invariants.disc
         sym = symbol_closed_form(disc, D, inert_valuation_sum(row)) == kronecker(disc, D.odd_part)
         checks.append(
             f'"symbol_closed_form": {_JSON_BOOL[sym]}, '
@@ -310,9 +312,8 @@ def run_pair_instance(curve_json: str, pair: TwistPair, mode: str) -> tuple[str,
     quantity = ""
     if mode in ("thm31", "all"):
         v = pair_twist_quantity(pair)
-        book = v.components["bookkeeping"]
-        parity = _JSON_BOOL[book["omega_parity"]]
-        product = _JSON_BOOL[book["c_tilde_product"]]
+        parity = _JSON_BOOL[v.omega_parity]
+        product = _JSON_BOOL[v.c_tilde_product]
         checks.append(
             f'"c_tilde_product": {product}, "omega_parity": {parity}, '
             f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
@@ -355,8 +356,9 @@ class CurveChunk(NamedTuple):
 
 def _sweep_curve(args) -> CurveChunk:
     """One curve's instance records and the seconds they took.  The
-    curve's rows are built once and every instance reads them, and the
-    odd-prime closed form is evaluated once per prime."""
+    curve's rows are built once from its record's facts and every
+    instance reads them, and the odd-prime closed form is evaluated once
+    per prime."""
     record, discriminants, pair_dmax, mode = args
     t0 = time.perf_counter()
     curve_json = encode_basestring_ascii(record.label)
@@ -368,8 +370,7 @@ def _sweep_curve(args) -> CurveChunk:
     if not singles_run:
         discriminants = [f for f in discriminants if f.value <= pair_dmax]
     try:
-        E = minimal_model(record.curve).minimal
-        rows = twist_rows(E, discriminants, pair_dmax if pairs_run else 0)
+        rows = twist_rows(record.facts, discriminants, pair_dmax if pairs_run else 0)
         if pairs_run:
             for pair in row_pairs(rows, pair_dmax):
                 line, clean = run_pair_instance(curve_json, pair, mode)

@@ -1,7 +1,8 @@
 """Local reduction data via Tate's algorithm, at every prime (2 and 3
 included), plus the closed-form local computations used by the twist
-identities: odd-prime twist Tamagawa numbers by root counting, the parity
-invariant c-tilde, and the inert base-change Tamagawa number.
+identities: odd-prime twist Tamagawa numbers by root counting, and, as
+properties of a LocalReduction at a multiplicative prime, the parity
+invariant c-tilde and the inert base-change Tamagawa number.
 
 The algorithm follows the classical normalization sequence.  At p = 2, 3
 the coordinate changes are found by small exhaustive searches over
@@ -19,7 +20,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .arith import is_prime, kronecker, valuation
-from .curves import Invariants, SingularModelError, WeierstrassModel, minimal_model
+from .curves import (
+    Invariants,
+    MinimalModelResult,
+    SingularModelError,
+    WeierstrassModel,
+    minimal_model,
+)
 
 GOOD = "good"
 MULT_SPLIT = "multiplicative-split"
@@ -330,10 +337,9 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         a1, a2, a3, a4, a6 = a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // (p3 * p3)
 
 
-def reduction_profile(E: WeierstrassModel) -> tuple[int, dict[int, LocalReduction]]:
+def reduction_profile(mm: MinimalModelResult) -> tuple[int, dict[int, LocalReduction]]:
     """Conductor N = prod p^f_p together with per-prime local data,
-    computed on the global minimal model."""
-    mm = minimal_model(E)
+    computed on the global minimal model mm.minimal at its bad primes."""
     data = {}
     N = 1
     for p in mm.bad_primes:
@@ -344,7 +350,7 @@ def reduction_profile(E: WeierstrassModel) -> tuple[int, dict[int, LocalReductio
 
 
 def conductor(E: WeierstrassModel) -> int:
-    return reduction_profile(E)[0]
+    return reduction_profile(minimal_model(E))[0]
 
 
 def depressed_cubic_mod(inv: Invariants, l: int) -> tuple[int, int, int]:
@@ -356,14 +362,15 @@ def depressed_cubic_mod(inv: Invariants, l: int) -> tuple[int, int, int]:
     return (inv.b2 * i4 % l, inv.b4 * i2 % l, inv.b6 * i4 % l)
 
 
-def twist_prime_tamagawa_odd(E: WeierstrassModel, l: int, D: int) -> int:
-    """Tamagawa number at an odd prime l | D of the twist of E by D, for E
-    with good reduction at l: 1 + #roots of the depressed cubic mod l."""
+def twist_prime_tamagawa_odd(mm: MinimalModelResult, l: int, D: int) -> int:
+    """Tamagawa number at an odd prime l | D of the twist by D of the curve
+    with minimal model mm, which must have good reduction at l: 1 + #roots
+    of the depressed cubic mod l."""
     if l == 2 or not is_prime(l):
         raise ValueError("l must be an odd prime")
     if D % l != 0:
         raise ValueError("l must divide D")
-    inv = minimal_model(E).invariants
+    inv = mm.invariants
     if valuation(inv.disc, l) != 0:
         raise ValueError(f"E must have good reduction at {l}")
     b, c, d = depressed_cubic_mod(inv, l)
@@ -371,14 +378,3 @@ def twist_prime_tamagawa_odd(E: WeierstrassModel, l: int, D: int) -> int:
     assert cp in (1, 2, 4)
     return cp
 
-
-def c_tilde(E: WeierstrassModel, q: int) -> int:
-    """1 if v_q of the minimal discriminant is odd, else 2; q must be a
-    prime of multiplicative reduction."""
-    return tate_local(E, q).c_tilde
-
-
-def inert_base_change_tamagawa(E: WeierstrassModel, q: int) -> int:
-    """Tamagawa number over a quadratic field in which q stays inert:
-    equals v_q of the minimal discriminant (reduction becomes split)."""
-    return tate_local(E, q).inert_tamagawa

@@ -6,15 +6,20 @@ product identities, the closed-form symbol evaluation, the Tamagawa-at-2
 case cross-checks, and the auxiliary-discriminant search.
 
 A twist is described by its row alone, and every quantity and check
-reads rows.  A curve's CurveFacts hold what all its twists share: N,
-the local data, the minimal discriminant, the 2-adic normal form and its
+reads rows.  A curve's CurveFacts hold what all its twists share: its
+minimal model (the MinimalModelResult, with the minimal discriminant
+and its invariants), N, the local data, the 2-adic normal form and its
 pattern (found once, for the even-D case table), and a table of n_minus
 sides, one MinusSide per set of multiplicative primes that some row or
 pair has as its n_minus, built on first use: n_minus, n_plus, the c~_q
 (keyed as the report prints them, with their JSON text) and their
 product, and c~_q times the inert base-change c_q at each q with the
 product of those.  All of it is read from the curve's local data, so
-the curve's own primes go through Tate's algorithm once.
+the curve's own primes go through Tate's algorithm once.  The functions
+that read a fact of the curve (twist_minimal, u_of_discriminant,
+curve_facts) take its MinimalModelResult.  Only validate_setup, whose
+curve comes from a user, computes a minimal model; any other caller
+holding only a model calls minimal_model once and passes the result on.
 A TwistRow holds one admissible discriminant D's facts: its signs at the
 primes of N and its n_minus side, u_D by the closed form and as
 twist_minimal measures it, full Tate on the minimal twist at the primes
@@ -33,10 +38,12 @@ its detail text only when it is read.
 Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
 is accumulated from the row and side fragments and judged on ints (its
 2-adic exponent by a bit test), and its string is formatted from the
-ints (format_quantity); no Fraction is built per quantity.  Its
-components share the row and side fragments by reference, so they are
-read, never mutated.  "Equal modulo squares" is decided by an integer
-square root, without factoring.
+ints (format_quantity); no Fraction is built per quantity.  A verdict
+carries only what the report reads: the numerator, w, the exponent and
+the two evenness bits, and for a pair the two bookkeeping bits.  The
+quantity's factors are the row and side fields themselves.  "Equal
+modulo squares" is decided by an integer square root, without
+factoring.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .arith import (
     valuation,
 )
 from .curves import (
+    MinimalModelResult,
     WeierstrassModel,
     minimal_from_invariants,
     minimal_model,
@@ -77,11 +85,9 @@ class ExponentVerdict(NamedTuple):
     exponent: int | None  # k with quantity = 2**k, when it is one
     is_power_of_two: bool
     is_even_exponent: bool
-    components: dict  # JSON-ready: prime keys are strings
-
-    @property
-    def quantity(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.w)
+    # a pair's proof bookkeeping (pair_twist_quantity); None for a single
+    omega_parity: bool | None = None
+    c_tilde_product: bool | None = None
 
 
 class CheckResult(NamedTuple):
@@ -120,10 +126,11 @@ def _exponent(num: int, den: int) -> int | None:
     return num.bit_length() - den.bit_length()
 
 
-def _verdict(num: int, w: int, components: dict) -> ExponentVerdict:
-    """The verdict on num / 2**w, decided on ints."""
+def _verdict(num: int, w: int, *bookkeeping: bool) -> ExponentVerdict:
+    """The verdict on num / 2**w, decided on ints, with a pair's two
+    bookkeeping bits when given."""
     k = _exponent(num, 1 << w)
-    return ExponentVerdict(num, w, k, k is not None, k is not None and k % 2 == 0, components)
+    return ExponentVerdict(num, w, k, k is not None, k is not None and k % 2 == 0, *bookkeeping)
 
 
 def format_quantity(num: int, w: int) -> str:
@@ -172,8 +179,7 @@ def validate_setup(E: WeierstrassModel, d1, d2=None) -> tuple[TwistRow, ...]:
     mm = minimal_model(E)
     if mm.minimal != E:
         reasons.append("curve model is not globally minimal")
-        E = mm.minimal
-    facts = curve_facts(E)
+    facts = curve_facts(mm)
     N, local_data = facts.conductor, facts.local_data
     discs = []
     for d in (d1, d2) if d2 is not None else (d1,):
@@ -231,16 +237,17 @@ def admissible_signs(
 # twist local data and u_D
 
 
-def twist_minimal(E: WeierstrassModel, d):
-    """(minimal model of the twist of E by d, measured scale u_d); d is an
-    int or a parsed FundamentalDiscriminant.
+def twist_minimal(mm: MinimalModelResult, d):
+    """(minimal model of the twist of E by d, measured scale u_d), for the
+    model E whose minimal_model is mm; d is an int or a parsed
+    FundamentalDiscriminant.
 
     The raw twist has invariants (d^2 c4, d^3 c6) and need not be
     integral at 2; its rescaling by [1/2, 0, 0, 0], with invariants
     (2^4 d^2 c4, 2^6 d^3 c6), always is.  u_d is the scale from the raw
     twist onto the global minimal model: the reduction's scale from the
     rescaled invariants, halved.  For d = 1 the twist is E itself, whose
-    minimal model every sweep already holds.
+    minimal model mm is.
 
     E's invariants are (u^4 C4, u^6 C6), for the invariants (C4, C6) of
     its minimal model and the scale u onto it, so the rescaled twist's
@@ -248,7 +255,6 @@ def twist_minimal(E: WeierstrassModel, d):
     d u and E's bad primes: only d u is factored, and only u when d is
     parsed, whose primes it carries.
     """
-    mm = minimal_model(E)
     fund = isinstance(d, FundamentalDiscriminant)
     if fund:
         d, d_primes = d.value, d.primes
@@ -266,11 +272,11 @@ def twist_minimal(E: WeierstrassModel, d):
     return tw.minimal, Fraction(tw.u_value, 2)
 
 
-def u_of_discriminant(E: WeierstrassModel, D) -> int:
-    """Closed-form period scale of the twist by a positive fundamental
-    discriminant coprime to the conductor: 1 unless v2(D) = 3 and
-    v2(c6) = 3, in which case 2.  E is globally minimal; c6 and the
-    discriminant are read from its minimal_model entry.
+def u_of_discriminant(mm: MinimalModelResult, D) -> int:
+    """Closed-form period scale of the twist of the minimal model
+    mm.minimal by a positive fundamental discriminant coprime to the
+    conductor: 1 unless v2(D) = 3 and v2(c6) = 3, in which case 2.  c6
+    and the discriminant are read from mm's invariants.
 
     v2(c6) in {0, 3} is an internal invariant, not a reported check: on a
     model good at 2, a1 odd makes b2 and so c6 odd, and a1 even forces a3
@@ -280,7 +286,7 @@ def u_of_discriminant(E: WeierstrassModel, D) -> int:
     D = _as_fund(D)
     if D.two_exponent <= 2:
         return 1
-    inv = minimal_model(E).invariants
+    inv = mm.invariants
     if valuation(inv.disc, 2) != 0:
         raise ValueError("even discriminant twist requires good reduction at 2")
     v = valuation(inv.c6, 2) if inv.c6 else 99
@@ -298,10 +304,9 @@ def u_of_discriminant(E: WeierstrassModel, D) -> int:
 class CurveFacts(NamedTuple):
     """What every twist of one curve shares, computed once per curve."""
 
-    curve: WeierstrassModel  # globally minimal
+    mm: MinimalModelResult  # minimal_model of the globally minimal curve (u_value 1)
     conductor: int
     local_data: dict[int, LocalReduction]
-    disc: int  # the minimal discriminant
     # the 2-adic normal form (two_strongly_minimal) and its pattern, 1 or
     # 2, which the even-D case table reads; None when disc is even
     normal_form: WeierstrassModel | None
@@ -333,17 +338,21 @@ class MinusSide(NamedTuple):
     disc_valuation_sum: int  # sum of v_q(min disc) over the set
 
 
-def curve_facts(E: WeierstrassModel) -> CurveFacts:
-    """E's conductor, local data, minimal discriminant and, when that is
-    odd, its 2-adic normal form with the form's pattern, with an empty
-    n_minus table; E is globally minimal."""
-    N, local_data = reduction_profile(E)
-    disc = minimal_model(E).invariants.disc
+def curve_facts(mm: MinimalModelResult) -> CurveFacts:
+    """The facts of the globally minimal model E = mm.minimal: its
+    conductor, local data and, when its discriminant is odd, its 2-adic
+    normal form with the form's pattern, with an empty n_minus table.
+
+    The twists are E's, so the facts keep mm with u_value 1, which is
+    minimal_model(E): twist_minimal then measures each scale from E,
+    whatever model mm was computed from."""
+    mm = mm._replace(u_value=1)
+    N, local_data = reduction_profile(mm)
     S = pat = None
-    if disc % 2:
-        S = two_strongly_minimal(E)
+    if mm.invariants.disc % 2:
+        S = two_strongly_minimal(mm)
         pat = pattern_of_normal_form(S)
-    return CurveFacts(E, N, local_data, disc, S, pat, {})
+    return CurveFacts(mm, N, local_data, S, pat, {})
 
 
 def minus_side(facts: CurveFacts, mask: int) -> MinusSide:
@@ -401,8 +410,7 @@ def twist_row(
     vector: one twist_minimal call, and one tate_local call per prime of
     D, and per prime of N when at_conductor.  The twist by 1 is the curve
     itself, whose local data at N the facts hold."""
-    E = facts.curve
-    T, u_measured = twist_minimal(E, f)
+    T, u_measured = twist_minimal(facts.mm, f)
     local = {l: tate_local(T, l) for l in f.primes}
     conductor_tamagawa = None
     if at_conductor:
@@ -411,7 +419,7 @@ def twist_row(
         else:
             local.update((l, tate_local(T, l)) for l in facts.local_data)
         conductor_tamagawa = math.prod(local[l].tamagawa for l in facts.local_data)
-    u = u_of_discriminant(E, f)
+    u = u_of_discriminant(facts.mm, f)
     c_twist = {str(l): local[l].tamagawa for l in f.primes}
     mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
     return TwistRow(
@@ -453,23 +461,12 @@ def twist_quantity(row: TwistRow) -> ExponentVerdict:
     """u_D / 2^omega(n_minus) * prod_{l | D} c_l(twist) * prod_{q | n_minus}
     c~_{q}(E), as an exact rational, with the evenness verdict."""
     side = row.minus
-    w = len(side.primes)
-    return _verdict(
-        row.share * side.c_tilde_product,
-        w,
-        {
-            "u": row.u,
-            "omega_n_minus": w,
-            "twist_tamagawa": row.twist_tamagawa,
-            "c_tilde": side.c_tilde,
-            "D": row.disc.value,
-        },
-    )
+    return _verdict(row.share * side.c_tilde_product, len(side.primes))
 
 
 def pair_twist_quantity(pair: TwistPair) -> ExponentVerdict:
     """Pair version of the quantity, with the proof bookkeeping checked
-    on the side (each verdict in components['bookkeeping']).
+    on the side (the verdict's omega_parity and c_tilde_product bits).
 
     With m_i the primes of N where chi_i = -1 (row i's n_minus):
     omega(m_1) + omega(m_2) = omega(n_minus) mod 2, and the c~ product
@@ -486,21 +483,7 @@ def pair_twist_quantity(pair: TwistPair) -> ExponentVerdict:
     k = _exponent(m1.c_tilde_product * m2.c_tilde_product, side.c_tilde_product)
     product_ok = k is not None and k % 2 == 0
 
-    return _verdict(
-        row1.share * row2.share * side.c_tilde_product,
-        w,
-        {
-            "u1": row1.u,
-            "u2": row2.u,
-            "omega_n_minus": w,
-            "twist_tamagawa_1": row1.twist_tamagawa,
-            "twist_tamagawa_2": row2.twist_tamagawa,
-            "c_tilde": side.c_tilde,
-            "bookkeeping": {"omega_parity": parity_ok, "c_tilde_product": product_ok},
-            "D1": row1.disc.value,
-            "D2": row2.disc.value,
-        },
-    )
+    return _verdict(row1.share * row2.share * side.c_tilde_product, w, parity_ok, product_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +539,7 @@ def tamagawa_symbol_check(row: TwistRow) -> CheckResult:
     """With m the odd part of D: prod_{l | m} c_l(twist by D) is a power of
     two, square exactly when kronecker(min disc, m) = 1."""
     D = row.disc
-    disc = row.facts.disc
+    disc = row.facts.mm.invariants.disc
     prod = 1
     for l in D.primes:
         if l == 2:
@@ -580,13 +563,6 @@ class TwoAdicPrediction(NamedTuple):
     tamagawa: int | None  # None when v2(P) < 4: the case table has no entry
     pattern: int
     p_valuation: int | None = None  # v2(P), in case 3 only
-
-
-def predict_two_adic(E: WeierstrassModel, D) -> TwoAdicPrediction:
-    """Predicted Kodaira type and Tamagawa number at 2 of the twist by an
-    even fundamental discriminant, from the 2-adic normal form of E."""
-    S = two_strongly_minimal(minimal_model(E).minimal)
-    return _two_adic_prediction(S, pattern_of_normal_form(S), D)
 
 
 def _two_adic_prediction(S: WeierstrassModel, pat: int, D) -> TwoAdicPrediction:

@@ -497,7 +497,7 @@ def reference_tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
 # local data from the library, and decides nothing from the sign table.
 
 from quadtwist.arith import FundamentalDiscriminant, kronecker
-from quadtwist.curves import minimal_model
+from quadtwist.curves import MinimalModelResult, minimal_model
 from quadtwist.localred import reduction_profile
 from quadtwist.twistlaws import SetupError, _as_fund, join_rows
 
@@ -505,12 +505,12 @@ from quadtwist.twistlaws import SetupError, _as_fund, join_rows
 # The library keeps no memo of Tate results, and the reference is asked
 # once per instance: it keeps its own memo of each curve's profile.
 @lru_cache(maxsize=None)
-def _profile(E):
-    return reduction_profile(E)
+def _profile(mm: MinimalModelResult):
+    return reduction_profile(mm)
 
 
 class TwistSetup(NamedTuple):
-    curve: WeierstrassModel  # globally minimal
+    mm: MinimalModelResult  # minimal_model of the globally minimal curve
     conductor: int
     n_plus: int
     n_minus: int
@@ -519,6 +519,10 @@ class TwistSetup(NamedTuple):
     plus_primes: tuple[int, ...]  # the primes of n_plus, increasing
     minus_primes: tuple[int, ...]  # the primes of n_minus, increasing
     signs: dict[int, tuple[int, ...]]  # p | N -> (chi_1(p)[, chi_2(p)])
+
+    @property
+    def curve(self) -> WeierstrassModel:
+        return self.mm.minimal
 
     @property
     def is_pair(self) -> bool:
@@ -536,7 +540,7 @@ def implied_setup(*rows) -> TwistSetup:
     minus = (rows[0] if len(rows) == 1 else join_rows(*rows)).minus.primes
     n_minus = math.prod(minus)
     return TwistSetup(
-        facts.curve,
+        facts.mm,
         facts.conductor,
         facts.conductor // n_minus,
         n_minus,
@@ -599,6 +603,7 @@ def reference_setup(
     n_plus: int | None = None,
     n_minus: int | None = None,
     conductor: int | None = None,
+    mm: MinimalModelResult | None = None,
 ) -> TwistSetup:
     """Check every clause of the twist hypothesis and return the setup.
 
@@ -606,14 +611,15 @@ def reference_setup(
     (n_plus, n_minus); with a coprime pair (d1, d2) the hypothesis applies
     to their product, and the exact-division condition is enforced at any
     prime of N where either character is -1.  All violations are
-    collected into a single SetupError.
+    collected into a single SetupError.  A caller that asks about many
+    discriminants of one curve passes its minimal_model(E) as mm.
     """
     reasons: list[str] = []
-    mm = minimal_model(E)
+    if mm is None:
+        mm = minimal_model(E)
     if mm.minimal != E:
         reasons.append("curve model is not globally minimal")
-        E = mm.minimal
-    N, local_data = _profile(E)
+    N, local_data = _profile(mm)
     if conductor is not None and conductor != N:
         reasons.append(f"stated conductor {conductor} != computed {N}")
 
@@ -648,7 +654,7 @@ def reference_setup(
     minus_primes = tuple(p for p in local_data if n_minus % p == 0)
     signs = {p: tuple(kronecker(f.value, p) for f in discs) for p in local_data}
     setup = TwistSetup(
-        E, N, n_plus, n_minus, tuple(discs), local_data, plus_primes, minus_primes, signs
+        mm, N, n_plus, n_minus, tuple(discs), local_data, plus_primes, minus_primes, signs
     )
     if n_plus < 1 or n_minus < 1:
         reasons.append("n_plus and n_minus must be positive")
@@ -732,30 +738,35 @@ def decompose(setup: TwistSetup) -> Decomposition:
 # tate_local(twist_minimal(E, d)[0], l), the quantities and the c~
 # bookkeeping are Fraction products, the bookkeeping's m_i come from
 # decompose, and "equal modulo squares" is decided by sympy square
-# classes.  The closed forms (c~, the inert base change, u_D, the
-# odd-prime fast path, the 2-adic prediction, the symbol) are the
-# library's, as they are the independent side of each sweep check.
+# classes.  The closed forms (c~ and the inert base change as read off
+# Tate's algorithm at q, u_D, the odd-prime fast path, the 2-adic
+# prediction, the symbol) are the library's, as they are the independent
+# side of each sweep check.  Each curve's minimal_model is computed once
+# per sweep and handed to every instance on its setup.
 
 from quadtwist.arith import fundamental_discriminants
-from quadtwist.localred import (
-    c_tilde,
-    inert_base_change_tamagawa,
-    tate_local,
-    twist_prime_tamagawa_odd,
-)
+from quadtwist.curves import pattern_of_normal_form, two_strongly_minimal
+from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
 from quadtwist.twistlaws import (
-    predict_two_adic,
+    _two_adic_prediction,
     symbol_closed_form,
     twist_minimal,
     u_of_discriminant,
 )
 
 
+def predict_two_adic(mm: MinimalModelResult, D):
+    """The case table's prediction for the twist of mm.minimal by an
+    even fundamental discriminant, from its 2-adic normal form."""
+    S = two_strongly_minimal(mm)
+    return _two_adic_prediction(S, pattern_of_normal_form(S), D)
+
+
 # The library keeps no memo of Tate results, and the reference asks for
 # the same twist's local data once per instance: it keeps its own memo.
 @lru_cache(maxsize=None)
-def _twist_local(E, d: int, l: int):
-    return tate_local(twist_minimal(E, d)[0], l)
+def _twist_local(mm: MinimalModelResult, d: int, l: int):
+    return tate_local(twist_minimal(mm, d)[0], l)
 
 
 def _quantity_record(u: int, w: int, factors, components: dict) -> dict:
@@ -775,16 +786,16 @@ def _quantity_record(u: int, w: int, factors, components: dict) -> dict:
 def reference_single_record(label: str, setup: TwistSetup, mode: str) -> dict:
     """The sweep's record of a single-discriminant instance, timing
     aside."""
-    E = setup.curve
+    E, mm = setup.curve, setup.mm
     (D,) = setup.discriminants
     checks: dict[str, bool] = {}
     flags: list[str] = []
     rec: dict = {"curve": label, "d": D.value, "n_plus": setup.n_plus, "n_minus": setup.n_minus}
     if mode in ("thm13", "all"):
-        u = u_of_discriminant(E, D)
+        u = u_of_discriminant(mm, D)
         w = len(setup.minus_primes)
-        c_twist = {l: _twist_local(E, D.value, l).tamagawa for l in D.primes}
-        c_t = {q: c_tilde(E, q) for q in setup.minus_primes}
+        c_twist = {l: _twist_local(mm, D.value, l).tamagawa for l in D.primes}
+        c_t = {q: tate_local(E, q).c_tilde for q in setup.minus_primes}
         rec["quantity"] = _quantity_record(
             u,
             w,
@@ -794,28 +805,28 @@ def reference_single_record(label: str, setup: TwistSetup, mode: str) -> dict:
         checks["quantity_power_of_two"] = rec["quantity"]["is_power_of_two"]
         checks["quantity_even_exponent"] = rec["quantity"]["is_even_exponent"]
     if mode in ("lemmas", "all"):
-        disc = minimal_model(E).invariants.disc
+        disc = mm.invariants.disc
         b = sum(setup.local_data[q].disc_valuation for q in setup.minus_primes)
         symbol = kronecker(disc, D.odd_part)
         checks["symbol_closed_form"] = symbol_closed_form(disc, D, b) == symbol
         odd = [l for l in D.primes if l != 2]
         assert all(disc % l for l in odd), "E must have good reduction at the primes of D"
-        prod = math.prod(_twist_local(E, D.value, l).tamagawa for l in odd)
+        prod = math.prod(_twist_local(mm, D.value, l).tamagawa for l in odd)
         k = fraction_two_power(Fraction(prod))
         checks["tamagawa_product_symbol"] = k is not None and (k % 2 == 0) == (symbol == 1)
-        u_closed = u_of_discriminant(E, D)
-        u_measured = twist_minimal(E, D.value)[1]
+        u_closed = u_of_discriminant(mm, D)
+        u_measured = twist_minimal(mm, D.value)[1]
         checks["u_closed_form"] = u_measured == u_closed
         if u_measured not in (1, 2):
             flags.append(f"measured u = {u_measured} outside {{1,2}}")
         rec["u"] = u_closed
         checks["odd_twist_fast_path"] = all(
-            twist_prime_tamagawa_odd(E, l, D.value) == _twist_local(E, D.value, l).tamagawa
+            twist_prime_tamagawa_odd(mm, l, D.value) == _twist_local(mm, D.value, l).tamagawa
             for l in odd
         )
         if D.is_even:
-            pred = predict_two_adic(E, D)
-            loc = _twist_local(E, D.value, 2)
+            pred = predict_two_adic(mm, D)
+            loc = _twist_local(mm, D.value, 2)
             assert pred.tamagawa is not None, "v2(P) below 4"
             checks["two_adic_case_table"] = (loc.kodaira, loc.tamagawa) == (
                 pred.kodaira,
@@ -833,7 +844,7 @@ def reference_single_record(label: str, setup: TwistSetup, mode: str) -> dict:
 
 def reference_pair_record(label: str, setup: TwistSetup, mode: str) -> dict:
     """The sweep's record of a pair instance, timing aside."""
-    E = setup.curve
+    E, mm = setup.curve, setup.mm
     D1, D2 = setup.discriminants
     d1, d2 = D1.value, D2.value
     checks: dict[str, bool] = {}
@@ -845,15 +856,17 @@ def reference_pair_record(label: str, setup: TwistSetup, mode: str) -> dict:
         "n_minus": setup.n_minus,
     }
     if mode in ("thm31", "all"):
-        u1, u2 = u_of_discriminant(E, D1), u_of_discriminant(E, D2)
+        u1, u2 = u_of_discriminant(mm, D1), u_of_discriminant(mm, D2)
         w = len(setup.minus_primes)
-        c1 = {l: _twist_local(E, d1, l).tamagawa for l in D1.primes}
-        c2 = {l: _twist_local(E, d2, l).tamagawa for l in D2.primes}
-        c_t = {q: c_tilde(E, q) for q in setup.minus_primes}
+        c1 = {l: _twist_local(mm, d1, l).tamagawa for l in D1.primes}
+        c2 = {l: _twist_local(mm, d2, l).tamagawa for l in D2.primes}
+        c_t = {q: tate_local(E, q).c_tilde for q in setup.minus_primes}
         dec = decompose(setup)
         m1 = [p for p in setup.local_data if dec.n1_minus % p == 0]
         m2 = [p for p in setup.local_data if dec.n2_minus % p == 0]
-        ratio = Fraction(math.prod(c_tilde(E, p) for p in m1 + m2), math.prod(c_t.values()))
+        ratio = Fraction(
+            math.prod(tate_local(E, p).c_tilde for p in m1 + m2), math.prod(c_t.values())
+        )
         k = fraction_two_power(ratio)
         book = {
             "omega_parity": (len(m1) + len(m2) - w) % 2 == 0,
@@ -880,13 +893,16 @@ def reference_pair_record(label: str, setup: TwistSetup, mode: str) -> dict:
         checks["omega_parity"] = book["omega_parity"]
         checks["c_tilde_product"] = book["c_tilde_product"]
     if mode in ("lemmas", "all"):
-        base = {q: c_tilde(E, q) * inert_base_change_tamagawa(E, q) for q in setup.minus_primes}
+        base = {
+            q: tate_local(E, q).c_tilde * tate_local(E, q).inert_tamagawa
+            for q in setup.minus_primes
+        }
         checks["tamagawa_transfer_per_prime"] = all(
-            base[q] == _twist_local(E, d1, q).tamagawa * _twist_local(E, d2, q).tamagawa
+            base[q] == _twist_local(mm, d1, q).tamagawa * _twist_local(mm, d2, q).tamagawa
             for q in setup.minus_primes
         )
         lhs = math.prod(
-            _twist_local(E, d1, l).tamagawa * _twist_local(E, d2, l).tamagawa
+            _twist_local(mm, d1, l).tamagawa * _twist_local(mm, d2, l).tamagawa
             for l in setup.local_data
         )
         checks["tamagawa_transfer_product"] = square_class(lhs) == square_class(
@@ -901,24 +917,26 @@ def reference_records(corpus, d_max: int, pair_dmax: int, mode: str = "all") -> 
     (curves by label, pairs before singles, each ascending).  Each
     instance is admitted by reference_setup, clause by clause: every
     single up to d_max, and every pair D1 < D2 up to min(d_max,
-    pair_dmax)."""
+    pair_dmax).  Each curve's minimal model is computed once and handed
+    to every instance."""
     fds = list(fundamental_discriminants(d_max))
     pair_fds = [f for f in fds if f.value <= pair_dmax]
     out = []
     for rec in sorted(corpus, key=lambda r: r.label):
         E = minimal_model(rec.curve).minimal
+        mm = minimal_model(E)
         if mode in ("thm31", "lemmas", "all"):
             for i, f1 in enumerate(pair_fds):
                 for f2 in pair_fds[i + 1 :]:
                     try:
-                        setup = reference_setup(E, f1, f2)
+                        setup = reference_setup(E, f1, f2, mm=mm)
                     except SetupError:
                         continue
                     out.append(reference_pair_record(rec.label, setup, mode))
         if mode in ("thm13", "lemmas", "all"):
             for f in fds:
                 try:
-                    setup = reference_setup(E, f)
+                    setup = reference_setup(E, f, mm=mm)
                 except SetupError:
                     continue
                 out.append(reference_single_record(rec.label, setup, mode))

@@ -59,7 +59,7 @@ def test_coverage_local_data_pinned(coverage):
     assert [rec.label for rec in coverage] == list(PINNED)
     for rec in coverage:
         assert minimal_model(rec.curve).minimal == rec.curve, rec.label
-        N, local_data = reduction_profile(rec.curve)
+        N, local_data = reduction_profile(minimal_model(rec.curve))
         assert N == rec.conductor and set(local_data) == set(PINNED[rec.label]), rec.label
         golden = golden_local_data(rec.label, rec.a_invariants, rec.conductor)
         assert set(golden) == set(local_data), rec.label

@@ -272,29 +272,32 @@ def test_twist_minimal_matches_minimal_model_of_twist():
     ds = [f.value for f in fundamental_discriminants(500)]
     cases = [(E, d) for E in corpus_curves() for d in (*ds, *EXTRA_D)]
     cases += [(E, d) for E in random_reduced_curves(rng, 40) for d in (*EXTRA_D, *rng.sample(ds, 10))]
+    held = {E: minimal_model(E) for E in {E for E, _ in cases}}
     scales = Counter()
     for E, d in cases:
         T, scale = quadratic_twist_fraction(E, d)
         assert quadratic_twist(E, d) == T
         mm = minimal_model(model(*T))
-        assert twist_minimal(E, d) == (mm.minimal, mm.u_value * scale), (tuple(E), d)
+        assert twist_minimal(held[E], d) == (mm.minimal, mm.u_value * scale), (tuple(E), d)
         scales[scale] += 1
     assert scales[1] > 1000 and scales[Fraction(1, 2)] > 1000  # both raw twist shapes
 
 
 def test_twist_minimal_by_one_reads_minimal_model(monkeypatch):
-    # the twist by 1 is E itself: once minimal_model(E) is held, nothing
-    # is factored again, d given as an int or parsed (corpus curves,
-    # random reduced curves, and blow-ups whose scale u is not 1)
+    # the twist by 1 is E itself: twist_minimal reads it off the held
+    # minimal_model(E) and factors nothing, d given as an int or parsed
+    # (corpus curves, random reduced curves, and blow-ups whose scale u is
+    # not 1)
     rng = random.Random(83)
     curves = corpus_curves() + random_reduced_curves(rng, 10)
     curves += [blow_up(E, u, 1, 0, -1) for E, u in zip(curves[:6], (2, 3, 6, 2, 3, 6))]
     expected = {}
+    held = {}
     for E in curves:
         T, scale = quadratic_twist_fraction(E, 1)
         mm = minimal_model(model(*T))
         expected[E] = (mm.minimal, mm.u_value * scale)
-        minimal_model(E)
+        held[E] = minimal_model(E)
 
     def no_factoring(n):
         raise AssertionError(f"factorize({n}) called")
@@ -304,13 +307,13 @@ def test_twist_minimal_by_one_reads_minimal_model(monkeypatch):
     assert {mm[1] for mm in expected.values()} >= {1, 2, 3, 6}
     one = fundamental_discriminant(1)
     for E in curves:
-        assert twist_minimal(E, 1) == expected[E], tuple(E)
-        assert twist_minimal(E, one) == expected[E], tuple(E)
+        assert twist_minimal(held[E], 1) == expected[E], tuple(E)
+        assert twist_minimal(held[E], one) == expected[E], tuple(E)
 
 
 def test_twist_minimal_factors_only_small_numbers(monkeypatch):
     # the twist's discriminant 2^12 d^6 disc(E) has no primes but 2, those
-    # of d u and E's bad primes: once minimal_model(E) is held, nothing
+    # of d u and E's bad primes: given the held minimal_model(E), nothing
     # above 10^6 is factored (corpus curves and blow-ups with u > 1), and
     # a parsed d, whose primes it carries, factors only u > 1
     rng = random.Random(89)
@@ -325,8 +328,7 @@ def test_twist_minimal_factors_only_small_numbers(monkeypatch):
         mm = minimal_model(model(*T))
         expected[E, d] = (mm.minimal, mm.u_value * scale)
     curves = corpus + blown
-    for E in curves:
-        minimal_model(E)
+    held = {E: minimal_model(E) for E in curves}
 
     factored = []
 
@@ -338,13 +340,13 @@ def test_twist_minimal_factors_only_small_numbers(monkeypatch):
 
     monkeypatch.setattr("quadtwist.curves.factorize", small_only)
     monkeypatch.setattr("quadtwist.twistlaws.factorize", small_only)
-    assert {minimal_model(E).u_value for E in curves} >= {1, 2, 3, 6}
+    assert {mm.u_value for mm in held.values()} >= {1, 2, 3, 6}
     for (E, d), want in expected.items():
-        assert twist_minimal(E, d) == want, (tuple(E), d)
+        assert twist_minimal(held[E], d) == want, (tuple(E), d)
         if d in ds:
             factored.clear()
-            assert twist_minimal(E, fundamental_discriminant(d)) == want, (tuple(E), d)
-            u = minimal_model(E).u_value
+            assert twist_minimal(held[E], fundamental_discriminant(d)) == want, (tuple(E), d)
+            u = held[E].u_value
             assert factored == ([u] if u > 1 and d > 1 else []), (tuple(E), d)
 
 
@@ -417,14 +419,14 @@ def test_minimal_model_rejects_non_integral():
 
 
 def test_two_strongly_minimal_patterns():
-    S = two_strongly_minimal(E11A1)
+    S = two_strongly_minimal(minimal_model(E11A1))
     # a1 = 0 stays even under any [1,r,s,w], so pattern 1 is unreachable
     assert pattern_of_normal_form(S) == 2
     assert invariants(S).disc == invariants(E11A1).disc
     assert valuation(invariants(S).c6, 2) == 3
 
     E = model(1, 0, 0, 4, 1)  # disc = -4225, odd
-    assert two_strongly_minimal(E) == E
+    assert two_strongly_minimal(minimal_model(E)) == E
     assert pattern_of_normal_form(E) == 1
     assert valuation(invariants(E).c6, 2) == 0
 
@@ -437,8 +439,9 @@ def test_two_strongly_minimal_pattern_exclusive():
         E = random_model(rng)
         if valuation(invariants(E).disc, 2) != 0:
             continue
-        Emin = minimal_model(E).minimal
-        S = two_strongly_minimal(Emin)
+        mm = minimal_model(E)
+        Emin = mm.minimal
+        S = two_strongly_minimal(mm)
         pat = pattern_of_normal_form(S)
         seen.add(pat)
         assert invariants(S).disc == invariants(Emin).disc
@@ -450,10 +453,11 @@ def test_two_strongly_minimal_pattern_exclusive():
 
 def test_two_strongly_minimal_preconditions():
     with pytest.raises(ValueError):
-        two_strongly_minimal(model(0, 0, 0, -1, 0))  # even discriminant
+        two_strongly_minimal(minimal_model(model(0, 0, 0, -1, 0)))  # even discriminant
+    # the input is a MinimalModelResult, so a non-minimal model cannot be
+    # passed: a blow-up's minimal_model gives the minimal model's normal form
     blown = blow_up(E11A1, 3, 0, 0, 0)
-    with pytest.raises(ValueError):
-        two_strongly_minimal(blown)  # not minimal
+    assert two_strongly_minimal(minimal_model(blown)) == two_strongly_minimal_brute(E11A1)
 
 
 def test_normal_form_box_is_exact(one_second_deadline):
@@ -480,4 +484,4 @@ def test_two_strongly_minimal_matches_brute_search():
         if invariants(E).disc % 2:
             curves.append(E)
     for E in curves:
-        assert two_strongly_minimal(E) == two_strongly_minimal_brute(E), tuple(E)
+        assert two_strongly_minimal(minimal_model(E)) == two_strongly_minimal_brute(E), tuple(E)

@@ -26,6 +26,7 @@ from quadtwist.harness import (
     strip_timing,
     twist_rows,
 )
+from quadtwist.twistlaws import curve_facts
 
 from oracles import (
     HOSTILE_DISCRIMINANT,
@@ -95,10 +96,10 @@ def test_shipped_corpus_loads():
 def test_sweep_membership_11a1_dmax20():
     """Admissible single discriminants for the conductor-11 curve up to
     20: the trivial one, the split 5 and 12, the inert 8, 13 and 17."""
-    E = minimal_model(model(0, -1, 1, -10, -20)).minimal
+    facts = curve_facts(minimal_model(model(0, -1, 1, -10, -20)))
     fds = list(fundamental_discriminants(20))
     got = {}
-    for row in twist_rows(E, fds, 20):
+    for row in twist_rows(facts, fds, 20):
         n_minus = math.prod(row.minus.primes)
         got[row.disc.value] = (row.facts.conductor // n_minus, n_minus)
     assert got == {
@@ -240,10 +241,6 @@ def three_curves():
     return corpus
 
 
-def clear_memos():
-    minimal_model.cache_clear()
-
-
 def test_sweep_report_same_with_brute_normal_form(monkeypatch):
     # even D up to 60 run check_two_adic_case on the 2-adic normal form of
     # curves with good reduction at 2 (11a1 and 37a1 take pattern 2, 15a1
@@ -280,11 +277,10 @@ def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
 
 def test_sweep_does_no_fraction_arithmetic(monkeypatch):
     # twist quantities and product checks are decided on ints, and each
-    # quantity's string is formatted from ints; a sweep from cold memos
-    # must not multiply or divide a Fraction, and builds one Fraction per
-    # row: the scale u that twist_minimal measures
-    corpus = three_curves()
-    expected = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    # quantity's string is formatted from ints; ingest and a sweep must not
+    # multiply or divide a Fraction, and build one Fraction per row: the
+    # scale u that twist_minimal measures
+    expected = strip_timing(run_sweep(three_curves(), 60, "all", corpus_name="x"))
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in a sweep")
@@ -299,12 +295,10 @@ def test_sweep_does_no_fraction_arithmetic(monkeypatch):
     for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(Fraction, name, refuse)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
-    clear_memos()
     try:
-        got = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+        got = strip_timing(run_sweep(three_curves(), 60, "all", corpus_name="x"))
     finally:
         monkeypatch.undo()
-        clear_memos()
     assert got == expected
     rows = sum(1 for i in got["instances"] if "d" in i)  # in mode all, one single per row
     assert rows == 46 and len(built) == rows
@@ -388,7 +382,7 @@ def test_cli_internal_error_exit_code(tmp_path, monkeypatch, capsys):
 def test_cli_error_inside_sweep_is_internal(tmp_path, monkeypatch, capsys):
     # a ValueError raised mid-sweep is a fault of the program, not a usage
     # error: exit 3, naming the curve
-    def broken(E, D):
+    def broken(mm, D):
         raise ValueError("simulated u failure")
 
     monkeypatch.setattr("quadtwist.twistlaws.u_of_discriminant", broken)
@@ -539,8 +533,8 @@ def test_cli_verify_flags_a_measured_u_outside_one_two(tmp_path, monkeypatch, ca
     # summary's flag are the ones the report has always written
     real = quadtwist.twistlaws.twist_minimal
 
-    def four_at_five(E, d):
-        T, u = real(E, d)
+    def four_at_five(mm, d):
+        T, u = real(mm, d)
         return (T, Fraction(4)) if d.value == 5 else (T, u)
 
     monkeypatch.setattr("quadtwist.twistlaws.twist_minimal", four_at_five)
@@ -613,6 +607,11 @@ def test_package_exports_resolve():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(quadtwist, name)]
     assert missing == []
+    # entry points that only wrapped a LocalReduction property or the case
+    # table are gone from the package and its modules
+    for name in ("c_tilde", "inert_base_change_tamagawa", "predict_two_adic"):
+        assert name not in names
+        assert not hasattr(quadtwist.localred, name) and not hasattr(quadtwist.twistlaws, name)
 
 
 def test_cli_enumerate_profiles(capsys):

@@ -10,14 +10,12 @@ import pytest
 import sympy
 
 from quadtwist.arith import kronecker, valuation
-from quadtwist.curves import invariants, model
+from quadtwist.curves import invariants, minimal_model, model
 from quadtwist.harness import default_corpus_path, ingest_corpus
 from quadtwist.localred import (
-    c_tilde,
     conductor,
     count_cubic_roots,
     depressed_cubic_mod,
-    inert_base_change_tamagawa,
     reduction_profile,
     tate_local,
     twist_prime_tamagawa_odd,
@@ -43,7 +41,7 @@ def test_tate_examples():
     )
     loc = tate_local(model(0, 0, 0, -1, 0), 5)
     assert (loc.kodaira, loc.tamagawa, loc.disc_valuation, loc.kind) == ("I0", 1, 0, "good")
-    T = twist_minimal(E11A1, 13)[0]
+    T = twist_minimal(minimal_model(E11A1), 13)[0]
     loc = tate_local(T, 13)
     assert (loc.kodaira, loc.tamagawa, loc.disc_valuation, loc.kind) == (
         "I0*",
@@ -89,7 +87,7 @@ def test_qp_invariance_under_unit_isos():
     curves = [rec.curve for rec in corpus()]
     for _ in range(120):
         E = rng.choice(curves)
-        _, data = reduction_profile(E)
+        _, data = reduction_profile(minimal_model(E))
         p = rng.choice(sorted(data))
         k = rng.choice([u for u in (1, 2, 3, 5, 7) if u % p != 0])
         r, s, w = (rng.randint(-4, 4) for _ in range(3))
@@ -116,14 +114,15 @@ def test_twist_locality_split_primes():
     found = 0
     for rec in corpus():
         E = rec.curve
-        N, data = reduction_profile(E)
+        mm = minimal_model(E)
+        N, data = reduction_profile(mm)
         for D in (5, 8, 13, 17):
             if D % 4 not in (0, 1):
                 continue
             for l in sorted(data):
                 if D % l == 0 or kronecker(D, l) != 1:
                     continue
-                T = twist_minimal(E, D)[0]
+                T = twist_minimal(mm, D)[0]
                 a, b = tate_local(E, l), tate_local(T, l)
                 assert (a.kodaira, a.tamagawa, a.kind) == (b.kodaira, b.tamagawa, b.kind)
                 found += 1
@@ -135,15 +134,15 @@ def test_split_nonsplit_flip():
     discriminant valuation stays."""
     found_split = found_nonsplit = 0
     for rec in corpus():
-        E = rec.curve
-        _, data = reduction_profile(E)
+        mm = minimal_model(rec.curve)
+        _, data = reduction_profile(mm)
         for D in (5, 8, 13, 17, 21, 24):
             for q, loc in sorted(data.items()):
                 if not loc.kind.startswith("multiplicative"):
                     continue
                 if D % q == 0 or kronecker(D, q) != -1:
                     continue
-                T = twist_minimal(E, D)[0]
+                T = twist_minimal(mm, D)[0]
                 tw = tate_local(T, q)
                 assert tw.disc_valuation == loc.disc_valuation
                 assert tw.kind.startswith("multiplicative")
@@ -156,17 +155,17 @@ def test_split_nonsplit_flip():
 
 
 def test_twist_prime_tamagawa_odd_examples_and_dichotomy():
-    assert twist_prime_tamagawa_odd(E11A1, 13, 13) == 2
+    assert twist_prime_tamagawa_odd(minimal_model(E11A1), 13, 13) == 2
     disc = invariants(E11A1).disc
     # search small inert/split primes for the 1/4 values of the dichotomy
     seen = set()
     for rec in corpus():
-        E = rec.curve
-        d = invariants(E).disc
+        mm = minimal_model(rec.curve)
+        d = invariants(rec.curve).disc
         for l in (3, 5, 7, 11, 13, 17, 19, 23):
             if d % l == 0:
                 continue
-            c = twist_prime_tamagawa_odd(E, l, l)
+            c = twist_prime_tamagawa_odd(mm, l, l)
             seen.add(c)
             if kronecker(d, l) == -1:
                 assert c == 2
@@ -179,8 +178,8 @@ def test_twist_prime_fast_path_matches_tate():
     rng = random.Random(73)
     checked = 0
     for rec in corpus():
-        E = rec.curve
-        d = invariants(E).disc
+        mm = minimal_model(rec.curve)
+        d = invariants(rec.curve).disc
         for l in (3, 5, 7, 13):
             if d % l == 0:
                 continue
@@ -189,20 +188,21 @@ def test_twist_prime_fast_path_matches_tate():
 
                 if not is_fundamental_discriminant(D):
                     continue
-                T = twist_minimal(E, D)[0]
-                assert twist_prime_tamagawa_odd(E, l, D) == tate_local(T, l).tamagawa
+                T = twist_minimal(mm, D)[0]
+                assert twist_prime_tamagawa_odd(mm, l, D) == tate_local(T, l).tamagawa
                 assert tate_local(T, l).kodaira == "I0*"
                 checked += 1
     assert checked > 20
 
 
 def test_twist_prime_tamagawa_preconditions():
+    mm = minimal_model(E11A1)
     with pytest.raises(ValueError):
-        twist_prime_tamagawa_odd(E11A1, 2, 8)
+        twist_prime_tamagawa_odd(mm, 2, 8)
     with pytest.raises(ValueError):
-        twist_prime_tamagawa_odd(E11A1, 13, 5)
+        twist_prime_tamagawa_odd(mm, 13, 5)
     with pytest.raises(ValueError):
-        twist_prime_tamagawa_odd(E11A1, 11, 11)  # bad reduction at 11
+        twist_prime_tamagawa_odd(mm, 11, 11)  # bad reduction at 11
 
 
 def test_depressed_cubic_discriminant_identity():
@@ -219,21 +219,21 @@ def test_depressed_cubic_discriminant_identity():
 
 
 def test_c_tilde_and_inert_base_change():
-    assert c_tilde(E11A1, 11) == 1  # v = 5 odd
-    assert inert_base_change_tamagawa(E11A1, 11) == 5
+    assert tate_local(E11A1, 11).c_tilde == 1  # v = 5 odd
+    assert tate_local(E11A1, 11).inert_tamagawa == 5
     for rec in corpus():
-        _, data = reduction_profile(rec.curve)
+        _, data = reduction_profile(minimal_model(rec.curve))
         for q, loc in data.items():
             if not loc.kind.startswith("multiplicative"):
                 continue
-            ct = c_tilde(rec.curve, q)
+            ct = tate_local(rec.curve, q).c_tilde
             assert ct == 2 - loc.disc_valuation % 2
             if loc.kind == "multiplicative-nonsplit":
                 assert ct == loc.tamagawa
             if loc.kind == "multiplicative-split":
-                assert inert_base_change_tamagawa(rec.curve, q) == loc.tamagawa
+                assert tate_local(rec.curve, q).inert_tamagawa == loc.tamagawa
     with pytest.raises(ValueError):
-        c_tilde(model(0, 0, 0, -1, 0), 2)  # additive at 2
+        tate_local(model(0, 0, 0, -1, 0), 2).c_tilde  # additive at 2
 
 
 def test_count_cubic_roots_matches_brute_force():
@@ -310,7 +310,7 @@ def test_reduction_kind_against_point_counts():
     for rec in corpus():
         E = rec.curve
         disc = invariants(E).disc
-        _, data = reduction_profile(E)
+        _, data = reduction_profile(minimal_model(E))
         for p, loc in data.items():
             assert loc.kind == reduction_kind(rec.a_invariants, p, int(disc))
 
@@ -360,7 +360,7 @@ def test_i_star_chain_types():
         inv = invariants(E)
         if inv.disc % 2 == 0 or valuation(inv.c6, 2) != 0:
             continue
-        T = twist_minimal(E, 8)[0]
+        T = twist_minimal(minimal_model(E), 8)[0]
         loc = tate_local(T, 2)
         assert loc.kodaira == "I8*"
         assert loc.disc_valuation == 18
@@ -378,7 +378,7 @@ def test_twist_conductor_identity():
         for D in (5, 8, 12, 13, 17, 21, 24):
             if math.gcd(D, N) != 1:
                 continue
-            Tmin = twist_minimal(rec.curve, D)[0]
+            Tmin = twist_minimal(minimal_model(rec.curve), D)[0]
             assert conductor(Tmin) == N * D * D, (rec.label, D)
             checked += 1
     assert checked > 100

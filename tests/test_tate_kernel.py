@@ -13,7 +13,7 @@ import random
 import pytest
 
 from quadtwist.arith import fundamental_discriminants, valuation
-from quadtwist.curves import SingularModelError, invariants, minimal_model, model
+from quadtwist.curves import SingularModelError, invariants, model
 from quadtwist.harness import default_corpus_path, ingest_corpus, twist_rows
 from quadtwist.localred import tate_local
 from quadtwist.twistlaws import twist_minimal
@@ -30,10 +30,10 @@ def sweep_keys(path: str, d_max: int = 500, pair_dmax: int = 100) -> set:
     discs = list(fundamental_discriminants(d_max))
     keys = set()
     for rec in ingest_corpus(path):
-        E = minimal_model(rec.curve).minimal
-        keys.update((E, p) for p in minimal_model(E).bad_primes)
-        for row in twist_rows(E, discs, pair_dmax):
-            T = twist_minimal(E, row.disc.value)[0]
+        mm = rec.facts.mm
+        keys.update((mm.minimal, p) for p in mm.bad_primes)
+        for row in twist_rows(rec.facts, discs, pair_dmax):
+            T = twist_minimal(mm, row.disc.value)[0]
             keys.update((T, l) for l in row.local)
     return keys
 

@@ -23,7 +23,13 @@ from quadtwist.arith import (
     kronecker,
     valuation,
 )
-from quadtwist.curves import invariants, minimal_model, model
+from quadtwist.curves import (
+    invariants,
+    minimal_model,
+    model,
+    pattern_of_normal_form,
+    two_strongly_minimal,
+)
 from quadtwist.harness import (
     default_corpus_path,
     ingest_corpus,
@@ -31,11 +37,13 @@ from quadtwist.harness import (
     run_sweep,
     twist_rows,
 )
-from quadtwist.localred import c_tilde, reduction_profile, tate_local
+from quadtwist.localred import reduction_profile, tate_local
 from quadtwist.twistlaws import (
     SetupError,
     _exponent,
+    _two_adic_prediction,
     _verdict,
+    curve_facts,
     check_two_adic_case,
     equal_mod_squares,
     find_auxiliary_discriminant,
@@ -43,7 +51,6 @@ from quadtwist.twistlaws import (
     join_rows,
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
-    predict_two_adic,
     symbol_closed_form,
     search_discriminant,
     inert_valuation_sum,
@@ -60,6 +67,7 @@ from oracles import (
     fraction_quantity,
     fraction_two_power,
     implied_setup,
+    predict_two_adic,
     random_reduced_curves,
     reference_setup,
     square_class,
@@ -87,10 +95,16 @@ def setup(E, d1, d2=None):
     return implied_setup(*validate_setup(E, d1, d2))
 
 
+def quantity(v):
+    """The verdict's quantity as a Fraction."""
+    return Fraction(v.numerator, 2**v.w)
+
+
 def sweep_setups(E, singles, pairs):
-    """(key, implied setup) for the sweep's single rows and pair joins."""
+    """(key, implied setup) for the sweep's single rows and pair joins,
+    from the facts of E's minimal model."""
     cap = pairs[-1].value
-    rows = twist_rows(E, singles, cap)
+    rows = twist_rows(curve_facts(minimal_model(E)), singles, cap)
     joined = [
         ((p.row1.disc.value, p.row2.disc.value), implied_setup(p.row1, p.row2))
         for p in row_pairs(rows, cap)
@@ -177,12 +191,13 @@ def validated_setups(E, singles, pairs):
     rejections the sign table decides on other grounds than a 0 sign:
     singles coprime to the N of a minimal E (a -1 at an additive prime),
     and pairs of admissible singles that share a prime."""
-    N = reduction_profile(E)[0]
-    minimal = minimal_model(E).minimal == E
+    mm = minimal_model(E)
+    N = reduction_profile(mm)[0]
+    minimal = mm.minimal == E
     ok_singles, additive, non_coprime = [], [], []
     for f in singles:
         try:
-            ok_singles.append((f.value, reference_setup(E, f)))
+            ok_singles.append((f.value, reference_setup(E, f, mm=mm)))
         except SetupError:
             if minimal and math.gcd(f.value, N) == 1:
                 additive.append(f.value)
@@ -191,7 +206,7 @@ def validated_setups(E, singles, pairs):
     for i, f1 in enumerate(pairs):
         for f2 in pairs[i + 1 :]:
             try:
-                ok_pairs.append(((f1.value, f2.value), reference_setup(E, f1, f2)))
+                ok_pairs.append(((f1.value, f2.value), reference_setup(E, f1, f2, mm=mm)))
             except SetupError as exc:
                 if {f1.value, f2.value} <= admissible:
                     assert exc.reasons == ["discriminant pair is not coprime"]
@@ -212,7 +227,6 @@ def test_sign_table_setups_match_validate_setup():
     cases += [
         (minimal_model(E).minimal, to60, to60) for E in random_reduced_curves(rng, 32)
     ]
-    cases.append((model(0, 0, 0, 0, 46656), to60, to60))  # not minimal: no setups
     additive, non_coprime, setups = [], [], 0
     for E, singles, pairs in cases:
         ok_singles, ok_pairs, rejected, shared = validated_setups(E, singles, pairs)
@@ -221,11 +235,18 @@ def test_sign_table_setups_match_validate_setup():
         non_coprime += shared
         setups += len(ok_singles) + len(ok_pairs)
     assert setups > 9000
+    # a model that is not minimal: the reference admits nothing on it, and
+    # the sweep's rows are those of its minimal model, which its facts hold
+    blown = model(0, 0, 0, 0, 46656)
+    assert validated_setups(blown, to60, to60)[:2] == ([], [])
+    minimal = minimal_model(blown).minimal
+    assert minimal != blown
+    assert sweep_setups(blown, to60, to60) == validated_setups(minimal, to60, to60)[:2]
     # a -1 at an additive prime, and a pair of admissible singles sharing
     # a prime, are each rejected somewhere
     assert additive and non_coprime
     for E, d in additive:
-        local_data = reduction_profile(E)[1]
+        local_data = reduction_profile(minimal_model(E))[1]
         assert any(
             kronecker(d, p) == -1 and loc.conductor_exponent > 1 for p, loc in local_data.items()
         )
@@ -239,8 +260,8 @@ def test_validate_setup_returns_the_sweep_rows():
     fds = list(fundamental_discriminants(100))
     singles = pairs = 0
     for rec in corpus():
-        E = minimal_model(rec.curve).minimal
-        rows = {r.disc.value: r for r in twist_rows(E, fds, 100)}
+        E = rec.facts.mm.minimal
+        rows = {r.disc.value: r for r in twist_rows(rec.facts, fds, 100)}
         for f in fds:
             if f.value in rows:
                 assert validate_setup(E, f) == (rows[f.value],), (rec.label, f.value)
@@ -279,8 +300,9 @@ def test_validate_setup_matches_reference_on_stated_splits():
     keys += [(f1, f2) for i, f1 in enumerate(fds) for f2 in fds[i + 1 :]]
     accepted = stated = 0
     for rec in corpus():
-        E = minimal_model(rec.curve).minimal
-        N, local_data = reduction_profile(E)
+        mm = minimal_model(minimal_model(rec.curve).minimal)
+        E = mm.minimal
+        N, local_data = reduction_profile(mm)
         parts = [p**loc.conductor_exponent for p, loc in local_data.items()]
         splits = []
         for mask in range(1 << len(parts)):
@@ -291,11 +313,13 @@ def test_validate_setup_matches_reference_on_stated_splits():
         splits.append((1, 2 * N))  # product 2N
         for key in keys:
             derived = _setup_or_none(setup, E, *key)
-            assert derived == _setup_or_none(reference_setup, E, *key), (rec.label, key)
+            assert derived == _setup_or_none(reference_setup, E, *key, mm=mm), (rec.label, key)
             accepted += derived is not None
             for split in splits:
                 n_plus, n_minus = split
-                want = _setup_or_none(reference_setup, E, *key, n_plus=n_plus, n_minus=n_minus)
+                want = _setup_or_none(
+                    reference_setup, E, *key, n_plus=n_plus, n_minus=n_minus, mm=mm
+                )
                 is_derived = derived is not None and split == (derived.n_plus, derived.n_minus)
                 assert want == (derived if is_derived else None), (rec.label, key, split)
                 accepted += want is not None
@@ -372,10 +396,11 @@ def test_decompose_sweep_invariants():
 
 
 def test_u_of_discriminant_examples():
-    assert u_of_discriminant(E11A1, 13) == 1
-    assert u_of_discriminant(E11A1, 8) == 2  # v2(c6) = v2(20008) = 3
+    mm = minimal_model(E11A1)
+    assert u_of_discriminant(mm, 13) == 1
+    assert u_of_discriminant(mm, 8) == 2  # v2(c6) = v2(20008) = 3
     for rec in corpus()[:8]:
-        assert u_of_discriminant(rec.curve, 5) == 1  # odd D
+        assert u_of_discriminant(minimal_model(rec.curve), 5) == 1  # odd D
 
 
 def test_minimal_models_good_at_2_have_c6_valuation_0_or_3():
@@ -395,7 +420,7 @@ def test_minimal_models_good_at_2_have_c6_valuation_0_or_3():
             continue
         odd = mm.minimal.a1 % 2
         assert valuation(mm.invariants.c6, 2) == (0 if odd else 3), tuple(E)
-        assert u_of_discriminant(mm.minimal, 8) == (1 if odd else 2)
+        assert u_of_discriminant(mm, 8) == (1 if odd else 2)
         seen[odd] += 1
     assert min(seen[0], seen[1]) > 400
 
@@ -403,7 +428,7 @@ def test_minimal_models_good_at_2_have_c6_valuation_0_or_3():
 def test_u_closed_form_matches_measured():
     checked = 0
     for rec in corpus():
-        E = rec.curve
+        mm = minimal_model(rec.curve)
         N = rec.conductor
         for f in fundamental_discriminants(60):
             if f.value == 1:
@@ -414,8 +439,8 @@ def test_u_closed_form_matches_measured():
                 continue
             if f.is_even and N % 2 == 0:
                 continue
-            u = u_of_discriminant(E, f)
-            assert Fraction(u) == twist_minimal(E, f.value)[1]
+            u = u_of_discriminant(mm, f)
+            assert Fraction(u) == twist_minimal(mm, f.value)[1]
             assert u in (1, 2)
             checked += 1
     assert checked > 200
@@ -424,13 +449,13 @@ def test_u_closed_form_matches_measured():
 def test_u_of_discriminant_precondition():
     e14 = E14A1  # bad reduction at 2
     with pytest.raises(ValueError):
-        u_of_discriminant(e14, 8)
+        u_of_discriminant(minimal_model(e14), 8)
 
 
 def test_u_of_discriminant_reads_minimal_model(monkeypatch):
-    # c6 and the discriminant of E are held by its minimal_model entry:
-    # once that is warm, u_D computes no invariants
-    minimal_model(E11A1)
+    # c6 and the discriminant of E are read off the minimal_model(E) the
+    # caller holds: u_D computes no invariants
+    mm = minimal_model(E11A1)
 
     def no_invariants(E):
         raise AssertionError(f"invariants({tuple(E)}) called")
@@ -438,7 +463,7 @@ def test_u_of_discriminant_reads_minimal_model(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("quadtwist") and hasattr(module, "invariants"):
             monkeypatch.setattr(module, "invariants", no_invariants)
-    assert u_of_discriminant(E11A1, 8) == 2
+    assert u_of_discriminant(mm, 8) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +471,13 @@ def test_u_of_discriminant_reads_minimal_model(monkeypatch):
 
 
 def test_twist_quantity_example_11a1_13():
-    v = twist_quantity(single_row(E11A1, 13))
-    assert v.quantity == 1 and v.exponent == 0 and v.is_even_exponent
-    # the components are the report's: prime keys are strings
-    assert v.components["twist_tamagawa"] == {"13": 2}
-    assert v.components["c_tilde"] == {"11": 1}
+    row = single_row(E11A1, 13)
+    v = twist_quantity(row)
+    assert quantity(v) == 1 and v.exponent == 0 and v.is_even_exponent
+    # the quantity's factors are the row's and its side's, keyed as the
+    # report prints them: prime keys are strings
+    assert row.twist_tamagawa == {"13": 2}
+    assert row.minus.c_tilde == {"11": 1}
 
 
 def test_twist_quantity_trivial_and_empty_products():
@@ -465,7 +492,7 @@ def test_twist_quantity_trivial_and_empty_products():
         assert (s.n_plus, s.n_minus) == (37, 1)
         v = twist_quantity(*rows)
         assert v.is_power_of_two and v.is_even_exponent
-        assert v.components["c_tilde"] == {} and v.components["omega_n_minus"] == 0
+        assert rows[0].minus.c_tilde == {} and v.w == 0
         found += 1
     assert found > 3
 
@@ -480,7 +507,7 @@ def test_twist_quantity_smallest_even_d():
         assert d == 8
         v = twist_quantity(*rows)
         assert v.is_even_exponent
-        assert v.components["u"] == 2
+        assert rows[0].u == 2
         break
     else:
         pytest.fail("no valid 8m discriminant found")
@@ -489,22 +516,21 @@ def test_twist_quantity_smallest_even_d():
 def test_pair_quantity_reduces_to_single_for_trivial_character():
     vp = pair_twist_quantity(pair_join(E11A1, 1, 13))
     vs = twist_quantity(single_row(E11A1, 13))
-    assert vp.quantity == vs.quantity
+    assert quantity(vp) == quantity(vs)
     assert vp.is_even_exponent and vs.is_even_exponent
 
 
 def test_pair_quantity_swap_symmetry():
     v12 = pair_twist_quantity(pair_join(E11A1, 13, 5))
     v21 = pair_twist_quantity(pair_join(E11A1, 5, 13))
-    assert v12.quantity == v21.quantity
+    assert quantity(v12) == quantity(v21)
     assert v12.is_even_exponent and v21.is_even_exponent
 
 
 def test_pair_quantity_concrete_pair():
     v = pair_twist_quantity(pair_join(E11A1, 13, 5))
     assert v.is_power_of_two and v.is_even_exponent
-    book = v.components["bookkeeping"]
-    assert book["omega_parity"] and book["c_tilde_product"]
+    assert v.omega_parity and v.c_tilde_product
 
 
 def test_pair_decomposition_yields_valid_single_setups():
@@ -536,34 +562,35 @@ def test_quantities_match_fraction_ledger():
     discs = list(fundamental_discriminants(500))
     singles = pairs = 0
     for rec in corpus():
-        E = minimal_model(rec.curve).minimal
-        rows = twist_rows(E, discs, 100)
+        E = rec.facts.mm.minimal
+        rows = twist_rows(rec.facts, discs, 100)
         for row in rows:
             v = twist_quantity(row)
-            c = v.components
-            factors = (*c["twist_tamagawa"].values(), *c["c_tilde"].values())
-            want = fraction_quantity(c["u"], c["omega_n_minus"], factors)
-            assert (v.quantity, v.exponent, v.is_power_of_two, v.is_even_exponent) == want
+            factors = (*row.twist_tamagawa.values(), *row.minus.c_tilde.values())
+            assert v.w == len(row.minus.primes)
+            want = fraction_quantity(row.u, v.w, factors)
+            assert (quantity(v), v.exponent, v.is_power_of_two, v.is_even_exponent) == want
             singles += 1
         for pair in row_pairs(rows, 100):
             v = pair_twist_quantity(pair)
-            s = implied_setup(pair.row1, pair.row2)
-            c = v.components
+            row1, row2, side = pair
+            s = implied_setup(row1, row2)
             factors = (
-                *c["twist_tamagawa_1"].values(),
-                *c["twist_tamagawa_2"].values(),
-                *c["c_tilde"].values(),
+                *row1.twist_tamagawa.values(),
+                *row2.twist_tamagawa.values(),
+                *side.c_tilde.values(),
             )
-            want = fraction_quantity(c["u1"] * c["u2"], c["omega_n_minus"], factors)
-            assert (v.quantity, v.exponent, v.is_power_of_two, v.is_even_exponent) == want
+            assert v.w == len(side.primes)
+            want = fraction_quantity(row1.u * row2.u, v.w, factors)
+            assert (quantity(v), v.exponent, v.is_power_of_two, v.is_even_exponent) == want
             dec = decompose(s)
             ratio = Fraction(1)
             for n, sign in ((dec.n1_minus, 1), (dec.n2_minus, 1), (s.n_minus, -1)):
                 for p in s.local_data:
                     if n % p == 0:
-                        ratio *= Fraction(c_tilde(E, p)) ** sign
+                        ratio *= Fraction(tate_local(E, p).c_tilde) ** sign
             k = fraction_two_power(ratio)
-            assert c["bookkeeping"]["c_tilde_product"] == (k is not None and k % 2 == 0)
+            assert v.c_tilde_product == (k is not None and k % 2 == 0)
             pairs += 1
     assert (singles, pairs) == (2594, 4978)  # the acceptance sweep's
 
@@ -574,15 +601,18 @@ def test_verdict_integer_ledger_edge_cases():
     for num, w, k in ((0, 0, None), (0, 3, None), (-4, 1, None), (-1, 0, None),
                       (3, 2, None), (6, 1, None), (1, 0, 0), (8, 0, 3), (4, 0, 2),
                       (2, 3, -2), (1, 3, -3), (16, 2, 2)):
-        v = _verdict(num, w, {})
+        v = _verdict(num, w)
         assert v.exponent == k, (num, w)
-        assert v.quantity == Fraction(num, 2**w)
+        assert quantity(v) == Fraction(num, 2**w)
     for num in range(-20, 41):
         for w in range(6):
-            v = _verdict(num, w, {"x": 1})
+            v = _verdict(num, w)
             want = fraction_quantity(num, w, ())
-            assert (v.quantity, v.exponent, v.is_power_of_two, v.is_even_exponent) == want
-            assert v.components == {"x": 1}
+            assert (quantity(v), v.exponent, v.is_power_of_two, v.is_even_exponent) == want
+            # a single's verdict has no bookkeeping; a pair's carries it as given
+            assert v.omega_parity is None and v.c_tilde_product is None
+            book = _verdict(num, w, True, False)
+            assert book[:5] == v[:5] and (book.omega_parity, book.c_tilde_product) == (True, False)
 
 
 def test_format_quantity_matches_fraction():
@@ -657,7 +687,7 @@ def test_transfer_identity_nonsplit_and_even_valuation_cases():
     nonsplit = even_v = 0
     for rec in corpus():
         E = rec.curve
-        _, data = reduction_profile(E)
+        _, data = reduction_profile(minimal_model(E))
         for f in fundamental_discriminants(40):
             if f.value == 1:
                 continue
@@ -700,8 +730,8 @@ def test_transfer_product_split_primes_contribute_squares():
     s = setup(E14A1, 17, 5)
     for l, loc in s.local_data.items():
         if s.chi(1, l) == s.chi(2, l):
-            t1 = tate_local(twist_minimal(s.curve, 17)[0], l).tamagawa
-            t2 = tate_local(twist_minimal(s.curve, 5)[0], l).tamagawa
+            t1 = tate_local(twist_minimal(s.mm, 17)[0], l).tamagawa
+            t2 = tate_local(twist_minimal(s.mm, 5)[0], l).tamagawa
             assert t1 == t2
 
 
@@ -787,6 +817,7 @@ def test_two_adic_cases_cover_all_branches():
         E = rec.curve
         if rec.conductor % 2 == 0:
             continue
+        mm = minimal_model(E)
         for f in fundamental_discriminants(120):
             if not f.is_even:
                 continue
@@ -794,7 +825,7 @@ def test_two_adic_cases_cover_all_branches():
                 row = single_row(E, f)
             except SetupError:
                 continue
-            pred = predict_two_adic(E, f)
+            pred = predict_two_adic(mm, f)
             res = check_two_adic_case(row)
             assert res.ok, (rec.label, f.value, res.detail)
             seen.setdefault((pred.case, pred.kodaira, pred.tamagawa), 0)
@@ -814,7 +845,7 @@ def test_two_adic_case_p_valuation_below_four_fails_the_check(monkeypatch):
     # (the pattern is read when the curve's facts are built)
     monkeypatch.setattr("quadtwist.twistlaws.pattern_of_normal_form", lambda S: 1)
     row = single_row(E11A1, 8)
-    pred = predict_two_adic(E11A1, 8)
+    pred = _two_adic_prediction(row.facts.normal_form, row.facts.pattern, 8)
     assert (pred.case, pred.kodaira, pred.tamagawa, pred.p_valuation) == (3, "I8*", None, 0)
     res = check_two_adic_case(row)
     assert not res.ok
@@ -836,9 +867,8 @@ def test_i4_star_tamagawa_dichotomy():
         E = rec.curve
         if rec.conductor % 2 == 0:
             continue
-        from quadtwist.curves import two_strongly_minimal, pattern_of_normal_form
-
-        S = two_strongly_minimal(E)
+        mm = minimal_model(E)
+        S = two_strongly_minimal(mm)
         if pattern_of_normal_form(S) != 1:
             continue
         for f in fundamental_discriminants(200):
@@ -848,7 +878,7 @@ def test_i4_star_tamagawa_dichotomy():
                 validate_setup(E, f)
             except SetupError:
                 continue
-            loc = tate_local(twist_minimal(E, f.value)[0], 2)
+            loc = tate_local(twist_minimal(mm, f.value)[0], 2)
             assert loc.kodaira == "I4*"
             want = 2 if S.a6 % 4 in (1, 2) else 4
             assert loc.tamagawa == want
