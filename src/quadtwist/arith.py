@@ -14,16 +14,11 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 _TRIAL_BOUND = 10**6
-_RHO_BUDGET = 1 << 18  # rho squarings per factorize call, for prime factors above _TRIAL_BOUND
+_RHO_BUDGET = 1 << 18  # rho squarings per factorize call, all cofactors
 
 # Largest discriminant accepted.  Below it trial division alone decides
 # squarefreeness, so parsing a discriminant never reaches rho.
 DISCRIMINANT_BOUND = _TRIAL_BOUND**2
-
-# Trial division bound while the cofactor is above DISCRIMINANT_BOUND:
-# rho finds a prime p up to _TRIAL_BOUND in about sqrt(p) squarings,
-# where trial division pays p / 2 divisions.
-_EARLY_RHO_BOUND = 1000
 
 # is_prime's memo size: a sweep asks about 98 distinct numbers over the
 # shipped corpus at d_max 500, and 357 at d_max 2000.
@@ -194,14 +189,10 @@ def factorize(n: int) -> Factorization:
     primality certificates on every reported prime.  Trial division stops
     as soon as the cofactor is prime, and goes on with the root of a
     cofactor that is a perfect power, so a prime power past the trial
-    bound costs a few integer roots.  It runs to _TRIAL_BOUND while the
-    cofactor is at most DISCRIMINANT_BOUND, which it then decides alone,
-    and to _EARLY_RHO_BOUND while the cofactor is larger.  A cofactor
-    past trial division is split by integer roots, then by rho.  Rho has
-    _RHO_BUDGET squarings in all for the prime factors above _TRIAL_BOUND
-    (a split that finds a smaller one, which trial division would have
-    found, is not counted), enough for prime factors up to about 10**9;
-    past them it raises FactorizationError."""
+    bound costs a few integer roots.  A cofactor past trial division is
+    split by integer roots, then by rho.  Rho has _RHO_BUDGET squarings
+    in all, enough for prime factors up to about 10**10; past them it
+    raises FactorizationError."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -214,15 +205,12 @@ def factorize(n: int) -> Factorization:
     # the cofactor is m**power, no prime below d divides m, and m is
     # tested each time it changes
     d, power = 7, 1
-    while d * d <= m and not is_prime(m):
-        bound = _TRIAL_BOUND if m <= DISCRIMINANT_BOUND else _EARLY_RHO_BOUND
-        if d > bound:
-            break
+    while d <= _TRIAL_BOUND and d * d <= m and not is_prime(m):
         r, e = _perfect_power(m, d)
         if e > 1:
             m, power = r, power * e
             continue
-        while d <= bound and d * d <= m and m % d:
+        while d <= _TRIAL_BOUND and d * d <= m and m % d:
             d += 2
         while m % d == 0:
             factors[d] = factors.get(d, 0) + power
@@ -241,11 +229,7 @@ def factorize(n: int) -> Factorization:
                 if e > 1:
                     stack.extend([r] * e)
                     continue
-                g, left = _brent_rho(k, budget)
-                # no prime below d divides k and d * d > _TRIAL_BOUND, so
-                # a part up to _TRIAL_BOUND is a prime trial division skipped
-                if min(g, k // g) > _TRIAL_BOUND:
-                    budget = left
+                g, budget = _brent_rho(k, budget)
                 stack.extend((g, k // g))
     items = tuple(sorted(factors.items()))
     assert all(is_prime(p) for p, _ in items)

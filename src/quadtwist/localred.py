@@ -377,4 +377,3 @@ def twist_prime_tamagawa_odd(mm: MinimalModelResult, l: int, D: int) -> int:
     cp = 1 + count_cubic_roots(b, c, d, l)
     assert cp in (1, 2, 4)
     return cp
-

@@ -502,8 +502,14 @@ from quadtwist.localred import reduction_profile
 from quadtwist.twistlaws import SetupError, _as_fund, join_rows
 
 
-# The library keeps no memo of Tate results, and the reference is asked
-# once per instance: it keeps its own memo of each curve's profile.
+# The library keeps no memo of minimal models or Tate results, and the
+# reference is asked once per instance: it keeps its own memo of each
+# curve's minimal model and profile.
+@lru_cache(maxsize=None)
+def _minimal_model(E):
+    return minimal_model(E)
+
+
 @lru_cache(maxsize=None)
 def _profile(mm: MinimalModelResult):
     return reduction_profile(mm)
@@ -603,7 +609,6 @@ def reference_setup(
     n_plus: int | None = None,
     n_minus: int | None = None,
     conductor: int | None = None,
-    mm: MinimalModelResult | None = None,
 ) -> TwistSetup:
     """Check every clause of the twist hypothesis and return the setup.
 
@@ -611,12 +616,10 @@ def reference_setup(
     (n_plus, n_minus); with a coprime pair (d1, d2) the hypothesis applies
     to their product, and the exact-division condition is enforced at any
     prime of N where either character is -1.  All violations are
-    collected into a single SetupError.  A caller that asks about many
-    discriminants of one curve passes its minimal_model(E) as mm.
+    collected into a single SetupError.
     """
     reasons: list[str] = []
-    if mm is None:
-        mm = minimal_model(E)
+    mm = _minimal_model(E)
     if mm.minimal != E:
         reasons.append("curve model is not globally minimal")
     N, local_data = _profile(mm)
@@ -741,8 +744,8 @@ def decompose(setup: TwistSetup) -> Decomposition:
 # classes.  The closed forms (c~ and the inert base change as read off
 # Tate's algorithm at q, u_D, the odd-prime fast path, the 2-adic
 # prediction, the symbol) are the library's, as they are the independent
-# side of each sweep check.  Each curve's minimal_model is computed once
-# per sweep and handed to every instance on its setup.
+# side of each sweep check.  Each instance reads its curve's
+# minimal_model from its setup.
 
 from quadtwist.arith import fundamental_discriminants
 from quadtwist.curves import pattern_of_normal_form, two_strongly_minimal
@@ -917,26 +920,24 @@ def reference_records(corpus, d_max: int, pair_dmax: int, mode: str = "all") -> 
     (curves by label, pairs before singles, each ascending).  Each
     instance is admitted by reference_setup, clause by clause: every
     single up to d_max, and every pair D1 < D2 up to min(d_max,
-    pair_dmax).  Each curve's minimal model is computed once and handed
-    to every instance."""
+    pair_dmax)."""
     fds = list(fundamental_discriminants(d_max))
     pair_fds = [f for f in fds if f.value <= pair_dmax]
     out = []
     for rec in sorted(corpus, key=lambda r: r.label):
         E = minimal_model(rec.curve).minimal
-        mm = minimal_model(E)
         if mode in ("thm31", "lemmas", "all"):
             for i, f1 in enumerate(pair_fds):
                 for f2 in pair_fds[i + 1 :]:
                     try:
-                        setup = reference_setup(E, f1, f2, mm=mm)
+                        setup = reference_setup(E, f1, f2)
                     except SetupError:
                         continue
                     out.append(reference_pair_record(rec.label, setup, mode))
         if mode in ("thm13", "lemmas", "all"):
             for f in fds:
                 try:
-                    setup = reference_setup(E, f, mm=mm)
+                    setup = reference_setup(E, f)
                 except SetupError:
                     continue
                 out.append(reference_single_record(rec.label, setup, mode))

@@ -7,7 +7,6 @@ import time
 import pytest
 import sympy
 
-import quadtwist.arith
 from quadtwist.arith import (
     DISCRIMINANT_BOUND,
     Factorization,
@@ -98,75 +97,6 @@ def test_factorize_stops_trial_division_at_a_prime_power_cofactor():
         assert dict(factorize(n).factors) == want
         best = min(_seconds(factorize, n) for _ in range(5))
         assert best < 0.005, (n, best)
-
-
-def test_factorize_starts_rho_early_on_a_large_cofactor():
-    # a cofactor above DISCRIMINANT_BOUND with no small prime factor goes
-    # to rho once trial division passes _EARLY_RHO_BOUND, instead of
-    # dividing on to the trial bound 10**6 (80-94 ms for this semiprime)
-    p, q = 1_000_003, 1_000_033
-    assert p * q > DISCRIMINANT_BOUND
-    assert factorize(p * q).factors == ((p, 1), (q, 1))
-    best = min(_seconds(factorize, p * q) for _ in range(5))
-    assert best < 0.005, best
-
-
-def test_factorize_decides_cofactors_up_to_the_bound_by_trial_division(monkeypatch):
-    # a cofactor at or below DISCRIMINANT_BOUND is decided by trial
-    # division alone, also when it is left of a larger number
-    def no_rho(n, budget):
-        raise AssertionError(f"rho called on {n}")
-
-    monkeypatch.setattr("quadtwist.arith._brent_rho", no_rho)
-    for n in (
-        999_983 * 1_000_003,  # just below the bound
-        DISCRIMINANT_BOUND,
-        7 * 999_983 * 1_000_003,  # above it until 7 is divided out
-        -(2**5) * 997 * 999_983 * 1_000_003,
-    ):
-        assert dict(factorize(n).factors) == sympy.factorint(abs(n)), n
-
-
-def test_factorize_matches_sympy_above_the_discriminant_bound():
-    # seeded numbers above 10**12: uniform ones, and products of primes on
-    # both sides of _EARLY_RHO_BOUND and of the trial bound 10**6
-    rng = random.Random(41)
-    numbers = [rng.randrange(DISCRIMINANT_BOUND, 10**18) for _ in range(100)]
-    ranges = ((2, 1000), (1000, 10**6), (10**6, 10**8))
-    while len(numbers) < 160:
-        n = 1
-        for _ in range(rng.randint(2, 5)):
-            n *= sympy.nextprime(rng.randrange(*rng.choice(ranges))) ** rng.randint(1, 2)
-        if n > DISCRIMINANT_BOUND:
-            numbers.append(n)
-    for n in numbers:
-        assert dict(factorize(n).factors) == sympy.factorint(n), n
-
-
-def test_factorize_rho_budget_ignores_primes_trial_division_skips(monkeypatch):
-    # past _EARLY_RHO_BOUND rho finds the primes up to 10**6 that trial
-    # division used to, and the squarings it spends on them leave the
-    # budget for the large factors whole: with a budget that only just
-    # splits q * r, the primes 1009 and 999983 between the early bound and
-    # 10**6 split off as well
-    q, r = sympy.nextprime(10**8), sympy.nextprime(2 * 10**8)
-    assert dict(factorize(1009 * 999_983 * q * r).factors) == {1009: 1, 999_983: 1, q: 1, r: 1}
-    spent = []
-    real = quadtwist.arith._brent_rho
-
-    def counted(n, budget):
-        g, left = real(n, budget)
-        spent.append((min(g, n // g), budget - left))
-        return g, left
-
-    monkeypatch.setattr("quadtwist.arith._brent_rho", counted)
-    factorize(1009 * 999_983 * q * r)
-    large = sum(s for g, s in spent if g > 10**6)
-    small = sum(s for g, s in spent if g <= 10**6)
-    assert small > 0 and large > 0
-    monkeypatch.setattr("quadtwist.arith._RHO_BUDGET", large)
-    monkeypatch.setattr("quadtwist.arith._brent_rho", real)
-    assert dict(factorize(1009 * 999_983 * q * r).factors) == {1009: 1, 999_983: 1, q: 1, r: 1}
 
 
 def _seconds(fn, *args) -> float:

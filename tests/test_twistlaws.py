@@ -197,7 +197,7 @@ def validated_setups(E, singles, pairs):
     ok_singles, additive, non_coprime = [], [], []
     for f in singles:
         try:
-            ok_singles.append((f.value, reference_setup(E, f, mm=mm)))
+            ok_singles.append((f.value, reference_setup(E, f)))
         except SetupError:
             if minimal and math.gcd(f.value, N) == 1:
                 additive.append(f.value)
@@ -206,7 +206,7 @@ def validated_setups(E, singles, pairs):
     for i, f1 in enumerate(pairs):
         for f2 in pairs[i + 1 :]:
             try:
-                ok_pairs.append(((f1.value, f2.value), reference_setup(E, f1, f2, mm=mm)))
+                ok_pairs.append(((f1.value, f2.value), reference_setup(E, f1, f2)))
             except SetupError as exc:
                 if {f1.value, f2.value} <= admissible:
                     assert exc.reasons == ["discriminant pair is not coprime"]
@@ -300,7 +300,7 @@ def test_validate_setup_matches_reference_on_stated_splits():
     keys += [(f1, f2) for i, f1 in enumerate(fds) for f2 in fds[i + 1 :]]
     accepted = stated = 0
     for rec in corpus():
-        mm = minimal_model(minimal_model(rec.curve).minimal)
+        mm = minimal_model(rec.curve)
         E = mm.minimal
         N, local_data = reduction_profile(mm)
         parts = [p**loc.conductor_exponent for p, loc in local_data.items()]
@@ -313,13 +313,11 @@ def test_validate_setup_matches_reference_on_stated_splits():
         splits.append((1, 2 * N))  # product 2N
         for key in keys:
             derived = _setup_or_none(setup, E, *key)
-            assert derived == _setup_or_none(reference_setup, E, *key, mm=mm), (rec.label, key)
+            assert derived == _setup_or_none(reference_setup, E, *key), (rec.label, key)
             accepted += derived is not None
             for split in splits:
                 n_plus, n_minus = split
-                want = _setup_or_none(
-                    reference_setup, E, *key, n_plus=n_plus, n_minus=n_minus, mm=mm
-                )
+                want = _setup_or_none(reference_setup, E, *key, n_plus=n_plus, n_minus=n_minus)
                 is_derived = derived is not None and split == (derived.n_plus, derived.n_minus)
                 assert want == (derived if is_derived else None), (rec.label, key, split)
                 accepted += want is not None
