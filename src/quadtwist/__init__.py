@@ -11,7 +11,6 @@ from .arith import (
     factorize,
     fundamental_discriminant,
     fundamental_discriminants,
-    is_fundamental_discriminant,
     kronecker,
     valuation,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "fundamental_discriminant",
     "fundamental_discriminants",
     "invariants",
-    "is_fundamental_discriminant",
     "join_rows",
     "kronecker",
     "minimal_model",

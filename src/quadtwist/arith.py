@@ -191,8 +191,9 @@ def factorize(n: int) -> Factorization:
     cofactor that is a perfect power, so a prime power past the trial
     bound costs a few integer roots.  A cofactor past trial division is
     split by integer roots, then by rho.  Rho has _RHO_BUDGET squarings
-    in all, enough for prime factors up to about 10**10; past them it
-    raises FactorizationError."""
+    in all, shared by every cofactor: enough for one split of a prime up
+    to about 10**10, while a cofactor with several prime factors above
+    about 10**8 can exhaust it.  Then it raises FactorizationError."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -301,15 +302,6 @@ def _parse_discriminant(d: int) -> FundamentalDiscriminant | None:
     if any(e > 1 for _, e in f.factors):
         return None
     return FundamentalDiscriminant(d, m, a, (2,) * (a > 0) + f.primes())
-
-
-def is_fundamental_discriminant(d: int) -> bool:
-    """True iff d is 1 or the discriminant of a real quadratic field.
-
-    Only positive values qualify here; d = 1 stands for the trivial
-    character.  Raises ValueError above DISCRIMINANT_BOUND.
-    """
-    return _parse_discriminant(d) is not None
 
 
 def fundamental_discriminant(d: int) -> FundamentalDiscriminant:

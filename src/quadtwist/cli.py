@@ -31,7 +31,7 @@ import sys
 from .arith import fundamental_discriminant
 from .profile_scan import scan_profiles
 from .curves import minimal_model, model, quadratic_twist
-from .harness import PAIR_DMAX, SweepReport, default_corpus_path, ingest_corpus, write_report
+from .harness import MODES, PAIR_DMAX, SweepReport, default_corpus_path, ingest_corpus, write_report
 from .localred import tate_local
 from .twistlaws import (
     curve_facts,
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default=None, metavar="PATH")
     p.add_argument("--dmax", type=_positive_int, default=500)
     p.add_argument("--pair-dmax", type=_positive_int, default=PAIR_DMAX, metavar="N")
-    p.add_argument("--mode", choices=("thm13", "thm31", "lemmas", "all"), default="all")
+    p.add_argument("--mode", choices=MODES, default="all")
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--jobs", type=_positive_int, default=1)
 

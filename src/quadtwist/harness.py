@@ -15,8 +15,8 @@ check names, and only a line that fails a check or carries a flag is
 parsed, for its failure witness and flags. It prints one progress line
 per curve on stderr. ``write_report`` writes each line to a file as it
 arrives, between a head and a tail encoded once each, so the report's
-memory does not grow with the instance count; ``run_sweep`` parses the
-same lines into one dict.
+memory does not grow with the instance count. It is the one report
+writer.
 
 Each curve's and each twist's facts are computed once, not per
 instance. ingest_corpus computes each curve's CurveFacts (minimal model,
@@ -71,7 +71,6 @@ from .twistlaws import (
     check_two_adic_case,
     curve_facts,
     format_quantity,
-    inert_valuation_sum,
     join_rows,
     pair_twist_quantity,
     symbol_closed_form,
@@ -148,8 +147,10 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
                 ai = tuple(int(p) for p in parts[1:6])
             except ValueError as exc:
                 raise CorpusError(f"{path}:{lineno}: bad coefficient: {exc}") from None
-            stated_n = int(parts[6]) if len(parts) >= 7 and parts[6] else None
-            rank = int(parts[7]) if len(parts) == 8 and parts[7] else None
+            try:
+                stated_n, rank = (int(p) if p else None for p in [*parts[6:], "", ""][:2])
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{lineno}: bad conductor or rank: {exc}") from None
             if rank is not None and rank < 0:
                 raise CorpusError(f"{path}:{lineno}: negative analytic rank")
             try:
@@ -282,7 +283,7 @@ def run_single_instance(
         )
     if mode in ("lemmas", "all"):
         disc = facts.mm.invariants.disc
-        sym = symbol_closed_form(disc, D, inert_valuation_sum(row)) == kronecker(disc, D.odd_part)
+        sym = symbol_closed_form(disc, D, side.disc_valuation_sum) == kronecker(disc, D.odd_part)
         checks.append(
             f'"symbol_closed_form": {_JSON_BOOL[sym]}, '
             f'"tamagawa_product_symbol": {_JSON_BOOL[tamagawa_symbol_check(row).ok]}'
@@ -508,25 +509,6 @@ class SweepReport:
         }
 
 
-def run_sweep(
-    corpus: list[CurveRecord],
-    d_max: int,
-    mode: str = "all",
-    jobs: int = 1,
-    corpus_name: str = "-",
-    pair_dmax: int = PAIR_DMAX,
-) -> dict:
-    """Run the requested verification passes over every admissible
-    instance and return the whole report, each record parsed from its
-    line; aggregates failures instead of aborting.
-
-    Pair instances are capped at discriminant min(d_max, pair_dmax); the
-    report records the cap in effect as "pair_dmax"."""
-    sweep = SweepReport(corpus, d_max, mode, jobs, corpus_name, pair_dmax)
-    instances = [json.loads(line) for line in sweep]
-    return {**sweep.head, **sweep.tail(), "instances": instances}
-
-
 def write_report(sweep: SweepReport, fh: TextIO) -> None:
     """Run the sweep and write its report to fh as one JSON object, each
     instance record's line on its own line as it arrives; "failures",
@@ -540,12 +522,3 @@ def write_report(sweep: SweepReport, fh: TextIO) -> None:
         fh.write(line)
         sep = ",\n"
     fh.write("\n],\n" + json.dumps(sweep.tail(), sort_keys=True)[1:] + "\n")
-
-
-def strip_timing(obj):
-    """Report with every 'timing' subtree removed (for determinism tests)."""
-    if isinstance(obj, dict):
-        return {k: strip_timing(v) for k, v in obj.items() if k != "timing"}
-    if isinstance(obj, list):
-        return [strip_timing(v) for v in obj]
-    return obj

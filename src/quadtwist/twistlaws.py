@@ -103,9 +103,6 @@ class CheckResult(NamedTuple):
     def detail(self) -> str:
         return self.fmt.format(*self.args)
 
-    def __bool__(self) -> bool:  # truthiness = verdict
-        return self.ok
-
 
 def equal_mod_squares(a: Fraction | int, b: Fraction | int) -> bool:
     """Equality in Q*/(Q*)^2 of a = p/q and b = r/s (ints or Fractions):
@@ -509,11 +506,6 @@ def tamagawa_transfer_product_check(pair: TwistPair) -> CheckResult:
     rhs = side.transfer_product
     ok = equal_mod_squares(lhs, rhs)
     return CheckResult(ok, "{} vs {} (mod squares)", (lhs, rhs))
-
-
-def inert_valuation_sum(row: TwistRow) -> int:
-    """b = sum of v_{q}(min disc) over primes q of n_minus."""
-    return row.minus.disc_valuation_sum
 
 
 def symbol_closed_form(delta: int, D, b: int) -> int:

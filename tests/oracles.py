@@ -10,7 +10,9 @@ beside the library's kernel on plain ints.  The admissibility reference
 takes N and the local data from the library and checks the twist
 hypothesis clause by clause.  The per-instance record reference
 evaluates each sweep instance from its setup alone, reading the twists'
-Tate data afresh.
+Tate data afresh.  Two helpers read sweeps the way the CLI writes them:
+sweep_report parses the text write_report writes, and strip_timing drops
+its wall-clock subtrees.
 """
 
 from __future__ import annotations
@@ -942,3 +944,29 @@ def reference_records(corpus, d_max: int, pair_dmax: int, mode: str = "all") -> 
                     continue
                 out.append(reference_single_record(rec.label, setup, mode))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sweep reports as the CLI writes them
+
+import io
+import json
+
+from quadtwist.harness import SweepReport, write_report
+
+
+def sweep_report(corpus, d_max: int, mode: str = "all", **kw) -> dict:
+    """The report write_report writes for this sweep, parsed.  kw goes to
+    SweepReport (jobs, corpus_name, pair_dmax)."""
+    out = io.StringIO()
+    write_report(SweepReport(corpus, d_max, mode, **kw), out)
+    return json.loads(out.getvalue())
+
+
+def strip_timing(obj):
+    """Report with every 'timing' subtree removed (for determinism tests)."""
+    if isinstance(obj, dict):
+        return {k: strip_timing(v) for k, v in obj.items() if k != "timing"}
+    if isinstance(obj, list):
+        return [strip_timing(v) for v in obj]
+    return obj

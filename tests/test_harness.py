@@ -22,8 +22,6 @@ from quadtwist.harness import (
     SweepReport,
     default_corpus_path,
     ingest_corpus,
-    run_sweep,
-    strip_timing,
     twist_rows,
 )
 from quadtwist.twistlaws import curve_facts
@@ -32,6 +30,8 @@ from oracles import (
     HOSTILE_DISCRIMINANT,
     count_cubic_roots_brute,
     hostile_semiprime,
+    strip_timing,
+    sweep_report,
     two_strongly_minimal_brute,
 )
 
@@ -85,6 +85,11 @@ def test_ingest_rejects_duplicates_and_bad_fields(tmp_path):
         ingest_corpus(write(tmp_path, "a,0,-1,x,0,0\n"))
     with pytest.raises(CorpusError):
         ingest_corpus(write(tmp_path, "a,0,-1\n"))
+    # a conductor or rank that is not an integer names its line too
+    for line in ("11a1,0,-1,1,-10,-20,eleven,0\n", "11a1,0,-1,1,-10,-20,11,x\n"):
+        with pytest.raises(CorpusError) as exc:
+            ingest_corpus(write(tmp_path, line))
+        assert ":1" in str(exc.value), line
 
 
 def test_shipped_corpus_loads():
@@ -114,7 +119,7 @@ def test_sweep_membership_11a1_dmax20():
 
 def test_sweep_dmax_one_is_trivial(tmp_path):
     path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
-    report = run_sweep(ingest_corpus(path), 1, "thm13")
+    report = sweep_report(ingest_corpus(path), 1, "thm13")
     # only D = 1 qualifies, and trivially passes
     assert report["summary"]["failures"] == 0
     assert [i["d"] for i in report["instances"]] == [1]
@@ -123,17 +128,17 @@ def test_sweep_dmax_one_is_trivial(tmp_path):
 def test_report_deterministic(tmp_path):
     path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n14a1,1,0,1,4,-6,14,0\n")
     corpus = ingest_corpus(path)
-    a = strip_timing(run_sweep(corpus, 40, "all", corpus_name="x"))
-    b = strip_timing(run_sweep(corpus, 40, "all", corpus_name="x"))
+    a = strip_timing(sweep_report(corpus, 40, "all", corpus_name="x"))
+    b = strip_timing(sweep_report(corpus, 40, "all", corpus_name="x"))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     # with timing retained the only differences live under timing keys
-    full = run_sweep(corpus, 40, "all", corpus_name="x")
+    full = sweep_report(corpus, 40, "all", corpus_name="x")
     assert "wall_seconds" in full["timing"]
 
 
 def test_report_mode_all_contains_all_checks(tmp_path):
     path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
-    report = run_sweep(ingest_corpus(path), 20, "all")
+    report = sweep_report(ingest_corpus(path), 20, "all")
     singles = [i for i in report["instances"] if "d" in i]
     pairs = [i for i in report["instances"] if "d1" in i]
     assert singles and pairs
@@ -162,8 +167,8 @@ def test_report_mode_all_contains_all_checks(tmp_path):
 def test_parallel_jobs_match_serial(tmp_path):
     path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n")
     corpus = ingest_corpus(path)
-    serial = strip_timing(run_sweep(corpus, 30, "all", jobs=1, corpus_name="x"))
-    parallel = strip_timing(run_sweep(corpus, 30, "all", jobs=2, corpus_name="x"))
+    serial = strip_timing(sweep_report(corpus, 30, "all", jobs=1, corpus_name="x"))
+    parallel = strip_timing(sweep_report(corpus, 30, "all", jobs=2, corpus_name="x"))
     assert serial == parallel
 
 
@@ -192,10 +197,10 @@ def test_pool_workers_capped_at_curve_count(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     corpus = three_curves()
-    serial = strip_timing(run_sweep(corpus, 20, "all", jobs=1))
+    serial = strip_timing(sweep_report(corpus, 20, "all", jobs=1))
     assert InlinePool.sizes == []
-    assert strip_timing(run_sweep(corpus, 20, "all", jobs=100_000)) == serial
-    assert strip_timing(run_sweep(corpus, 20, "all", jobs=2)) == serial
+    assert strip_timing(sweep_report(corpus, 20, "all", jobs=100_000)) == serial
+    assert strip_timing(sweep_report(corpus, 20, "all", jobs=2)) == serial
     assert InlinePool.sizes == [3, 2]
     path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n")
     assert main(["verify", "--corpus", path, "--dmax", "20", "--jobs", "100000"]) == 0
@@ -246,9 +251,9 @@ def test_sweep_report_same_with_brute_normal_form(monkeypatch):
     # curves with good reduction at 2 (11a1 and 37a1 take pattern 2, 15a1
     # pattern 1); the full 16^3 search must give the same report
     corpus = three_curves()
-    fast = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    fast = strip_timing(sweep_report(corpus, 60, "all", corpus_name="x"))
     monkeypatch.setattr("quadtwist.twistlaws.two_strongly_minimal", two_strongly_minimal_brute)
-    brute = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    brute = strip_timing(sweep_report(corpus, 60, "all", corpus_name="x"))
     assert fast == brute
     assert fast["summary"]["failures"] == 0
     exercised = {i["curve"] for i in fast["instances"] if "two_adic_case_table" in i["checks"]}
@@ -261,7 +266,7 @@ def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
     # brute-force count must give the same report.  No memo holds a
     # Tate result, so the second sweep counts every root again.
     corpus = three_curves()
-    fast = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    fast = strip_timing(sweep_report(corpus, 60, "all", corpus_name="x"))
     primes = set()
 
     def brute(b, c, d, p):
@@ -269,7 +274,7 @@ def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
         return count_cubic_roots_brute(b, c, d, p)
 
     monkeypatch.setattr("quadtwist.localred.count_cubic_roots", brute)
-    slow = strip_timing(run_sweep(corpus, 60, "all", corpus_name="x"))
+    slow = strip_timing(sweep_report(corpus, 60, "all", corpus_name="x"))
     assert fast == slow
     assert fast["summary"]["failures"] == 0
     assert 53 in primes
@@ -280,7 +285,7 @@ def test_sweep_does_no_fraction_arithmetic(monkeypatch):
     # quantity's string is formatted from ints; ingest and a sweep must not
     # multiply or divide a Fraction, and build one Fraction per row: the
     # scale u that twist_minimal measures
-    expected = strip_timing(run_sweep(three_curves(), 60, "all", corpus_name="x"))
+    expected = strip_timing(sweep_report(three_curves(), 60, "all", corpus_name="x"))
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in a sweep")
@@ -296,7 +301,7 @@ def test_sweep_does_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, name, refuse)
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
     try:
-        got = strip_timing(run_sweep(three_curves(), 60, "all", corpus_name="x"))
+        got = strip_timing(sweep_report(three_curves(), 60, "all", corpus_name="x"))
     finally:
         monkeypatch.undo()
     assert got == expected
@@ -344,10 +349,10 @@ def test_encoder_writes_coverage_records_byte_for_byte(tmp_path, monkeypatch):
     assert sum(f'"curve": {escaped},' in line for line in odd_lines) == labels.count(label) > 0
 
 
-def test_run_sweep_rejects_bad_mode(tmp_path):
+def test_sweep_report_rejects_bad_mode(tmp_path):
     path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
     with pytest.raises(ValueError):
-        run_sweep(ingest_corpus(path), 10, "everything")
+        SweepReport(ingest_corpus(path), 10, "everything")
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +432,14 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_report_file_matches_run_sweep(tmp_path, jobs):
+def test_cli_report_file_matches_sweep_report(tmp_path, jobs):
     corpus = write(tmp_path, "15a1,1,1,1,-10,-10,15,0\n11a1,0,-1,1,-10,-20,11,0\n")
     out = tmp_path / "report.json"
     args = ["verify", "--corpus", corpus, "--dmax", "30", "--out", str(out)]
     assert main([*args, "--jobs", str(jobs)]) == 0
     text = out.read_text(encoding="utf-8")
     streamed = json.loads(text)
-    collected = run_sweep(ingest_corpus(corpus), 30, "all", jobs=jobs, corpus_name=corpus)
+    collected = sweep_report(ingest_corpus(corpus), 30, "all", jobs=jobs, corpus_name=corpus)
     assert strip_timing(streamed) == strip_timing(collected)
     # report order: curves by label, then pairs before singles, each ascending
     instances = streamed["instances"]
@@ -486,7 +491,7 @@ def test_cli_verify_under_python_optimize(tmp_path):
             env={**os.environ, "PYTHONPATH": path}, check=True, capture_output=True,
             timeout=120,
         )
-        collected = run_sweep(
+        collected = sweep_report(
             ingest_corpus(corpus), 500, "all", corpus_name=corpus, pair_dmax=pair_dmax
         )
         report = strip_timing(json.loads(out.read_text(encoding="utf-8")))
@@ -505,7 +510,7 @@ def test_cli_verify_pair_dmax(tmp_path, capsys):
     assert pairs and max(d2 for _, d2 in pairs) <= 13
     singles = [i["d"] for i in report["instances"] if "d" in i]
     assert max(singles) > 13  # singles still go to --dmax
-    collected = run_sweep(ingest_corpus(corpus), 30, "all", corpus_name=corpus, pair_dmax=13)
+    collected = sweep_report(ingest_corpus(corpus), 30, "all", corpus_name=corpus, pair_dmax=13)
     assert strip_timing(report) == strip_timing(collected)
     assert main([*args, "--pair-dmax", "1000"]) == 0  # the report records min(--dmax, N)
     assert json.loads(out.read_text(encoding="utf-8"))["pair_dmax"] == 30
@@ -607,11 +612,17 @@ def test_package_exports_resolve():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(quadtwist, name)]
     assert missing == []
-    # entry points that only wrapped a LocalReduction property or the case
-    # table are gone from the package and its modules
-    for name in ("c_tilde", "inert_base_change_tamagawa", "predict_two_adic"):
-        assert name not in names
-        assert not hasattr(quadtwist.localred, name) and not hasattr(quadtwist.twistlaws, name)
+    # entry points that only wrapped a field, a property or the case table,
+    # the dict-building second report path, its timing filter and the
+    # discriminant predicate are gone from the package and its modules
+    gone = (
+        "c_tilde", "inert_base_change_tamagawa", "predict_two_adic", "inert_valuation_sum",
+        "run_sweep", "strip_timing", "is_fundamental_discriminant",
+    )
+    modules = (quadtwist.arith, quadtwist.harness, quadtwist.localred, quadtwist.twistlaws)
+    for name in gone:
+        assert name not in names and not hasattr(quadtwist, name)
+        assert not any(hasattr(module, name) for module in modules), name
 
 
 def test_cli_enumerate_profiles(capsys):

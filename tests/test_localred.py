@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from quadtwist.arith import kronecker, valuation
+from quadtwist.arith import fundamental_discriminants, kronecker, valuation
 from quadtwist.curves import invariants, minimal_model, model
 from quadtwist.harness import default_corpus_path, ingest_corpus
 from quadtwist.localred import (
@@ -177,6 +177,7 @@ def test_twist_prime_tamagawa_odd_examples_and_dichotomy():
 def test_twist_prime_fast_path_matches_tate():
     rng = random.Random(73)
     checked = 0
+    fundamental = {f.value for f in fundamental_discriminants(8 * 13)}
     for rec in corpus():
         mm = minimal_model(rec.curve)
         d = invariants(rec.curve).disc
@@ -184,9 +185,7 @@ def test_twist_prime_fast_path_matches_tate():
             if d % l == 0:
                 continue
             for D in (l, 8 * l if l % 4 != 3 else 4 * l):
-                from quadtwist.arith import is_fundamental_discriminant
-
-                if not is_fundamental_discriminant(D):
+                if D not in fundamental:
                     continue
                 T = twist_minimal(mm, D)[0]
                 assert twist_prime_tamagawa_odd(mm, l, D) == tate_local(T, l).tamagawa

@@ -27,14 +27,12 @@ from quadtwist.harness import (
     SweepReport,
     default_corpus_path,
     ingest_corpus,
-    run_sweep,
-    strip_timing,
     write_report,
 )
 from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
 from quadtwist.twistlaws import twist_minimal
 
-from oracles import reference_records
+from oracles import reference_records, strip_timing, sweep_report
 
 COVERAGE = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
 THREE = ("11a1", "15a1", "37a1")
@@ -50,7 +48,7 @@ def three_curve_corpus(tmp_path) -> str:
 
 def test_records_match_reference_on_shipped_corpus():
     corpus = ingest_corpus(default_corpus_path())
-    report = strip_timing(run_sweep(corpus, 500, "all"))
+    report = strip_timing(sweep_report(corpus, 500, "all"))
     assert report["summary"]["instances"] == 7572
     assert report["instances"] == reference_records(corpus, 500, 100)
 
@@ -58,7 +56,7 @@ def test_records_match_reference_on_shipped_corpus():
 @pytest.mark.parametrize("mode", ["thm13", "thm31", "lemmas", "all"])
 def test_records_match_reference_on_coverage_corpus(mode):
     corpus = ingest_corpus(COVERAGE)
-    report = strip_timing(run_sweep(corpus, 500, mode))
+    report = strip_timing(sweep_report(corpus, 500, mode))
     assert report["summary"]["failures"] == 0
     assert report["instances"] == reference_records(corpus, 500, 100, mode)
 
@@ -139,9 +137,7 @@ def test_second_sweep_over_the_same_records_writes_the_same_report():
     assert all(not rec.facts.minus_sides for rec in corpus)
 
     def report(jobs):
-        out = io.StringIO()
-        write_report(SweepReport(corpus, 60, "all", jobs=jobs, corpus_name="x"), out)
-        return strip_timing(json.loads(out.getvalue()))
+        return strip_timing(sweep_report(corpus, 60, "all", jobs=jobs, corpus_name="x"))
 
     first = report(1)
     assert all(rec.facts.minus_sides for rec in corpus)
@@ -159,7 +155,7 @@ def test_sweep_computes_each_twist_once(monkeypatch, tmp_path, d_max):
     path = three_curve_corpus(tmp_path)
     calls = count_calls(monkeypatch, twist_minimal, tate_local, twist_prime_tamagawa_odd)
     corpus = ingest_corpus(path)
-    report = run_sweep(corpus, d_max, "all")
+    report = sweep_report(corpus, d_max, "all")
     monkeypatch.undo()
     curves = {rec.label: minimal_model(rec.curve) for rec in corpus}
     singles = [(i["curve"], i["d"]) for i in report["instances"] if "d" in i]
@@ -207,7 +203,7 @@ def test_sweep_finds_each_normal_form_once(monkeypatch):
     # none for a curve bad at 2 (14a1, 26b1, 34a1, 58a1)
     calls = count_calls(monkeypatch, two_strongly_minimal, pattern_of_normal_form)
     corpus = ingest_corpus(default_corpus_path())
-    report = run_sweep(corpus, 200, "all")
+    report = sweep_report(corpus, 200, "all")
     monkeypatch.undo()
     good = [minimal_model(rec.curve) for rec in corpus if rec.conductor % 2]
     assert len(good) == len(corpus) - 4

@@ -34,7 +34,6 @@ from quadtwist.harness import (
     default_corpus_path,
     ingest_corpus,
     row_pairs,
-    run_sweep,
     twist_rows,
 )
 from quadtwist.localred import reduction_profile, tate_local
@@ -53,7 +52,6 @@ from quadtwist.twistlaws import (
     tamagawa_transfer_product_check,
     symbol_closed_form,
     search_discriminant,
-    inert_valuation_sum,
     tamagawa_symbol_check,
     twist_quantity,
     pair_twist_quantity,
@@ -71,6 +69,7 @@ from oracles import (
     random_reduced_curves,
     reference_setup,
     square_class,
+    sweep_report,
 )
 
 E11A1 = model(0, -1, 1, -10, -20)
@@ -768,7 +767,8 @@ def test_symbol_closed_form_equals_kronecker_on_valid_setups():
                 rows = validate_setup(E, f)
             except SetupError:
                 continue
-            b = inert_valuation_sum(*rows)
+            (row,) = rows
+            b = row.minus.disc_valuation_sum
             assert symbol_closed_form(disc, f, b) == kronecker(disc, f.odd_part)
             checked += 1
     assert checked > 300
@@ -851,7 +851,7 @@ def test_two_adic_case_p_valuation_below_four_fails_the_check(monkeypatch):
         "case 3: P-valuation 0 below 4 contradicts the case table, tate gives (II, 1)"
     )
     e11 = [rec for rec in corpus() if rec.label == "11a1"]
-    report = run_sweep(e11, 8, "lemmas")
+    report = sweep_report(e11, 8, "lemmas")
     assert report["failures"] == [
         {"curve": "11a1", "d": 8, "failed_checks": ["two_adic_case_table"]}
     ]
