@@ -232,8 +232,14 @@ def test_fundamental_discriminant_bound(one_second_deadline):
         fundamental_discriminant(DISCRIMINANT_BOUND + 1)
     with pytest.raises(ValueError, match="exceeds the discriminant bound"):
         fundamental_discriminant(HOSTILE_DISCRIMINANT)  # never factored
+
+
+def test_is_fundamental_discriminant_bound(one_second_deadline):
+    # membership is decided by the parser, so it never factors past the bound
     with pytest.raises(ValueError, match="not a positive fundamental"):
         fundamental_discriminant(DISCRIMINANT_BOUND)  # 2**12 * 5**12, at the bound
+    with pytest.raises(ValueError, match="exceeds the discriminant bound"):
+        fundamental_discriminant(HOSTILE_DISCRIMINANT)
 
 
 def test_fundamental_discriminant_primes_match_factorize():
