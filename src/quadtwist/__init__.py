@@ -22,7 +22,6 @@ from .curves import (
     minimal_model,
     model,
     quadratic_twist,
-    two_strongly_minimal,
 )
 from .localred import (
     LocalReduction,
@@ -76,7 +75,6 @@ __all__ = [
     "tate_local",
     "twist_prime_tamagawa_odd",
     "twist_quantity",
-    "two_strongly_minimal",
     "u_of_discriminant",
     "validate_setup",
     "valuation",

@@ -161,7 +161,10 @@ def _cmd_verify(args) -> int:
         # stream into a sibling file and rename it over --out only once
         # the report is whole, so a failed sweep keeps the previous report
         tmp = f"{args.out}.{os.getpid()}.tmp"
-        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            fh = open(tmp, "x", encoding="utf-8")
+        except OSError as exc:  # name the path given, not the temporary file
+            raise OSError(exc.errno, exc.strerror, args.out) from None
         try:
             with fh:
                 write_report(sweep, fh)

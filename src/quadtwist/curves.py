@@ -1,5 +1,5 @@
-"""Weierstrass models over Q: invariants, quadratic twists, global
-minimal models and the 2-adic normal form used by the twist laws.
+"""Weierstrass models over Q: invariants, quadratic twists and global
+minimal models.
 
 Models are integral: coefficient 5-tuples (a1, a2, a3, a4, a6) of plain
 ints.  model() is the one gate for outside input; it takes ints and
@@ -8,11 +8,11 @@ else, and every other builder here works on ints.  A change of variables
 of scale u divides c4 by u^4 and c6 by u^6, and the curves with given
 invariants (c4, c6) share one reduced global minimal model.  So minimal
 models, and the minimal models of twists (the twist by d has invariants
-(d^2 c4, d^3 c6)), are computed from (c4, c6) alone; the only coordinate
-change the module applies is the integral [1, r, s, w] of rst_transform.
-The reduction is handed the primes of the discriminant, so a caller that
-knows them (the twist of a curve whose bad primes are known) factors
-nothing large.
+(d^2 c4, d^3 c6)), are computed from (c4, c6) alone; the only change of
+variables the module applies is quadratic_twist's rescaling by
+[1/2, 0, 0, 0].  The reduction is handed the primes of the
+discriminant, so a caller that knows them (the twist of a curve whose
+bad primes are known) factors nothing large.
 """
 
 from __future__ import annotations
@@ -78,19 +78,6 @@ def invariants(E: WeierstrassModel) -> Invariants:
         raise SingularModelError(f"singular model {tuple(E)}")
     assert c4**3 - c6**2 == 1728 * disc
     return Invariants(b2, b4, b6, b8, c4, c6, disc)
-
-
-def rst_transform(E: WeierstrassModel, r: int, s: int, w: int) -> WeierstrassModel:
-    """The u = 1 change of variables [1, r, s, w] with integers r, s, w;
-    it keeps the model integral and preserves the discriminant exactly."""
-    a1, a2, a3, a4, a6 = E
-    return WeierstrassModel(
-        a1 + 2 * s,
-        a2 - s * a1 + 3 * r - s * s,
-        a3 + r * a1 + 2 * w,
-        a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w,
-        a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1,
-    )
 
 
 def quadratic_twist(E: WeierstrassModel, d: int) -> WeierstrassModel:
@@ -220,59 +207,3 @@ def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
     keeps it on the curve's CurveFacts)."""
     inv = invariants(E)
     return minimal_from_invariants(inv.c4, inv.c6, factorize(inv.disc).primes())
-
-
-# Valuation patterns of the 2-adic normal form for curves with good
-# reduction at 2: exactly one of
-#   (1) a1 odd, 4 | a3, and (a4 even, a6 odd) or (a4 odd, a6 even);
-#   (2) a1, a2 even, a3 odd.
-# Pattern (1) forces c6 odd, pattern (2) forces v2(c6) = 3.
-#
-# The pattern reads a1, a2, a4, a6 mod 2 and a3 mod 4.  The coefficients of
-# rst_transform(E, r, s, w) are integer polynomials, so the pattern depends
-# on r, s, w mod 4 only, and it is also unchanged by s -> s + 2 and
-# w -> w + 2 (tests/test_curves.py walks every case).  The shifts giving a
-# pattern are thus a union of classes of (r mod 4, s mod 2, w mod 2), and
-# the lexicographically first one lies in the box below.
-_NORMAL_FORM_BOX = tuple((r, s, w) for r in range(4) for s in range(2) for w in range(2))
-
-
-def _pattern_of(E: WeierstrassModel) -> int | None:
-    a1, a2, a3, a4, a6 = E
-    if a1 % 2 == 1 and a3 % 4 == 0:
-        if a4 % 2 == 0 and a6 % 2 == 1:
-            return 1
-        if a4 % 2 == 1 and a6 % 2 == 0:
-            return 1
-    if a1 % 2 == 0 and a2 % 2 == 0 and a3 % 2 == 1:
-        return 2
-    return None
-
-
-def two_strongly_minimal(mm: MinimalModelResult) -> WeierstrassModel:
-    """Normalize the minimal model mm.minimal, which must have good
-    reduction at 2, so that its a-invariant 2-adic valuations match one of
-    the two patterns above.
-
-    The result is the first match in lexicographic (pattern, r, s, w)
-    order over [1, r, s, w] with r, s, w >= 0; at most 32 candidates
-    (2 patterns x _NORMAL_FORM_BOX) are tried.
-    """
-    if mm.invariants.disc % 2 == 0:
-        raise ValueError("requires a model with odd discriminant")
-    E = mm.minimal
-    for want in (1, 2):
-        for r, s, w in _NORMAL_FORM_BOX:
-            cand = rst_transform(E, r, s, w)
-            if _pattern_of(cand) == want:
-                c6 = invariants(cand).c6
-                assert valuation(c6, 2) == (0 if want == 1 else 3)
-                return cand
-    raise AssertionError(f"no 2-adic normal form found for {tuple(E)}")
-
-
-def pattern_of_normal_form(E: WeierstrassModel) -> int:
-    p = _pattern_of(E)
-    if p is None:
-        raise ValueError("model is not in the 2-adic normal form")
-    return p

@@ -20,7 +20,7 @@ writer.
 
 Each curve's and each twist's facts are computed once, not per
 instance. ingest_corpus computes each curve's CurveFacts (minimal model,
-conductor, local data, 2-adic normal form) and hands them to the sweep
+conductor, local data) and hands them to the sweep
 on its CurveRecord, so nothing below looks a curve fact up again. Per
 curve the sweep takes those facts and each discriminant's character
 signs at the primes of N (the sign table), and builds one TwistRow per
@@ -119,9 +119,10 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
     """Parse and validate a curve corpus CSV.
 
     Line format: label,a1,a2,a3,a4,a6[,conductor[,analytic_rank]].
-    Comment lines start with '#'.  Every record is checked nonsingular
-    and its discriminant factorable (minimal_model, so no line can hang
-    the sweep), duplicate labels are rejected, and a stated conductor must
+    Comment lines start with '#'.  Each line is decoded as UTF-8 on its
+    own, so an error names the line that is not.  Every record is checked
+    nonsingular and its discriminant factorable (minimal_model, so no
+    line can hang the sweep), duplicate labels are rejected, and a stated conductor must
     match the recomputed one exactly.  Each record carries its curve's
     CurveFacts, computed once here (one minimal_model, one Tate run per
     prime of N) for the conductor check and the sweep.  Their n_minus
@@ -130,40 +131,45 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
     """
     records: list[CurveRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if not 6 <= len(parts) <= 8:
-                raise CorpusError(f"{path}:{lineno}: expected 6-8 fields, got {len(parts)}")
-            label = parts[0]
-            if not label:
-                raise CorpusError(f"{path}:{lineno}: empty label")
-            if label in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate label {label!r}")
-            try:
-                ai = tuple(int(p) for p in parts[1:6])
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: bad coefficient: {exc}") from None
-            try:
-                stated_n, rank = (int(p) if p else None for p in [*parts[6:], "", ""][:2])
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: bad conductor or rank: {exc}") from None
-            if rank is not None and rank < 0:
-                raise CorpusError(f"{path}:{lineno}: negative analytic rank")
-            try:
-                mm = minimal_model(model(*ai))
-            except (SingularModelError, FactorizationError) as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
-            facts = curve_facts(mm)
-            if stated_n is not None and facts.conductor != stated_n:
-                raise CorpusError(
-                    f"{path}:{lineno}: stated conductor {stated_n} != computed {facts.conductor}"
-                )
-            seen.add(label)
-            records.append(CurveRecord(label, ai, stated_n, rank, f"{path}:{lineno}", facts))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # bytes.splitlines splits where text mode's universal newlines do
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if not 6 <= len(parts) <= 8:
+            raise CorpusError(f"{path}:{lineno}: expected 6-8 fields, got {len(parts)}")
+        label = parts[0]
+        if not label:
+            raise CorpusError(f"{path}:{lineno}: empty label")
+        if label in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate label {label!r}")
+        try:
+            ai = tuple(int(p) for p in parts[1:6])
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: bad coefficient: {exc}") from None
+        try:
+            stated_n, rank = (int(p) if p else None for p in [*parts[6:], "", ""][:2])
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: bad conductor or rank: {exc}") from None
+        if rank is not None and rank < 0:
+            raise CorpusError(f"{path}:{lineno}: negative analytic rank")
+        try:
+            mm = minimal_model(model(*ai))
+        except (SingularModelError, FactorizationError) as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
+        facts = curve_facts(mm)
+        if stated_n is not None and facts.conductor != stated_n:
+            raise CorpusError(
+                f"{path}:{lineno}: stated conductor {stated_n} != computed {facts.conductor}"
+            )
+        seen.add(label)
+        records.append(CurveRecord(label, ai, stated_n, rank, f"{path}:{lineno}", facts))
     return records
 
 

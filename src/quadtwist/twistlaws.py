@@ -8,10 +8,10 @@ case cross-checks, and the auxiliary-discriminant search.
 A twist is described by its row alone, and every quantity and check
 reads rows.  A curve's CurveFacts hold what all its twists share: its
 minimal model (the MinimalModelResult, with the minimal discriminant
-and its invariants), N, the local data, the 2-adic normal form and its
-pattern (found once, for the even-D case table), and a table of n_minus
-sides, one MinusSide per set of multiplicative primes that some row or
-pair has as its n_minus, built on first use: n_minus, n_plus, the c~_q
+and its invariants, which the even-D closed forms read), N, the local
+data, and a table of n_minus sides, one MinusSide per set of
+multiplicative primes that some row or pair has as its n_minus, built
+on first use: n_minus, n_plus, the c~_q
 (keyed as the report prints them, with their JSON text) and their
 product, and c~_q times the inert base-change c_q at each q with the
 product of those.  All of it is read from the curve's local data, so
@@ -60,15 +60,9 @@ from .arith import (
     kronecker,
     valuation,
 )
-from .curves import (
-    MinimalModelResult,
-    WeierstrassModel,
-    minimal_from_invariants,
-    minimal_model,
-    pattern_of_normal_form,
-    two_strongly_minimal,
-)
+from .curves import MinimalModelResult, WeierstrassModel, minimal_from_invariants, minimal_model
 from .localred import LocalReduction, reduction_profile, tate_local
+from .profile_scan import EXPECTED_TAMAGAWA2_PROFILE
 
 
 class SetupError(ValueError):
@@ -146,14 +140,6 @@ def _int_dict_json(m: dict[str, int]) -> str:
     return "{" + ", ".join(f'"{k}": {v}' for k, v in sorted(m.items())) + "}"
 
 
-def _as_fund(d) -> FundamentalDiscriminant:
-    """The one int-to-FundamentalDiscriminant step; a parsed value passes
-    through as it is."""
-    if isinstance(d, FundamentalDiscriminant):
-        return d
-    return fundamental_discriminant(int(d))
-
-
 # ---------------------------------------------------------------------------
 # setup validation
 
@@ -168,8 +154,10 @@ def validate_setup(E: WeierstrassModel, d1, d2=None) -> tuple[TwistRow, ...]:
     or is inert, so D alone fixes (n_plus, n_minus): a prime of N is in
     n_minus exactly when the rows' signs there multiply to -1.  A
     character that is -1 at a prime of N needs that prime to divide N
-    exactly.  All violations are collected into a single SetupError.
-    User input then reads twist_quantity(*validate_setup(E, d)) and
+    exactly.  d1 and d2 are ints or parsed FundamentalDiscriminants: this
+    is where a user's integers are parsed.  All violations are collected
+    into a single SetupError.  User input then reads
+    twist_quantity(*validate_setup(E, d)) and
     join_rows(*validate_setup(E, d1, d2)).
     """
     reasons: list[str] = []
@@ -181,7 +169,9 @@ def validate_setup(E: WeierstrassModel, d1, d2=None) -> tuple[TwistRow, ...]:
     discs = []
     for d in (d1, d2) if d2 is not None else (d1,):
         try:
-            discs.append(_as_fund(d))
+            if not isinstance(d, FundamentalDiscriminant):
+                d = fundamental_discriminant(int(d))
+            discs.append(d)
         except ValueError as exc:  # not fundamental, or above DISCRIMINANT_BOUND
             reasons.append(str(exc))
     if reasons:
@@ -269,29 +259,33 @@ def twist_minimal(mm: MinimalModelResult, d):
     return tw.minimal, Fraction(tw.u_value, 2)
 
 
-def u_of_discriminant(mm: MinimalModelResult, D) -> int:
-    """Closed-form period scale of the twist of the minimal model
-    mm.minimal by a positive fundamental discriminant coprime to the
-    conductor: 1 unless v2(D) = 3 and v2(c6) = 3, in which case 2.  c6
-    and the discriminant are read from mm's invariants.
+def _c6_two_valuation(mm: MinimalModelResult) -> int:
+    """v2(c6) of the minimal model mm.minimal, which must have good
+    reduction at 2 (an odd discriminant): 0 when a1 is odd, else 3.  The
+    even-D closed forms (u_D and the 2-adic case table) read it.
 
-    v2(c6) in {0, 3} is an internal invariant, not a reported check: on a
-    model good at 2, a1 odd makes b2 and so c6 odd, and a1 even forces a3
-    odd, so v2(b2) >= 2, b6 is odd and v2(c6) = v2(216 b6) = 3.  Only a
-    bug reaches the raise, which stays out of the report (a named check
-    would change every report's checks_run)."""
-    D = _as_fund(D)
-    if D.two_exponent <= 2:
-        return 1
+    On a model good at 2, a1 odd makes b2 and so c6 odd, and a1 even
+    forces a3 odd, so v2(b2) >= 2, b6 is odd and v2(c6) = v2(216 b6) = 3.
+    So v2(c6) in {0, 3} is an internal invariant, not a reported check:
+    only a bug reaches the AssertionError, which stays out of the report
+    (a named check would change every report's checks_run)."""
     inv = mm.invariants
-    if valuation(inv.disc, 2) != 0:
+    if inv.disc % 2 == 0:
         raise ValueError("even discriminant twist requires good reduction at 2")
     v = valuation(inv.c6, 2) if inv.c6 else 99
-    if v == 0:
+    if v not in (0, 3):
+        raise AssertionError(f"v2(c6) = {v} not in {{0, 3}} for a minimal model good at 2")
+    return v
+
+
+def u_of_discriminant(mm: MinimalModelResult, D: FundamentalDiscriminant) -> int:
+    """Closed-form period scale of the twist of the minimal model
+    mm.minimal by a positive fundamental discriminant D coprime to the
+    conductor: 1 unless v2(D) = 3 and v2(c6) = 3, in which case 2.  c6
+    and the discriminant are read from mm's invariants."""
+    if D.two_exponent <= 2:
         return 1
-    if v == 3:
-        return 2
-    raise AssertionError(f"v2(c6) = {v} not in {{0, 3}} for a minimal model good at 2")
+    return 1 if _c6_two_valuation(mm) == 0 else 2
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +298,6 @@ class CurveFacts(NamedTuple):
     mm: MinimalModelResult  # minimal_model of the globally minimal curve (u_value 1)
     conductor: int
     local_data: dict[int, LocalReduction]
-    # the 2-adic normal form (two_strongly_minimal) and its pattern, 1 or
-    # 2, which the even-D case table reads; None when disc is even
-    normal_form: WeierstrassModel | None
-    pattern: int | None
     minus_sides: dict[int, MinusSide]  # the n_minus table, by mask; see minus_side
 
     # The table fills as rows and pairs ask for it, so it takes no part
@@ -337,19 +327,14 @@ class MinusSide(NamedTuple):
 
 def curve_facts(mm: MinimalModelResult) -> CurveFacts:
     """The facts of the globally minimal model E = mm.minimal: its
-    conductor, local data and, when its discriminant is odd, its 2-adic
-    normal form with the form's pattern, with an empty n_minus table.
+    conductor and local data, with an empty n_minus table.
 
     The twists are E's, so the facts keep mm with u_value 1, which is
     minimal_model(E): twist_minimal then measures each scale from E,
     whatever model mm was computed from."""
     mm = mm._replace(u_value=1)
     N, local_data = reduction_profile(mm)
-    S = pat = None
-    if mm.invariants.disc % 2:
-        S = two_strongly_minimal(mm)
-        pat = pattern_of_normal_form(S)
-    return CurveFacts(mm, N, local_data, S, pat, {})
+    return CurveFacts(mm, N, local_data, {})
 
 
 def minus_side(facts: CurveFacts, mask: int) -> MinusSide:
@@ -508,10 +493,9 @@ def tamagawa_transfer_product_check(pair: TwistPair) -> CheckResult:
     return CheckResult(ok, "{} vs {} (mod squares)", (lhs, rhs))
 
 
-def symbol_closed_form(delta: int, D, b: int) -> int:
+def symbol_closed_form(delta: int, D: FundamentalDiscriminant, b: int) -> int:
     """Closed-form value of the symbol (delta | odd part of D) under the
     split/inert hypothesis, given b = sum of inert-prime valuations."""
-    D = _as_fund(D)
     sign = (-1) ** b
     if D.two_exponent == 0:
         return sign
@@ -552,48 +536,41 @@ def tamagawa_symbol_check(row: TwistRow) -> CheckResult:
 class TwoAdicPrediction(NamedTuple):
     case: int  # 1, 2 or 3
     kodaira: str
-    tamagawa: int | None  # None when v2(P) < 4: the case table has no entry
-    pattern: int
-    p_valuation: int | None = None  # v2(P), in case 3 only
+    tamagawa: int
 
 
-def _two_adic_prediction(S: WeierstrassModel, pat: int, D) -> TwoAdicPrediction:
-    """The case table's prediction for the twist by an even fundamental
-    discriminant D, read from the 2-adic normal form S and its pattern."""
-    D = _as_fund(D)
+def _two_adic_prediction(mm: MinimalModelResult, D: FundamentalDiscriminant) -> TwoAdicPrediction:
+    """The case table's prediction for the twist of the minimal model
+    mm.minimal, good at 2, by an even fundamental discriminant D with odd
+    part m, read off the parity of c6 and the minimal discriminant disc.
+
+    c6 even: (II*, 1) when v2(D) = 2 (case 1), (II, 1) when v2(D) = 3
+    (case 2).  c6 odd: I4* when v2(D) = 2 (case 1), with c2 = 2 exactly
+    when disc = 3 mod 4; I8* when v2(D) = 3 (case 3), with c2 = 2 exactly
+    when (disc mod 8, m mod 4) is in the residue scan's
+    EXPECTED_TAMAGAWA2_PROFILE, else 4 (the scan's two profiles hold all
+    eight pairs).  The table is stated on the 2-adic normal form, a
+    [1, r, s, w] change of mm.minimal, which keeps c6 and disc."""
     if not D.is_even:
         raise ValueError("even discriminant required")
-    a1, a2, a3, a4, a6 = S
+    c6_odd = _c6_two_valuation(mm) == 0
+    disc = mm.invariants.disc
     if D.two_exponent == 2:
-        if pat == 2:
-            return TwoAdicPrediction(1, "II*", 1, pat)
-        c = 2 if a6 % 4 in (1, 2) else 4
-        return TwoAdicPrediction(1, "I4*", c, pat)
+        if not c6_odd:
+            return TwoAdicPrediction(1, "II*", 1)
+        return TwoAdicPrediction(1, "I4*", 2 if disc % 4 == 3 else 4)
     # v2(D) = 3
-    if pat == 2:
-        return TwoAdicPrediction(2, "II", 1, pat)
-    m = D.odd_part
-    if a6 % 2 == 1:
-        P = 4 + 16 * a2 + 8 * a4 + 4 * a6 - 2 * m - 2 * m * a6 * a6 - 4 * m * a6
-    else:
-        P = a3 * a3 - 2 * m * a6 * a6 + 4 * a6
-    v = valuation(P, 2) if P else 99
-    c = None if v < 4 else 2 if v == 4 else 4
-    return TwoAdicPrediction(3, "I8*", c, pat, v)
+    if not c6_odd:
+        return TwoAdicPrediction(2, "II", 1)
+    c = 2 if (disc % 8, D.odd_part % 4) in EXPECTED_TAMAGAWA2_PROFILE else 4
+    return TwoAdicPrediction(3, "I8*", c)
 
 
 def check_two_adic_case(row: TwistRow) -> CheckResult:
-    """Compare the prediction against the row's full Tate run at 2 on the
-    twist.  A P-valuation below 4 contradicts the case table and fails
-    the check.  The normal form and its pattern are the curve's facts."""
-    pred = _two_adic_prediction(row.facts.normal_form, row.facts.pattern, row.disc)
+    """Compare the case table's prediction for the row's twist against
+    the row's full Tate run at 2 on the twist."""
+    pred = _two_adic_prediction(row.facts.mm, row.disc)
     loc = row.local[2]
-    if pred.tamagawa is None:
-        return CheckResult(
-            False,
-            "case {}: P-valuation {} below 4 contradicts the case table, tate gives ({}, {})",
-            (pred.case, pred.p_valuation, loc.kodaira, loc.tamagawa),
-        )
     ok = (loc.kodaira, loc.tamagawa) == (pred.kodaira, pred.tamagawa)
     return CheckResult(
         ok,

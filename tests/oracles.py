@@ -10,9 +10,11 @@ beside the library's kernel on plain ints.  The admissibility reference
 takes N and the local data from the library and checks the twist
 hypothesis clause by clause.  The per-instance record reference
 evaluates each sweep instance from its setup alone, reading the twists'
-Tate data afresh.  Two helpers read sweeps the way the CLI writes them:
-sweep_report parses the text write_report writes, and strip_timing drops
-its wall-clock subtrees.
+Tate data afresh, and states the even-D case table on the 2-adic normal
+form (predict_two_adic, on two_strongly_minimal_brute's form), where the
+library states it on c6, the discriminant and D.  Two helpers read
+sweeps the way the CLI writes them: sweep_report parses the text
+write_report writes, and strip_timing drops its wall-clock subtrees.
 """
 
 from __future__ import annotations
@@ -175,7 +177,10 @@ def random_reduced_curves(rng, count):
     return curves
 
 
-def _normal_form_pattern(ai) -> int | None:
+def normal_form_pattern(ai) -> int | None:
+    """The pattern of a model in the 2-adic normal form: 1 when a1 is
+    odd, 4 | a3 and a4 + a6 is odd; 2 when a1, a2 are even and a3 is odd;
+    else None."""
     a1, a2, a3, a4, a6 = ai
     if a1 % 2 == 1 and a3 % 4 == 0 and (a4 + a6) % 2 == 1:
         return 1
@@ -184,20 +189,24 @@ def _normal_form_pattern(ai) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
 def two_strongly_minimal_brute(E):
     """The 2-adic normal form by the full search over r, s, w mod 16: the
     first shift in lexicographic (pattern, r, s, w) order whose model
     matches pattern 1, else pattern 2.  E is a minimal model with odd
-    discriminant.  The shifts use the library's rst_transform, which
-    tests check against apply_iso."""
-    from quadtwist.curves import rst_transform
+    discriminant; an even one raises ValueError.  The shifts use
+    rst_transform below, which tests check against apply_iso.  Pattern 1
+    forces c6 odd and pattern 2 v2(c6) = 3 (tests/test_curves.py)."""
+    from quadtwist.curves import invariants
 
+    if invariants(E).disc % 2 == 0:
+        raise ValueError("requires a model with odd discriminant")
     for want in (1, 2):
         for r in range(16):
             for s in range(16):
                 for w in range(16):
                     cand = rst_transform(E, r, s, w)
-                    if _normal_form_pattern(cand) == want:
+                    if normal_form_pattern(cand) == want:
                         return cand
     raise AssertionError(f"no 2-adic normal form found for {tuple(E)}")
 
@@ -308,8 +317,21 @@ def golden_local_data(label: str, ai, conductor: int):
 # root test are the library's.
 
 from quadtwist.arith import is_prime
-from quadtwist.curves import Invariants, WeierstrassModel, invariants, rst_transform
+from quadtwist.curves import Invariants, WeierstrassModel, invariants
 from quadtwist.localred import LocalReduction, _inv, _quad_has_root, count_cubic_roots
+
+
+def rst_transform(E: WeierstrassModel, r: int, s: int, w: int) -> WeierstrassModel:
+    """The u = 1 change of variables [1, r, s, w] with integers r, s, w;
+    it keeps the model integral and preserves the discriminant exactly."""
+    a1, a2, a3, a4, a6 = E
+    return WeierstrassModel(
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * w,
+        a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w,
+        a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1,
+    )
 
 
 def _vp(n, p: int) -> int:
@@ -498,10 +520,10 @@ def reference_tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
 # character pair, on the reference's own TwistSetup; it reads N and the
 # local data from the library, and decides nothing from the sign table.
 
-from quadtwist.arith import FundamentalDiscriminant, kronecker
+from quadtwist.arith import FundamentalDiscriminant, fundamental_discriminant, kronecker
 from quadtwist.curves import MinimalModelResult, minimal_model
 from quadtwist.localred import reduction_profile
-from quadtwist.twistlaws import SetupError, _as_fund, join_rows
+from quadtwist.twistlaws import SetupError, join_rows
 
 
 # The library keeps no memo of minimal models or Tate results, and the
@@ -631,7 +653,9 @@ def reference_setup(
     discs = []
     for d in (d1, d2) if d2 is not None else (d1,):
         try:
-            discs.append(_as_fund(d))
+            if not isinstance(d, FundamentalDiscriminant):
+                d = fundamental_discriminant(int(d))
+            discs.append(d)
         except ValueError as exc:  # not fundamental, or above DISCRIMINANT_BOUND
             reasons.append(str(exc))
     if reasons:
@@ -743,28 +767,53 @@ def decompose(setup: TwistSetup) -> Decomposition:
 # tate_local(twist_minimal(E, d)[0], l), the quantities and the c~
 # bookkeeping are Fraction products, the bookkeeping's m_i come from
 # decompose, and "equal modulo squares" is decided by sympy square
-# classes.  The closed forms (c~ and the inert base change as read off
-# Tate's algorithm at q, u_D, the odd-prime fast path, the 2-adic
-# prediction, the symbol) are the library's, as they are the independent
-# side of each sweep check.  Each instance reads its curve's
-# minimal_model from its setup.
+# classes.  The 2-adic case table is predict_two_adic below, stated on
+# the 2-adic normal form.  The other closed forms (c~ and the inert base
+# change as read off Tate's algorithm at q, u_D, the odd-prime fast path,
+# the symbol) are the library's, as they are the independent side of
+# each sweep check.  Each instance reads its curve's minimal_model from
+# its setup.
 
 from quadtwist.arith import fundamental_discriminants
-from quadtwist.curves import pattern_of_normal_form, two_strongly_minimal
 from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
 from quadtwist.twistlaws import (
-    _two_adic_prediction,
+    TwoAdicPrediction,
     symbol_closed_form,
     twist_minimal,
     u_of_discriminant,
 )
 
 
-def predict_two_adic(mm: MinimalModelResult, D):
-    """The case table's prediction for the twist of mm.minimal by an
-    even fundamental discriminant, from its 2-adic normal form."""
-    S = two_strongly_minimal(mm)
-    return _two_adic_prediction(S, pattern_of_normal_form(S), D)
+def predict_two_adic(mm: MinimalModelResult, D: FundamentalDiscriminant) -> TwoAdicPrediction:
+    """The case table's prediction for the twist of mm.minimal, good at
+    2, by an even fundamental discriminant D, as stated on the 2-adic
+    normal form S = two_strongly_minimal_brute(mm.minimal) and its
+    pattern: pattern 2 gives (II*, 1) at v2(D) = 2 (case 1) and (II, 1)
+    at v2(D) = 3 (case 2); pattern 1 gives I4* at v2(D) = 2 (case 1),
+    with c2 = 2 when S.a6 = 1 or 2 mod 4, else 4, and I8* at v2(D) = 3
+    (case 3), with c2 = 2 when the case-3 key P (a polynomial in S's
+    coefficients and the odd part m of D) has v2(P) = 4, and 4 when
+    v2(P) >= 5.  The residue scan proves v2(P) >= 4; a smaller one
+    raises.  The library states the same table on c6, the discriminant
+    and D (twistlaws._two_adic_prediction)."""
+    S = two_strongly_minimal_brute(mm.minimal)
+    a1, a2, a3, a4, a6 = S
+    pattern = normal_form_pattern(S)
+    if D.two_exponent == 2:
+        if pattern == 2:
+            return TwoAdicPrediction(1, "II*", 1)
+        return TwoAdicPrediction(1, "I4*", 2 if a6 % 4 in (1, 2) else 4)
+    if pattern == 2:
+        return TwoAdicPrediction(2, "II", 1)
+    m = D.odd_part
+    if a6 % 2 == 1:
+        P = 4 + 16 * a2 + 8 * a4 + 4 * a6 - 2 * m - 2 * m * a6 * a6 - 4 * m * a6
+    else:
+        P = a3 * a3 - 2 * m * a6 * a6 + 4 * a6
+    v = _vp(P, 2)
+    if v < 4:
+        raise AssertionError(f"v2(P) = {v} below 4 for {tuple(S)}, D = {D.value}")
+    return TwoAdicPrediction(3, "I8*", 2 if v == 4 else 4)
 
 
 # The library keeps no memo of Tate results, and the reference asks for
@@ -832,7 +881,6 @@ def reference_single_record(label: str, setup: TwistSetup, mode: str) -> dict:
         if D.is_even:
             pred = predict_two_adic(mm, D)
             loc = _twist_local(mm, D.value, 2)
-            assert pred.tamagawa is not None, "v2(P) below 4"
             checks["two_adic_case_table"] = (loc.kodaira, loc.tamagawa) == (
                 pred.kodaira,
                 pred.tamagawa,

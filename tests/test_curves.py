@@ -1,7 +1,7 @@
-"""Weierstrass model layer: invariants, twists, minimal models and the
-2-adic normal form, with isomorphisms taken from the Fraction oracle."""
+"""Weierstrass model layer: invariants, twists and minimal models, with
+isomorphisms taken from the Fraction oracle, and the oracle's 2-adic
+normal form that the even-D case table is stated on."""
 
-import itertools
 import os
 import random
 import subprocess
@@ -20,16 +20,11 @@ from quadtwist.arith import (
 )
 from quadtwist.curves import (
     SingularModelError,
-    WeierstrassModel,
-    _pattern_of,
     invariants,
     minimal_from_invariants,
     minimal_model,
     model,
-    pattern_of_normal_form,
     quadratic_twist,
-    rst_transform,
-    two_strongly_minimal,
 )
 from quadtwist.harness import default_corpus_path, ingest_corpus
 from quadtwist.twistlaws import twist_minimal
@@ -38,8 +33,10 @@ from oracles import (
     apply_iso,
     fraction_invariants,
     iso_onto,
+    normal_form_pattern,
     quadratic_twist_fraction,
     random_reduced_curves,
+    rst_transform,
     two_strongly_minimal_brute,
 )
 
@@ -419,69 +416,42 @@ def test_minimal_model_rejects_non_integral():
 
 
 def test_two_strongly_minimal_patterns():
-    S = two_strongly_minimal(minimal_model(E11A1))
+    S = two_strongly_minimal_brute(E11A1)
     # a1 = 0 stays even under any [1,r,s,w], so pattern 1 is unreachable
-    assert pattern_of_normal_form(S) == 2
+    assert normal_form_pattern(S) == 2
     assert invariants(S).disc == invariants(E11A1).disc
     assert valuation(invariants(S).c6, 2) == 3
 
     E = model(1, 0, 0, 4, 1)  # disc = -4225, odd
-    assert two_strongly_minimal(minimal_model(E)) == E
-    assert pattern_of_normal_form(E) == 1
+    assert two_strongly_minimal_brute(E) == E
+    assert normal_form_pattern(E) == 1
     assert valuation(invariants(E).c6, 2) == 0
 
 
 def test_two_strongly_minimal_pattern_exclusive():
-    # pattern 1 needs a1 odd, pattern 2 needs a1 even
+    # pattern 1 needs a1 odd, pattern 2 needs a1 even; pattern 1 forces c6
+    # odd and pattern 2 v2(c6) = 3, the parity the even-D case table reads
     rng = random.Random(61)
     seen = set()
     for _ in range(200):
         E = random_model(rng)
         if valuation(invariants(E).disc, 2) != 0:
             continue
-        mm = minimal_model(E)
-        Emin = mm.minimal
-        S = two_strongly_minimal(mm)
-        pat = pattern_of_normal_form(S)
+        Emin = minimal_model(E).minimal
+        S = two_strongly_minimal_brute(Emin)
+        pat = normal_form_pattern(S)
         seen.add(pat)
         assert invariants(S).disc == invariants(Emin).disc
         assert valuation(invariants(S).c6, 2) == (0 if pat == 1 else 3)
-        assert minimal_model(S).minimal == minimal_model(S).minimal  # still integral-minimal
-        assert minimal_model(S).u_value == 1
+        assert minimal_model(S).u_value == 1  # still integral-minimal
     assert seen == {1, 2}
 
 
 def test_two_strongly_minimal_preconditions():
     with pytest.raises(ValueError):
-        two_strongly_minimal(minimal_model(model(0, 0, 0, -1, 0)))  # even discriminant
-    # the input is a MinimalModelResult, so a non-minimal model cannot be
-    # passed: a blow-up's minimal_model gives the minimal model's normal form
+        two_strongly_minimal_brute(model(0, 0, 0, -1, 0))  # even discriminant
+    # a blow-up's minimal model has the minimal model's normal form
     blown = blow_up(E11A1, 3, 0, 0, 0)
-    assert two_strongly_minimal(minimal_model(blown)) == two_strongly_minimal_brute(E11A1)
-
-
-def test_normal_form_box_is_exact(one_second_deadline):
-    # The pattern reads the coefficients mod 4, which depend only on a_i
-    # and r, s, w mod 4.  Over every a_i mod 4, the pattern on the grid
-    # r < 8, s < 4, w < 4 (all residues mod 4, and r shifted by 4)
-    # depends only on (r mod 4, s mod 2, w mod 2), so the 32-candidate
-    # search finds the same first match as any larger box.
-    grid = list(itertools.product(range(8), range(4), range(4)))
-    for ai in itertools.product(range(4), repeat=5):
-        E = WeierstrassModel(*ai)
-        pat = {rsw: _pattern_of(rst_transform(E, *rsw)) for rsw in grid}
-        for (r, s, w), p in pat.items():
-            assert p == pat[r % 4, s % 2, w % 2], (ai, r, s, w)
-
-
-def test_two_strongly_minimal_matches_brute_search():
-    corpus = [minimal_model(E).minimal for E in corpus_curves()]
-    curves = [E for E in corpus if invariants(E).disc % 2]
-    assert len(curves) == 18
-    rng = random.Random(67)
-    while len(curves) < 18 + 120:
-        E = minimal_model(random_reduced_curves(rng, 1)[0]).minimal
-        if invariants(E).disc % 2:
-            curves.append(E)
-    for E in curves:
-        assert two_strongly_minimal(minimal_model(E)) == two_strongly_minimal_brute(E), tuple(E)
+    assert two_strongly_minimal_brute(minimal_model(blown).minimal) == (
+        two_strongly_minimal_brute(E11A1)
+    )

@@ -32,7 +32,6 @@ from oracles import (
     hostile_semiprime,
     strip_timing,
     sweep_report,
-    two_strongly_minimal_brute,
 )
 
 
@@ -90,6 +89,12 @@ def test_ingest_rejects_duplicates_and_bad_fields(tmp_path):
         with pytest.raises(CorpusError) as exc:
             ingest_corpus(write(tmp_path, line))
         assert ":1" in str(exc.value), line
+    # so does a line that is not UTF-8, after a good one
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"11a1,0,-1,1,-10,-20\n\xff\xfe,0,0,1,-1,0\n")
+    with pytest.raises(CorpusError) as exc:
+        ingest_corpus(str(path))
+    assert str(exc.value).startswith(f"{path}:2: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_shipped_corpus_loads():
@@ -244,20 +249,6 @@ def three_curves():
     ]
     assert len(corpus) == 3
     return corpus
-
-
-def test_sweep_report_same_with_brute_normal_form(monkeypatch):
-    # even D up to 60 run check_two_adic_case on the 2-adic normal form of
-    # curves with good reduction at 2 (11a1 and 37a1 take pattern 2, 15a1
-    # pattern 1); the full 16^3 search must give the same report
-    corpus = three_curves()
-    fast = strip_timing(sweep_report(corpus, 60, "all", corpus_name="x"))
-    monkeypatch.setattr("quadtwist.twistlaws.two_strongly_minimal", two_strongly_minimal_brute)
-    brute = strip_timing(sweep_report(corpus, 60, "all", corpus_name="x"))
-    assert fast == brute
-    assert fast["summary"]["failures"] == 0
-    exercised = {i["curve"] for i in fast["instances"] if "two_adic_case_table" in i["checks"]}
-    assert exercised == {"11a1", "15a1", "37a1"}
 
 
 def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
@@ -471,6 +462,15 @@ def test_cli_verify_failed_sweep_keeps_previous_report(tmp_path, monkeypatch, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "report.json"]
 
 
+def test_cli_verify_out_in_missing_directory(tmp_path, capsys):
+    # the error names the path given, not the temporary file beside it,
+    # and no file is left behind
+    out = tmp_path / "nodir" / "x.json"
+    assert main(["verify", "--dmax", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_verify_under_python_optimize(tmp_path):
     # python -O strips asserts, Tate's internal ones included; the
     # acceptance report, a sweep with pairs past the default cap and the
@@ -613,13 +613,19 @@ def test_package_exports_resolve():
     missing = [name for name in names if not hasattr(quadtwist, name)]
     assert missing == []
     # entry points that only wrapped a field, a property or the case table,
-    # the dict-building second report path, its timing filter and the
-    # discriminant predicate are gone from the package and its modules
+    # the dict-building second report path, its timing filter, the
+    # discriminant predicate, the 2-adic normal form (the case table reads
+    # c6, the discriminant and D) and the int-parsing shim are gone from
+    # the package and its modules
     gone = (
         "c_tilde", "inert_base_change_tamagawa", "predict_two_adic", "inert_valuation_sum",
         "run_sweep", "strip_timing", "is_fundamental_discriminant",
+        "rst_transform", "two_strongly_minimal", "pattern_of_normal_form", "_as_fund",
     )
-    modules = (quadtwist.arith, quadtwist.harness, quadtwist.localred, quadtwist.twistlaws)
+    modules = (
+        quadtwist.arith, quadtwist.curves, quadtwist.harness, quadtwist.localred,
+        quadtwist.twistlaws,
+    )
     for name in gone:
         assert name not in names and not hasattr(quadtwist, name)
         assert not any(hasattr(module, name) for module in modules), name

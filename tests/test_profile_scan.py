@@ -1,11 +1,14 @@
-"""Residue scan: its frozen expected output, and a proof that the
-effective-moduli walk has the image of the full mod-32 walk."""
+"""Residue scan: its frozen expected output, a proof that the
+effective-moduli walk has the image of the full mod-32 walk, and that its
+discriminant coordinate is the discriminant mod 8."""
 
 import inspect
 import itertools
 import math
 import time
 
+from quadtwist.arith import fundamental_discriminant
+from quadtwist.curves import MinimalModelResult, WeierstrassModel, invariants
 from quadtwist.profile_scan import (
     EXPECTED_TAMAGAWA2_PROFILE,
     EXPECTED_TAMAGAWA4_PROFILE,
@@ -13,31 +16,35 @@ from quadtwist.profile_scan import (
     FULL_CLASS_COUNT,
     scan_profiles,
 )
+from quadtwist.twistlaws import _two_adic_prediction
 
-# Admissible residues mod 32 of each coefficient variable, per valuation
-# pattern (1: x1, x6, y odd, 4 | x3, 2 | x4; 2: x1, x4, y odd, 4 | x3, 2 | x6).
+from oracles import predict_two_adic
+
+# Admissible residues mod 32 of each coefficient variable, per half of the
+# normal form's pattern 1 (a6 odd: x1, x6, y odd, 4 | x3, 2 | x4; a6 even:
+# x1, x4, y odd, 4 | x3, 2 | x6).
 _ODD, _EVEN, _FOUR, _ALL = range(1, 32, 2), range(0, 32, 2), range(0, 32, 4), range(32)
 ADMISSIBLE = {
-    1: {"x1": _ODD, "x2": _ALL, "x3": _FOUR, "x4": _EVEN, "x6": _ODD, "y": _ODD},
-    2: {"x1": _ODD, "x2": _ALL, "x3": _FOUR, "x4": _ODD, "x6": _EVEN, "y": _ODD},
+    "a6 odd": {"x1": _ODD, "x2": _ALL, "x3": _FOUR, "x4": _EVEN, "x6": _ODD, "y": _ODD},
+    "a6 even": {"x1": _ODD, "x2": _ALL, "x3": _FOUR, "x4": _ODD, "x6": _EVEN, "y": _ODD},
 }
 
 
 # The literal full-walk formulas, (key mod 32, disc mod 8, odd part mod 4).
 # A formula's parameters are exactly the variables that occur in it.
-def _pattern1(x2, x4, x6, y):
+def _a6_odd(x2, x4, x6, y):
     key = (4 + 16 * x2 + 8 * x4 + 4 * x6 - 2 * y - 2 * y * x6 * x6 - 4 * y * x6) % 32
     dres = (x4 * x4 + 4 * x2 - x6) % 8
     return key, dres, y & 3
 
 
-def _pattern2(x3, x6, y):
+def _a6_even(x3, x6, y):
     key = (x3 * x3 - 2 * y * x6 * x6 + 4 * x6) % 32
     dres = (x3 - x6 + 1) % 8
     return key, dres, y & 3
 
 
-FORMULAS = {1: _pattern1, 2: _pattern2}
+FORMULAS = {"a6 odd": _a6_odd, "a6 even": _a6_even}
 
 
 def test_pure_backend_expected_sets():
@@ -59,8 +66,8 @@ def test_full_mod32_image_equals_effective_scan():
     the image of this walk is the image of all FULL_CLASS_COUNT classes."""
     t0 = time.perf_counter()
     image: dict[int, set[tuple[int, int]]] = {}
-    for pattern, formula in FORMULAS.items():
-        ranges = ADMISSIBLE[pattern]
+    for half, formula in FORMULAS.items():
+        ranges = ADMISSIBLE[half]
         walked = list(inspect.signature(formula).parameters)
         omitted = [len(r) for name, r in ranges.items() if name not in walked]
         assert all(omitted)
@@ -84,3 +91,36 @@ def test_profiles_are_disjoint_and_odd():
     assert not res.tamagawa2_profile & res.tamagawa4_profile
     for lam, mu in res.tamagawa2_profile | res.tamagawa4_profile:
         assert lam % 2 == 1 and mu % 2 == 1
+
+
+def test_disc_coordinate_is_the_discriminant_mod_8():
+    """Over every class of (a1, ..., a6) mod 8 in the normal form's
+    pattern 1 (a1 odd, 4 | a3, a4 + a6 odd), the discriminant mod 8 is the
+    scan's disc coordinate of its half.  So the sweep's case-3 table reads
+    the profiles on (disc mod 8, m mod 4), on the minimal model, whose
+    discriminant a [1, r, s, w] change keeps.  And the case-1 rule on the
+    normal form, a6 = 1 or 2 mod 4, holds exactly when disc = 3 mod 4.
+
+    The case-3 key P mod 32 depends on these residues and on m mod 16
+    only, so the library's table equals the normal-form table of the
+    oracle on each class, at a D with v2(D) = 2 and at a D with v2(D) = 3
+    for each odd m mod 16, exactly when the two agree on every curve."""
+    evens = [fundamental_discriminant(d) for d in (12, 8, 24, 40, 56, 328, 88, 104, 120)]
+    assert sorted(D.odd_part % 16 for D in evens[1:]) == list(range(1, 16, 2))
+    classes = 0
+    for a1, a2, a3, a4, a6 in itertools.product(
+        range(1, 8, 2), range(8), range(0, 8, 4), range(8), range(8)
+    ):
+        if (a4 + a6) % 2 == 0:
+            continue
+        E = WeierstrassModel(a1, a2, a3, a4, a6)
+        inv = invariants(E)
+        disc = inv.disc % 8
+        _, dres, _ = _a6_odd(a2, a4, a6, 1) if a6 % 2 else _a6_even(a3, a6, 1)
+        assert disc == dres, E
+        assert (a6 % 4 in (1, 2)) == (disc % 4 == 3), E
+        mm = MinimalModelResult(E, 1, (), inv)  # the table reads only inv
+        for D in evens:
+            assert _two_adic_prediction(mm, D) == predict_two_adic(mm, D), (E, D.value)
+        classes += 1
+    assert classes == 2048

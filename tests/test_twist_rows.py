@@ -22,7 +22,7 @@ import pytest
 import quadtwist
 from quadtwist.arith import fundamental_discriminant
 from quadtwist.cli import main
-from quadtwist.curves import minimal_model, pattern_of_normal_form, two_strongly_minimal
+from quadtwist.curves import minimal_model
 from quadtwist.harness import (
     SweepReport,
     default_corpus_path,
@@ -194,23 +194,3 @@ def test_sweep_computes_each_twist_once(monkeypatch, tmp_path, d_max):
         if l != 2
     }
     assert closed_form == Counter(odd_keys)
-
-
-def test_sweep_finds_each_normal_form_once(monkeypatch):
-    # the 2-adic normal form and its pattern are the curve's facts: from
-    # ingest on, one two_strongly_minimal and one pattern_of_normal_form
-    # call per curve good at 2, however many even D its rows have, and
-    # none for a curve bad at 2 (14a1, 26b1, 34a1, 58a1)
-    calls = count_calls(monkeypatch, two_strongly_minimal, pattern_of_normal_form)
-    corpus = ingest_corpus(default_corpus_path())
-    report = sweep_report(corpus, 200, "all")
-    monkeypatch.undo()
-    good = [minimal_model(rec.curve) for rec in corpus if rec.conductor % 2]
-    assert len(good) == len(corpus) - 4
-    forms = [two_strongly_minimal(mm) for mm in good]
-    assert calls == Counter(
-        [("two_strongly_minimal", (mm,)) for mm in good]
-        + [("pattern_of_normal_form", (S,)) for S in forms]
-    )
-    even = Counter(i["curve"] for i in report["instances"] if i.get("d", 1) % 2 == 0)
-    assert len(even) == len(good) and min(even.values()) > 1

@@ -23,13 +23,7 @@ from quadtwist.arith import (
     kronecker,
     valuation,
 )
-from quadtwist.curves import (
-    invariants,
-    minimal_model,
-    model,
-    pattern_of_normal_form,
-    two_strongly_minimal,
-)
+from quadtwist.curves import invariants, minimal_model, model
 from quadtwist.harness import (
     default_corpus_path,
     ingest_corpus,
@@ -39,6 +33,7 @@ from quadtwist.harness import (
 from quadtwist.localred import reduction_profile, tate_local
 from quadtwist.twistlaws import (
     SetupError,
+    TwoAdicPrediction,
     _exponent,
     _two_adic_prediction,
     _verdict,
@@ -67,6 +62,7 @@ from oracles import (
     implied_setup,
     predict_two_adic,
     random_reduced_curves,
+    two_strongly_minimal_brute,
     reference_setup,
     square_class,
     sweep_report,
@@ -74,6 +70,7 @@ from oracles import (
 
 E11A1 = model(0, -1, 1, -10, -20)
 E14A1 = model(1, 0, 1, 4, -6)
+EIGHT = fundamental_discriminant(8)
 
 
 def corpus():
@@ -394,10 +391,10 @@ def test_decompose_sweep_invariants():
 
 def test_u_of_discriminant_examples():
     mm = minimal_model(E11A1)
-    assert u_of_discriminant(mm, 13) == 1
-    assert u_of_discriminant(mm, 8) == 2  # v2(c6) = v2(20008) = 3
+    assert u_of_discriminant(mm, fundamental_discriminant(13)) == 1
+    assert u_of_discriminant(mm, EIGHT) == 2  # v2(c6) = v2(20008) = 3
     for rec in corpus()[:8]:
-        assert u_of_discriminant(minimal_model(rec.curve), 5) == 1  # odd D
+        assert u_of_discriminant(minimal_model(rec.curve), fundamental_discriminant(5)) == 1
 
 
 def test_minimal_models_good_at_2_have_c6_valuation_0_or_3():
@@ -417,7 +414,7 @@ def test_minimal_models_good_at_2_have_c6_valuation_0_or_3():
             continue
         odd = mm.minimal.a1 % 2
         assert valuation(mm.invariants.c6, 2) == (0 if odd else 3), tuple(E)
-        assert u_of_discriminant(mm, 8) == (1 if odd else 2)
+        assert u_of_discriminant(mm, EIGHT) == (1 if odd else 2)
         seen[odd] += 1
     assert min(seen[0], seen[1]) > 400
 
@@ -444,9 +441,21 @@ def test_u_closed_form_matches_measured():
 
 
 def test_u_of_discriminant_precondition():
-    e14 = E14A1  # bad reduction at 2
-    with pytest.raises(ValueError):
-        u_of_discriminant(minimal_model(e14), 8)
+    # both even-D closed forms read v2(c6) through one helper, which needs
+    # good reduction at 2; the case table also needs an even D
+    mm = minimal_model(E14A1)  # bad reduction at 2
+    with pytest.raises(ValueError, match="requires good reduction at 2"):
+        u_of_discriminant(mm, EIGHT)
+    with pytest.raises(ValueError, match="requires good reduction at 2"):
+        _two_adic_prediction(mm, EIGHT)
+    with pytest.raises(ValueError, match="even discriminant required"):
+        _two_adic_prediction(minimal_model(E11A1), fundamental_discriminant(13))
+    # a v2(c6) outside {0, 3} is a bug, raised explicitly (not an assert)
+    mm = minimal_model(E11A1)
+    bad = mm._replace(invariants=mm.invariants._replace(c6=2))
+    for closed_form in (u_of_discriminant, _two_adic_prediction):
+        with pytest.raises(AssertionError, match=r"v2\(c6\) = 1 not in"):
+            closed_form(bad, EIGHT)
 
 
 def test_u_of_discriminant_reads_minimal_model(monkeypatch):
@@ -460,7 +469,7 @@ def test_u_of_discriminant_reads_minimal_model(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("quadtwist") and hasattr(module, "invariants"):
             monkeypatch.setattr(module, "invariants", no_invariants)
-    assert u_of_discriminant(mm, 8) == 2
+    assert u_of_discriminant(mm, EIGHT) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -737,8 +746,9 @@ def test_transfer_product_split_primes_contribute_squares():
 
 
 def test_symbol_closed_form_examples():
-    assert symbol_closed_form(-161051, 13, b=5) == -1
-    assert symbol_closed_form(7, 12, b=2) == -1  # v2(D) = 2, delta = 3 mod 4, b even
+    assert symbol_closed_form(-161051, fundamental_discriminant(13), b=5) == -1
+    # v2(D) = 2, delta = 3 mod 4, b even
+    assert symbol_closed_form(7, fundamental_discriminant(12), b=2) == -1
     assert symbol_closed_form(15, fundamental_discriminant(8 * 13), b=2) == 1
     # v2(D) = 3, delta = 7 mod 8, m = 13 = 1 mod 4, b even -> +1
 
@@ -836,20 +846,16 @@ def test_two_adic_cases_cover_all_branches():
     assert any(k == "I4*" for _, k, _ in kinds)
 
 
-def test_two_adic_case_p_valuation_below_four_fails_the_check(monkeypatch):
-    # case 3 needs v2(P) >= 4.  A normal form wrongly taken for pattern 1
-    # (11a1's is pattern 2) gives v2(P) = 0 at D = 8: the check fails and
-    # names v, where an assert would raise, or vanish under python -O
-    # (the pattern is read when the curve's facts are built)
-    monkeypatch.setattr("quadtwist.twistlaws.pattern_of_normal_form", lambda S: 1)
+def test_two_adic_case_wrong_prediction_fails_the_check(monkeypatch):
+    # a prediction that disagrees with Tate's algorithm fails the check,
+    # with both sides in its detail, where an assert would raise, or
+    # vanish under python -O; the sweep lists it as a failure witness
+    wrong = TwoAdicPrediction(3, "I8*", 2)  # 11a1 at D = 8 has (II, 1)
+    monkeypatch.setattr("quadtwist.twistlaws._two_adic_prediction", lambda mm, D: wrong)
     row = single_row(E11A1, 8)
-    pred = _two_adic_prediction(row.facts.normal_form, row.facts.pattern, 8)
-    assert (pred.case, pred.kodaira, pred.tamagawa, pred.p_valuation) == (3, "I8*", None, 0)
     res = check_two_adic_case(row)
     assert not res.ok
-    assert res.detail == (
-        "case 3: P-valuation 0 below 4 contradicts the case table, tate gives (II, 1)"
-    )
+    assert res.detail == "case 3: predicted (I8*, 2), tate gives (II, 1)"
     e11 = [rec for rec in corpus() if rec.label == "11a1"]
     report = sweep_report(e11, 8, "lemmas")
     assert report["failures"] == [
@@ -858,17 +864,45 @@ def test_two_adic_case_p_valuation_below_four_fails_the_check(monkeypatch):
     assert report["instances"][-1]["two_adic_case"] == res.detail
 
 
+def test_two_adic_prediction_matches_normal_form_table():
+    # the library reads the case table off the parity of c6, disc mod 8
+    # and D; the oracle states it on the 2-adic normal form (a6 mod 4 and
+    # the case-3 key P).  They agree at every even D <= 500 on every curve
+    # good at 2 in the shipped and coverage corpora and on seeded random
+    # curves, and every row of the table is reached.
+    coverage = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
+    curves = [
+        rec.curve for path in (default_corpus_path(), coverage) for rec in ingest_corpus(path)
+    ]
+    curves += random_reduced_curves(random.Random(24), 300)
+    evens = [f for f in fundamental_discriminants(500) if f.is_even]
+    seen = Counter()
+    for E in curves:
+        mm = minimal_model(E)
+        if mm.invariants.disc % 2 == 0:
+            continue
+        for f in evens:
+            pred = _two_adic_prediction(mm, f)
+            assert pred == predict_two_adic(mm, f), (tuple(E), f.value)
+            seen[pred] += 1
+    assert set(seen) == {
+        (1, "II*", 1), (2, "II", 1), (1, "I4*", 2), (1, "I4*", 4), (3, "I8*", 2), (3, "I8*", 4)
+    }
+
+
 def test_i4_star_tamagawa_dichotomy():
-    """v2(D) = 2, pattern-1 curves: c2 = 2 or 4 by a6 mod 4."""
+    """v2(D) = 2, c6 odd (normal-form pattern 1): the twist has I4*, with
+    c2 = 2 exactly when disc = 3 mod 4, which is exactly when the normal
+    form's a6 is 1 or 2 mod 4."""
     seen = set()
     for rec in corpus():
         E = rec.curve
         if rec.conductor % 2 == 0:
             continue
         mm = minimal_model(E)
-        S = two_strongly_minimal(mm)
-        if pattern_of_normal_form(S) != 1:
+        if mm.invariants.c6 % 2 == 0:
             continue
+        S = two_strongly_minimal_brute(mm.minimal)
         for f in fundamental_discriminants(200):
             if f.two_exponent != 2:
                 continue
@@ -878,8 +912,9 @@ def test_i4_star_tamagawa_dichotomy():
                 continue
             loc = tate_local(twist_minimal(mm, f.value)[0], 2)
             assert loc.kodaira == "I4*"
-            want = 2 if S.a6 % 4 in (1, 2) else 4
+            want = 2 if mm.invariants.disc % 4 == 3 else 4
             assert loc.tamagawa == want
+            assert want == (2 if S.a6 % 4 in (1, 2) else 4)
             seen.add(want)
     assert seen == {2, 4}
 
