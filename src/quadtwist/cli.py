@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure(s), 2 usage or input error
-(arguments, corpus, --out path, a curve whose discriminant factorize
-gives up on), 3 internal error (an unexpected exception, reported on
-stderr). An exception inside the sweep reaches main as a
-harness.SweepError, so even a ValueError there exits 3. `find-aux` takes
+(arguments, a bad corpus or one with no curve, --out path, a curve whose
+discriminant factorize gives up on), 3 internal error (an unexpected
+exception, reported on stderr). An exception inside the sweep reaches
+main as a harness.SweepError, so even a ValueError there exits 3. `find-aux` takes
 D alone (d1, or a pair d1, d2): D fixes the split (n_plus, n_minus).
 Its --prime must be a multiplicative prime of N; any other value exits 2.
 `u-of-d` takes a D coprime to the conductor N, which its closed form
@@ -149,6 +149,8 @@ def _cmd_u_of_d(args) -> int:
 def _cmd_verify(args) -> int:
     path = args.corpus or default_corpus_path()
     corpus = ingest_corpus(path)
+    if not corpus:  # no sweep passes on zero instances
+        raise ValueError(f"{path}: no curves")
     sweep = SweepReport(
         corpus,
         args.dmax,

@@ -22,23 +22,26 @@ curve comes from a user, computes a minimal model; any other caller
 holding only a model calls minimal_model once and passes the result on.
 A TwistRow holds one admissible discriminant D's facts: its signs at the
 primes of N and its n_minus side, u_D by the closed form and as
-twist_minimal measures it, full Tate on the minimal twist at the primes
-of D (and of N, when the row joins pairs), and its fragment of every
-quantity it enters: the Tamagawa numbers at the primes of D as the
-report prints them (a dict and its JSON text), and u_D times their
-product.  A single reads its own row.  A pair is a join of two rows:
-its n_minus is m_1 symmetric-difference m_2, the primes where the rows'
-signs differ, read from the curve's table, and both sides of each
-transfer identity are products of the D_1 and D_2 factors.  The closed
+twist_minimal measures it (an int: the scale from the twist's own
+invariants (D^2 c4, D^3 c6) onto its minimal model), full Tate on the
+minimal twist at the primes of D (and of N, when the row joins pairs),
+and its fragment of every quantity it enters: the Tamagawa numbers at
+the primes of D as the report prints them (a dict and its JSON text),
+and u_D times their product.  A single reads its own row.  A pair is a
+join of two rows: its n_minus is m_1 symmetric-difference m_2, the
+primes where the rows' signs differ, read from the curve's table, and
+both sides of each transfer identity are products of the D_1 and D_2
+factors.  The closed
 forms (c~, the inert base change, u_D, the odd-prime fast path, the
 2-adic case table, the symbol) stay the independent side of each
-comparison against the rows' Tate data.  A check's CheckResult formats
-its detail text only when it is read.
+comparison against the rows' Tate data.  A check returns its verdict as
+a bool; the 2-adic case check also returns the comparison the report
+prints.
 
 Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
 is accumulated from the row and side fragments and judged on ints (its
 2-adic exponent by a bit test), and its string is formatted from the
-ints (format_quantity); no Fraction is built per quantity.  A verdict
+ints (format_quantity); no Fraction is built.  A verdict
 carries only what the report reads: the numerator, w, the exponent and
 the two evenness bits, and for a pair the two bookkeeping bits.  The
 quantity's factors are the row and side fields themselves.  "Equal
@@ -49,12 +52,11 @@ factoring.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from numbers import Rational
 from typing import NamedTuple
 
 from .arith import (
     FundamentalDiscriminant,
-    factorize,
     fundamental_discriminant,
     fundamental_discriminants,
     kronecker,
@@ -84,21 +86,7 @@ class ExponentVerdict(NamedTuple):
     c_tilde_product: bool | None = None
 
 
-class CheckResult(NamedTuple):
-    """A check's verdict and what it compared.  The detail text is
-    formatted from fmt and args when it is read, so a sweep that reads
-    only the verdict builds no string."""
-
-    ok: bool
-    fmt: str
-    args: tuple
-
-    @property
-    def detail(self) -> str:
-        return self.fmt.format(*self.args)
-
-
-def equal_mod_squares(a: Fraction | int, b: Fraction | int) -> bool:
+def equal_mod_squares(a: Rational, b: Rational) -> bool:
     """Equality in Q*/(Q*)^2 of a = p/q and b = r/s (ints or Fractions):
     a/b = ps/(qr) differs from pqrs by the square (qr)^2, so a and b share
     a class iff pqrs is a positive square."""
@@ -224,39 +212,28 @@ def admissible_signs(
 # twist local data and u_D
 
 
-def twist_minimal(mm: MinimalModelResult, d):
-    """(minimal model of the twist of E by d, measured scale u_d), for the
-    model E whose minimal_model is mm; d is an int or a parsed
-    FundamentalDiscriminant.
+def twist_minimal(
+    mm: MinimalModelResult, D: FundamentalDiscriminant
+) -> tuple[WeierstrassModel, int]:
+    """(minimal model of the twist of E = mm.minimal by D, the scale u_D
+    from the twist's invariants (D^2 c4, D^3 c6) onto it), for (c4, c6)
+    the invariants of E; D = 1 gives (E, 1).
 
-    The raw twist has invariants (d^2 c4, d^3 c6) and need not be
-    integral at 2; its rescaling by [1/2, 0, 0, 0], with invariants
-    (2^4 d^2 c4, 2^6 d^3 c6), always is.  u_d is the scale from the raw
-    twist onto the global minimal model: the reduction's scale from the
-    rescaled invariants, halved.  For d = 1 the twist is E itself, whose
-    minimal model mm is.
-
-    E's invariants are (u^4 C4, u^6 C6), for the invariants (C4, C6) of
-    its minimal model and the scale u onto it, so the rescaled twist's
-    discriminant 2^12 d^6 u^12 disc(E_min) has no primes but 2, those of
-    d u and E's bad primes: only d u is factored, and only u when d is
-    parsed, whose primes it carries.
+    The pair is always the invariants of an integral model.  For
+    D = 1 mod 4 the raw twist is integral (quadratic_twist's first
+    branch: D - 1, D^2 - 1 and D^3 - 1 are 0 mod 4, 8 and 4).  For 4 | D,
+    (D^2 c4, D^3 c6) = (2^4 (D/4)^2 c4, 2^6 (D/4)^3 c6), the invariants of
+    the twist by D/4 rescaled by [1/2, 0, 0, 0].  Its discriminant
+    D^6 disc(E) has no primes but D's and E's bad primes, which the
+    parsed D and mm carry, so nothing is factored.
     """
-    fund = isinstance(d, FundamentalDiscriminant)
-    if fund:
-        d, d_primes = d.value, d.primes
-    if d == 1:
-        return mm.minimal, Fraction(mm.u_value)
-    u, inv = mm.u_value, mm.invariants
-    if not fund:
-        d_primes = factorize(abs(d) * u).primes()
-    elif u > 1:
-        d_primes += factorize(u).primes()
-    primes = sorted({2, *mm.bad_primes, *d_primes})
+    if D.value == 1:
+        return mm.minimal, 1
+    d, inv = D.value, mm.invariants
     tw = minimal_from_invariants(
-        2**4 * d * d * u**4 * inv.c4, 2**6 * d**3 * u**6 * inv.c6, primes
+        d * d * inv.c4, d**3 * inv.c6, sorted({*mm.bad_primes, *D.primes})
     )
-    return tw.minimal, Fraction(tw.u_value, 2)
+    return tw.minimal, tw.u_value
 
 
 def _c6_two_valuation(mm: MinimalModelResult) -> int:
@@ -327,11 +304,9 @@ class MinusSide(NamedTuple):
 
 def curve_facts(mm: MinimalModelResult) -> CurveFacts:
     """The facts of the globally minimal model E = mm.minimal: its
-    conductor and local data, with an empty n_minus table.
-
-    The twists are E's, so the facts keep mm with u_value 1, which is
-    minimal_model(E): twist_minimal then measures each scale from E,
-    whatever model mm was computed from."""
+    conductor and local data, with an empty n_minus table.  They keep mm
+    with u_value 1, which is minimal_model(E), whatever model mm was
+    computed from, so the facts of one curve compare equal."""
     mm = mm._replace(u_value=1)
     N, local_data = reduction_profile(mm)
     return CurveFacts(mm, N, local_data, {})
@@ -377,7 +352,7 @@ class TwistRow(NamedTuple):
     signs: tuple[int, ...]  # kronecker(D, p) at the primes of N, in local_data order
     minus: MinusSide  # the primes of N where the sign is -1
     u: int  # u_of_discriminant, the closed form
-    measured_u: Fraction  # the scale twist_minimal measures
+    measured_u: int  # the scale twist_minimal measures
     local: dict[int, LocalReduction]  # the minimal twist's local data
     twist_tamagawa: dict[str, int]  # str(l) -> c_l(twist) at the primes of D, as reported
     twist_tamagawa_json: str  # twist_tamagawa's JSON text (_int_dict_json)
@@ -472,25 +447,21 @@ def pair_twist_quantity(pair: TwistPair) -> ExponentVerdict:
 # the local identities
 
 
-def tamagawa_transfer_check(pair: TwistPair, q: int) -> CheckResult:
+def tamagawa_transfer_check(pair: TwistPair, q: int) -> bool:
     """c~_{q}(E) * c_{q}(E over the inert quadratic field) against
     c_{q}(twist by D1) * c_{q}(twist by D2), at a prime q of n_minus."""
     row1, row2, side = pair
     if q not in side.transfer:
         raise ValueError(f"{q} does not divide n_minus")
-    lhs = side.transfer[q]
-    rhs = row1.local[q].tamagawa * row2.local[q].tamagawa
-    return CheckResult(lhs == rhs, "q={}: {} vs {}", (q, lhs, rhs))
+    return side.transfer[q] == row1.local[q].tamagawa * row2.local[q].tamagawa
 
 
-def tamagawa_transfer_product_check(pair: TwistPair) -> CheckResult:
+def tamagawa_transfer_product_check(pair: TwistPair) -> bool:
     """Product over all primes of N of both twists' Tamagawa numbers,
     compared modulo squares with prod c~_{q} * c_{q}(inert base change)."""
     row1, row2, side = pair
     lhs = row1.conductor_tamagawa * row2.conductor_tamagawa
-    rhs = side.transfer_product
-    ok = equal_mod_squares(lhs, rhs)
-    return CheckResult(ok, "{} vs {} (mod squares)", (lhs, rhs))
+    return equal_mod_squares(lhs, side.transfer_product)
 
 
 def symbol_closed_form(delta: int, D: FundamentalDiscriminant, b: int) -> int:
@@ -511,7 +482,7 @@ def symbol_closed_form(delta: int, D: FundamentalDiscriminant, b: int) -> int:
     raise ValueError("invalid discriminant shape")
 
 
-def tamagawa_symbol_check(row: TwistRow) -> CheckResult:
+def tamagawa_symbol_check(row: TwistRow) -> bool:
     """With m the odd part of D: prod_{l | m} c_l(twist by D) is a power of
     two, square exactly when kronecker(min disc, m) = 1."""
     D = row.disc
@@ -524,9 +495,7 @@ def tamagawa_symbol_check(row: TwistRow) -> CheckResult:
             raise ValueError(f"E must have good reduction at {l}")
         prod *= row.local[l].tamagawa
     k = _exponent(prod, 1)
-    symbol = kronecker(disc, D.odd_part)
-    ok = k is not None and ((k % 2 == 0) == (symbol == 1))
-    return CheckResult(ok, "prod={}, symbol={}", (prod, symbol))
+    return k is not None and (k % 2 == 0) == (kronecker(disc, D.odd_part) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -566,17 +535,18 @@ def _two_adic_prediction(mm: MinimalModelResult, D: FundamentalDiscriminant) -> 
     return TwoAdicPrediction(3, "I8*", c)
 
 
-def check_two_adic_case(row: TwistRow) -> CheckResult:
+def check_two_adic_case(row: TwistRow) -> tuple[bool, str]:
     """Compare the case table's prediction for the row's twist against
-    the row's full Tate run at 2 on the twist."""
+    the row's full Tate run at 2 on the twist: the verdict, and the
+    comparison as the report prints it."""
     pred = _two_adic_prediction(row.facts.mm, row.disc)
     loc = row.local[2]
     ok = (loc.kodaira, loc.tamagawa) == (pred.kodaira, pred.tamagawa)
-    return CheckResult(
-        ok,
-        "case {}: predicted ({}, {}), tate gives ({}, {})",
-        (pred.case, pred.kodaira, pred.tamagawa, loc.kodaira, loc.tamagawa),
+    detail = (
+        f"case {pred.case}: predicted ({pred.kodaira}, {pred.tamagawa}), "
+        f"tate gives ({loc.kodaira}, {loc.tamagawa})"
     )
+    return ok, detail
 
 
 # ---------------------------------------------------------------------------

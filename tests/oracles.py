@@ -10,8 +10,10 @@ beside the library's kernel on plain ints.  The admissibility reference
 takes N and the local data from the library and checks the twist
 hypothesis clause by clause.  The per-instance record reference
 evaluates each sweep instance from its setup alone, reading the twists'
-Tate data afresh, and states the even-D case table on the 2-adic normal
-form (predict_two_adic, on two_strongly_minimal_brute's form), where the
+Tate data afresh, on the general twist by any nonzero d
+(general_twist_minimal, where the library's twist_minimal takes a parsed
+D), and states the even-D case table on the 2-adic normal form
+(predict_two_adic, on two_strongly_minimal_brute's form), where the
 library states it on c6, the discriminant and D.  Two helpers read
 sweeps the way the CLI writes them: sweep_report parses the text
 write_report writes, and strip_timing drops its wall-clock subtrees.
@@ -764,7 +766,8 @@ def decompose(setup: TwistSetup) -> Decomposition:
 # The sweep builds one row per (curve, D) and joins rows into pairs.  This
 # is the evaluation the sweep made before rows, one instance at a time
 # from its setup: each twist's Tate data is read per instance as
-# tate_local(twist_minimal(E, d)[0], l), the quantities and the c~
+# tate_local(general_twist_minimal(mm, d)[0], l), on the general twist
+# below rather than the sweep's twist_minimal, the quantities and the c~
 # bookkeeping are Fraction products, the bookkeeping's m_i come from
 # decompose, and "equal modulo squares" is decided by sympy square
 # classes.  The 2-adic case table is predict_two_adic below, stated on
@@ -774,14 +777,46 @@ def decompose(setup: TwistSetup) -> Decomposition:
 # each sweep check.  Each instance reads its curve's minimal_model from
 # its setup.
 
-from quadtwist.arith import fundamental_discriminants
+from quadtwist.arith import factorize, fundamental_discriminants
+from quadtwist.curves import minimal_from_invariants
 from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
-from quadtwist.twistlaws import (
-    TwoAdicPrediction,
-    symbol_closed_form,
-    twist_minimal,
-    u_of_discriminant,
-)
+from quadtwist.twistlaws import TwoAdicPrediction, symbol_closed_form, u_of_discriminant
+
+
+def general_twist_minimal(mm: MinimalModelResult, d):
+    """(minimal model of the twist of E by d, measured scale u_d), for the
+    model E whose minimal_model is mm; d is any nonzero int or a parsed
+    FundamentalDiscriminant, and u_d is a Fraction.  The library's
+    twist_minimal is this form for a parsed D and mm.u_value = 1.
+
+    The raw twist has invariants (d^2 c4, d^3 c6) and need not be
+    integral at 2; its rescaling by [1/2, 0, 0, 0], with invariants
+    (2^4 d^2 c4, 2^6 d^3 c6), always is.  u_d is the scale from the raw
+    twist onto the global minimal model: the reduction's scale from the
+    rescaled invariants, halved.  For d = 1 the twist is E itself, whose
+    minimal model mm is.
+
+    E's invariants are (u^4 C4, u^6 C6), for the invariants (C4, C6) of
+    its minimal model and the scale u onto it, so the rescaled twist's
+    discriminant 2^12 d^6 u^12 disc(E_min) has no primes but 2, those of
+    d u and E's bad primes: only d u is factored, and only u when d is
+    parsed, whose primes it carries.
+    """
+    fund = isinstance(d, FundamentalDiscriminant)
+    if fund:
+        d, d_primes = d.value, d.primes
+    if d == 1:
+        return mm.minimal, Fraction(mm.u_value)
+    u, inv = mm.u_value, mm.invariants
+    if not fund:
+        d_primes = factorize(abs(d) * u).primes()
+    elif u > 1:
+        d_primes += factorize(u).primes()
+    primes = sorted({2, *mm.bad_primes, *d_primes})
+    tw = minimal_from_invariants(
+        2**4 * d * d * u**4 * inv.c4, 2**6 * d**3 * u**6 * inv.c6, primes
+    )
+    return tw.minimal, Fraction(tw.u_value, 2)
 
 
 def predict_two_adic(mm: MinimalModelResult, D: FundamentalDiscriminant) -> TwoAdicPrediction:
@@ -820,7 +855,7 @@ def predict_two_adic(mm: MinimalModelResult, D: FundamentalDiscriminant) -> TwoA
 # the same twist's local data once per instance: it keeps its own memo.
 @lru_cache(maxsize=None)
 def _twist_local(mm: MinimalModelResult, d: int, l: int):
-    return tate_local(twist_minimal(mm, d)[0], l)
+    return tate_local(general_twist_minimal(mm, d)[0], l)
 
 
 def _quantity_record(u: int, w: int, factors, components: dict) -> dict:
@@ -869,7 +904,7 @@ def reference_single_record(label: str, setup: TwistSetup, mode: str) -> dict:
         k = fraction_two_power(Fraction(prod))
         checks["tamagawa_product_symbol"] = k is not None and (k % 2 == 0) == (symbol == 1)
         u_closed = u_of_discriminant(mm, D)
-        u_measured = twist_minimal(mm, D.value)[1]
+        u_measured = general_twist_minimal(mm, D.value)[1]
         checks["u_closed_form"] = u_measured == u_closed
         if u_measured not in (1, 2):
             flags.append(f"measured u = {u_measured} outside {{1,2}}")

@@ -32,6 +32,7 @@ from quadtwist.twistlaws import twist_minimal
 from oracles import (
     apply_iso,
     fraction_invariants,
+    general_twist_minimal,
     iso_onto,
     normal_form_pattern,
     quadratic_twist_fraction,
@@ -41,6 +42,7 @@ from oracles import (
 )
 
 E11A1 = model(0, -1, 1, -10, -20)
+COVERAGE = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
 
 
 def random_model(rng, bound=8):
@@ -261,10 +263,22 @@ def test_minimal_model_round_trips():
 EXTRA_D = (-3, -4, -7, -8, 9, 12, 25, 72)
 
 
+def twist_reference(E, d):
+    """The minimal model of the integral twist of E by d, and the scale
+    from the raw twist onto it: minimal_model's u times the oracle's
+    clearing factor of the raw twist."""
+    T, scale = quadratic_twist_fraction(E, d)
+    assert quadratic_twist(E, d) == T
+    mm = minimal_model(model(*T))
+    return mm.minimal, mm.u_value * scale
+
+
 def test_twist_minimal_matches_minimal_model_of_twist():
-    # twist_minimal reduces the twist's invariants (2^4 d^2 c4, 2^6 d^3 c6)
-    # and builds no twist model; the reference minimizes the integral twist
-    # model and scales u by the oracle's clearing factor of the raw twist
+    # twist_minimal reduces the invariants of the twist of E's minimal
+    # model by a parsed D, and the oracle's general form those of the
+    # twist of E by any d, and neither builds a twist model; the reference
+    # minimizes the integral twist model and scales u by the oracle's
+    # clearing factor of the raw twist
     rng = random.Random(73)
     ds = [f.value for f in fundamental_discriminants(500)]
     cases = [(E, d) for E in corpus_curves() for d in (*ds, *EXTRA_D)]
@@ -272,58 +286,54 @@ def test_twist_minimal_matches_minimal_model_of_twist():
     held = {E: minimal_model(E) for E in {E for E, _ in cases}}
     scales = Counter()
     for E, d in cases:
-        T, scale = quadratic_twist_fraction(E, d)
-        assert quadratic_twist(E, d) == T
-        mm = minimal_model(model(*T))
-        assert twist_minimal(held[E], d) == (mm.minimal, mm.u_value * scale), (tuple(E), d)
-        scales[scale] += 1
+        if d in ds:
+            want = twist_reference(held[E].minimal, d)
+            assert twist_minimal(held[E], fundamental_discriminant(d)) == want, (tuple(E), d)
+        else:
+            want = twist_reference(E, d)
+            assert general_twist_minimal(held[E], d) == want, (tuple(E), d)
+        scales[quadratic_twist_fraction(E, d)[1]] += 1
     assert scales[1] > 1000 and scales[Fraction(1, 2)] > 1000  # both raw twist shapes
 
 
 def test_twist_minimal_by_one_reads_minimal_model(monkeypatch):
-    # the twist by 1 is E itself: twist_minimal reads it off the held
-    # minimal_model(E) and factors nothing, d given as an int or parsed
-    # (corpus curves, random reduced curves, and blow-ups whose scale u is
-    # not 1)
+    # the twist by 1 is E itself: both forms read it off the held
+    # minimal_model(E) and factor nothing, the library's with scale 1 from
+    # the minimal model, the oracle's with E's scale u onto it (corpus
+    # curves, random reduced curves, and blow-ups whose u is not 1)
     rng = random.Random(83)
     curves = corpus_curves() + random_reduced_curves(rng, 10)
     curves += [blow_up(E, u, 1, 0, -1) for E, u in zip(curves[:6], (2, 3, 6, 2, 3, 6))]
-    expected = {}
-    held = {}
-    for E in curves:
-        T, scale = quadratic_twist_fraction(E, 1)
-        mm = minimal_model(model(*T))
-        expected[E] = (mm.minimal, mm.u_value * scale)
-        held[E] = minimal_model(E)
+    expected = {E: twist_reference(E, 1) for E in curves}
+    held = {E: minimal_model(E) for E in curves}
 
     def no_factoring(n):
         raise AssertionError(f"factorize({n}) called")
 
     monkeypatch.setattr("quadtwist.curves.factorize", no_factoring)
-    monkeypatch.setattr("quadtwist.twistlaws.factorize", no_factoring)
+    monkeypatch.setattr("oracles.factorize", no_factoring)
     assert {mm[1] for mm in expected.values()} >= {1, 2, 3, 6}
     one = fundamental_discriminant(1)
     for E in curves:
-        assert twist_minimal(held[E], 1) == expected[E], tuple(E)
-        assert twist_minimal(held[E], one) == expected[E], tuple(E)
+        assert general_twist_minimal(held[E], 1) == expected[E], tuple(E)
+        assert general_twist_minimal(held[E], one) == expected[E], tuple(E)
+        assert twist_minimal(held[E], one) == (held[E].minimal, 1), tuple(E)
 
 
 def test_twist_minimal_factors_only_small_numbers(monkeypatch):
     # the twist's discriminant 2^12 d^6 disc(E) has no primes but 2, those
-    # of d u and E's bad primes: given the held minimal_model(E), nothing
-    # above 10^6 is factored (corpus curves and blow-ups with u > 1), and
-    # a parsed d, whose primes it carries, factors only u > 1
+    # of d u and E's bad primes: given the held minimal_model(E), the
+    # general form factors nothing above 10^6 (corpus curves and blow-ups
+    # with u > 1), and only u > 1 for a parsed d, whose primes it carries;
+    # the library's form factors nothing, and its scale is measured from
+    # E's minimal model, so it is the general one over u
     rng = random.Random(89)
     ds = [f.value for f in fundamental_discriminants(500)]
     corpus = corpus_curves()
     blown = [blow_up(E, u, 1, 0, -1) for E, u in zip(corpus[:6], (2, 3, 6, 2, 3, 6))]
     cases = [(E, d) for E in corpus for d in (*ds, *EXTRA_D)]
     cases += [(E, d) for E in blown for d in (*EXTRA_D, *rng.sample(ds, 10))]
-    expected = {}
-    for E, d in cases:
-        T, scale = quadratic_twist_fraction(E, d)
-        mm = minimal_model(model(*T))
-        expected[E, d] = (mm.minimal, mm.u_value * scale)
+    expected = {(E, d): twist_reference(E, d) for E, d in cases}
     curves = corpus + blown
     held = {E: minimal_model(E) for E in curves}
 
@@ -336,15 +346,46 @@ def test_twist_minimal_factors_only_small_numbers(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr("quadtwist.curves.factorize", small_only)
-    monkeypatch.setattr("quadtwist.twistlaws.factorize", small_only)
+    monkeypatch.setattr("oracles.factorize", small_only)
     assert {mm.u_value for mm in held.values()} >= {1, 2, 3, 6}
     for (E, d), want in expected.items():
-        assert twist_minimal(held[E], d) == want, (tuple(E), d)
+        assert general_twist_minimal(held[E], d) == want, (tuple(E), d)
         if d in ds:
+            D, u = fundamental_discriminant(d), held[E].u_value
             factored.clear()
-            assert twist_minimal(held[E], fundamental_discriminant(d)) == want, (tuple(E), d)
-            u = held[E].u_value
+            assert general_twist_minimal(held[E], D) == want, (tuple(E), d)
             assert factored == ([u] if u > 1 and d > 1 else []), (tuple(E), d)
+            factored.clear()
+            assert twist_minimal(held[E], D) == (want[0], want[1] / u), (tuple(E), d)
+            assert factored == [], (tuple(E), d)
+
+
+def test_twist_minimal_is_the_general_form_at_scale_one(monkeypatch):
+    # for a parsed D the library's twist_minimal is the oracle's general
+    # form on E's minimal model (u_value 1), and it measures u as an int,
+    # factoring nothing: every fundamental D <= 500 on the shipped and the
+    # coverage corpus and on seeded random curves, blow-ups of some of them
+    # among them, whose held minimal_model has u_value > 1
+    rng = random.Random(101)
+    curves = corpus_curves() + [rec.curve for rec in ingest_corpus(COVERAGE)]
+    randoms = random_reduced_curves(rng, 200)
+    curves += randoms + [blow_up(E, u, 1, 1, 0) for E, u in zip(randoms, (2, 3, 6) * 10)]
+    held = [minimal_model(E) for E in curves]
+    ds = list(fundamental_discriminants(500))
+
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr("quadtwist.arith.factorize", no_factoring)
+    monkeypatch.setattr("quadtwist.curves.factorize", no_factoring)
+    monkeypatch.setattr("oracles.factorize", no_factoring)
+    assert sum(mm.u_value > 1 for mm in held) >= 30
+    for mm in held:
+        at_one = mm._replace(u_value=1)
+        for D in ds:
+            T, u = twist_minimal(mm, D)
+            assert type(u) is int, (tuple(mm.minimal), D.value)
+            assert (T, u) == general_twist_minimal(at_one, D), (tuple(mm.minimal), D.value)
 
 
 def test_minimal_from_invariants_needs_every_prime():

@@ -95,6 +95,14 @@ def test_ingest_rejects_duplicates_and_bad_fields(tmp_path):
     with pytest.raises(CorpusError) as exc:
         ingest_corpus(str(path))
     assert str(exc.value).startswith(f"{path}:2: 'utf-8' codec can't decode byte 0xff")
+    # a UTF-8 byte-order mark is not part of the first label, so a second
+    # line with that label is a duplicate
+    path.write_bytes(b"\xef\xbb\xbf11a1,0,-1,1,-10,-20\n")
+    assert [rec.label for rec in ingest_corpus(str(path))] == ["11a1"]
+    path.write_bytes(b"\xef\xbb\xbf11a1,0,-1,1,-10,-20\n11a1,0,-1,1,-10,-20\n")
+    with pytest.raises(CorpusError) as exc:
+        ingest_corpus(str(path))
+    assert str(exc.value) == f"{path}:2: duplicate label '11a1'"
 
 
 def test_shipped_corpus_loads():
@@ -272,10 +280,10 @@ def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
 
 
 def test_sweep_does_no_fraction_arithmetic(monkeypatch):
-    # twist quantities and product checks are decided on ints, and each
-    # quantity's string is formatted from ints; ingest and a sweep must not
-    # multiply or divide a Fraction, and build one Fraction per row: the
-    # scale u that twist_minimal measures
+    # twist quantities and product checks are decided on ints, each
+    # quantity's string is formatted from ints, and twist_minimal measures
+    # u as an int; ingest and a sweep must not multiply or divide a
+    # Fraction, nor build one
     expected = strip_timing(sweep_report(three_curves(), 60, "all", corpus_name="x"))
 
     def refuse(*args):
@@ -296,8 +304,7 @@ def test_sweep_does_no_fraction_arithmetic(monkeypatch):
     finally:
         monkeypatch.undo()
     assert got == expected
-    rows = sum(1 for i in got["instances"] if "d" in i)  # in mode all, one single per row
-    assert rows == 46 and len(built) == rows
+    assert built == []
 
 
 def test_encoder_writes_coverage_records_byte_for_byte(tmp_path, monkeypatch):
@@ -532,6 +539,17 @@ def test_cli_verify_without_out_encodes_nothing(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "46 instances, 280 checks, 0 failures\n"
 
 
+def test_cli_verify_rejects_a_corpus_with_no_curves(tmp_path, capsys):
+    # a sweep over no curve would pass on zero instances: the corpus is
+    # refused as input, whatever --jobs is, before --out is opened
+    corpus = write(tmp_path, "# nothing here\n\n")
+    out = tmp_path / "report.json"
+    for jobs in ("1", "2"):
+        assert main(["verify", "--corpus", corpus, "--jobs", jobs, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {corpus}: no curves\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
+
+
 def test_cli_verify_flags_a_measured_u_outside_one_two(tmp_path, monkeypatch, capsys):
     # a twist_minimal that measures u = 4 at D = 5 fails u_closed_form and
     # flags the record: the record's line, its failure witness and the
@@ -540,7 +558,7 @@ def test_cli_verify_flags_a_measured_u_outside_one_two(tmp_path, monkeypatch, ca
 
     def four_at_five(mm, d):
         T, u = real(mm, d)
-        return (T, Fraction(4)) if d.value == 5 else (T, u)
+        return (T, 4) if d.value == 5 else (T, u)
 
     monkeypatch.setattr("quadtwist.twistlaws.twist_minimal", four_at_five)
     corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
@@ -621,6 +639,7 @@ def test_package_exports_resolve():
         "c_tilde", "inert_base_change_tamagawa", "predict_two_adic", "inert_valuation_sum",
         "run_sweep", "strip_timing", "is_fundamental_discriminant",
         "rst_transform", "two_strongly_minimal", "pattern_of_normal_form", "_as_fund",
+        "CheckResult",
     )
     modules = (
         quadtwist.arith, quadtwist.curves, quadtwist.harness, quadtwist.localred,

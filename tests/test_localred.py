@@ -9,7 +9,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from quadtwist.arith import fundamental_discriminants, kronecker, valuation
+from quadtwist.arith import (
+    fundamental_discriminant,
+    fundamental_discriminants,
+    kronecker,
+    valuation,
+)
 from quadtwist.curves import invariants, minimal_model, model
 from quadtwist.harness import default_corpus_path, ingest_corpus
 from quadtwist.localred import (
@@ -41,7 +46,7 @@ def test_tate_examples():
     )
     loc = tate_local(model(0, 0, 0, -1, 0), 5)
     assert (loc.kodaira, loc.tamagawa, loc.disc_valuation, loc.kind) == ("I0", 1, 0, "good")
-    T = twist_minimal(minimal_model(E11A1), 13)[0]
+    T = twist_minimal(minimal_model(E11A1), fundamental_discriminant(13))[0]
     loc = tate_local(T, 13)
     assert (loc.kodaira, loc.tamagawa, loc.disc_valuation, loc.kind) == (
         "I0*",
@@ -122,7 +127,7 @@ def test_twist_locality_split_primes():
             for l in sorted(data):
                 if D % l == 0 or kronecker(D, l) != 1:
                     continue
-                T = twist_minimal(mm, D)[0]
+                T = twist_minimal(mm, fundamental_discriminant(D))[0]
                 a, b = tate_local(E, l), tate_local(T, l)
                 assert (a.kodaira, a.tamagawa, a.kind) == (b.kodaira, b.tamagawa, b.kind)
                 found += 1
@@ -142,7 +147,7 @@ def test_split_nonsplit_flip():
                     continue
                 if D % q == 0 or kronecker(D, q) != -1:
                     continue
-                T = twist_minimal(mm, D)[0]
+                T = twist_minimal(mm, fundamental_discriminant(D))[0]
                 tw = tate_local(T, q)
                 assert tw.disc_valuation == loc.disc_valuation
                 assert tw.kind.startswith("multiplicative")
@@ -187,7 +192,7 @@ def test_twist_prime_fast_path_matches_tate():
             for D in (l, 8 * l if l % 4 != 3 else 4 * l):
                 if D not in fundamental:
                     continue
-                T = twist_minimal(mm, D)[0]
+                T = twist_minimal(mm, fundamental_discriminant(D))[0]
                 assert twist_prime_tamagawa_odd(mm, l, D) == tate_local(T, l).tamagawa
                 assert tate_local(T, l).kodaira == "I0*"
                 checked += 1
@@ -359,7 +364,7 @@ def test_i_star_chain_types():
         inv = invariants(E)
         if inv.disc % 2 == 0 or valuation(inv.c6, 2) != 0:
             continue
-        T = twist_minimal(minimal_model(E), 8)[0]
+        T = twist_minimal(minimal_model(E), fundamental_discriminant(8))[0]
         loc = tate_local(T, 2)
         assert loc.kodaira == "I8*"
         assert loc.disc_valuation == 18
@@ -377,7 +382,7 @@ def test_twist_conductor_identity():
         for D in (5, 8, 12, 13, 17, 21, 24):
             if math.gcd(D, N) != 1:
                 continue
-            Tmin = twist_minimal(minimal_model(rec.curve), D)[0]
+            Tmin = twist_minimal(minimal_model(rec.curve), fundamental_discriminant(D))[0]
             assert conductor(Tmin) == N * D * D, (rec.label, D)
             checked += 1
     assert checked > 100

@@ -33,7 +33,7 @@ def sweep_keys(path: str, d_max: int = 500, pair_dmax: int = 100) -> set:
         mm = rec.facts.mm
         keys.update((mm.minimal, p) for p in mm.bad_primes)
         for row in twist_rows(rec.facts, discs, pair_dmax):
-            T = twist_minimal(mm, row.disc.value)[0]
+            T = twist_minimal(mm, row.disc)[0]
             keys.update((T, l) for l in row.local)
     return keys
 

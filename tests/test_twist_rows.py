@@ -174,7 +174,7 @@ def test_sweep_computes_each_twist_once(monkeypatch, tmp_path, d_max):
         if d <= report["pair_dmax"]:
             primes += mm.bad_primes  # the primes of N
         for l in primes:
-            twist_keys[twist_minimal(mm, d)[0], l] += 1
+            twist_keys[twist_minimal(mm, fundamental_discriminant(d))[0], l] += 1
     tate_calls = Counter({args: n for (name, args), n in calls.items() if name == "tate_local"})
     minimal = {mm.minimal for mm in curves.values()}
     own = {key: n for key, n in tate_calls.items() if key[0] in minimal}

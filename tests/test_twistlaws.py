@@ -434,7 +434,7 @@ def test_u_closed_form_matches_measured():
             if f.is_even and N % 2 == 0:
                 continue
             u = u_of_discriminant(mm, f)
-            assert Fraction(u) == twist_minimal(mm, f.value)[1]
+            assert twist_minimal(mm, f)[1] == u
             assert u in (1, 2)
             checked += 1
     assert checked > 200
@@ -634,57 +634,11 @@ def test_format_quantity_matches_fraction():
 
 
 def test_transfer_identity_example():
-    res = tamagawa_transfer_check(pair_join(E11A1, 1, 13), 11)
-    assert res.ok and "5 vs 5" in res.detail
+    row1, row2, side = pair = pair_join(E11A1, 1, 13)
+    assert tamagawa_transfer_check(pair, 11)
+    assert side.transfer[11] == row1.local[11].tamagawa * row2.local[11].tamagawa == 5
     with pytest.raises(ValueError):
         tamagawa_transfer_check(pair_join(E11A1, 5, 12), 11)  # 11 splits: n_minus = 1
-
-
-class Loud(int):
-    """An int that counts how often it is formatted; its products stay
-    Loud."""
-
-    formatted = 0
-
-    def __format__(self, spec):
-        Loud.formatted += 1
-        return int.__format__(self, spec)
-
-    def __mul__(self, other):
-        return Loud(int(self) * int(other))
-
-    __rmul__ = __mul__
-
-
-def test_check_details_are_formatted_only_when_read():
-    # a sweep reads only the verdicts of the transfer and symbol checks:
-    # no detail string is built until one is read, and then it reads as
-    # it always has
-    row1, row2, side = pair = pair_join(E11A1, 1, 13)
-    pair = pair._replace(
-        minus=side._replace(
-            transfer={q: Loud(c) for q, c in side.transfer.items()},
-            transfer_product=Loud(side.transfer_product),
-        )
-    )
-    row = single_row(E11A1, 13)
-    row = row._replace(
-        local={l: loc._replace(tamagawa=Loud(loc.tamagawa)) for l, loc in row.local.items()}
-    )
-    Loud.formatted = 0
-    results = [
-        tamagawa_transfer_check(pair, 11),
-        tamagawa_transfer_product_check(pair),
-        tamagawa_symbol_check(row),
-    ]
-    assert all(res.ok for res in results)
-    assert Loud.formatted == 0
-    assert [res.detail for res in results] == [
-        "q=11: 5 vs 5",
-        "5 vs 5 (mod squares)",
-        "prod=2, symbol=-1",
-    ]
-    assert Loud.formatted == 3
 
 
 def test_transfer_identity_nonsplit_and_even_valuation_cases():
@@ -706,8 +660,7 @@ def test_transfer_identity_nonsplit_and_even_valuation_cases():
                 continue
             pair = join_rows(*rows)
             for q in factorize(s.n_minus).primes():
-                res = tamagawa_transfer_check(pair, q)
-                assert res.ok, (rec.label, f.value, res.detail)
+                assert tamagawa_transfer_check(pair, q), (rec.label, f.value, q)
                 if data[q].kind == "multiplicative-nonsplit":
                     nonsplit += 1
                 if data[q].disc_valuation % 2 == 0:
@@ -716,8 +669,9 @@ def test_transfer_identity_nonsplit_and_even_valuation_cases():
 
 
 def test_transfer_product_example_and_sweep():
-    res = tamagawa_transfer_product_check(pair_join(E11A1, 1, 13))
-    assert res.ok and "5 vs 5" in res.detail
+    row1, row2, side = pair = pair_join(E11A1, 1, 13)
+    assert tamagawa_transfer_product_check(pair)
+    assert row1.conductor_tamagawa * row2.conductor_tamagawa == side.transfer_product == 5
     hits = 0
     for rec in corpus()[:8]:
         for pair in ((1, 13), (5, 13), (13, 5), (1, 8), (5, 8)):
@@ -725,7 +679,7 @@ def test_transfer_product_example_and_sweep():
                 rows = validate_setup(rec.curve, *pair)
             except SetupError:
                 continue
-            assert tamagawa_transfer_product_check(join_rows(*rows)).ok, (rec.label, pair)
+            assert tamagawa_transfer_product_check(join_rows(*rows)), (rec.label, pair)
             hits += 1
     assert hits > 8
 
@@ -736,8 +690,8 @@ def test_transfer_product_split_primes_contribute_squares():
     s = setup(E14A1, 17, 5)
     for l, loc in s.local_data.items():
         if s.chi(1, l) == s.chi(2, l):
-            t1 = tate_local(twist_minimal(s.mm, 17)[0], l).tamagawa
-            t2 = tate_local(twist_minimal(s.mm, 5)[0], l).tamagawa
+            t1 = tate_local(twist_minimal(s.mm, fundamental_discriminant(17))[0], l).tamagawa
+            t2 = tate_local(twist_minimal(s.mm, fundamental_discriminant(5))[0], l).tamagawa
             assert t1 == t2
 
 
@@ -785,8 +739,8 @@ def test_symbol_closed_form_equals_kronecker_on_valid_setups():
 
 
 def test_tamagawa_symbol_examples():
-    assert tamagawa_symbol_check(single_row(E11A1, 13)).ok
-    assert tamagawa_symbol_check(single_row(E11A1, fundamental_discriminant(1))).ok  # empty
+    assert tamagawa_symbol_check(single_row(E11A1, 13))
+    assert tamagawa_symbol_check(single_row(E11A1, fundamental_discriminant(1)))  # empty
     # product congruent to 2 mod squares needs opposite symbols at two primes
     found = False
     for rec in corpus():
@@ -806,8 +760,7 @@ def test_tamagawa_symbol_examples():
                     row = single_row(rec.curve, f)
                 except SetupError:
                     continue
-                res = tamagawa_symbol_check(row)
-                assert res.ok
+                assert tamagawa_symbol_check(row)
                 found = True
                 break
         if found:
@@ -834,8 +787,8 @@ def test_two_adic_cases_cover_all_branches():
             except SetupError:
                 continue
             pred = predict_two_adic(mm, f)
-            res = check_two_adic_case(row)
-            assert res.ok, (rec.label, f.value, res.detail)
+            ok, detail = check_two_adic_case(row)
+            assert ok, (rec.label, f.value, detail)
             seen.setdefault((pred.case, pred.kodaira, pred.tamagawa), 0)
             seen[(pred.case, pred.kodaira, pred.tamagawa)] += 1
     kinds = set(seen)
@@ -853,15 +806,15 @@ def test_two_adic_case_wrong_prediction_fails_the_check(monkeypatch):
     wrong = TwoAdicPrediction(3, "I8*", 2)  # 11a1 at D = 8 has (II, 1)
     monkeypatch.setattr("quadtwist.twistlaws._two_adic_prediction", lambda mm, D: wrong)
     row = single_row(E11A1, 8)
-    res = check_two_adic_case(row)
-    assert not res.ok
-    assert res.detail == "case 3: predicted (I8*, 2), tate gives (II, 1)"
+    ok, detail = check_two_adic_case(row)
+    assert not ok
+    assert detail == "case 3: predicted (I8*, 2), tate gives (II, 1)"
     e11 = [rec for rec in corpus() if rec.label == "11a1"]
     report = sweep_report(e11, 8, "lemmas")
     assert report["failures"] == [
         {"curve": "11a1", "d": 8, "failed_checks": ["two_adic_case_table"]}
     ]
-    assert report["instances"][-1]["two_adic_case"] == res.detail
+    assert report["instances"][-1]["two_adic_case"] == detail
 
 
 def test_two_adic_prediction_matches_normal_form_table():
@@ -910,7 +863,7 @@ def test_i4_star_tamagawa_dichotomy():
                 validate_setup(E, f)
             except SetupError:
                 continue
-            loc = tate_local(twist_minimal(mm, f.value)[0], 2)
+            loc = tate_local(twist_minimal(mm, f)[0], 2)
             assert loc.kodaira == "I4*"
             want = 2 if mm.invariants.disc % 4 == 3 else 4
             assert loc.tamagawa == want
