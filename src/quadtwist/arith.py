@@ -1,9 +1,9 @@
 """Exact integer arithmetic primitives.
 
-Factorization (whose rho stage has a fixed budget, so it never hangs),
-p-adic valuations, Kronecker symbols and fundamental discriminants.
-Everything is arbitrary precision and deterministic; there is no
-floating point and no randomness anywhere in this module.
+Factorization (whose rho stage has a fixed budget per split, so it never
+hangs), p-adic valuations, Kronecker symbols and fundamental
+discriminants.  Everything is arbitrary precision and deterministic;
+there is no floating point and no randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 _TRIAL_BOUND = 10**6
-_RHO_BUDGET = 1 << 18  # rho squarings per factorize call, all cofactors
+_RHO_BUDGET = 1 << 18  # rho squarings per split of a cofactor
 
 # Largest discriminant accepted.  Below it trial division alone decides
 # squarefreeness, so parsing a discriminant never reaches rho.
@@ -130,9 +130,10 @@ class FactorizationError(ValueError):
     number has no prime factor small enough for rho to find in time."""
 
 
-def _brent_rho(n: int, budget: int) -> tuple[int, int]:
+def _brent_rho(n: int) -> int:
     # Deterministic Brent cycle-finding on an odd composite n > 1, within
-    # `budget` squarings: a proper factor of n and the squarings left.
+    # _RHO_BUDGET squarings: a proper factor of n.
+    budget = _RHO_BUDGET
     for c in itertools.count(1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -158,7 +159,7 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g, budget
+            return g
 
 
 def _iroot(n: int, e: int) -> int:
@@ -190,10 +191,10 @@ def factorize(n: int) -> Factorization:
     as soon as the cofactor is prime, and goes on with the root of a
     cofactor that is a perfect power, so a prime power past the trial
     bound costs a few integer roots.  A cofactor past trial division is
-    split by integer roots, then by rho.  Rho has _RHO_BUDGET squarings
-    in all, shared by every cofactor: enough for one split of a prime up
-    to about 10**10, while a cofactor with several prime factors above
-    about 10**8 can exhaust it.  Then it raises FactorizationError."""
+    split by integer roots, then by rho.  Each rho split has a budget of
+    _RHO_BUDGET squarings, enough to split off a prime up to about
+    10**10; a cofactor with no prime factor rho finds within it raises
+    FactorizationError."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
@@ -220,7 +221,7 @@ def factorize(n: int) -> Factorization:
         if d * d > m or is_prime(m):
             factors[m] = factors.get(m, 0) + power
         else:
-            stack, budget = [m], _RHO_BUDGET
+            stack = [m]
             while stack:
                 k = stack.pop()
                 if is_prime(k):
@@ -230,7 +231,7 @@ def factorize(n: int) -> Factorization:
                 if e > 1:
                     stack.extend([r] * e)
                     continue
-                g, budget = _brent_rho(k, budget)
+                g = _brent_rho(k)
                 stack.extend((g, k // g))
     items = tuple(sorted(factors.items()))
     assert all(is_prime(p) for p, _ in items)

@@ -17,7 +17,6 @@ bad primes are known) factors nothing large.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
 
@@ -58,14 +57,10 @@ class Invariants(NamedTuple):
     c6: int
     disc: int
 
-    @property
-    def j(self) -> Fraction:
-        return Fraction(self.c4**3) / Fraction(self.disc)
-
 
 def invariants(E: WeierstrassModel) -> Invariants:
     """Standard b-, c- and discriminant invariants of an integral model,
-    as ints; j = c4^3 / disc is a property."""
+    as ints."""
     a1, a2, a3, a4, a6 = E
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
@@ -113,40 +108,25 @@ def kraus_conditions(c4, c6, p: int) -> bool:
     return True
 
 
-# b2 of a reduced model (a1, a3 in {0,1}, a2 in {-1,0,1}) lies in this set.
-_REDUCED_B2 = (-4, -3, 0, 1, 4, 5)
-
-
 def _model_from_c4c6(C4: int, C6: int) -> tuple[WeierstrassModel, Invariants]:
-    """The unique reduced integral model with the given invariants, and
-    its invariants.
+    """The unique reduced integral model (a1, a3 in {0, 1}, a2 in
+    {-1, 0, 1}) with the given invariants, and its invariants.
 
-    The caller guarantees (C4, C6) passes the Kraus conditions and that
-    (C4^3 - C6^2)/1728 is a nonzero integer.
+    Such a model has b2 = a1 + 4 a2 in {-4, -3, 0, 1, 4, 5}, and on that
+    set b2 = b2^3 = -c6 mod 12 (c6 = -b2^3 + 36 b2 b4 - 216 b6), with the
+    six values in distinct classes; so b2 = -C6 mod 12, taken in
+    [-5, 6], and b4, b6 and the model follow.  The caller guarantees
+    (C4, C6) passes the Kraus conditions and that (C4^3 - C6^2)/1728 is
+    a nonzero integer.
     """
-    hits = []
-    for b2 in _REDUCED_B2:
-        if (b2 * b2 - C4) % 24:
-            continue
-        b4 = (b2 * b2 - C4) // 24
-        num = b2**3 - 3 * b2 * C4 - 2 * C6
-        if num % 432:
-            continue
-        b6 = num // 432
-        if b6 % 4 not in (0, 1):
-            continue
-        a1 = b2 % 2
-        a3 = b6 % 2
-        if (b4 - a1 * a3) % 2:
-            continue
-        if (b2 * b6 - b4 * b4) % 4:
-            continue
-        E = WeierstrassModel(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
-        inv = invariants(E)
-        assert (inv.c4, inv.c6) == (C4, C6)
-        hits.append((E, inv))
-    assert len(hits) == 1, f"reduced model from (c4, c6) not unique: {hits}"
-    return hits[0]
+    b2 = (5 - C6) % 12 - 5
+    b4 = (b2 * b2 - C4) // 24
+    b6 = (b2**3 - 3 * b2 * C4 - 2 * C6) // 432
+    a1, a3 = b2 % 2, b6 % 2
+    E = WeierstrassModel(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
+    inv = invariants(E)
+    assert (inv.c4, inv.c6) == (C4, C6)
+    return E, inv
 
 
 class MinimalModelResult(NamedTuple):

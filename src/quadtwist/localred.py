@@ -4,15 +4,19 @@ identities: odd-prime twist Tamagawa numbers by root counting, and, as
 properties of a LocalReduction at a multiplicative prime, the parity
 invariant c-tilde and the inert base-change Tamagawa number.
 
-The algorithm follows the classical normalization sequence.  At p = 2, 3
-the coordinate changes are found by small exhaustive searches over
-residues, with the resulting valuation profile asserted after every step;
-at p >= 5 closed forms with modular inverses are used.  The kernel runs
-on plain ints: it carries a1..a6 as locals, applies each [1, r, s, w]
-change as int arithmetic, computes each b- and c-invariant only where a
-step reads it, and tests thresholds as divisibility by a power of p.
-The model-object form of the same algorithm, a WeierstrassModel per
-change with every invariant recomputed, is the tests' reference.
+The algorithm follows the classical normalization sequence (Silverman,
+Advanced Topics in the Arithmetic of Elliptic Curves, IV.9; Cremona,
+Algorithms for Modular Elliptic Curves, III).  Every coordinate change
+is a closed form: modular inverses at odd p, and at p = 2, 3 the
+textbook residues (the singular point from the partial derivatives mod
+2, the double root of the cubic mod 3, [1, 0, a2 mod 2, 2 (a6/4 mod 2)]
+for the I0* step at 2), with the resulting valuation profile asserted
+after every step.  The kernel runs on plain ints: it carries a1..a6 as
+locals, applies each [1, r, s, t] change through _change, computes each
+b- and c-invariant only where a step reads it, and tests thresholds as
+divisibility by a power of p.  The model-object form of the same
+algorithm, a WeierstrassModel per change with every invariant
+recomputed, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -130,37 +134,18 @@ def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
     return len(u) - 1
 
 
-def _singular_point_small(a1: int, a2: int, a3: int, a4: int, a6: int, p: int) -> tuple[int, int]:
-    """(r, t) with 0 <= r, t < p moving the singular point of the
-    reduction mod p = 2, 3 to (0, 0), by search."""
-    for r in range(p):
-        for t in range(p):
-            if (
-                (a3 + r * a1 + 2 * t) % p == 0
-                and (a4 + 2 * r * a2 - t * a1 + 3 * r * r) % p == 0
-                and (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) % p == 0
-            ):
-                return r, t
-    raise AssertionError(f"no singular point mod {p} for {(a1, a2, a3, a4, a6)}")
-
-
-def _two_adic_shift(a1: int, a2: int, a3: int, a4: int, a6: int) -> tuple[int, int, int]:
-    """The first (r, s, w) in (s, r, w) order, s < 4, r in (0, 2, 4, 6),
-    w < 8, with [1, r, s, w] giving 2 | a1, a2; 4 | a3, a4; 8 | a6 (all
-    reachable at this stage of the algorithm).  a1 and a2 do not depend
-    on w."""
-    for s in range(4):
-        for r in (0, 2, 4, 6):
-            if (a1 + 2 * s) % 2 or (a2 - s * a1 + 3 * r - s * s) % 2:
-                continue
-            for w in range(8):
-                if (
-                    (a3 + r * a1 + 2 * w) % 4 == 0
-                    and (a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w) % 4 == 0
-                    and (a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1) % 8 == 0
-                ):
-                    return r, s, w
-    raise AssertionError(f"2-adic normalization failed for {(a1, a2, a3, a4, a6)}")
+def _change(
+    a1: int, a2: int, a3: int, a4: int, a6: int, r: int, s: int, t: int
+) -> tuple[int, int, int, int, int]:
+    """Coefficients after the change of variables [1, r, s, t], that is
+    x = x' + r, y = y' + s x' + t."""
+    return (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    )
 
 
 def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
@@ -192,20 +177,23 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         c4 = b2 * b2 - 24 * b4
 
         # move the singular point of the reduction to (0, 0): [1, r, 0, t]
-        if p <= 3:
-            r, t = _singular_point_small(a1, a2, a3, a4, a6, p)
+        if p == 2:
+            # the partials mod 2 are a1 x + a3 and a1 y + x^2 + a4
+            if a1 % 2:
+                r, t = a3 % 2, (a3 + a4) % 2
+            else:  # x = a4; y = y^2 = x^3 + a2 x^2 + a4 x + a6 = x (1 + a2 + a4) + a6
+                r = a4 % 2
+                t = (r * (1 + a2 + a4) + a6) % 2
         else:
-            if c4 % p == 0:
-                r = -b2 * _inv(12, p) % p
+            # the double root r of x^3 + b2/4 x^2 + b4/2 x + b6/4 mod p
+            if c4 % p:
+                r = (18 * b6 - b2 * b4) * _inv(c4, p) % p  # -b2 b4 at p = 3
+            elif p == 3:
+                r = -b6 % 3  # 3 | b2, b4: the cubic is x^3 + b6
             else:
-                r = (18 * b6 - b2 * b4) * _inv(c4, p) % p
+                r = -b2 * _inv(12, p) % p
             t = -(a1 * r + a3) * _inv(2, p) % p
-        a2, a3, a4, a6 = (
-            a2 + 3 * r,
-            a3 + r * a1 + 2 * t,
-            a4 + 2 * r * a2 - t * a1 + 3 * r * r,
-            a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
-        )
+        a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, r, 0, t)
         assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
 
         if c4 % p != 0:
@@ -223,21 +211,12 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
             cp = 3 if _quad_has_root(1, a3 // p, -(a6 // p2), p) else 1
             return LocalReduction(p, "IV", cp, n, ADDITIVE, n - 2)
 
-        # arrange p | a1, a2; p^2 | a3, a4; p^3 | a6
+        # arrange p | a1, a2; p^2 | a3, a4; p^3 | a6: [1, 0, s, w]
         if p == 2:
-            r, s, w = _two_adic_shift(a1, a2, a3, a4, a6)
-            a1, a2, a3, a4, a6 = (
-                a1 + 2 * s,
-                a2 - s * a1 + 3 * r - s * s,
-                a3 + r * a1 + 2 * w,
-                a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r - 2 * s * w,
-                a6 + r * a4 + r * r * a2 + r**3 - w * a3 - w * w - r * w * a1,
-            )
+            s, w = a2 % 2, 2 * (a6 // 4 % 2)
         else:
-            s = -a1 * _inv(2, p) % p  # [1, 0, s, 0]
-            a1, a2, a4 = a1 + 2 * s, a2 - s * a1 - s * s, a4 - s * a3
-            w = -a3 * _inv(2, p2) % p2  # [1, 0, 0, w]
-            a3, a4, a6 = a3 + 2 * w, a4 - w * a1, a6 - w * a3 - w * w
+            s, w = -a1 * _inv(2, p) % p, -a3 * _inv(2, p2) % p2
+        a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, s, w)
         assert a1 % p == 0 and a2 % p == 0
         assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
 
@@ -250,23 +229,14 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
             return LocalReduction(p, "I0*", cp, n, ADDITIVE, n - 4)
 
         if (b * b - 3 * c) % p != 0:
-            # double root of the cubic: type I_m* chain
-            if p in (2, 3):
-                x0 = next(
-                    x
-                    for x in range(p)
-                    if (x**3 + b * x * x + c * x + d) % p == 0
-                    and (3 * x * x + 2 * b * x + c) % p == 0
-                )
+            # double root x0 of the cubic: type I_m* chain.  A root of
+            # multiplicity two is (9d - bc) / 2(b^2 - 3c); at p = 2 it is
+            # the root of the derivative T^2 + c.
+            if p == 2:
+                x0 = c % 2
             else:
-                x0 = ((9 * d - b * c) * _inv(2 * (b * b - 3 * c), p)) % p
-            r = p * x0  # [1, r, 0, 0]
-            a2, a3, a4, a6 = (
-                a2 + 3 * r,
-                a3 + r * a1,
-                a4 + 2 * r * a2 + 3 * r * r,
-                a6 + r * a4 + r * r * a2 + r**3,
-            )
+                x0 = (9 * d - b * c) * _inv(2 * (b * b - 3 * c), p) % p
+            a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, p * x0, 0, 0)
             assert a2 % p == 0 and a2 % p2 != 0 and a3 % p2 == 0
             assert a4 % p3 == 0 and a6 % p**4 == 0
             mx, my = p2, p2
@@ -279,21 +249,14 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
                         cp = 4 if _quad_has_root(1, a3t, -a6t, p) else 2
                         break
                     y0 = a6t % 2 if p == 2 else (-a3t * _inv(2, p)) % p
-                    w = my * y0  # [1, 0, 0, w]
-                    a3, a4, a6 = a3 + 2 * w, a4 - w * a1, a6 - w * a3 - w * w
+                    a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, 0, my * y0)
                     my *= p
                 else:
                     if (a4t * a4t - 4 * a2t * a6t) % p != 0:
                         cp = 4 if _quad_has_root(a2t, a4t, a6t, p) else 2
                         break
                     x1 = a6t % 2 if p == 2 else (-a4t * _inv(2 * a2t, p)) % p
-                    r = mx * x1  # [1, r, 0, 0]
-                    a2, a3, a4, a6 = (
-                        a2 + 3 * r,
-                        a3 + r * a1,
-                        a4 + 2 * r * a2 + 3 * r * r,
-                        a6 + r * a4 + r * r * a2 + r**3,
-                    )
+                    a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, mx * x1, 0, 0)
                     mx *= p
                 m += 1
                 assert m <= n, "runaway I_m* chain"
@@ -306,13 +269,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
             x0 = (-d) % 3
         else:
             x0 = (-b * _inv(3, p)) % p
-        r = p * x0  # [1, r, 0, 0]
-        a2, a3, a4, a6 = (
-            a2 + 3 * r,
-            a3 + r * a1,
-            a4 + 2 * r * a2 + 3 * r * r,
-            a6 + r * a4 + r * r * a2 + r**3,
-        )
+        a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, p * x0, 0, 0)
         p4 = p2 * p2
         assert a2 % p2 == 0 and a3 % p2 == 0
         assert a4 % p3 == 0 and a6 % p4 == 0
@@ -323,8 +280,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
             return LocalReduction(p, "IV*", cp, n, ADDITIVE, n - 6)
 
         y0 = a6t % 2 if p == 2 else (-a3t * _inv(2, p)) % p
-        w = p2 * y0  # [1, 0, 0, w]
-        a3, a4, a6 = a3 + 2 * w, a4 - w * a1, a6 - w * a3 - w * w
+        a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, 0, p2 * y0)
         assert a3 % p3 == 0 and a6 % (p4 * p) == 0
 
         if a4 % p4 != 0:

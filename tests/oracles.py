@@ -128,6 +128,12 @@ def fraction_invariants(ai) -> tuple[Fraction, Fraction, Fraction]:
     return c4, c6, disc
 
 
+def j_invariant(ai) -> Fraction:
+    """j = c4^3 / disc of a model with rational coefficients."""
+    c4, _, disc = fraction_invariants(ai)
+    return c4**3 / disc
+
+
 def iso_onto(E, M, u) -> tuple[Fraction, Fraction, Fraction]:
     """(r, s, w) such that [u, r, s, w] carries a1, a2, a3 of E to those
     of M.  Solved from the first three coefficients only: the map carries

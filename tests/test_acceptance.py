@@ -24,7 +24,7 @@ from quadtwist.curves import (
 )
 from quadtwist.harness import default_corpus_path, ingest_corpus
 
-from oracles import apply_iso, sweep_report
+from oracles import apply_iso, j_invariant, sweep_report
 
 DMAX = 500
 
@@ -188,7 +188,7 @@ def test_criterion_10_core_algebra_properties():
     for _ in range(1000):
         E = rand_model()
         d = rng.choice([-11, -7, -3, -1, 2, 3, 5, 8, 12, 13, 17])
-        assert invariants(quadratic_twist(E, d)).j == invariants(E).j
+        assert j_invariant(quadratic_twist(E, d)) == j_invariant(E)
 
     for _ in range(1000):
         # minimal_model undoes an integral blow-up [1/u, r, s, w]

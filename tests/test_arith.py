@@ -69,7 +69,7 @@ def test_factorize_splits_perfect_powers_by_roots(monkeypatch, one_second_deadli
     # without rho: prime powers with prime exponents, and with a
     # composite one (a square of a cube); trial division goes on with a
     # composite root
-    def no_rho(n, budget):
+    def no_rho(n):
         raise AssertionError(f"rho called on {n}")
 
     monkeypatch.setattr("quadtwist.arith._brent_rho", no_rho)
@@ -109,6 +109,22 @@ def test_factorize_budget_raises_typed_error(one_second_deadline):
     with pytest.raises(FactorizationError, match="cannot factor"):
         factorize(hostile_semiprime())
     assert issubclass(FactorizationError, ValueError)
+
+
+def test_factorize_gives_each_rho_split_its_own_budget():
+    # cofactors with several prime factors between 10^6 and 10^9: each rho
+    # split has its own budget, where one budget shared by every split
+    # ran out on the witness and on three of the five seeded products
+    rng = random.Random(5)
+    cases = [(317**2 * 963629543**3 * 827732987, {317: 2, 827732987: 1, 963629543: 3})]
+    for _ in range(5):
+        want = {}
+        for _ in range(rng.randint(2, 5)):
+            q = sympy.nextprime(rng.randint(10**6, 10**9))
+            want[q] = want.get(q, 0) + rng.randint(1, 3)
+        cases.append((math.prod(q**e for q, e in want.items()), want))
+    for n, want in cases:
+        assert dict(factorize(n).factors) == want, n
 
 
 def test_is_prime_known_values():

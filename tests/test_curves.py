@@ -34,6 +34,7 @@ from oracles import (
     fraction_invariants,
     general_twist_minimal,
     iso_onto,
+    j_invariant,
     normal_form_pattern,
     quadratic_twist_fraction,
     random_reduced_curves,
@@ -71,8 +72,9 @@ def corpus_curves():
 
 
 def test_invariants_examples():
-    inv = invariants(model(0, 0, 0, -1, 0))
-    assert (inv.disc, inv.c4, inv.j) == (64, 48, 1728)
+    E = model(0, 0, 0, -1, 0)
+    inv = invariants(E)
+    assert (inv.disc, inv.c4, j_invariant(E)) == (64, 48, 1728)
     inv = invariants(E11A1)
     assert (inv.disc, inv.c6) == (-161051, 20008)
     assert invariants(model(1, 0, 0, 0, 2)).b2 == 1
@@ -88,9 +90,10 @@ def test_invariants_rejects_singular():
 def test_invariants_of_integral_model_are_ints():
     rng = random.Random(19)
     for _ in range(200):
-        inv = invariants(random_model(rng))
+        E = random_model(rng)
+        inv = invariants(E)
         assert all(type(x) is int for x in inv)
-        assert inv.j == Fraction(inv.c4**3, inv.disc)
+        assert Fraction(inv.c4**3, inv.disc) == j_invariant(E)
 
 
 def test_model_rejects_non_integral():
@@ -122,12 +125,12 @@ def test_j_of_rational_model():
         E = random_model(rng)
         c4, c6, disc = fraction_invariants(apply_iso(E, *random_iso(rng)))
         assert c4**3 - c6**2 == 1728 * disc
-        assert c4**3 / disc == invariants(E).j
+        assert c4**3 / disc == j_invariant(E)
     blown = apply_iso(E11A1, Fraction(1, 2), Fraction(1, 3), 0, 0)
     with pytest.raises(ValueError):
         model(*blown)
     c4, c6, disc = fraction_invariants(blown)
-    assert c4**3 / disc == invariants(E11A1).j == Fraction(-122023936, 161051)
+    assert c4**3 / disc == j_invariant(E11A1) == Fraction(-122023936, 161051)
 
 
 def test_c_identity_random_sweep():
@@ -163,7 +166,7 @@ def test_apply_iso_round_trip_and_composition():
         c4, c6, disc = fraction_invariants(moved)
         assert c4 == Fraction(inv.c4) / u**4
         assert c6 == Fraction(inv.c6) / u**6
-        assert c4**3 / disc == inv.j
+        assert c4**3 / disc == j_invariant(E)
 
 
 def test_rst_transform_matches_fraction_formulas():
@@ -222,7 +225,7 @@ def test_twist_invariant_scaling_and_j():
         assert T == expected
         inv, invt = invariants(E), invariants(T)
         assert invt.disc == d**6 * inv.disc / u**12
-        assert invt.j == inv.j
+        assert j_invariant(T) == j_invariant(E)
 
 
 def test_double_twist_is_isomorphic():
@@ -231,7 +234,7 @@ def test_double_twist_is_isomorphic():
         E = random_model(rng)
         d = rng.choice([5, 8, 13, -7, 12])
         back = quadratic_twist(quadratic_twist(E, d), d)
-        assert invariants(back).j == invariants(E).j
+        assert j_invariant(back) == j_invariant(E)
         assert minimal_model(back).minimal == minimal_model(E).minimal
 
 
@@ -433,10 +436,14 @@ def test_minimal_model_idempotent_and_valuation_minimal():
 
 
 def test_minimal_model_normalized_form():
+    # every reduced (a1, a2, a3) class occurs, so each of the six b2 the
+    # mod-12 congruence picks is reached with both a3
     rng = random.Random(59)
+    classes = set()
     for _ in range(150):
         m = minimal_model(random_model(rng)).minimal
-        assert m.a1 in (0, 1) and m.a3 in (0, 1) and m.a2 in (-1, 0, 1)
+        classes.add((m.a1, m.a2, m.a3))
+    assert classes == {(a1, a2, a3) for a1 in (0, 1) for a2 in (-1, 0, 1) for a3 in (0, 1)}
 
 
 def test_minimal_model_bad_primes_match_factorize():

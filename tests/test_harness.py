@@ -226,7 +226,8 @@ def test_pool_workers_capped_at_curve_count(tmp_path, monkeypatch, capsys):
 def test_serial_sweep_imports_no_process_pool(tmp_path):
     # the pool's modules load only when more than one worker runs: a fresh
     # interpreter that imports the package and runs a --jobs 1 sweep adds
-    # nothing from concurrent or multiprocessing to sys.modules.  It runs
+    # nothing from concurrent or multiprocessing to sys.modules, and no
+    # Fraction is built, so neither fractions nor decimal loads.  It runs
     # apart because this module imports concurrent.futures itself.
     out = tmp_path / "report.json"
     script = (
@@ -247,7 +248,7 @@ def test_serial_sweep_imports_no_process_pool(tmp_path):
     code, added = json.loads(proc.stdout.splitlines()[-1])  # after verify's own line
     assert code == 0 and out.exists()
     assert "quadtwist" in added
-    assert not {"concurrent", "multiprocessing"} & set(added), added
+    assert not {"concurrent", "multiprocessing", "fractions", "decimal"} & set(added), added
 
 
 def three_curves():

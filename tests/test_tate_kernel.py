@@ -13,7 +13,7 @@ import random
 import pytest
 
 from quadtwist.arith import fundamental_discriminants, valuation
-from quadtwist.curves import SingularModelError, invariants, model
+from quadtwist.curves import SingularModelError, invariants, model, quadratic_twist
 from quadtwist.harness import default_corpus_path, ingest_corpus, twist_rows
 from quadtwist.localred import tate_local
 from quadtwist.twistlaws import twist_minimal
@@ -38,18 +38,29 @@ def sweep_keys(path: str, d_max: int = 500, pair_dmax: int = 100) -> set:
     return keys
 
 
+def scaled(E, u: int):
+    """The model [1/u, 0, 0, 0] E: each a_i times u^i."""
+    return model(*(a * u**i for a, i in zip(E, (1, 2, 3, 4, 6))))
+
+
 def random_keys(seed: int = 15, count: int = 300) -> set:
     """Seeded random reduced curves at 2, 3, 5, 7 and their bad primes;
-    the same curves scaled by u = 1/p at p = 2, 3 (non-minimal there);
-    and models whose coefficients carry engineered powers of p."""
+    the same curves scaled by u = 1/p at p = 2, 3 (non-minimal there),
+    and some by u = 1/4, 1/6, 1/9 at the primes of u; some of their
+    twists by non-fundamental d at 2 and 3; and models whose
+    coefficients carry engineered powers of p."""
     rng = random.Random(seed)
     keys = set()
-    for E in random_reduced_curves(rng, count):
+    for i, E in enumerate(random_reduced_curves(rng, count)):
         disc = invariants(E).disc
         keys.update((E, p) for p in {2, 3, 5, 7, *factorint(abs(disc))})
         for p in (2, 3):
-            scaled = model(*(a * p**i for a, i in zip(E, (1, 2, 3, 4, 6))))
-            keys.add((scaled, p))
+            keys.add((scaled(E, p), p))
+        if i < 40:
+            keys.update((scaled(E, u), p) for u in (4, 6, 9) for p in (2, 3) if u % p == 0)
+        if i < 20:
+            for d in (-3, -4, -8, 9, 12, 18, 36, 72):
+                keys.update((quadratic_twist(E, d), p) for p in (2, 3))
     engineered = 0
     while engineered < 2 * count:
         # a_i divisible by up to p^(i + 1): deep additive types
@@ -90,16 +101,23 @@ def test_kernel_matches_reference(key_sets):
 def test_inputs_reach_every_branch_at_2_and_3(key_sets):
     families = {2: set(), 3: set()}
     rescaled = {2: 0, 3: 0}
+    singular_point = {2: set(), 3: set()}
     for keys in key_sets.values():
         for E, p in keys:
             if p in families:
                 loc = tate_local(E, p)
                 families[p].add(_family(loc.kodaira))
+                inv = invariants(E)
                 # the restart branch: a model that is not minimal at p
-                rescaled[p] += valuation(invariants(E).disc, p) > loc.disc_valuation
+                rescaled[p] += valuation(inv.disc, p) > loc.disc_valuation
+                # the first singular-point step's closed form: a1 odd or
+                # even at 2, 3 | b2 or not at 3
+                if inv.disc % p == 0:
+                    singular_point[p].add(E.a1 % 2 if p == 2 else inv.b2 % 3 == 0)
     every = {"I0", "Im", "II", "III", "IV", "I0*", "Im*", "IV*", "III*", "II*"}
     assert families == {2: every, 3: every}
     assert min(rescaled.values()) > 0, rescaled
+    assert singular_point == {2: {0, 1}, 3: {False, True}}
 
 
 def test_kernel_errors_match_reference():
