@@ -12,8 +12,9 @@ assumes; any other D exits 2.
 
 `verify` checks pairs of discriminants up to min(--dmax, --pair-dmax),
 where --pair-dmax defaults to 100; the report records that cap as
-"pair_dmax". --dmax, --pair-dmax and --jobs must each be at least 1
-(any other value exits 2). It prints one progress line per curve on
+"pair_dmax". --dmax, --pair-dmax and --jobs must each be at least 1,
+and --dmax at most the discriminant bound 10^12 (any other value exits
+2). It prints one progress line per curve on
 stderr and the summary and any FAIL lines on stdout. With --out it
 streams the JSON report, one instance per line, to a temporary file
 beside PATH and renames it onto PATH when the report is complete;
@@ -170,7 +171,10 @@ def _cmd_verify(args) -> int:
         try:
             with fh:
                 write_report(sweep, fh)
-            os.replace(tmp, args.out)
+            try:
+                os.replace(tmp, args.out)
+            except OSError as exc:  # name the path given, as above
+                raise OSError(exc.errno, exc.strerror, args.out) from None
         except BaseException:
             os.remove(tmp)
             raise

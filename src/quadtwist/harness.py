@@ -60,7 +60,13 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .arith import FactorizationError, FundamentalDiscriminant, fundamental_discriminants, kronecker
+from .arith import (
+    DISCRIMINANT_BOUND,
+    FactorizationError,
+    FundamentalDiscriminant,
+    fundamental_discriminants,
+    kronecker,
+)
 from .curves import SingularModelError, WeierstrassModel, minimal_model, model
 from .localred import twist_prime_tamagawa_odd
 from .twistlaws import (
@@ -261,20 +267,16 @@ def run_single_instance(
 ) -> tuple[str, bool]:
     """Evaluate one (curve, D) instance from its row: its record's JSON
     line, and whether the record is clean (every check passed, no flag).
-    curve_json is the curve's escaped label.  odd_tamagawa is the curve's
-    memo of the closed form twist_prime_tamagawa_odd(mm, l, .) by odd
-    prime l (no D changes it); the primes it lacks are filled in."""
+    curve_json is the curve's escaped label.  odd_tamagawa maps each odd
+    prime of D to the curve's closed form twist_prime_tamagawa_odd(mm, l)
+    (no D changes it); the lemma pass reads it."""
     facts = row.facts
     D = row.disc
     side = row.minus
     checks = []  # the checks' JSON members, in key order
     quantity = lemmas = flags = ""
     if mode in ("lemmas", "all"):
-        odd = [l for l in D.primes if l != 2]
-        for l in odd:
-            if l not in odd_tamagawa:
-                odd_tamagawa[l] = twist_prime_tamagawa_odd(facts.mm, l, D.value)
-        fast = all(odd_tamagawa[l] == row.local[l].tamagawa for l in odd)
+        fast = all(odd_tamagawa[l] == row.local[l].tamagawa for l in D.primes if l != 2)
         checks.append(f'"odd_twist_fast_path": {_JSON_BOOL[fast]}')
     if mode in ("thm13", "all"):
         v = twist_quantity(row)
@@ -365,7 +367,8 @@ def _sweep_curve(args) -> CurveChunk:
     """One curve's instance records and the seconds they took.  The
     curve's rows are built once from its record's facts and every
     instance reads them, and the odd-prime closed form is evaluated once
-    per prime."""
+    per odd prime of its rows' discriminants, before the singles, when
+    the lemma pass runs."""
     record, discriminants, pair_dmax, mode = args
     t0 = time.perf_counter()
     curve_json = encode_basestring_ascii(record.label)
@@ -386,7 +389,10 @@ def _sweep_curve(args) -> CurveChunk:
                 lines.append(line)
             pairs = len(lines)
         if singles_run:
-            odd_tamagawa: dict[int, int] = {}  # l -> the closed form at l, for this curve
+            # l -> the closed form at l, for this curve; the lemma pass reads it
+            lemmas_run = mode in ("lemmas", "all")
+            odd = {l for row in rows for l in row.disc.primes if l != 2} if lemmas_run else ()
+            odd_tamagawa = {l: twist_prime_tamagawa_odd(record.facts.mm, l) for l in odd}
             for row in rows:
                 line, clean = run_single_instance(curve_json, row, mode, odd_tamagawa)
                 if not clean:
@@ -410,7 +416,8 @@ class SweepReport:
     witness and its flags. One progress line per curve goes to stderr.
     ``head`` holds the parameters of the run; ``tail()``, read after the
     iteration, holds the summary, the failures and the timing. Pair
-    instances are capped at discriminant min(d_max, pair_dmax).
+    instances are capped at discriminant min(d_max, pair_dmax). A d_max
+    above arith.DISCRIMINANT_BOUND or an unknown mode raises ValueError.
     """
 
     def __init__(
@@ -424,6 +431,8 @@ class SweepReport:
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if d_max > DISCRIMINANT_BOUND:  # the sweep would list every D up to it
+            raise ValueError(f"d_max {d_max} exceeds the discriminant bound {DISCRIMINANT_BOUND}")
         self.corpus = sorted(corpus, key=lambda r: r.label)
         self.jobs = jobs
         self.head = {

@@ -16,7 +16,12 @@ locals, applies each [1, r, s, t] change through _change, computes each
 b- and c-invariant only where a step reads it, and tests thresholds as
 divisibility by a power of p.  The model-object form of the same
 algorithm, a WeierstrassModel per change with every invariant
-recomputed, is the tests' reference.
+recomputed, is the tests' reference; it counts roots on its own.
+
+Tate's I0* step and the odd-prime closed form count cubic roots mod p
+one way per characteristic (count_cubic_roots: the two residues at 2,
+Stickelberger and a gcd at an odd p).  twist_prime_tamagawa_odd(mm, l)
+depends on the curve and l only, not on the D that l divides.
 """
 
 from __future__ import annotations
@@ -81,6 +86,11 @@ def _quad_has_root(A: int, B: int, C: int, p: int) -> bool:
     return kronecker(disc, p) >= 0
 
 
+def _cubic_disc(b: int, c: int, d: int) -> int:
+    """Discriminant of the monic cubic T^3 + b T^2 + c T + d."""
+    return 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+
+
 def _trim(a: list[int]) -> list[int]:
     while len(a) > 1 and a[-1] == 0:
         a.pop()
@@ -90,18 +100,19 @@ def _trim(a: list[int]) -> list[int]:
 def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
     """Number of distinct roots of f = T^3 + b T^2 + c T + d in F_p.
 
+    At p = 2 the roots are read off the two residues: f(0) = d and
+    f(1) = 1 + b + c + d.  At an odd p, when the discriminant of f is a
+    nonzero non-square mod p, f is squarefree with an even number of
+    irreducible factors (Stickelberger), so it is a linear times an
+    irreducible quadratic: one root.  Otherwise the count is
     deg gcd(T^p - T, f) over F_p, so any prime is cheap.  T^p mod f is
     kept as x0 + x1 T + x2 T^2 and reduced with T^3 = -b T^2 - c T - d
-    and T^4 = (b^2 - c) T^2 + (bc - d) T + bd.  When the discriminant of
-    f is a nonzero non-square mod p, f is squarefree with an even number
-    of irreducible factors (Stickelberger), so it is a linear times an
-    irreducible quadratic: one root, without the gcd.
+    and T^4 = (b^2 - c) T^2 + (bc - d) T + bd.
     """
-    if p < 50:
-        return sum(1 for t in range(p) if (t**3 + b * t * t + c * t + d) % p == 0)
+    if p == 2:  # Stickelberger needs p odd
+        return (d % 2 == 0) + ((1 + b + c + d) % 2 == 0)
     b, c, d = b % p, c % p, d % p
-    disc = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
-    if pow(disc, (p - 1) // 2, p) == p - 1:
+    if pow(_cubic_disc(b, c, d), (p - 1) // 2, p) == p - 1:
         return 1
     e2, e1, e0 = (b * b - c) % p, (b * c - d) % p, b * d % p
 
@@ -221,10 +232,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
 
         b, c, d = a2 // p, a4 // p2, a6 // p3
-        cubic_disc = (
-            18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
-        )
-        if cubic_disc % p != 0:
+        if _cubic_disc(b, c, d) % p != 0:
             cp = 1 + count_cubic_roots(b, c, d, p)
             return LocalReduction(p, "I0*", cp, n, ADDITIVE, n - 4)
 
@@ -318,14 +326,13 @@ def depressed_cubic_mod(inv: Invariants, l: int) -> tuple[int, int, int]:
     return (inv.b2 * i4 % l, inv.b4 * i2 % l, inv.b6 * i4 % l)
 
 
-def twist_prime_tamagawa_odd(mm: MinimalModelResult, l: int, D: int) -> int:
-    """Tamagawa number at an odd prime l | D of the twist by D of the curve
-    with minimal model mm, which must have good reduction at l: 1 + #roots
-    of the depressed cubic mod l."""
+def twist_prime_tamagawa_odd(mm: MinimalModelResult, l: int) -> int:
+    """Tamagawa number at an odd prime l of the twist, by any fundamental
+    discriminant D divisible by l, of the curve with minimal model mm,
+    which must have good reduction at l: 1 + #roots of the depressed
+    cubic mod l.  The value does not depend on D."""
     if l == 2 or not is_prime(l):
         raise ValueError("l must be an odd prime")
-    if D % l != 0:
-        raise ValueError("l must divide D")
     inv = mm.invariants
     if valuation(inv.disc, l) != 0:
         raise ValueError(f"E must have good reduction at {l}")

@@ -217,7 +217,8 @@ def twist_minimal(
 ) -> tuple[WeierstrassModel, int]:
     """(minimal model of the twist of E = mm.minimal by D, the scale u_D
     from the twist's invariants (D^2 c4, D^3 c6) onto it), for (c4, c6)
-    the invariants of E; D = 1 gives (E, 1).
+    the invariants of E.  D = 1 gives (E, 1) on the same path: no prime
+    rescales a minimal model, and the reduced minimal model is unique.
 
     The pair is always the invariants of an integral model.  For
     D = 1 mod 4 the raw twist is integral (quadratic_twist's first
@@ -227,8 +228,6 @@ def twist_minimal(
     D^6 disc(E) has no primes but D's and E's bad primes, which the
     parsed D and mm carry, so nothing is factored.
     """
-    if D.value == 1:
-        return mm.minimal, 1
     d, inv = D.value, mm.invariants
     tw = minimal_from_invariants(
         d * d * inv.c4, d**3 * inv.c6, sorted({*mm.bad_primes, *D.primes})

@@ -321,12 +321,21 @@ def golden_local_data(label: str, ai, conductor: int):
 # The library's tate_local carries a1..a6 as local ints through every
 # coordinate change.  This is the same algorithm, branch for branch, on
 # WeierstrassModel values: each change goes through rst_transform and
-# each step recomputes the invariants.  The root counts and the quadratic
-# root test are the library's.
+# each step recomputes the invariants.  It counts roots on its own: the
+# cubic's by brute force, the quadratic's by trying both residues at 2
+# and by Euler's criterion at an odd p.
 
 from quadtwist.arith import is_prime
 from quadtwist.curves import Invariants, WeierstrassModel, invariants
-from quadtwist.localred import LocalReduction, _inv, _quad_has_root, count_cubic_roots
+from quadtwist.localred import LocalReduction, _inv
+
+
+def _quad_has_root(A: int, B: int, C: int, p: int) -> bool:
+    """Does A x^2 + B x + C = 0 have a root in F_p?  Requires p not | A."""
+    assert A % p != 0
+    if p == 2:
+        return any((A * x * x + B * x + C) % 2 == 0 for x in (0, 1))
+    return pow(B * B - 4 * A * C, (p - 1) // 2, p) != p - 1
 
 
 def rst_transform(E: WeierstrassModel, r: int, s: int, w: int) -> WeierstrassModel:
@@ -442,7 +451,7 @@ def reference_tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
             18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
         )
         if cubic_disc % p != 0:
-            cp = 1 + count_cubic_roots(b, c, d, p)
+            cp = 1 + count_cubic_roots_brute(b, c, d, p)
             return LocalReduction(p, "I0*", cp, n, "additive", n - 4)
 
         if (b * b - 3 * c) % p != 0:
@@ -916,7 +925,7 @@ def reference_single_record(label: str, setup: TwistSetup, mode: str) -> dict:
             flags.append(f"measured u = {u_measured} outside {{1,2}}")
         rec["u"] = u_closed
         checks["odd_twist_fast_path"] = all(
-            twist_prime_tamagawa_odd(mm, l, D.value) == _twist_local(mm, D.value, l).tamagawa
+            twist_prime_tamagawa_odd(mm, l) == _twist_local(mm, D.value, l).tamagawa
             for l in odd
         )
         if D.is_even:

@@ -13,7 +13,7 @@ import pytest
 
 import quadtwist
 import quadtwist.twistlaws
-from quadtwist.arith import fundamental_discriminants
+from quadtwist.arith import DISCRIMINANT_BOUND, fundamental_discriminants
 from quadtwist.cli import main
 from quadtwist.curves import minimal_model, model
 from quadtwist.harness import (
@@ -261,10 +261,10 @@ def three_curves():
 
 
 def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
-    # D = 53 sends the twist's I0* fiber at 53 (Tate's algorithm) and the
-    # odd-prime fast path through the p >= 50 root-counting kernel; the
-    # brute-force count must give the same report.  No memo holds a
-    # Tate result, so the second sweep counts every root again.
+    # every I0* fiber of a twist (Tate's algorithm) and the odd-prime
+    # fast path count cubic roots, D = 53 among them; the brute-force
+    # count must give the same report.  No memo holds a Tate result, so
+    # the second sweep counts every root again.
     corpus = three_curves()
     fast = strip_timing(sweep_report(corpus, 60, "all", corpus_name="x"))
     primes = set()
@@ -352,6 +352,20 @@ def test_sweep_report_rejects_bad_mode(tmp_path):
     path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
     with pytest.raises(ValueError):
         SweepReport(ingest_corpus(path), 10, "everything")
+
+
+def test_verify_refuses_dmax_above_the_bound(tmp_path, one_second_deadline, capsys):
+    # the sweep would list every fundamental discriminant up to d_max, and
+    # none above the bound can be parsed: refused before any sweep or --out
+    path = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")
+    with pytest.raises(ValueError, match="exceeds the discriminant bound"):
+        SweepReport(ingest_corpus(path), DISCRIMINANT_BOUND + 1)
+    SweepReport(ingest_corpus(path), DISCRIMINANT_BOUND)  # the bound itself is allowed
+    out = tmp_path / "report.json"
+    args = ["verify", "--corpus", path, "--dmax", str(DISCRIMINANT_BOUND + 1), "--out", str(out)]
+    assert main(args) == 2
+    assert "exceeds the discriminant bound" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +491,18 @@ def test_cli_verify_out_in_missing_directory(tmp_path, capsys):
     assert main(["verify", "--dmax", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_verify_out_is_a_directory(tmp_path, capsys):
+    # the rename onto a directory fails after the sweep: the error names
+    # the directory, not the temporary file, which is removed
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert main(["verify", "--dmax", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err  # the sweep's progress lines, then the error
+    assert err.endswith(f"\nerror: [Errno 21] Is a directory: '{out}'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list(out.iterdir()) == []
 
 
 def test_cli_verify_under_python_optimize(tmp_path):

@@ -186,7 +186,7 @@ def test_sweep_computes_each_twist_once(monkeypatch, tmp_path, d_max):
     closed_form = Counter()
     for (name, args), n in calls.items():
         if name == "twist_prime_tamagawa_odd":
-            closed_form[args[:2]] += n  # (mm, l); D is whichever row asked first
+            closed_form[args] += n  # (mm, l)
     odd_keys = {
         (curves[label], l)
         for label, d in singles
