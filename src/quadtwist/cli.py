@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure(s), 2 usage or input error
-(arguments, a bad corpus or one with no curve, --out path, a curve whose
-discriminant factorize gives up on), 3 internal error (an unexpected
+(arguments, a bad corpus or one with no curve, a sweep with no instance,
+--out path, a curve whose discriminant factorize gives up on), 3
+internal error (an unexpected
 exception, reported on stderr). An exception inside the sweep reaches
 main as a harness.SweepError, so even a ValueError there exits 3. `find-aux` takes
 D alone (d1, or a pair d1, d2): D fixes the split (n_plus, n_minus).
@@ -15,10 +16,12 @@ where --pair-dmax defaults to 100; the report records that cap as
 "pair_dmax". --dmax, --pair-dmax and --jobs must each be at least 1,
 and --dmax at most the discriminant bound 10^12 (any other value exits
 2). It prints one progress line per curve on
-stderr and the summary and any FAIL lines on stdout. With --out it
-streams the JSON report, one instance per line, to a temporary file
-beside PATH and renames it onto PATH when the report is complete;
-without --out it encodes no JSON for the instances at all.
+stderr and the summary and any FAIL lines on stdout. A sweep in which
+no (curve, D) or pair is admissible (thm31 at --dmax 1, say) exits 2.
+With --out it streams the JSON report, one instance per line, to a
+temporary file beside PATH and renames it onto PATH when the report is
+complete, so a failed sweep keeps the previous report; without --out it
+encodes no JSON for the instances at all.
 """
 
 from __future__ import annotations

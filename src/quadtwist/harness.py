@@ -1,40 +1,37 @@
 """Batch verification harness: corpus ingestion, sweep orchestration over
 (curve, discriminant) instances, and machine-readable reporting.
 
-A record is its JSON line. Each instance formats its line directly, in
-the bytes json.dumps(record, sort_keys=True) writes, from ints, bools
-and text fragments made once: the escaped label per curve, a row's
-Tamagawa numbers (and, for an even D, its 2-adic case detail) per row,
-and the c~ of an n_minus side per (curve, prime set). No JSON encoder
-runs per record.
+Everything a record says is decided here: twistlaws returns ints,
+bools and LocalReductions, and one table (_PASSES) says which checks
+each mode runs. A record is its JSON line. Each instance formats its
+line directly, in the bytes json.dumps(record, sort_keys=True) writes,
+from ints, bools and text fragments made once per curve: the escaped
+label, each row's Tamagawa numbers at the primes of D, and each n_minus
+side's c~. An even D's 2-adic case sentence is written from the case
+table's prediction and the row's Tate run at 2, and the quantity's
+string from its ints. No JSON encoder and no Fraction runs per record.
 
 A sweep streams: ``SweepReport`` yields one curve's record lines at a
 time, in report order, and folds each chunk into the summary as it
-passes: instance and check counts come from the record kinds' fixed
-check names, and only a line that fails a check or carries a flag is
-parsed, for its failure witness and flags. It prints one progress line
-per curve on stderr. ``write_report`` writes each line to a file as it
-arrives, between a head and a tail encoded once each, so the report's
-memory does not grow with the instance count. It is the one report
-writer.
+passes: instance and check counts come from the record kinds' check
+names, and only a line that fails a check or carries a flag is parsed,
+for its failure witness and flags. It prints one progress line per
+curve on stderr. ``write_report``, the one report writer, writes each
+line to a file as it arrives, between a head and a tail encoded once
+each, so the report's memory does not grow with the instance count.
 
 Each curve's and each twist's facts are computed once, not per
-instance. ingest_corpus computes each curve's CurveFacts (minimal model,
-conductor, local data) and hands them to the sweep
-on its CurveRecord, so nothing below looks a curve fact up again. Per
+instance. ingest_corpus computes each curve's CurveFacts (minimal
+model, conductor, local data) and puts them on its CurveRecord. Per
 curve the sweep takes those facts and each discriminant's character
 signs at the primes of N (the sign table), and builds one TwistRow per
 admissible discriminant: the twist is minimized once and Tate's
 algorithm runs once per prime on it. The odd-prime closed form for the
 twist's Tamagawa number depends on the curve and the prime l, not on D,
 so it is evaluated once per (curve, l) and compared with the Tate value
-of every row whose D has l. Instances are a join of rows: a
-single reads its own row, and a coprime pair D1 < D2 up to the pair cap
-reads two. Every value a record holds is a lookup: the row's share of
-the quantity's numerator and its Tamagawa numbers, and the n_minus side
-(n_minus, n_plus, the c~ and the transfer products) from the curve's
-per-set table, built once per (curve, prime set). No Fraction is built:
-the quantity's string is formatted from its ints. The tests
+of every row whose D has l. Instances are a join of rows: a single
+reads its own row, and a coprime pair D1 < D2 up to the pair cap reads
+two, with its n_minus side from the curve's per-set table. The tests
 hold the records to a per-instance reference that reads each twist's
 Tate data afresh from a validated setup. An exception inside a curve's
 sweep is raised as a SweepError naming the curve. With jobs > 1 the
@@ -76,7 +73,6 @@ from .twistlaws import (
     admissible_signs,
     check_two_adic_case,
     curve_facts,
-    format_quantity,
     join_rows,
     pair_twist_quantity,
     symbol_closed_form,
@@ -87,7 +83,16 @@ from .twistlaws import (
     twist_row,
 )
 
-MODES = ("thm13", "thm31", "lemmas", "all")
+# The passes each mode runs: mode -> (single quantity, single lemmas,
+# pair quantity, pair lemmas).  thm13 is the single quantity, thm31 the
+# pair quantity, lemmas the local identities of both.
+_PASSES = {
+    "thm13": (True, False, False, False),
+    "thm31": (False, False, True, False),
+    "lemmas": (False, True, False, True),
+    "all": (True, True, True, True),
+}
+MODES = tuple(_PASSES)
 # The default cap on pair discriminants, whatever d_max is: the pair
 # count grows quadratically and the identities pairs exercise are
 # discriminant-local.
@@ -217,14 +222,14 @@ def row_pairs(rows: Sequence[TwistRow], pair_dmax: int) -> Iterator[TwistPair]:
 # A record is its JSON line, formatted as json.dumps(record, sort_keys=True)
 # writes it: keys in sorted order, ", " and ": " separators, strings with
 # ASCII escapes (encode_basestring_ascii, the encoder's own function).  The
-# text of what many records share is made once: the escaped label per
-# curve, a row's twist_tamagawa_json, a side's c_tilde_json.
+# text of what many records share is made once per curve in _sweep_curve:
+# the escaped label, each row's Tamagawa numbers at the primes of D, and
+# each n_minus side's c~.
 
 _JSON_BOOL = ("false", "true")  # indexed by a bool; no check name holds "false"
 
-# The checks each record kind runs, for the quantity passes (thm13 for
-# singles, thm31 for pairs) and the lemma pass; an even D adds
-# two_adic_case_table to a single's lemma checks.
+# The checks each record kind runs in its quantity pass and its lemma
+# pass; an even D adds two_adic_case_table to a single's lemma checks.
 _QUANTITY_CHECKS = ("quantity_power_of_two", "quantity_even_exponent")
 _SINGLE_LEMMA_CHECKS = (
     "symbol_closed_form",
@@ -239,17 +244,27 @@ _PAIR_LEMMA_CHECKS = ("tamagawa_transfer_per_prime", "tamagawa_transfer_product"
 def _check_names(mode: str, pair: bool, even: bool = False) -> tuple[str, ...]:
     """The names of the checks a record runs: a pair's, or a single's
     with an even or odd D, in the given mode."""
+    single_quantity, single_lemmas, pair_quantity, pair_lemmas = _PASSES[mode]
     if pair:
-        quantity, lemmas = _PAIR_QUANTITY_CHECKS, _PAIR_LEMMA_CHECKS
-        quantity_modes = ("thm31", "all")
-    else:
-        quantity, lemmas = _QUANTITY_CHECKS, _SINGLE_LEMMA_CHECKS
-        quantity_modes = ("thm13", "all")
-        if even:
-            lemmas += ("two_adic_case_table",)
-    return (quantity if mode in quantity_modes else ()) + (
-        lemmas if mode in ("lemmas", "all") else ()
-    )
+        return _PAIR_QUANTITY_CHECKS * pair_quantity + _PAIR_LEMMA_CHECKS * pair_lemmas
+    lemmas = _SINGLE_LEMMA_CHECKS + ("two_adic_case_table",) * even
+    return _QUANTITY_CHECKS * single_quantity + lemmas * single_lemmas
+
+
+def _format_quantity(num: int, w: int) -> str:
+    """str(Fraction(num, 2**w)) for num > 0, from ints: the common factor
+    is 2**t, t = min(w, v2(num))."""
+    t = min(w, (num & -num).bit_length() - 1)
+    den = 1 << (w - t)
+    return str(num >> t) if den == 1 else f"{num >> t}/{den}"
+
+
+def _int_dict_json(values: dict[int, int]) -> str:
+    """The JSON text json.dumps({str(p): c}, sort_keys=True) writes for a
+    dict of ints keyed by primes: keys sorted as strings ("13" before
+    "5"), which need no escaping."""
+    items = sorted((str(p), c) for p, c in values.items())
+    return "{" + ", ".join(f'"{k}": {c}' for k, c in items) + "}"
 
 
 def _verdict_text(v) -> str:
@@ -258,48 +273,54 @@ def _verdict_text(v) -> str:
     return (
         f'"exponent": {exponent}, "is_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
         f'"is_power_of_two": {_JSON_BOOL[v.is_power_of_two]}, '
-        f'"quantity": "{format_quantity(v.numerator, v.w)}"}}'
+        f'"quantity": "{_format_quantity(v.numerator, v.w)}"}}'
     )
 
 
 def run_single_instance(
-    curve_json: str, row: TwistRow, mode: str, odd_tamagawa: dict[int, int]
+    curve_json: str, row: TwistRow, tamagawa_json: str, c_tilde_json: str,
+    quantity_pass: bool, lemma_pass: bool, odd_tamagawa: dict[int, int],
 ) -> tuple[str, bool]:
     """Evaluate one (curve, D) instance from its row: its record's JSON
     line, and whether the record is clean (every check passed, no flag).
-    curve_json is the curve's escaped label.  odd_tamagawa maps each odd
-    prime of D to the curve's closed form twist_prime_tamagawa_odd(mm, l)
-    (no D changes it); the lemma pass reads it."""
-    facts = row.facts
+    curve_json is the curve's escaped label, tamagawa_json the row's
+    Tamagawa numbers and c_tilde_json its n_minus side's c~, as the
+    report prints them.  odd_tamagawa maps each odd prime of D to the
+    curve's closed form twist_prime_tamagawa_odd(mm, l) (no D changes
+    it); the lemma pass reads it."""
     D = row.disc
     side = row.minus
     checks = []  # the checks' JSON members, in key order
     quantity = lemmas = flags = ""
-    if mode in ("lemmas", "all"):
+    if lemma_pass:
         fast = all(odd_tamagawa[l] == row.local[l].tamagawa for l in D.primes if l != 2)
         checks.append(f'"odd_twist_fast_path": {_JSON_BOOL[fast]}')
-    if mode in ("thm13", "all"):
+    if quantity_pass:
         v = twist_quantity(row)
         checks.append(
             f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
             f'"quantity_power_of_two": {_JSON_BOOL[v.is_power_of_two]}'
         )
         quantity = (
-            f', "quantity": {{"components": {{"D": {D.value}, "c_tilde": {side.c_tilde_json}, '
-            f'"omega_n_minus": {v.w}, "twist_tamagawa": {row.twist_tamagawa_json}, '
+            f', "quantity": {{"components": {{"D": {D.value}, "c_tilde": {c_tilde_json}, '
+            f'"omega_n_minus": {v.w}, "twist_tamagawa": {tamagawa_json}, '
             f'"u": {row.u}}}, {_verdict_text(v)}'
         )
-    if mode in ("lemmas", "all"):
-        disc = facts.mm.invariants.disc
+    if lemma_pass:
+        disc = row.facts.mm.invariants.disc
         sym = symbol_closed_form(disc, D, side.disc_valuation_sum) == kronecker(disc, D.odd_part)
         checks.append(
             f'"symbol_closed_form": {_JSON_BOOL[sym]}, '
             f'"tamagawa_product_symbol": {_JSON_BOOL[tamagawa_symbol_check(row)]}'
         )
         if D.is_even:
-            ok, detail = check_two_adic_case(row)
+            ok, pred = check_two_adic_case(row)
+            loc = row.local[2]
             checks.append(f'"two_adic_case_table": {_JSON_BOOL[ok]}')
-            lemmas = f', "two_adic_case": {encode_basestring_ascii(detail)}'
+            lemmas = (
+                f', "two_adic_case": "case {pred.case}: predicted ({pred.kodaira}, '
+                f'{pred.tamagawa}), tate gives ({loc.kodaira}, {loc.tamagawa})"'
+            )
         checks.append(f'"u_closed_form": {_JSON_BOOL[row.measured_u == row.u]}')
         lemmas += f', "u": {row.u}'
         if row.measured_u not in (1, 2):
@@ -313,13 +334,18 @@ def run_single_instance(
     return line, not flags and "false" not in checks_text
 
 
-def run_pair_instance(curve_json: str, pair: TwistPair, mode: str) -> tuple[str, bool]:
+def run_pair_instance(
+    curve_json: str, pair: TwistPair, tamagawa_json_1: str, tamagawa_json_2: str,
+    c_tilde_json: str, quantity_pass: bool, lemma_pass: bool,
+) -> tuple[str, bool]:
     """Evaluate one (curve, D1, D2) instance from the join of two rows:
-    its record's JSON line, and whether every check passed."""
+    its record's JSON line, and whether every check passed.  The JSON
+    texts are the two rows' Tamagawa numbers and the pair's n_minus
+    side's c~, as the report prints them."""
     row1, row2, side = pair
     checks = []  # the checks' JSON members, in key order
     quantity = ""
-    if mode in ("thm31", "all"):
+    if quantity_pass:
         v = pair_twist_quantity(pair)
         parity = _JSON_BOOL[v.omega_parity]
         product = _JSON_BOOL[v.c_tilde_product]
@@ -331,12 +357,12 @@ def run_pair_instance(curve_json: str, pair: TwistPair, mode: str) -> tuple[str,
         quantity = (
             f', "quantity": {{"components": {{"D1": {row1.disc.value}, "D2": {row2.disc.value}, '
             f'"bookkeeping": {{"c_tilde_product": {product}, "omega_parity": {parity}}}, '
-            f'"c_tilde": {side.c_tilde_json}, "omega_n_minus": {v.w}, '
-            f'"twist_tamagawa_1": {row1.twist_tamagawa_json}, '
-            f'"twist_tamagawa_2": {row2.twist_tamagawa_json}, '
+            f'"c_tilde": {c_tilde_json}, "omega_n_minus": {v.w}, '
+            f'"twist_tamagawa_1": {tamagawa_json_1}, '
+            f'"twist_tamagawa_2": {tamagawa_json_2}, '
             f'"u1": {row1.u}, "u2": {row2.u}}}, {_verdict_text(v)}'
         )
-    if mode in ("lemmas", "all"):
+    if lemma_pass:
         per_prime = all(tamagawa_transfer_check(pair, q) for q in side.primes)
         checks.append(
             f'"tamagawa_transfer_per_prime": {_JSON_BOOL[per_prime]}, '
@@ -365,36 +391,54 @@ class CurveChunk(NamedTuple):
 
 def _sweep_curve(args) -> CurveChunk:
     """One curve's instance records and the seconds they took.  The
-    curve's rows are built once from its record's facts and every
-    instance reads them, and the odd-prime closed form is evaluated once
-    per odd prime of its rows' discriminants, before the singles, when
-    the lemma pass runs."""
+    curve's rows are built once from its record's facts, and so is the
+    text its records share, which the run functions receive.  The
+    odd-prime closed form is evaluated once per odd prime of the rows'
+    discriminants, before the singles, when their lemma pass runs."""
     record, discriminants, pair_dmax, mode = args
+    single_quantity, single_lemmas, pair_quantity, pair_lemmas = _PASSES[mode]
+    facts = record.facts
     t0 = time.perf_counter()
     curve_json = encode_basestring_ascii(record.label)
     lines: list[str] = []
     unclean: list[int] = []
     pairs = even_singles = 0
-    pairs_run = mode in ("thm31", "lemmas", "all")
-    singles_run = mode in ("thm13", "lemmas", "all")
+    pairs_run = pair_quantity or pair_lemmas
+    singles_run = single_quantity or single_lemmas
     if not singles_run:
         discriminants = [f for f in discriminants if f.value <= pair_dmax]
     try:
-        rows = twist_rows(record.facts, discriminants, pair_dmax if pairs_run else 0)
-        if pairs_run:
-            for pair in row_pairs(rows, pair_dmax):
-                line, clean = run_pair_instance(curve_json, pair, mode)
-                if not clean:
-                    unclean.append(len(lines))
-                lines.append(line)
-            pairs = len(lines)
+        rows = twist_rows(facts, discriminants, pair_dmax if pairs_run else 0)
+        joins = list(row_pairs(rows, pair_dmax)) if pairs_run else []
+        # D -> the row's Tamagawa numbers; mask -> the side's c~ (every
+        # side of a row or a join is in the curve's table by now)
+        tamagawa_json = {
+            row.disc.value: _int_dict_json({l: row.local[l].tamagawa for l in row.disc.primes})
+            for row in rows
+        }
+        c_tilde_json = {
+            mask: _int_dict_json({q: facts.local_data[q].c_tilde for q in side.primes})
+            for mask, side in facts.minus_sides.items()
+        }
+        for pair in joins:
+            row1, row2, side = pair
+            line, clean = run_pair_instance(
+                curve_json, pair, tamagawa_json[row1.disc.value], tamagawa_json[row2.disc.value],
+                c_tilde_json[side.mask], pair_quantity, pair_lemmas,
+            )
+            if not clean:
+                unclean.append(len(lines))
+            lines.append(line)
+        pairs = len(lines)
         if singles_run:
             # l -> the closed form at l, for this curve; the lemma pass reads it
-            lemmas_run = mode in ("lemmas", "all")
-            odd = {l for row in rows for l in row.disc.primes if l != 2} if lemmas_run else ()
-            odd_tamagawa = {l: twist_prime_tamagawa_odd(record.facts.mm, l) for l in odd}
+            odd = {l for row in rows for l in row.disc.primes if l != 2} if single_lemmas else ()
+            odd_tamagawa = {l: twist_prime_tamagawa_odd(facts.mm, l) for l in odd}
             for row in rows:
-                line, clean = run_single_instance(curve_json, row, mode, odd_tamagawa)
+                line, clean = run_single_instance(
+                    curve_json, row, tamagawa_json[row.disc.value], c_tilde_json[row.minus.mask],
+                    single_quantity, single_lemmas, odd_tamagawa,
+                )
                 if not clean:
                     unclean.append(len(lines))
                 lines.append(line)
@@ -417,7 +461,8 @@ class SweepReport:
     ``head`` holds the parameters of the run; ``tail()``, read after the
     iteration, holds the summary, the failures and the timing. Pair
     instances are capped at discriminant min(d_max, pair_dmax). A d_max
-    above arith.DISCRIMINANT_BOUND or an unknown mode raises ValueError.
+    above arith.DISCRIMINANT_BOUND or an unknown mode raises ValueError,
+    and so does a sweep that ran no instance, after its last curve.
     """
 
     def __init__(
@@ -474,6 +519,8 @@ class SweepReport:
                 pool.shutdown(cancel_futures=True)
         else:
             yield from self._fold(map(_sweep_curve, tasks))
+        if not self.instances:  # no sweep passes on zero instances
+            raise ValueError("no instance to verify")
         self.wall_seconds = round(time.perf_counter() - t0, 3)
 
     def _fold(self, chunks: Iterable[CurveChunk]) -> Iterator[str]:

@@ -18,10 +18,12 @@ divisibility by a power of p.  The model-object form of the same
 algorithm, a WeierstrassModel per change with every invariant
 recomputed, is the tests' reference; it counts roots on its own.
 
-Tate's I0* step and the odd-prime closed form count cubic roots mod p
-one way per characteristic (count_cubic_roots: the two residues at 2,
-Stickelberger and a gcd at an odd p).  twist_prime_tamagawa_odd(mm, l)
-depends on the curve and l only, not on the D that l divides.
+Tate's I0* step and the odd-prime closed form count the roots mod p of
+a squarefree cubic, the only kind either passes, one way per
+characteristic (count_cubic_roots: the two residues at 2; Stickelberger,
+and T^p = T mod f when the discriminant is a square, at an odd p).
+twist_prime_tamagawa_odd(mm, l) depends on the curve and l only, not on
+the D that l divides.
 """
 
 from __future__ import annotations
@@ -91,28 +93,26 @@ def _cubic_disc(b: int, c: int, d: int) -> int:
     return 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
 
 
-def _trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
-    """Number of distinct roots of f = T^3 + b T^2 + c T + d in F_p.
+    """Number of roots in F_p of f = T^3 + b T^2 + c T + d, which must be
+    squarefree mod p: a ValueError when p divides the discriminant of f.
 
     At p = 2 the roots are read off the two residues: f(0) = d and
-    f(1) = 1 + b + c + d.  At an odd p, when the discriminant of f is a
-    nonzero non-square mod p, f is squarefree with an even number of
-    irreducible factors (Stickelberger), so it is a linear times an
-    irreducible quadratic: one root.  Otherwise the count is
-    deg gcd(T^p - T, f) over F_p, so any prime is cheap.  T^p mod f is
-    kept as x0 + x1 T + x2 T^2 and reduced with T^3 = -b T^2 - c T - d
-    and T^4 = (b^2 - c) T^2 + (bc - d) T + bd.
+    f(1) = 1 + b + c + d.  At an odd p, the number of irreducible factors
+    of f is odd exactly when its discriminant is a square mod p
+    (Stickelberger).  A non-square leaves a linear times an irreducible
+    quadratic: one root.  A square leaves three linear factors or one
+    irreducible cubic: three roots exactly when T^p = T mod f, else
+    none.  T^p mod f is kept as x0 + x1 T + x2 T^2 and reduced with
+    T^3 = -b T^2 - c T - d and T^4 = (b^2 - c) T^2 + (bc - d) T + bd.
     """
-    if p == 2:  # Stickelberger needs p odd
-        return (d % 2 == 0) + ((1 + b + c + d) % 2 == 0)
     b, c, d = b % p, c % p, d % p
-    if pow(_cubic_disc(b, c, d), (p - 1) // 2, p) == p - 1:
+    disc = _cubic_disc(b, c, d) % p
+    if disc == 0:
+        raise ValueError(f"T^3 + {b} T^2 + {c} T + {d} is not squarefree mod {p}")
+    if p == 2:  # Stickelberger needs p odd
+        return (d == 0) + ((1 + b + c + d) % 2 == 0)
+    if pow(disc, (p - 1) // 2, p) == p - 1:
         return 1
     e2, e1, e0 = (b * b - c) % p, (b * c - d) % p, b * d % p
 
@@ -128,21 +128,7 @@ def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
         )
         if bit == "1":  # multiply by T
             x0, x1, x2 = -d * x2 % p, (x0 - c * x2) % p, (x1 - b * x2) % p
-
-    # degree of gcd(f, T^p - T)
-    u, v = [d, c, b, 1], _trim([x0, (x1 - 1) % p, x2])
-    while v != [0]:
-        inv_lead = pow(v[-1], -1, p)
-        while u != [0] and len(u) >= len(v):
-            coef = u[-1] * inv_lead % p
-            shift = len(u) - len(v)
-            for i, vi in enumerate(v):
-                u[shift + i] = (u[shift + i] - coef * vi) % p
-            u = _trim(u)
-            if u == [0]:
-                break
-        u, v = v, u
-    return len(u) - 1
+    return 3 if (x0, x1, x2) == (0, 1, 0) else 0
 
 
 def _change(

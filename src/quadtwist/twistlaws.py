@@ -3,48 +3,41 @@
 returns the same rows), the period scale u_D, twist rows, the
 even-two-power quantities with the pair's proof bookkeeping, the local
 product identities, the closed-form symbol evaluation, the Tamagawa-at-2
-case cross-checks, and the auxiliary-discriminant search.
+case cross-checks, and the auxiliary-discriminant search.  It returns
+ints, bools and LocalReductions; what a report says, and which checks a
+mode runs, is the harness's.
 
 A twist is described by its row alone, and every quantity and check
 reads rows.  A curve's CurveFacts hold what all its twists share: its
-minimal model (the MinimalModelResult, with the minimal discriminant
-and its invariants, which the even-D closed forms read), N, the local
-data, and a table of n_minus sides, one MinusSide per set of
-multiplicative primes that some row or pair has as its n_minus, built
-on first use: n_minus, n_plus, the c~_q
-(keyed as the report prints them, with their JSON text) and their
-product, and c~_q times the inert base-change c_q at each q with the
-product of those.  All of it is read from the curve's local data, so
-the curve's own primes go through Tate's algorithm once.  The functions
-that read a fact of the curve (twist_minimal, u_of_discriminant,
-curve_facts) take its MinimalModelResult.  Only validate_setup, whose
-curve comes from a user, computes a minimal model; any other caller
-holding only a model calls minimal_model once and passes the result on.
-A TwistRow holds one admissible discriminant D's facts: its signs at the
-primes of N and its n_minus side, u_D by the closed form and as
+MinimalModelResult (the minimal discriminant and its invariants, which
+the even-D closed forms read), N, the local data, and a table of
+n_minus sides built on first use, one MinusSide per set of
+multiplicative primes some row or pair has as its n_minus: n_minus,
+n_plus, the product of the c~_q, and c~_q times the inert base-change
+c_q at each q with their product, all read off the local data, so the
+curve's own primes go through Tate's algorithm once.  The functions
+that read a fact of the curve take its MinimalModelResult; only
+validate_setup, whose curve comes from a user, computes a minimal
+model.  A TwistRow holds one admissible D's facts: its signs at the
+primes of N, its n_minus side, u_D by the closed form and as
 twist_minimal measures it (an int: the scale from the twist's own
 invariants (D^2 c4, D^3 c6) onto its minimal model), full Tate on the
 minimal twist at the primes of D (and of N, when the row joins pairs),
-and its fragment of every quantity it enters: the Tamagawa numbers at
-the primes of D as the report prints them (a dict and its JSON text),
-and u_D times their product.  A single reads its own row.  A pair is a
-join of two rows: its n_minus is m_1 symmetric-difference m_2, the
-primes where the rows' signs differ, read from the curve's table, and
+and its share of every quantity: u_D times the twist's Tamagawa numbers
+at the primes of D.  A pair is a join of two rows: its n_minus is m_1
+symmetric-difference m_2, the primes where the rows' signs differ, and
 both sides of each transfer identity are products of the D_1 and D_2
-factors.  The closed
-forms (c~, the inert base change, u_D, the odd-prime fast path, the
-2-adic case table, the symbol) stay the independent side of each
-comparison against the rows' Tate data.  A check returns its verdict as
-a bool; the 2-adic case check also returns the comparison the report
-prints.
+factors.  The closed forms (c~, the inert base change, u_D, the
+odd-prime fast path, the 2-adic case table, the symbol) stay the
+independent side of each comparison against the rows' Tate data.  A
+check returns its verdict as a bool; the 2-adic case check also
+returns the prediction it compared.
 
-Each quantity is an integer numerator over 2^w, w = omega(n_minus): it
-is accumulated from the row and side fragments and judged on ints (its
-2-adic exponent by a bit test), and its string is formatted from the
-ints (format_quantity); no Fraction is built.  A verdict
+Each quantity is an integer numerator over 2^w, w = omega(n_minus),
+accumulated from the row and side fragments and judged on ints (its
+2-adic exponent by a bit test); no Fraction is built.  A verdict
 carries only what the report reads: the numerator, w, the exponent and
-the two evenness bits, and for a pair the two bookkeeping bits.  The
-quantity's factors are the row and side fields themselves.  "Equal
+the two evenness bits, and for a pair the two bookkeeping bits.  "Equal
 modulo squares" is decided by an integer square root, without
 factoring.
 """
@@ -110,22 +103,6 @@ def _verdict(num: int, w: int, *bookkeeping: bool) -> ExponentVerdict:
     bookkeeping bits when given."""
     k = _exponent(num, 1 << w)
     return ExponentVerdict(num, w, k, k is not None, k is not None and k % 2 == 0, *bookkeeping)
-
-
-def format_quantity(num: int, w: int) -> str:
-    """str(Fraction(num, 2**w)) for num > 0, from ints: the common factor
-    is 2**t, t = min(w, v2(num))."""
-    t = min(w, (num & -num).bit_length() - 1)
-    den = 1 << (w - t)
-    return str(num >> t) if den == 1 else f"{num >> t}/{den}"
-
-
-def _int_dict_json(m: dict[str, int]) -> str:
-    """The JSON text json.dumps(m, sort_keys=True) writes for a dict of
-    int values keyed by digit strings (which need no escaping): a row's or
-    side's Tamagawa numbers, formatted once for every record that holds
-    them."""
-    return "{" + ", ".join(f'"{k}": {v}' for k, v in sorted(m.items())) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +270,7 @@ class MinusSide(NamedTuple):
     primes: tuple[int, ...]  # in local_data order
     n_minus: int
     n_plus: int
-    c_tilde: dict[str, int]  # str(q) -> c~_q(E), as the report prints it
-    c_tilde_json: str  # c_tilde's JSON text (_int_dict_json)
-    c_tilde_product: int
+    c_tilde_product: int  # prod c~_q(E) over the set
     transfer: dict[int, int]  # q -> c~_q(E) * c_q(E over a field where q is inert)
     transfer_product: int
     disc_valuation_sum: int  # sum of v_q(min disc) over the set
@@ -323,16 +298,13 @@ def minus_side(facts: CurveFacts, mask: int) -> MinusSide:
         locs = [loc for i, loc in enumerate(facts.local_data.values()) if mask >> i & 1]
         primes = tuple(loc.prime for loc in locs)
         n_minus = math.prod(primes)
-        c_t = {str(loc.prime): loc.c_tilde for loc in locs}
         transfer = {loc.prime: loc.c_tilde * loc.inert_tamagawa for loc in locs}
         side = facts.minus_sides[mask] = MinusSide(
             mask,
             primes,
             n_minus,
             facts.conductor // n_minus,
-            c_t,
-            _int_dict_json(c_t),
-            math.prod(c_t.values()),
+            math.prod(loc.c_tilde for loc in locs),
             transfer,
             math.prod(transfer.values()),
             sum(loc.disc_valuation for loc in locs),
@@ -353,8 +325,6 @@ class TwistRow(NamedTuple):
     u: int  # u_of_discriminant, the closed form
     measured_u: int  # the scale twist_minimal measures
     local: dict[int, LocalReduction]  # the minimal twist's local data
-    twist_tamagawa: dict[str, int]  # str(l) -> c_l(twist) at the primes of D, as reported
-    twist_tamagawa_json: str  # twist_tamagawa's JSON text (_int_dict_json)
     share: int  # u * prod c_l(twist) over the primes of D
     conductor_tamagawa: int | None  # prod c_l(twist) over the primes of N; None without them
 
@@ -376,7 +346,6 @@ def twist_row(
             local.update((l, tate_local(T, l)) for l in facts.local_data)
         conductor_tamagawa = math.prod(local[l].tamagawa for l in facts.local_data)
     u = u_of_discriminant(facts.mm, f)
-    c_twist = {str(l): local[l].tamagawa for l in f.primes}
     mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
     return TwistRow(
         facts,
@@ -386,9 +355,7 @@ def twist_row(
         u,
         u_measured,
         local,
-        c_twist,
-        _int_dict_json(c_twist),
-        u * math.prod(c_twist.values()),
+        u * math.prod(local[l].tamagawa for l in f.primes),
         conductor_tamagawa,
     )
 
@@ -534,18 +501,13 @@ def _two_adic_prediction(mm: MinimalModelResult, D: FundamentalDiscriminant) -> 
     return TwoAdicPrediction(3, "I8*", c)
 
 
-def check_two_adic_case(row: TwistRow) -> tuple[bool, str]:
+def check_two_adic_case(row: TwistRow) -> tuple[bool, TwoAdicPrediction]:
     """Compare the case table's prediction for the row's twist against
-    the row's full Tate run at 2 on the twist: the verdict, and the
-    comparison as the report prints it."""
+    the row's full Tate run at 2 on the twist (row.local[2]): the
+    verdict, and the prediction."""
     pred = _two_adic_prediction(row.facts.mm, row.disc)
     loc = row.local[2]
-    ok = (loc.kodaira, loc.tamagawa) == (pred.kodaira, pred.tamagawa)
-    detail = (
-        f"case {pred.case}: predicted ({pred.kodaira}, {pred.tamagawa}), "
-        f"tate gives ({loc.kodaira}, {loc.tamagawa})"
-    )
-    return ok, detail
+    return (loc.kodaira, loc.tamagawa) == (pred.kodaira, pred.tamagawa), pred
 
 
 # ---------------------------------------------------------------------------

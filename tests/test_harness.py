@@ -577,6 +577,23 @@ def test_cli_verify_rejects_a_corpus_with_no_curves(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
 
 
+def test_cli_verify_refuses_a_sweep_with_no_instance(tmp_path, capsys):
+    # thm31 at --dmax 1 has no pair D1 < D2 <= 1: a sweep that ran no
+    # instance would pass on nothing, so it exits 2, keeps the previous
+    # report at --out and leaves no temporary file
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n14a1,1,0,1,4,-6,14,0\n")
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    for jobs in ("1", "2"):
+        argv = ["verify", "--corpus", corpus, "--mode", "thm31", "--dmax", "1", "--jobs", jobs]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("error: no instance to verify\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+    assert out.read_text() == "previous report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "report.json"]
+
+
 def test_cli_verify_flags_a_measured_u_outside_one_two(tmp_path, monkeypatch, capsys):
     # a twist_minimal that measures u = 4 at D = 5 fails u_closed_form and
     # flags the record: the record's line, its failure witness and the

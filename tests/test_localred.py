@@ -241,20 +241,36 @@ def test_c_tilde_and_inert_base_change():
         tate_local(model(0, 0, 0, -1, 0), 2).c_tilde  # additive at 2
 
 
+def _cubic_disc_mod(b, c, d, p):
+    return (18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d) % p
+
+
 def test_count_cubic_roots_matches_brute_force():
-    # every residue triple at the small primes: p = 2 by its two residues,
-    # the odd ones by Stickelberger and the gcd (4,031 triples)
+    # every residue triple at the small primes (4,031 triples): a
+    # squarefree cubic's count equals brute force, p = 2 by its two
+    # residues and the odd ones by Stickelberger and T^p = T mod f; a
+    # cubic with a repeated root mod p (p divides its discriminant)
+    # raises, at every p
+    raised = 0
     for p in (2, 3, 5, 7, 11, 13):
         for b, c, d in itertools.product(range(p), repeat=3):
+            if _cubic_disc_mod(b, c, d, p) == 0:
+                with pytest.raises(ValueError, match="not squarefree"):
+                    count_cubic_roots(b, c, d, p)
+                raised += 1
+                continue
             n = count_cubic_roots(b, c, d, p)
             assert n == count_cubic_roots_brute(b, c, d, p), (b, c, d, p)
+    assert raised > 300
     rng = random.Random(79)
     for _ in range(400):
         p = rng.choice([2, 3, 5, 53, 97, 101, 997])
         b, c, d = (rng.randrange(p) for _ in range(3))
-        assert count_cubic_roots(b, c, d, p) == count_cubic_roots_brute(b, c, d, p)
+        if _cubic_disc_mod(b, c, d, p) != 0:
+            assert count_cubic_roots(b, c, d, p) == count_cubic_roots_brute(b, c, d, p)
     # random primes up to 3,000, coefficients unreduced and negative, and
-    # cubics built with forced triple, double and three distinct roots
+    # cubics built with forced triple, double and three distinct roots;
+    # the first two raise
     counts = Counter()
     for _ in range(150):
         p = sympy.nextprime(rng.randrange(49, 2989))
@@ -269,20 +285,25 @@ def test_count_cubic_roots_matches_brute_force():
         else:
             b, c, d = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
         b, c, d = (x + p * rng.randint(-5, 5) for x in (b, c, d))
+        if _cubic_disc_mod(b, c, d, p) == 0:
+            with pytest.raises(ValueError):
+                count_cubic_roots(b, c, d, p)
+            counts["raised"] += 1
+            continue
         n = count_cubic_roots(b, c, d, p)
         assert n == count_cubic_roots_brute(b, c, d, p), (b, c, d, p)
         counts[n] += 1
-    assert all(counts[n] > 5 for n in (0, 1, 2, 3)), counts
+    assert all(counts[n] > 5 for n in (0, 1, 3, "raised")), counts
 
 
 @pytest.mark.parametrize("p", [53, 59, 101, 499, 1009])
 def test_count_cubic_roots_stickelberger_exit(p):
     # a cubic whose discriminant is a nonzero non-square mod p has one
-    # root (Stickelberger); the kernel returns it without the gcd.  2,000
-    # seeded triples (about a third of them irreducible, with 0 roots),
-    # and cubics built from chosen roots with 1 (a root times an
-    # irreducible quadratic), 2 (a double root) and 3 distinct roots;
-    # every count is held to brute force
+    # root (Stickelberger); the kernel returns it without T^p mod f.
+    # 2,000 seeded triples (about a third of them irreducible, with 0
+    # roots), and cubics built from chosen roots with 1 (a root times an
+    # irreducible quadratic) and 3 distinct roots; every count is held to
+    # brute force.  Cubics with a double root raise.
     rng = random.Random(p)
     cubes = [t**3 % p for t in range(p)]
     squares = [t * t % p for t in range(p)]
@@ -300,17 +321,22 @@ def test_count_cubic_roots_stickelberger_exit(p):
     for _ in range(50):
         r1, r2, r3 = rng.sample(range(p), 3)
         triples.append((-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3))  # 3
-        triples.append((-(2 * r1 + r2), r1 * r1 + 2 * r1 * r2, -r1 * r1 * r2))  # 2: double r1
+        triples.append((-(2 * r1 + r2), r1 * r1 + 2 * r1 * r2, -r1 * r1 * r2))  # double r1
         n = nonsquare()  # (T - r1)(T^2 - n): one root
         triples.append((-r1, -n, r1 * n))
     counts, exits = Counter(), 0
     for b, c, d in triples:
-        disc = 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
+        disc = _cubic_disc_mod(b, c, d, p)
+        if disc == 0:
+            with pytest.raises(ValueError):
+                count_cubic_roots(b, c, d, p)
+            counts["raised"] += 1
+            continue
         exits += pow(disc, (p - 1) // 2, p) == p - 1
         n = count_cubic_roots(b, c, d, p)
         assert n == brute(b % p, c % p, d % p), (b, c, d, p)
         counts[n] += 1
-    assert all(counts[n] >= 20 for n in (0, 1, 2, 3)), counts
+    assert all(counts[n] >= 20 for n in (0, 1, 3, "raised")), counts
     assert exits > 500
 
 

@@ -25,14 +25,18 @@ from quadtwist.arith import (
 )
 from quadtwist.curves import invariants, minimal_model, model
 from quadtwist.harness import (
+    _format_quantity,
     default_corpus_path,
     ingest_corpus,
     row_pairs,
     twist_rows,
 )
 from quadtwist.localred import reduction_profile, tate_local
+import quadtwist.twistlaws as twistlaws
 from quadtwist.twistlaws import (
+    MinusSide,
     SetupError,
+    TwistRow,
     TwoAdicPrediction,
     _exponent,
     _two_adic_prediction,
@@ -41,7 +45,6 @@ from quadtwist.twistlaws import (
     check_two_adic_case,
     equal_mod_squares,
     find_auxiliary_discriminant,
-    format_quantity,
     join_rows,
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
@@ -480,10 +483,11 @@ def test_twist_quantity_example_11a1_13():
     row = single_row(E11A1, 13)
     v = twist_quantity(row)
     assert quantity(v) == 1 and v.exponent == 0 and v.is_even_exponent
-    # the quantity's factors are the row's and its side's, keyed as the
-    # report prints them: prime keys are strings
-    assert row.twist_tamagawa == {"13": 2}
-    assert row.minus.c_tilde == {"11": 1}
+    # the quantity's factors are the twist's Tamagawa numbers at the
+    # primes of D and the curve's c~ at the primes of n_minus
+    assert row.local[13].tamagawa == 2 and row.share == row.u * 2 == 2
+    assert row.minus.primes == (11,) and row.facts.local_data[11].c_tilde == 1
+    assert row.minus.c_tilde_product == 1
 
 
 def test_twist_quantity_trivial_and_empty_products():
@@ -498,7 +502,7 @@ def test_twist_quantity_trivial_and_empty_products():
         assert (s.n_plus, s.n_minus) == (37, 1)
         v = twist_quantity(*rows)
         assert v.is_power_of_two and v.is_even_exponent
-        assert rows[0].minus.c_tilde == {} and v.w == 0
+        assert rows[0].minus.primes == () and rows[0].minus.c_tilde_product == 1 and v.w == 0
         found += 1
     assert found > 3
 
@@ -572,7 +576,8 @@ def test_quantities_match_fraction_ledger():
         rows = twist_rows(rec.facts, discs, 100)
         for row in rows:
             v = twist_quantity(row)
-            factors = (*row.twist_tamagawa.values(), *row.minus.c_tilde.values())
+            factors = [row.local[l].tamagawa for l in row.disc.primes]
+            factors += [rec.facts.local_data[q].c_tilde for q in row.minus.primes]
             assert v.w == len(row.minus.primes)
             want = fraction_quantity(row.u, v.w, factors)
             assert (quantity(v), v.exponent, v.is_power_of_two, v.is_even_exponent) == want
@@ -581,11 +586,8 @@ def test_quantities_match_fraction_ledger():
             v = pair_twist_quantity(pair)
             row1, row2, side = pair
             s = implied_setup(row1, row2)
-            factors = (
-                *row1.twist_tamagawa.values(),
-                *row2.twist_tamagawa.values(),
-                *side.c_tilde.values(),
-            )
+            factors = [r.local[l].tamagawa for r in (row1, row2) for l in r.disc.primes]
+            factors += [rec.facts.local_data[q].c_tilde for q in side.primes]
             assert v.w == len(side.primes)
             want = fraction_quantity(row1.u * row2.u, v.w, factors)
             assert (quantity(v), v.exponent, v.is_power_of_two, v.is_even_exponent) == want
@@ -623,10 +625,10 @@ def test_verdict_integer_ledger_edge_cases():
 
 def test_format_quantity_matches_fraction():
     # a reported quantity's string is formatted from its ints, exactly as
-    # the Fraction num / 2**w prints
+    # the Fraction num / 2**w prints; the harness formats it
     for num in range(1, 4097):
         for w in range(7):
-            assert format_quantity(num, w) == str(Fraction(num, 1 << w)), (num, w)
+            assert _format_quantity(num, w) == str(Fraction(num, 1 << w)), (num, w)
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +789,9 @@ def test_two_adic_cases_cover_all_branches():
             except SetupError:
                 continue
             pred = predict_two_adic(mm, f)
-            ok, detail = check_two_adic_case(row)
-            assert ok, (rec.label, f.value, detail)
+            ok, got = check_two_adic_case(row)
+            assert ok, (rec.label, f.value, got, row.local[2])
+            assert got == pred
             seen.setdefault((pred.case, pred.kodaira, pred.tamagawa), 0)
             seen[(pred.case, pred.kodaira, pred.tamagawa)] += 1
     kinds = set(seen)
@@ -799,6 +802,28 @@ def test_two_adic_cases_cover_all_branches():
     assert any(k == "I4*" for _, k, _ in kinds)
 
 
+def test_rows_and_sides_hold_numbers_and_the_harness_writes_the_text():
+    # a row and a side hold ints, bools and local data, with no text and
+    # no str-keyed dict; the 2-adic case check returns its prediction, and
+    # the report's sentence is written from it and the row's Tate run at 2
+    assert TwistRow._fields == (
+        "facts", "disc", "signs", "minus", "u", "measured_u", "local", "share",
+        "conductor_tamagawa",
+    )
+    assert MinusSide._fields == (
+        "mask", "primes", "n_minus", "n_plus", "c_tilde_product", "transfer",
+        "transfer_product", "disc_valuation_sum",
+    )
+    for name in ("format_quantity", "_int_dict_json"):
+        assert not hasattr(twistlaws, name)
+    ok, pred = check_two_adic_case(single_row(E11A1, 8))
+    assert ok and isinstance(pred, TwoAdicPrediction)
+    assert pred == TwoAdicPrediction(2, "II", 1)
+    e11 = [rec for rec in corpus() if rec.label == "11a1"]
+    (record,) = [i for i in sweep_report(e11, 8, "lemmas")["instances"] if i.get("d") == 8]
+    assert record["two_adic_case"] == "case 2: predicted (II, 1), tate gives (II, 1)"
+
+
 def test_two_adic_case_wrong_prediction_fails_the_check(monkeypatch):
     # a prediction that disagrees with Tate's algorithm fails the check,
     # with both sides in its detail, where an assert would raise, or
@@ -806,15 +831,14 @@ def test_two_adic_case_wrong_prediction_fails_the_check(monkeypatch):
     wrong = TwoAdicPrediction(3, "I8*", 2)  # 11a1 at D = 8 has (II, 1)
     monkeypatch.setattr("quadtwist.twistlaws._two_adic_prediction", lambda mm, D: wrong)
     row = single_row(E11A1, 8)
-    ok, detail = check_two_adic_case(row)
-    assert not ok
-    assert detail == "case 3: predicted (I8*, 2), tate gives (II, 1)"
+    assert check_two_adic_case(row) == (False, wrong)
     e11 = [rec for rec in corpus() if rec.label == "11a1"]
     report = sweep_report(e11, 8, "lemmas")
     assert report["failures"] == [
         {"curve": "11a1", "d": 8, "failed_checks": ["two_adic_case_table"]}
     ]
-    assert report["instances"][-1]["two_adic_case"] == detail
+    detail = report["instances"][-1]["two_adic_case"]
+    assert detail == "case 3: predicted (I8*, 2), tate gives (II, 1)"
 
 
 def test_two_adic_prediction_matches_normal_form_table():
