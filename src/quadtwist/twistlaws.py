@@ -448,9 +448,9 @@ def symbol_closed_form(delta: int, D: FundamentalDiscriminant, b: int) -> int:
     raise ValueError("invalid discriminant shape")
 
 
-def tamagawa_symbol_check(row: TwistRow) -> bool:
-    """With m the odd part of D: prod_{l | m} c_l(twist by D) is a power of
-    two, square exactly when kronecker(min disc, m) = 1."""
+def tamagawa_symbol_check(row: TwistRow, symbol: int) -> bool:
+    """With m the odd part of D and symbol = kronecker(min disc, m):
+    prod_{l | m} c_l(twist by D) is a power of two, square exactly when symbol is 1."""
     D = row.disc
     disc = row.facts.mm.invariants.disc
     prod = 1
@@ -461,7 +461,7 @@ def tamagawa_symbol_check(row: TwistRow) -> bool:
             raise ValueError(f"E must have good reduction at {l}")
         prod *= row.local[l].tamagawa
     k = _exponent(prod, 1)
-    return k is not None and (k % 2 == 0) == (kronecker(disc, D.odd_part) == 1)
+    return k is not None and (k % 2 == 0) == (symbol == 1)
 
 
 # ---------------------------------------------------------------------------

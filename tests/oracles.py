@@ -599,6 +599,17 @@ def implied_setup(*rows) -> TwistSetup:
     )
 
 
+def row_pairs(rows, pair_dmax: int):
+    """The joins of the coprime pairs D1 < D2 <= pair_dmax of one curve's
+    rows, ascending: every pair a sweep writes a record for, each joined
+    on its own (the sweep evaluates one join per class pair)."""
+    rows = [r for r in rows if r.disc.value <= pair_dmax]
+    for i, r1 in enumerate(rows):
+        for r2 in rows[i + 1 :]:
+            if math.gcd(r1.disc.value, r2.disc.value) == 1:
+                yield join_rows(r1, r2)
+
+
 class Decomposition(NamedTuple):
     n1_plus_I: int
     n1_minus_I: int

@@ -186,15 +186,22 @@ def test_parallel_jobs_match_serial(tmp_path):
 
 
 class InlinePool:
-    """Stands in for ProcessPoolExecutor: records each pool's max_workers
-    and runs every task inline, so no worker process starts."""
+    """Stands in for ProcessPoolExecutor: records each pool's max_workers,
+    runs its initializer once, as each worker would, and every task
+    inline, so no worker process starts."""
 
     sizes: list[int] = []
+    inits: list[tuple] = []  # each pool's initargs
+    tasks: list[tuple] = []  # each task's arguments
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        self.inits.append(initargs)
+        if initializer is not None:
+            initializer(*initargs)
 
     def submit(self, fn, *args):
+        self.tasks.append(args)
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -208,7 +215,9 @@ def test_pool_workers_capped_at_curve_count(tmp_path, monkeypatch, capsys):
     # beyond the curve count must not reach the pool.  The sweep imports
     # the pool class when it needs one, so it is patched where it lives.
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "sizes", [])
+    for name, value in (("sizes", []), ("inits", []), ("tasks", [])):
+        monkeypatch.setattr(InlinePool, name, value)
+    monkeypatch.setattr("quadtwist.harness._worker_discriminants", [])  # the initializer sets it
     corpus = three_curves()
     serial = strip_timing(sweep_report(corpus, 20, "all", jobs=1))
     assert InlinePool.sizes == []
@@ -221,6 +230,21 @@ def test_pool_workers_capped_at_curve_count(tmp_path, monkeypatch, capsys):
     one = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n", name="one.csv")
     assert main(["verify", "--corpus", one, "--dmax", "20", "--jobs", "100000"]) == 0
     assert InlinePool.sizes == [3, 2, 2]  # one curve runs in process
+
+
+def test_jobs_send_the_discriminants_once_per_worker(monkeypatch):
+    # the pool's initializer hands each worker the parsed discriminants
+    # once; a curve's task carries its record and no discriminant list
+    for name, value in (("sizes", []), ("inits", []), ("tasks", [])):
+        monkeypatch.setattr(InlinePool, name, value)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("quadtwist.harness._worker_discriminants", [])  # the initializer sets it
+    corpus = three_curves()
+    serial = strip_timing(sweep_report(corpus, 60, "all", jobs=1))
+    assert strip_timing(sweep_report(corpus, 60, "all", jobs=2)) == serial
+    assert InlinePool.inits == [(list(fundamental_discriminants(60)),)]
+    assert [args[0] for args in InlinePool.tasks] == corpus
+    assert not any(isinstance(a, list) for args in InlinePool.tasks for a in args)
 
 
 def test_serial_sweep_imports_no_process_pool(tmp_path):

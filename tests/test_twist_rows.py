@@ -7,32 +7,47 @@ a sweep must compute each curve's minimal model once and run Tate's
 algorithm once per (curve, prime of N), minimize each twist once, run
 Tate's algorithm once per (twist, prime) and evaluate the odd-prime
 closed form once per (curve, prime); and the package keeps one memo,
-a bounded one."""
+a bounded one.  A pair's checks run once per pair of row classes, and
+the class holds every value of a row that they read."""
 
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 import quadtwist
-from quadtwist.arith import fundamental_discriminant
+import quadtwist.harness as harness
+from quadtwist.arith import fundamental_discriminant, fundamental_discriminants
 from quadtwist.cli import main
 from quadtwist.curves import minimal_model
 from quadtwist.harness import (
     SweepReport,
+    _int_dict_json,
+    _pair_records,
+    _sweep_curve,
     default_corpus_path,
     ingest_corpus,
+    twist_rows,
     write_report,
 )
 from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
-from quadtwist.twistlaws import twist_minimal
+from quadtwist.twistlaws import minus_side, pair_twist_quantity, twist_minimal
 
-from oracles import reference_records, strip_timing, sweep_report
+from oracles import (
+    reference_pair_record,
+    reference_records,
+    reference_setup,
+    row_pairs,
+    strip_timing,
+    sweep_report,
+)
 
 COVERAGE = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
 THREE = ("11a1", "15a1", "37a1")
@@ -194,3 +209,123 @@ def test_sweep_computes_each_twist_once(monkeypatch, tmp_path, d_max):
         if l != 2
     }
     assert closed_form == Counter(odd_keys)
+
+
+# ---------------------------------------------------------------------------
+# pairs evaluated once per pair of row classes
+
+
+def row_class(row) -> tuple:
+    """What a pair's checks and verdict read of a row: its n_minus mask,
+    its share, and the twist's Tamagawa product and numbers at the
+    primes of N."""
+    tamagawa = tuple(row.local[p].tamagawa for p in row.facts.local_data)
+    return row.minus.mask, row.share, row.conductor_tamagawa, tamagawa
+
+
+def test_pair_checks_run_once_per_class_pair(monkeypatch):
+    # the acceptance sweep's 4,978 pairs fall into 501 class pairs, and
+    # the pair quantity is evaluated once for each of them
+    evaluated = Counter()
+
+    def counted(pair):
+        evaluated[pair.row1.facts.mm.minimal, row_class(pair.row1), row_class(pair.row2)] += 1
+        return pair_twist_quantity(pair)
+
+    monkeypatch.setattr(harness, "pair_twist_quantity", counted)
+    corpus = ingest_corpus(default_corpus_path())
+    report = sweep_report(corpus, 500, "all")
+    monkeypatch.undo()
+    assert sum("d1" in rec for rec in report["instances"]) == 4978
+    assert sum(evaluated.values()) == len(evaluated) == 501
+    fds = list(fundamental_discriminants(100))
+    assert set(evaluated) == {
+        (rec.facts.mm.minimal, row_class(pair.row1), row_class(pair.row2))
+        for rec in corpus
+        for pair in row_pairs(twist_rows(rec.facts, fds, 100), 100)
+    }
+
+
+def eleven_a1_rows():
+    """11a1's record and its rows at D = 5, 8 and 13.  The rows at 8 (u = 2,
+    c_2 = 1) and 13 (u = 1, c_13 = 2) share a class; 5 is coprime to both."""
+    (rec,) = [r for r in ingest_corpus(default_corpus_path()) if r.label == "11a1"]
+    discs = [fundamental_discriminant(d) for d in (5, 8, 13)]
+    return rec, discs, twist_rows(rec.facts, discs, 100)
+
+
+def test_rows_of_one_class_write_their_own_pair_records(monkeypatch):
+    # (5, 13) reuses the evaluation of (5, 8), and each record still
+    # equals the per-instance reference
+    rec, discs, (r5, r8, r13) = eleven_a1_rows()
+    assert row_class(r8) == row_class(r13)
+    assert (r8.u, r8.local[2].tamagawa, r13.u, r13.local[13].tamagawa) == (2, 1, 1, 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return run_pair_instance(*args)
+
+    run_pair_instance = harness.run_pair_instance
+    monkeypatch.setattr(harness, "run_pair_instance", counted)
+    chunk = _sweep_curve(rec, discs, 100, "all")
+    monkeypatch.undo()
+    assert len(calls) == 2  # (5, 8) and (8, 13)
+    E = rec.facts.mm.minimal
+    assert [json.loads(line) for line in chunk.lines[: chunk.pairs]] == [
+        reference_pair_record("11a1", reference_setup(E, f1, f2), "all")
+        for f1, f2 in combinations(discs, 2)
+    ]
+
+
+def class_pair_text(line: str) -> dict:
+    """A pair record without what the pair's own rows add to it."""
+    rec = json.loads(line)
+    for key in ("d1", "d2"):
+        del rec[key]
+    for key in ("D1", "D2", "u1", "u2", "twist_tamagawa_1", "twist_tamagawa_2"):
+        del rec["quantity"]["components"][key]
+    return rec
+
+
+@pytest.mark.parametrize("part", ["mask", "share", "conductor_tamagawa", "tamagawa_at_n"])
+def test_pair_class_holds_every_value_a_pair_reads(part):
+    # the row at 13 changed in one part of its class only (its data need
+    # not stay consistent): each pair's record equals the record of the
+    # same pair joined alone, where no evaluation is shared, and the
+    # change shows in the text the class pair (5, 13) would share with (5, 8)
+    rec, _, (r5, r8, r13) = eleven_a1_rows()
+    at_11 = r13.local[11]._replace(tamagawa=2 * r13.local[11].tamagawa)
+    changed = {
+        "mask": r13._replace(minus=minus_side(rec.facts, 0)),
+        "share": r13._replace(share=2 * r13.share),
+        "conductor_tamagawa": r13._replace(conductor_tamagawa=2 * r13.conductor_tamagawa),
+        "tamagawa_at_n": r13._replace(local={**r13.local, 11: at_11}),
+    }[part]
+    assert row_class(changed) != row_class(r8)
+    rows = [r5, r8, changed]
+    texts = {
+        r.disc.value: _int_dict_json({l: r.local[l].tamagawa for l in r.disc.primes})
+        for r in rows
+    }
+    c_tilde = {0: "{}", 1: _int_dict_json({11: rec.facts.local_data[11].c_tilde})}
+    lines, _ = _pair_records('"11a1"', rows, texts, c_tilde, True, True)
+    alone = [
+        _pair_records('"11a1"', pair, texts, c_tilde, True, True)[0][0]
+        for pair in combinations(rows, 2)
+        if math.gcd(pair[0].disc.value, pair[1].disc.value) == 1
+    ]
+    assert lines == alone
+    assert class_pair_text(alone[1]) != class_pair_text(alone[0])
+
+
+def test_a_second_sweep_on_fresh_facts_writes_the_same_text():
+    # the class-pair evaluations live for one curve's sweep: two sweeps,
+    # each over a fresh ingest, write the same bytes before the timing
+    def text():
+        out = io.StringIO()
+        corpus = ingest_corpus(default_corpus_path())
+        write_report(SweepReport(corpus, 200, "all", corpus_name="x"), out)
+        return out.getvalue().rsplit('"timing"', 1)[0]
+
+    assert text() == text()

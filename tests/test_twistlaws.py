@@ -28,7 +28,6 @@ from quadtwist.harness import (
     _format_quantity,
     default_corpus_path,
     ingest_corpus,
-    row_pairs,
     twist_rows,
 )
 from quadtwist.localred import reduction_profile, tate_local
@@ -67,6 +66,7 @@ from oracles import (
     random_reduced_curves,
     two_strongly_minimal_brute,
     reference_setup,
+    row_pairs,
     square_class,
     sweep_report,
 )
@@ -740,9 +740,16 @@ def test_symbol_closed_form_equals_kronecker_on_valid_setups():
     assert checked > 300
 
 
+def symbol_check(row, flip: int = 1) -> bool:
+    """tamagawa_symbol_check against kronecker(min disc, m) times flip."""
+    symbol = kronecker(row.facts.mm.invariants.disc, row.disc.odd_part)
+    return tamagawa_symbol_check(row, flip * symbol)
+
+
 def test_tamagawa_symbol_examples():
-    assert tamagawa_symbol_check(single_row(E11A1, 13))
-    assert tamagawa_symbol_check(single_row(E11A1, fundamental_discriminant(1)))  # empty
+    assert symbol_check(single_row(E11A1, 13))
+    assert not symbol_check(single_row(E11A1, 13), flip=-1)  # the check reads the symbol
+    assert symbol_check(single_row(E11A1, fundamental_discriminant(1)))  # empty
     # product congruent to 2 mod squares needs opposite symbols at two primes
     found = False
     for rec in corpus():
@@ -762,7 +769,7 @@ def test_tamagawa_symbol_examples():
                     row = single_row(rec.curve, f)
                 except SetupError:
                     continue
-                assert tamagawa_symbol_check(row)
+                assert symbol_check(row)
                 found = True
                 break
         if found:
