@@ -156,7 +156,12 @@ def _cmd_verify(args) -> int:
     if not corpus:  # no sweep passes on zero instances
         raise ValueError(f"{path}: no curves")
     sweep = SweepReport(
-        corpus, args.dmax, args.mode, jobs=args.jobs, corpus_name=path, pair_dmax=args.pair_dmax
+        corpus,
+        args.dmax,
+        args.mode,
+        jobs=args.jobs,
+        corpus_name=path,
+        pair_dmax=args.pair_dmax,
     )
     if args.out:
         # stream into a sibling file and rename it over --out only once

@@ -3,31 +3,52 @@
 
 Everything a record says is decided here: twistlaws returns ints,
 bools and LocalReductions, and one table (_PASSES) says which checks
-each mode runs. A record is its JSON line, formatted directly in the
-bytes json.dumps(record, sort_keys=True) writes; no JSON encoder and no
-Fraction runs per record.
-
-Each curve's and each twist's facts are computed once, not per
-instance. ingest_corpus puts each curve's CurveFacts (minimal model,
-conductor, local data) on its CurveRecord. Per curve the sweep builds
-one TwistRow per admissible discriminant: the twist is minimized once
-and Tate's algorithm runs once per prime on it. The odd-prime closed
-form is evaluated once per (curve, l). A single reads its own row, and
-its quantity text is made once per (share, n_minus side). A coprime
-pair D1 < D2 up to the pair cap reads two rows, each only through its
-class (_pair_records): its checks and verdict are evaluated once per
-class pair of the curve, and each pair adds its own D1, D2, u and
-Tamagawa texts.
+each mode runs. A record is its JSON line. Each instance formats its
+line directly, in the bytes json.dumps(record, sort_keys=True) writes,
+from ints, bools and text fragments made once per curve: the escaped
+label, each row's Tamagawa numbers at the primes of D, and the quantity
+text (checks, c~ and verdict) of each class of singles and of pairs.
+An even D's 2-adic case sentence is written from the case
+table's prediction and the row's Tate run at 2, and the quantity's
+string from its ints. No JSON encoder and no Fraction runs per record.
 
 A sweep streams: ``SweepReport`` yields one curve's record lines at a
-time and folds each chunk into the summary, parsing only a line that
-fails a check or carries a flag. ``write_report`` writes each line as it
-arrives, so the report's memory does not grow with the instance count.
-An exception inside a curve's sweep is raised as a SweepError naming the
-curve. With jobs > 1 the curves fan out over at most one worker process
-per curve; each worker receives the discriminants once, and each task
-one curve's record. Reports are deterministic: all wall-clock
-measurements live under "timing" keys.
+time, in report order, and folds each chunk into the summary as it
+passes: instance and check counts come from the record kinds' check
+names, and only a line that fails a check or carries a flag is parsed,
+for its failure witness and flags. It prints one progress line per
+curve on stderr. ``write_report``, the one report writer, writes each
+line to a file as it arrives, between a head and a tail encoded once
+each, so the report's memory does not grow with the instance count.
+
+Each curve's and each twist's facts are computed once, not per
+instance. ingest_corpus computes each curve's CurveFacts (minimal
+model, conductor, local data) and puts them on its CurveRecord. Per
+curve the sweep takes those facts and each discriminant's character
+signs at the primes of N (the sign table), and builds one TwistRow per
+admissible discriminant: the twist is minimized once and Tate's
+algorithm runs once per prime on it. The odd-prime closed form for the
+twist's Tamagawa number depends on the curve and the prime l, not on D,
+so it is evaluated once per (curve, l) and compared with the Tate value
+of every row whose D has l. Instances are a join of rows: a single
+reads its own row, and a coprime pair D1 < D2 up to the pair cap reads
+two, with its n_minus side from the curve's per-set table. A pair's
+checks and verdict read each row only through its class (_pair_records),
+so they are evaluated once per class pair of the curve, and each pair
+writes its own D1, D2, u and Tamagawa texts around them. The tests
+hold the records to a per-instance reference that reads each twist's
+Tate data afresh from a validated setup. An exception inside a curve's
+sweep is raised as a SweepError naming the curve. With jobs > 1 the
+curves fan out over at most one worker process per curve, each
+receiving the parsed discriminants once, through the pool's initializer,
+and per task one curve's record, facts included, and returning its
+chunk of lines; the process pool's modules are imported only then, so a
+sweep in one process never loads concurrent.futures or multiprocessing.
+
+Reports are deterministic: instances are enumerated in sorted order and
+all wall-clock measurements live under "timing" keys (the tail's wall
+and per-curve seconds), so two runs over the same inputs differ at most
+in those subtrees.
 """
 
 from __future__ import annotations
@@ -120,7 +141,9 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
     line can hang the sweep), duplicate labels are rejected, and a stated conductor must
     match the recomputed one exactly.  Each record carries its curve's
     CurveFacts, computed once here (one minimal_model, one Tate run per
-    prime of N) for the conductor check and the sweep.
+    prime of N) for the conductor check and the sweep.  Their n_minus
+    table, read off the local data, fills during a sweep and changes no
+    later report.
     """
     records: list[CurveRecord] = []
     seen: set[str] = set()
@@ -173,10 +196,11 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
 def twist_rows(
     facts: CurveFacts, discriminants: Iterable[FundamentalDiscriminant], pair_dmax: int
 ) -> list[TwistRow]:
-    """The twist row of the curve with these facts for each parsed
-    discriminant admissible for its canonical split (admissible_signs), in
-    input order.  Rows up to pair_dmax carry the twist's local data at the
-    primes of N, which their pairs' transfer identities read."""
+    """The twist row of the curve with these facts (its global minimal
+    model) for each parsed discriminant admissible for its canonical split
+    (admissible_signs, the sign table), in input order.  Rows up to
+    pair_dmax carry the twist's local data at the primes of N, which their
+    pairs' transfer identities read."""
     rows = []
     for f in discriminants:
         signs = admissible_signs(facts.local_data, f)
@@ -188,9 +212,12 @@ def twist_rows(
 # ---------------------------------------------------------------------------
 # per-instance records
 #
-# A record is its JSON line, as json.dumps(record, sort_keys=True) writes
-# it: keys in sorted order, ", " and ": " separators, strings with ASCII
-# escapes (encode_basestring_ascii, the encoder's own function).
+# A record is its JSON line, formatted as json.dumps(record, sort_keys=True)
+# writes it: keys in sorted order, ", " and ": " separators, strings with
+# ASCII escapes (encode_basestring_ascii, the encoder's own function).  The
+# text of what many records share is made once per curve: the escaped
+# label and each row's Tamagawa numbers at the primes of D in _sweep_curve,
+# and a class's quantity text in the run functions.
 
 _JSON_BOOL = ("false", "true")  # indexed by a bool; no check name holds "false"
 
@@ -198,7 +225,10 @@ _JSON_BOOL = ("false", "true")  # indexed by a bool; no check name holds "false"
 # pass; an even D adds two_adic_case_table to a single's lemma checks.
 _QUANTITY_CHECKS = ("quantity_power_of_two", "quantity_even_exponent")
 _SINGLE_LEMMA_CHECKS = (
-    "symbol_closed_form", "tamagawa_product_symbol", "u_closed_form", "odd_twist_fast_path"
+    "symbol_closed_form",
+    "tamagawa_product_symbol",
+    "u_closed_form",
+    "odd_twist_fast_path",
 )
 _PAIR_QUANTITY_CHECKS = (*_QUANTITY_CHECKS, "omega_parity", "c_tilde_product")
 _PAIR_LEMMA_CHECKS = ("tamagawa_transfer_per_prime", "tamagawa_transfer_product")
@@ -241,17 +271,18 @@ def _verdict_text(v) -> str:
 
 
 def run_single_instance(
-    curve_json: str, row: TwistRow, tamagawa_json: str, c_tilde_json: str, quantity_pass: bool,
-    lemma_pass: bool, odd_tamagawa: dict[int, int], quantities: dict,
+    curve_json: str, row: TwistRow, tamagawa_json: str, quantity_pass: bool, lemma_pass: bool,
+    odd_tamagawa: dict[int, int], quantities: dict[tuple[int, int], tuple[str, str, str]],
 ) -> tuple[str, bool]:
     """Evaluate one (curve, D) instance from its row: its record's JSON
     line, and whether the record is clean (every check passed, no flag).
-    curve_json is the curve's escaped label, tamagawa_json the row's
-    Tamagawa numbers and c_tilde_json its n_minus side's c~, as the report
-    prints them.  odd_tamagawa maps each odd prime of D to the curve's
-    twist_prime_tamagawa_odd(mm, l).  The quantity pass fills quantities,
-    the curve's (share, n_minus mask) -> quantity checks, c~ and verdict
-    text, which read nothing else."""
+    curve_json is the curve's escaped label and tamagawa_json the row's
+    Tamagawa numbers, as the report prints them.  odd_tamagawa maps each
+    odd prime of D to the curve's closed form twist_prime_tamagawa_odd(mm,
+    l) (no D changes it); the lemma pass reads it.  A single's quantity
+    reads its row only through (share, n_minus mask): the quantity pass
+    keeps its checks, c~ and verdict text in quantities, the curve's dict
+    on that key."""
     D = row.disc
     side = row.minus
     checks = []  # the checks' JSON members, in key order
@@ -263,10 +294,11 @@ def run_single_instance(
         text = quantities.get((row.share, side.mask))
         if text is None:
             v = twist_quantity(row)
+            c_tilde = _int_dict_json({q: row.facts.local_data[q].c_tilde for q in side.primes})
             text = quantities[row.share, side.mask] = (
                 f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
                 f'"quantity_power_of_two": {_JSON_BOOL[v.is_power_of_two]}',
-                f'"c_tilde": {c_tilde_json}, "omega_n_minus": {v.w}',
+                f'"c_tilde": {c_tilde}, "omega_n_minus": {v.w}',
                 _verdict_text(v),
             )
         quantity_checks, components, verdict = text
@@ -305,17 +337,18 @@ def run_single_instance(
 
 
 def run_pair_instance(
-    curve_json: str, pair: TwistPair, c_tilde_json: str, quantity_pass: bool, lemma_pass: bool
+    curve_json: str, pair: TwistPair, quantity_pass: bool, lemma_pass: bool
 ) -> tuple[str, str, str, str, bool]:
     """Evaluate one class pair of (curve, D1, D2) instances (_pair_records)
-    from the join of two of its rows, with its n_minus side's c~ text: its
-    records' text before D1 (checks and curve), their n_minus side,
-    quantity components and verdict, and whether every check passed."""
+    from the join of two of its rows: its records' text before D1 (checks
+    and curve), their n_minus side, quantity components and verdict, and
+    whether every check passed."""
     row1, row2, side = pair
     checks = []  # the checks' JSON members, in key order
     components = verdict = ""
     if quantity_pass:
         v = pair_twist_quantity(pair)
+        c_tilde = _int_dict_json({q: row1.facts.local_data[q].c_tilde for q in side.primes})
         parity = _JSON_BOOL[v.omega_parity]
         product = _JSON_BOOL[v.c_tilde_product]
         checks.append(
@@ -325,7 +358,7 @@ def run_pair_instance(
         )
         components = (
             f'"bookkeeping": {{"c_tilde_product": {product}, "omega_parity": {parity}}}, '
-            f'"c_tilde": {c_tilde_json}, "omega_n_minus": {v.w}'
+            f'"c_tilde": {c_tilde}, "omega_n_minus": {v.w}'
         )
         verdict = _verdict_text(v)
     if lemma_pass:
@@ -342,16 +375,17 @@ def run_pair_instance(
 
 def _pair_records(
     curve_json: str, rows: Sequence[TwistRow], tamagawa_json: dict[int, str],
-    c_tilde_json: dict[int, str], quantity_pass: bool, lemma_pass: bool,
+    quantity_pass: bool, lemma_pass: bool,
 ) -> tuple[list[str], list[int]]:
     """The records of the coprime pairs D1 < D2 of one curve's rows up to
     the pair cap, ascending (a coprime pair is admissible exactly when both
     its discriminants are), and the indices of those failing a check.
     A pair's checks and verdict read a row only through its class: its
     n_minus mask, its share, and the twist's Tamagawa numbers at the
-    primes of N with their product.  So run_pair_instance runs once per
-    class pair, and each record adds its own D1, D2, u1, u2 and Tamagawa
-    texts to that text.  c_tilde_json maps a mask to its side's c~ text."""
+    primes of N, with their product conductor_tamagawa (in the key only as
+    a guard: every row twist_row builds has it).  So run_pair_instance
+    runs once per class pair, and each record adds its own D1, D2, u1, u2
+    and Tamagawa texts to that text."""
     classes: dict[tuple, int] = {}  # a row class -> its number
     cls = []
     for r in rows:
@@ -369,9 +403,8 @@ def _pair_records(
                 continue
             text = evaluated.get((cls[i], cls[j]))
             if text is None:
-                pair = join_rows(row1, row2)
                 text = evaluated[cls[i], cls[j]] = run_pair_instance(
-                    curve_json, pair, c_tilde_json[pair.minus.mask], quantity_pass, lemma_pass
+                    curve_json, join_rows(row1, row2), quantity_pass, lemma_pass
                 )
             head, side, components, verdict, clean = text
             if not clean:
@@ -404,9 +437,11 @@ class CurveChunk(NamedTuple):
 def _sweep_curve(
     record: CurveRecord, discriminants: list[FundamentalDiscriminant], pair_dmax: int, mode: str
 ) -> CurveChunk:
-    """One curve's instance records and the seconds they took, from rows
-    built once from its record's facts.  The odd-prime closed form is
-    evaluated once per odd prime of the rows' D, for the singles' lemmas."""
+    """One curve's instance records and the seconds they took.  The
+    curve's rows are built once from its record's facts, and so is the
+    text its records share, which the run functions receive.  The
+    odd-prime closed form is evaluated once per odd prime of the rows'
+    discriminants, before the singles, when their lemma pass runs."""
     single_quantity, single_lemmas, pair_quantity, pair_lemmas = _PASSES[mode]
     facts = record.facts
     t0 = time.perf_counter()
@@ -418,20 +453,14 @@ def _sweep_curve(
         discriminants = [f for f in discriminants if f.value <= pair_dmax]
     try:
         rows = twist_rows(facts, discriminants, pair_dmax if pairs_run else 0)
-        # D -> a row's Tamagawa numbers; mask -> the c~ of a row's or pair's side
+        # D -> the row's Tamagawa numbers
         tamagawa_json = {
             row.disc.value: _int_dict_json({l: row.local[l].tamagawa for l in row.disc.primes})
             for row in rows
         }
-        masks = {row.minus.mask for row in rows}
-        local = list(facts.local_data.values())
-        c_tilde_json = {
-            m: _int_dict_json({q.prime: q.c_tilde for i, q in enumerate(local) if m >> i & 1})
-            for m in {m1 ^ m2 for m1 in masks for m2 in masks | {0}}  # a pair's is an XOR
-        }
         pair_rows = [row for row in rows if row.disc.value <= pair_dmax] if pairs_run else []
         lines, unclean = _pair_records(
-            curve_json, pair_rows, tamagawa_json, c_tilde_json, pair_quantity, pair_lemmas
+            curve_json, pair_rows, tamagawa_json, pair_quantity, pair_lemmas
         )
         pairs = len(lines)
         if singles_run:
@@ -441,8 +470,8 @@ def _sweep_curve(
             quantities: dict = {}  # (share, n_minus mask) -> a single's quantity text
             for row in rows:
                 line, clean = run_single_instance(
-                    curve_json, row, tamagawa_json[row.disc.value], c_tilde_json[row.minus.mask],
-                    single_quantity, single_lemmas, odd_tamagawa, quantities,
+                    curve_json, row, tamagawa_json[row.disc.value], single_quantity,
+                    single_lemmas, odd_tamagawa, quantities,
                 )
                 if not clean:
                     unclean.append(len(lines))
@@ -469,9 +498,13 @@ def _sweep_in_worker(record: CurveRecord, pair_dmax: int, mode: str) -> CurveChu
 class SweepReport:
     """One verification sweep, consumed one instance record at a time.
 
-    Iterating runs the sweep and yields every instance record's JSON line
-    in report order (curves by label, then pairs before singles, each
-    ascending), folding each curve's chunk into the summary (_fold).
+    Iterating runs the sweep and yields every instance record, as its
+    JSON line, in report order (curves by label, then pairs before
+    singles, each ascending), one curve's chunk at a time. Each chunk is
+    folded into the summary as it passes: the instance and check counts
+    come from the record kinds' check names (_check_names), and only a
+    line that fails a check or carries a flag is parsed, for its failure
+    witness and its flags. One progress line per curve goes to stderr.
     ``head`` holds the parameters of the run; ``tail()``, read after the
     iteration, holds the summary, the failures and the timing. Pair
     instances are capped at discriminant min(d_max, pair_dmax). A d_max
@@ -480,8 +513,13 @@ class SweepReport:
     """
 
     def __init__(
-        self, corpus: list[CurveRecord], d_max: int, mode: str = "all", jobs: int = 1,
-        corpus_name: str = "-", pair_dmax: int = PAIR_DMAX,
+        self,
+        corpus: list[CurveRecord],
+        d_max: int,
+        mode: str = "all",
+        jobs: int = 1,
+        corpus_name: str = "-",
+        pair_dmax: int = PAIR_DMAX,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
@@ -490,8 +528,12 @@ class SweepReport:
         self.corpus = sorted(corpus, key=lambda r: r.label)
         self.jobs = jobs
         self.head = {
-            "schema": 1, "mode": mode, "d_max": d_max, "pair_dmax": min(d_max, pair_dmax),
-            "corpus": corpus_name, "curves": [rec.label for rec in self.corpus],
+            "schema": 1,
+            "mode": mode,
+            "d_max": d_max,
+            "pair_dmax": min(d_max, pair_dmax),
+            "corpus": corpus_name,
+            "curves": [rec.label for rec in self.corpus],
         }
         self.instances = 0
         self.checks_run = 0
@@ -510,8 +552,9 @@ class SweepReport:
         # there are curves
         workers = min(self.jobs, len(self.corpus))
         if workers > 1:
-            # imported here: the pool's modules (multiprocessing, pickle, socket,
-            # ...) are a third of the package's import time
+            # imported here: the pool's modules (multiprocessing, pickle,
+            # socket, ...) are a third of the package's import time, and a
+            # sweep in one process uses none of them
             from concurrent.futures import ProcessPoolExecutor
 
             # each worker receives the discriminants once, each task a curve

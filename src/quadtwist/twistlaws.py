@@ -448,9 +448,10 @@ def symbol_closed_form(delta: int, D: FundamentalDiscriminant, b: int) -> int:
     raise ValueError("invalid discriminant shape")
 
 
-def tamagawa_symbol_check(row: TwistRow, symbol: int) -> bool:
-    """With m the odd part of D and symbol = kronecker(min disc, m):
-    prod_{l | m} c_l(twist by D) is a power of two, square exactly when symbol is 1."""
+def tamagawa_symbol_check(row: TwistRow, symbol: int | None = None) -> bool:
+    """With m the odd part of D: prod_{l | m} c_l(twist by D) is a power of
+    two, square exactly when kronecker(min disc, m) = 1.  A caller that
+    has that symbol already may pass it."""
     D = row.disc
     disc = row.facts.mm.invariants.disc
     prod = 1
@@ -461,6 +462,8 @@ def tamagawa_symbol_check(row: TwistRow, symbol: int) -> bool:
             raise ValueError(f"E must have good reduction at {l}")
         prod *= row.local[l].tamagawa
     k = _exponent(prod, 1)
+    if symbol is None:
+        symbol = kronecker(disc, D.odd_part)
     return k is not None and (k % 2 == 0) == (symbol == 1)
 
 

@@ -308,10 +308,9 @@ def test_pair_class_holds_every_value_a_pair_reads(part):
         r.disc.value: _int_dict_json({l: r.local[l].tamagawa for l in r.disc.primes})
         for r in rows
     }
-    c_tilde = {0: "{}", 1: _int_dict_json({11: rec.facts.local_data[11].c_tilde})}
-    lines, _ = _pair_records('"11a1"', rows, texts, c_tilde, True, True)
+    lines, _ = _pair_records('"11a1"', rows, texts, True, True)
     alone = [
-        _pair_records('"11a1"', pair, texts, c_tilde, True, True)[0][0]
+        _pair_records('"11a1"', pair, texts, True, True)[0][0]
         for pair in combinations(rows, 2)
         if math.gcd(pair[0].disc.value, pair[1].disc.value) == 1
     ]

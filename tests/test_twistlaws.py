@@ -740,16 +740,13 @@ def test_symbol_closed_form_equals_kronecker_on_valid_setups():
     assert checked > 300
 
 
-def symbol_check(row, flip: int = 1) -> bool:
-    """tamagawa_symbol_check against kronecker(min disc, m) times flip."""
-    symbol = kronecker(row.facts.mm.invariants.disc, row.disc.odd_part)
-    return tamagawa_symbol_check(row, flip * symbol)
-
-
 def test_tamagawa_symbol_examples():
-    assert symbol_check(single_row(E11A1, 13))
-    assert not symbol_check(single_row(E11A1, 13), flip=-1)  # the check reads the symbol
-    assert symbol_check(single_row(E11A1, fundamental_discriminant(1)))  # empty
+    assert tamagawa_symbol_check(single_row(E11A1, 13))
+    # a symbol the caller passes is the one the check reads
+    row = single_row(E11A1, 13)
+    symbol = kronecker(row.facts.mm.invariants.disc, 13)
+    assert tamagawa_symbol_check(row, symbol) and not tamagawa_symbol_check(row, -symbol)
+    assert tamagawa_symbol_check(single_row(E11A1, fundamental_discriminant(1)))  # empty
     # product congruent to 2 mod squares needs opposite symbols at two primes
     found = False
     for rec in corpus():
@@ -769,7 +766,7 @@ def test_tamagawa_symbol_examples():
                     row = single_row(rec.curve, f)
                 except SetupError:
                     continue
-                assert symbol_check(row)
+                assert tamagawa_symbol_check(row)
                 found = True
                 break
         if found:
