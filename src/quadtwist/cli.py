@@ -146,7 +146,7 @@ def _cmd_u_of_d(args) -> int:
     g = math.gcd(D.value, facts.conductor)
     if g != 1:  # the closed form assumes D coprime to N
         raise ValueError(f"gcd(D, N) = {g} != 1")
-    print(f"u={u_of_discriminant(facts.mm, D)} (measured {twist_minimal(facts.mm, D)[1]})")
+    print(f"u={u_of_discriminant(facts.mm, D)} (measured {twist_minimal(facts.mm, D).u_value})")
     return 0
 
 

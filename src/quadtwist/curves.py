@@ -12,7 +12,8 @@ models, and the minimal models of twists (the twist by d has invariants
 variables the module applies is quadratic_twist's rescaling by
 [1/2, 0, 0, 0].  The reduction is handed the primes of the
 discriminant, so a caller that knows them (the twist of a curve whose
-bad primes are known) factors nothing large.
+bad primes are known) factors nothing large; it returns the invariants
+and discriminant exponents that Tate's algorithm starts from.
 """
 
 from __future__ import annotations
@@ -134,6 +135,7 @@ class MinimalModelResult(NamedTuple):
     u_value: int  # |u| of the scale from the input invariants
     bad_primes: tuple[int, ...]  # primes of the minimal discriminant
     invariants: Invariants  # of the minimal model
+    disc_exponents: tuple[int, ...]  # v_p of the minimal discriminant at each bad prime
 
 
 def minimal_from_invariants(c4: int, c6: int, primes) -> MinimalModelResult:
@@ -146,14 +148,15 @@ def minimal_from_invariants(c4: int, c6: int, primes) -> MinimalModelResult:
     over (a prime missing from the list) raises ValueError.  Output is the
     reduced form (a1, a3 in {0,1}, a2 in {-1,0,1}), which is unique, the
     scale u with (c4, c6) = (u^4 C4, u^6 C6) for its invariants (C4, C6),
-    the primes of the minimal discriminant, and its invariants.
+    the primes of the minimal discriminant, its invariants, and v_p of
+    its discriminant at each of those primes (e - 12 v_p(u)).
     """
     disc = (c4**3 - c6**2) // 1728
     if disc == 0:
         raise SingularModelError(f"singular invariants ({c4}, {c6})")
     rest = abs(disc)
     u = 1
-    bad_primes = []
+    bad_primes, exponents = [], []
     for p in primes:
         e = 0
         while rest % p == 0:
@@ -172,12 +175,13 @@ def minimal_from_invariants(c4: int, c6: int, primes) -> MinimalModelResult:
             u *= p**d
         if e > 12 * d:  # p still divides the minimal discriminant
             bad_primes.append(p)
+            exponents.append(e - 12 * d)
     if rest != 1:
         raise ValueError(f"a prime of the discriminant {disc} is missing: {rest} is left")
     C4, C6 = c4 // u**4, c6 // u**6
     assert kraus_conditions(C4, C6, 2) and kraus_conditions(C4, C6, 3)
     M, inv = _model_from_c4c6(C4, C6)
-    return MinimalModelResult(M, u, tuple(bad_primes), inv)
+    return MinimalModelResult(M, u, tuple(bad_primes), inv, tuple(exponents))
 
 
 def minimal_model(E: WeierstrassModel) -> MinimalModelResult:

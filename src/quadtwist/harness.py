@@ -26,11 +26,12 @@ instance. ingest_corpus computes each curve's CurveFacts (minimal
 model, conductor, local data) and puts them on its CurveRecord. Per
 curve the sweep takes those facts and each discriminant's character
 signs at the primes of N (the sign table), and builds one TwistRow per
-admissible discriminant: the twist is minimized once and Tate's
-algorithm runs once per prime on it. The odd-prime closed form for the
-twist's Tamagawa number depends on the curve and the prime l, not on D,
-so it is evaluated once per (curve, l) and compared with the Tate value
-of every row whose D has l. Instances are a join of rows: a single
+admissible discriminant: the twist is minimized once, and Tate's
+algorithm runs once per prime on that reduction, from its invariants
+and discriminant exponents. The odd-prime closed form for the twist's
+Tamagawa number depends on the curve and the prime l, not on D, so it
+is evaluated once per (curve, l) and compared with the Tate value of
+every row whose D has l. Instances are a join of rows: a single
 reads its own row, and a coprime pair D1 < D2 up to the pair cap reads
 two, with its n_minus side from the curve's per-set table. A pair's
 checks and verdict read each row only through its class (_pair_records),

@@ -11,10 +11,16 @@ is a closed form: modular inverses at odd p, and at p = 2, 3 the
 textbook residues (the singular point from the partial derivatives mod
 2, the double root of the cubic mod 3, [1, 0, a2 mod 2, 2 (a6/4 mod 2)]
 for the I0* step at 2), with the resulting valuation profile asserted
-after every step.  The kernel runs on plain ints: it carries a1..a6 as
-locals, applies each [1, r, s, t] change through _change, computes each
-b- and c-invariant only where a step reads it, and tests thresholds as
-divisibility by a power of p.  The model-object form of the same
+after every step.  The kernel (_tate) runs on plain ints: it starts
+from the model's invariants and n = v_p of its discriminant, carries
+a1..a6 as locals, applies each [1, r, s, t] change through _change,
+computes a b-invariant of a changed model only where a step reads it,
+and tests thresholds as divisibility by a power of p.  tate_local finds
+that start itself, for any model.  local_data reads it off a global
+minimal model's reduction (MinimalModelResult.invariants and
+disc_exponents), so the invariants and discriminant exponents of a
+curve or twist are computed once, where it is minimized, and Tate's
+algorithm divides nothing out.  The model-object form of the same
 algorithm, a WeierstrassModel per change with every invariant
 recomputed, is the tests' reference; it counts roots on its own.
 
@@ -28,16 +34,11 @@ the D that l divides.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .arith import is_prime, kronecker, valuation
-from .curves import (
-    Invariants,
-    MinimalModelResult,
-    SingularModelError,
-    WeierstrassModel,
-    minimal_model,
-)
+from .curves import Invariants, MinimalModelResult, WeierstrassModel, invariants, minimal_model
 
 GOOD = "good"
 MULT_SPLIT = "multiplicative-split"
@@ -73,10 +74,6 @@ class LocalReduction(NamedTuple):
         if self.split is None:
             raise ValueError(f"{self.prime} is not a multiplicative prime")
         return self.disc_valuation
-
-
-def _inv(a: int, p: int) -> int:
-    return pow(a % p, -1, p)
 
 
 def _quad_has_root(A: int, B: int, C: int, p: int) -> bool:
@@ -155,23 +152,29 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    inv = invariants(E)
+    return _tate(E, p, inv, valuation(inv.disc, p))
+
+
+def local_data(mm: MinimalModelResult, primes) -> dict[int, LocalReduction]:
+    """tate_local(mm.minimal, p) at each p of primes, from mm.invariants and
+    mm.disc_exponents; a prime outside mm.bad_primes raises ValueError."""
+    data = {}
+    for p in primes:
+        if p not in mm.bad_primes:
+            raise ValueError(f"{p} is not a bad prime of {tuple(mm.minimal)}")
+        data[p] = _tate(mm.minimal, p, mm.invariants, mm.disc_exponents[mm.bad_primes.index(p)])
+    return data
+
+
+def _tate(E: WeierstrassModel, p: int, inv: Invariants, n: int) -> LocalReduction:
+    """Tate's algorithm at p on E, from inv = invariants(E) and n = v_p(inv.disc)."""
     p2, p3 = p * p, p**3
     a1, a2, a3, a4, a6 = E
     while True:
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        if disc == 0:
-            raise SingularModelError(f"singular model {tuple(E)}")
-        if disc % p:
+        if n == 0:
             return LocalReduction(p, "I0", 1, 0, GOOD, 0)
-        n = 0
-        while disc % p == 0:
-            disc //= p
-            n += 1
-        c4 = b2 * b2 - 24 * b4
+        b2, b4, b6, _, c4, _, _ = inv
 
         # move the singular point of the reduction to (0, 0): [1, r, 0, t]
         if p == 2:
@@ -184,12 +187,12 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         else:
             # the double root r of x^3 + b2/4 x^2 + b4/2 x + b6/4 mod p
             if c4 % p:
-                r = (18 * b6 - b2 * b4) * _inv(c4, p) % p  # -b2 b4 at p = 3
+                r = (18 * b6 - b2 * b4) * pow(c4, -1, p) % p  # -b2 b4 at p = 3
             elif p == 3:
                 r = -b6 % 3  # 3 | b2, b4: the cubic is x^3 + b6
             else:
-                r = -b2 * _inv(12, p) % p
-            t = -(a1 * r + a3) * _inv(2, p) % p
+                r = -b2 * pow(12, -1, p) % p
+            t = -(a1 * r + a3) * ((p + 1) // 2) % p
         a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, r, 0, t)
         assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
 
@@ -212,12 +215,12 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         if p == 2:
             s, w = a2 % 2, 2 * (a6 // 4 % 2)
         else:
-            s, w = -a1 * _inv(2, p) % p, -a3 * _inv(2, p2) % p2
+            s, w = -a1 * ((p + 1) // 2) % p, -a3 * ((p2 + 1) // 2) % p2
         a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, s, w)
         assert a1 % p == 0 and a2 % p == 0
         assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
 
-        b, c, d = a2 // p, a4 // p2, a6 // p3
+        b, c, d = a2 // p % p, a4 // p2 % p, a6 // p3 % p
         if _cubic_disc(b, c, d) % p != 0:
             cp = 1 + count_cubic_roots(b, c, d, p)
             return LocalReduction(p, "I0*", cp, n, ADDITIVE, n - 4)
@@ -226,10 +229,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
             # double root x0 of the cubic: type I_m* chain.  A root of
             # multiplicity two is (9d - bc) / 2(b^2 - 3c); at p = 2 it is
             # the root of the derivative T^2 + c.
-            if p == 2:
-                x0 = c % 2
-            else:
-                x0 = (9 * d - b * c) * _inv(2 * (b * b - 3 * c), p) % p
+            x0 = c if p == 2 else (9 * d - b * c) * pow(2 * (b * b - 3 * c), -1, p) % p
             a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, p * x0, 0, 0)
             assert a2 % p == 0 and a2 % p2 != 0 and a3 % p2 == 0
             assert a4 % p3 == 0 and a6 % p**4 == 0
@@ -242,14 +242,14 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
                     if (a3t * a3t + 4 * a6t) % p != 0:
                         cp = 4 if _quad_has_root(1, a3t, -a6t, p) else 2
                         break
-                    y0 = a6t % 2 if p == 2 else (-a3t * _inv(2, p)) % p
+                    y0 = a6t % 2 if p == 2 else -a3t * ((p + 1) // 2) % p
                     a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, 0, my * y0)
                     my *= p
                 else:
                     if (a4t * a4t - 4 * a2t * a6t) % p != 0:
                         cp = 4 if _quad_has_root(a2t, a4t, a6t, p) else 2
                         break
-                    x1 = a6t % 2 if p == 2 else (-a4t * _inv(2 * a2t, p)) % p
+                    x1 = a6t % 2 if p == 2 else -a4t * pow(2 * a2t, -1, p) % p
                     a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, mx * x1, 0, 0)
                     mx *= p
                 m += 1
@@ -262,7 +262,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         elif p == 3:
             x0 = (-d) % 3
         else:
-            x0 = (-b * _inv(3, p)) % p
+            x0 = -b * pow(3, -1, p) % p
         a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, p * x0, 0, 0)
         p4 = p2 * p2
         assert a2 % p2 == 0 and a3 % p2 == 0
@@ -273,7 +273,7 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
             cp = 3 if _quad_has_root(1, a3t, -a6t, p) else 1
             return LocalReduction(p, "IV*", cp, n, ADDITIVE, n - 6)
 
-        y0 = a6t % 2 if p == 2 else (-a3t * _inv(2, p)) % p
+        y0 = a6t % 2 if p == 2 else -a3t * ((p + 1) // 2) % p
         a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, 0, p2 * y0)
         assert a3 % p3 == 0 and a6 % (p4 * p) == 0
 
@@ -285,18 +285,15 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
         # non-minimal at p: rescale and restart
         assert a1 % p == 0 and a2 % p2 == 0
         a1, a2, a3, a4, a6 = a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // (p3 * p3)
+        inv = invariants(WeierstrassModel(a1, a2, a3, a4, a6))
+        n -= 12
 
 
 def reduction_profile(mm: MinimalModelResult) -> tuple[int, dict[int, LocalReduction]]:
     """Conductor N = prod p^f_p together with per-prime local data,
     computed on the global minimal model mm.minimal at its bad primes."""
-    data = {}
-    N = 1
-    for p in mm.bad_primes:
-        loc = tate_local(mm.minimal, p)
-        data[p] = loc
-        N *= p**loc.conductor_exponent
-    return N, data
+    data = local_data(mm, mm.bad_primes)
+    return math.prod(p**loc.conductor_exponent for p, loc in data.items()), data
 
 
 def conductor(E: WeierstrassModel) -> int:
@@ -308,8 +305,8 @@ def depressed_cubic_mod(inv: Invariants, l: int) -> tuple[int, int, int]:
     obtained by completing the square (disc = 16 disc(f)), from the
     invariants of the model."""
     assert l % 2 == 1
-    i2, i4 = _inv(2, l), _inv(4, l)
-    return (inv.b2 * i4 % l, inv.b4 * i2 % l, inv.b6 * i4 % l)
+    i2 = (l + 1) // 2
+    return (inv.b2 * i2 * i2 % l, inv.b4 * i2 % l, inv.b6 * i2 * i2 % l)
 
 
 def twist_prime_tamagawa_odd(mm: MinimalModelResult, l: int) -> int:
@@ -319,10 +316,9 @@ def twist_prime_tamagawa_odd(mm: MinimalModelResult, l: int) -> int:
     cubic mod l.  The value does not depend on D."""
     if l == 2 or not is_prime(l):
         raise ValueError("l must be an odd prime")
-    inv = mm.invariants
-    if valuation(inv.disc, l) != 0:
+    if l in mm.bad_primes:
         raise ValueError(f"E must have good reduction at {l}")
-    b, c, d = depressed_cubic_mod(inv, l)
+    b, c, d = depressed_cubic_mod(mm.invariants, l)
     cp = 1 + count_cubic_roots(b, c, d, l)
     assert cp in (1, 2, 4)
     return cp

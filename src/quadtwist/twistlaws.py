@@ -56,7 +56,7 @@ from .arith import (
     valuation,
 )
 from .curves import MinimalModelResult, WeierstrassModel, minimal_from_invariants, minimal_model
-from .localred import LocalReduction, reduction_profile, tate_local
+from .localred import LocalReduction, local_data, reduction_profile
 from .profile_scan import EXPECTED_TAMAGAWA2_PROFILE
 
 
@@ -189,13 +189,12 @@ def admissible_signs(
 # twist local data and u_D
 
 
-def twist_minimal(
-    mm: MinimalModelResult, D: FundamentalDiscriminant
-) -> tuple[WeierstrassModel, int]:
-    """(minimal model of the twist of E = mm.minimal by D, the scale u_D
-    from the twist's invariants (D^2 c4, D^3 c6) onto it), for (c4, c6)
-    the invariants of E.  D = 1 gives (E, 1) on the same path: no prime
-    rescales a minimal model, and the reduced minimal model is unique.
+def twist_minimal(mm: MinimalModelResult, D: FundamentalDiscriminant) -> MinimalModelResult:
+    """The reduction of the twist of E = mm.minimal by D, whose u_value is
+    the scale u_D from the twist's invariants (D^2 c4, D^3 c6) onto its
+    minimal model, for (c4, c6) the invariants of E.  D = 1 gives mm, at
+    u_value 1, on the same path: no prime rescales a minimal model, and the
+    reduced minimal model is unique.
 
     The pair is always the invariants of an integral model.  For
     D = 1 mod 4 the raw twist is integral (quadratic_twist's first
@@ -206,10 +205,9 @@ def twist_minimal(
     parsed D and mm carry, so nothing is factored.
     """
     d, inv = D.value, mm.invariants
-    tw = minimal_from_invariants(
+    return minimal_from_invariants(
         d * d * inv.c4, d**3 * inv.c6, sorted({*mm.bad_primes, *D.primes})
     )
-    return tw.minimal, tw.u_value
 
 
 def _c6_two_valuation(mm: MinimalModelResult) -> int:
@@ -333,29 +331,31 @@ def twist_row(
     facts: CurveFacts, f: FundamentalDiscriminant, signs: tuple[int, ...], at_conductor: bool
 ) -> TwistRow:
     """The row of an admissible discriminant from its admissible_signs
-    vector: one twist_minimal call, and one tate_local call per prime of
-    D, and per prime of N when at_conductor.  The twist by 1 is the curve
-    itself, whose local data at N the facts hold."""
-    T, u_measured = twist_minimal(facts.mm, f)
-    local = {l: tate_local(T, l) for l in f.primes}
+    vector: one twist_minimal call, and Tate's algorithm on the minimal
+    twist (local_data) at each prime of D, and of N when at_conductor.
+    The twist by 1 is the curve itself, whose local data at N the facts hold."""
+    tw = twist_minimal(facts.mm, f)
+    local = local_data(tw, f.primes)
     conductor_tamagawa = None
     if at_conductor:
-        if f.value == 1:
-            local.update(facts.local_data)
-        else:
-            local.update((l, tate_local(T, l)) for l in facts.local_data)
+        local.update(facts.local_data if f.value == 1 else local_data(tw, facts.local_data))
         conductor_tamagawa = math.prod(local[l].tamagawa for l in facts.local_data)
     u = u_of_discriminant(facts.mm, f)
-    mask = sum(1 << i for i, s in enumerate(signs) if s == -1)
+    share = u
+    for l in f.primes:
+        share *= local[l].tamagawa
+    mask = 0
+    for i, s in enumerate(signs):
+        mask |= (s == -1) << i
     return TwistRow(
         facts,
         f,
         signs,
         minus_side(facts, mask),
         u,
-        u_measured,
+        tw.u_value,
         local,
-        u * math.prod(local[l].tamagawa for l in f.primes),
+        share,
         conductor_tamagawa,
     )
 
@@ -453,17 +453,16 @@ def tamagawa_symbol_check(row: TwistRow, symbol: int | None = None) -> bool:
     two, square exactly when kronecker(min disc, m) = 1.  A caller that
     has that symbol already may pass it."""
     D = row.disc
-    disc = row.facts.mm.invariants.disc
     prod = 1
     for l in D.primes:
         if l == 2:
             continue
-        if valuation(disc, l) != 0:
+        if l in row.facts.mm.bad_primes:
             raise ValueError(f"E must have good reduction at {l}")
         prod *= row.local[l].tamagawa
     k = _exponent(prod, 1)
     if symbol is None:
-        symbol = kronecker(disc, D.odd_part)
+        symbol = kronecker(row.facts.mm.invariants.disc, D.odd_part)
     return k is not None and (k % 2 == 0) == (symbol == 1)
 
 

@@ -327,7 +327,11 @@ def golden_local_data(label: str, ai, conductor: int):
 
 from quadtwist.arith import is_prime
 from quadtwist.curves import Invariants, WeierstrassModel, invariants
-from quadtwist.localred import LocalReduction, _inv
+from quadtwist.localred import LocalReduction
+
+
+def _inv(a: int, p: int) -> int:
+    return pow(a % p, -1, p)
 
 
 def _quad_has_root(A: int, B: int, C: int, p: int) -> bool:

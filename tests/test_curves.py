@@ -291,7 +291,8 @@ def test_twist_minimal_matches_minimal_model_of_twist():
     for E, d in cases:
         if d in ds:
             want = twist_reference(held[E].minimal, d)
-            assert twist_minimal(held[E], fundamental_discriminant(d)) == want, (tuple(E), d)
+            tw = twist_minimal(held[E], fundamental_discriminant(d))
+            assert (tw.minimal, tw.u_value) == want, (tuple(E), d)
         else:
             want = twist_reference(E, d)
             assert general_twist_minimal(held[E], d) == want, (tuple(E), d)
@@ -320,7 +321,7 @@ def test_twist_minimal_by_one_reads_minimal_model(monkeypatch):
     for E in curves:
         assert general_twist_minimal(held[E], 1) == expected[E], tuple(E)
         assert general_twist_minimal(held[E], one) == expected[E], tuple(E)
-        assert twist_minimal(held[E], one) == (held[E].minimal, 1), tuple(E)
+        assert twist_minimal(held[E], one) == held[E]._replace(u_value=1), tuple(E)
 
 
 def test_twist_minimal_factors_only_small_numbers(monkeypatch):
@@ -359,7 +360,8 @@ def test_twist_minimal_factors_only_small_numbers(monkeypatch):
             assert general_twist_minimal(held[E], D) == want, (tuple(E), d)
             assert factored == ([u] if u > 1 and d > 1 else []), (tuple(E), d)
             factored.clear()
-            assert twist_minimal(held[E], D) == (want[0], want[1] / u), (tuple(E), d)
+            tw = twist_minimal(held[E], D)
+            assert (tw.minimal, tw.u_value) == (want[0], want[1] / u), (tuple(E), d)
             assert factored == [], (tuple(E), d)
 
 
@@ -386,7 +388,8 @@ def test_twist_minimal_is_the_general_form_at_scale_one(monkeypatch):
     for mm in held:
         at_one = mm._replace(u_value=1)
         for D in ds:
-            T, u = twist_minimal(mm, D)
+            tw = twist_minimal(mm, D)
+            T, u = tw.minimal, tw.u_value
             assert type(u) is int, (tuple(mm.minimal), D.value)
             assert (T, u) == general_twist_minimal(at_one, D), (tuple(mm.minimal), D.value)
 

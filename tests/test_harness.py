@@ -625,8 +625,8 @@ def test_cli_verify_flags_a_measured_u_outside_one_two(tmp_path, monkeypatch, ca
     real = quadtwist.twistlaws.twist_minimal
 
     def four_at_five(mm, d):
-        T, u = real(mm, d)
-        return (T, 4) if d.value == 5 else (T, u)
+        tw = real(mm, d)
+        return tw._replace(u_value=4) if d.value == 5 else tw
 
     monkeypatch.setattr("quadtwist.twistlaws.twist_minimal", four_at_five)
     corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n")

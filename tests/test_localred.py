@@ -22,6 +22,7 @@ from quadtwist.localred import (
     conductor,
     count_cubic_roots,
     depressed_cubic_mod,
+    local_data,
     reduction_profile,
     tate_local,
     twist_prime_tamagawa_odd,
@@ -63,6 +64,19 @@ def test_tate_rejects_bad_input():
         tate_local(model(Fraction(1, 2), 0, 0, 0, 1), 2)
     with pytest.raises(ValueError):
         tate_local(E11A1, 12)
+
+
+def test_local_data_refuses_a_prime_outside_the_bad_primes():
+    # local_data reads each prime's exponent off the reduction: a good
+    # prime, or a number that is not prime, has none and raises
+    mm = minimal_model(E11A1)
+    tw = twist_minimal(mm, fundamental_discriminant(13))
+    assert local_data(mm, [11]) == {11: tate_local(E11A1, 11)}
+    assert local_data(tw, [13, 11]) == {p: tate_local(tw.minimal, p) for p in (13, 11)}
+    assert local_data(mm, []) == {}
+    for red, primes in ((mm, [2]), (mm, [11, 13]), (mm, [12]), (tw, [2]), (tw, [13, 1])):
+        with pytest.raises(ValueError, match="is not a bad prime"):
+            local_data(red, primes)
 
 
 def test_golden_corpus_local_data():

@@ -119,7 +119,7 @@ def test_disc_coordinate_is_the_discriminant_mod_8():
         _, dres, _ = _a6_odd(a2, a4, a6, 1) if a6 % 2 else _a6_even(a3, a6, 1)
         assert disc == dres, E
         assert (a6 % 4 in (1, 2)) == (disc % 4 == 3), E
-        mm = MinimalModelResult(E, 1, (), inv)  # the table reads only inv
+        mm = MinimalModelResult(E, 1, (), inv, ())  # the table reads only inv
         for D in evens:
             assert _two_adic_prediction(mm, D) == predict_two_adic(mm, D), (E, D.value)
         classes += 1

@@ -5,7 +5,10 @@ reference_tate_local (oracles.py) is the same algorithm on
 WeierstrassModel values, each change through rst_transform and each step
 recomputing the invariants.  They must agree on every key the sweeps ask
 and on random and engineered models, and the inputs together must reach
-every branch of the algorithm at 2 and at 3."""
+every branch of the algorithm at 2 and at 3.  local_data, which starts
+the same kernel from a reduction's invariants and discriminant exponents,
+must agree with both at every bad prime of every reduction the sweeps
+run it on and of the random models' minimal models."""
 
 import os
 import random
@@ -13,9 +16,9 @@ import random
 import pytest
 
 from quadtwist.arith import fundamental_discriminants, valuation
-from quadtwist.curves import SingularModelError, invariants, model, quadratic_twist
+from quadtwist.curves import SingularModelError, invariants, minimal_model, model, quadratic_twist
 from quadtwist.harness import default_corpus_path, ingest_corpus, twist_rows
-from quadtwist.localred import tate_local
+from quadtwist.localred import local_data, tate_local
 from quadtwist.twistlaws import twist_minimal
 
 from oracles import factorint, random_reduced_curves, reference_tate_local
@@ -23,19 +26,19 @@ from oracles import factorint, random_reduced_curves, reference_tate_local
 COVERAGE = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
 
 
-def sweep_keys(path: str, d_max: int = 500, pair_dmax: int = 100) -> set:
-    """Every (model, prime) a sweep of the corpus asks tate_local: each
-    curve at its bad primes, and each row's minimal twist at the primes
-    of its local data (those of D, and of N up to the pair cap)."""
+def sweep_reductions(path: str, d_max: int = 500, pair_dmax: int = 100) -> dict:
+    """Each reduction a sweep of the corpus runs Tate's algorithm on, with
+    the primes it asks there: each curve's minimal model at its bad
+    primes, and each row's minimal twist (twist_minimal) at the primes of
+    its local data (those of D, and of N up to the pair cap)."""
     discs = list(fundamental_discriminants(d_max))
-    keys = set()
+    asked = {}
     for rec in ingest_corpus(path):
         mm = rec.facts.mm
-        keys.update((mm.minimal, p) for p in mm.bad_primes)
+        asked[mm] = set(mm.bad_primes)
         for row in twist_rows(rec.facts, discs, pair_dmax):
-            T = twist_minimal(mm, row.disc)[0]
-            keys.update((T, l) for l in row.local)
-    return keys
+            asked.setdefault(twist_minimal(mm, row.disc), set()).update(row.local)
+    return asked
 
 
 def scaled(E, u: int):
@@ -83,12 +86,23 @@ def _family(kodaira: str) -> str:
 
 
 @pytest.fixture(scope="module")
-def key_sets():
+def reductions():
     return {
-        "shipped": sweep_keys(default_corpus_path()),
-        "coverage": sweep_keys(COVERAGE),
-        "random": random_keys(),
+        "shipped": sweep_reductions(default_corpus_path()),
+        "coverage": sweep_reductions(COVERAGE),
     }
+
+
+@pytest.fixture(scope="module")
+def key_sets(reductions):
+    """Every (model, prime) a sweep of each corpus asks Tate's algorithm,
+    and the random keys."""
+    keys = {
+        name: {(mm.minimal, p) for mm, primes in asked.items() for p in primes}
+        for name, asked in reductions.items()
+    }
+    keys["random"] = random_keys()
+    return keys
 
 
 def test_kernel_matches_reference(key_sets):
@@ -127,3 +141,41 @@ def test_kernel_errors_match_reference():
             fn(singular, 2)
         with pytest.raises(ValueError, match="12 is not prime"):
             fn(model(0, -1, 1, -10, -20), 12)
+
+
+def test_local_data_is_tate_local_on_the_minimal_model(reductions, key_sets):
+    # local_data starts Tate's algorithm from the reduction's invariants
+    # and discriminant exponents, tate_local from its own: at every bad
+    # prime both agree with the reference, on every reduction the sweeps
+    # run it on (each prime they ask is a bad prime) and on the random
+    # models' minimal models
+    cases = [*reductions["shipped"].items(), *reductions["coverage"].items()]
+    cases += [(minimal_model(E), set()) for E in {E for E, _ in key_sets["random"]}]
+    for mm, asked in cases:
+        assert asked <= set(mm.bad_primes), tuple(mm.minimal)
+        data = local_data(mm, mm.bad_primes)
+        assert list(data) == list(mm.bad_primes)
+        for p, loc in data.items():
+            want = reference_tate_local(mm.minimal, p)
+            assert loc == tate_local(mm.minimal, p) == want, (tuple(mm.minimal), p)
+
+
+def test_disc_exponents_are_the_minimal_discriminant_valuations(key_sets):
+    # the exponent the reduction divides out at each bad prime, less
+    # 12 v_p(u), is v_p of the minimal discriminant: the random models'
+    # minimal models (the u = 4, 6, 9 rescalings among them) and the
+    # twists by every even D <= 500 of the two corpora (u = 2 among them)
+    held = {minimal_model(E) for E in {E for E, _ in key_sets["random"]}}
+    assert {mm.u_value for mm in held} >= {1, 2, 3, 4, 6, 9}
+    evens = [f for f in fundamental_discriminants(500) if f.is_even]
+    twists = {
+        twist_minimal(rec.facts.mm, f)
+        for path in (default_corpus_path(), COVERAGE)
+        for rec in ingest_corpus(path)
+        for f in evens
+    }
+    assert {tw.u_value for tw in twists} >= {1, 2}
+    for mm in held | twists:
+        disc = mm.invariants.disc
+        assert mm.bad_primes == tuple(sorted(factorint(abs(disc)))), tuple(mm.minimal)
+        assert mm.disc_exponents == tuple(valuation(disc, p) for p in mm.bad_primes)

@@ -24,9 +24,10 @@ import pytest
 
 import quadtwist
 import quadtwist.harness as harness
+import quadtwist.localred as localred
 from quadtwist.arith import fundamental_discriminant, fundamental_discriminants
 from quadtwist.cli import main
-from quadtwist.curves import minimal_model
+from quadtwist.curves import invariants, minimal_model
 from quadtwist.harness import (
     SweepReport,
     _int_dict_json,
@@ -106,9 +107,10 @@ def count_calls(monkeypatch, *functions):
 
 def test_ingest_to_report_computes_each_curve_fact_once(monkeypatch):
     # from ingest to the written report of the acceptance sweep: one
-    # minimal_model per curve, and one tate_local per (curve, prime of N),
-    # which the stated-conductor check and the sweep both read
-    calls = count_calls(monkeypatch, minimal_model, tate_local)
+    # minimal_model per curve, and one pass of Tate's algorithm (the
+    # kernel localred._tate) per (curve, prime of N), which the
+    # stated-conductor check and the sweep both read
+    calls = count_calls(monkeypatch, minimal_model, localred._tate)
     corpus = ingest_corpus(default_corpus_path())
     write_report(SweepReport(corpus, 500, "all"), io.StringIO())
     monkeypatch.undo()
@@ -116,11 +118,10 @@ def test_ingest_to_report_computes_each_curve_fact_once(monkeypatch):
     minimized = Counter({args: n for (name, args), n in calls.items() if name == "minimal_model"})
     assert minimized == Counter((rec.curve,) for rec in corpus)
     curves = [minimal_model(rec.curve) for rec in corpus]
-    own = {
-        args: n
-        for (name, args), n in calls.items()
-        if name == "tate_local" and args[0] in {mm.minimal for mm in curves}
-    }
+    own = Counter()
+    for (name, args), n in calls.items():
+        if name == "_tate" and args[0] in {mm.minimal for mm in curves}:
+            own[args[:2]] += n  # (model, p)
     assert own == {(mm.minimal, p): 1 for mm in curves for p in mm.bad_primes}
 
 
@@ -164,11 +165,20 @@ def test_second_sweep_over_the_same_records_writes_the_same_report():
 @pytest.mark.parametrize("d_max", [60, 200])
 def test_sweep_computes_each_twist_once(monkeypatch, tmp_path, d_max):
     # from ingest on: one twist_minimal call per (curve, admissible D),
-    # one tate_local call per (twist, prime); the curves' own local data
-    # is computed once per curve and prime, whatever d_max is; the
-    # odd-prime closed form once per (curve, odd l | D) over the singles
+    # one pass of Tate's algorithm (the kernel localred._tate) per
+    # (twist, prime) and per (curve, prime of N), whatever d_max is; each
+    # model's b-invariants and discriminant are computed once, by its
+    # reduction, and never inside Tate's algorithm (no tate_local call);
+    # the odd-prime closed form once per (curve, odd l | D) over the singles
     path = three_curve_corpus(tmp_path)
-    calls = count_calls(monkeypatch, twist_minimal, tate_local, twist_prime_tamagawa_odd)
+    calls = count_calls(
+        monkeypatch,
+        twist_minimal,
+        localred._tate,
+        invariants,
+        tate_local,
+        twist_prime_tamagawa_odd,
+    )
     corpus = ingest_corpus(path)
     report = sweep_report(corpus, d_max, "all")
     monkeypatch.undo()
@@ -180,24 +190,41 @@ def test_sweep_computes_each_twist_once(monkeypatch, tmp_path, d_max):
             mm, f = args
             minimized[mm, f.value] += n  # the sweep passes the parsed D
     assert minimized == {(curves[label], d): 1 for label, d in singles}
+    twists = {
+        (label, d): twist_minimal(curves[label], fundamental_discriminant(d)) for label, d in singles
+    }
     twist_keys = Counter()
-    for label, d in singles:
+    for (label, d), tw in twists.items():
         if d == 1:
             continue  # the twist is the curve itself
-        mm = curves[label]
         primes = fundamental_discriminant(d).primes
         if d <= report["pair_dmax"]:
-            primes += mm.bad_primes  # the primes of N
+            primes += curves[label].bad_primes  # the primes of N
         for l in primes:
-            twist_keys[twist_minimal(mm, fundamental_discriminant(d))[0], l] += 1
-    tate_calls = Counter({args: n for (name, args), n in calls.items() if name == "tate_local"})
+            twist_keys[tw.minimal, l] += 1
+    kernel = Counter()
+    for (name, args), n in calls.items():
+        if name == "_tate":
+            kernel[args[:2]] += n  # (model, p)
     minimal = {mm.minimal for mm in curves.values()}
-    own = {key: n for key, n in tate_calls.items() if key[0] in minimal}
-    assert tate_calls - Counter(own) == twist_keys
+    own = {key: n for key, n in kernel.items() if key[0] in minimal}
+    assert kernel - Counter(own) == twist_keys
     assert set(twist_keys.values()) == {1}
     # E's own primes: its profile at ingest only; its D = 1 row, c~ and
     # the inert base change read the profile's local data
     assert own == {(mm.minimal, p): 1 for mm in curves.values() for p in mm.bad_primes}
+    # invariants: of each corpus curve and its minimal model at ingest,
+    # and of each twist's minimal model in twist_minimal, the D = 1 twist
+    # (the curve's minimal model) among them
+    computed = Counter()
+    for (name, args), n in calls.items():
+        if name == "invariants":
+            computed[args[0]] += n
+    expected = Counter(rec.curve for rec in corpus)
+    expected.update(mm.minimal for mm in curves.values())
+    expected.update(tw.minimal for tw in twists.values())
+    assert computed == expected
+    assert not any(name == "tate_local" for name, _ in calls)
     closed_form = Counter()
     for (name, args), n in calls.items():
         if name == "twist_prime_tamagawa_odd":
