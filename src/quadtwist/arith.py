@@ -1,9 +1,9 @@
 """Exact integer arithmetic primitives.
 
 Factorization (whose rho stage has a fixed budget per split, so it never
-hangs), p-adic valuations, Kronecker symbols and fundamental
-discriminants.  Everything is arbitrary precision and deterministic;
-there is no floating point and no randomness anywhere in this module.
+hangs), p-adic valuations, Kronecker and 2-adic Hilbert symbols and
+fundamental discriminants.  Everything is arbitrary precision and
+deterministic, with no floating point or randomness in this module.
 """
 
 from __future__ import annotations
@@ -286,6 +286,18 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def hilbert_symbol_2(a: int, b: int) -> int:
+    """The 2-adic Hilbert symbol (a, b)_2 of nonzero a = 2^alpha u and
+    b = 2^beta v, u and v odd: 1 when z^2 = a x^2 + b y^2 has a nonzero
+    solution in Q_2, else -1.  It is (-1)^(eps(u) eps(v) + alpha omega(v)
+    + beta omega(u)), eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8 mod 2
+    (Serre, A Course in Arithmetic, Ch. III, Thm 1)."""
+    alpha, beta = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1  # 0 fails the shift
+    u, v = a >> alpha, b >> beta
+    e = (u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8) + beta * ((u * u - 1) // 8)
+    return -1 if e % 2 else 1
 
 
 def _parse_discriminant(d: int) -> FundamentalDiscriminant | None:

@@ -10,10 +10,11 @@ effective moduli of the three invariants (192 classes) instead of all
 33,554,432 admissible classes of (Z/32Z)^6; tests/test_profile_scan.py
 proves the two walks have the same image.  The key only takes the values
 0 (Tamagawa 4) and 16 (Tamagawa 2), each with a specific 4-element
-profile, and the two profiles together hold all eight pairs.  So the
-sweep's case-3 table (twistlaws._two_adic_prediction) is
-EXPECTED_TAMAGAWA2_PROFILE on (disc mod 8, m mod 4), with disc the
-minimal discriminant and m the odd part of D: Tamagawa 2 on it, 4 off it.
+profile, and the two profiles together hold all eight pairs.  The scan
+derives on its own the case-3 rule of twistlaws._two_adic_prediction:
+the Tamagawa-2 profile is {(disc mod 8, m mod 4) : (disc, 8m)_2 = -1},
+disc the minimal discriminant, m the odd part of D and (,)_2 the 2-adic
+Hilbert symbol (Serre, A Course in Arithmetic, Ch. III, Thms 1 and 3).
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 (admissible_signs for the sweep; validate_setup checks user input and
 returns the same rows), the period scale u_D, twist rows, the
 even-two-power quantities with the pair's proof bookkeeping, the local
-product identities, the closed-form symbol evaluation, the Tamagawa-at-2
-case cross-checks, and the auxiliary-discriminant search.  It returns
-ints, bools and LocalReductions; what a report says, and which checks a
-mode runs, is the harness's.
+product identities, the symbol and Tamagawa-at-2 closed forms (both the
+2-adic Hilbert symbol: Serre, A Course in Arithmetic, Ch. III, Thms 1
+and 3), and the auxiliary-discriminant search.  It returns ints, bools
+and LocalReductions; what a report says, and which checks a mode runs,
+is the harness's.
 
 A twist is described by its row alone, and every quantity and check
 reads rows.  A curve's CurveFacts hold what all its twists share: its
@@ -52,12 +53,12 @@ from .arith import (
     FundamentalDiscriminant,
     fundamental_discriminant,
     fundamental_discriminants,
+    hilbert_symbol_2,
     kronecker,
     valuation,
 )
 from .curves import MinimalModelResult, WeierstrassModel, minimal_from_invariants, minimal_model
 from .localred import LocalReduction, local_data, reduction_profile
-from .profile_scan import EXPECTED_TAMAGAWA2_PROFILE
 
 
 class SetupError(ValueError):
@@ -431,21 +432,15 @@ def tamagawa_transfer_product_check(pair: TwistPair) -> bool:
 
 
 def symbol_closed_form(delta: int, D: FundamentalDiscriminant, b: int) -> int:
-    """Closed-form value of the symbol (delta | odd part of D) under the
-    split/inert hypothesis, given b = sum of inert-prime valuations."""
-    sign = (-1) ** b
-    if D.two_exponent == 0:
-        return sign
-    if D.two_exponent == 2:
-        return sign if delta % 4 == 1 else -sign
-    if D.two_exponent == 3:
-        r8, m4 = delta % 8, D.odd_part % 4
-        if r8 == 1 or (r8 == 3 and m4 == 3) or (r8 == 7 and m4 == 1):
-            return sign
-        if r8 == 5 or (r8 == 3 and m4 == 1) or (r8 == 7 and m4 == 3):
-            return -sign
+    """kronecker(delta, m), m the odd part of D, as (-1)^b (delta_0, D)_2
+    for delta coprime to D (odd when D is even), delta_0 its odd part and
+    b the sum of its valuations at the primes of n_minus.  By the product
+    formula for (delta_0, D), kronecker(delta_0, m) is (delta_0, D)_2 times
+    kronecker(D, q)^(v_q(delta)) over the odd primes q of delta (D > 0);
+    2 | delta only when D = m, and then kronecker(2, m) = kronecker(D, 2)."""
+    if D.is_even and delta % 2 == 0:
         raise ValueError(f"delta = {delta} must be odd when D is even")
-    raise ValueError("invalid discriminant shape")
+    return (-1) ** b * hilbert_symbol_2(delta >> valuation(delta, 2), D.value)
 
 
 def tamagawa_symbol_check(row: TwistRow, symbol: int | None = None) -> bool:
@@ -478,29 +473,20 @@ class TwoAdicPrediction(NamedTuple):
 
 def _two_adic_prediction(mm: MinimalModelResult, D: FundamentalDiscriminant) -> TwoAdicPrediction:
     """The case table's prediction for the twist of the minimal model
-    mm.minimal, good at 2, by an even fundamental discriminant D with odd
-    part m, read off the parity of c6 and the minimal discriminant disc.
-
-    c6 even: (II*, 1) when v2(D) = 2 (case 1), (II, 1) when v2(D) = 3
-    (case 2).  c6 odd: I4* when v2(D) = 2 (case 1), with c2 = 2 exactly
-    when disc = 3 mod 4; I8* when v2(D) = 3 (case 3), with c2 = 2 exactly
-    when (disc mod 8, m mod 4) is in the residue scan's
-    EXPECTED_TAMAGAWA2_PROFILE, else 4 (the scan's two profiles hold all
-    eight pairs).  The table is stated on the 2-adic normal form, a
-    [1, r, s, w] change of mm.minimal, which keeps c6 and disc."""
+    mm.minimal, good at 2, by an even fundamental discriminant D, read
+    off c6 and the minimal discriminant disc.  c6 even: (II*, 1) when
+    v2(D) = 2 (case 1), (II, 1) when v2(D) = 3 (case 2).  c6 odd: I4*
+    when v2(D) = 2 (case 1), I8* when v2(D) = 3 (case 3), with c2 = 2
+    exactly when (disc, D)_2 = -1, else 4.  The table is stated on the
+    2-adic normal form, a [1, r, s, w] change of mm.minimal, which keeps
+    c6 and disc."""
     if not D.is_even:
         raise ValueError("even discriminant required")
-    c6_odd = _c6_two_valuation(mm) == 0
-    disc = mm.invariants.disc
-    if D.two_exponent == 2:
-        if not c6_odd:
-            return TwoAdicPrediction(1, "II*", 1)
-        return TwoAdicPrediction(1, "I4*", 2 if disc % 4 == 3 else 4)
-    # v2(D) = 3
-    if not c6_odd:
-        return TwoAdicPrediction(2, "II", 1)
-    c = 2 if (disc % 8, D.odd_part % 4) in EXPECTED_TAMAGAWA2_PROFILE else 4
-    return TwoAdicPrediction(3, "I8*", c)
+    case_1 = D.two_exponent == 2
+    if _c6_two_valuation(mm) == 3:
+        return TwoAdicPrediction(1, "II*", 1) if case_1 else TwoAdicPrediction(2, "II", 1)
+    c2 = 2 if hilbert_symbol_2(mm.invariants.disc, D.value) == -1 else 4
+    return TwoAdicPrediction(1, "I4*", c2) if case_1 else TwoAdicPrediction(3, "I8*", c2)
 
 
 def check_two_adic_case(row: TwistRow) -> tuple[bool, TwoAdicPrediction]:

@@ -1,5 +1,6 @@
 """Integer-arithmetic primitives against brute-force and sympy oracles."""
 
+import itertools
 import math
 import random
 import time
@@ -14,6 +15,7 @@ from quadtwist.arith import (
     factorize,
     fundamental_discriminant,
     fundamental_discriminants,
+    hilbert_symbol_2,
     is_prime,
     kronecker,
     valuation,
@@ -213,6 +215,39 @@ def test_kronecker_against_sympy_jacobi():
         a = rng.randint(-10**6, 10**6)
         n = rng.randrange(1, 10**6, 2)
         assert kronecker(a, n) == sympy.jacobi_symbol(a, n)
+
+
+# the 2-adic square classes of Q_2*: 2^e u, e in {0, 1}, u a unit mod 8
+SQUARE_CLASSES = [2**e * u for e in (0, 1) for u in (1, 3, 5, 7)]
+
+
+def _primitive_solution_mod_16(a, b):
+    """z^2 = a x^2 + b y^2 has a solution mod 16 with x, y, z not all
+    even; for a, b in SQUARE_CLASSES this decides solvability in Q_2
+    (mod 8 does not: (2, 6) and (6, 6) have primitive solutions mod 8 but
+    none in Q_2)."""
+    return any(
+        (z * z - a * x * x - b * y * y) % 16 == 0
+        for x, y, z in itertools.product(range(16), repeat=3)
+        if (x | y | z) & 1
+    )
+
+
+def test_hilbert_symbol_2_is_its_definition():
+    for a, b in itertools.product(SQUARE_CLASSES, repeat=2):
+        assert (hilbert_symbol_2(a, b) == 1) == _primitive_solution_mod_16(a, b), (a, b)
+
+
+def test_hilbert_symbol_2_is_symmetric_and_reads_square_classes():
+    for a, b in itertools.product(SQUARE_CLASSES, repeat=2):
+        h = hilbert_symbol_2(a, b)
+        assert hilbert_symbol_2(b, a) == h
+        # 4, odd squares, and -7 and -23, which are 1 mod 8 and so squares in Q_2
+        for square in (4, 9, 25, 49, 16 * 121, -7, -23):
+            assert hilbert_symbol_2(square * a, b) == h, (square, a, b)
+    assert hilbert_symbol_2(-1, -1) == -1
+    with pytest.raises(ValueError):
+        hilbert_symbol_2(0, 3)
 
 
 def test_fundamental_discriminants():

@@ -1,4 +1,5 @@
-"""Residue scan: its frozen expected output, a proof that the
+"""Residue scan: its frozen expected output, that its profiles are the
+2-adic Hilbert symbol rule of the case table, a proof that the
 effective-moduli walk has the image of the full mod-32 walk, and that its
 discriminant coordinate is the discriminant mod 8."""
 
@@ -7,7 +8,7 @@ import itertools
 import math
 import time
 
-from quadtwist.arith import fundamental_discriminant
+from quadtwist.arith import fundamental_discriminant, hilbert_symbol_2
 from quadtwist.curves import MinimalModelResult, WeierstrassModel, invariants
 from quadtwist.profile_scan import (
     EXPECTED_TAMAGAWA2_PROFILE,
@@ -60,6 +61,17 @@ def test_pure_backend_expected_sets():
     assert res.class_count == FULL_CLASS_COUNT == 33_554_432
 
 
+def test_scan_derives_the_hilbert_symbol_rule():
+    """The scan's Tamagawa-2 profile is the set of (disc mod 8, m mod 4)
+    with (disc, 8m)_2 = -1, the case-3 rule of _two_adic_prediction, and
+    its Tamagawa-4 profile is the rest of the eight pairs."""
+    res = scan_profiles()
+    pairs = set(itertools.product(range(1, 8, 2), (1, 3)))
+    minus = {(d, m) for d, m in pairs if hilbert_symbol_2(d, 8 * m) == -1}
+    assert res.tamagawa2_profile == minus
+    assert res.tamagawa4_profile == pairs - minus
+
+
 def test_full_mod32_image_equals_effective_scan():
     """Walk every admissible mod-32 value of each variable occurring in a
     formula.  The variables that do not occur range over nonempty sets, so
@@ -96,10 +108,11 @@ def test_profiles_are_disjoint_and_odd():
 def test_disc_coordinate_is_the_discriminant_mod_8():
     """Over every class of (a1, ..., a6) mod 8 in the normal form's
     pattern 1 (a1 odd, 4 | a3, a4 + a6 odd), the discriminant mod 8 is the
-    scan's disc coordinate of its half.  So the sweep's case-3 table reads
-    the profiles on (disc mod 8, m mod 4), on the minimal model, whose
-    discriminant a [1, r, s, w] change keeps.  And the case-1 rule on the
-    normal form, a6 = 1 or 2 mod 4, holds exactly when disc = 3 mod 4.
+    scan's disc coordinate of its half.  So the profiles hold the minimal
+    model's (disc mod 8, m mod 4), as a [1, r, s, w] change keeps the
+    discriminant, and the case-3 rule (disc, 8m)_2 reads only those
+    residues.  And the case-1 rule on the normal form, a6 = 1 or 2 mod 4,
+    holds exactly when disc = 3 mod 4.
 
     The case-3 key P mod 32 depends on these residues and on m mod 16
     only, so the library's table equals the normal-form table of the

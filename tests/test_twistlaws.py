@@ -705,8 +705,14 @@ def test_symbol_closed_form_examples():
     assert symbol_closed_form(-161051, fundamental_discriminant(13), b=5) == -1
     # v2(D) = 2, delta = 3 mod 4, b even
     assert symbol_closed_form(7, fundamental_discriminant(12), b=2) == -1
-    assert symbol_closed_form(15, fundamental_discriminant(8 * 13), b=2) == 1
     # v2(D) = 3, delta = 7 mod 8, m = 13 = 1 mod 4, b even -> +1
+    assert symbol_closed_form(15, fundamental_discriminant(8 * 13), b=2) == 1
+
+
+@pytest.mark.parametrize("d", [12, 8 * 13])
+def test_symbol_closed_form_rejects_even_delta_with_even_d(d):
+    with pytest.raises(ValueError, match="must be odd when D is even"):
+        symbol_closed_form(6, fundamental_discriminant(d), 0)
 
 
 def test_symbol_closed_form_table_v2_3():
@@ -721,6 +727,24 @@ def test_symbol_closed_form_table_v2_3():
         delta = r8 if r8 % 4 != 0 else r8 + 8
         assert symbol_closed_form(delta, D, b=0) == sign
         assert symbol_closed_form(delta, D, b=1) == -sign
+
+
+def test_symbol_closed_form_is_the_product_formula():
+    """Off the corpora too: for every delta coprime to D (odd when D is
+    even), with b = 0 the closed form is kronecker(delta, m), m the odd
+    part of D, times kronecker(D, q)^(v_q(delta)) over the primes q of
+    delta.  An even
+    delta with D = 5 mod 8 is where the odd part of delta matters."""
+    checked = 0
+    for D in fundamental_discriminants(120):
+        for delta in chain(range(-150, 0), range(1, 151)):
+            if math.gcd(delta, D.value) != 1:
+                continue
+            signs = math.prod(kronecker(D.value, q) ** e for q, e in factorize(delta).factors)
+            assert symbol_closed_form(delta, D, 0) == kronecker(delta, D.odd_part) * signs
+            assert symbol_closed_form(delta, D, 1) == -symbol_closed_form(delta, D, 0)
+            checked += 1
+    assert checked > 5000
 
 
 def test_symbol_closed_form_equals_kronecker_on_valid_setups():
@@ -846,11 +870,12 @@ def test_two_adic_case_wrong_prediction_fails_the_check(monkeypatch):
 
 
 def test_two_adic_prediction_matches_normal_form_table():
-    # the library reads the case table off the parity of c6, disc mod 8
-    # and D; the oracle states it on the 2-adic normal form (a6 mod 4 and
-    # the case-3 key P).  They agree at every even D <= 500 on every curve
-    # good at 2 in the shipped and coverage corpora and on seeded random
-    # curves, and every row of the table is reached.
+    # the library reads the case table off the parity of c6 and the
+    # Hilbert symbol (disc, D)_2; the oracle states it on the 2-adic
+    # normal form (a6 mod 4 and the case-3 key P).  They agree at every
+    # even D <= 500 on every curve good at 2 in the shipped and coverage
+    # corpora and on seeded random curves, and every row of the table is
+    # reached.
     coverage = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
     curves = [
         rec.curve for path in (default_corpus_path(), coverage) for rec in ingest_corpus(path)
