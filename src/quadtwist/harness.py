@@ -3,10 +3,12 @@
 
 Everything a record says is decided here: twistlaws returns ints,
 bools and LocalReductions, and one table (_PASSES) says which checks
-each mode runs. A record is its JSON line. Each instance formats its
-line directly, in the bytes json.dumps(record, sort_keys=True) writes,
-from ints, bools and text fragments made once per curve: the escaped
-label, each row's Tamagawa numbers at the primes of D, and the quantity
+each mode runs. A record is its JSON line. One writer per record kind
+makes them, _single_records for the twists E^D and _pair_records for
+the coprime pairs, each holding its own class memo. A writer formats
+each line directly, in the bytes json.dumps(record, sort_keys=True)
+writes, from ints, bools and text fragments made once per curve: the
+escaped label, each row's Tamagawa numbers at the primes of D, and the
 text (checks, c~ and verdict) of each class of singles and of pairs.
 An even D's 2-adic case sentence is written from the case
 table's prediction and the row's Tate run at 2, and the quantity's
@@ -74,7 +76,6 @@ from .curves import SingularModelError, WeierstrassModel, minimal_model, model
 from .localred import twist_prime_tamagawa_odd
 from .twistlaws import (
     CurveFacts,
-    TwistPair,
     TwistRow,
     admissible_signs,
     check_two_adic_case,
@@ -218,7 +219,8 @@ def twist_rows(
 # ASCII escapes (encode_basestring_ascii, the encoder's own function).  The
 # text of what many records share is made once per curve: the escaped
 # label and each row's Tamagawa numbers at the primes of D in _sweep_curve,
-# and a class's quantity text in the run functions.
+# and a class's text in the writer of its record kind (_single_records,
+# _pair_records).
 
 _JSON_BOOL = ("false", "true")  # indexed by a bool; no check name holds "false"
 
@@ -271,107 +273,75 @@ def _verdict_text(v) -> str:
     )
 
 
-def run_single_instance(
-    curve_json: str, row: TwistRow, tamagawa_json: str, quantity_pass: bool, lemma_pass: bool,
-    odd_tamagawa: dict[int, int], quantities: dict[tuple[int, int], tuple[str, str, str]],
-) -> tuple[str, bool]:
-    """Evaluate one (curve, D) instance from its row: its record's JSON
-    line, and whether the record is clean (every check passed, no flag).
-    curve_json is the curve's escaped label and tamagawa_json the row's
-    Tamagawa numbers, as the report prints them.  odd_tamagawa maps each
-    odd prime of D to the curve's closed form twist_prime_tamagawa_odd(mm,
-    l) (no D changes it); the lemma pass reads it.  A single's quantity
-    reads its row only through (share, n_minus mask): the quantity pass
-    keeps its checks, c~ and verdict text in quantities, the curve's dict
-    on that key."""
-    D = row.disc
-    side = row.minus
-    checks = []  # the checks' JSON members, in key order
-    quantity = lemmas = flags = ""
-    if lemma_pass:
-        fast = all(odd_tamagawa[l] == row.local[l].tamagawa for l in D.primes if l != 2)
-        checks.append(f'"odd_twist_fast_path": {_JSON_BOOL[fast]}')
-    if quantity_pass:
-        text = quantities.get((row.share, side.mask))
-        if text is None:
-            v = twist_quantity(row)
-            c_tilde = _int_dict_json({q: row.facts.local_data[q].c_tilde for q in side.primes})
-            text = quantities[row.share, side.mask] = (
-                f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
-                f'"quantity_power_of_two": {_JSON_BOOL[v.is_power_of_two]}',
-                f'"c_tilde": {c_tilde}, "omega_n_minus": {v.w}',
-                _verdict_text(v),
+def _single_records(
+    curve_json: str, facts: CurveFacts, rows: Sequence[TwistRow], tamagawa_json: dict[int, str],
+    quantity_pass: bool, lemma_pass: bool,
+) -> tuple[list[str], list[int]]:
+    """The records of one curve's (curve, D) instances, one per row in
+    row order, and the indices of those that fail a check or carry a
+    flag.  A single's quantity reads its row only through (share, n_minus
+    mask): its checks, c~ and verdict text are made once per such class.
+    The lemma pass compares the Tate value at each odd prime l of D with
+    the curve's closed form twist_prime_tamagawa_odd(mm, l), which no D
+    changes: it is evaluated once per odd prime of the rows' D."""
+    odd = {l for row in rows for l in row.disc.primes if l != 2} if lemma_pass else ()
+    odd_tamagawa = {l: twist_prime_tamagawa_odd(facts.mm, l) for l in odd}
+    quantities = {}  # (share, n_minus mask) -> (checks, components, verdict) text
+    disc = facts.mm.invariants.disc
+    lines, unclean = [], []  # the records, the indices of those not clean
+    for row in rows:
+        D = row.disc
+        side = row.minus
+        checks = []  # the checks' JSON members, in key order
+        quantity = lemmas = flags = ""
+        if lemma_pass:
+            fast = all(odd_tamagawa[l] == row.local[l].tamagawa for l in D.primes if l != 2)
+            checks.append(f'"odd_twist_fast_path": {_JSON_BOOL[fast]}')
+        if quantity_pass:
+            text = quantities.get((row.share, side.mask))
+            if text is None:
+                v = twist_quantity(row)
+                c_tilde = _int_dict_json({q: facts.local_data[q].c_tilde for q in side.primes})
+                text = quantities[row.share, side.mask] = (
+                    f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
+                    f'"quantity_power_of_two": {_JSON_BOOL[v.is_power_of_two]}',
+                    f'"c_tilde": {c_tilde}, "omega_n_minus": {v.w}',
+                    _verdict_text(v),
+                )
+            quantity_checks, components, verdict = text
+            checks.append(quantity_checks)
+            quantity = (
+                f', "quantity": {{"components": {{"D": {D.value}, {components}, '
+                f'"twist_tamagawa": {tamagawa_json[D.value]}, "u": {row.u}}}, {verdict}'
             )
-        quantity_checks, components, verdict = text
-        checks.append(quantity_checks)
-        quantity = (
-            f', "quantity": {{"components": {{"D": {D.value}, {components}, '
-            f'"twist_tamagawa": {tamagawa_json}, "u": {row.u}}}, {verdict}'
-        )
-    if lemma_pass:
-        disc = row.facts.mm.invariants.disc
-        symbol = kronecker(disc, D.odd_part)
-        sym = symbol_closed_form(disc, D, side.disc_valuation_sum) == symbol
-        checks.append(
-            f'"symbol_closed_form": {_JSON_BOOL[sym]}, '
-            f'"tamagawa_product_symbol": {_JSON_BOOL[tamagawa_symbol_check(row, symbol)]}'
-        )
-        if D.is_even:
-            ok, pred = check_two_adic_case(row)
-            loc = row.local[2]
-            checks.append(f'"two_adic_case_table": {_JSON_BOOL[ok]}')
-            lemmas = (
-                f', "two_adic_case": "case {pred.case}: predicted ({pred.kodaira}, '
-                f'{pred.tamagawa}), tate gives ({loc.kodaira}, {loc.tamagawa})"'
+        if lemma_pass:
+            symbol = kronecker(disc, D.odd_part)
+            sym = symbol_closed_form(disc, D, side.disc_valuation_sum) == symbol
+            checks.append(
+                f'"symbol_closed_form": {_JSON_BOOL[sym]}, '
+                f'"tamagawa_product_symbol": {_JSON_BOOL[tamagawa_symbol_check(row, symbol)]}'
             )
-        checks.append(f'"u_closed_form": {_JSON_BOOL[row.measured_u == row.u]}')
-        lemmas += f', "u": {row.u}'
-        if row.measured_u not in (1, 2):
-            flag = encode_basestring_ascii(f"measured u = {row.measured_u} outside {{1,2}}")
-            flags = f', "flags": [{flag}]'
-    checks_text = ", ".join(checks)
-    line = (
-        f'{{"checks": {{{checks_text}}}, "curve": {curve_json}, "d": {D.value}{flags}, '
-        f'"n_minus": {side.n_minus}, "n_plus": {side.n_plus}{quantity}{lemmas}}}'
-    )
-    return line, not flags and "false" not in checks_text
-
-
-def run_pair_instance(
-    curve_json: str, pair: TwistPair, quantity_pass: bool, lemma_pass: bool
-) -> tuple[str, str, str, str, bool]:
-    """Evaluate one class pair of (curve, D1, D2) instances (_pair_records)
-    from the join of two of its rows: its records' text before D1 (checks
-    and curve), their n_minus side, quantity components and verdict, and
-    whether every check passed."""
-    row1, row2, side = pair
-    checks = []  # the checks' JSON members, in key order
-    components = verdict = ""
-    if quantity_pass:
-        v = pair_twist_quantity(pair)
-        c_tilde = _int_dict_json({q: row1.facts.local_data[q].c_tilde for q in side.primes})
-        parity = _JSON_BOOL[v.omega_parity]
-        product = _JSON_BOOL[v.c_tilde_product]
-        checks.append(
-            f'"c_tilde_product": {product}, "omega_parity": {parity}, '
-            f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
-            f'"quantity_power_of_two": {_JSON_BOOL[v.is_power_of_two]}'
+            if D.is_even:
+                ok, pred = check_two_adic_case(row)
+                loc = row.local[2]
+                checks.append(f'"two_adic_case_table": {_JSON_BOOL[ok]}')
+                lemmas = (
+                    f', "two_adic_case": "case {pred.case}: predicted ({pred.kodaira}, '
+                    f'{pred.tamagawa}), tate gives ({loc.kodaira}, {loc.tamagawa})"'
+                )
+            checks.append(f'"u_closed_form": {_JSON_BOOL[row.measured_u == row.u]}')
+            lemmas += f', "u": {row.u}'
+            if row.measured_u not in (1, 2):
+                flag = encode_basestring_ascii(f"measured u = {row.measured_u} outside {{1,2}}")
+                flags = f', "flags": [{flag}]'
+        checks_text = ", ".join(checks)
+        if flags or "false" in checks_text:
+            unclean.append(len(lines))
+        lines.append(
+            f'{{"checks": {{{checks_text}}}, "curve": {curve_json}, "d": {D.value}{flags}, '
+            f'"n_minus": {side.n_minus}, "n_plus": {side.n_plus}{quantity}{lemmas}}}'
         )
-        components = (
-            f'"bookkeeping": {{"c_tilde_product": {product}, "omega_parity": {parity}}}, '
-            f'"c_tilde": {c_tilde}, "omega_n_minus": {v.w}'
-        )
-        verdict = _verdict_text(v)
-    if lemma_pass:
-        per_prime = all(tamagawa_transfer_check(pair, q) for q in side.primes)
-        checks.append(
-            f'"tamagawa_transfer_per_prime": {_JSON_BOOL[per_prime]}, '
-            f'"tamagawa_transfer_product": {_JSON_BOOL[tamagawa_transfer_product_check(pair)]}'
-        )
-    checks_text = ", ".join(checks)
-    head = f'{{"checks": {{{checks_text}}}, "curve": {curve_json}'
-    sides = f'"n_minus": {side.n_minus}, "n_plus": {side.n_plus}'
-    return head, sides, components, verdict, "false" not in checks_text
+    return lines, unclean
 
 
 def _pair_records(
@@ -383,17 +353,18 @@ def _pair_records(
     its discriminants are), and the indices of those failing a check.
     A pair's checks and verdict read a row only through its class: its
     n_minus mask, its share, and the twist's Tamagawa numbers at the
-    primes of N, with their product conductor_tamagawa (in the key only as
-    a guard: every row twist_row builds has it).  So run_pair_instance
-    runs once per class pair, and each record adds its own D1, D2, u1, u2
-    and Tamagawa texts to that text."""
+    primes of N.  So they are evaluated once per class pair, from the
+    join of its first two rows, and each record adds its own D1, D2, u1,
+    u2 and Tamagawa texts to that text."""
     classes: dict[tuple, int] = {}  # a row class -> its number
     cls = []
     for r in rows:
         tamagawa = tuple(r.local[p].tamagawa for p in r.facts.local_data)
-        key = r.minus.mask, r.share, r.conductor_tamagawa, tamagawa
-        cls.append(classes.setdefault(key, len(classes)))
-    evaluated = {}  # (class 1, class 2) -> run_pair_instance's text
+        cls.append(classes.setdefault((r.minus.mask, r.share, tamagawa), len(classes)))
+    # (class 1, class 2) -> the text before D1 (checks and curve), the
+    # n_minus side, the quantity components and verdict, and whether
+    # every check passed
+    evaluated = {}
     lines, unclean = [], []  # the records, the indices of those failing a check
     for i, row1 in enumerate(rows):
         d1 = row1.disc.value
@@ -404,17 +375,51 @@ def _pair_records(
                 continue
             text = evaluated.get((cls[i], cls[j]))
             if text is None:
-                text = evaluated[cls[i], cls[j]] = run_pair_instance(
-                    curve_json, join_rows(row1, row2), quantity_pass, lemma_pass
+                pair = join_rows(row1, row2)
+                side = pair.minus
+                checks = []  # the checks' JSON members, in key order
+                components = verdict = ""
+                if quantity_pass:
+                    v = pair_twist_quantity(pair)
+                    c_tilde = _int_dict_json(
+                        {q: row1.facts.local_data[q].c_tilde for q in side.primes}
+                    )
+                    parity = _JSON_BOOL[v.omega_parity]
+                    product = _JSON_BOOL[v.c_tilde_product]
+                    checks.append(
+                        f'"c_tilde_product": {product}, "omega_parity": {parity}, '
+                        f'"quantity_even_exponent": {_JSON_BOOL[v.is_even_exponent]}, '
+                        f'"quantity_power_of_two": {_JSON_BOOL[v.is_power_of_two]}'
+                    )
+                    components = (
+                        f'"bookkeeping": {{"c_tilde_product": {product}, '
+                        f'"omega_parity": {parity}}}, "c_tilde": {c_tilde}, '
+                        f'"omega_n_minus": {v.w}'
+                    )
+                    verdict = _verdict_text(v)
+                if lemma_pass:
+                    per_prime = all(tamagawa_transfer_check(pair, q) for q in side.primes)
+                    transfer = tamagawa_transfer_product_check(pair)
+                    checks.append(
+                        f'"tamagawa_transfer_per_prime": {_JSON_BOOL[per_prime]}, '
+                        f'"tamagawa_transfer_product": {_JSON_BOOL[transfer]}'
+                    )
+                checks_text = ", ".join(checks)
+                text = evaluated[cls[i], cls[j]] = (
+                    f'{{"checks": {{{checks_text}}}, "curve": {curve_json}',
+                    f'"n_minus": {side.n_minus}, "n_plus": {side.n_plus}',
+                    components,
+                    verdict,
+                    "false" not in checks_text,
                 )
-            head, side, components, verdict, clean = text
+            head, side_text, components, verdict, clean = text
             if not clean:
                 unclean.append(len(lines))
             if not quantity_pass:
-                lines.append(f'{head}, "d1": {d1}, "d2": {d2}, {side}}}')
+                lines.append(f'{head}, "d1": {d1}, "d2": {d2}, {side_text}}}')
                 continue
             lines.append(
-                f'{head}, "d1": {d1}, "d2": {d2}, {side}, "quantity": {{"components": {{'
+                f'{head}, "d1": {d1}, "d2": {d2}, {side_text}, "quantity": {{"components": {{'
                 f'"D1": {d1}, "D2": {d2}, {components}, "twist_tamagawa_1": {tamagawa_json[d1]}, '
                 f'"twist_tamagawa_2": {tamagawa_json[d2]}, "u1": {row1.u}, "u2": {row2.u}}}, '
                 f'{verdict}}}'
@@ -440,9 +445,9 @@ def _sweep_curve(
 ) -> CurveChunk:
     """One curve's instance records and the seconds they took.  The
     curve's rows are built once from its record's facts, and so is the
-    text its records share, which the run functions receive.  The
-    odd-prime closed form is evaluated once per odd prime of the rows'
-    discriminants, before the singles, when their lemma pass runs."""
+    text both record kinds share (the escaped label and each row's
+    Tamagawa numbers at the primes of D).  Two writers make the records,
+    _pair_records and _single_records, each with its own class memo."""
     single_quantity, single_lemmas, pair_quantity, pair_lemmas = _PASSES[mode]
     facts = record.facts
     t0 = time.perf_counter()
@@ -465,19 +470,12 @@ def _sweep_curve(
         )
         pairs = len(lines)
         if singles_run:
-            # l -> the closed form at l, for this curve; the lemma pass reads it
-            odd = {l for row in rows for l in row.disc.primes if l != 2} if single_lemmas else ()
-            odd_tamagawa = {l: twist_prime_tamagawa_odd(facts.mm, l) for l in odd}
-            quantities: dict = {}  # (share, n_minus mask) -> a single's quantity text
-            for row in rows:
-                line, clean = run_single_instance(
-                    curve_json, row, tamagawa_json[row.disc.value], single_quantity,
-                    single_lemmas, odd_tamagawa, quantities,
-                )
-                if not clean:
-                    unclean.append(len(lines))
-                lines.append(line)
-                even_singles += row.disc.is_even
+            single_lines, single_unclean = _single_records(
+                curve_json, facts, rows, tamagawa_json, single_quantity, single_lemmas
+            )
+            lines += single_lines
+            unclean += [pairs + i for i in single_unclean]
+            even_singles = sum(row.disc.is_even for row in rows)
     except Exception as exc:
         raise SweepError(f"curve {record.label}: {type(exc).__name__}: {exc}") from exc
     return CurveChunk(record.label, lines, pairs, even_singles, unclean, time.perf_counter() - t0)

@@ -25,9 +25,11 @@ algorithm, a WeierstrassModel per change with every invariant
 recomputed, is the tests' reference; it counts roots on its own.
 
 Tate's I0* step and the odd-prime closed form count the roots mod p of
-a squarefree cubic, the only kind either passes, one way per
-characteristic (count_cubic_roots: the two residues at 2; Stickelberger,
-and T^p = T mod f when the discriminant is a square, at an odd p).
+a cubic, one way per characteristic (count_cubic_roots: the two residues
+at 2; Stickelberger, and T^p = T mod f when the discriminant is a
+square, at an odd p).  A cubic that is not squarefree mod p has None
+for its count: the I0* step reads that as its test for a repeated root,
+and the closed form, at a prime of good reduction, never meets it.
 twist_prime_tamagawa_odd(mm, l) depends on the curve and l only, not on
 the D that l divides.
 """
@@ -85,14 +87,9 @@ def _quad_has_root(A: int, B: int, C: int, p: int) -> bool:
     return kronecker(disc, p) >= 0
 
 
-def _cubic_disc(b: int, c: int, d: int) -> int:
-    """Discriminant of the monic cubic T^3 + b T^2 + c T + d."""
-    return 18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d
-
-
-def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
-    """Number of roots in F_p of f = T^3 + b T^2 + c T + d, which must be
-    squarefree mod p: a ValueError when p divides the discriminant of f.
+def count_cubic_roots(b: int, c: int, d: int, p: int) -> int | None:
+    """Number of roots in F_p of f = T^3 + b T^2 + c T + d when f is
+    squarefree mod p; None when p divides the discriminant of f.
 
     At p = 2 the roots are read off the two residues: f(0) = d and
     f(1) = 1 + b + c + d.  At an odd p, the number of irreducible factors
@@ -104,9 +101,9 @@ def count_cubic_roots(b: int, c: int, d: int, p: int) -> int:
     T^3 = -b T^2 - c T - d and T^4 = (b^2 - c) T^2 + (bc - d) T + bd.
     """
     b, c, d = b % p, c % p, d % p
-    disc = _cubic_disc(b, c, d) % p
+    disc = (18 * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * c**3 - 27 * d * d) % p
     if disc == 0:
-        raise ValueError(f"T^3 + {b} T^2 + {c} T + {d} is not squarefree mod {p}")
+        return None
     if p == 2:  # Stickelberger needs p odd
         return (d == 0) + ((1 + b + c + d) % 2 == 0)
     if pow(disc, (p - 1) // 2, p) == p - 1:
@@ -221,9 +218,9 @@ def _tate(E: WeierstrassModel, p: int, inv: Invariants, n: int) -> LocalReductio
         assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
 
         b, c, d = a2 // p % p, a4 // p2 % p, a6 // p3 % p
-        if _cubic_disc(b, c, d) % p != 0:
-            cp = 1 + count_cubic_roots(b, c, d, p)
-            return LocalReduction(p, "I0*", cp, n, ADDITIVE, n - 4)
+        roots = count_cubic_roots(b, c, d, p)
+        if roots is not None:  # squarefree: I0*
+            return LocalReduction(p, "I0*", 1 + roots, n, ADDITIVE, n - 4)
 
         if (b * b - 3 * c) % p != 0:
             # double root x0 of the cubic: type I_m* chain.  A root of

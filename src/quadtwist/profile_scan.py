@@ -33,7 +33,6 @@ class ProfileScanResult(NamedTuple):
     key_range: frozenset[int]
     tamagawa2_profile: frozenset[tuple[int, int]]
     tamagawa4_profile: frozenset[tuple[int, int]]
-    class_count: int
 
     def matches_expected(self) -> bool:
         return (
@@ -81,5 +80,4 @@ def scan_profiles() -> ProfileScanResult:
         key_range=frozenset(by_key),
         tamagawa2_profile=by_key.get(16, frozenset()),
         tamagawa4_profile=by_key.get(0, frozenset()),
-        class_count=FULL_CLASS_COUNT,
     )

@@ -325,7 +325,6 @@ class TwistRow(NamedTuple):
     measured_u: int  # the scale twist_minimal measures
     local: dict[int, LocalReduction]  # the minimal twist's local data
     share: int  # u * prod c_l(twist) over the primes of D
-    conductor_tamagawa: int | None  # prod c_l(twist) over the primes of N; None without them
 
 
 def twist_row(
@@ -337,10 +336,8 @@ def twist_row(
     The twist by 1 is the curve itself, whose local data at N the facts hold."""
     tw = twist_minimal(facts.mm, f)
     local = local_data(tw, f.primes)
-    conductor_tamagawa = None
     if at_conductor:
         local.update(facts.local_data if f.value == 1 else local_data(tw, facts.local_data))
-        conductor_tamagawa = math.prod(local[l].tamagawa for l in facts.local_data)
     u = u_of_discriminant(facts.mm, f)
     share = u
     for l in f.primes:
@@ -357,7 +354,6 @@ def twist_row(
         tw.u_value,
         local,
         share,
-        conductor_tamagawa,
     )
 
 
@@ -427,7 +423,7 @@ def tamagawa_transfer_product_check(pair: TwistPair) -> bool:
     """Product over all primes of N of both twists' Tamagawa numbers,
     compared modulo squares with prod c~_{q} * c_{q}(inert base change)."""
     row1, row2, side = pair
-    lhs = row1.conductor_tamagawa * row2.conductor_tamagawa
+    lhs = math.prod(row1.local[l].tamagawa * row2.local[l].tamagawa for l in row1.facts.local_data)
     return equal_mod_squares(lhs, side.transfer_product)
 
 

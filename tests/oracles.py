@@ -260,20 +260,6 @@ def count_cubic_roots_brute(b: int, c: int, d: int, p: int) -> int:
     return sum(1 for t in range(p) if (t**3 + b * t * t + c * t + d) % p == 0)
 
 
-# Components of each Kodaira fiber, for the conductor-degree relation
-# f = v(disc) + 1 - components.
-COMPONENTS = {
-    "I0": 1,
-    "II": 1,
-    "III": 2,
-    "IV": 3,
-    "I0*": 5,
-    "IV*": 7,
-    "III*": 8,
-    "II*": 9,
-}
-
-
 def forced_additive_type(v: int, f: int) -> tuple[str, int | None] | None:
     """Kodaira type (and Tamagawa number when it is forced) of an additive
     fiber with disc valuation v and conductor exponent f, whenever the

@@ -285,16 +285,21 @@ def three_curves():
 
 
 def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
-    # every I0* fiber of a twist (Tate's algorithm) and the odd-prime
-    # fast path count cubic roots, D = 53 among them; the brute-force
-    # count must give the same report.  No memo holds a Tate result, so
-    # the second sweep counts every root again.
+    # Tate's I0* step (an I0* fiber, or None for a repeated root) and
+    # the odd-prime fast path count cubic roots, D = 53 among them; the
+    # brute-force count must give the same report.  No memo holds a Tate
+    # result, so the second sweep counts every root again.
     corpus = three_curves()
     fast = strip_timing(sweep_report(corpus, 60, "all", corpus_name="x"))
-    primes = set()
+    primes, repeated = set(), set()
 
     def brute(b, c, d, p):
         primes.add(p)
+        # a cubic's repeated root lies in F_p, a common root of f and f'
+        if any((t**3 + b * t * t + c * t + d) % p == 0 == (3 * t * t + 2 * b * t + c) % p
+               for t in range(p)):
+            repeated.add(p)
+            return None
         return count_cubic_roots_brute(b, c, d, p)
 
     monkeypatch.setattr("quadtwist.localred.count_cubic_roots", brute)
@@ -302,6 +307,7 @@ def test_sweep_report_same_with_brute_cubic_roots(monkeypatch):
     assert fast == slow
     assert fast["summary"]["failures"] == 0
     assert 53 in primes
+    assert repeated
 
 
 def test_sweep_does_no_fraction_arithmetic(monkeypatch):
@@ -709,7 +715,7 @@ def test_package_exports_resolve():
         "c_tilde", "inert_base_change_tamagawa", "predict_two_adic", "inert_valuation_sum",
         "run_sweep", "strip_timing", "is_fundamental_discriminant",
         "rst_transform", "two_strongly_minimal", "pattern_of_normal_form", "_as_fund",
-        "CheckResult", "EXPECTED_TAMAGAWA2_PROFILE",
+        "CheckResult", "EXPECTED_TAMAGAWA2_PROFILE", "run_single_instance", "run_pair_instance",
     )
     modules = (
         quadtwist.arith, quadtwist.curves, quadtwist.harness, quadtwist.localred,

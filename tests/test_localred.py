@@ -263,19 +263,18 @@ def test_count_cubic_roots_matches_brute_force():
     # every residue triple at the small primes (4,031 triples): a
     # squarefree cubic's count equals brute force, p = 2 by its two
     # residues and the odd ones by Stickelberger and T^p = T mod f; a
-    # cubic with a repeated root mod p (p divides its discriminant)
-    # raises, at every p
-    raised = 0
+    # cubic with a repeated root mod p (p divides its discriminant) has
+    # None for its count, at every p
+    repeated = 0
     for p in (2, 3, 5, 7, 11, 13):
         for b, c, d in itertools.product(range(p), repeat=3):
-            if _cubic_disc_mod(b, c, d, p) == 0:
-                with pytest.raises(ValueError, match="not squarefree"):
-                    count_cubic_roots(b, c, d, p)
-                raised += 1
-                continue
             n = count_cubic_roots(b, c, d, p)
+            if _cubic_disc_mod(b, c, d, p) == 0:
+                assert n is None, (b, c, d, p)
+                repeated += 1
+                continue
             assert n == count_cubic_roots_brute(b, c, d, p), (b, c, d, p)
-    assert raised > 300
+    assert repeated > 300
     rng = random.Random(79)
     for _ in range(400):
         p = rng.choice([2, 3, 5, 53, 97, 101, 997])
@@ -284,7 +283,7 @@ def test_count_cubic_roots_matches_brute_force():
             assert count_cubic_roots(b, c, d, p) == count_cubic_roots_brute(b, c, d, p)
     # random primes up to 3,000, coefficients unreduced and negative, and
     # cubics built with forced triple, double and three distinct roots;
-    # the first two raise
+    # the first two have None for their count
     counts = Counter()
     for _ in range(150):
         p = sympy.nextprime(rng.randrange(49, 2989))
@@ -299,15 +298,14 @@ def test_count_cubic_roots_matches_brute_force():
         else:
             b, c, d = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
         b, c, d = (x + p * rng.randint(-5, 5) for x in (b, c, d))
-        if _cubic_disc_mod(b, c, d, p) == 0:
-            with pytest.raises(ValueError):
-                count_cubic_roots(b, c, d, p)
-            counts["raised"] += 1
-            continue
         n = count_cubic_roots(b, c, d, p)
+        if _cubic_disc_mod(b, c, d, p) == 0:
+            assert n is None, (b, c, d, p)
+            counts["repeated"] += 1
+            continue
         assert n == count_cubic_roots_brute(b, c, d, p), (b, c, d, p)
         counts[n] += 1
-    assert all(counts[n] > 5 for n in (0, 1, 3, "raised")), counts
+    assert all(counts[n] > 5 for n in (0, 1, 3, "repeated")), counts
 
 
 @pytest.mark.parametrize("p", [53, 59, 101, 499, 1009])
@@ -317,7 +315,7 @@ def test_count_cubic_roots_stickelberger_exit(p):
     # 2,000 seeded triples (about a third of them irreducible, with 0
     # roots), and cubics built from chosen roots with 1 (a root times an
     # irreducible quadratic) and 3 distinct roots; every count is held to
-    # brute force.  Cubics with a double root raise.
+    # brute force.  Cubics with a double root have None for their count.
     rng = random.Random(p)
     cubes = [t**3 % p for t in range(p)]
     squares = [t * t % p for t in range(p)]
@@ -341,16 +339,15 @@ def test_count_cubic_roots_stickelberger_exit(p):
     counts, exits = Counter(), 0
     for b, c, d in triples:
         disc = _cubic_disc_mod(b, c, d, p)
+        n = count_cubic_roots(b, c, d, p)
         if disc == 0:
-            with pytest.raises(ValueError):
-                count_cubic_roots(b, c, d, p)
-            counts["raised"] += 1
+            assert n is None, (b, c, d, p)
+            counts["repeated"] += 1
             continue
         exits += pow(disc, (p - 1) // 2, p) == p - 1
-        n = count_cubic_roots(b, c, d, p)
         assert n == brute(b % p, c % p, d % p), (b, c, d, p)
         counts[n] += 1
-    assert all(counts[n] >= 20 for n in (0, 1, 3, "raised")), counts
+    assert all(counts[n] >= 20 for n in (0, 1, 3, "repeated")), counts
     assert exits > 500
 
 

