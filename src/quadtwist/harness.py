@@ -26,9 +26,10 @@ each, so the report's memory does not grow with the instance count.
 Each curve's and each twist's facts are computed once, not per
 instance. ingest_corpus computes each curve's CurveFacts (minimal
 model, conductor, local data) and puts them on its CurveRecord. Per
-curve the sweep takes those facts and each discriminant's character
-signs at the primes of N (the sign table), and builds one TwistRow per
-admissible discriminant: the twist is minimized once, and Tate's
+curve the sweep hands those facts and the discriminants to
+twistlaws.twist_rows, the builder validate_setup uses too, which admits
+each discriminant and builds its TwistRow in one pass: one kronecker
+symbol per prime of N, then the twist is minimized once, and Tate's
 algorithm runs once per prime on that reduction, from its invariants
 and discriminant exponents. The odd-prime closed form for the twist's
 Tamagawa number depends on the curve and the prime l, not on D, so it
@@ -77,7 +78,6 @@ from .localred import twist_prime_tamagawa_odd
 from .twistlaws import (
     CurveFacts,
     TwistRow,
-    admissible_signs,
     check_two_adic_case,
     curve_facts,
     join_rows,
@@ -87,7 +87,7 @@ from .twistlaws import (
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
     twist_quantity,
-    twist_row,
+    twist_rows,
 )
 
 # The passes each mode runs: mode -> (single quantity, single lemmas,
@@ -189,26 +189,6 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
         seen.add(label)
         records.append(CurveRecord(label, ai, stated_n, rank, f"{path}:{lineno}", facts))
     return records
-
-
-# ---------------------------------------------------------------------------
-# twist rows and their join
-
-
-def twist_rows(
-    facts: CurveFacts, discriminants: Iterable[FundamentalDiscriminant], pair_dmax: int
-) -> list[TwistRow]:
-    """The twist row of the curve with these facts (its global minimal
-    model) for each parsed discriminant admissible for its canonical split
-    (admissible_signs, the sign table), in input order.  Rows up to
-    pair_dmax carry the twist's local data at the primes of N, which their
-    pairs' transfer identities read."""
-    rows = []
-    for f in discriminants:
-        signs = admissible_signs(facts.local_data, f)
-        if signs is not None:
-            rows.append(twist_row(facts, f, signs, f.value <= pair_dmax))
-    return rows
 
 
 # ---------------------------------------------------------------------------

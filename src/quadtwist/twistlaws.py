@@ -1,12 +1,12 @@
-"""The twist-identity layer: admissibility from character sign vectors
-(admissible_signs for the sweep; validate_setup checks user input and
-returns the same rows), the period scale u_D, twist rows, the
-even-two-power quantities with the pair's proof bookkeeping, the local
-product identities, the symbol and Tamagawa-at-2 closed forms (both the
-2-adic Hilbert symbol: Serre, A Course in Arithmetic, Ch. III, Thms 1
-and 3), and the auxiliary-discriminant search.  It returns ints, bools
-and LocalReductions; what a report says, and which checks a mode runs,
-is the harness's.
+"""The twist-identity layer: twist rows (twist_rows admits each
+discriminant and builds its row in one pass; validate_setup checks user
+input clause by clause and returns the same rows), the period scale
+u_D, the even-two-power quantities with the pair's proof bookkeeping,
+the local product identities, the symbol and Tamagawa-at-2 closed forms
+(both the 2-adic Hilbert symbol: Serre, A Course in Arithmetic, Ch.
+III, Thms 1 and 3), and the auxiliary-discriminant search.  It returns
+ints, bools and LocalReductions; what a report says, and which checks a
+mode runs, is the harness's.
 
 A twist is described by its row alone, and every quantity and check
 reads rows.  A curve's CurveFacts hold what all its twists share: its
@@ -19,15 +19,15 @@ c_q at each q with their product, all read off the local data, so the
 curve's own primes go through Tate's algorithm once.  The functions
 that read a fact of the curve take its MinimalModelResult; only
 validate_setup, whose curve comes from a user, computes a minimal
-model.  A TwistRow holds one admissible D's facts: its signs at the
-primes of N, its n_minus side, u_D by the closed form and as
-twist_minimal measures it (an int: the scale from the twist's own
-invariants (D^2 c4, D^3 c6) onto its minimal model), full Tate on the
+model.  A TwistRow holds one admissible D's facts: its n_minus side
+(the primes of N where kronecker(D, p) = -1), u_D by the closed form
+and as twist_minimal measures it (an int: the scale from the twist's
+own invariants (D^2 c4, D^3 c6) onto its minimal model), full Tate on the
 minimal twist at the primes of D (and of N, when the row joins pairs),
 and its share of every quantity: u_D times the twist's Tamagawa numbers
 at the primes of D.  A pair is a join of two rows: its n_minus is m_1
-symmetric-difference m_2, the primes where the rows' signs differ, and
-both sides of each transfer identity are products of the D_1 and D_2
+symmetric-difference m_2, the primes where the rows' characters differ,
+and both sides of each transfer identity are products of the D_1 and D_2
 factors.  The closed forms (c~, the inert base change, u_D, the
 odd-prime fast path, the 2-adic case table, the symbol) stay the
 independent side of each comparison against the rows' Tate data.  A
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from numbers import Rational
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .arith import (
     FundamentalDiscriminant,
@@ -118,11 +118,13 @@ def validate_setup(E: WeierstrassModel, d1, d2=None) -> tuple[TwistRow, ...]:
     D is d1, or the product of a coprime pair (d1, d2) other than (1, 1),
     and must be coprime to N.  Once gcd(D, N) = 1 every prime of N splits
     or is inert, so D alone fixes (n_plus, n_minus): a prime of N is in
-    n_minus exactly when the rows' signs there multiply to -1.  A
+    n_minus exactly when the rows' characters there multiply to -1.  A
     character that is -1 at a prime of N needs that prime to divide N
     exactly.  d1 and d2 are ints or parsed FundamentalDiscriminants: this
     is where a user's integers are parsed.  All violations are collected
-    into a single SetupError.  User input then reads
+    into a single SetupError.  The rows are twist_rows', as a sweep
+    builds them, which admits every discriminant that passes these
+    clauses.  User input then reads
     twist_quantity(*validate_setup(E, d)) and
     join_rows(*validate_setup(E, d1, d2)).
     """
@@ -153,37 +155,14 @@ def validate_setup(E: WeierstrassModel, d1, d2=None) -> tuple[TwistRow, ...]:
     if reasons:
         raise SetupError(reasons)
 
-    sign_vectors = [tuple(kronecker(f.value, p) for p in local_data) for f in discs]
-    for (l, loc), signs in zip(local_data.items(), zip(*sign_vectors)):
-        if -1 in signs and loc.conductor_exponent != 1:
+    for l, loc in local_data.items():
+        if loc.conductor_exponent != 1 and any(kronecker(f.value, l) == -1 for f in discs):
             reasons.append(
                 f"character -1 at prime {l} requires {l} || N (multiplicative reduction)"
             )
     if reasons:
         raise SetupError(reasons)
-    return tuple(twist_row(facts, f, signs, True) for f, signs in zip(discs, sign_vectors))
-
-
-def admissible_signs(
-    local_data: dict[int, LocalReduction], f: FundamentalDiscriminant
-) -> tuple[int, ...] | None:
-    """The signs kronecker(D, p) at the primes p of N (in local_data
-    order) when D is admissible for the canonical split, else None.
-
-    D is admissible exactly when no sign is 0 (gcd(D, N) = 1) and every
-    -1 sits at a prime with conductor exponent 1, the multiplicative
-    primes that n_minus may hold.  Kronecker is multiplicative in D, and
-    the exact-division clause forces both signs +1 at every prime with
-    exponent >= 2, so a coprime pair is admissible exactly when both of
-    its discriminants are.
-    """
-    signs = []
-    for p, loc in local_data.items():
-        s = kronecker(f.value, p)
-        if s == 0 or s == -1 and loc.conductor_exponent != 1:
-            return None
-        signs.append(s)
-    return tuple(signs)
+    return tuple(twist_rows(facts, discs, max(f.value for f in discs)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,59 +291,68 @@ def minus_side(facts: CurveFacts, mask: int) -> MinusSide:
 
 
 class TwistRow(NamedTuple):
-    """One admissible discriminant's facts on one curve: its signs, its
-    n_minus side, both values of u_D, full Tate on its minimal twist at
-    the primes of D (and of N, when the row joins pairs), and its
-    fragment of every quantity's numerator."""
+    """One admissible discriminant's facts on one curve: its n_minus side
+    (the primes of N where kronecker(D, p) = -1; it is +1 at the others),
+    both values of u_D, full Tate on its minimal twist at the primes of D
+    (and of N, when the row joins pairs), and its fragment of every
+    quantity's numerator."""
 
     facts: CurveFacts
     disc: FundamentalDiscriminant
-    signs: tuple[int, ...]  # kronecker(D, p) at the primes of N, in local_data order
-    minus: MinusSide  # the primes of N where the sign is -1
+    minus: MinusSide  # the primes of N where kronecker(D, p) = -1
     u: int  # u_of_discriminant, the closed form
     measured_u: int  # the scale twist_minimal measures
     local: dict[int, LocalReduction]  # the minimal twist's local data
     share: int  # u * prod c_l(twist) over the primes of D
 
 
-def twist_row(
-    facts: CurveFacts, f: FundamentalDiscriminant, signs: tuple[int, ...], at_conductor: bool
-) -> TwistRow:
-    """The row of an admissible discriminant from its admissible_signs
-    vector: one twist_minimal call, and Tate's algorithm on the minimal
-    twist (local_data) at each prime of D, and of N when at_conductor.
-    The twist by 1 is the curve itself, whose local data at N the facts hold."""
-    tw = twist_minimal(facts.mm, f)
-    local = local_data(tw, f.primes)
-    if at_conductor:
-        local.update(facts.local_data if f.value == 1 else local_data(tw, facts.local_data))
-    u = u_of_discriminant(facts.mm, f)
-    share = u
-    for l in f.primes:
-        share *= local[l].tamagawa
-    mask = 0
-    for i, s in enumerate(signs):
-        mask |= (s == -1) << i
-    return TwistRow(
-        facts,
-        f,
-        signs,
-        minus_side(facts, mask),
-        u,
-        tw.u_value,
-        local,
-        share,
-    )
+def twist_rows(
+    facts: CurveFacts, discriminants: Iterable[FundamentalDiscriminant], pair_dmax: int
+) -> list[TwistRow]:
+    """The twist row of each parsed discriminant D admissible for the
+    curve with these facts (its global minimal model), in input order.
+
+    One pass over the primes p of N decides D and its n_minus side: D is
+    rejected on kronecker(D, p) = 0 (gcd(D, N) != 1), or on -1 at a prime
+    whose conductor exponent is not 1; each allowed -1 puts p in n_minus.
+    Kronecker is multiplicative in D, and the exact-division clause
+    forces both signs +1 at every prime with exponent >= 2, so a coprime
+    pair is admissible exactly when both of its discriminants are.
+
+    An admitted D's row takes one twist_minimal call, and Tate's
+    algorithm on the minimal twist (local_data) at each prime of D, and
+    of N when D <= pair_dmax: the pairs' transfer identities read those.
+    The twist by 1 is the curve itself, whose local data at N the facts
+    hold."""
+    rows = []
+    for f in discriminants:
+        mask = 0
+        for i, (p, loc) in enumerate(facts.local_data.items()):
+            s = kronecker(f.value, p)
+            if s == 0 or s == -1 and loc.conductor_exponent != 1:
+                break
+            mask |= (s == -1) << i
+        else:
+            tw = twist_minimal(facts.mm, f)
+            local = local_data(tw, f.primes)
+            if f.value <= pair_dmax:
+                local.update(facts.local_data if f.value == 1 else local_data(tw, facts.local_data))
+            u = u_of_discriminant(facts.mm, f)
+            share = u
+            for l in f.primes:
+                share *= local[l].tamagawa
+            rows.append(TwistRow(facts, f, minus_side(facts, mask), u, tw.u_value, local, share))
+    return rows
 
 
 class TwistPair(NamedTuple):
     """The join of two rows of one curve: the pair's n_minus primes are
-    m_1 symmetric-difference m_2, the primes where the rows' signs
+    m_1 symmetric-difference m_2, the primes where the rows' characters
     differ."""
 
     row1: TwistRow
     row2: TwistRow
-    minus: MinusSide  # the primes where the rows' signs differ
+    minus: MinusSide  # the primes where the rows' characters differ
 
 
 def join_rows(row1: TwistRow, row2: TwistRow) -> TwistPair:
@@ -516,7 +504,7 @@ def find_auxiliary_discriminant(
     rows: tuple[TwistRow, ...], p: int, bound: int = 10**6
 ) -> FundamentalDiscriminant:
     """Auxiliary character constraint for the rows validate_setup returns:
-    match chi_1 (the first row's signs) at every prime of N except p,
+    match chi_1 (the first row's n_minus mask) at every prime of N except p,
     flip it at p; conductor coprime to N * D, D the product of the rows'
     discriminants.  p must be a multiplicative prime of N."""
     facts = rows[0].facts
@@ -524,6 +512,7 @@ def find_auxiliary_discriminant(
         raise ValueError(f"{p} is not a prime of the conductor N = {facts.conductor}")
     if not facts.local_data[p].kind.startswith("multiplicative"):
         raise ValueError(f"{p} must be a multiplicative prime")
-    pattern = {l: -s if l == p else s for l, s in zip(facts.local_data, rows[0].signs)}
+    chi1 = rows[0].minus.mask  # bit i set where chi_1 is -1 at the i-th prime of N
+    pattern = {l: (-1) ** ((chi1 >> i & 1) ^ (l == p)) for i, l in enumerate(facts.local_data)}
     D = math.prod(r.disc.value for r in rows)
     return search_discriminant(pattern, facts.conductor * D, bound)

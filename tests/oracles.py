@@ -520,12 +520,13 @@ def reference_tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
 # ---------------------------------------------------------------------------
 # the clause-by-clause admissibility reference
 #
-# The library decides admissibility from each discriminant's signs at the
-# primes of N (admissible_signs), and describes a twist only by its rows
-# (validate_setup returns them).  This is the hypothesis as the paper
-# states it, clause by clause, with the eight conductor pieces of a
-# character pair, on the reference's own TwistSetup; it reads N and the
-# local data from the library, and decides nothing from the sign table.
+# The library admits each discriminant by its kronecker symbols at the
+# primes of N as it builds the discriminant's row (twist_rows), and
+# describes a twist only by its rows (validate_setup returns them).  This
+# is the hypothesis as the paper states it, clause by clause, with the
+# eight conductor pieces of a character pair, on the reference's own
+# TwistSetup; it reads N and the local data from the library, takes its
+# signs from kronecker itself, and decides nothing from a row's mask.
 
 from quadtwist.arith import FundamentalDiscriminant, fundamental_discriminant, kronecker
 from quadtwist.curves import MinimalModelResult, minimal_model
@@ -585,7 +586,7 @@ def implied_setup(*rows) -> TwistSetup:
         facts.local_data,
         tuple(p for p in facts.local_data if p not in minus),
         minus,
-        dict(zip(facts.local_data, zip(*(r.signs for r in rows)))),
+        {p: tuple(kronecker(r.disc.value, p) for r in rows) for p in facts.local_data},
     )
 
 

@@ -22,9 +22,8 @@ from quadtwist.harness import (
     SweepReport,
     default_corpus_path,
     ingest_corpus,
-    twist_rows,
 )
-from quadtwist.twistlaws import curve_facts
+from quadtwist.twistlaws import curve_facts, twist_rows
 
 from oracles import (
     HOSTILE_DISCRIMINANT,
@@ -709,13 +708,16 @@ def test_package_exports_resolve():
     # discriminant predicate, the 2-adic normal form (the case table reads
     # c6, the discriminant and D), the int-parsing shim and the case
     # table's copy of the residue scan's profile (the table reads the
-    # Hilbert symbol; profile_scan, not listed here, keeps the name) are
-    # gone from the package and its modules
+    # Hilbert symbol; profile_scan, not listed here, keeps the name), the
+    # per-record shims, and the sign-vector admissibility and row builder
+    # that twistlaws.twist_rows replaced are gone from the package and its
+    # modules
     gone = (
         "c_tilde", "inert_base_change_tamagawa", "predict_two_adic", "inert_valuation_sum",
         "run_sweep", "strip_timing", "is_fundamental_discriminant",
         "rst_transform", "two_strongly_minimal", "pattern_of_normal_form", "_as_fund",
         "CheckResult", "EXPECTED_TAMAGAWA2_PROFILE", "run_single_instance", "run_pair_instance",
+        "admissible_signs", "twist_row",
     )
     modules = (
         quadtwist.arith, quadtwist.curves, quadtwist.harness, quadtwist.localred,
@@ -739,6 +741,40 @@ def test_cli_minimal_and_twist(capsys):
     assert main(["twist", "--curve", "0,0,0,1,0", "--d", "5"]) == 0
     out = capsys.readouterr().out
     assert "twist: 0,0,0,25,0" in out
+
+
+# The CLI examples README.md documents: each command, its output and its
+# exit code.  The README shows an output as "# " comments, on the
+# command's line or on the lines after it.
+README_CLI_EXAMPLES = (
+    ("tate --curve 0,-1,1,-10,-20 --prime 11", "I5 c=5 v=5 split", 0),
+    (
+        "twist --curve 0,-1,1,-10,-20 --d 8",
+        "twist: 0,-32,8,-10240,-647184\nminimal: 0,1,0,-41,-199 u=4",
+        0,
+    ),
+    ("minimal --curve 0,0,0,0,46656", "0,0,0,0,1 u=6", 0),
+    ("u-of-d --curve 0,-1,1,-10,-20 --d 8", "u=2 (measured 2)", 0),
+    ("u-of-d --curve 0,-1,1,-10,-20 --d 44", "error: gcd(D, N) = 11 != 1", 2),
+    ("find-aux --curve 0,-1,1,-10,-20 --d1 1 --d2 13 --prime 11", "8", 0),
+)
+
+
+def test_readme_cli_examples_match_the_cli(capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for command, output, code in README_CLI_EXAMPLES:
+        at = [i for i, ln in enumerate(lines) if ln.split("#")[0].strip() == f"quadtwist {command}"]
+        (i,) = at
+        shown = output.splitlines()
+        documented = "\n".join(lines[i : i + 1 + len(shown)])
+        for line in shown:
+            assert f"# {line}" in documented, (command, line)
+        if code:
+            assert f"(exit {code})" in documented, command
+        assert main(command.split()) == code, command
+        captured = capsys.readouterr()
+        assert (captured.err if code else captured.out) == output + "\n", command
 
 
 def test_cli_find_aux(capsys):

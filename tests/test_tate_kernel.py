@@ -17,9 +17,9 @@ import pytest
 
 from quadtwist.arith import fundamental_discriminants, valuation
 from quadtwist.curves import SingularModelError, invariants, minimal_model, model, quadratic_twist
-from quadtwist.harness import default_corpus_path, ingest_corpus, twist_rows
+from quadtwist.harness import default_corpus_path, ingest_corpus
 from quadtwist.localred import local_data, tate_local
-from quadtwist.twistlaws import twist_minimal
+from quadtwist.twistlaws import twist_minimal, twist_rows
 
 from oracles import factorint, random_reduced_curves, reference_tate_local
 

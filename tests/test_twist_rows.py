@@ -35,11 +35,16 @@ from quadtwist.harness import (
     _sweep_curve,
     default_corpus_path,
     ingest_corpus,
-    twist_rows,
     write_report,
 )
 from quadtwist.localred import tate_local, twist_prime_tamagawa_odd
-from quadtwist.twistlaws import join_rows, minus_side, pair_twist_quantity, twist_minimal
+from quadtwist.twistlaws import (
+    join_rows,
+    minus_side,
+    pair_twist_quantity,
+    twist_minimal,
+    twist_rows,
+)
 
 from oracles import (
     reference_pair_record,

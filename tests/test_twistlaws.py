@@ -28,7 +28,6 @@ from quadtwist.harness import (
     _format_quantity,
     default_corpus_path,
     ingest_corpus,
-    twist_rows,
 )
 from quadtwist.localred import reduction_profile, tate_local
 import quadtwist.twistlaws as twistlaws
@@ -53,6 +52,7 @@ from quadtwist.twistlaws import (
     twist_quantity,
     pair_twist_quantity,
     twist_minimal,
+    twist_rows,
     u_of_discriminant,
     validate_setup,
 )
@@ -837,7 +837,7 @@ def test_rows_and_sides_hold_numbers_and_the_harness_writes_the_text():
     # no str-keyed dict; the 2-adic case check returns its prediction, and
     # the report's sentence is written from it and the row's Tate run at 2
     assert TwistRow._fields == (
-        "facts", "disc", "signs", "minus", "u", "measured_u", "local", "share",
+        "facts", "disc", "minus", "u", "measured_u", "local", "share",
     )
     assert MinusSide._fields == (
         "mask", "primes", "n_minus", "n_plus", "c_tilde_product", "transfer",
@@ -933,6 +933,42 @@ def test_i4_star_tamagawa_dichotomy():
 def test_find_auxiliary_discriminant_scan():
     f = find_auxiliary_discriminant(validate_setup(E11A1, 1, 13), 11)
     assert f.value == 8  # 5 splits at 11, 8 is inert; scan is ascending
+
+
+def test_find_auxiliary_discriminant_on_curves_with_several_primes():
+    # every shipped curve whose N has at least two primes, every D <= 60
+    # that validate_setup accepts and every multiplicative p: D3 matches
+    # chi_D (taken from kronecker, not from the row) at every prime of N
+    # but p, flips it at p, is coprime to N * D, and is the smallest
+    # fundamental discriminant > 1 that does
+    cases = 0
+    for rec in corpus():
+        facts = rec.facts
+        N = facts.conductor
+        if len(facts.local_data) < 2:
+            continue
+        for D in fundamental_discriminants(60):
+            try:
+                rows = validate_setup(facts.mm.minimal, D)
+            except SetupError:
+                continue
+            for p, loc in facts.local_data.items():
+                if not loc.kind.startswith("multiplicative"):
+                    continue
+                want = {l: kronecker(D.value, l) * (-1 if l == p else 1) for l in facts.local_data}
+
+                def qualifies(g):
+                    return (
+                        g.value > 1
+                        and math.gcd(g.value, N * D.value) == 1
+                        and all(kronecker(g.value, l) == s for l, s in want.items())
+                    )
+
+                f = find_auxiliary_discriminant(rows, p)
+                assert qualifies(f), (rec.label, D.value, p, f.value)
+                assert not any(qualifies(g) for g in fundamental_discriminants(f.value - 1))
+                cases += 1
+    assert cases == 262
 
 
 def test_search_discriminant_two_primes():
