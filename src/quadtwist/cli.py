@@ -8,6 +8,8 @@ exception, reported on stderr). An exception inside the sweep reaches
 main as a harness.SweepError, so even a ValueError there exits 3. `find-aux` takes
 D alone (d1, or a pair d1, d2): D fixes the split (n_plus, n_minus).
 Its --prime must be a multiplicative prime of N; any other value exits 2.
+It prints the smallest D3 in (1, --bound] coprime to D whose n_minus
+mask (twistlaws.n_minus_mask) is D's flipped at --prime; none exits 2.
 `u-of-d` takes a D coprime to the conductor N, which its closed form
 assumes; any other D exits 2.
 
@@ -32,7 +34,7 @@ import math
 import os
 import sys
 
-from .arith import fundamental_discriminant
+from .arith import fundamental_discriminant, hilbert_symbol_2
 from .profile_scan import scan_profiles
 from .curves import minimal_model, model, quadratic_twist
 from .harness import MODES, PAIR_DMAX, SweepReport, default_corpus_path, ingest_corpus, write_report
@@ -198,7 +200,9 @@ def _cmd_enumerate(args) -> int:
     print("key range:", sorted(res.key_range))
     print("tamagawa-2 profile:", sorted(res.tamagawa2_profile))
     print("tamagawa-4 profile:", sorted(res.tamagawa4_profile))
-    ok = res.matches_expected()
+    pairs = {(d, m) for d in range(1, 8, 2) for m in (1, 3)}  # (disc mod 8, m mod 4)
+    tamagawa2 = {(d, m) for d, m in pairs if hilbert_symbol_2(d, 8 * m) == -1}  # the case table
+    ok = res == ({0, 16}, tamagawa2, pairs - tamagawa2)
     print("matches expected sets:", ok)
     return 0 if ok else 1
 

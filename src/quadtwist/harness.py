@@ -111,7 +111,6 @@ class CurveRecord(NamedTuple):
     a_invariants: tuple[int, int, int, int, int]
     conductor: int | None
     analytic_rank: int | None
-    source: str
     facts: CurveFacts  # of the curve's global minimal model, from ingest_corpus
 
     @property
@@ -187,7 +186,7 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
                 f"{path}:{lineno}: stated conductor {stated_n} != computed {facts.conductor}"
             )
         seen.add(label)
-        records.append(CurveRecord(label, ai, stated_n, rank, f"{path}:{lineno}", facts))
+        records.append(CurveRecord(label, ai, stated_n, rank, facts))
     return records
 
 

@@ -15,6 +15,8 @@ derives on its own the case-3 rule of twistlaws._two_adic_prediction:
 the Tamagawa-2 profile is {(disc mod 8, m mod 4) : (disc, 8m)_2 = -1},
 disc the minimal discriminant, m the odd part of D and (,)_2 the 2-adic
 Hilbert symbol (Serre, A Course in Arithmetic, Ch. III, Thms 1 and 3).
+It states no expected sets: `quadtwist enumerate-case3` compares its
+result with that closed form, and the tests hold it to literal sets.
 """
 
 from __future__ import annotations
@@ -24,22 +26,11 @@ from typing import NamedTuple
 # Number of admissible residue classes in (Z/32Z)^6 (both halves).
 FULL_CLASS_COUNT = 2 * (16 * 32 * 8 * 16 * 16 * 16)
 
-EXPECTED_KEY_RANGE = frozenset({0, 16})
-EXPECTED_TAMAGAWA2_PROFILE = frozenset({(3, 1), (5, 1), (5, 3), (7, 3)})
-EXPECTED_TAMAGAWA4_PROFILE = frozenset({(1, 1), (1, 3), (3, 3), (7, 1)})
-
 
 class ProfileScanResult(NamedTuple):
     key_range: frozenset[int]
     tamagawa2_profile: frozenset[tuple[int, int]]
     tamagawa4_profile: frozenset[tuple[int, int]]
-
-    def matches_expected(self) -> bool:
-        return (
-            self.key_range == EXPECTED_KEY_RANGE
-            and self.tamagawa2_profile == EXPECTED_TAMAGAWA2_PROFILE
-            and self.tamagawa4_profile == EXPECTED_TAMAGAWA4_PROFILE
-        )
 
 
 def _profiles_pure() -> dict[int, frozenset[tuple[int, int]]]:

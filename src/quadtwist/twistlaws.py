@@ -1,37 +1,37 @@
-"""The twist-identity layer: twist rows (twist_rows admits each
-discriminant and builds its row in one pass; validate_setup checks user
-input clause by clause and returns the same rows), the period scale
-u_D, the even-two-power quantities with the pair's proof bookkeeping,
-the local product identities, the symbol and Tamagawa-at-2 closed forms
-(both the 2-adic Hilbert symbol: Serre, A Course in Arithmetic, Ch.
-III, Thms 1 and 3), and the auxiliary-discriminant search.  It returns
-ints, bools and LocalReductions; what a report says, and which checks a
-mode runs, is the harness's.
+"""The twist-identity layer: twist rows (n_minus_mask admits each
+discriminant, for the sweep and the auxiliary-discriminant search
+alike; twist_rows builds the admitted rows, which validate_setup returns
+after checking user input clause by clause), the period scale u_D, the
+even-two-power quantities with the pair's proof bookkeeping, the local
+product identities, the symbol and Tamagawa-at-2 closed forms (both the
+2-adic Hilbert symbol: Serre, A Course in Arithmetic, Ch. III, Thms 1
+and 3), and the auxiliary-discriminant search.  It returns ints, bools
+and LocalReductions; what a report says, and which checks a mode runs,
+is the harness's.
 
 A twist is described by its row alone, and every quantity and check
 reads rows.  A curve's CurveFacts hold what all its twists share: its
 MinimalModelResult (the minimal discriminant and its invariants, which
-the even-D closed forms read), N, the local data, and a table of
-n_minus sides built on first use, one MinusSide per set of
-multiplicative primes some row or pair has as its n_minus: n_minus,
-n_plus, the product of the c~_q, and c~_q times the inert base-change
-c_q at each q with their product, all read off the local data, so the
-curve's own primes go through Tate's algorithm once.  The functions
-that read a fact of the curve take its MinimalModelResult; only
-validate_setup, whose curve comes from a user, computes a minimal
-model.  A TwistRow holds one admissible D's facts: its n_minus side
-(the primes of N where kronecker(D, p) = -1), u_D by the closed form
-and as twist_minimal measures it (an int: the scale from the twist's
-own invariants (D^2 c4, D^3 c6) onto its minimal model), full Tate on the
-minimal twist at the primes of D (and of N, when the row joins pairs),
-and its share of every quantity: u_D times the twist's Tamagawa numbers
-at the primes of D.  A pair is a join of two rows: its n_minus is m_1
-symmetric-difference m_2, the primes where the rows' characters differ,
-and both sides of each transfer identity are products of the D_1 and D_2
-factors.  The closed forms (c~, the inert base change, u_D, the
-odd-prime fast path, the 2-adic case table, the symbol) stay the
-independent side of each comparison against the rows' Tate data.  A
-check returns its verdict as a bool; the 2-adic case check also
+the even-D closed forms read), N, the local data, and a table of n_minus
+sides built on first use, one MinusSide per set of multiplicative primes
+some row or pair has as its n_minus: n_minus, n_plus and the product of
+the c~_q, read off the local data (as the transfer checks read c~_q and
+the inert base-change c_q), so the curve's own primes go through Tate's
+algorithm once.  The functions that read a fact of the curve take its
+MinimalModelResult; only validate_setup, whose curve comes from a user,
+computes a minimal model.  A TwistRow holds one admissible D's facts:
+its n_minus side (the primes of N where kronecker(D, p) = -1), u_D by
+the closed form and as twist_minimal measures it (an int: the scale from
+the twist's own invariants (D^2 c4, D^3 c6) onto its minimal model),
+full Tate on the minimal twist at the primes of D (and of N, when the
+row joins pairs), and its share of every quantity: u_D times the twist's
+Tamagawa numbers at the primes of D.  A pair is a join of two rows: its
+n_minus is m_1 symmetric-difference m_2, the primes where the rows'
+characters differ, and both sides of each transfer identity are products
+of the D_1 and D_2 factors.  The closed forms (c~, the inert base
+change, u_D, the odd-prime fast path, the 2-adic case table, the symbol)
+stay the independent side of each comparison against the rows' Tate
+data.  A check returns its verdict as a bool; the 2-adic case check also
 returns the prediction it compared.
 
 Each quantity is an integer numerator over 2^w, w = omega(n_minus),
@@ -249,8 +249,6 @@ class MinusSide(NamedTuple):
     n_minus: int
     n_plus: int
     c_tilde_product: int  # prod c~_q(E) over the set
-    transfer: dict[int, int]  # q -> c~_q(E) * c_q(E over a field where q is inert)
-    transfer_product: int
     disc_valuation_sum: int  # sum of v_q(min disc) over the set
 
 
@@ -268,23 +266,19 @@ def minus_side(facts: CurveFacts, mask: int) -> MinusSide:
     """The n_minus side of the primes of N that mask selects: read from
     the curve's table, and built into it on first use.  The table holds
     at most one entry per prime set that the curve's rows and pairs
-    have, and each entry reads c~_q and the inert base-change c_q off the
-    curve's local data at q (LocalReduction.c_tilde, .inert_tamagawa),
-    which raise unless q is multiplicative."""
+    have, and each entry reads c~_q off the curve's local data at q
+    (LocalReduction.c_tilde), which raises unless q is multiplicative."""
     side = facts.minus_sides.get(mask)
     if side is None:
         locs = [loc for i, loc in enumerate(facts.local_data.values()) if mask >> i & 1]
         primes = tuple(loc.prime for loc in locs)
         n_minus = math.prod(primes)
-        transfer = {loc.prime: loc.c_tilde * loc.inert_tamagawa for loc in locs}
         side = facts.minus_sides[mask] = MinusSide(
             mask,
             primes,
             n_minus,
             facts.conductor // n_minus,
             math.prod(loc.c_tilde for loc in locs),
-            transfer,
-            math.prod(transfer.values()),
             sum(loc.disc_valuation for loc in locs),
         )
     return side
@@ -306,18 +300,28 @@ class TwistRow(NamedTuple):
     share: int  # u * prod c_l(twist) over the primes of D
 
 
+def n_minus_mask(facts: CurveFacts, f: FundamentalDiscriminant) -> int | None:
+    """The n_minus mask of D = f (bit i set where kronecker(D, p) = -1 at
+    the i-th prime p of N), or None when D is not admissible: kronecker
+    0 at a prime of N, or -1 at one whose conductor exponent is not 1."""
+    mask = 0
+    for i, (p, loc) in enumerate(facts.local_data.items()):
+        s = kronecker(f.value, p)
+        if s == 0 or s == -1 and loc.conductor_exponent != 1:
+            return None
+        mask |= (s == -1) << i
+    return mask
+
+
 def twist_rows(
     facts: CurveFacts, discriminants: Iterable[FundamentalDiscriminant], pair_dmax: int
 ) -> list[TwistRow]:
-    """The twist row of each parsed discriminant D admissible for the
-    curve with these facts (its global minimal model), in input order.
-
-    One pass over the primes p of N decides D and its n_minus side: D is
-    rejected on kronecker(D, p) = 0 (gcd(D, N) != 1), or on -1 at a prime
-    whose conductor exponent is not 1; each allowed -1 puts p in n_minus.
-    Kronecker is multiplicative in D, and the exact-division clause
-    forces both signs +1 at every prime with exponent >= 2, so a coprime
-    pair is admissible exactly when both of its discriminants are.
+    """The twist row of each parsed discriminant D that n_minus_mask
+    admits for the curve with these facts (its global minimal model), in
+    input order, on the n_minus side that mask selects.  Kronecker is
+    multiplicative in D, and the exact-division clause forces both signs
+    +1 at every prime with exponent >= 2, so a coprime pair is admissible
+    exactly when both of its discriminants are.
 
     An admitted D's row takes one twist_minimal call, and Tate's
     algorithm on the minimal twist (local_data) at each prime of D, and
@@ -326,22 +330,18 @@ def twist_rows(
     hold."""
     rows = []
     for f in discriminants:
-        mask = 0
-        for i, (p, loc) in enumerate(facts.local_data.items()):
-            s = kronecker(f.value, p)
-            if s == 0 or s == -1 and loc.conductor_exponent != 1:
-                break
-            mask |= (s == -1) << i
-        else:
-            tw = twist_minimal(facts.mm, f)
-            local = local_data(tw, f.primes)
-            if f.value <= pair_dmax:
-                local.update(facts.local_data if f.value == 1 else local_data(tw, facts.local_data))
-            u = u_of_discriminant(facts.mm, f)
-            share = u
-            for l in f.primes:
-                share *= local[l].tamagawa
-            rows.append(TwistRow(facts, f, minus_side(facts, mask), u, tw.u_value, local, share))
+        mask = n_minus_mask(facts, f)
+        if mask is None:
+            continue
+        tw = twist_minimal(facts.mm, f)
+        local = local_data(tw, f.primes)
+        if f.value <= pair_dmax:
+            local.update(facts.local_data if f.value == 1 else local_data(tw, facts.local_data))
+        u = u_of_discriminant(facts.mm, f)
+        share = u
+        for l in f.primes:
+            share *= local[l].tamagawa
+        rows.append(TwistRow(facts, f, minus_side(facts, mask), u, tw.u_value, local, share))
     return rows
 
 
@@ -399,20 +399,24 @@ def pair_twist_quantity(pair: TwistPair) -> ExponentVerdict:
 
 
 def tamagawa_transfer_check(pair: TwistPair, q: int) -> bool:
-    """c~_{q}(E) * c_{q}(E over the inert quadratic field) against
-    c_{q}(twist by D1) * c_{q}(twist by D2), at a prime q of n_minus."""
+    """c~_{q}(E) * c_{q}(E over the inert quadratic field), off the curve's
+    local data, against c_{q}(twist by D1) * c_{q}(twist by D2), q | n_minus."""
     row1, row2, side = pair
-    if q not in side.transfer:
+    if q not in side.primes:
         raise ValueError(f"{q} does not divide n_minus")
-    return side.transfer[q] == row1.local[q].tamagawa * row2.local[q].tamagawa
+    loc = row1.facts.local_data[q]
+    return loc.c_tilde * loc.inert_tamagawa == row1.local[q].tamagawa * row2.local[q].tamagawa
 
 
 def tamagawa_transfer_product_check(pair: TwistPair) -> bool:
     """Product over all primes of N of both twists' Tamagawa numbers,
-    compared modulo squares with prod c~_{q} * c_{q}(inert base change)."""
+    compared modulo squares with prod c~_{q} * c_{q}(inert base change)
+    over n_minus, off the curve's local data."""
     row1, row2, side = pair
-    lhs = math.prod(row1.local[l].tamagawa * row2.local[l].tamagawa for l in row1.facts.local_data)
-    return equal_mod_squares(lhs, side.transfer_product)
+    at_n = row1.facts.local_data
+    lhs = math.prod(row1.local[l].tamagawa * row2.local[l].tamagawa for l in at_n)
+    rhs = math.prod(at_n[q].c_tilde * at_n[q].inert_tamagawa for q in side.primes)
+    return equal_mod_squares(lhs, rhs)
 
 
 def symbol_closed_form(delta: int, D: FundamentalDiscriminant, b: int) -> int:
@@ -427,10 +431,10 @@ def symbol_closed_form(delta: int, D: FundamentalDiscriminant, b: int) -> int:
     return (-1) ** b * hilbert_symbol_2(delta >> valuation(delta, 2), D.value)
 
 
-def tamagawa_symbol_check(row: TwistRow, symbol: int | None = None) -> bool:
+def tamagawa_symbol_check(row: TwistRow, symbol: int) -> bool:
     """With m the odd part of D: prod_{l | m} c_l(twist by D) is a power of
-    two, square exactly when kronecker(min disc, m) = 1.  A caller that
-    has that symbol already may pass it."""
+    two, square exactly when the caller's symbol, kronecker(min disc, m),
+    is 1."""
     D = row.disc
     prod = 1
     for l in D.primes:
@@ -440,8 +444,6 @@ def tamagawa_symbol_check(row: TwistRow, symbol: int | None = None) -> bool:
             raise ValueError(f"E must have good reduction at {l}")
         prod *= row.local[l].tamagawa
     k = _exponent(prod, 1)
-    if symbol is None:
-        symbol = kronecker(row.facts.mm.invariants.disc, D.odd_part)
     return k is not None and (k % 2 == 0) == (symbol == 1)
 
 
@@ -486,33 +488,23 @@ def check_two_adic_case(row: TwistRow) -> tuple[bool, TwoAdicPrediction]:
 # auxiliary discriminant search
 
 
-def search_discriminant(
-    sign_pattern: dict[int, int], coprime_to: int = 1, bound: int = 10**6
-) -> FundamentalDiscriminant:
-    """Smallest fundamental discriminant D3 > 1 coprime to coprime_to with
-    kronecker(D3, p) equal to the required sign at every constrained
-    prime.  Raises if the scan bound is exhausted."""
-    for f in fundamental_discriminants(bound):
-        if f.value == 1 or math.gcd(f.value, coprime_to) != 1:
-            continue
-        if all(kronecker(f.value, p) == s for p, s in sign_pattern.items()):
-            return f
-    raise SetupError([f"no discriminant matching {sign_pattern} up to {bound}"])
-
-
 def find_auxiliary_discriminant(
     rows: tuple[TwistRow, ...], p: int, bound: int = 10**6
 ) -> FundamentalDiscriminant:
-    """Auxiliary character constraint for the rows validate_setup returns:
-    match chi_1 (the first row's n_minus mask) at every prime of N except p,
-    flip it at p; conductor coprime to N * D, D the product of the rows'
-    discriminants.  p must be a multiplicative prime of N."""
+    """The smallest fundamental discriminant D3 in (1, bound], coprime to
+    D (the product of the rows' discriminants), whose n_minus_mask is
+    chi_1's (the first row's) with p's bit flipped: D3's character matches
+    chi_1 at every prime of N but p, where it flips.  p must be a
+    multiplicative prime of N; a SetupError says the bound is exhausted."""
     facts = rows[0].facts
     if p not in facts.local_data:
         raise ValueError(f"{p} is not a prime of the conductor N = {facts.conductor}")
-    if not facts.local_data[p].kind.startswith("multiplicative"):
+    if facts.local_data[p].conductor_exponent != 1:
         raise ValueError(f"{p} must be a multiplicative prime")
-    chi1 = rows[0].minus.mask  # bit i set where chi_1 is -1 at the i-th prime of N
-    pattern = {l: (-1) ** ((chi1 >> i & 1) ^ (l == p)) for i, l in enumerate(facts.local_data)}
+    target = rows[0].minus.mask ^ (1 << list(facts.local_data).index(p))
     D = math.prod(r.disc.value for r in rows)
-    return search_discriminant(pattern, facts.conductor * D, bound)
+    for f in fundamental_discriminants(bound):
+        if f.value > 1 and math.gcd(f.value, D) == 1 and n_minus_mask(facts, f) == target:
+            return f
+    signs = {l: (-1) ** (target >> i & 1) for i, l in enumerate(facts.local_data)}
+    raise SetupError([f"no discriminant matching {signs} up to {bound}"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -48,7 +49,6 @@ def test_ingest_example_line(tmp_path):
     assert rec.label == "11a1"
     assert rec.a_invariants == (0, -1, 1, -10, -20)
     assert rec.conductor == 11 and rec.analytic_rank == 0
-    assert rec.source.endswith(":2")
 
 
 def test_ingest_empty_file(tmp_path):
@@ -439,6 +439,25 @@ def test_cli_error_inside_sweep_is_internal(tmp_path, monkeypatch, capsys):
     assert "internal error: SweepError: curve 11a1: ValueError: simulated u failure" in err
 
 
+def test_cli_jobs_error_keeps_the_previous_report(tmp_path, monkeypatch, capsys):
+    # the same fault inside --jobs workers (a fork pool, so each worker
+    # inherits the patch): exit 3 naming the first curve, the previous
+    # --out report in place, no temporary file left and no worker alive
+    def broken(mm, D):
+        raise ValueError("simulated u failure")
+
+    monkeypatch.setattr("quadtwist.twistlaws.u_of_discriminant", broken)
+    corpus = write(tmp_path, "11a1,0,-1,1,-10,-20,11,0\n15a1,1,1,1,-10,-10,15,0\n")
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n", encoding="utf-8")
+    args = ["verify", "--corpus", corpus, "--dmax", "5", "--jobs", "2", "--out", str(out)]
+    assert main(args) == 3
+    assert "internal error: SweepError: curve 11a1" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "previous report\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert multiprocessing.active_children() == []
+
+
 def test_cli_ingest_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     # only a singular or unfactorable model is a corpus (usage) error;
     # anything else that goes wrong while ingesting is internal
@@ -706,26 +725,29 @@ def test_package_exports_resolve():
     # entry points that only wrapped a field, a property or the case table,
     # the dict-building second report path, its timing filter, the
     # discriminant predicate, the 2-adic normal form (the case table reads
-    # c6, the discriminant and D), the int-parsing shim and the case
-    # table's copy of the residue scan's profile (the table reads the
-    # Hilbert symbol; profile_scan, not listed here, keeps the name), the
-    # per-record shims, and the sign-vector admissibility and row builder
-    # that twistlaws.twist_rows replaced are gone from the package and its
-    # modules
+    # c6, the discriminant and D), the int-parsing shim, the literal
+    # copies of the residue scan's profile (the case table and
+    # enumerate-case3 read the Hilbert symbol), the per-record shims, the
+    # sign-vector admissibility and row builder that twistlaws.twist_rows
+    # replaced, and the sign-pattern search that n_minus_mask replaced are
+    # gone from the package and its modules
     gone = (
         "c_tilde", "inert_base_change_tamagawa", "predict_two_adic", "inert_valuation_sum",
         "run_sweep", "strip_timing", "is_fundamental_discriminant",
         "rst_transform", "two_strongly_minimal", "pattern_of_normal_form", "_as_fund",
         "CheckResult", "EXPECTED_TAMAGAWA2_PROFILE", "run_single_instance", "run_pair_instance",
-        "admissible_signs", "twist_row",
+        "admissible_signs", "twist_row", "search_discriminant", "EXPECTED_KEY_RANGE",
+        "EXPECTED_TAMAGAWA4_PROFILE",
     )
     modules = (
         quadtwist.arith, quadtwist.curves, quadtwist.harness, quadtwist.localred,
-        quadtwist.twistlaws,
+        quadtwist.profile_scan, quadtwist.twistlaws,
     )
     for name in gone:
         assert name not in names and not hasattr(quadtwist, name)
         assert not any(hasattr(module, name) for module in modules), name
+    assert not hasattr(quadtwist.ProfileScanResult, "matches_expected")
+    assert "source" not in quadtwist.harness.CurveRecord._fields
 
 
 def test_cli_enumerate_profiles(capsys):
@@ -757,6 +779,11 @@ README_CLI_EXAMPLES = (
     ("u-of-d --curve 0,-1,1,-10,-20 --d 8", "u=2 (measured 2)", 0),
     ("u-of-d --curve 0,-1,1,-10,-20 --d 44", "error: gcd(D, N) = 11 != 1", 2),
     ("find-aux --curve 0,-1,1,-10,-20 --d1 1 --d2 13 --prime 11", "8", 0),
+    (
+        "find-aux --curve 0,-1,1,-10,-20 --d1 5 --prime 11 --bound 3",
+        "error: no discriminant matching {11: -1} up to 3",
+        2,
+    ),
 )
 
 

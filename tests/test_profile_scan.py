@@ -10,13 +10,7 @@ import time
 
 from quadtwist.arith import fundamental_discriminant, hilbert_symbol_2
 from quadtwist.curves import MinimalModelResult, WeierstrassModel, invariants
-from quadtwist.profile_scan import (
-    EXPECTED_TAMAGAWA2_PROFILE,
-    EXPECTED_TAMAGAWA4_PROFILE,
-    EXPECTED_KEY_RANGE,
-    FULL_CLASS_COUNT,
-    scan_profiles,
-)
+from quadtwist.profile_scan import FULL_CLASS_COUNT, scan_profiles
 from quadtwist.twistlaws import _two_adic_prediction
 
 from oracles import predict_two_adic
@@ -50,14 +44,9 @@ FORMULAS = {"a6 odd": _a6_odd, "a6 even": _a6_even}
 
 def test_pure_backend_expected_sets():
     res = scan_profiles()
-    assert res.key_range == EXPECTED_KEY_RANGE == frozenset({0, 16})
-    assert res.tamagawa2_profile == EXPECTED_TAMAGAWA2_PROFILE == frozenset(
-        {(3, 1), (5, 1), (5, 3), (7, 3)}
-    )
-    assert res.tamagawa4_profile == EXPECTED_TAMAGAWA4_PROFILE == frozenset(
-        {(1, 1), (1, 3), (3, 3), (7, 1)}
-    )
-    assert res.matches_expected()
+    assert res.key_range == frozenset({0, 16})
+    assert res.tamagawa2_profile == frozenset({(3, 1), (5, 1), (5, 3), (7, 3)})
+    assert res.tamagawa4_profile == frozenset({(1, 1), (1, 3), (3, 3), (7, 1)})
     assert FULL_CLASS_COUNT == 33_554_432
 
 

@@ -47,7 +47,6 @@ from quadtwist.twistlaws import (
     tamagawa_transfer_check,
     tamagawa_transfer_product_check,
     symbol_closed_form,
-    search_discriminant,
     tamagawa_symbol_check,
     twist_quantity,
     pair_twist_quantity,
@@ -638,7 +637,9 @@ def test_format_quantity_matches_fraction():
 def test_transfer_identity_example():
     row1, row2, side = pair = pair_join(E11A1, 1, 13)
     assert tamagawa_transfer_check(pair, 11)
-    assert side.transfer[11] == row1.local[11].tamagawa * row2.local[11].tamagawa == 5
+    loc = row1.facts.local_data[11]  # the c~_q * inert c_q side is read off the curve
+    twists = row1.local[11].tamagawa * row2.local[11].tamagawa
+    assert loc.c_tilde * loc.inert_tamagawa == twists == 5
     with pytest.raises(ValueError):
         tamagawa_transfer_check(pair_join(E11A1, 5, 12), 11)  # 11 splits: n_minus = 1
 
@@ -675,7 +676,7 @@ def test_transfer_product_example_and_sweep():
     assert tamagawa_transfer_product_check(pair)
     at_n = row1.facts.local_data
     assert math.prod(row1.local[l].tamagawa * row2.local[l].tamagawa for l in at_n) == 5
-    assert side.transfer_product == 5
+    assert math.prod(at_n[q].c_tilde * at_n[q].inert_tamagawa for q in side.primes) == 5
     hits = 0
     for rec in corpus()[:8]:
         for pair in ((1, 13), (5, 13), (13, 5), (1, 8), (5, 8)):
@@ -767,12 +768,12 @@ def test_symbol_closed_form_equals_kronecker_on_valid_setups():
 
 
 def test_tamagawa_symbol_examples():
-    assert tamagawa_symbol_check(single_row(E11A1, 13))
-    # a symbol the caller passes is the one the check reads
+    # the symbol the caller passes is the one the check reads
     row = single_row(E11A1, 13)
     symbol = kronecker(row.facts.mm.invariants.disc, 13)
     assert tamagawa_symbol_check(row, symbol) and not tamagawa_symbol_check(row, -symbol)
-    assert tamagawa_symbol_check(single_row(E11A1, fundamental_discriminant(1)))  # empty
+    row = single_row(E11A1, fundamental_discriminant(1))  # empty product, m = 1
+    assert tamagawa_symbol_check(row, kronecker(row.facts.mm.invariants.disc, 1))
     # product congruent to 2 mod squares needs opposite symbols at two primes
     found = False
     for rec in corpus():
@@ -792,7 +793,7 @@ def test_tamagawa_symbol_examples():
                     row = single_row(rec.curve, f)
                 except SetupError:
                     continue
-                assert tamagawa_symbol_check(row)
+                assert tamagawa_symbol_check(row, kronecker(disc, m))
                 found = True
                 break
         if found:
@@ -840,8 +841,7 @@ def test_rows_and_sides_hold_numbers_and_the_harness_writes_the_text():
         "facts", "disc", "minus", "u", "measured_u", "local", "share",
     )
     assert MinusSide._fields == (
-        "mask", "primes", "n_minus", "n_plus", "c_tilde_product", "transfer",
-        "transfer_product", "disc_valuation_sum",
+        "mask", "primes", "n_minus", "n_plus", "c_tilde_product", "disc_valuation_sum",
     )
     for name in ("format_quantity", "_int_dict_json"):
         assert not hasattr(twistlaws, name)
@@ -969,24 +969,6 @@ def test_find_auxiliary_discriminant_on_curves_with_several_primes():
                 assert not any(qualifies(g) for g in fundamental_discriminants(f.value - 1))
                 cases += 1
     assert cases == 262
-
-
-def test_search_discriminant_two_primes():
-    f = search_discriminant({2: 1, 7: -1}, coprime_to=14)
-    assert kronecker(f.value, 2) == 1 and kronecker(f.value, 7) == -1
-    for g in fundamental_discriminants(f.value - 1):
-        if g.value == 1 or g.value % 2 == 0 and 14 % 2 == 0:
-            continue
-        import math
-
-        if math.gcd(g.value, 14) != 1:
-            continue
-        assert not (kronecker(g.value, 2) == 1 and kronecker(g.value, 7) == -1)
-
-
-def test_search_discriminant_bound_exhaustion():
-    with pytest.raises(SetupError):
-        search_discriminant({11: -1}, bound=1)
 
 
 # ---------------------------------------------------------------------------
