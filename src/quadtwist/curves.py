@@ -10,10 +10,12 @@ invariants (c4, c6) share one reduced global minimal model.  So minimal
 models, and the minimal models of twists (the twist by d has invariants
 (d^2 c4, d^3 c6)), are computed from (c4, c6) alone; the only change of
 variables the module applies is quadratic_twist's rescaling by
-[1/2, 0, 0, 0].  The reduction is handed the primes of the
-discriminant, so a caller that knows them (the twist of a curve whose
-bad primes are known) factors nothing large; it returns the invariants
-and discriminant exponents that Tate's algorithm starts from.
+[1/2, 0, 0, 0].  The reduction is handed the discriminant's
+factorization as (p, e) pairs and never forms the discriminant, so a
+caller that knows the exponents (the twist by D of a curve with known
+discriminant exponents, whose own are 6 v_p(D) more) factors and divides
+nothing; it returns the invariants and discriminant exponents that
+Tate's algorithm starts from.
 """
 
 from __future__ import annotations
@@ -138,32 +140,24 @@ class MinimalModelResult(NamedTuple):
     disc_exponents: tuple[int, ...]  # v_p of the minimal discriminant at each bad prime
 
 
-def minimal_from_invariants(c4: int, c6: int, primes) -> MinimalModelResult:
+def minimal_from_invariants(c4: int, c6: int, factors) -> MinimalModelResult:
     """Global minimal model of the curves with invariants (c4, c6), by the
     Laska-Kraus-Connell reduction.
 
-    (c4, c6) must be the invariants of some integral model, and primes an
-    increasing list of primes containing every prime of its discriminant;
-    each exponent is found by dividing the prime out, and a cofactor left
-    over (a prime missing from the list) raises ValueError.  Output is the
-    reduced form (a1, a3 in {0,1}, a2 in {-1,0,1}), which is unique, the
-    scale u with (c4, c6) = (u^4 C4, u^6 C6) for its invariants (C4, C6),
-    the primes of the minimal discriminant, its invariants, and v_p of
-    its discriminant at each of those primes (e - 12 v_p(u)).
+    (c4, c6) must be the invariants of some integral model, and factors
+    the factorization of its discriminant (c4^3 - c6^2)/1728 as
+    increasing (p, e) pairs, the shape of Factorization.factors; the
+    discriminant itself is never formed, and each exponent is taken as
+    given.  Output is the reduced form (a1, a3 in {0,1}, a2 in
+    {-1,0,1}), which is unique, the scale u with (c4, c6) = (u^4 C4,
+    u^6 C6) for its invariants (C4, C6), the primes of the minimal
+    discriminant, its invariants, and v_p of its discriminant at each of
+    those primes (e - 12 v_p(u)).  A singular pair raises
+    SingularModelError when its model's invariants are computed.
     """
-    disc = (c4**3 - c6**2) // 1728
-    if disc == 0:
-        raise SingularModelError(f"singular invariants ({c4}, {c6})")
-    rest = abs(disc)
     u = 1
     bad_primes, exponents = [], []
-    for p in primes:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if e == 0:
-            continue
+    for p, e in factors:
         d = 0  # v_p(u)
         if e >= 12:
             vc4 = valuation(c4, p) if c4 else e  # never binding when c4 = 0
@@ -176,8 +170,6 @@ def minimal_from_invariants(c4: int, c6: int, primes) -> MinimalModelResult:
         if e > 12 * d:  # p still divides the minimal discriminant
             bad_primes.append(p)
             exponents.append(e - 12 * d)
-    if rest != 1:
-        raise ValueError(f"a prime of the discriminant {disc} is missing: {rest} is left")
     C4, C6 = c4 // u**4, c6 // u**6
     assert kraus_conditions(C4, C6, 2) and kraus_conditions(C4, C6, 3)
     M, inv = _model_from_c4c6(C4, C6)
@@ -190,4 +182,4 @@ def minimal_model(E: WeierstrassModel) -> MinimalModelResult:
     curve's minimal model more than once holds on to the result (a sweep
     keeps it on the curve's CurveFacts)."""
     inv = invariants(E)
-    return minimal_from_invariants(inv.c4, inv.c6, factorize(inv.disc).primes())
+    return minimal_from_invariants(inv.c4, inv.c6, factorize(inv.disc).factors)

@@ -19,10 +19,12 @@ and tests thresholds as divisibility by a power of p.  tate_local finds
 that start itself, for any model.  local_data reads it off a global
 minimal model's reduction (MinimalModelResult.invariants and
 disc_exponents), so the invariants and discriminant exponents of a
-curve or twist are computed once, where it is minimized, and Tate's
-algorithm divides nothing out.  The model-object form of the same
-algorithm, a WeierstrassModel per change with every invariant
-recomputed, is the tests' reference; it counts roots on its own.
+curve or twist are computed once, where it is minimized (from one
+factorize for a curve, and from the curve's exponents plus 6 v_p(D) for
+a twist), and Tate's algorithm starts from those exponents.  The
+model-object form of the same algorithm, a WeierstrassModel per change
+with every invariant recomputed, is the tests' reference; it counts
+roots on its own.
 
 Tate's I0* step and the odd-prime closed form count the roots mod p of
 a cubic, one way per characteristic (count_cubic_roots: the two residues

@@ -180,14 +180,17 @@ def twist_minimal(mm: MinimalModelResult, D: FundamentalDiscriminant) -> Minimal
     D = 1 mod 4 the raw twist is integral (quadratic_twist's first
     branch: D - 1, D^2 - 1 and D^3 - 1 are 0 mod 4, 8 and 4).  For 4 | D,
     (D^2 c4, D^3 c6) = (2^4 (D/4)^2 c4, 2^6 (D/4)^3 c6), the invariants of
-    the twist by D/4 rescaled by [1/2, 0, 0, 0].  Its discriminant
-    D^6 disc(E) has no primes but D's and E's bad primes, which the
-    parsed D and mm carry, so nothing is factored.
+    the twist by D/4 rescaled by [1/2, 0, 0, 0].  Its discriminant is
+    D^6 disc(E), whatever gcd(D, N) is, so its factorization is E's
+    (mm.bad_primes with mm.disc_exponents) with 6 v_l(D) added at each
+    l | D (v_l(D) is 1 at odd l and D.two_exponent at 2): nothing is
+    factored or divided out.
     """
     d, inv = D.value, mm.invariants
-    return minimal_from_invariants(
-        d * d * inv.c4, d**3 * inv.c6, sorted({*mm.bad_primes, *D.primes})
-    )
+    exponents = dict(zip(mm.bad_primes, mm.disc_exponents))
+    for l in D.primes:
+        exponents[l] = exponents.get(l, 0) + 6 * (D.two_exponent if l == 2 else 1)
+    return minimal_from_invariants(d * d * inv.c4, d**3 * inv.c6, sorted(exponents.items()))
 
 
 def _c6_two_valuation(mm: MinimalModelResult) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import signal
 import sys
@@ -7,17 +8,32 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 
-@pytest.fixture
-def one_second_deadline():
-    """Fail the test after one second, so a hang fails instead of stalling
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail the block after seconds, so a hang fails instead of stalling
     the suite (SIGALRM, main thread only).  pytest.fail raises a
     BaseException, which the CLI's error handlers do not catch."""
 
     def expire(signum, frame):
-        pytest.fail("test body exceeded its one-second deadline")
+        pytest.fail(f"exceeded its deadline of {seconds:g} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, previous)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def one_second_deadline():
+    """Fail the test body after one second."""
+    with _deadline(1.0):
+        yield
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds), a context manager failing its block after seconds."""
+    return _deadline

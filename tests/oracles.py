@@ -817,7 +817,10 @@ def general_twist_minimal(mm: MinimalModelResult, d):
     its minimal model and the scale u onto it, so the rescaled twist's
     discriminant 2^12 d^6 u^12 disc(E_min) has no primes but 2, those of
     d u and E's bad primes: only d u is factored, and only u when d is
-    parsed, whose primes it carries.
+    parsed, whose primes it carries.  Each exponent the reduction is
+    handed is found by dividing that prime out of the rescaled twist's
+    own discriminant, which must leave +-1: the reference measures what
+    the library derives from disc(D^2 c4, D^3 c6) = D^6 disc(c4, c6).
     """
     fund = isinstance(d, FundamentalDiscriminant)
     if fund:
@@ -829,10 +832,12 @@ def general_twist_minimal(mm: MinimalModelResult, d):
         d_primes = factorize(abs(d) * u).primes()
     elif u > 1:
         d_primes += factorize(u).primes()
-    primes = sorted({2, *mm.bad_primes, *d_primes})
-    tw = minimal_from_invariants(
-        2**4 * d * d * u**4 * inv.c4, 2**6 * d**3 * u**6 * inv.c6, primes
-    )
+    c4, c6 = 2**4 * d * d * u**4 * inv.c4, 2**6 * d**3 * u**6 * inv.c6
+    disc = (c4**3 - c6**2) // 1728
+    factors = [(p, _vp(disc, p)) for p in sorted({2, *mm.bad_primes, *d_primes})]
+    factors = [(p, e) for p, e in factors if e]
+    assert abs(disc) == math.prod(p**e for p, e in factors), (d, tuple(mm.minimal))
+    tw = minimal_from_invariants(c4, c6, factors)
     return tw.minimal, Fraction(tw.u_value, 2)
 
 

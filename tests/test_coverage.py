@@ -1,7 +1,7 @@
 """The coverage corpus (tests/data/coverage.csv): additive reduction at 2
-(nine Kodaira types) and at 3 (seven: II, III, IV, I1*, I2*, IV*, III*)
-and conductors with three multiplicative primes, which the
-shipped corpus never reaches.  Each curve's local data is pinned, held to
+(nine Kodaira types) and at 3 (nine: II, III, IV, I0*, I1*, I2*, IV*,
+III*, II*) and conductors with three to seven multiplicative primes,
+which the shipped corpus never reaches.  Each curve's local data is pinned, held to
 the point-count and component-count oracles, and the corpus is swept."""
 
 import os
@@ -40,6 +40,19 @@ PINNED = {
     "c108": {2: ("IV*", 3, 8), 3: ("II", 1, 3)},
     "c144": {2: ("II", 1, 4), 3: ("I1*", 2, 7)},
     "c200": {2: ("II*", 1, 11), 5: ("II", 1, 2)},
+    "c210": {2: ("I12", 12, 12), 3: ("I3", 3, 3), 5: ("I1", 1, 1), 7: ("I1", 1, 1)},
+    "c2310": {2: ("I2", 2, 2), 3: ("I2", 2, 2), 5: ("I1", 1, 1), 7: ("I1", 1, 1), 11: ("I1", 1, 1)},
+    "c39270": {
+        2: ("I2", 2, 2),
+        3: ("I1", 1, 1),
+        5: ("I2", 2, 2),
+        7: ("I2", 2, 2),
+        11: ("I1", 1, 1),
+        17: ("I1", 1, 1),
+    },
+    "c3365670": {p: ("I1", 1, 1) for p in (2, 3, 5, 7, 11, 31, 47)},
+    "c99": {3: ("I0*", 1, 6), 11: ("I1", 1, 1)},
+    "c162": {2: ("I1", 1, 1), 3: ("II*", 1, 12)},
 }
 
 
@@ -80,14 +93,15 @@ def test_coverage_reaches_what_acceptance_does_not():
             if p in table and _additive(table[p][0]):
                 types[p].add(table[p][0])
     assert types[2] == {"II", "III", "IV", "I0*", "I1*", "I3*", "IV*", "III*", "II*"}, types
-    assert types[3] == {"II", "III", "IV", "I1*", "I2*", "IV*", "III*"}, types
-    assert any(sum(not _additive(k) for k, _, _ in t.values()) == 3 for t in PINNED.values())
+    assert types[3] == {"II", "III", "IV", "I0*", "I1*", "I2*", "IV*", "III*", "II*"}, types
+    multiplicative = {sum(not _additive(k) for k, _, _ in t.values()) for t in PINNED.values()}
+    assert multiplicative >= {3, 4, 5, 6, 7}, multiplicative
 
 
 def test_coverage_sweep(coverage):
     report = sweep_report(coverage, 500, "all", corpus_name=COVERAGE)
     summary = report["summary"]
     assert summary["failures"] == 0, report["failures"][:5]
-    assert summary["instances"] == 1475
+    assert summary["instances"] == 2030
     omega = Counter(i["quantity"]["components"]["omega_n_minus"] for i in report["instances"])
-    assert omega == {0: 555, 1: 563, 2: 274, 3: 83}
+    assert omega == {0: 629, 1: 678, 2: 385, 3: 219, 4: 86, 5: 23, 6: 8, 7: 2}

@@ -394,23 +394,20 @@ def test_twist_minimal_is_the_general_form_at_scale_one(monkeypatch):
             assert (T, u) == general_twist_minimal(at_one, D), (tuple(mm.minimal), D.value)
 
 
-def test_minimal_from_invariants_needs_every_prime():
-    # the primes are divided out, not searched for: a list missing one
-    # prime of the discriminant is an error, never a wrong model
+def test_minimal_from_invariants_takes_the_factorization():
+    # handed the discriminant's factorization as (p, e) pairs, the
+    # reduction is minimal_model: on the corpus, random curves and
+    # blown-up models (whose exponents reach 12 and rescale)
     rng = random.Random(97)
     curves = corpus_curves() + random_reduced_curves(rng, 10)
     curves += [blow_up(E, u, 0, 1, 1) for E, u in zip(curves[:4], (2, 3, 6, 5))]
     for E in curves:
         inv = invariants(E)
-        primes = factorize(inv.disc).primes()
-        mm = minimal_from_invariants(inv.c4, inv.c6, primes)
+        mm = minimal_from_invariants(inv.c4, inv.c6, factorize(inv.disc).factors)
         assert mm == minimal_model(E)
         assert mm.invariants == invariants(mm.minimal)
-        for p in primes:
-            with pytest.raises(ValueError, match="missing"):
-                minimal_from_invariants(inv.c4, inv.c6, [q for q in primes if q != p])
     with pytest.raises(SingularModelError):
-        minimal_from_invariants(0, 0, [2])
+        minimal_from_invariants(0, 0, ())
 
 
 def test_iso_onto_carries_each_model_onto_its_minimal_model():

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -361,7 +362,7 @@ def test_encoder_writes_coverage_records_byte_for_byte(tmp_path, monkeypatch):
             sweep = SweepReport(ingest_corpus(path), 500, mode)
             sweeps[path, mode] = sweep, list(sweep)
     counts = [len(sweeps[coverage, mode][1]) for mode in MODES]
-    assert counts == [794, 681, 1475, 1475]
+    assert counts == [1077, 953, 2030, 2030]
     assert len(sweeps[default_corpus_path(), "all"][1]) == 7572
     for run, (sweep, lines) in sweeps.items():
         records = [json.loads(line) for line in lines]
@@ -873,3 +874,51 @@ def test_cli_verify_hostile_corpus_line(tmp_path, one_second_deadline, capsys):
 def test_cli_minimal_hostile_curve(one_second_deadline, capsys):
     assert main(["minimal", "--curve", f"0,0,0,0,{hostile_semiprime()}"]) == 2
     assert capsys.readouterr().err.startswith("error: cannot factor ")
+
+
+FUZZ_CURVES = [(0, -1, 1, -10, -20), (1, 0, 1, 4, -6), (1, 1, 1, -10, -10), (0, 0, 1, -1, 0)]
+FUZZ_GARBAGE = ["", "x", "1/2", "0.5", "1e3", " 7 ", "+5", "-0", "1_000", "0x10", "٣", "nan"]
+
+
+def fuzz_corpus_line(rng) -> str:
+    """One random corpus line meant to break ingest or the sweep: a known
+    curve blown up by u (far from minimal, so the reduction rescales), or
+    random coefficients from 1 to 10^15 in size (rho may spend its
+    budget); an odd label, no conductor or a stated one, a rank and a
+    surplus field; and sometimes a field replaced by a token int() may or
+    may not take."""
+    if rng.randrange(4) == 0:
+        u = rng.choice((1, 2, 3, 4, 6, 12))
+        ai = [a * u**i for a, i in zip(rng.choice(FUZZ_CURVES), (1, 2, 3, 4, 6))]
+    else:
+        scale = rng.choice((1, 3, 30, 300, 10**4, 10**8, 10**15))
+        ai = [rng.randint(-scale, scale) if rng.random() < 0.8 else 0 for _ in range(5)]
+    fields = [rng.choice(("c", "", 'q"u\\o', "é", "a,b")), *map(str, ai)]
+    extra = rng.randrange(4)
+    if extra >= 1:
+        fields.append(str(rng.choice((1, 11, 37, rng.randint(-5, 10**6)))))
+    if extra >= 2:
+        fields.append(str(rng.choice((0, 1, -1))))
+    if extra == 3:
+        fields.append("1")
+    if rng.random() < 0.25:
+        fields[rng.randrange(len(fields))] = rng.choice(FUZZ_GARBAGE)
+    return ",".join(fields)
+
+
+def test_cli_verify_survives_fuzzed_corpus_lines(tmp_path, deadline, capsys):
+    # seeded random lines, each its own corpus: a sweep passes (0), fails
+    # a check (1) or refuses its input (2), and never errs inside (3).
+    # Each line gets 5 s, above rho's worst case (about 1.5 s) on a
+    # discriminant it cannot split
+    rng = random.Random(1)
+    codes = Counter()
+    for _ in range(80):
+        line = fuzz_corpus_line(rng)
+        corpus = write(tmp_path, line + "\n")
+        with deadline(5.0):
+            code = main(["verify", "--corpus", corpus, "--dmax", "40"])
+        assert code in (0, 1, 2), (line, capsys.readouterr().err)
+        codes[code] += 1
+    capsys.readouterr()
+    assert codes[0] and codes[2], codes

@@ -161,21 +161,23 @@ def test_local_data_is_tate_local_on_the_minimal_model(reductions, key_sets):
 
 
 def test_disc_exponents_are_the_minimal_discriminant_valuations(key_sets):
-    # the exponent the reduction divides out at each bad prime, less
+    # the exponent the reduction is handed at each bad prime, less
     # 12 v_p(u), is v_p of the minimal discriminant: the random models'
-    # minimal models (the u = 4, 6, 9 rescalings among them) and the
-    # twists by every even D <= 500 of the two corpora (u = 2 among them)
+    # minimal models (factorize's exponents; the u = 4, 6, 9 rescalings
+    # among them) and the twists of the two corpora by every fundamental
+    # D, even up to 500 (u = 2 among them) and odd up to 200 (u = 3
+    # among them, where 3 | gcd(D, N)), whose exponents twist_minimal
+    # derives as the curve's plus 6 v_l(D)
     held = {minimal_model(E) for E in {E for E, _ in key_sets["random"]}}
     assert {mm.u_value for mm in held} >= {1, 2, 3, 4, 6, 9}
-    evens = [f for f in fundamental_discriminants(500) if f.is_even]
-    twists = {
-        twist_minimal(rec.facts.mm, f)
-        for path in (default_corpus_path(), COVERAGE)
-        for rec in ingest_corpus(path)
-        for f in evens
-    }
-    assert {tw.u_value for tw in twists} >= {1, 2}
-    for mm in held | twists:
+    facts = [rec.facts for path in (default_corpus_path(), COVERAGE) for rec in ingest_corpus(path)]
+    evens, odds = set(), set()
+    for f in fundamental_discriminants(500):
+        if f.is_even or f.value <= 200:
+            (evens if f.is_even else odds).update(twist_minimal(c.mm, f) for c in facts)
+    assert {tw.u_value for tw in evens} >= {1, 2}
+    assert {tw.u_value for tw in odds} >= {1, 3}
+    for mm in held | evens | odds:
         disc = mm.invariants.disc
         assert mm.bad_primes == tuple(sorted(factorint(abs(disc)))), tuple(mm.minimal)
         assert mm.disc_exponents == tuple(valuation(disc, p) for p in mm.bad_primes)

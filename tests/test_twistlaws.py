@@ -29,7 +29,7 @@ from quadtwist.harness import (
     default_corpus_path,
     ingest_corpus,
 )
-from quadtwist.localred import reduction_profile, tate_local
+from quadtwist.localred import ADDITIVE, MULT_NONSPLIT, MULT_SPLIT, reduction_profile, tate_local
 import quadtwist.twistlaws as twistlaws
 from quadtwist.twistlaws import (
     MinusSide,
@@ -698,6 +698,39 @@ def test_transfer_product_split_primes_contribute_squares():
             t1 = tate_local(twist_minimal(s.mm, fundamental_discriminant(17))[0], l).tamagawa
             t2 = tate_local(twist_minimal(s.mm, fundamental_discriminant(5))[0], l).tamagawa
             assert t1 == t2
+
+
+def test_twist_reduction_at_n_is_what_the_hypothesis_fixes():
+    # every row with D <= 500 of the shipped and coverage corpora, at pair
+    # cap 500, against the reduction the hypothesis fixes at each prime p
+    # of N: where kronecker(D, p) = +1, sqrt(D) lies in Q_p and the twist
+    # is E over Q_p, so its local data is the curve's; at an n_minus
+    # prime the twist keeps I_n, v_p(min disc) and f_p = 1, split and
+    # nonsplit swap, and c_p is n when split, else 2 - n mod 2.  The
+    # twist's v_p(min disc) at N is derived by twist_minimal, not
+    # measured, and this holds it to Tate's algorithm on the curve
+    coverage = os.path.join(os.path.dirname(__file__), "data", "coverage.csv")
+    discs = list(fundamental_discriminants(500))
+    split = additive = inert = 0
+    for path in (default_corpus_path(), coverage):
+        for rec in ingest_corpus(path):
+            for row in twist_rows(rec.facts, discs, 500):
+                for p, loc in rec.facts.local_data.items():
+                    got, where = row.local[p], (rec.label, row.disc.value, p)
+                    sign = kronecker(row.disc.value, p)
+                    assert (sign == -1) == (p in row.minus.primes), where
+                    if sign == 1:
+                        assert got == loc, where
+                        split += 1
+                        additive += loc.kind == ADDITIVE
+                        continue
+                    kind = MULT_NONSPLIT if loc.split else MULT_SPLIT
+                    n = loc.disc_valuation
+                    c = n if kind == MULT_SPLIT else 2 - n % 2
+                    assert loc.conductor_exponent == 1, where
+                    assert got == loc._replace(kind=kind, tamagawa=c), where
+                    inert += 1
+    assert (split, additive, inert) == (3647, 816, 3151)
 
 
 # ---------------------------------------------------------------------------
