@@ -10,12 +10,12 @@ invariants (c4, c6) share one reduced global minimal model.  So minimal
 models, and the minimal models of twists (the twist by d has invariants
 (d^2 c4, d^3 c6)), are computed from (c4, c6) alone; the only change of
 variables the module applies is quadratic_twist's rescaling by
-[1/2, 0, 0, 0].  The reduction is handed the discriminant's
-factorization as (p, e) pairs and never forms the discriminant, so a
-caller that knows the exponents (the twist by D of a curve with known
-discriminant exponents, whose own are 6 v_p(D) more) factors and divides
-nothing; it returns the invariants and discriminant exponents that
-Tate's algorithm starts from.
+[1/2, 0, 0, 0].  The reduction is handed the discriminant's (p, e)
+pairs at the primes to minimize at and never forms the discriminant, so
+a caller that knows the exponents (of the twist by D of a curve with
+known ones, 6 v_p(D) more; or of one prime, where tate_local minimizes)
+factors and divides nothing; it returns the invariants and discriminant
+exponents that Tate's algorithm starts from.
 """
 
 from __future__ import annotations
@@ -135,22 +135,25 @@ def _model_from_c4c6(C4: int, C6: int) -> tuple[WeierstrassModel, Invariants]:
 class MinimalModelResult(NamedTuple):
     minimal: WeierstrassModel
     u_value: int  # |u| of the scale from the input invariants
-    bad_primes: tuple[int, ...]  # primes of the minimal discriminant
+    bad_primes: tuple[int, ...]  # primes of the reduction's factors dividing its discriminant
     invariants: Invariants  # of the minimal model
-    disc_exponents: tuple[int, ...]  # v_p of the minimal discriminant at each bad prime
+    disc_exponents: tuple[int, ...]  # v_p of its discriminant at each of bad_primes
 
 
 def minimal_from_invariants(c4: int, c6: int, factors) -> MinimalModelResult:
-    """Global minimal model of the curves with invariants (c4, c6), by the
-    Laska-Kraus-Connell reduction.
+    """Model of the curves with invariants (c4, c6) minimal at the primes
+    of factors, by the Laska-Kraus-Connell reduction.
 
     (c4, c6) must be the invariants of some integral model, and factors
-    the factorization of its discriminant (c4^3 - c6^2)/1728 as
-    increasing (p, e) pairs, the shape of Factorization.factors; the
-    discriminant itself is never formed, and each exponent is taken as
-    given.  Output is the reduced form (a1, a3 in {0,1}, a2 in
-    {-1,0,1}), which is unique, the scale u with (c4, c6) = (u^4 C4,
-    u^6 C6) for its invariants (C4, C6), the primes of the minimal
+    the (p, e) pairs, p increasing, of its discriminant (c4^3 - c6^2)/1728
+    at the primes to minimize at: all of them (Factorization.factors) for
+    the global minimal model.  The reduction works prime by prime, and
+    dividing (c4, c6) by (p^4, p^6) keeps the Kraus conditions at
+    whichever of 2 and 3 is not p (an odd sixth power is 1 mod 8).  The
+    discriminant is never formed, and each exponent is taken as given.
+    Output is the reduced form (a1, a3 in {0,1}, a2 in {-1,0,1}), which
+    is unique, the scale u with (c4, c6) = (u^4 C4, u^6 C6) for its
+    invariants (C4, C6), the primes of factors that divide its
     discriminant, its invariants, and v_p of its discriminant at each of
     those primes (e - 12 v_p(u)).  A singular pair raises
     SingularModelError when its model's invariants are computed.

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import time
 from collections import Counter
@@ -132,14 +133,22 @@ def default_corpus_path() -> str:
     return str(resources.files("quadtwist").joinpath("data/curves.csv"))
 
 
+def _corpus_int(field: str) -> int:
+    """An optional sign and ASCII digits; int() alone also takes 1_0 and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", field):
+        raise ValueError(f"invalid literal for int() with base 10: {field!r}")
+    return int(field)
+
+
 def ingest_corpus(path: str) -> list[CurveRecord]:
     """Parse and validate a curve corpus CSV.
 
-    Line format: label,a1,a2,a3,a4,a6[,conductor[,analytic_rank]].
-    Comment lines start with '#'.  Each line is decoded as UTF-8 on its
-    own, so an error names the line that is not.  Every record is checked
-    nonsingular and its discriminant factorable (minimal_model, so no
-    line can hang the sweep), duplicate labels are rejected, and a stated conductor must
+    Line format: label,a1,a2,a3,a4,a6[,conductor[,analytic_rank]], each
+    integer an optional sign and ASCII digits.  Comment lines start with
+    '#'.  Each line is decoded as UTF-8 on its own, so an error names the
+    line that is not.  Every record is checked nonsingular and its
+    discriminant factorable (minimal_model, so no line can hang the
+    sweep), duplicate labels are rejected, and a stated conductor must
     match the recomputed one exactly.  Each record carries its curve's
     CurveFacts, computed once here (one minimal_model, one Tate run per
     prime of N) for the conductor check and the sweep.  Their n_minus
@@ -167,11 +176,11 @@ def ingest_corpus(path: str) -> list[CurveRecord]:
         if label in seen:
             raise CorpusError(f"{path}:{lineno}: duplicate label {label!r}")
         try:
-            ai = tuple(int(p) for p in parts[1:6])
+            ai = tuple(_corpus_int(p) for p in parts[1:6])
         except ValueError as exc:
             raise CorpusError(f"{path}:{lineno}: bad coefficient: {exc}") from None
         try:
-            stated_n, rank = (int(p) if p else None for p in [*parts[6:], "", ""][:2])
+            stated_n, rank = (_corpus_int(p) if p else None for p in [*parts[6:], "", ""][:2])
         except ValueError as exc:
             raise CorpusError(f"{path}:{lineno}: bad conductor or rank: {exc}") from None
         if rank is not None and rank < 0:

@@ -11,20 +11,20 @@ is a closed form: modular inverses at odd p, and at p = 2, 3 the
 textbook residues (the singular point from the partial derivatives mod
 2, the double root of the cubic mod 3, [1, 0, a2 mod 2, 2 (a6/4 mod 2)]
 for the I0* step at 2), with the resulting valuation profile asserted
-after every step.  The kernel (_tate) runs on plain ints: it starts
-from the model's invariants and n = v_p of its discriminant, carries
-a1..a6 as locals, applies each [1, r, s, t] change through _change,
-computes a b-invariant of a changed model only where a step reads it,
-and tests thresholds as divisibility by a power of p.  tate_local finds
-that start itself, for any model.  local_data reads it off a global
-minimal model's reduction (MinimalModelResult.invariants and
+after every step.  The kernel (_tate) runs on plain ints, on a model
+minimal at p, from its invariants and n = v_p of its discriminant; it
+carries a1..a6 as locals, applies each [1, r, s, t] change through
+_change, computes a b-invariant of a changed model only where a step
+reads it, tests thresholds as divisibility by a power of p, and never
+rescales.  Its one caller, local_data, starts it from a reduction by
+minimal_from_invariants (MinimalModelResult.invariants and
 disc_exponents), so the invariants and discriminant exponents of a
 curve or twist are computed once, where it is minimized (from one
-factorize for a curve, and from the curve's exponents plus 6 v_p(D) for
-a twist), and Tate's algorithm starts from those exponents.  The
+factorize for a curve, from the curve's exponents plus 6 v_p(D) for a
+twist).  tate_local takes any model and minimizes it at p alone.  The
 model-object form of the same algorithm, a WeierstrassModel per change
-with every invariant recomputed, is the tests' reference; it counts
-roots on its own.
+with every invariant recomputed and a rescaling where a model is not
+minimal, is the tests' reference; it counts roots on its own.
 
 Tate's I0* step and the odd-prime closed form count the roots mod p of
 a cubic, one way per characteristic (count_cubic_roots: the two residues
@@ -42,7 +42,8 @@ import math
 from typing import NamedTuple
 
 from .arith import is_prime, kronecker, valuation
-from .curves import Invariants, MinimalModelResult, WeierstrassModel, invariants, minimal_model
+from .curves import Invariants, MinimalModelResult, WeierstrassModel, invariants
+from .curves import minimal_from_invariants, minimal_model
 
 GOOD = "good"
 MULT_SPLIT = "multiplicative-split"
@@ -145,19 +146,23 @@ def tate_local(E: WeierstrassModel, p: int) -> LocalReduction:
     """Kodaira type, Tamagawa number, minimal discriminant valuation and
     reduction kind of E at p.
 
-    Accepts any model, minimal at p or not (every model is integral); it
-    re-minimizes at p internally, so the reported disc_valuation is that
-    of a p-minimal model.
+    Accepts any model, minimal at p or not (every model is integral): it
+    minimizes at p alone, handing minimal_from_invariants the one pair
+    (p, v_p(disc)) and factoring nothing, and reads local_data off that
+    reduction, or I0 when p does not divide its discriminant.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     inv = invariants(E)
-    return _tate(E, p, inv, valuation(inv.disc, p))
+    mm = minimal_from_invariants(inv.c4, inv.c6, [(p, valuation(inv.disc, p))])
+    if p not in mm.bad_primes:
+        return LocalReduction(p, "I0", 1, 0, GOOD, 0)
+    return local_data(mm, [p])[p]
 
 
 def local_data(mm: MinimalModelResult, primes) -> dict[int, LocalReduction]:
-    """tate_local(mm.minimal, p) at each p of primes, from mm.invariants and
-    mm.disc_exponents; a prime outside mm.bad_primes raises ValueError."""
+    """Tate's algorithm on mm.minimal at each p of primes, from mm.invariants
+    and mm.disc_exponents; a prime outside mm.bad_primes raises ValueError."""
     data = {}
     for p in primes:
         if p not in mm.bad_primes:
@@ -167,125 +172,119 @@ def local_data(mm: MinimalModelResult, primes) -> dict[int, LocalReduction]:
 
 
 def _tate(E: WeierstrassModel, p: int, inv: Invariants, n: int) -> LocalReduction:
-    """Tate's algorithm at p on E, from inv = invariants(E) and n = v_p(inv.disc)."""
+    """Tate's algorithm at p on E, minimal at p, from inv = invariants(E) and
+    n = v_p(inv.disc) > 0; a model past the II* test is not minimal: ValueError."""
     p2, p3 = p * p, p**3
     a1, a2, a3, a4, a6 = E
-    while True:
-        if n == 0:
-            return LocalReduction(p, "I0", 1, 0, GOOD, 0)
-        b2, b4, b6, _, c4, _, _ = inv
+    b2, b4, b6, _, c4, _, _ = inv
 
-        # move the singular point of the reduction to (0, 0): [1, r, 0, t]
-        if p == 2:
-            # the partials mod 2 are a1 x + a3 and a1 y + x^2 + a4
-            if a1 % 2:
-                r, t = a3 % 2, (a3 + a4) % 2
-            else:  # x = a4; y = y^2 = x^3 + a2 x^2 + a4 x + a6 = x (1 + a2 + a4) + a6
-                r = a4 % 2
-                t = (r * (1 + a2 + a4) + a6) % 2
-        else:
-            # the double root r of x^3 + b2/4 x^2 + b4/2 x + b6/4 mod p
-            if c4 % p:
-                r = (18 * b6 - b2 * b4) * pow(c4, -1, p) % p  # -b2 b4 at p = 3
-            elif p == 3:
-                r = -b6 % 3  # 3 | b2, b4: the cubic is x^3 + b6
-            else:
-                r = -b2 * pow(12, -1, p) % p
-            t = -(a1 * r + a3) * ((p + 1) // 2) % p
-        a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, r, 0, t)
-        assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
-
-        if c4 % p != 0:
-            split = _quad_has_root(1, a1, -a2, p)
-            cp = n if split else (2 if n % 2 == 0 else 1)
-            kind = MULT_SPLIT if split else MULT_NONSPLIT
-            return LocalReduction(p, f"I{n}", cp, n, kind, 1)
-
-        if a6 % p2 != 0:
-            return LocalReduction(p, "II", 1, n, ADDITIVE, n)
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        if b8 % p3 != 0:
-            return LocalReduction(p, "III", 2, n, ADDITIVE, n - 1)
-        if (a3 * a3 + 4 * a6) % p3 != 0:  # b6
-            cp = 3 if _quad_has_root(1, a3 // p, -(a6 // p2), p) else 1
-            return LocalReduction(p, "IV", cp, n, ADDITIVE, n - 2)
-
-        # arrange p | a1, a2; p^2 | a3, a4; p^3 | a6: [1, 0, s, w]
-        if p == 2:
-            s, w = a2 % 2, 2 * (a6 // 4 % 2)
-        else:
-            s, w = -a1 * ((p + 1) // 2) % p, -a3 * ((p2 + 1) // 2) % p2
-        a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, s, w)
-        assert a1 % p == 0 and a2 % p == 0
-        assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
-
-        b, c, d = a2 // p % p, a4 // p2 % p, a6 // p3 % p
-        roots = count_cubic_roots(b, c, d, p)
-        if roots is not None:  # squarefree: I0*
-            return LocalReduction(p, "I0*", 1 + roots, n, ADDITIVE, n - 4)
-
-        if (b * b - 3 * c) % p != 0:
-            # double root x0 of the cubic: type I_m* chain.  A root of
-            # multiplicity two is (9d - bc) / 2(b^2 - 3c); at p = 2 it is
-            # the root of the derivative T^2 + c.
-            x0 = c if p == 2 else (9 * d - b * c) * pow(2 * (b * b - 3 * c), -1, p) % p
-            a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, p * x0, 0, 0)
-            assert a2 % p == 0 and a2 % p2 != 0 and a3 % p2 == 0
-            assert a4 % p3 == 0 and a6 % p**4 == 0
-            mx, my = p2, p2
-            m = 1
-            while True:
-                a2t, a3t = a2 // p, a3 // my
-                a4t, a6t = a4 // (p * mx), a6 // (mx * my)
-                if m % 2 == 1:
-                    if (a3t * a3t + 4 * a6t) % p != 0:
-                        cp = 4 if _quad_has_root(1, a3t, -a6t, p) else 2
-                        break
-                    y0 = a6t % 2 if p == 2 else -a3t * ((p + 1) // 2) % p
-                    a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, 0, my * y0)
-                    my *= p
-                else:
-                    if (a4t * a4t - 4 * a2t * a6t) % p != 0:
-                        cp = 4 if _quad_has_root(a2t, a4t, a6t, p) else 2
-                        break
-                    x1 = a6t % 2 if p == 2 else -a4t * pow(2 * a2t, -1, p) % p
-                    a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, mx * x1, 0, 0)
-                    mx *= p
-                m += 1
-                assert m <= n, "runaway I_m* chain"
-            return LocalReduction(p, f"I{m}*", cp, n, ADDITIVE, n - 4 - m)
-
-        # triple root of the cubic
-        if p == 2:
-            x0 = b % 2
+    # move the singular point of the reduction to (0, 0): [1, r, 0, t]
+    if p == 2:
+        # the partials mod 2 are a1 x + a3 and a1 y + x^2 + a4
+        if a1 % 2:
+            r, t = a3 % 2, (a3 + a4) % 2
+        else:  # x = a4; y = y^2 = x^3 + a2 x^2 + a4 x + a6 = x (1 + a2 + a4) + a6
+            r = a4 % 2
+            t = (r * (1 + a2 + a4) + a6) % 2
+    else:
+        # the double root r of x^3 + b2/4 x^2 + b4/2 x + b6/4 mod p
+        if c4 % p:
+            r = (18 * b6 - b2 * b4) * pow(c4, -1, p) % p  # -b2 b4 at p = 3
         elif p == 3:
-            x0 = (-d) % 3
+            r = -b6 % 3  # 3 | b2, b4: the cubic is x^3 + b6
         else:
-            x0 = -b * pow(3, -1, p) % p
+            r = -b2 * pow(12, -1, p) % p
+        t = -(a1 * r + a3) * ((p + 1) // 2) % p
+    a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, r, 0, t)
+    assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
+
+    if c4 % p != 0:
+        split = _quad_has_root(1, a1, -a2, p)
+        cp = n if split else (2 if n % 2 == 0 else 1)
+        kind = MULT_SPLIT if split else MULT_NONSPLIT
+        return LocalReduction(p, f"I{n}", cp, n, kind, 1)
+
+    if a6 % p2 != 0:
+        return LocalReduction(p, "II", 1, n, ADDITIVE, n)
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    if b8 % p3 != 0:
+        return LocalReduction(p, "III", 2, n, ADDITIVE, n - 1)
+    if (a3 * a3 + 4 * a6) % p3 != 0:  # b6
+        cp = 3 if _quad_has_root(1, a3 // p, -(a6 // p2), p) else 1
+        return LocalReduction(p, "IV", cp, n, ADDITIVE, n - 2)
+
+    # arrange p | a1, a2; p^2 | a3, a4; p^3 | a6: [1, 0, s, w]
+    if p == 2:
+        s, w = a2 % 2, 2 * (a6 // 4 % 2)
+    else:
+        s, w = -a1 * ((p + 1) // 2) % p, -a3 * ((p2 + 1) // 2) % p2
+    a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, s, w)
+    assert a1 % p == 0 and a2 % p == 0
+    assert a3 % p2 == 0 and a4 % p2 == 0 and a6 % p3 == 0
+
+    b, c, d = a2 // p % p, a4 // p2 % p, a6 // p3 % p
+    roots = count_cubic_roots(b, c, d, p)
+    if roots is not None:  # squarefree: I0*
+        return LocalReduction(p, "I0*", 1 + roots, n, ADDITIVE, n - 4)
+
+    if (b * b - 3 * c) % p != 0:
+        # double root x0 of the cubic: type I_m* chain.  A root of
+        # multiplicity two is (9d - bc) / 2(b^2 - 3c); at p = 2 it is
+        # the root of the derivative T^2 + c.
+        x0 = c if p == 2 else (9 * d - b * c) * pow(2 * (b * b - 3 * c), -1, p) % p
         a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, p * x0, 0, 0)
-        p4 = p2 * p2
-        assert a2 % p2 == 0 and a3 % p2 == 0
-        assert a4 % p3 == 0 and a6 % p4 == 0
+        assert a2 % p == 0 and a2 % p2 != 0 and a3 % p2 == 0
+        assert a4 % p3 == 0 and a6 % p**4 == 0
+        mx, my = p2, p2
+        m = 1
+        while True:
+            a2t, a3t = a2 // p, a3 // my
+            a4t, a6t = a4 // (p * mx), a6 // (mx * my)
+            if m % 2 == 1:
+                if (a3t * a3t + 4 * a6t) % p != 0:
+                    cp = 4 if _quad_has_root(1, a3t, -a6t, p) else 2
+                    break
+                y0 = a6t % 2 if p == 2 else -a3t * ((p + 1) // 2) % p
+                a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, 0, my * y0)
+                my *= p
+            else:
+                if (a4t * a4t - 4 * a2t * a6t) % p != 0:
+                    cp = 4 if _quad_has_root(a2t, a4t, a6t, p) else 2
+                    break
+                x1 = a6t % 2 if p == 2 else -a4t * pow(2 * a2t, -1, p) % p
+                a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, mx * x1, 0, 0)
+                mx *= p
+            m += 1
+            assert m <= n, "runaway I_m* chain"
+        return LocalReduction(p, f"I{m}*", cp, n, ADDITIVE, n - 4 - m)
 
-        a3t, a6t = a3 // p2, a6 // p4
-        if (a3t * a3t + 4 * a6t) % p != 0:
-            cp = 3 if _quad_has_root(1, a3t, -a6t, p) else 1
-            return LocalReduction(p, "IV*", cp, n, ADDITIVE, n - 6)
+    # triple root of the cubic
+    if p == 2:
+        x0 = b % 2
+    elif p == 3:
+        x0 = (-d) % 3
+    else:
+        x0 = -b * pow(3, -1, p) % p
+    a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, p * x0, 0, 0)
+    p4 = p2 * p2
+    assert a2 % p2 == 0 and a3 % p2 == 0
+    assert a4 % p3 == 0 and a6 % p4 == 0
 
-        y0 = a6t % 2 if p == 2 else -a3t * ((p + 1) // 2) % p
-        a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, 0, p2 * y0)
-        assert a3 % p3 == 0 and a6 % (p4 * p) == 0
+    a3t, a6t = a3 // p2, a6 // p4
+    if (a3t * a3t + 4 * a6t) % p != 0:
+        cp = 3 if _quad_has_root(1, a3t, -a6t, p) else 1
+        return LocalReduction(p, "IV*", cp, n, ADDITIVE, n - 6)
 
-        if a4 % p4 != 0:
-            return LocalReduction(p, "III*", 2, n, ADDITIVE, n - 7)
-        if a6 % (p3 * p3) != 0:
-            return LocalReduction(p, "II*", 1, n, ADDITIVE, n - 8)
+    y0 = a6t % 2 if p == 2 else -a3t * ((p + 1) // 2) % p
+    a1, a2, a3, a4, a6 = _change(a1, a2, a3, a4, a6, 0, 0, p2 * y0)
+    assert a3 % p3 == 0 and a6 % (p4 * p) == 0
 
-        # non-minimal at p: rescale and restart
-        assert a1 % p == 0 and a2 % p2 == 0
-        a1, a2, a3, a4, a6 = a1 // p, a2 // p2, a3 // p3, a4 // p4, a6 // (p3 * p3)
-        inv = invariants(WeierstrassModel(a1, a2, a3, a4, a6))
-        n -= 12
+    if a4 % p4 != 0:
+        return LocalReduction(p, "III*", 2, n, ADDITIVE, n - 7)
+    if a6 % (p3 * p3) != 0:
+        return LocalReduction(p, "II*", 1, n, ADDITIVE, n - 8)
+
+    raise ValueError(f"{tuple(E)} is not minimal at {p}")
 
 
 def reduction_profile(mm: MinimalModelResult) -> tuple[int, dict[int, LocalReduction]]:

@@ -14,10 +14,12 @@ from fractions import Fraction
 import pytest
 
 import quadtwist
+import quadtwist.harness
 import quadtwist.twistlaws
 from quadtwist.arith import DISCRIMINANT_BOUND, fundamental_discriminants
 from quadtwist.cli import main
 from quadtwist.curves import minimal_model, model
+from quadtwist.localred import LocalReduction
 from quadtwist.harness import (
     MODES,
     CorpusError,
@@ -103,6 +105,25 @@ def test_ingest_rejects_duplicates_and_bad_fields(tmp_path):
     with pytest.raises(CorpusError) as exc:
         ingest_corpus(str(path))
     assert str(exc.value) == f"{path}:2: duplicate label '11a1'"
+
+
+def test_cli_verify_refuses_non_ascii_and_underscore_integers(tmp_path, capsys):
+    # int() reads 1_0 as 10 and an Arabic-Indic zero as 0, so this line
+    # would ingest as 11a1; a corpus integer is a sign and ASCII digits
+    corpus = write(tmp_path, "c,0,-1,1,-1_0,-2\u0660,11\n")
+    assert main(["verify", "--corpus", corpus, "--dmax", "5"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {corpus}:1: bad coefficient: invalid literal for int() with base 10: '-1_0'\n"
+    )
+    bad = ("11a1,0,-1,1,-10,-2\u0660", "11a1,0,-1,1,-10,-20,1_1", "11a1,0,-1,1,-10,-20,11,\u0660")
+    for line in bad:
+        path = write(tmp_path, line + "\n")
+        with pytest.raises(CorpusError) as exc:
+            ingest_corpus(path)
+        assert str(exc.value).startswith(f"{path}:1: bad "), line
+    # a sign, surrounding blanks and leading zeros stay integers
+    (rec,) = ingest_corpus(write(tmp_path, "11a1,+0, -1 ,1,-010,-20,0011,-0\n"))
+    assert (rec.a_invariants, rec.conductor, rec.analytic_rank) == ((0, -1, 1, -10, -20), 11, 0)
 
 
 def test_shipped_corpus_loads():
@@ -716,6 +737,72 @@ def test_cli_verify_reports_failed_checks(tmp_path, monkeypatch, capsys):
     assert captured.err.startswith(f"11a1: {summary['instances']} instances, 5 failures, ")
     fails = [ln for ln in captured.out.splitlines() if ln.startswith("FAIL: ")]
     assert [json.loads(ln[6:]) for ln in fails] == report["failures"]
+
+
+def _swap_2_4(c: int) -> int:
+    return {2: 4, 4: 2}.get(c, c)
+
+
+# Each row corrupts one input on the independent side of a comparison,
+# where the sweep reads it: (owner, name, corruption of the real value,
+# the checks that fail).  Together the rows fail every check name but
+# omega_parity and c_tilde_product, which no corruption reaches, c~
+# itself included (inert_tamagawa x 2 makes every c~ 2).
+NEGATIVE_CONTROLS = {
+    "clean": (None, None, None, set()),
+    "u_times_2": (
+        quadtwist.twistlaws, "u_of_discriminant", lambda real: lambda mm, D: 2 * real(mm, D),
+        {"quantity_even_exponent", "u_closed_form"},  # a pair's two shares absorb the 4
+    ),
+    "u_times_3": (
+        quadtwist.twistlaws, "u_of_discriminant", lambda real: lambda mm, D: 3 * real(mm, D),
+        {"quantity_even_exponent", "quantity_power_of_two", "u_closed_form"},
+    ),
+    "symbol_negated": (
+        quadtwist.harness, "symbol_closed_form", lambda real: lambda *args: -real(*args),
+        {"symbol_closed_form"},
+    ),
+    "symbol_check_given_minus_symbol": (
+        quadtwist.harness, "tamagawa_symbol_check",
+        lambda real: lambda row, symbol: real(row, -symbol),
+        {"tamagawa_product_symbol"},
+    ),
+    "odd_tamagawa_2_4_swapped": (
+        quadtwist.harness, "twist_prime_tamagawa_odd",
+        lambda real: lambda mm, l: _swap_2_4(real(mm, l)),
+        {"odd_twist_fast_path"},
+    ),
+    "case_table_c2_2_4_swapped": (
+        quadtwist.twistlaws, "_two_adic_prediction",
+        lambda real: lambda mm, D: (p := real(mm, D))._replace(tamagawa=_swap_2_4(p.tamagawa)),
+        {"two_adic_case_table"},
+    ),
+    "inert_times_9": (
+        LocalReduction, "inert_tamagawa", lambda real: property(lambda loc: 9 * real.fget(loc)),
+        {"tamagawa_transfer_per_prime"},  # 9 is a square: the product check passes
+    ),
+    "inert_times_2": (
+        LocalReduction, "inert_tamagawa", lambda real: property(lambda loc: 2 * real.fget(loc)),
+        {"quantity_even_exponent", "tamagawa_transfer_per_prime", "tamagawa_transfer_product"},
+    ),
+}
+
+
+@pytest.mark.parametrize("row", NEGATIVE_CONTROLS)
+def test_negative_control_matrix(row, monkeypatch):
+    owner, name, corrupt, failing = NEGATIVE_CONTROLS[row]
+    if owner is not None:
+        monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    # ingested under the patch: a curve's n_minus table fills from c~
+    corpus = ingest_corpus(default_corpus_path())
+    report = sweep_report(corpus, 40, corpus_name="x")
+    failed = {c for f in report["failures"] for c in f["failed_checks"]}
+    assert failed == failing
+    # every check the sweep runs fails in some row, but the two no row
+    # reaches; they run, and never fail
+    reached = set().union(*(checks for *_, checks in NEGATIVE_CONTROLS.values()))
+    assert set(report["summary"]["check_counts"]) == reached | {"omega_parity", "c_tilde_product"}
+    assert not failed & {"omega_parity", "c_tilde_product"}
 
 
 def test_package_exports_resolve():

@@ -1,14 +1,19 @@
 """Tate's algorithm on plain ints against its model-object reference.
 
-tate_local carries a1..a6 as local ints through every coordinate change;
-reference_tate_local (oracles.py) is the same algorithm on
-WeierstrassModel values, each change through rst_transform and each step
-recomputing the invariants.  They must agree on every key the sweeps ask
-and on random and engineered models, and the inputs together must reach
+The kernel (_tate) carries a1..a6 as local ints through every coordinate
+change, on a model minimal at p; reference_tate_local (oracles.py) is
+the same algorithm on WeierstrassModel values, each change through
+rst_transform, each step recomputing the invariants, and a rescaling and
+restart where a model is not minimal.  tate_local, which minimizes any
+model at p alone (minimal_from_invariants at the one pair (p, v_p(disc)),
+no factorization) and hands the reduction to local_data, must agree with
+the reference on every key the sweeps ask and on random and engineered
+models, non-minimal ones among them, and the inputs together must reach
 every branch of the algorithm at 2 and at 3.  local_data, which starts
-the same kernel from a reduction's invariants and discriminant exponents,
+the kernel from a reduction's invariants and discriminant exponents,
 must agree with both at every bad prime of every reduction the sweeps
-run it on and of the random models' minimal models."""
+run it on and of the random models' minimal models; the kernel refuses
+a model that is not minimal at p."""
 
 import os
 import random
@@ -18,7 +23,7 @@ import pytest
 from quadtwist.arith import fundamental_discriminants, valuation
 from quadtwist.curves import SingularModelError, invariants, minimal_model, model, quadratic_twist
 from quadtwist.harness import default_corpus_path, ingest_corpus
-from quadtwist.localred import local_data, tate_local
+from quadtwist.localred import _tate, local_data, tate_local
 from quadtwist.twistlaws import twist_minimal, twist_rows
 
 from oracles import factorint, random_reduced_curves, reference_tate_local
@@ -105,7 +110,16 @@ def key_sets(reductions):
     return keys
 
 
-def test_kernel_matches_reference(key_sets):
+def test_kernel_matches_reference(key_sets, monkeypatch):
+    # tate_local minimizes at p from v_p of the discriminant alone: with
+    # factorize refused (so minimal_model too), it agrees with the
+    # reference on every key, the random models non-minimal at 2 and 3
+    # (u = 1/p, and u = 1/4, 1/6, 1/9) among them
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr("quadtwist.curves.factorize", refuse)
+    monkeypatch.setattr("quadtwist.arith.factorize", refuse)
     assert len(key_sets["shipped"]) == 5320
     for name, keys in key_sets.items():
         for E, p in keys:
@@ -122,7 +136,8 @@ def test_inputs_reach_every_branch_at_2_and_3(key_sets):
                 loc = tate_local(E, p)
                 families[p].add(_family(loc.kodaira))
                 inv = invariants(E)
-                # the restart branch: a model that is not minimal at p
+                # tate_local's minimization at p: a model that is not
+                # minimal there
                 rescaled[p] += valuation(inv.disc, p) > loc.disc_valuation
                 # the first singular-point step's closed form: a1 odd or
                 # even at 2, 3 | b2 or not at 3
@@ -132,6 +147,17 @@ def test_inputs_reach_every_branch_at_2_and_3(key_sets):
     assert families == {2: every, 3: every}
     assert min(rescaled.values()) > 0, rescaled
     assert singular_point == {2: {0, 1}, 3: {False, True}}
+
+
+@pytest.mark.parametrize("u, p", [(11, 11), (2, 2), (3, 3)])
+def test_kernel_refuses_a_model_not_minimal_at_p(u, p):
+    # 11a1 scaled by 1/u is not minimal at p: the kernel refuses it, and
+    # tate_local minimizes it at p first
+    E = scaled(model(0, -1, 1, -10, -20), u)
+    inv = invariants(E)
+    with pytest.raises(ValueError, match=f"is not minimal at {p}$"):
+        _tate(E, p, inv, valuation(inv.disc, p))
+    assert tate_local(E, p) == reference_tate_local(E, p)
 
 
 def test_kernel_errors_match_reference():
